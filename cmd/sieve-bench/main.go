@@ -12,7 +12,7 @@
 // master seed, recorded in the BENCH_*.json artifacts.
 //
 // -run traffic is the closed-loop load harness: concurrent Zipf-skewed
-// queriers mix streaming, exhaustive, prepared, and backend-shipped
+// queriers mix early-closed, drained, prepared, and backend-shipped
 // queries over the campus, mall, and hospital workloads — in process and
 // through a real sieve-server — under live policy churn, with every
 // returned row invariant-checked. See docs/benchmarks.md.
@@ -85,7 +85,6 @@ var experiments = []exp{
 		return experiment.DynamicRegeneration(c, 10)
 	}},
 	{"workers", "Parallel guarded scan scaling (1..NumCPU workers)", experiment.WorkerScaling},
-	{"vector", "Vectorised vs row-at-a-time guard evaluation", experiment.VectorComparison},
 	{"policyscale", "Million-policy regime: signature-shared plans, scoped invalidation", experiment.PolicyScale},
 	{"recovery", "Durability: WAL append, snapshot MB/s, replay rec/s, cold recovery", experiment.Recovery},
 	{"latency", "Per-query latency over the examples corpus, tracing off vs on", experiment.Latency},

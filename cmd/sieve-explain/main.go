@@ -98,9 +98,8 @@ func main() {
 	}
 	fmt.Printf("\nengine plan:\n%s", plan.String())
 
-	// Execute materialising (the exhaustive path), so the parallel
-	// guarded-scan operator engages when the table is large enough, and
-	// report the executor's actual segment accounting.
+	// Execute to completion, so a scan of more than one segment reaches its
+	// fan-out, and report the executor's actual segment accounting.
 	campus.DB.ResetCounters()
 	ctx := context.Background()
 	var tr *obs.Span

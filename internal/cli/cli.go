@@ -156,7 +156,7 @@ id (see -list), -scale the corpus size, and -seed drives every workload
 generator and load harness from one master seed, recorded in the JSON
 artifacts (BENCH_*.json) the heavier experiments write. -run traffic is
 the closed-loop load harness: concurrent Zipf-skewed queriers mix
-streaming, exhaustive, prepared, and backend-shipped queries over the
+early-closed, drained, prepared, and backend-shipped queries over the
 campus, mall, and hospital workloads — in process and through a real
 sieve-server — under live policy churn, with every returned row checked
 against the policies legal during its query's lifetime. The run fails,

@@ -45,6 +45,12 @@ func TestUsageDocsDrift(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Surface that no longer exists must not linger in the docs.
+		for _, gone := range []string{"ForceRowEval", "-run vector"} {
+			if strings.Contains(string(raw), gone) {
+				t.Errorf("%s still mentions %q, which was removed", e.Name(), gone)
+			}
+		}
 		for _, m := range marker.FindAllStringSubmatch(string(raw), -1) {
 			tool, quoted := m[1], m[2]
 			exp, ok := want[tool]

@@ -93,22 +93,13 @@ type DB struct {
 	// HistogramBuckets controls Analyze resolution.
 	HistogramBuckets int
 
-	// ScanWorkers is the worker budget for the parallel guarded-scan
-	// operator: sequential scans feeding exhaustive consumers
-	// (aggregation, ORDER BY, joins, materialising calls) fan surviving
-	// segments out across this many goroutines. Defaults to
+	// ScanWorkers is the worker budget of the sequential-scan operator:
+	// once a consumer has pulled past the first scanned segment, the
+	// remaining segments fan out across this many goroutines. Defaults to
 	// runtime.NumCPU(); values ≤ 1 keep every scan serial; values above
 	// MaxScanWorkers are clamped. Like HistogramBuckets, set it at
 	// configuration time, before queries run concurrently.
 	ScanWorkers int
-
-	// ForceRowEval disables the vectorised batch evaluator: every
-	// sequential scan filters row-at-a-time through rowPasses, as before
-	// PR 5. The two paths are proven equivalent by the differential oracle
-	// (vector_oracle_test.go); the knob exists for that proof, for
-	// benchmarking the speedup, and as an escape hatch. Like ScanWorkers,
-	// set it at configuration time, before queries run concurrently.
-	ForceRowEval bool
 
 	// AutoAnalyzeThreshold is the number of table mutations (inserts,
 	// updates, deletes, bulk-loaded rows) after which previously built
@@ -568,10 +559,7 @@ func (db *DB) StreamStmt(ctx context.Context, stmt *sqlparser.SelectStmt) (*Rows
 		return nil, err
 	}
 	ex := db.newExecutor(ctx)
-	// Streaming consumers may stop at any row (early Close, LIMIT), so the
-	// pipeline is opened without the exhaustive promise: scans stay serial
-	// and read-ahead never exceeds what Next actually pulls.
-	cols, it, err := ex.stmtIter(stmt, newScope(nil), nil, false)
+	cols, it, err := ex.stmtIter(stmt, newScope(nil), nil)
 	if err != nil {
 		ex.flush(db)
 		return nil, err

@@ -102,13 +102,12 @@ func TestDeltaResolverRefutesAtPlanTime(t *testing.T) {
 }
 
 // TestDeltaResolverRowEvalParity proves the lowered refutation commutes
-// with the forced row-at-a-time path (the vector oracle's knob): same
-// rows, same pruning.
+// with the rowPasses reference (the vector oracle's seam): same rows, same
+// pruning.
 func TestDeltaResolverRowEvalParity(t *testing.T) {
 	db, _ := deltaTestDB(t)
 	res, c := runCounted(t, db, "SELECT * FROM t WHERE d_check(2, owner) = TRUE OR x < 3")
-	db.ForceRowEval = true
-	res2, c2 := runCounted(t, db, "SELECT * FROM t WHERE d_check(2, owner) = TRUE OR x < 3")
+	res2, c2 := runReference(t, db, "SELECT * FROM t WHERE d_check(2, owner) = TRUE OR x < 3")
 	if len(res.Rows) != len(res2.Rows) {
 		t.Fatalf("vectorised %d rows vs row-eval %d rows", len(res.Rows), len(res2.Rows))
 	}

@@ -98,15 +98,19 @@ func (db *DB) newExecutor(ctx context.Context) *executor {
 // checkCtx polls the context every ctxCheckInterval ticks.
 func (ex *executor) checkCtx() error {
 	ex.tick++
-	if ex.tick%ctxCheckInterval != 0 || ex.ctx == nil {
+	if ex.tick%ctxCheckInterval != 0 {
 		return nil
 	}
-	select {
-	case <-ex.ctx.Done():
-		return ex.ctx.Err()
-	default:
+	return ex.ctxErr()
+}
+
+// ctxErr polls the context now: the per-batch check of the scan operator,
+// where a tick is hundreds of rows of work.
+func (ex *executor) ctxErr() error {
+	if ex.ctx == nil {
 		return nil
 	}
+	return ex.ctx.Err()
 }
 
 // flush merges the executor's work counters into the DB's accumulators;
@@ -129,7 +133,7 @@ type rel struct {
 
 // selectStmt materialises a statement's full result.
 func (ex *executor) selectStmt(s *sqlparser.SelectStmt, sc *scope, outer *env) (*Result, error) {
-	cols, it, err := ex.stmtIter(s, sc, outer, true)
+	cols, it, err := ex.stmtIter(s, sc, outer)
 	if err != nil {
 		return nil, err
 	}
@@ -142,10 +146,7 @@ func (ex *executor) selectStmt(s *sqlparser.SelectStmt, sc *scope, outer *env) (
 
 // stmtIter opens a statement as a stream of rows. Set operations (UNION /
 // MINUS) materialise their arms; plain selects stream through coreIter.
-// exhaustive promises the caller will drain the stream to completion (no
-// early Close, no downstream LIMIT cutting it short); it licenses the
-// parallel scan operator, whose workers read ahead of the consumer.
-func (ex *executor) stmtIter(s *sqlparser.SelectStmt, sc *scope, outer *env, exhaustive bool) ([]string, rowIter, error) {
+func (ex *executor) stmtIter(s *sqlparser.SelectStmt, sc *scope, outer *env) ([]string, rowIter, error) {
 	lazy := lazyCTENames(s)
 	// Each CTE gets its own scope link whose parent holds only the
 	// *earlier* CTEs: a body's reference to a later sibling must resolve
@@ -167,7 +168,7 @@ func (ex *executor) stmtIter(s *sqlparser.SelectStmt, sc *scope, outer *env, exh
 		sc = next
 	}
 	if len(s.Ops) == 0 {
-		return ex.coreIter(s.Body, sc, outer, exhaustive)
+		return ex.coreIter(s.Body, sc, outer)
 	}
 	res, err := ex.coreResult(s.Body, sc, outer)
 	if err != nil {
@@ -193,7 +194,7 @@ func (ex *executor) stmtIter(s *sqlparser.SelectStmt, sc *scope, outer *env, exh
 
 // coreResult materialises one select core.
 func (ex *executor) coreResult(core *sqlparser.SelectCore, sc *scope, outer *env) (*Result, error) {
-	cols, it, err := ex.coreIter(core, sc, outer, true)
+	cols, it, err := ex.coreIter(core, sc, outer)
 	if err != nil {
 		return nil, err
 	}
@@ -355,9 +356,8 @@ type sourceInfo struct {
 	cols       map[string]bool
 }
 
-// resolveSources binds the FROM entries. exhaustive carries the consumer's
-// drain promise into lazily streamed CTE bodies.
-func (ex *executor) resolveSources(core *sqlparser.SelectCore, sc *scope, outer *env, exhaustive bool) ([]*sourceInfo, error) {
+// resolveSources binds the FROM entries.
+func (ex *executor) resolveSources(core *sqlparser.SelectCore, sc *scope, outer *env) ([]*sourceInfo, error) {
 	sources := make([]*sourceInfo, 0, len(core.From))
 	for _, ref := range core.From {
 		src := &sourceInfo{ref: ref, name: ref.RefName(), cols: make(map[string]bool)}
@@ -376,7 +376,7 @@ func (ex *executor) resolveSources(core *sqlparser.SelectCore, sc *scope, outer 
 				if e.res == nil && !e.streamed {
 					// Single-use CTE: open its body as a stream. Opening
 					// only builds the pipeline; no rows are read yet.
-					cols, it, err := ex.stmtIter(e.stmt, e.sc, e.outer, exhaustive)
+					cols, it, err := ex.stmtIter(e.stmt, e.sc, e.outer)
 					if err != nil {
 						return nil, fmt.Errorf("in WITH %s: %w", ref.Name, err)
 					}
@@ -473,9 +473,9 @@ func qualifyResult(name string, res *Result) *rel {
 }
 
 // rowPasses evaluates conjuncts against one row laid out as schema,
-// rejecting on the first conjunct that is not true. The single
-// WHERE-evaluation semantics shared by the streaming scans and the
-// materialising filter.
+// rejecting on the first conjunct that is not true: the WHERE semantics of
+// index fetch lists and of filters over derived and joined relations, and
+// the reference sequential scans' compiled filters are tested against.
 func rowPasses(ev *evaluator, schema *RelSchema, row storage.Row, conjs []sqlparser.Expr, outer *env) (bool, error) {
 	en := &env{schema: schema, row: row, outer: outer}
 	for _, cj := range conjs {
@@ -513,10 +513,8 @@ func (ex *executor) filterRel(r *rel, conjs []sqlparser.Expr, sc *scope, outer *
 }
 
 // scanSourceIter opens one FROM entry as a stream with its single-source
-// conjuncts applied (through the chosen access path for base tables). When
-// the consumer is exhaustive, a guarded sequential scan over enough
-// segments runs on the parallel operator instead of the serial cursor.
-func (ex *executor) scanSourceIter(src *sourceInfo, conjs []sqlparser.Expr, sc *scope, outer *env, exhaustive bool) (*RelSchema, rowIter, error) {
+// conjuncts applied (through the chosen access path for base tables).
+func (ex *executor) scanSourceIter(src *sourceInfo, conjs []sqlparser.Expr, sc *scope, outer *env) (*RelSchema, rowIter, error) {
 	ev := &evaluator{ex: ex, scope: sc}
 	switch {
 	case src.stream != nil:
@@ -537,26 +535,16 @@ func (ex *executor) scanSourceIter(src *sourceInfo, conjs []sqlparser.Expr, sc *
 		t := src.tbl
 		plan := planAccess(ex.db, t, src.name, conjs, src.ref.Hint)
 		schema := qualifySchema(src.name, t.Schema)
-		if plan.fetch == nil && exhaustive && len(conjs) > 0 && parallelSafeConjuncts(conjs) {
-			if workers := ex.db.EffectiveScanWorkers(); workers > 1 {
-				view := t.View()
-				if view.NumSegments() >= parallelScanMinSegments {
-					it := &parallelScanIter{
-						ex: ex, view: view, plan: plan, schema: schema,
-						conjs: conjs, sc: sc, outer: outer, workers: workers,
-					}
-					return schema, it, nil
-				}
-			}
+		if plan.fetch != nil {
+			return schema, &fetchIter{ex: ex, t: t, plan: plan, schema: schema, conjs: conjs, ev: ev, outer: outer}, nil
 		}
-		it := &tableIter{ex: ex, t: t, plan: plan, schema: schema, conjs: conjs, ev: ev, outer: outer, exhaustive: exhaustive}
-		return schema, it, nil
+		return schema, &scanIter{ex: ex, t: t, plan: plan, schema: schema, conjs: conjs, sc: sc, outer: outer}, nil
 	}
 }
 
 // scanSource materialises one FROM entry (the join path's build input).
 func (ex *executor) scanSource(src *sourceInfo, conjs []sqlparser.Expr, sc *scope, outer *env) (*rel, error) {
-	schema, it, err := ex.scanSourceIter(src, conjs, sc, outer, true)
+	schema, it, err := ex.scanSourceIter(src, conjs, sc, outer)
 	if err != nil {
 		return nil, err
 	}
@@ -767,16 +755,9 @@ func (ex *executor) joinSources(sources []*sourceInfo, classifieds []*classified
 // [distinct] → [limit], producing tuples on demand. Joins, aggregation
 // and ORDER BY materialise at the stage that requires it and stream from
 // there on.
-func (ex *executor) coreIter(core *sqlparser.SelectCore, sc *scope, outer *env, exhaustive bool) ([]string, rowIter, error) {
+func (ex *executor) coreIter(core *sqlparser.SelectCore, sc *scope, outer *env) ([]string, rowIter, error) {
 	grouped := coreIsGrouped(core)
-	// The scans below this core are drained to completion when grouping,
-	// ordering, or a join materialises here regardless of the consumer —
-	// otherwise only when the consumer promised to drain us and no LIMIT
-	// can cut the stream short.
-	srcExhaustive := grouped || len(core.OrderBy) > 0 || len(core.From) > 1 ||
-		(exhaustive && core.Limit < 0)
-
-	sources, err := ex.resolveSources(core, sc, outer, srcExhaustive)
+	sources, err := ex.resolveSources(core, sc, outer)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -786,7 +767,7 @@ func (ex *executor) coreIter(core *sqlparser.SelectCore, sc *scope, outer *env, 
 	var schema *RelSchema
 	var it rowIter
 	if len(sources) == 1 {
-		schema, it, err = ex.scanSourceIter(sources[0], perSource[0], sc, outer, srcExhaustive)
+		schema, it, err = ex.scanSourceIter(sources[0], perSource[0], sc, outer)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -27,8 +27,8 @@ type TableAccess struct {
 	Segments            int
 	SegmentsPruned      int
 	SegmentsOwnerPruned int
-	// Vectorised reports whether the scan's filter would run on the
-	// batch evaluator (column-at-a-time) rather than row-at-a-time.
+	// Vectorised reports whether the access runs a compiled batch filter
+	// (column-at-a-time): every sequential scan with a predicate does.
 	Vectorised bool
 }
 
@@ -95,11 +95,6 @@ func (ex *executor) explain(s *sqlparser.SelectStmt) (*Explain, error) {
 		sources = append(sources, src)
 	}
 
-	// Scans vectorise only under an exhaustive consumer; mirror coreIter's
-	// srcExhaustive for a materialising execution of this core, so the
-	// plan's "vec" marker matches what the executor's counters will show.
-	srcExhaustive := coreIsGrouped(core) || len(core.OrderBy) > 0 || len(core.From) > 1 || core.Limit < 0
-
 	conjuncts := sqlparser.Conjuncts(core.Where)
 	perSource := make([][]sqlparser.Expr, len(sources))
 	for _, cj := range conjuncts {
@@ -118,10 +113,6 @@ func (ex *executor) explain(s *sqlparser.SelectStmt) (*Explain, error) {
 		}
 		plan := planAccess(ex.db, src.tbl, src.name, perSource[i], src.ref.Hint)
 		pruned, ownerPruned, total := plan.segmentStats(src.tbl)
-		vec := false
-		if plan.Kind == AccessSeq && srcExhaustive && !ex.db.ForceRowEval {
-			vec = vectorisable(perSource[i], qualifySchema(src.name, src.tbl.Schema))
-		}
 		out.Tables = append(out.Tables, TableAccess{
 			Table:               src.name,
 			Kind:                plan.Kind,
@@ -131,7 +122,7 @@ func (ex *executor) explain(s *sqlparser.SelectStmt) (*Explain, error) {
 			Segments:            total,
 			SegmentsPruned:      pruned,
 			SegmentsOwnerPruned: ownerPruned,
-			Vectorised:          vec,
+			Vectorised:          plan.Kind == AccessSeq && len(perSource[i]) > 0,
 		})
 	}
 	return out, nil

@@ -13,28 +13,28 @@ import (
 // torn down; it never escapes the operator.
 var errScanClosed = errors.New("engine: parallel scan closed")
 
-// The parallel guarded-scan operator: surviving segments of a sequential
-// scan are fanned out across a worker pool, each worker zone-checks,
-// reads, and filters whole segments (guards + Δ policy checks included)
-// with its own executor and counters, and a bounded reorder pipeline hands
-// the per-segment results back to the consumer in heap order. The result
-// stream is byte-identical to the serial scan's.
+// The fan-out half of the sequential-scan operator (scanIter, stream.go):
+// once the consumer has pulled past the first scanned segment, the segments
+// after it are handed, in heap order, to a worker pool. Each worker prunes,
+// loads and filters whole segments (guards and Δ policy checks included)
+// with its own segScanner, executor and counters, and a bounded reorder
+// window hands the per-segment results back in heap order, so the stream
+// is byte-identical to the single-goroutine scan's. The window is what
+// bounds read-ahead: workers run at most 2×workers dispatched segments
+// ahead of the one the consumer is on.
 //
-// The operator runs only underneath exhaustive consumers — aggregation,
-// ORDER BY, join inputs, materialising calls without LIMIT — where every
-// surviving tuple will be read anyway, so worker read-ahead never inflates
-// the work a LIMIT or an early Rows.Close would have avoided. Streaming
-// surfaces with early-termination semantics keep the serial scan.
-//
-// Cancellation and teardown: workers poll the query context and the
-// operator's done channel every ctxCheckInterval rows; Close (idempotent,
-// also invoked on error and exhaustion) closes done, waits for the pool,
-// and only then merges the workers' counters into the query's — so
-// counter totals are exact and race-free at flush time.
-
-// parallelScanMinSegments gates the operator: below two surviving-segment
-// candidates there is nothing to fan out.
-const parallelScanMinSegments = 2
+// Cancellation and teardown: workers poll the query context and the done
+// channel between filter operators; close (reached, once, on early Close,
+// LIMIT, error and exhaustion) closes done, waits for the pool, and
+// only then merges the workers' counters into the query's — so counter
+// totals are exact and race-free at flush time.
+type fanOut struct {
+	it      *scanIter
+	done    chan struct{}
+	ordered chan chan segResult
+	wg      sync.WaitGroup
+	pool    []*executor // per-worker executors, counters merged at close
+}
 
 // segTask is one segment handed to a worker; out is buffered (capacity 1)
 // so workers never block delivering a finished segment.
@@ -50,105 +50,63 @@ type segResult struct {
 	err  error
 }
 
-// parallelScanIter operates solely on its captured View — never the live
-// table — so a scan is immune to concurrent Compact swaps by construction.
-type parallelScanIter struct {
-	ex      *executor
-	view    *storage.View
-	plan    accessPlan
-	schema  *RelSchema
-	conjs   []sqlparser.Expr
-	sc      *scope
-	outer   *env
-	workers int
-
-	started bool
-	closed  bool
-	merged  bool
-	done    chan struct{}
-	ordered chan chan segResult
-	wg      sync.WaitGroup
-	pool    []*executor // per-worker executors, counters merged at Close
-
-	cur []storage.Row
-	pos int
-}
-
-// start spins up the feeder and the worker pool. Called lazily on first
-// Next so an abandoned iterator costs nothing.
-func (it *parallelScanIter) start() {
-	it.started = true
-	nSegs := it.view.NumSegments()
-	workers := it.workers
-	if workers > nSegs {
-		workers = nSegs
+// startFanOut spins up the feeder and the worker goroutines over segments
+// [from, NumSegments).
+func startFanOut(it *scanIter, from, workers int) *fanOut {
+	f := &fanOut{
+		it:   it,
+		done: make(chan struct{}),
+		// The reorder window: per-segment result channels in dispatch
+		// (= heap) order; its capacity bounds how far workers may run
+		// ahead of the consumer.
+		ordered: make(chan chan segResult, 2*workers),
+		pool:    make([]*executor, workers),
 	}
-	it.done = make(chan struct{})
-	// The ordered channel is the reorder window: it holds per-segment
-	// result channels in dispatch (= heap) order and its capacity bounds
-	// how far workers may run ahead of the consumer.
-	it.ordered = make(chan chan segResult, 2*workers)
-	work := make(chan segTask)
-	it.ex.counters.SeqScans++
 	it.ex.counters.ParallelScans++
-
-	it.pool = make([]*executor, workers)
-	for i := range it.pool {
-		child := &executor{db: it.ex.db, ctx: it.ex.ctx}
+	work := make(chan segTask)
+	for i := range f.pool {
+		// Workers share the query's scan span (Span accumulation is
+		// concurrency-safe): their aggregate busy time lands on a
+		// "workers" child of it.
+		child := &executor{db: it.ex.db, ctx: it.ex.ctx, span: it.ex.span}
 		child.counters = &child.local
-		// Workers share the parent's trace spans: Span accumulation is
-		// concurrency-safe, so per-segment prune/vector timings from every
-		// worker merge into the same phase nodes, and the aggregate worker
-		// busy time lands on a "workers" child of the scan span.
-		child.span, child.spPrune, child.spVector = it.ex.span, it.ex.spPrune, it.ex.spVector
-		it.pool[i] = child
-		it.wg.Add(1)
-		go it.worker(child, work)
+		f.pool[i] = child
+		f.wg.Add(1)
+		go f.worker(child, work)
 	}
-
-	it.wg.Add(1)
+	f.wg.Add(1)
 	go func() { // feeder: dispatches segments in heap order
-		defer it.wg.Done()
-		defer close(it.ordered)
-		for seg := 0; seg < nSegs; seg++ {
+		defer f.wg.Done()
+		defer close(f.ordered)
+		defer close(work)
+		for seg := from; seg < it.view.NumSegments(); seg++ {
 			tk := segTask{seg: seg, out: make(chan segResult, 1)}
 			select {
-			case it.ordered <- tk.out:
-			case <-it.done:
+			case f.ordered <- tk.out:
+			case <-f.done:
 				return
 			}
 			select {
 			case work <- tk:
-			case <-it.done:
+			case <-f.done:
 				return
 			}
 		}
-		close(work)
 	}()
+	return f
 }
 
-// workerState is one worker's private scan machinery: evaluator, scratch
-// buffers, and — unless the DB forces row evaluation — its own compiled
-// vector program (programs hold scratch state and are single-goroutine).
-type workerState struct {
-	ev         *evaluator
-	buf        []storage.Row
-	zbuf       []storage.ZoneMap
-	wantOwners bool
-	prog       *vecProgram
-	batch      storage.Batch
-}
-
-func (it *parallelScanIter) worker(child *executor, work <-chan segTask) {
-	defer it.wg.Done()
-	ws := &workerState{
-		ev:         &evaluator{ex: child, scope: it.sc},
-		zbuf:       make([]storage.ZoneMap, len(it.plan.zoneCols)),
-		wantOwners: hasOwnerLeaf(it.plan.zonePreds, it.view.OwnerColumn()),
-	}
-	if !it.ex.db.ForceRowEval {
-		ws.prog, _ = compileVecProgram(it.conjs, it.schema)
-	}
+func (f *fanOut) worker(child *executor, work <-chan segTask) {
+	defer f.wg.Done()
+	scan := newSegScanner(f.it, child, func() error {
+		select {
+		case <-f.done:
+			return errScanClosed
+		default:
+			return child.ctxErr()
+		}
+	})
+	segRows := f.it.view.SegmentRows()
 	for {
 		var tk segTask
 		var ok bool
@@ -157,21 +115,24 @@ func (it *parallelScanIter) worker(child *executor, work <-chan segTask) {
 			if !ok {
 				return
 			}
-		case <-it.done:
+		case <-f.done:
 			return
 		}
 		var t0 time.Time
 		if child.span != nil {
 			t0 = time.Now()
 		}
-		res, alive := it.scanSegment(child, ws, tk.seg)
+		var res segResult
+		if !scan.refuted(tk.seg) {
+			res.rows, res.err = scan.run(tk.seg, tk.seg*segRows, (tk.seg+1)*segRows, nil)
+		}
 		if child.span != nil {
 			sp := child.span.Child("workers")
 			sp.AddSince(t0)
 			sp.Count("segments", 1)
 		}
-		if !alive {
-			return // done closed mid-segment; consumer is gone
+		if errors.Is(res.err, errScanClosed) {
+			return // done closed mid-segment; the consumer is gone
 		}
 		tk.out <- res
 		if res.err != nil {
@@ -180,109 +141,24 @@ func (it *parallelScanIter) worker(child *executor, work <-chan segTask) {
 	}
 }
 
-// scanSegment zone- and owner-dictionary-checks, reads, and filters one
-// segment with the worker's own evaluator and counters — vectorised over a
-// batch unless the DB forces row evaluation or nothing compiles. alive is
-// false when the operator was closed mid-scan (no result is delivered;
-// nobody is waiting).
-func (it *parallelScanIter) scanSegment(child *executor, ws *workerState, seg int) (segResult, bool) {
-	if refuted, dict := segmentRefuted(it.view, seg, it.plan.zonePreds, it.plan.zoneCols, ws.zbuf, ws.wantOwners); refuted {
-		child.local.SegmentsPruned++
-		if dict {
-			child.local.OwnerDictPruned++
-		}
-		return segResult{}, true
+// next returns the next segment's selected rows in heap order; more is
+// false once every segment has been handed back.
+func (f *fanOut) next() (rows []storage.Row, more bool, err error) {
+	ch, ok := <-f.ordered
+	if !ok {
+		return nil, false, nil
 	}
-	if ws.prog != nil {
-		poll := func() error {
-			select {
-			case <-it.done:
-				return errScanClosed
-			default:
-			}
-			return child.checkCtx()
-		}
-		_, err := scanSegmentVectorised(child, ws.prog, it.view, seg, &ws.batch, ws.ev, it.schema, it.outer, poll)
-		switch {
-		case errors.Is(err, errScanClosed):
-			return segResult{}, false
-		case err != nil:
-			return segResult{err: err}, true
-		}
-		return segResult{rows: selectedRows(&ws.batch, nil)}, true
-	}
-	ws.buf = it.view.ScanSegment(seg, ws.buf[:0])
-	child.local.SegmentsScanned++
-	var out []storage.Row
-	for i, row := range ws.buf {
-		if i%ctxCheckInterval == 0 {
-			select {
-			case <-it.done:
-				return segResult{}, false
-			default:
-			}
-		}
-		if err := child.checkCtx(); err != nil {
-			return segResult{err: err}, true
-		}
-		child.local.TuplesRead++
-		keep, err := rowPasses(ws.ev, it.schema, row, it.conjs, it.outer)
-		if err != nil {
-			return segResult{err: err}, true
-		}
-		if keep {
-			out = append(out, row)
-		}
-	}
-	return segResult{rows: out}, true
+	res := <-ch
+	return res.rows, true, res.err
 }
 
-func (it *parallelScanIter) Next() (storage.Row, error) {
-	if it.closed {
-		return nil, nil
-	}
-	if !it.started {
-		it.start()
-	}
-	for {
-		if it.pos < len(it.cur) {
-			row := it.cur[it.pos]
-			it.pos++
-			return row, nil
-		}
-		ch, ok := <-it.ordered
-		if !ok {
-			it.Close()
-			return nil, nil
-		}
-		res := <-ch
-		if res.err != nil {
-			it.Close()
-			return nil, res.err
-		}
-		it.cur, it.pos = res.rows, 0
-	}
-}
-
-// Close stops the feeder and every worker, waits for them to exit, and
-// merges their counters into the query's. Idempotent; called on early
-// teardown, on error, and on exhaustion.
-func (it *parallelScanIter) Close() {
-	if it.closed {
-		return
-	}
-	it.closed = true
-	it.cur, it.pos = nil, 0
-	if !it.started {
-		return
-	}
-	close(it.done)
-	it.wg.Wait()
-	if !it.merged {
-		it.merged = true
-		for _, child := range it.pool {
-			it.ex.counters.Add(child.local)
-		}
+// close stops the feeder and every worker, waits for them to exit, and
+// merges their counters into the query's. scanIter.Close calls it once.
+func (f *fanOut) close() {
+	close(f.done)
+	f.wg.Wait()
+	for _, child := range f.pool {
+		f.it.ex.counters.Add(child.local)
 	}
 }
 

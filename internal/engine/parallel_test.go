@@ -77,8 +77,9 @@ func TestParallelSerialEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelScanEngages proves the operator actually runs (and the
-// serial path actually doesn't) by the ParallelScans counter.
+// TestParallelScanEngages proves by the ParallelScans counter that the
+// fan-out runs when — and only when — the consumer pulls past the first
+// scanned segment and more than one worker is allowed.
 func TestParallelScanEngages(t *testing.T) {
 	db := buildSegDB(t, 10000, 64)
 	db.ScanWorkers = 4
@@ -94,22 +95,24 @@ func TestParallelScanEngages(t *testing.T) {
 		t.Fatalf("parallel full scan read %d tuples, want 10000", c.TuplesRead)
 	}
 
-	// The streaming surface keeps the serial scan: its consumers may stop
-	// at any row, so workers must not read ahead.
-	db.ResetCounters()
-	rows, err := db.Stream(context.Background(), "SELECT id FROM p WHERE grp < 5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3 && rows.Next(); i++ {
-	}
-	rows.Close()
-	c = db.CountersSnapshot()
-	if c.ParallelScans != 0 {
-		t.Fatalf("streaming query used the parallel operator (ParallelScans=%d)", c.ParallelScans)
-	}
-	if c.TuplesRead >= 5000 {
-		t.Fatalf("streaming early close read %d tuples", c.TuplesRead)
+	// A consumer that stops inside the first segment never starts a worker
+	// and pays for one batch; one that drains the same stream fans out.
+	for _, tc := range []struct{ pull, parallel, tuples int64 }{
+		{pull: 3, parallel: 0, tuples: 64},
+		{pull: 1 << 30, parallel: 1, tuples: 10000},
+	} {
+		db.ResetCounters()
+		rows, err := db.Stream(context.Background(), "SELECT id FROM p WHERE grp < 5")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := int64(0); i < tc.pull && rows.Next(); i++ {
+		}
+		rows.Close()
+		if c = db.CountersSnapshot(); c.ParallelScans != tc.parallel || c.TuplesRead != tc.tuples {
+			t.Fatalf("stream pulling %d rows: ParallelScans=%d TuplesRead=%d, want %d and %d",
+				tc.pull, c.ParallelScans, c.TuplesRead, tc.parallel, tc.tuples)
+		}
 	}
 
 	db.ScanWorkers = 1
@@ -233,13 +236,14 @@ func TestParallelScanCancellation(t *testing.T) {
 	}
 }
 
-// TestParallelEarlyCloseStopsWorkers drives the operator directly (the
-// streaming surfaces deliberately never wrap it): pull a few rows, Close,
-// and verify all workers stop with counters far below the table size, and
-// that the merged counters are stable afterwards.
+// TestParallelEarlyCloseStopsWorkers drives the operator directly: pull
+// past the first segment so the workers are running, Close, and verify that
+// Close waited for them — the merged counters are within the reorder window
+// of what was handed out and do not move afterwards.
 func TestParallelEarlyCloseStopsWorkers(t *testing.T) {
-	const n = 50000
-	db := buildSegDB(t, n, 64)
+	const n, segRows, workers = 50000, 64, 4
+	db := buildSegDB(t, n, segRows)
+	db.ScanWorkers = workers
 	tab := db.MustTable("p")
 	ex := db.newExecutor(context.Background())
 	conjs := sqlparser.Conjuncts(mustParseWhere(t, "grp < 9"))
@@ -247,21 +251,22 @@ func TestParallelEarlyCloseStopsWorkers(t *testing.T) {
 	if plan.fetch != nil {
 		t.Fatal("expected a sequential plan")
 	}
-	schema := qualifySchema("p", tab.Schema)
-	it := &parallelScanIter{
-		ex: ex, view: tab.View(), plan: plan, schema: schema,
-		conjs: conjs, sc: newScope(nil), outer: nil, workers: 4,
-	}
-	for i := 0; i < 5; i++ {
+	it := &scanIter{ex: ex, t: tab, plan: plan, schema: qualifySchema("p", tab.Schema), conjs: conjs, sc: newScope(nil)}
+	var last storage.Row
+	for i := 0; i < 200; i++ {
 		row, err := it.Next()
 		if err != nil || row == nil {
 			t.Fatalf("Next %d = %v, %v", i, row, err)
 		}
+		last = row
 	}
 	it.Close()
 	read := ex.local.TuplesRead
-	if read >= n/2 {
-		t.Fatalf("early Close: workers read %d of %d tuples", read, n)
+	if ex.local.ParallelScans != 1 {
+		t.Fatalf("ParallelScans = %d after pulling past the first segment", ex.local.ParallelScans)
+	}
+	if bound := last[0].I + (2*workers+1)*segRows; read > bound {
+		t.Fatalf("early Close: workers read %d tuples, bound %d", read, bound)
 	}
 	// All workers have exited (Close waits); counters must not move.
 	if again := ex.local.TuplesRead; again != read {

@@ -211,162 +211,37 @@ func (it *sliceIter) Next() (storage.Row, error) {
 
 func (it *sliceIter) Close() {}
 
-// tableIter is a streaming base-table access path: rows are pulled from a
-// copy-on-write heap View (segment by segment for sequential scans, with
-// zone-map and owner-dictionary pruning; fetch-list order for index scans)
-// and filtered by the source's conjuncts as they are produced. Reading
-// through the View makes an in-flight scan safe across a concurrent
-// Compact: it finishes over the heap it started on.
-//
-// Under an exhaustive consumer a sequential scan evaluates its conjuncts
-// on the vectorised batch path (one storage.Batch per segment) instead of
-// row-at-a-time; streaming consumers keep the lazy per-row filter so an
-// early Close never pays for rows the consumer did not pull.
-type tableIter struct {
-	ex         *executor
-	t          *storage.Table
-	plan       accessPlan
-	schema     *RelSchema
-	conjs      []sqlparser.Expr
-	ev         *evaluator
-	outer      *env
-	exhaustive bool
+// fetchIter is the index access path: the plan's fetch list resolved
+// through a copy-on-write heap View (so a concurrent Compact cannot shift
+// the ids under it) and filtered row-at-a-time — fetch lists are short, and
+// a per-row filter stops the moment the consumer does.
+type fetchIter struct {
+	ex     *executor
+	t      *storage.Table
+	plan   accessPlan
+	schema *RelSchema
+	conjs  []sqlparser.Expr
+	ev     *evaluator
+	outer  *env
 
-	inited bool
-	view   *storage.View
-	// sequential segment cursor
-	seq        bool
-	seg        int
-	buf        []storage.Row
-	pos        int
-	zbuf       []storage.ZoneMap
-	wantOwners bool // some zone leaf can use the owner dictionaries
-	// vectorised evaluation (nil: row-at-a-time)
-	prog  *vecProgram
-	batch storage.Batch
-	// index fetch list
-	ids   []storage.RowID
-	idPos int
+	view *storage.View
+	ids  []storage.RowID
+	pos  int
 }
 
-func (it *tableIter) init() error {
-	it.inited = true
-	it.view = it.t.View()
-	if it.plan.fetch == nil {
-		it.seq = true
-		it.zbuf = make([]storage.ZoneMap, len(it.plan.zoneCols))
-		it.wantOwners = hasOwnerLeaf(it.plan.zonePreds, it.view.OwnerColumn())
-		it.ex.counters.SeqScans++
-		if it.exhaustive && !it.ex.db.ForceRowEval {
-			it.prog, _ = compileVecProgram(it.conjs, it.schema)
-		}
-		return nil
+func (it *fetchIter) Next() (storage.Row, error) {
+	if it.view == nil {
+		it.view = it.t.View()
+		it.ids = it.plan.fetch(it.view, it.ex.counters)
 	}
-	it.ids = it.plan.fetch(it.view, it.ex.counters)
-	return nil
-}
-
-// nextSegment loads the next unpruned segment into the buffer; ok is false
-// when the heap is exhausted. Pruned segments are skipped without touching
-// a single tuple — only the zone maps and owner dictionaries are read. On
-// the vectorised path the buffer holds the segment's already-filtered rows
-// (Next hands them out verbatim); on the row path it holds every live row
-// and Next filters.
-func (it *tableIter) nextSegment() (bool, error) {
-	for it.seg < it.view.NumSegments() {
-		seg := it.seg
-		it.seg++
-		var t0 time.Time
-		if it.ex.spPrune != nil {
-			t0 = time.Now()
-		}
-		refuted, dict := segmentRefuted(it.view, seg, it.plan.zonePreds, it.plan.zoneCols, it.zbuf, it.wantOwners)
-		if it.ex.spPrune != nil {
-			it.ex.spPrune.AddSince(t0)
-			if refuted {
-				it.ex.spPrune.Count("segments", 1)
-				if dict {
-					it.ex.spPrune.Count("owner_dict", 1)
-				}
-			}
-		}
-		if refuted {
-			it.ex.counters.SegmentsPruned++
-			if dict {
-				it.ex.counters.OwnerDictPruned++
-			}
-			continue
-		}
-		if it.prog != nil {
-			if it.ex.spVector != nil {
-				t0 = time.Now()
-			}
-			n, err := scanSegmentVectorised(it.ex, it.prog, it.view, seg, &it.batch, it.ev, it.schema, it.outer, nil)
-			if it.ex.spVector != nil {
-				it.ex.spVector.AddSince(t0)
-				it.ex.spVector.Count("batches", 1)
-			}
-			if err != nil {
-				return false, err
-			}
-			if n == 0 {
-				continue
-			}
-			it.buf = selectedRows(&it.batch, it.buf[:0])
-			if len(it.buf) == 0 {
-				continue
-			}
-			it.pos = 0
-			return true, nil
-		}
-		it.buf = it.view.ScanSegment(seg, it.buf[:0])
-		it.ex.counters.SegmentsScanned++
-		if len(it.buf) == 0 {
-			continue
-		}
-		it.pos = 0
-		return true, nil
-	}
-	return false, nil
-}
-
-func (it *tableIter) Next() (storage.Row, error) {
-	if !it.inited {
-		if err := it.init(); err != nil {
-			return nil, err
-		}
-	}
-	for {
+	for it.pos < len(it.ids) {
 		if err := it.ex.checkCtx(); err != nil {
 			return nil, err
 		}
-		var row storage.Row
-		if it.seq {
-			if it.pos >= len(it.buf) {
-				ok, err := it.nextSegment()
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					return nil, nil
-				}
-			}
-			row = it.buf[it.pos]
-			it.pos++
-			if it.prog != nil {
-				// Vectorised segments arrive filtered and counted.
-				return row, nil
-			}
-		} else {
-			if it.idPos >= len(it.ids) {
-				return nil, nil
-			}
-			r, ok := it.view.Get(it.ids[it.idPos])
-			it.idPos++
-			if !ok {
-				continue
-			}
-			row = r
+		row, ok := it.view.Get(it.ids[it.pos])
+		it.pos++
+		if !ok {
+			continue
 		}
 		it.ex.counters.TuplesRead++
 		keep, err := rowPasses(it.ev, it.schema, row, it.conjs, it.outer)
@@ -377,43 +252,231 @@ func (it *tableIter) Next() (storage.Row, error) {
 			return row, nil
 		}
 	}
+	return nil, nil
 }
 
-func (it *tableIter) Close() {}
+func (it *fetchIter) Close() {}
 
-// scanSegmentVectorised loads one segment as a batch and runs the compiled
-// program over it, tallying the scan counters into ex. It returns the
-// number of live rows read (0 for an empty segment). poll, when non-nil,
-// is threaded into the program for cancellation between operators.
-func scanSegmentVectorised(ex *executor, prog *vecProgram, view *storage.View, seg int,
-	batch *storage.Batch, ev *evaluator, schema *RelSchema, outer *env, poll func() error) (int, error) {
+// scanFirstBatch is the heap-slot length of a sequential scan's first
+// batch. Each later batch of the first scanned segment is twice the one
+// before, so a consumer that stops after a few rows (LIMIT, early Close) has
+// paid for at most one batch past the rows it took, and one that keeps
+// pulling is on whole segments — and the worker pool — one segment in.
+const scanFirstBatch = 64
 
-	n := view.ScanBatch(seg, batch)
-	ex.counters.SegmentsScanned++
-	if n == 0 {
-		return 0, nil
-	}
-	ex.counters.TuplesRead += int64(n)
-	ex.counters.BatchesVectorised++
-	ex.counters.RowsVectorised += int64(n)
-	ve := &vecEnv{b: batch, ev: ev, schema: schema, outer: outer, ownerCol: view.OwnerColumn(), poll: poll}
-	if prog.needsOwners && ve.ownerCol >= 0 {
-		ve.owners, ve.hasOwners = view.Owners(seg)
-	}
-	if err := prog.run(ve); err != nil {
-		return n, err
-	}
-	return n, nil
+// scanIter is the sequential-scan operator, the same for every consumer:
+// prune a segment by its zone maps and owner dictionary, load a batch of
+// its rows, run the compiled filter over the batch, hand out the selected
+// rows. It reads through a copy-on-write heap View, so an in-flight scan
+// finishes over the heap it started on whatever Compact does meanwhile.
+//
+// Nothing tells the operator whether its consumer will drain it; it goes by
+// what the consumer pulls. The first segment that survives pruning is read
+// on the consumer's goroutine in batches that double from scanFirstBatch.
+// When the consumer pulls past that segment, the rest go whole to the
+// worker pool (parallel.go) if the filter may run off-goroutine and more
+// than one worker has a segment to take; otherwise the same loop carries on,
+// a segment per batch.
+type scanIter struct {
+	ex     *executor
+	t      *storage.Table
+	plan   accessPlan
+	schema *RelSchema
+	conjs  []sqlparser.Expr
+	sc     *scope
+	outer  *env
+
+	view    *storage.View
+	scan    *segScanner
+	workers int // fan-out budget; ≤ 1 keeps the whole scan on this goroutine
+	slot    int // next heap slot to load
+	size    int // next batch's length in slots
+	ramped  bool
+	fan     *fanOut
+	closed  bool
+	buf     []storage.Row
+	pos     int
 }
 
-// selectedRows appends the batch's selected rows to dst.
-func selectedRows(b *storage.Batch, dst []storage.Row) []storage.Row {
-	for i, sel := range b.Sel {
-		if sel {
-			dst = append(dst, b.Row(i))
+func (it *scanIter) init() {
+	it.view = it.t.View()
+	it.scan = newSegScanner(it, it.ex, it.ex.ctxErr)
+	it.size = scanFirstBatch
+	if len(it.conjs) > 0 && parallelSafeConjuncts(it.conjs) {
+		it.workers = it.ex.db.EffectiveScanWorkers()
+	}
+	it.ex.counters.SeqScans++
+}
+
+func (it *scanIter) Next() (storage.Row, error) {
+	if it.closed {
+		return nil, nil
+	}
+	if it.view == nil {
+		it.init()
+	}
+	for it.pos >= len(it.buf) {
+		next := it.nextBatch
+		if it.fan != nil {
+			next = it.fan.next
+		}
+		var more bool
+		var err error
+		it.buf, more, err = next()
+		it.pos = 0
+		if err != nil || !more {
+			it.Close()
+			return nil, err
 		}
 	}
-	return dst
+	if err := it.ex.checkCtx(); err != nil {
+		return nil, err
+	}
+	row := it.buf[it.pos]
+	it.pos++
+	return row, nil
+}
+
+// nextBatch returns the next batch's selected rows (possibly none; the
+// slice is buf, reused), or starts the fan-out and returns none; more is
+// false at heap end.
+func (it *scanIter) nextBatch() (rows []storage.Row, more bool, err error) {
+	rows = it.buf[:0]
+	if it.slot >= it.view.NumSlots() {
+		return rows, false, nil
+	}
+	segRows := it.view.SegmentRows()
+	seg := it.slot / segRows
+	end := (seg + 1) * segRows
+	if it.slot == seg*segRows { // entering a segment
+		if w := min(it.workers, it.view.NumSegments()-seg); it.ramped && w > 1 {
+			it.fan = startFanOut(it, seg, w)
+			return rows, true, nil
+		}
+		if it.scan.refuted(seg) {
+			it.slot = end
+			return rows, true, nil
+		}
+	}
+	hi := min(it.slot+it.size, end)
+	rows, err = it.scan.run(seg, it.slot, hi, rows)
+	it.slot = hi
+	it.ramped = it.ramped || hi == end
+	if it.size < segRows {
+		it.size *= 2
+	}
+	return rows, true, err
+}
+
+// Close stops the scan; with a fan-out running it stops the workers, waits
+// for them and merges their counters. Idempotent.
+func (it *scanIter) Close() {
+	if it.closed {
+		return
+	}
+	it.closed = true
+	it.buf, it.pos = nil, 0
+	if it.fan != nil {
+		it.fan.close()
+	}
+}
+
+// segScanner is one goroutine's share of a sequential scan: its compiled
+// filter (programs hold scratch state and are single-goroutine), batch,
+// zone-map scratch and evaluator, tallying into its own executor. The
+// consumer's goroutine has one; every fan-out worker has its own.
+type segScanner struct {
+	ex         *executor
+	view       *storage.View
+	plan       *accessPlan
+	prog       *vecProgram // nil: unfiltered scan
+	ve         vecEnv
+	batch      storage.Batch
+	zbuf       []storage.ZoneMap
+	wantOwners bool // some zone leaf can use the owner dictionaries
+}
+
+// newSegScanner builds a scanner for it's scan that tallies into ex; poll
+// is threaded into the program for cancellation between operators.
+func newSegScanner(it *scanIter, ex *executor, poll func() error) *segScanner {
+	s := &segScanner{
+		ex:         ex,
+		view:       it.view,
+		plan:       &it.plan,
+		prog:       compileScanFilter(it.conjs, it.schema),
+		zbuf:       make([]storage.ZoneMap, len(it.plan.zoneCols)),
+		wantOwners: hasOwnerLeaf(it.plan.zonePreds, it.view.OwnerColumn()),
+	}
+	s.ve = vecEnv{
+		b: &s.batch, ev: &evaluator{ex: ex, scope: it.sc}, schema: it.schema,
+		outer: it.outer, ownerCol: it.view.OwnerColumn(), poll: poll,
+	}
+	return s
+}
+
+// refuted reports whether segment seg can be skipped without touching a
+// tuple — only its zone maps and owner dictionary are read — and tallies
+// the segment as pruned or scanned.
+func (s *segScanner) refuted(seg int) bool {
+	var t0 time.Time
+	if s.ex.spPrune != nil {
+		t0 = time.Now()
+	}
+	refuted, dict := segmentRefuted(s.view, seg, s.plan.zonePreds, s.plan.zoneCols, s.zbuf, s.wantOwners)
+	if s.ex.spPrune != nil {
+		s.ex.spPrune.AddSince(t0)
+		if refuted {
+			s.ex.spPrune.Count("segments", 1)
+			if dict {
+				s.ex.spPrune.Count("owner_dict", 1)
+			}
+		}
+	}
+	if !refuted {
+		s.ex.counters.SegmentsScanned++
+		return false
+	}
+	s.ex.counters.SegmentsPruned++
+	if dict {
+		s.ex.counters.OwnerDictPruned++
+	}
+	return true
+}
+
+// run loads heap slots [lo, hi) of segment seg as a batch, runs the filter
+// over it and appends the selected rows to dst.
+func (s *segScanner) run(seg, lo, hi int, dst []storage.Row) ([]storage.Row, error) {
+	n := s.view.ScanBatch(lo, hi, &s.batch)
+	if n == 0 {
+		return dst, nil
+	}
+	s.ex.counters.TuplesRead += int64(n)
+	if s.prog == nil {
+		return append(dst, s.batch.Rows()...), nil
+	}
+	var t0 time.Time
+	if s.ex.spVector != nil {
+		t0 = time.Now()
+	}
+	s.ex.counters.BatchesVectorised++
+	s.ex.counters.RowsVectorised += int64(n)
+	if s.prog.needsOwners && s.ve.ownerCol >= 0 {
+		s.ve.owners, s.ve.hasOwners = s.view.Owners(seg)
+	}
+	err := s.prog.run(&s.ve)
+	if s.ex.spVector != nil {
+		s.ex.spVector.AddSince(t0)
+		s.ex.spVector.Count("batches", 1)
+	}
+	if err != nil {
+		return dst, err
+	}
+	for i, sel := range s.batch.Sel {
+		if sel {
+			dst = append(dst, s.batch.Row(i))
+		}
+	}
+	return dst, nil
 }
 
 // filterIter applies conjuncts to rows of a derived source.

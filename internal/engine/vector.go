@@ -6,15 +6,14 @@ import (
 )
 
 // Vectorised guard evaluation: instead of interpreting the WHERE expression
-// tree once per tuple (rowPasses), a sequential scan feeding an exhaustive
-// consumer compiles its conjuncts into a tree of vector operators and runs
-// each operator column-at-a-time over a whole segment batch
-// (storage.Batch). The interpretation overhead — tree walks, type switches,
-// env lookups — is paid once per batch instead of once per row, which is
-// where the cycles go once zone maps have already skipped the segments that
-// cannot match.
+// tree once per tuple (rowPasses), every sequential scan compiles its
+// conjuncts into a tree of vector operators and runs each operator
+// column-at-a-time over a batch of rows (storage.Batch). The interpretation
+// overhead — tree walks, type switches, env lookups — is paid once per batch
+// instead of once per row, which is where the cycles go once zone maps have
+// already skipped the segments that cannot match.
 //
-// Three rules keep the vector path a drop-in replacement for rowPasses:
+// Three rules make a program select exactly the rows rowPasses would:
 //
 //  1. Three-valued logic is preserved end to end. Every predicate operator
 //     produces a tri-state vector (true/false/null) and AND/OR/NOT combine
@@ -25,16 +24,17 @@ import (
 //     rows proven true, and the top-level conjunct loop drops rows that are
 //     not definitely true. An expression with side effects (a UDF — the Δ
 //     operator — or a subquery) is therefore invoked for precisely the rows
-//     the row-at-a-time path would have invoked it for, keeping
-//     UDFInvocations/PolicyEvals counters byte-identical between the paths.
+//     rowPasses would have invoked it for, keeping UDFInvocations and
+//     PolicyEvals byte-identical to the reference's.
 //  3. Anything the compiler cannot vectorise — UDF calls, subqueries,
 //     correlated outer references — becomes a lazy leaf that falls back to
 //     the scalar evaluator for exactly the rows still active at that point
-//     in the tree. Vectorisation degrades gracefully instead of
-//     all-or-nothing.
+//     in the tree: a lazy leaf is the row evaluator at leaf granularity,
+//     so a filter with nothing columnar in it is still a program.
 //
-// The differential oracle (vector_oracle_test.go) holds the two paths to
-// row-for-row and counter-for-counter equality over the workload corpus.
+// rowPasses remains the filter of index fetch lists and derived sources,
+// and the reference the differential oracle (vector_oracle_test.go) holds
+// compiled programs to, row for row and counter for counter.
 
 // tri is a three-valued truth value.
 type tri uint8
@@ -297,7 +297,7 @@ type armEq struct {
 // disjoint from the dictionary cannot be true for any row in the batch, so
 // the whole arm is skipped. The skip is withheld when the segment has seen
 // NULL owners, where the arm would evaluate to NULL (not FALSE) and its
-// remaining conjuncts would still run under the row-at-a-time semantics.
+// remaining conjuncts would still run under rowPasses semantics.
 type orVec struct {
 	arms   []vecPred
 	armEqs [][]armEq
@@ -495,12 +495,10 @@ func (p *lazyTri) eval(ve *vecEnv, active []int, out []tri) error {
 // ---- compilation ----
 
 // vecCompiler translates scan conjuncts into vector operators against one
-// relation schema. vectorised counts genuinely columnar operators built; a
-// program that built none (every leaf lazy) is not worth running.
+// relation schema.
 type vecCompiler struct {
-	schema     *RelSchema
-	vectorised int
-	armEqs     int // disjunction arms that collected skippable eq points
+	schema *RelSchema
+	armEqs int // disjunction arms that collected skippable eq points
 }
 
 // compileVal translates a value expression; anything unknown becomes a
@@ -511,7 +509,6 @@ func (vc *vecCompiler) compileVal(e sqlparser.Expr) vecVal {
 		return &constVec{v: x.Val}
 	case *sqlparser.ColRef:
 		if i, err := vc.schema.Resolve(x.Table, x.Column); err == nil {
-			vc.vectorised++
 			return &colVec{col: i}
 		}
 		// Correlated/outer (or ambiguous) reference: resolve per row
@@ -689,35 +686,29 @@ type vecProgram struct {
 	needsOwners bool
 }
 
-// compileVecProgram compiles the scan conjuncts against the scan schema.
-// ok is false when nothing vectorised — every leaf would fall back to the
-// scalar evaluator — in which case the caller keeps the plain row path.
-func compileVecProgram(conjs []sqlparser.Expr, schema *RelSchema) (*vecProgram, bool) {
+// compileVecProgram compiles the scan conjuncts against the scan schema;
+// nil when there is nothing to filter.
+func compileVecProgram(conjs []sqlparser.Expr, schema *RelSchema) *vecProgram {
 	if len(conjs) == 0 {
-		return nil, false
+		return nil
 	}
 	vc := &vecCompiler{schema: schema}
 	p := &vecProgram{}
 	for _, cj := range conjs {
 		p.preds = append(p.preds, vc.compilePred(cj))
 	}
-	if vc.vectorised == 0 {
-		return nil, false
-	}
 	p.needsOwners = vc.armEqs > 0
-	return p, true
+	return p
 }
 
-// vectorisable reports whether a scan over schema with these conjuncts
-// would run the batch evaluator — the planner-side answer EXPLAIN shows.
-func vectorisable(conjs []sqlparser.Expr, schema *RelSchema) bool {
-	_, ok := compileVecProgram(conjs, schema)
-	return ok
-}
+// compileScanFilter is how a sequential scan obtains its filter. It is a
+// variable only so that export_test.go can put the rowPasses reference in
+// its place for the differential oracle; nothing outside _test.go assigns it.
+var compileScanFilter = compileVecProgram
 
 // run filters the batch: every selected row satisfies all conjuncts, with
-// three-valued logic, short-circuits, and fallback evaluation matching the
-// row-at-a-time path row for row. ve.poll is honoured between conjuncts.
+// three-valued logic, short-circuits, and fallback evaluation matching
+// rowPasses row for row. ve.poll is honoured between conjuncts.
 func (p *vecProgram) run(ve *vecEnv) error {
 	n := ve.b.Len()
 	if cap(p.active) < n {

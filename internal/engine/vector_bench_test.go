@@ -46,9 +46,9 @@ func guardDisjunction(n int) string {
 	return strings.Join(arms, " OR ")
 }
 
-// BenchmarkVectorisedScan compares row-at-a-time and batch evaluation of
-// guard disjunctions at 1, 25 and 100 guards per query — the satellite
-// measurement behind the vectorised evaluator. Run with:
+// BenchmarkVectorisedScan compares the rowPasses reference and the compiled
+// batch filter on guard disjunctions at 1, 25 and 100 guards per query —
+// the measurement behind the vectorised evaluator. Run with:
 //
 //	go test -run='^$' -bench BenchmarkVectorisedScan -benchtime=2s ./internal/engine
 func BenchmarkVectorisedScan(b *testing.B) {
@@ -56,11 +56,13 @@ func BenchmarkVectorisedScan(b *testing.B) {
 	for _, guards := range []int{1, 25, 100} {
 		sql := "SELECT count(*) FROM t WHERE " + guardDisjunction(guards)
 		for _, mode := range []struct {
-			name  string
-			force bool
+			name   string
+			rowRef bool
 		}{{"row", true}, {"vector", false}} {
 			b.Run(fmt.Sprintf("guards=%d/%s", guards, mode.name), func(b *testing.B) {
-				db.ForceRowEval = mode.force
+				if mode.rowRef {
+					defer UseRowReference()()
+				}
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, err := db.Query(sql); err != nil {

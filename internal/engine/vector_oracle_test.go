@@ -1,11 +1,13 @@
-// Package engine_test holds the differential oracle for the vectorised
-// evaluation path: the full middleware stack (rewrite, guards, Δ, strategy
-// choice) is run over the workload corpus twice — once with the batch
-// evaluator, once with DB.ForceRowEval — and the two executions must agree
-// row for row and counter for counter. The oracle is what licenses the
-// vector path to replace rowPasses on the hot path: any semantic drift
-// between the evaluators, in three-valued logic, in short-circuit-driven
-// UDF invocation counts, or in segment pruning, fails it.
+// Package engine_test holds the differential oracle for the scan filter:
+// the full middleware stack (rewrite, guards, Δ, strategy choice) is run
+// over the workload corpus twice — once on the production path, whose
+// sequential scans run compiled vector programs, once with those scans
+// filtering through rowPasses (engine.UseRowReference, the test-only seam
+// in export_test.go) — and the two executions must agree row for row and
+// counter for counter. The oracle is what licenses compiled programs to be
+// the only filter sequential scans have: any semantic drift from the row
+// evaluator, in three-valued logic, in short-circuit-driven UDF invocation
+// counts, or in segment pruning, fails it.
 package engine_test
 
 import (
@@ -19,21 +21,25 @@ import (
 	"github.com/sieve-db/sieve/internal/core"
 	"github.com/sieve-db/sieve/internal/engine"
 	"github.com/sieve-db/sieve/internal/policy"
+	"github.com/sieve-db/sieve/internal/sqlparser"
+	"github.com/sieve-db/sieve/internal/storage"
 	"github.com/sieve-db/sieve/internal/workload"
 )
 
-// oracleEnv is one fully built middleware stack.
+// oracleEnv is one fully built middleware stack; rowRef makes its queries
+// run with the rowPasses reference installed.
 type oracleEnv struct {
 	campus *workload.Campus
 	m      *core.Middleware
 	ps     []*policy.Policy
+	rowRef bool
 }
 
 // buildOracleEnv constructs a campus with many small segments (so pruning,
 // batching and the parallel operator all engage) and the standard policy
 // corpus. Both oracle sides call it with the same seed-determined inputs;
-// only forceRow differs.
-func buildOracleEnv(t *testing.T, forceRow bool, opts ...core.Option) *oracleEnv {
+// only rowRef differs.
+func buildOracleEnv(t *testing.T, rowRef bool, opts ...core.Option) *oracleEnv {
 	t.Helper()
 	cfg := workload.TestCampusConfig()
 	c, err := workload.BuildCampus(cfg, engine.MySQL())
@@ -41,7 +47,6 @@ func buildOracleEnv(t *testing.T, forceRow bool, opts ...core.Option) *oracleEnv
 		t.Fatal(err)
 	}
 	c.DB.UDFOverheadIters = 0
-	c.DB.ForceRowEval = forceRow
 	ps := c.GeneratePolicies(workload.TestPolicyConfig())
 	store, err := policy.NewStore(c.DB)
 	if err != nil {
@@ -60,13 +65,37 @@ func buildOracleEnv(t *testing.T, forceRow bool, opts ...core.Option) *oracleEnv
 	}
 	// Shrink the segment granule so the test corpus spans many segments.
 	c.DB.MustTable(workload.TableWiFi).SetSegmentSize(256)
-	return &oracleEnv{campus: c, m: m, ps: ps}
+	return &oracleEnv{campus: c, m: m, ps: ps, rowRef: rowRef}
 }
 
-// run executes one query for one querier, returning the rendered rows and
-// the query's counter delta with the vector-only tallies cleared.
+// render prints one row the way both sides are compared.
+func render(r storage.Row) string {
+	var b strings.Builder
+	for _, v := range r {
+		b.WriteString(v.String())
+		b.WriteByte('|')
+	}
+	return b.String()
+}
+
+// run executes one query for one querier to completion, returning the
+// rendered rows and the query's counter delta.
 func (e *oracleEnv) run(t *testing.T, querier, sql string) ([]string, engine.Counters) {
 	t.Helper()
+	if e.rowRef {
+		defer engine.UseRowReference()()
+	}
+	// Counters are exact only for drained scans: one a LIMIT cuts short has
+	// read ahead by however far the fan-out's workers got. Such queries are
+	// compared on one goroutine.
+	stmt, err := sqlparser.Parse(sql)
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	if b := stmt.Body; b.Limit >= 0 && len(b.OrderBy) == 0 && len(b.GroupBy) == 0 {
+		defer func(w int) { e.campus.DB.ScanWorkers = w }(e.campus.DB.ScanWorkers)
+		e.campus.DB.ScanWorkers = 1
+	}
 	e.campus.DB.ResetCounters()
 	sess := e.m.NewSession(policy.Metadata{Querier: querier, Purpose: "analytics"})
 	res, err := sess.Execute(context.Background(), sql)
@@ -75,16 +104,28 @@ func (e *oracleEnv) run(t *testing.T, querier, sql string) ([]string, engine.Cou
 	}
 	rows := make([]string, 0, len(res.Rows))
 	for _, r := range res.Rows {
-		var b strings.Builder
-		for _, v := range r {
-			b.WriteString(v.String())
-			b.WriteByte('|')
-		}
-		rows = append(rows, b.String())
+		rows = append(rows, render(r))
 	}
-	c := e.campus.DB.CountersSnapshot()
-	c.BatchesVectorised, c.RowsVectorised = 0, 0
-	return rows, c
+	return rows, e.campus.DB.CountersSnapshot()
+}
+
+// streamPrefix opens the query as a stream, pulls k rows and closes early.
+func (e *oracleEnv) streamPrefix(t *testing.T, querier, sql string, k int) []string {
+	t.Helper()
+	sess := e.m.NewSession(policy.Metadata{Querier: querier, Purpose: "analytics"})
+	rs, err := sess.Query(context.Background(), sql)
+	if err != nil {
+		t.Fatalf("querier %s: %s: %v", querier, sql, err)
+	}
+	defer rs.Close()
+	var rows []string
+	for len(rows) < k && rs.Next() {
+		rows = append(rows, render(rs.Row()))
+	}
+	if err := rs.Err(); err != nil {
+		t.Fatalf("querier %s: %s: %v", querier, sql, err)
+	}
+	return rows
 }
 
 // randomGuardQueries generates deterministic guard-shaped probes beyond
@@ -131,11 +172,12 @@ func randomGuardQueries(n int, seed int64, cfg workload.CampusConfig) []string {
 
 // TestVectorOracle is the differential oracle: the corpus plus randomized
 // guard probes, for several queriers, must return identical rows and
-// identical work counters with vectorisation forced ON and OFF. The
-// "natural" variant lets the middleware pick strategies (mostly
-// IndexGuards on this corpus); the "linearscan" variant forces the guarded
-// sequential scan — the vector path's target shape — and requires that the
-// batch evaluator actually ran.
+// identical work counters from compiled programs and from the rowPasses
+// reference, and a stream of the same query closed early must be a prefix
+// of the drained rows. The "natural" variant lets the middleware pick
+// strategies (mostly IndexGuards on this corpus); the "linearscan" variant
+// forces the guarded sequential scan — the operator's target shape — and
+// requires that the batch evaluator actually ran.
 func TestVectorOracle(t *testing.T) {
 	variants := []struct {
 		name          string
@@ -196,8 +238,8 @@ func TestVectorOracle(t *testing.T) {
 }
 
 // TestVectorOracleConcurrent runs corpus queries from several goroutines
-// against the vectorised engine while a writer inserts policies, proving
-// the batch path race-clean under -race -cpu=1,4. (Result equivalence is
+// while a writer inserts policies, proving the scan operator race-clean
+// under -race -cpu=1,4. (Result equivalence is
 // TestVectorOracle's job; concurrent runs only assert successful,
 // non-racing execution.)
 func TestVectorOracleConcurrent(t *testing.T) {
@@ -241,5 +283,97 @@ func TestVectorOracleConcurrent(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestOracleNullOwnerUnboundedRange is the oracle's probe for the NULL
+// three-valued-logic edge PR 5 found: a both-sides-unbounded range condition
+// (guard merging can produce one) over a relation with a NULL attribute and
+// a NULL owner. The arm must deny both rows, inlined and behind Δ, and
+// compiled programs must agree with the rowPasses reference on rows and
+// counters — the case core's TestNullUnboundedRangeGuardArm leaves to this
+// oracle.
+func TestOracleNullOwnerUnboundedRange(t *testing.T) {
+	unbounded := policy.ObjectCondition{
+		Attr: "temp", Kind: policy.CondRange,
+		Lo: storage.Null, Hi: storage.Null,
+		LoOp: sqlparser.CmpGe, HiOp: sqlparser.CmpLe,
+	}
+	build := func(deltaThreshold int) (*engine.DB, *core.Middleware) {
+		t.Helper()
+		db := engine.New(engine.MySQL())
+		db.UDFOverheadIters = 0
+		schema := storage.MustSchema(
+			storage.Column{Name: "owner", Type: storage.KindInt},
+			storage.Column{Name: "temp", Type: storage.KindInt},
+			storage.Column{Name: "id", Type: storage.KindInt},
+		)
+		if _, err := db.CreateTable("readings", schema); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.BulkInsert("readings", []storage.Row{
+			{storage.NewInt(5), storage.NewInt(20), storage.NewInt(0)},
+			{storage.NewInt(5), storage.Null, storage.NewInt(1)}, // NULL temp: denied
+			{storage.NewInt(5), storage.NewInt(-3), storage.NewInt(2)},
+			{storage.NewInt(6), storage.NewInt(9), storage.NewInt(3)}, // other owner: denied
+			{storage.Null, storage.NewInt(4), storage.NewInt(4)},      // NULL owner: denied
+		}); err != nil {
+			t.Fatal(err)
+		}
+		store, err := policy.NewStore(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Two same-owner policies so the partition crosses a Δ threshold of 1.
+		for i := 0; i < 2; i++ {
+			if err := store.Insert(&policy.Policy{
+				Owner: 5, Querier: "q", Purpose: "p", Relation: "readings", Action: policy.Allow,
+				Conditions: []policy.ObjectCondition{unbounded, policy.Compare("id", sqlparser.CmpGe, storage.NewInt(int64(i)))},
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m, err := core.New(store, core.WithForcedStrategy(core.LinearScan), core.WithDeltaThreshold(deltaThreshold))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Protect("readings"); err != nil {
+			t.Fatal(err)
+		}
+		return db, m
+	}
+	for _, deltaThreshold := range []int{0, 1} {
+		var sides [2][]string
+		var counters [2]engine.Counters
+		for side, rowRef := range []bool{false, true} {
+			db, m := build(deltaThreshold)
+			restore := func() {}
+			if rowRef {
+				restore = engine.UseRowReference()
+			}
+			res, err := m.NewSession(policy.Metadata{Querier: "q", Purpose: "p"}).
+				Execute(context.Background(), "SELECT id FROM readings ORDER BY id")
+			restore()
+			if err != nil {
+				t.Fatalf("Δ threshold %d, rowRef %v: %v", deltaThreshold, rowRef, err)
+			}
+			for _, r := range res.Rows {
+				sides[side] = append(sides[side], render(r))
+			}
+			counters[side] = db.CountersSnapshot()
+			if deltaThreshold > 0 && counters[side].UDFInvocations == 0 {
+				t.Fatalf("rowRef %v: Δ path not exercised (no UDF invocations)", rowRef)
+			}
+			if counters[side].RowsVectorised == 0 {
+				t.Fatalf("Δ threshold %d, rowRef %v: the guarded scan did not run on the scan operator", deltaThreshold, rowRef)
+			}
+		}
+		if want := []string{"0|", "2|"}; fmt.Sprint(sides[0]) != fmt.Sprint(want) || fmt.Sprint(sides[1]) != fmt.Sprint(want) {
+			t.Fatalf("Δ threshold %d: compiled %v, reference %v, want %v (NULL temp or NULL owner leaked through a guard arm)",
+				deltaThreshold, sides[0], sides[1], want)
+		}
+		if counters[0] != counters[1] {
+			t.Fatalf("Δ threshold %d: counters diverge:\ncompiled:  %+v\nreference: %+v", deltaThreshold, counters[0], counters[1])
+		}
 	}
 }

@@ -53,6 +53,14 @@ func runCounted(t *testing.T, db *DB, sql string) (*Result, Counters) {
 	return res, db.CountersSnapshot()
 }
 
+// runReference is runCounted with every sequential scan filtering through
+// rowPasses, the test-only reference (export_test.go).
+func runReference(t *testing.T, db *DB, sql string) (*Result, Counters) {
+	t.Helper()
+	defer UseRowReference()()
+	return runCounted(t, db, sql)
+}
+
 // TestOwnerDictPrunesDisjointPartitions is the acceptance test for
 // dictionary pruning: a multi-owner guard-shaped disjunction whose owner
 // sets appear in no segment is refuted everywhere — zero tuple reads —
@@ -97,9 +105,9 @@ func TestOwnerDictPrunesDisjointPartitions(t *testing.T) {
 	}
 }
 
-// TestVectorRowCounterParity runs the same guard-shaped queries with the
-// vectorised evaluator on and off and demands identical rows and identical
-// work counters (the vector-only tallies aside).
+// TestVectorRowCounterParity runs the same guard-shaped queries through the
+// compiled filter and through the rowPasses reference and demands identical
+// rows and identical work counters.
 func TestVectorRowCounterParity(t *testing.T) {
 	db, _, _ := vecTestDB(t)
 	queries := []string{
@@ -110,17 +118,11 @@ func TestVectorRowCounterParity(t *testing.T) {
 		"SELECT owner, count(*) AS n FROM t WHERE x >= 0 GROUP BY owner ORDER BY n DESC",
 	}
 	for _, q := range queries {
-		db.ForceRowEval = true
-		rowRes, rowC := runCounted(t, db, q)
-		db.ForceRowEval = false
+		rowRes, rowC := runReference(t, db, q)
 		vecRes, vecC := runCounted(t, db, q)
 		if !reflect.DeepEqual(rowRes, vecRes) {
 			t.Fatalf("%s: results diverge:\nrow: %v\nvec: %v", q, rowRes.Rows, vecRes.Rows)
 		}
-		if rowC.BatchesVectorised != 0 || rowC.RowsVectorised != 0 {
-			t.Fatalf("%s: ForceRowEval still vectorised: %+v", q, rowC)
-		}
-		vecC.BatchesVectorised, vecC.RowsVectorised = 0, 0
 		if rowC != vecC {
 			t.Fatalf("%s: counters diverge:\nrow: %+v\nvec: %+v", q, rowC, vecC)
 		}
@@ -142,9 +144,7 @@ func TestVectorUDFParity(t *testing.T) {
 	})
 	q := "SELECT count(*) FROM t WHERE (owner = 0 AND is_even(x) = TRUE) OR (owner = 11 AND x < 100)"
 
-	db.ForceRowEval = true
-	rowRes, rowC := runCounted(t, db, q)
-	db.ForceRowEval = false
+	rowRes, rowC := runReference(t, db, q)
 	vecRes, vecC := runCounted(t, db, q)
 
 	if !reflect.DeepEqual(rowRes.Rows, vecRes.Rows) {
@@ -182,9 +182,7 @@ func TestVectorArmSkipRespectsEvaluationOrder(t *testing.T) {
 	// UDF precedes it inside the arm.
 	q := "SELECT count(*) FROM t WHERE (probe(x) = TRUE AND owner = 5) OR (owner = 11 AND x < 100)"
 
-	db.ForceRowEval = true
-	rowRes, rowC := runCounted(t, db, q)
-	db.ForceRowEval = false
+	rowRes, rowC := runReference(t, db, q)
 	vecRes, vecC := runCounted(t, db, q)
 	if !reflect.DeepEqual(rowRes.Rows, vecRes.Rows) {
 		t.Fatalf("results diverge: %v vs %v", rowRes.Rows, vecRes.Rows)
@@ -197,9 +195,7 @@ func TestVectorArmSkipRespectsEvaluationOrder(t *testing.T) {
 	// away on every row, so the dictionary skip is free to fire — and the
 	// UDF must run zero times on both paths.
 	q = "SELECT count(*) FROM t WHERE (owner = 5 AND probe(x) = TRUE) OR (owner = 11 AND x < 100)"
-	db.ForceRowEval = true
-	_, rowC = runCounted(t, db, q)
-	db.ForceRowEval = false
+	_, rowC = runReference(t, db, q)
 	_, vecC = runCounted(t, db, q)
 	if rowC.UDFInvocations != 0 || vecC.UDFInvocations != 0 {
 		t.Fatalf("owner-first arm must short-circuit the UDF on both paths: row %d, vec %d", rowC.UDFInvocations, vecC.UDFInvocations)
@@ -207,8 +203,8 @@ func TestVectorArmSkipRespectsEvaluationOrder(t *testing.T) {
 }
 
 // TestVectorNullHeavyFuzz fuzzes random guard-shaped predicates over
-// NULL-riddled data through three evaluators: the row path, the vector
-// path, and an independent three-valued-logic reference. All three must
+// NULL-riddled data through three evaluators: the rowPasses reference, the
+// compiled filter, and an independent three-valued-logic reference. All three must
 // select exactly the same rows.
 func TestVectorNullHeavyFuzz(t *testing.T) {
 	schema := storage.MustSchema(
@@ -288,12 +284,12 @@ func TestVectorNullHeavyFuzz(t *testing.T) {
 			Where: e,
 			Limit: -1,
 		}}
-		db.ForceRowEval = true
+		restore := UseRowReference()
 		rowRes, err := db.QueryStmt(stmt)
+		restore()
 		if err != nil {
 			t.Fatalf("trial %d row: %s: %v", trial, sqlparser.PrintExpr(e), err)
 		}
-		db.ForceRowEval = false
 		vecRes, err := db.QueryStmt(stmt)
 		if err != nil {
 			t.Fatalf("trial %d vec: %s: %v", trial, sqlparser.PrintExpr(e), err)
@@ -404,33 +400,35 @@ func refTri(e sqlparser.Expr, row storage.Row) tri {
 	panic(fmt.Sprintf("refTri: unexpected predicate node %T", e))
 }
 
-// TestVectorParallelParity: the parallel guarded-scan operator's workers
-// also vectorise; serial/parallel and row/vector must all agree rows and
-// tuple counters.
+// TestVectorParallelParity: one goroutine or a fan-out, compiled filter or
+// rowPasses reference, must all agree on rows and tuple counters.
 func TestVectorParallelParity(t *testing.T) {
 	db, _, _ := vecTestDB(t)
 	q := "SELECT owner, count(*) AS n FROM t WHERE (owner = 0 AND x > 4) OR (owner = 12 AND x < 800) GROUP BY owner ORDER BY owner"
 
 	type mode struct {
 		workers int
-		force   bool
+		rowRef  bool
 	}
 	var base *Result
 	var baseC Counters
 	for _, m := range []mode{{1, true}, {1, false}, {4, true}, {4, false}} {
 		db.ScanWorkers = m.workers
-		db.ForceRowEval = m.force
-		res, c := runCounted(t, db, q)
-		c.BatchesVectorised, c.RowsVectorised, c.ParallelScans = 0, 0, 0
+		run := runCounted
+		if m.rowRef {
+			run = runReference
+		}
+		res, c := run(t, db, q)
+		c.ParallelScans = 0
 		if base == nil {
 			base, baseC = res, c
 			continue
 		}
 		if !reflect.DeepEqual(base, res) {
-			t.Fatalf("workers=%d force=%v: rows diverge", m.workers, m.force)
+			t.Fatalf("workers=%d rowRef=%v: rows diverge", m.workers, m.rowRef)
 		}
 		if baseC != c {
-			t.Fatalf("workers=%d force=%v: counters diverge:\nbase %+v\ngot  %+v", m.workers, m.force, baseC, c)
+			t.Fatalf("workers=%d rowRef=%v: counters diverge:\nbase %+v\ngot  %+v", m.workers, m.rowRef, baseC, c)
 		}
 	}
 }

@@ -324,7 +324,9 @@ func (s *Store) uncache(p *Policy) {
 	s.count.Add(-1)
 }
 
-var ocSeq int64
+// ocSeq issues rOC row ids. Atomic: stores of different databases, and
+// concurrent Inserts into one, all draw from it.
+var ocSeq atomic.Int64
 
 // conditionRows serialises a policy's conditions (owner first) into rOC
 // rows: ⟨id, policy_id, attr, op, val⟩ with val as SQL literal text, ranges
@@ -336,9 +338,8 @@ func conditionRows(p *Policy) ([]storage.Row, error) {
 	}
 	rows := make([]storage.Row, len(ts))
 	for i, c := range ts {
-		ocSeq++
 		rows[i] = storage.Row{
-			storage.NewInt(ocSeq), storage.NewInt(p.ID),
+			storage.NewInt(ocSeq.Add(1)), storage.NewInt(p.ID),
 			storage.NewString(c.Attr), storage.NewString(c.Op), storage.NewString(c.Val),
 		}
 	}

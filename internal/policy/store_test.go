@@ -2,6 +2,7 @@ package policy
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/sieve-db/sieve/internal/engine"
@@ -293,5 +294,45 @@ func TestPoliciesForDedupsPathologicalGroupResolvers(t *testing.T) {
 			t.Errorf("duplicate policy id %d in result", p.ID)
 		}
 		seen[p.ID] = true
+	}
+}
+
+// TestConcurrentInsertIssuesDistinctConditionIDs is the -race regression
+// for the rOC id sequence: concurrent Inserts — into one store and into
+// stores of separate databases, which share the sequence — must never race
+// on it or hand out an rOC id twice.
+func TestConcurrentInsertIssuesDistinctConditionIDs(t *testing.T) {
+	const writers, perWriter = 8, 50
+	stores := []*Store{newStore(t), newStore(t)}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				p := &Policy{
+					Owner: int64(w), Querier: "q", Purpose: "p", Relation: "r", Action: Allow,
+					Conditions: []ObjectCondition{Compare("x", sqlparser.CmpGe, storage.NewInt(int64(i)))},
+				}
+				if err := stores[w%len(stores)].Insert(p); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	seen := make(map[int64]bool)
+	for _, s := range stores {
+		s.DB().MustTable(TableOC).Scan(func(_ storage.RowID, r storage.Row) bool {
+			if seen[r[0].I] {
+				t.Errorf("rOC id %d issued twice", r[0].I)
+			}
+			seen[r[0].I] = true
+			return true
+		})
+	}
+	if want := writers * perWriter * 2; len(seen) != want { // owner + one condition each
+		t.Fatalf("%d distinct rOC ids, want %d", len(seen), want)
 	}
 }

@@ -7,13 +7,37 @@ import (
 	"github.com/sieve-db/sieve/internal/storage"
 )
 
-// Parse parses a single SELECT statement (optionally prefixed by WITH).
-func Parse(input string) (*SelectStmt, error) {
+// The parser is a trust boundary — the server hands it whatever a client
+// sent — so what it will work on is bounded, and anything beyond is an
+// ordinary parse error. The limits sit far above what the rewriter emits
+// (a guarded rewrite with thousands of inlined arms is a flat disjunction,
+// a few levels deep and tens of KiB long).
+const (
+	// MaxStatementBytes is the longest statement text accepted.
+	MaxStatementBytes = 512 << 10
+	// MaxNestingDepth is how deep parentheses, subqueries, NOT and unary
+	// minus may nest: the parser recurses once per level.
+	MaxNestingDepth = 200
+)
+
+// newParser lexes input, refusing over-long text before touching it.
+func newParser(input string) (*parser, error) {
+	if len(input) > MaxStatementBytes {
+		return nil, fmt.Errorf("sql: statement is %d bytes, limit %d", len(input), MaxStatementBytes)
+	}
 	toks, err := lex(input)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, input: input}
+	return &parser{toks: toks, input: input}, nil
+}
+
+// Parse parses a single SELECT statement (optionally prefixed by WITH).
+func Parse(input string) (*SelectStmt, error) {
+	p, err := newParser(input)
+	if err != nil {
+		return nil, err
+	}
 	stmt, err := p.parseSelectStmt()
 	if err != nil {
 		return nil, err
@@ -36,11 +60,10 @@ func MustParse(input string) *SelectStmt {
 // ParseExpr parses a standalone expression (used to load policy object
 // conditions whose values are stored as SQL text in rOC, §5.1).
 func ParseExpr(input string) (Expr, error) {
-	toks, err := lex(input)
+	p, err := newParser(input)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, input: input}
 	e, err := p.parseExpr()
 	if err != nil {
 		return nil, err
@@ -56,7 +79,21 @@ type parser struct {
 	pos   int
 	input string
 	nArgs int // placeholders seen so far; assigns 1-based ordinals
+	depth int // current nesting, see nest
 }
+
+// nest enters one nesting level, failing past MaxNestingDepth. Every
+// production that recurses — a statement, parseNot (which a parenthesis
+// reaches again), a unary minus — calls it and defers unnest.
+func (p *parser) nest() error {
+	p.depth++
+	if p.depth > MaxNestingDepth {
+		return p.errf("nested deeper than %d levels", MaxNestingDepth)
+	}
+	return nil
+}
+
+func (p *parser) unnest() { p.depth-- }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
 func (p *parser) peek() token { return p.toks[min(p.pos+1, len(p.toks)-1)] }
@@ -100,6 +137,10 @@ func (p *parser) errf(format string, args ...any) error {
 }
 
 func (p *parser) parseSelectStmt() (*SelectStmt, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	stmt := &SelectStmt{}
 	if p.accept(tokKeyword, "WITH") {
 		for {
@@ -388,6 +429,10 @@ func (p *parser) parseAnd() (Expr, error) {
 }
 
 func (p *parser) parseNot() (Expr, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	if p.accept(tokKeyword, "NOT") {
 		e, err := p.parseNot()
 		if err != nil {
@@ -535,6 +580,10 @@ func (p *parser) parseMultiplicative() (Expr, error) {
 
 func (p *parser) parseUnary() (Expr, error) {
 	if p.accept(tokSymbol, "-") {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
+		defer p.unnest()
 		e, err := p.parseUnary()
 		if err != nil {
 			return nil, err

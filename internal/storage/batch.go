@@ -1,14 +1,15 @@
 package storage
 
-// Batch is a columnar view of one segment's live rows: the rows in heap
-// order, per-column value vectors materialised on demand, and a selection
-// bitmap the evaluator narrows as predicates are applied. A Batch is the
-// unit of vectorised guard evaluation — the engine runs each compiled
-// conjunct column-at-a-time over the vectors instead of interpreting the
-// expression tree once per row.
+// Batch is a columnar view of the live rows in one heap-slot range (a whole
+// segment, or a piece of one): the rows in heap order, per-column value
+// vectors materialised on demand, and a selection bitmap the evaluator
+// narrows as predicates are applied. A Batch is the unit of vectorised
+// guard evaluation — the engine runs each compiled conjunct
+// column-at-a-time over the vectors instead of interpreting the expression
+// tree once per row.
 //
 // A Batch is owned by one scan cursor (or one parallel-scan worker) and is
-// reused segment after segment; it is not safe for concurrent use. Rows are
+// reused batch after batch; it is not safe for concurrent use. Rows are
 // immutable once stored, so the vectors may be read without any lock after
 // ScanBatch returns.
 type Batch struct {
@@ -79,18 +80,17 @@ func (b *Batch) finish() {
 	}
 }
 
-// ScanBatch loads segment seg's live rows into b, resetting its vectors
-// and selection bitmap. The row copy happens under the table's read lock,
-// exactly like ScanSegment; vector materialisation is deferred to Col and
-// needs no lock. It returns b.Len().
-func (v *View) ScanBatch(seg int, b *Batch) int {
+// ScanBatch loads the live rows in heap slots [lo, hi) — clamped to the
+// captured heap — into b, resetting its vectors and selection bitmap. The
+// row copy happens under the table's read lock; evaluation can then proceed
+// without holding any lock (rows are immutable once stored), and vector
+// materialisation is deferred to Col. It returns b.Len().
+func (v *View) ScanBatch(lo, hi int, b *Batch) int {
 	b.reset(v.t.Schema.Len())
-	v.t.mu.RLock()
-	lo := seg * v.segSize
-	hi := lo + v.segSize
 	if hi > len(v.rows) {
 		hi = len(v.rows)
 	}
+	v.t.mu.RLock()
 	for i := lo; i < hi; i++ {
 		if !v.deleted[i] {
 			b.rows = append(b.rows, v.rows[i])

@@ -210,26 +210,6 @@ func (v *View) Owners(seg int) (OwnerDict, bool) {
 	return v.segs[seg].owners.snapshot(), true
 }
 
-// ScanSegment appends segment seg's live rows to dst and returns it. The
-// copy happens under the table's read lock; evaluation of the returned rows
-// can then proceed without holding any lock (rows are immutable once
-// stored).
-func (v *View) ScanSegment(seg int, dst []Row) []Row {
-	v.t.mu.RLock()
-	defer v.t.mu.RUnlock()
-	lo := seg * v.segSize
-	hi := lo + v.segSize
-	if hi > len(v.rows) {
-		hi = len(v.rows)
-	}
-	for i := lo; i < hi; i++ {
-		if !v.deleted[i] {
-			dst = append(dst, v.rows[i])
-		}
-	}
-	return dst
-}
-
 // NumSlots returns the captured heap length in slots, tombstones included.
 // Together with SegmentSlots it lets a snapshot writer serialise the heap
 // exactly — preserving slot numbering so row ids stay stable across a

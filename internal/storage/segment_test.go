@@ -130,7 +130,9 @@ func TestViewSurvivesCompact(t *testing.T) {
 	}
 	v := tab.View()
 	// Read the first segment, then compact mid-scan.
-	first := v.ScanSegment(0, nil)
+	var b Batch
+	v.ScanBatch(0, 16, &b)
+	first := append([]Row(nil), b.Rows()...)
 	tab.Compact()
 	// The view keeps scanning the pre-compact heap: same live rows, same
 	// positions, no re-reads of rows that moved during compaction.
@@ -138,8 +140,10 @@ func TestViewSurvivesCompact(t *testing.T) {
 	for _, r := range first {
 		got = append(got, r[0].I)
 	}
-	for s := 1; s < v.NumSegments(); s++ {
-		for _, r := range v.ScanSegment(s, nil) {
+	// Sub-segment ranges, one crossing the heap's end (clamped).
+	for lo := 16; lo < v.NumSlots(); lo += 24 {
+		v.ScanBatch(lo, lo+24, &b)
+		for _, r := range b.Rows() {
 			got = append(got, r[0].I)
 		}
 	}

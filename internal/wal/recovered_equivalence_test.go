@@ -4,10 +4,11 @@ package wal_test
 // indistinguishable from one that never crashed. Two gates ride on the
 // earlier PRs' strongest suites:
 //
-//   - the differential oracle (the suite that licenses the vectorised
-//     guard path): every corpus query, for every querier, returns
-//     identical rows on a recovered middleware (vector path) and on a
-//     never-crashed mirror forced through row-at-a-time evaluation;
+//   - the differential oracle's corpus: every corpus query, for every
+//     querier, returns identical rows on a recovered middleware and on a
+//     never-crashed mirror (that the scan filter agrees with the row
+//     evaluator on the same corpus is the engine oracle's job,
+//     internal/engine/vector_oracle_test.go);
 //   - the signature-cardinality claim (the million-policy regime): on a
 //     recovered store, guard states and cached plans still number
 //     O(profiles) not O(queriers), and a revocation logged before the
@@ -29,14 +30,13 @@ import (
 
 // buildEquivEnv is buildOracleEnv's shape: the test campus, its policy
 // corpus, and a middleware protecting the WiFi relation.
-func buildEquivEnv(t *testing.T, forceRow bool) (*workload.Campus, *policy.Store, []*policy.Policy, *core.Middleware) {
+func buildEquivEnv(t *testing.T) (*workload.Campus, *policy.Store, []*policy.Policy, *core.Middleware) {
 	t.Helper()
 	c, err := workload.BuildCampus(workload.TestCampusConfig(), engine.MySQL())
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.DB.UDFOverheadIters = 0
-	c.DB.ForceRowEval = forceRow
 	ps := c.GeneratePolicies(workload.TestPolicyConfig())
 	store, err := policy.NewStore(c.DB)
 	if err != nil {
@@ -109,12 +109,12 @@ func equivMutate(t *testing.T, m *core.Middleware, db *engine.DB, querier string
 // TestRecoveredStoreDifferentialOracle boots the full durable stack,
 // warms the guard cache (so the derived sieve_guard_* relations exist and
 // SkipTables must really exclude them), applies a mutation suffix, closes
-// without a checkpoint, and recovers. The recovered middleware — vector
-// evaluation, replayed state — must answer the whole query corpus exactly
-// like a never-crashed mirror forced through row-at-a-time evaluation.
+// without a checkpoint, and recovers. The recovered middleware — replayed
+// state — must answer the whole query corpus exactly like a never-crashed
+// mirror.
 func TestRecoveredStoreDifferentialOracle(t *testing.T) {
 	dir := t.TempDir()
-	c, store, ps, mw := buildEquivEnv(t, false)
+	c, store, ps, mw := buildEquivEnv(t)
 	queriers := workload.TopQueriers(ps, 3, 1)
 	if len(queriers) == 0 {
 		t.Fatal("no queriers with policies in the corpus")
@@ -174,8 +174,8 @@ func TestRecoveredStoreDifferentialOracle(t *testing.T) {
 		t.Fatalf("recovered perimeter %v does not cover %s", rec.Protected, workload.TableWiFi)
 	}
 
-	// The never-crashed mirror, forced through the row evaluator.
-	cB, _, _, mwB := buildEquivEnv(t, true)
+	// The never-crashed mirror.
+	cB, _, _, mwB := buildEquivEnv(t)
 	if revB := equivMutate(t, mwB, cB.DB, queriers[0]); revB != revID {
 		t.Fatalf("mirror diverged before the comparison: revoked id %d vs %d", revB, revID)
 	}

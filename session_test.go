@@ -91,8 +91,10 @@ func TestSessionContextCancellationMidScan(t *testing.T) {
 }
 
 // TestRowsEarlyCloseUnderLimit verifies streaming early termination: both
-// an early Rows.Close and a satisfied LIMIT must stop the underlying
-// guarded scan instead of reading the whole relation.
+// an early Rows.Close and a satisfied LIMIT stop the underlying guarded
+// scan within one batch of the last row delivered (the engine's bound,
+// internal/engine TestEarlyStopReadBound: the first batch is 64 slots and
+// each next one doubles, so a stop at heap slot p has read ≤ 2p+64).
 func TestRowsEarlyCloseUnderLimit(t *testing.T) {
 	const n = 20000
 	m, db := buildScanDB(t, n, sieve.WithForcedStrategy(sieve.LinearScan))
@@ -109,13 +111,15 @@ func TestRowsEarlyCloseUnderLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var last int64 // id is the heap slot
 	for i := 0; i < 5 && rows.Next(); i++ {
+		last = rows.Row()[0].I
 	}
 	if err := rows.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.Counters.TuplesRead; got >= n/2 {
-		t.Fatalf("early Close read %d tuples of %d; scan did not terminate early", got, n)
+	if got := db.Counters.TuplesRead; got > 2*last+64 {
+		t.Fatalf("early Close at slot %d read %d tuples; scan ran more than a batch ahead", last, got)
 	}
 
 	db.Counters.Reset()
@@ -126,8 +130,9 @@ func TestRowsEarlyCloseUnderLimit(t *testing.T) {
 	if len(res.Rows) != 5 {
 		t.Fatalf("LIMIT 5 returned %d rows", len(res.Rows))
 	}
-	if got := db.Counters.TuplesRead; got >= n/2 {
-		t.Fatalf("LIMIT 5 read %d tuples of %d; scan did not terminate early", got, n)
+	last = res.Rows[4][0].I
+	if got := db.Counters.TuplesRead; got > 2*last+64 {
+		t.Fatalf("LIMIT 5 ending at slot %d read %d tuples; scan ran more than a batch ahead", last, got)
 	}
 }
 
