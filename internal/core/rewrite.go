@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -62,8 +63,8 @@ func (m *Middleware) rewriteParsed(stmt *sqlparser.SelectStmt, qm policy.Metadat
 
 // rewriteParsedSpan is rewriteParsed attributing its guard-cache
 // resolution to a "guard-resolve" child of sp (with hit/regen counts);
-// the rest of the rewrite — strategy choice, CTE construction, printing
-// — stays on sp itself. sp may be nil (tracing off).
+// the rest of the rewrite — strategy choice, CTE construction — stays on
+// sp itself. sp may be nil (tracing off).
 func (m *Middleware) rewriteParsedSpan(stmt *sqlparser.SelectStmt, qm policy.Metadata, sp *obs.Span) (*sqlparser.SelectStmt, *Report, error) {
 	if qm.Querier == "" {
 		return nil, nil, fmt.Errorf("sieve: query metadata must identify the querier")
@@ -100,7 +101,7 @@ func (m *Middleware) rewriteParsedSpan(stmt *sqlparser.SelectStmt, qm policy.Met
 			fmt.Fprintf(&tok, ",%d", p.ID)
 		}
 		tok.WriteByte(';')
-		dec := m.chooseStrategy(stmt, relation, refName, st.ge, pending)
+		dec := m.chooseStrategy(stmt, relation, refName, st, pending)
 		dec.DeltaGuards = len(st.deltaSets)
 		dec.Signature = st.signature()
 		dec.SharedState = st.reprKey != (geKey{querier: qm.Querier, purpose: qm.Purpose, relation: relation})
@@ -120,7 +121,6 @@ func (m *Middleware) rewriteParsedSpan(stmt *sqlparser.SelectStmt, qm policy.Met
 	m.queriesSeen++
 	m.mu.Unlock()
 	rep.planToken = tok.String()
-	rep.SQL = sqlparser.Print(stmt)
 	return stmt, rep, nil
 }
 
@@ -300,53 +300,88 @@ func (m *Middleware) pushableConjuncts(stmt *sqlparser.SelectStmt, relation stri
 	return out
 }
 
+// guardArms returns the state's guard arms — per guard, the guard predicate
+// conjoined with the inlined policy partition or a Δ call, plus the
+// provenance the dialect emitters consume — their disjunction, and the
+// distinct guard columns, sorted. They depend on the state alone, so they
+// are built at its first rewrite and shared read-only by every rewritten
+// statement after it: nothing downstream of the rewrite changes an
+// expression in place. The one thing the rewrite itself changes in place is
+// a table reference — a later protected relation's references are
+// redirected to its CTE, subqueries inside earlier CTE bodies included — so
+// arms that carry a subquery are handed out as copies.
+func (st *geState) guardArms(schema *storage.Schema) ([]engine.GuardArm, sqlparser.Expr, []string) {
+	st.armsOnce.Do(func() {
+		cols := map[string]bool{}
+		exprs := make([]sqlparser.Expr, len(st.ge.Guards))
+		st.arms = make([]engine.GuardArm, len(st.ge.Guards))
+		for gi := range st.ge.Guards {
+			g := &st.ge.Guards[gi]
+			cols[g.Cond.Attr] = true
+			setID, useDelta := st.deltaSets[gi]
+			part := deltaCall(setID, st.relation, schema)
+			if !useDelta {
+				part = g.PartitionExpr(st.relation)
+			}
+			exprs[gi] = sqlparser.And(g.Expr(st.relation), part)
+			st.arms[gi] = engine.GuardArm{Col: g.Cond.Attr, Expr: exprs[gi], Delta: useDelta}
+		}
+		st.guardOr = sqlparser.Or(exprs...)
+		for c := range cols {
+			st.guardCols = append(st.guardCols, c)
+		}
+		sort.Strings(st.guardCols)
+		sqlparser.Walk(st.guardOr, false, func(x sqlparser.Expr) {
+			switch s := x.(type) {
+			case *sqlparser.SubqueryExpr, *sqlparser.ExistsExpr:
+				st.armsHoldSubquery = true
+			case *sqlparser.InExpr:
+				st.armsHoldSubquery = st.armsHoldSubquery || s.Sub != nil
+			}
+		})
+	})
+	if !st.armsHoldSubquery {
+		return st.arms, st.guardOr, st.guardCols
+	}
+	arms := slices.Clone(st.arms)
+	exprs := make([]sqlparser.Expr, len(arms))
+	for i := range arms {
+		arms[i].Expr = sqlparser.CloneExpr(arms[i].Expr)
+		exprs[i] = arms[i].Expr
+	}
+	return arms, sqlparser.Or(exprs...), st.guardCols
+}
+
 // buildGuardedCTE constructs the §5.3/§5.6 WITH body:
 //
 //	SELECT * FROM rj [hint] WHERE G1 OR … OR Gn
 //
-// where each arm conjoins the guard predicate, the pushed query predicates
-// (under IndexGuards), and either the inlined policy partition or a Δ call.
-// Pending policies (§6 deferred regeneration) contribute one owner-guarded
-// arm each. Alongside the body it returns the guard provenance the dialect
-// emitters consume (engine.GuardedCTE; Name is filled by the caller once
-// the WITH name is chosen).
+// where each arm conjoins the guard predicate and either the inlined policy
+// partition or a Δ call (the state's guardArms). Pending policies (§6
+// deferred regeneration) contribute one owner-guarded arm each. Alongside
+// the body it returns the guard provenance the dialect emitters consume
+// (engine.GuardedCTE; Name is filled by the caller once the WITH name is
+// chosen).
 func (m *Middleware) buildGuardedCTE(relation string, st *geState, pending []*policy.Policy,
 	queryConjs []sqlparser.Expr, dec TableDecision) (*sqlparser.SelectStmt, engine.GuardedCTE, error) {
 
-	schema := m.db.MustTable(relation).Schema
-	ge := st.ge
-
+	arms, where, guardCols := st.guardArms(m.db.MustTable(relation).Schema)
 	prov := engine.GuardedCTE{
 		Relation:   relation,
 		Strategy:   string(dec.Strategy),
 		QueryIndex: dec.QueryIndex,
 		QueryConjs: queryConjs,
-	}
-
-	var arms []sqlparser.Expr
-	guardCols := map[string]bool{}
-	for gi := range ge.Guards {
-		g := &ge.Guards[gi]
-		parts := []sqlparser.Expr{g.Expr(relation)}
-		guardCols[g.Cond.Attr] = true
-		setID, useDelta := st.deltaSets[gi]
-		if useDelta {
-			parts = append(parts, deltaCall(setID, relation, schema))
-		} else {
-			parts = append(parts, g.PartitionExpr(relation))
-		}
-		arm := sqlparser.And(parts...)
-		arms = append(arms, arm)
-		prov.Arms = append(prov.Arms, engine.GuardArm{Col: g.Cond.Attr, Expr: arm, Delta: useDelta})
+		Arms:       arms[:len(arms):len(arms)], // appending a pending arm copies
 	}
 	for _, p := range pending {
-		guardCols[policy.OwnerAttr] = true
 		arm := p.Expr(relation)
-		arms = append(arms, arm)
+		where = sqlparser.Or(where, arm)
 		prov.Arms = append(prov.Arms, engine.GuardArm{Col: policy.OwnerAttr, Expr: arm})
 	}
-
-	where := sqlparser.Or(arms...)
+	if len(pending) > 0 && !slices.Contains(guardCols, policy.OwnerAttr) {
+		guardCols = append(slices.Clone(guardCols), policy.OwnerAttr)
+		sort.Strings(guardCols)
+	}
 	if where == nil {
 		// Default deny: no applicable policies.
 		where = sqlparser.Lit(storage.NewBool(false))
@@ -369,13 +404,8 @@ func (m *Middleware) buildGuardedCTE(relation string, st *geState, pending []*po
 	if m.db.Dialect().HonorsIndexHints() && !m.noHints {
 		switch dec.Strategy {
 		case IndexGuards:
-			cols := make([]string, 0, len(guardCols))
-			for c := range guardCols {
-				cols = append(cols, c)
-			}
-			sort.Strings(cols)
-			if len(cols) > 0 {
-				ref.Hint = &sqlparser.IndexHint{Kind: sqlparser.HintForce, Indexes: cols}
+			if len(guardCols) > 0 {
+				ref.Hint = &sqlparser.IndexHint{Kind: sqlparser.HintForce, Indexes: guardCols}
 			}
 		case IndexQuery:
 			if dec.QueryIndex != "" {

@@ -20,6 +20,7 @@ import (
 	"github.com/sieve-db/sieve/internal/engine"
 	"github.com/sieve-db/sieve/internal/guard"
 	"github.com/sieve-db/sieve/internal/policy"
+	"github.com/sieve-db/sieve/internal/sqlparser"
 	"github.com/sieve-db/sieve/internal/storage"
 )
 
@@ -146,6 +147,17 @@ type geState struct {
 	refs   int
 	claims map[*claim]struct{}
 	gone   bool
+	// arms, guardOr and guardCols are the guard arms every rewrite over
+	// this state injects, their disjunction and their distinct columns —
+	// built once, at the first rewrite (see guardArms), not under m.mu.
+	armsOnce         sync.Once
+	arms             []engine.GuardArm
+	guardOr          sqlparser.Expr
+	guardCols        []string
+	armsHoldSubquery bool
+	// zoneArms are the guards' segment-refutation arms (guardZoneArms).
+	zoneOnce sync.Once
+	zoneArms []storage.ZoneArm
 }
 
 // Option configures the middleware.

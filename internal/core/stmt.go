@@ -48,6 +48,10 @@ type Stmt struct {
 type preparedPlan struct {
 	stmt *sqlparser.SelectStmt
 	rep  *Report
+	// exec is stmt bound to the engine: what the executor derives from the
+	// rewritten statement alone (conjunct classification, sargs, the
+	// compiled guard filter) is derived once and lives as long as the plan.
+	exec *engine.Prepared
 
 	// emissions caches per-dialect SQL generated from this plan. It lives
 	// on the plan, not the Stmt, so token invalidation discards emissions
@@ -108,7 +112,7 @@ func (st *Stmt) Query(ctx context.Context, s *Session) (*engine.Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := st.m.db.StreamStmt(ctx, p.stmt)
+	rows, err := p.exec.Stream(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +127,7 @@ func (st *Stmt) Execute(ctx context.Context, s *Session) (*engine.Result, error)
 	if err != nil {
 		return nil, err
 	}
-	return st.m.db.QueryStmtCtx(ctx, p.stmt)
+	return p.exec.Query(ctx)
 }
 
 // QueryArgs runs the prepared statement with bind arguments, streaming
@@ -314,7 +318,7 @@ func (st *Stmt) planForSpan(qm policy.Metadata, sp *obs.Span) (*preparedPlan, en
 		return nil, seed, err
 	}
 	st.rewrites.Add(1)
-	p = &preparedPlan{stmt: stmt, rep: rep}
+	p = &preparedPlan{stmt: stmt, rep: rep, exec: st.m.db.Prepare(stmt)}
 	st.mu.Lock()
 	if len(st.plans) >= maxCachedPlans {
 		st.evictLocked()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"github.com/sieve-db/sieve/internal/engine"
-	"github.com/sieve-db/sieve/internal/guard"
 	"github.com/sieve-db/sieve/internal/policy"
 	"github.com/sieve-db/sieve/internal/sqlparser"
 	"github.com/sieve-db/sieve/internal/storage"
@@ -57,11 +56,11 @@ type TableDecision struct {
 	SharedState bool
 }
 
-// Report describes one rewrite: the final SQL, per-table decisions, and
-// the guard provenance of every injected WITH entry (the input the dialect
-// emitters frame per backend).
+// Report describes one rewrite: per-table decisions and the guard
+// provenance of every injected WITH entry (the input the dialect emitters
+// frame per backend). The rewritten SQL text is what Rewrite returns beside
+// it; a rewrite that is only executed is never printed.
 type Report struct {
-	SQL       string
 	Decisions []TableDecision
 	// GuardedCTEs carries, per injected CTE, the guard arms, pushed query
 	// conjuncts and strategy that produced it — engine.Emitter implementations
@@ -86,8 +85,9 @@ type Report struct {
 // optimizer's intended access path and its estimated selectivity for the
 // relation, price the three strategies, and pick the cheapest.
 func (m *Middleware) chooseStrategy(stmt *sqlparser.SelectStmt, relation, refName string,
-	ge *guard.GuardedExpression, pending []*policy.Policy) TableDecision {
+	st *geState, pending []*policy.Policy) TableDecision {
 
+	ge := st.ge
 	t := m.db.MustTable(relation)
 	n := float64(t.NumRows())
 
@@ -136,7 +136,7 @@ func (m *Middleware) chooseStrategy(stmt *sqlparser.SelectStmt, relation, refNam
 	// guard arm refutes, so pruning discounts the classic |r| cost. The
 	// estimate mirrors the engine's refutation conservatively, using only
 	// the guard (and pending-owner) intervals.
-	dec.SegmentsPrunable, dec.SegmentsTotal = prunableSegments(t, ge, pending)
+	dec.SegmentsPrunable, dec.SegmentsTotal = prunableSegments(t, st.guardZoneArms(), pending)
 	dec.CostLinearScan = n
 	if dec.SegmentsTotal > 0 {
 		dec.CostLinearScan = n * (1 - float64(dec.SegmentsPrunable)/float64(dec.SegmentsTotal))
@@ -163,31 +163,38 @@ func (m *Middleware) chooseStrategy(stmt *sqlparser.SelectStmt, relation, refNam
 
 const inf = 1e300
 
-// prunableSegments counts the storage segments whose metadata refutes
-// every arm of the guarded expression — the guard intervals plus one
-// owner-equality interval per pending policy, each arm additionally
-// carrying its partition's owner set so a segment whose owner dictionary
-// is disjoint from the partition is refuted even when the guard interval
-// alone cannot decide. Those segments contribute nothing to a guarded
-// linear scan. With no arms at all (default deny) the scan reads nothing,
-// so every segment counts as prunable.
-func prunableSegments(t *storage.Table, ge *guard.GuardedExpression, pending []*policy.Policy) (pruned, total int) {
-	arms := make([]storage.ZoneArm, 0, len(ge.Guards)+len(pending))
-	for i := range ge.Guards {
-		g := &ge.Guards[i]
-		owners := make([]int64, 0, len(g.Policies))
-		for _, p := range g.Policies {
-			owners = append(owners, p.Owner)
-		}
-		lo, hi, ok := g.Cond.Interval()
-		if !ok {
+// guardZoneArms returns, per guard, what segment metadata can refute it by:
+// the guard's interval and its partition's owner set, so a segment whose
+// owner dictionary is disjoint from the partition is refuted even when the
+// interval alone cannot decide. Like the guard arms they depend on the state
+// alone and are built once.
+func (st *geState) guardZoneArms() []storage.ZoneArm {
+	st.zoneOnce.Do(func() {
+		st.zoneArms = make([]storage.ZoneArm, len(st.ge.Guards))
+		for i := range st.ge.Guards {
+			g := &st.ge.Guards[i]
+			owners := make([]int64, len(g.Policies))
+			for j, p := range g.Policies {
+				owners[j] = p.Owner
+			}
 			// An interval-free guard may match anywhere its partition's
 			// owners live; only the owner dictionaries can prune it.
-			arms = append(arms, storage.ZoneArm{Col: g.Cond.Attr, Owners: owners})
-			continue
+			st.zoneArms[i] = storage.ZoneArm{Col: g.Cond.Attr, Owners: owners}
+			if lo, hi, ok := g.Cond.Interval(); ok {
+				st.zoneArms[i].Lo, st.zoneArms[i].Hi = lo, hi
+			}
 		}
-		arms = append(arms, storage.ZoneArm{Col: g.Cond.Attr, Lo: lo, Hi: hi, Owners: owners})
-	}
+	})
+	return st.zoneArms
+}
+
+// prunableSegments counts the storage segments whose metadata refutes
+// every arm of the guarded expression — the guards' zone arms plus one
+// owner-equality interval per pending policy. Those segments contribute
+// nothing to a guarded linear scan. With no arms at all (default deny) the
+// scan reads nothing, so every segment counts as prunable.
+func prunableSegments(t *storage.Table, guards []storage.ZoneArm, pending []*policy.Policy) (pruned, total int) {
+	arms := guards[:len(guards):len(guards)] // appending a pending arm copies
 	for _, p := range pending {
 		v := storage.NewInt(p.Owner)
 		arms = append(arms, storage.ZoneArm{Col: policy.OwnerAttr, Lo: v, Hi: v, Owners: []int64{p.Owner}})

@@ -528,10 +528,16 @@ func (db *DB) QueryStmt(stmt *sqlparser.SelectStmt) (*Result, error) {
 // materialising wrapper over the streaming executor: it drains the same
 // pipeline StreamStmt exposes.
 func (db *DB) QueryStmtCtx(ctx context.Context, stmt *sqlparser.SelectStmt) (*Result, error) {
+	return db.query(ctx, stmt, nil)
+}
+
+// query is QueryStmtCtx over an optional plan cache (Prepared.Query).
+func (db *DB) query(ctx context.Context, stmt *sqlparser.SelectStmt, cache *planCache) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	ex := db.newExecutor(ctx)
+	ex.cache = cache
 	defer ex.flush(db)
 	if ex.span == nil {
 		return ex.selectStmt(stmt, newScope(nil), nil)
@@ -555,10 +561,16 @@ func (db *DB) Stream(ctx context.Context, sqlText string) (*Rows, error) {
 // produced as Rows.Next is called, ctx is polled every ctxCheckInterval
 // rows, and closing the Rows early releases the underlying scans.
 func (db *DB) StreamStmt(ctx context.Context, stmt *sqlparser.SelectStmt) (*Rows, error) {
+	return db.stream(ctx, stmt, nil)
+}
+
+// stream is StreamStmt over an optional plan cache (Prepared.Stream).
+func (db *DB) stream(ctx context.Context, stmt *sqlparser.SelectStmt, cache *planCache) (*Rows, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	ex := db.newExecutor(ctx)
+	ex.cache = cache
 	cols, it, err := ex.stmtIter(stmt, newScope(nil), nil)
 	if err != nil {
 		ex.flush(db)

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -71,6 +72,9 @@ type executor struct {
 	local    Counters
 	tick     int
 	flushed  bool
+	// cache is the Prepared's plan cache when the statement is one; nil
+	// when every binding is derived for this execution alone.
+	cache *planCache
 
 	// Trace spans, resolved once from ctx at construction; all nil when
 	// tracing is off, so the scan hot paths pay a single nil check.
@@ -147,7 +151,7 @@ func (ex *executor) selectStmt(s *sqlparser.SelectStmt, sc *scope, outer *env) (
 // stmtIter opens a statement as a stream of rows. Set operations (UNION /
 // MINUS) materialise their arms; plain selects stream through coreIter.
 func (ex *executor) stmtIter(s *sqlparser.SelectStmt, sc *scope, outer *env) ([]string, rowIter, error) {
-	lazy := lazyCTENames(s)
+	lazy := ex.lazyCTEs(s)
 	// Each CTE gets its own scope link whose parent holds only the
 	// *earlier* CTEs: a body's reference to a later sibling must resolve
 	// past the WITH clause (to a base table, or fail) exactly as under
@@ -216,7 +220,12 @@ func lazyCTENames(s *sqlparser.SelectStmt) map[string]bool {
 	}
 	total := make(map[string]int)
 	inExpr := make(map[string]int)
-	countTableRefs(s, false, total, inExpr)
+	// A WITH body sees only the entries before it, so the first body can
+	// reference none of this clause's names — and it is the one the policy
+	// rewrite fills with the whole guard expression: not walked.
+	rest := *s
+	rest.With = s.With[1:]
+	countTableRefs(&rest, false, total, inExpr)
 	out := make(map[string]bool, len(s.With))
 	for _, cte := range s.With {
 		if total[cte.Name] == 1 && inExpr[cte.Name] == 0 {
@@ -474,8 +483,8 @@ func qualifyResult(name string, res *Result) *rel {
 
 // rowPasses evaluates conjuncts against one row laid out as schema,
 // rejecting on the first conjunct that is not true: the WHERE semantics of
-// index fetch lists and of filters over derived and joined relations, and
-// the reference sequential scans' compiled filters are tested against.
+// filters over derived and joined relations, and the reference base tables'
+// compiled filters are tested against.
 func rowPasses(ev *evaluator, schema *RelSchema, row storage.Row, conjs []sqlparser.Expr, outer *env) (bool, error) {
 	en := &env{schema: schema, row: row, outer: outer}
 	for _, cj := range conjs {
@@ -513,8 +522,9 @@ func (ex *executor) filterRel(r *rel, conjs []sqlparser.Expr, sc *scope, outer *
 }
 
 // scanSourceIter opens one FROM entry as a stream with its single-source
-// conjuncts applied (through the chosen access path for base tables).
-func (ex *executor) scanSourceIter(src *sourceInfo, conjs []sqlparser.Expr, sc *scope, outer *env) (*RelSchema, rowIter, error) {
+// conjuncts applied: through the chosen access path and the binding's
+// compiled filter for a base table (tb), row by row for a derived one.
+func (ex *executor) scanSourceIter(src *sourceInfo, conjs []sqlparser.Expr, tb *tableBinding, sc *scope, outer *env) (*RelSchema, rowIter, error) {
 	ev := &evaluator{ex: ex, scope: sc}
 	switch {
 	case src.stream != nil:
@@ -532,19 +542,17 @@ func (ex *executor) scanSourceIter(src *sourceInfo, conjs []sqlparser.Expr, sc *
 		}
 		return r.schema, it, nil
 	default:
-		t := src.tbl
-		plan := planAccess(ex.db, t, src.name, conjs, src.ref.Hint)
-		schema := qualifySchema(src.name, t.Schema)
+		plan := planAccess(ex.db, src.tbl, tb, src.ref.Hint)
 		if plan.fetch != nil {
-			return schema, &fetchIter{ex: ex, t: t, plan: plan, schema: schema, conjs: conjs, ev: ev, outer: outer}, nil
+			return tb.schema, &fetchIter{ex: ex, t: src.tbl, plan: plan, tb: tb, sc: sc, outer: outer}, nil
 		}
-		return schema, &scanIter{ex: ex, t: t, plan: plan, schema: schema, conjs: conjs, sc: sc, outer: outer}, nil
+		return tb.schema, &scanIter{ex: ex, t: src.tbl, plan: plan, tb: tb, sc: sc, outer: outer}, nil
 	}
 }
 
 // scanSource materialises one FROM entry (the join path's build input).
-func (ex *executor) scanSource(src *sourceInfo, conjs []sqlparser.Expr, sc *scope, outer *env) (*rel, error) {
-	schema, it, err := ex.scanSourceIter(src, conjs, sc, outer)
+func (ex *executor) scanSource(src *sourceInfo, conjs []sqlparser.Expr, tb *tableBinding, sc *scope, outer *env) (*rel, error) {
+	schema, it, err := ex.scanSourceIter(src, conjs, tb, sc, outer)
 	if err != nil {
 		return nil, err
 	}
@@ -674,13 +682,19 @@ type classified struct {
 // pushed into: constant/correlated conjuncts evaluate with the first
 // scan; single-source conjuncts push into their source's scan; the rest
 // wait for the join that binds them.
-func classifyConjuncts(core *sqlparser.SelectCore, sources []*sourceInfo) ([]*classified, [][]sqlparser.Expr) {
+func classifyConjuncts(core *sqlparser.SelectCore, sources []*sourceInfo) ([]classified, [][]sqlparser.Expr) {
 	conjuncts := sqlparser.Conjuncts(core.Where)
-	classifieds := make([]*classified, len(conjuncts))
 	perSource := make([][]sqlparser.Expr, len(sources))
+	if len(sources) == 1 {
+		// Everything lands on the one source, whatever it references; only
+		// a join reads the classification.
+		perSource[0] = conjuncts
+		return nil, perSource
+	}
+	classifieds := make([]classified, len(conjuncts))
 	for i, cj := range conjuncts {
-		cl := &classified{expr: cj, refs: refSet(cj, sources)}
-		classifieds[i] = cl
+		cl := &classifieds[i]
+		cl.expr, cl.refs = cj, refSet(cj, sources)
 		switch len(cl.refs) {
 		case 0:
 			perSource[0] = append(perSource[0], cj)
@@ -697,20 +711,22 @@ func classifyConjuncts(core *sqlparser.SelectCore, sources []*sourceInfo) ([]*cl
 
 // joinSources scans and joins all FROM entries left to right, applying
 // multi-source conjuncts as soon as the join binds them.
-func (ex *executor) joinSources(sources []*sourceInfo, classifieds []*classified, perSource [][]sqlparser.Expr, sc *scope, outer *env) (*rel, error) {
-	cur, err := ex.scanSource(sources[0], perSource[0], sc, outer)
+func (ex *executor) joinSources(sources []*sourceInfo, cb *coreBinding, sc *scope, outer *env) (*rel, error) {
+	classifieds := slices.Clone(cb.classifieds) // applied is this execution's
+	cur, err := ex.scanSource(sources[0], cb.perSource[0], cb.tables[0], sc, outer)
 	if err != nil {
 		return nil, err
 	}
 	joined := map[int]bool{0: true}
 	for i := 1; i < len(sources); i++ {
-		next, err := ex.scanSource(sources[i], perSource[i], sc, outer)
+		next, err := ex.scanSource(sources[i], cb.perSource[i], cb.tables[i], sc, outer)
 		if err != nil {
 			return nil, err
 		}
 		joined[i] = true
 		var lkeys, rkeys []int
-		for _, cl := range classifieds {
+		for k := range classifieds {
+			cl := &classifieds[k]
 			if cl.applied || !subset(cl.refs, joined) {
 				continue
 			}
@@ -730,8 +746,8 @@ func (ex *executor) joinSources(sources []*sourceInfo, classifieds []*classified
 		}
 		// Apply any remaining conjuncts that became fully bound.
 		var pending []sqlparser.Expr
-		for _, cl := range classifieds {
-			if !cl.applied && subset(cl.refs, joined) {
+		for k := range classifieds {
+			if cl := &classifieds[k]; !cl.applied && subset(cl.refs, joined) {
 				pending = append(pending, cl.expr)
 				cl.applied = true
 			}
@@ -761,18 +777,18 @@ func (ex *executor) coreIter(core *sqlparser.SelectCore, sc *scope, outer *env) 
 	if err != nil {
 		return nil, nil, err
 	}
-	classifieds, perSource := classifyConjuncts(core, sources)
+	cb := ex.bindCore(core, sources)
 
 	var cur *rel // set when the join path materialised the input
 	var schema *RelSchema
 	var it rowIter
 	if len(sources) == 1 {
-		schema, it, err = ex.scanSourceIter(sources[0], perSource[0], sc, outer)
+		schema, it, err = ex.scanSourceIter(sources[0], cb.perSource[0], cb.tables[0], sc, outer)
 		if err != nil {
 			return nil, nil, err
 		}
 	} else {
-		cur, err = ex.joinSources(sources, classifieds, perSource, sc, outer)
+		cur, err = ex.joinSources(sources, cb, sc, outer)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -28,7 +28,8 @@ type TableAccess struct {
 	SegmentsPruned      int
 	SegmentsOwnerPruned int
 	// Vectorised reports whether the access runs a compiled batch filter
-	// (column-at-a-time): every sequential scan with a predicate does.
+	// (column-at-a-time): every base-table access with a predicate does,
+	// sequential scan and index fetch list alike.
 	Vectorised bool
 }
 
@@ -111,7 +112,7 @@ func (ex *executor) explain(s *sqlparser.SelectStmt) (*Explain, error) {
 			out.Tables = append(out.Tables, TableAccess{Table: src.name, Kind: AccessDerived, EstSel: 1})
 			continue
 		}
-		plan := planAccess(ex.db, src.tbl, src.name, perSource[i], src.ref.Hint)
+		plan := planAccess(ex.db, src.tbl, bindTable(src.tbl, src.name, perSource[i]), src.ref.Hint)
 		pruned, ownerPruned, total := plan.segmentStats(src.tbl)
 		out.Tables = append(out.Tables, TableAccess{
 			Table:               src.name,
@@ -122,7 +123,7 @@ func (ex *executor) explain(s *sqlparser.SelectStmt) (*Explain, error) {
 			Segments:            total,
 			SegmentsPruned:      pruned,
 			SegmentsOwnerPruned: ownerPruned,
-			Vectorised:          plan.Kind == AccessSeq && len(perSource[i]) > 0,
+			Vectorised:          len(perSource[i]) > 0,
 		})
 	}
 	return out, nil

@@ -2,16 +2,17 @@ package engine
 
 import "github.com/sieve-db/sieve/internal/sqlparser"
 
-// The test-only row reference: sequential scans opened while it is
-// installed filter every batch through rowPasses — the row-at-a-time
-// evaluator, one row at a time, in heap order — instead of a compiled vector
-// program. Pruning, batching and fan-out are the operator's own either way,
-// so the reference and the production filter can be compared row for row
-// and counter for counter.
+// The test-only row reference: base-table accesses — sequential scans and
+// index fetch lists — bound while it is installed filter every batch through
+// rowPasses — the row-at-a-time evaluator, one row at a time, in batch order
+// — instead of a compiled vector program. Pruning, batching and fan-out are
+// the operators' own either way, so the reference and the production filter
+// can be compared row for row and counter for counter.
 
 // UseRowReference installs the reference and returns the function that
 // removes it. compileScanFilter is package state: install it only while no
-// query of any DB is running, and not from parallel tests.
+// query of any DB is running, and not from parallel tests. A Prepared keeps
+// whichever filter was in place when it first bound a table.
 func UseRowReference() (restore func()) {
 	compileScanFilter = func(conjs []sqlparser.Expr, _ *RelSchema) *vecProgram {
 		if len(conjs) == 0 {
@@ -26,7 +27,7 @@ type rowReference []sqlparser.Expr
 
 func (p rowReference) eval(ve *vecEnv, active []int, out []tri) error {
 	for _, i := range active {
-		keep, err := rowPasses(ve.ev, ve.schema, ve.b.Row(i), p, ve.outer)
+		keep, err := rowPasses(ve.ev, ve.rowEnv.schema, ve.b.Row(i), p, ve.rowEnv.outer)
 		if err != nil {
 			return err
 		}

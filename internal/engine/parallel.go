@@ -17,7 +17,8 @@ var errScanClosed = errors.New("engine: parallel scan closed")
 // once the consumer has pulled past the first scanned segment, the segments
 // after it are handed, in heap order, to a worker pool. Each worker prunes,
 // loads and filters whole segments (guards and Δ policy checks included)
-// with its own segScanner, executor and counters, and a bounded reorder
+// with its own segScanner, executor and counters over the scan's one
+// compiled program, and a bounded reorder
 // window hands the per-segment results back in heap order, so the stream
 // is byte-identical to the single-goroutine scan's. The window is what
 // bounds read-ahead: workers run at most 2×workers dispatched segments
@@ -124,7 +125,7 @@ func (f *fanOut) worker(child *executor, work <-chan segTask) {
 		}
 		var res segResult
 		if !scan.refuted(tk.seg) {
-			res.rows, res.err = scan.run(tk.seg, tk.seg*segRows, (tk.seg+1)*segRows, nil)
+			res.rows, res.err = scan.run(tk.seg*segRows, (tk.seg+1)*segRows, nil)
 		}
 		if child.span != nil {
 			sp := child.span.Child("workers")

@@ -247,11 +247,12 @@ func TestParallelEarlyCloseStopsWorkers(t *testing.T) {
 	tab := db.MustTable("p")
 	ex := db.newExecutor(context.Background())
 	conjs := sqlparser.Conjuncts(mustParseWhere(t, "grp < 9"))
-	plan := planAccess(db, tab, "p", conjs, nil)
+	tb := bindTable(tab, "p", conjs)
+	plan := planAccess(db, tab, tb, nil)
 	if plan.fetch != nil {
 		t.Fatal("expected a sequential plan")
 	}
-	it := &scanIter{ex: ex, t: tab, plan: plan, schema: qualifySchema("p", tab.Schema), conjs: conjs, sc: newScope(nil)}
+	it := &scanIter{ex: ex, t: tab, plan: plan, tb: tb, sc: newScope(nil)}
 	var last storage.Row
 	for i := 0; i < 200; i++ {
 		row, err := it.Next()

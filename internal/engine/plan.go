@@ -1,8 +1,9 @@
 package engine
 
 import (
-	"sort"
+	"slices"
 	"strings"
+	"sync"
 
 	"github.com/sieve-db/sieve/internal/sqlparser"
 	"github.com/sieve-db/sieve/internal/storage"
@@ -31,6 +32,13 @@ type sarg struct {
 // referenced as ref. Supported shapes: col op literal (and flipped),
 // col BETWEEN lit AND lit, col IN (literals).
 func extractSarg(e sqlparser.Expr, ref string, schema *storage.Schema) (sarg, bool) {
+	return extractSargInto(e, ref, schema, nil)
+}
+
+// extractSargInto is extractSarg cutting an equality's single point from
+// arena (when given) instead of allocating it: a planning pass over a
+// guard disjunction extracts one such sarg per arm.
+func extractSargInto(e sqlparser.Expr, ref string, schema *storage.Schema, arena *[]storage.Value) (sarg, bool) {
 	colOf := func(x sqlparser.Expr) (string, bool) {
 		c, ok := x.(*sqlparser.ColRef)
 		if !ok {
@@ -70,7 +78,12 @@ func extractSarg(e sqlparser.Expr, ref string, schema *storage.Schema) (sarg, bo
 		}
 		switch op {
 		case sqlparser.CmpEq:
-			return sarg{col: col, points: []storage.Value{lit}}, true
+			if arena == nil {
+				return sarg{col: col, points: []storage.Value{lit}}, true
+			}
+			*arena = append(*arena, lit)
+			n := len(*arena)
+			return sarg{col: col, points: (*arena)[n-1 : n : n]}, true
 		case sqlparser.CmpLt:
 			return sarg{col: col, isRange: true, lo: storage.Null, hi: lit, hiS: true}, true
 		case sqlparser.CmpLe:
@@ -116,27 +129,42 @@ func extractSarg(e sqlparser.Expr, ref string, schema *storage.Schema) (sarg, bo
 	return sarg{}, false
 }
 
-// estimateSarg returns the selectivity of a sarg in [0,1], preferring the
-// ANALYZE histogram (like the paper, §4 fn 5) and falling back to an exact
-// index probe when statistics are absent.
-func estimateSarg(db *DB, t *storage.Table, s sarg) float64 {
-	n := t.NumRows()
+// estimator prices sargs against one table for one planning pass: the
+// statistics are looked up (and refreshed when stale) at the first sarg
+// priced, not at every one.
+type estimator struct {
+	db       *DB
+	t        *storage.Table
+	stats    *storage.TableStats
+	analyzed bool
+	looked   bool
+}
+
+// sel returns the selectivity of a sarg in [0,1], preferring the ANALYZE
+// histogram (like the paper, §4 fn 5) and falling back to an exact index
+// probe when statistics are absent.
+func (e *estimator) sel(s sarg) float64 {
+	n := e.t.NumRows()
 	if n == 0 {
 		return 0
 	}
-	if stats, ok := db.StatsRefreshed(t.Name); ok {
-		if _, hasHist := stats.Histograms[s.col]; hasHist {
+	if !e.looked {
+		e.stats, e.analyzed = e.db.StatsRefreshed(e.t.Name)
+		e.looked = true
+	}
+	if e.analyzed {
+		if _, hasHist := e.stats.Histograms[s.col]; hasHist {
 			if s.isRange {
-				return stats.SelectivityRange(s.col, s.lo, s.hi)
+				return e.stats.SelectivityRange(s.col, s.lo, s.hi)
 			}
 			sel := 0.0
 			for range s.points {
-				sel += stats.SelectivityEq(s.col, s.points[0])
+				sel += e.stats.SelectivityEq(s.col, s.points[0])
 			}
 			return clampSel(sel)
 		}
 	}
-	if idx, ok := t.Index(s.col); ok {
+	if idx, ok := e.t.Index(s.col); ok {
 		cnt := 0
 		if s.isRange {
 			cnt = idx.CountRange(s.lo, s.loS, s.hi, s.hiS)
@@ -163,23 +191,21 @@ func clampSel(x float64) float64 {
 	return x
 }
 
-// fetchSarg materialises the row ids matched by a sarg through the view's
+// fetchSarg appends the row ids matched by a sarg to ids through the view's
 // captured index, so the ids stay resolvable against the same heap even if
 // a Compact lands mid-query.
-func fetchSarg(v *storage.View, s sarg, c *Counters) []storage.RowID {
+func fetchSarg(v *storage.View, s sarg, c *Counters, ids []storage.RowID) []storage.RowID {
 	idx, ok := v.Index(s.col)
 	if !ok {
-		return nil
+		return ids
 	}
-	var ids []storage.RowID
 	if s.isRange {
 		c.IndexLookups++
-		ids = idx.Range(nil, s.lo, s.loS, s.hi, s.hiS)
-	} else {
-		for _, p := range s.points {
-			c.IndexLookups++
-			ids = idx.Eq(ids, p)
-		}
+		return idx.Range(ids, s.lo, s.loS, s.hi, s.hiS)
+	}
+	for _, p := range s.points {
+		c.IndexLookups++
+		ids = idx.Eq(ids, p)
 	}
 	return ids
 }
@@ -205,36 +231,121 @@ type accessPlan struct {
 	fetch func(v *storage.View, c *Counters) []storage.RowID
 	// zonePreds/zoneCols are the compiled zone-refutation predicates a
 	// sequential scan uses to skip whole segments (nil when nothing in
-	// the conjuncts can refute).
+	// the conjuncts can refute, and on every index plan).
 	zonePreds []zoneNode
 	zoneCols  []int
 }
 
-// orBranches decomposes a disjunctive conjunct into per-disjunct sargs, all
-// on indexed (and, when restricted, hinted) columns. ok is false if any
-// disjunct lacks such a sarg — then the disjunction cannot drive an index
-// union and must be a filter.
-func orBranches(db *DB, t *storage.Table, ref string, e sqlparser.Expr, allowed map[string]bool) ([]sarg, bool) {
-	disjuncts := sqlparser.Disjuncts(e)
-	if len(disjuncts) < 2 {
-		return nil, false
+// tableBinding is what planning and filtering one base-table FROM entry
+// take from the statement and the schema alone: the entry's conjuncts, its
+// qualified schema, the sargs among the conjuncts, where the sargs inside
+// their disjunctions are, and the compiled filter. Nothing in it depends on
+// statistics, indexes or data, so a prepared statement keeps it (planCache)
+// and every execution — on any goroutine — shares it; what does depend on
+// them, selectivity estimates and the access-path choice, planAccess redoes
+// per execution.
+type tableBinding struct {
+	ref    string
+	conjs  []sqlparser.Expr
+	schema *RelSchema
+	sargs  []sarg      // the sargable conjuncts
+	prog   *vecProgram // nil: nothing to filter
+
+	orOnce sync.Once
+	ors    []orClause // the conjuncts with ≥ 2 disjuncts
+
+	safeOnce sync.Once
+	safe     bool
+
+	zoneOnce  sync.Once
+	zonePreds []zoneNode
+	zoneCols  []int
+}
+
+// bindTable derives the binding of the FROM entry named ref over t from the
+// conjuncts that reference only it.
+func bindTable(t *storage.Table, ref string, conjs []sqlparser.Expr) *tableBinding {
+	tb := &tableBinding{ref: ref, conjs: conjs, schema: qualifySchema(ref, t.Schema)}
+	for _, cj := range conjs {
+		if s, ok := extractSarg(cj, ref, t.Schema); ok {
+			tb.sargs = append(tb.sargs, s)
+		}
 	}
-	out := make([]sarg, 0, len(disjuncts))
-	for _, d := range disjuncts {
-		best := sarg{}
-		bestSel := 2.0
-		for _, conj := range sqlparser.Conjuncts(d) {
-			s, ok := extractSarg(conj, ref, t.Schema)
-			if !ok {
+	tb.prog = compileScanFilter(conjs, tb.schema)
+	return tb
+}
+
+// orClause is what a disjunctive conjunct offers an index union: for every
+// disjunct, its conjuncts that are sargs — as expressions, one pointer per
+// guard arm, since a prepared plan keeps them per arm and there may be a
+// thousand plans; planAccess re-reads the sarg off the expression when it
+// prices the branches.
+type orClause struct {
+	cands []sqlparser.Expr // disjunct by disjunct
+	ends  []int            // disjunct i's candidates are cands[ends[i-1]:ends[i]]
+}
+
+// orClauses lists the binding's disjunctive conjuncts.
+func (tb *tableBinding) orClauses(schema *storage.Schema) []orClause {
+	tb.orOnce.Do(func() {
+		for _, cj := range tb.conjs {
+			disjuncts := sqlparser.Disjuncts(cj)
+			if len(disjuncts) < 2 {
 				continue
 			}
+			oc := orClause{cands: make([]sqlparser.Expr, 0, len(disjuncts)), ends: make([]int, len(disjuncts))}
+			for i, d := range disjuncts {
+				inOrder(d, sqlparser.OpAnd, func(conj sqlparser.Expr) bool {
+					if _, ok := extractSarg(conj, tb.ref, schema); ok {
+						oc.cands = append(oc.cands, conj)
+					}
+					return true
+				})
+				oc.ends[i] = len(oc.cands)
+			}
+			tb.ors = append(tb.ors, oc)
+		}
+	})
+	return tb.ors
+}
+
+// zones returns the conjuncts' zone-refutation predicates (zonemap.go),
+// compiled at the first sequential plan: an index plan never reads them. A
+// Δ arm lowers to the owner set its check-set id resolves to, which is fixed
+// for the id's lifetime (DeltaResolver's contract), so the compiled form
+// holds for the binding's.
+func (tb *tableBinding) zones(db *DB, schema *storage.Schema) ([]zoneNode, []int) {
+	tb.zoneOnce.Do(func() { tb.zonePreds, tb.zoneCols = compileZonePreds(db, tb.conjs, tb.ref, schema) })
+	return tb.zonePreds, tb.zoneCols
+}
+
+// parallelSafe reports whether the filter may run on fan-out workers.
+func (tb *tableBinding) parallelSafe() bool {
+	tb.safeOnce.Do(func() { tb.safe = len(tb.conjs) > 0 && parallelSafeConjuncts(tb.conjs) })
+	return tb.safe
+}
+
+// orBranches picks, for each disjunct of a disjunctive conjunct, its most
+// selective sarg on an indexed (and, when restricted, hinted) column. ok is
+// false if any disjunct lacks such a sarg — then the disjunction cannot
+// drive an index union and must be a filter.
+func orBranches(est *estimator, tb *tableBinding, oc orClause, allowed map[string]bool) ([]sarg, bool) {
+	t := est.t
+	out := make([]sarg, 0, len(oc.ends))
+	points := make([]storage.Value, 0, len(oc.cands))
+	from := 0
+	for _, end := range oc.ends {
+		var best sarg
+		bestSel := 2.0
+		for _, conj := range oc.cands[from:end] {
+			s, _ := extractSargInto(conj, tb.ref, t.Schema, &points)
 			if _, indexed := t.Index(s.col); !indexed {
 				continue
 			}
 			if allowed != nil && !allowed[s.col] {
 				continue
 			}
-			if sel := estimateSarg(db, t, s); sel < bestSel {
+			if sel := est.sel(s); sel < bestSel {
 				best, bestSel = s, sel
 			}
 		}
@@ -242,24 +353,28 @@ func orBranches(db *DB, t *storage.Table, ref string, e sqlparser.Expr, allowed 
 			return nil, false
 		}
 		out = append(out, best)
+		from = end
 	}
 	return out, true
 }
 
-// planAccess chooses the access path for one base table given the conjuncts
-// that reference only this table. The hint is honoured only on dialects
-// that honour hints (§5.3).
-func planAccess(db *DB, t *storage.Table, ref string, conjuncts []sqlparser.Expr, hint *sqlparser.IndexHint) accessPlan {
+// planAccess chooses the access path for one base table given its binding.
+// The hint is honoured only on dialects that honour hints (§5.3). Zone
+// predicates are asked for on the sequential path alone.
+func planAccess(db *DB, t *storage.Table, tb *tableBinding, hint *sqlparser.IndexHint) accessPlan {
 	n := float64(t.NumRows())
-	seq := accessPlan{Kind: AccessSeq, EstSel: 1}
-	seq.zonePreds, seq.zoneCols = compileZonePreds(db, conjuncts, ref, t.Schema)
-	if n == 0 {
+	seqPlan := func() accessPlan {
+		seq := accessPlan{Kind: AccessSeq, EstSel: 1}
+		seq.zonePreds, seq.zoneCols = tb.zones(db, t.Schema)
 		return seq
+	}
+	if n == 0 {
+		return seqPlan()
 	}
 
 	honored := hint != nil && db.dialect.HonorsIndexHints()
 	if honored && hint.Kind == sqlparser.HintUse && len(hint.Indexes) == 0 {
-		return seq // USE INDEX (): the LinearScan rewrite
+		return seqPlan() // USE INDEX (): the LinearScan rewrite
 	}
 	var allowed map[string]bool
 	forced := false
@@ -270,6 +385,7 @@ func planAccess(db *DB, t *storage.Table, ref string, conjuncts []sqlparser.Expr
 		}
 		forced = hint.Kind == sqlparser.HintForce
 	}
+	est := &estimator{db: db, t: t}
 
 	// Candidate single-index sargs on indexed (and allowed) columns.
 	type cand struct {
@@ -277,18 +393,14 @@ func planAccess(db *DB, t *storage.Table, ref string, conjuncts []sqlparser.Expr
 		sel float64
 	}
 	var best *cand
-	for _, conj := range conjuncts {
-		s, ok := extractSarg(conj, ref, t.Schema)
-		if !ok {
-			continue
-		}
+	for _, s := range tb.sargs {
 		if _, indexed := t.Index(s.col); !indexed {
 			continue
 		}
 		if allowed != nil && !allowed[s.col] {
 			continue
 		}
-		sel := estimateSarg(db, t, s)
+		sel := est.sel(s)
 		if best == nil || sel < best.sel {
 			best = &cand{s: s, sel: sel}
 		}
@@ -300,18 +412,16 @@ func planAccess(db *DB, t *storage.Table, ref string, conjuncts []sqlparser.Expr
 	// combined rewrite form).
 	var orPlan *accessPlan
 	if db.dialect.SupportsBitmapOr() || forced {
-		for _, conj := range conjuncts {
-			branches, ok := orBranches(db, t, ref, conj, allowed)
+		for _, oc := range tb.orClauses(t.Schema) {
+			branches, ok := orBranches(est, tb, oc, allowed)
 			if !ok {
 				continue
 			}
 			sel := 0.0
-			names := make([]string, 0, len(branches))
-			seen := map[string]bool{}
+			names := make([]string, 0, 2)
 			for _, b := range branches {
-				sel += estimateSarg(db, t, b)
-				if !seen[b.col] {
-					seen[b.col] = true
+				sel += est.sel(b)
+				if !slices.Contains(names, b.col) {
 					names = append(names, b.col)
 				}
 			}
@@ -323,18 +433,14 @@ func planAccess(db *DB, t *storage.Table, ref string, conjuncts []sqlparser.Expr
 				EstSel: sel,
 				fetch: func(v *storage.View, c *Counters) []storage.RowID {
 					c.BitmapOrScans++
-					bitmap := make(map[storage.RowID]struct{})
+					var ids []storage.RowID
 					for _, b := range bs {
-						for _, id := range fetchSarg(v, b, c) {
-							bitmap[id] = struct{}{}
-						}
+						ids = fetchSarg(v, b, c, ids)
 					}
-					ids := make([]storage.RowID, 0, len(bitmap))
-					for id := range bitmap {
-						ids = append(ids, id)
-					}
-					sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-					return ids
+					// The union in heap order: branches overlap rarely and,
+					// over data stored by owner, arrive nearly sorted.
+					slices.Sort(ids)
+					return slices.Compact(ids)
 				},
 			}
 			if orPlan == nil || plan.EstSel < orPlan.EstSel {
@@ -352,7 +458,7 @@ func planAccess(db *DB, t *storage.Table, ref string, conjuncts []sqlparser.Expr
 			EstSel: c.sel,
 			fetch: func(v *storage.View, cn *Counters) []storage.RowID {
 				cn.IndexScans++
-				return fetchSarg(v, s, cn)
+				return fetchSarg(v, s, cn, nil)
 			},
 		}
 	}
@@ -371,26 +477,26 @@ func planAccess(db *DB, t *storage.Table, ref string, conjuncts []sqlparser.Expr
 		if orPlan != nil {
 			return *orPlan
 		}
-		return seq // nothing sargable on the forced indexes; degenerate to scan
+		return seqPlan() // nothing sargable on the forced indexes; degenerate to scan
 	}
 
 	// Cost-based choice.
-	seqCost := n
-	choice := seq
-	cost := seqCost
+	cost := n
+	var choice *accessPlan
 	if best != nil {
-		c := best.sel * n * randAccessFactor
-		if c < cost {
+		if c := best.sel * n * randAccessFactor; c < cost {
 			cost = c
-			choice = mkIndexPlan(*best)
+			p := mkIndexPlan(*best)
+			choice = &p
 		}
 	}
 	if orPlan != nil {
-		c := orPlan.EstSel * n * bitmapAccessFactor
-		if c < cost {
-			cost = c
-			choice = *orPlan
+		if c := orPlan.EstSel * n * bitmapAccessFactor; c < cost {
+			choice = orPlan
 		}
 	}
-	return choice
+	if choice == nil {
+		return seqPlan()
+	}
+	return *choice
 }

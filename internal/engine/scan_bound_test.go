@@ -15,7 +15,9 @@ import (
 // past it, a whole segment on one goroutine, or the fan-out's reorder
 // window of 2×workers segments behind the one being consumed. Inline arms
 // and Δ-style arms (a UDF per surviving row) are held to the same bound,
-// the UDF's invocation count included.
+// the UDF's invocation count included. An index fetch list loads in the same
+// ramp: stopping at the p-th fetched id has read at most min(2p+64, len(ids))
+// tuples, on one goroutine whatever the worker budget.
 func TestEarlyStopReadBound(t *testing.T) {
 	const n, segRows = 20000, 256
 	arms := []struct{ name, where string }{
@@ -69,6 +71,49 @@ func TestEarlyStopReadBound(t *testing.T) {
 					}
 					if fanned := c.ParallelScans == 1; fanned != (workers > 1 && !inFirst) {
 						t.Errorf("%s: k-th row at slot %d: ParallelScans=%d", name, pos, c.ParallelScans)
+					}
+				}
+			}
+		}
+
+		// The fetch list of grp = 3 is ids 3, 13, 23, …: n/10 of them, the
+		// p-th (from 1) holding id 10(p-1)+3.
+		if err := db.CreateIndex("p", "grp"); err != nil {
+			t.Fatal(err)
+		}
+		for _, arm := range []struct{ name, where string }{
+			{"inline", "grp = 3 AND (val < 950 OR id < 0)"},
+			{"delta", "grp = 3 AND (val < 950 AND chk(val) = TRUE OR id < 0)"},
+		} {
+			for _, k := range []int{1, 5, 40, 400, n / 10} {
+				for _, stop := range []string{"limit", "close"} {
+					name := fmt.Sprintf("workers=%d/fetch/%s/k=%d/%s", workers, arm.name, k, stop)
+					sql := "SELECT id FROM p FORCE INDEX (grp) WHERE " + arm.where
+					if stop == "limit" {
+						sql += fmt.Sprintf(" LIMIT %d", k)
+					}
+					rows, err := db.Stream(context.Background(), sql)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					var p int64
+					got := 0
+					for got < k && rows.Next() {
+						p = (rows.Row()[0].I-3)/10 + 1
+						got++
+					}
+					rows.Close()
+					if err := rows.Err(); err != nil || got == 0 {
+						t.Fatalf("%s: %d rows, err %v", name, got, err)
+					}
+					c := rows.Counters()
+					bound := min(2*p+scanFirstBatch, n/10)
+					if c.IndexScans != 1 || c.ParallelScans != 0 || c.BatchesVectorised == 0 {
+						t.Errorf("%s: not a batch-filtered fetch list on one goroutine: %+v", name, c)
+					}
+					if c.TuplesRead > bound || c.UDFInvocations > bound {
+						t.Errorf("%s: stopped at fetched id %d: TuplesRead=%d UDFInvocations=%d, bound %d",
+							name, p, c.TuplesRead, c.UDFInvocations, bound)
 					}
 				}
 			}

@@ -211,48 +211,112 @@ func (it *sliceIter) Next() (storage.Row, error) {
 
 func (it *sliceIter) Close() {}
 
+// batchFilter is one goroutine's compiled filter at work: the shared
+// program, and this goroutine's batch, scratch and evaluator, tallying into
+// its own executor. An index fetch list has one; a sequential scan has one
+// on the consumer's goroutine and one per fan-out worker.
+type batchFilter struct {
+	ex    *executor
+	prog  *vecProgram // nil: nothing to filter
+	ve    vecEnv
+	batch storage.Batch
+}
+
+// newBatchFilter builds a filter over tb's program that tallies into ex;
+// poll is threaded into the program for cancellation between conjuncts.
+func newBatchFilter(ex *executor, tb *tableBinding, sc *scope, outer *env, poll func() error) *batchFilter {
+	f := &batchFilter{ex: ex, prog: tb.prog}
+	f.ve = vecEnv{
+		b: &f.batch, ev: &evaluator{ex: ex, scope: sc},
+		rowEnv: env{schema: tb.schema, outer: outer}, poll: poll,
+	}
+	return f
+}
+
+// apply runs the filter over the n rows just loaded into f.batch and appends
+// the selected ones to dst.
+func (f *batchFilter) apply(n int, dst []storage.Row) ([]storage.Row, error) {
+	if n == 0 {
+		return dst, nil
+	}
+	f.ex.counters.TuplesRead += int64(n)
+	if f.prog == nil {
+		return append(dst, f.batch.Rows()...), nil
+	}
+	var t0 time.Time
+	if f.ex.spVector != nil {
+		t0 = time.Now()
+	}
+	f.ex.counters.BatchesVectorised++
+	f.ex.counters.RowsVectorised += int64(n)
+	err := f.prog.run(&f.ve)
+	if f.ex.spVector != nil {
+		f.ex.spVector.AddSince(t0)
+		f.ex.spVector.Count("batches", 1)
+	}
+	if err != nil {
+		return dst, err
+	}
+	for i, sel := range f.batch.Sel {
+		if sel {
+			dst = append(dst, f.batch.Row(i))
+		}
+	}
+	return dst, nil
+}
+
 // fetchIter is the index access path: the plan's fetch list resolved
 // through a copy-on-write heap View (so a concurrent Compact cannot shift
-// the ids under it) and filtered row-at-a-time — fetch lists are short, and
-// a per-row filter stops the moment the consumer does.
+// the ids under it), loaded in batches that double from scanFirstBatch and
+// filtered by the same compiled program a sequential scan runs — so a
+// consumer that stops after the p-th fetched id has paid for at most
+// min(2p+scanFirstBatch, len(ids)) tuples, and one that drains the list
+// filters it a segment's worth at a time.
 type fetchIter struct {
-	ex     *executor
-	t      *storage.Table
-	plan   accessPlan
-	schema *RelSchema
-	conjs  []sqlparser.Expr
-	ev     *evaluator
-	outer  *env
+	ex    *executor
+	t     *storage.Table
+	plan  accessPlan
+	tb    *tableBinding
+	sc    *scope
+	outer *env
 
-	view *storage.View
-	ids  []storage.RowID
-	pos  int
+	view   *storage.View
+	filter *batchFilter
+	ids    []storage.RowID
+	next   int // next id to load
+	size   int // next batch's length in ids
+	buf    []storage.Row
+	pos    int
 }
 
 func (it *fetchIter) Next() (storage.Row, error) {
 	if it.view == nil {
 		it.view = it.t.View()
 		it.ids = it.plan.fetch(it.view, it.ex.counters)
+		it.filter = newBatchFilter(it.ex, it.tb, it.sc, it.outer, it.ex.ctxErr)
+		it.size = scanFirstBatch
 	}
-	for it.pos < len(it.ids) {
-		if err := it.ex.checkCtx(); err != nil {
-			return nil, err
+	for it.pos >= len(it.buf) {
+		if it.next >= len(it.ids) {
+			return nil, nil
 		}
-		row, ok := it.view.Get(it.ids[it.pos])
-		it.pos++
-		if !ok {
-			continue
-		}
-		it.ex.counters.TuplesRead++
-		keep, err := rowPasses(it.ev, it.schema, row, it.conjs, it.outer)
+		hi := min(it.next+it.size, len(it.ids))
+		n := it.view.FetchBatch(it.ids[it.next:hi], &it.filter.batch)
+		it.next = hi
+		it.size = min(2*it.size, storage.SegmentSize)
+		var err error
+		it.buf, err = it.filter.apply(n, it.buf[:0])
+		it.pos = 0
 		if err != nil {
 			return nil, err
 		}
-		if keep {
-			return row, nil
-		}
 	}
-	return nil, nil
+	if err := it.ex.checkCtx(); err != nil {
+		return nil, err
+	}
+	row := it.buf[it.pos]
+	it.pos++
+	return row, nil
 }
 
 func (it *fetchIter) Close() {}
@@ -266,8 +330,8 @@ const scanFirstBatch = 64
 
 // scanIter is the sequential-scan operator, the same for every consumer:
 // prune a segment by its zone maps and owner dictionary, load a batch of
-// its rows, run the compiled filter over the batch, hand out the selected
-// rows. It reads through a copy-on-write heap View, so an in-flight scan
+// its rows, run the binding's compiled filter over the batch, hand out the
+// selected rows. It reads through a copy-on-write heap View, so an in-flight scan
 // finishes over the heap it started on whatever Compact does meanwhile.
 //
 // Nothing tells the operator whether its consumer will drain it; it goes by
@@ -278,13 +342,12 @@ const scanFirstBatch = 64
 // than one worker has a segment to take; otherwise the same loop carries on,
 // a segment per batch.
 type scanIter struct {
-	ex     *executor
-	t      *storage.Table
-	plan   accessPlan
-	schema *RelSchema
-	conjs  []sqlparser.Expr
-	sc     *scope
-	outer  *env
+	ex    *executor
+	t     *storage.Table
+	plan  accessPlan
+	tb    *tableBinding
+	sc    *scope
+	outer *env
 
 	view    *storage.View
 	scan    *segScanner
@@ -302,7 +365,7 @@ func (it *scanIter) init() {
 	it.view = it.t.View()
 	it.scan = newSegScanner(it, it.ex, it.ex.ctxErr)
 	it.size = scanFirstBatch
-	if len(it.conjs) > 0 && parallelSafeConjuncts(it.conjs) {
+	if it.tb.parallelSafe() {
 		it.workers = it.ex.db.EffectiveScanWorkers()
 	}
 	it.ex.counters.SeqScans++
@@ -359,7 +422,7 @@ func (it *scanIter) nextBatch() (rows []storage.Row, more bool, err error) {
 		}
 	}
 	hi := min(it.slot+it.size, end)
-	rows, err = it.scan.run(seg, it.slot, hi, rows)
+	rows, err = it.scan.run(it.slot, hi, rows)
 	it.slot = hi
 	it.ramped = it.ramped || hi == end
 	if it.size < segRows {
@@ -381,37 +444,27 @@ func (it *scanIter) Close() {
 	}
 }
 
-// segScanner is one goroutine's share of a sequential scan: its compiled
-// filter (programs hold scratch state and are single-goroutine), batch,
-// zone-map scratch and evaluator, tallying into its own executor. The
-// consumer's goroutine has one; every fan-out worker has its own.
+// segScanner is one goroutine's share of a sequential scan: its batch
+// filter and zone-map scratch. The consumer's goroutine has one; every
+// fan-out worker has its own, over the same program.
 type segScanner struct {
-	ex         *executor
+	*batchFilter
 	view       *storage.View
 	plan       *accessPlan
-	prog       *vecProgram // nil: unfiltered scan
-	ve         vecEnv
-	batch      storage.Batch
 	zbuf       []storage.ZoneMap
 	wantOwners bool // some zone leaf can use the owner dictionaries
 }
 
 // newSegScanner builds a scanner for it's scan that tallies into ex; poll
-// is threaded into the program for cancellation between operators.
+// is threaded into the program for cancellation between conjuncts.
 func newSegScanner(it *scanIter, ex *executor, poll func() error) *segScanner {
-	s := &segScanner{
-		ex:         ex,
-		view:       it.view,
-		plan:       &it.plan,
-		prog:       compileScanFilter(it.conjs, it.schema),
-		zbuf:       make([]storage.ZoneMap, len(it.plan.zoneCols)),
-		wantOwners: hasOwnerLeaf(it.plan.zonePreds, it.view.OwnerColumn()),
+	return &segScanner{
+		batchFilter: newBatchFilter(ex, it.tb, it.sc, it.outer, poll),
+		view:        it.view,
+		plan:        &it.plan,
+		zbuf:        make([]storage.ZoneMap, len(it.plan.zoneCols)),
+		wantOwners:  hasOwnerLeaf(it.plan.zonePreds, it.view.OwnerColumn()),
 	}
-	s.ve = vecEnv{
-		b: &s.batch, ev: &evaluator{ex: ex, scope: it.sc}, schema: it.schema,
-		outer: it.outer, ownerCol: it.view.OwnerColumn(), poll: poll,
-	}
-	return s
 }
 
 // refuted reports whether segment seg can be skipped without touching a
@@ -443,40 +496,10 @@ func (s *segScanner) refuted(seg int) bool {
 	return true
 }
 
-// run loads heap slots [lo, hi) of segment seg as a batch, runs the filter
-// over it and appends the selected rows to dst.
-func (s *segScanner) run(seg, lo, hi int, dst []storage.Row) ([]storage.Row, error) {
-	n := s.view.ScanBatch(lo, hi, &s.batch)
-	if n == 0 {
-		return dst, nil
-	}
-	s.ex.counters.TuplesRead += int64(n)
-	if s.prog == nil {
-		return append(dst, s.batch.Rows()...), nil
-	}
-	var t0 time.Time
-	if s.ex.spVector != nil {
-		t0 = time.Now()
-	}
-	s.ex.counters.BatchesVectorised++
-	s.ex.counters.RowsVectorised += int64(n)
-	if s.prog.needsOwners && s.ve.ownerCol >= 0 {
-		s.ve.owners, s.ve.hasOwners = s.view.Owners(seg)
-	}
-	err := s.prog.run(&s.ve)
-	if s.ex.spVector != nil {
-		s.ex.spVector.AddSince(t0)
-		s.ex.spVector.Count("batches", 1)
-	}
-	if err != nil {
-		return dst, err
-	}
-	for i, sel := range s.batch.Sel {
-		if sel {
-			dst = append(dst, s.batch.Row(i))
-		}
-	}
-	return dst, nil
+// run loads heap slots [lo, hi) as a batch, runs the filter over it and
+// appends the selected rows to dst.
+func (s *segScanner) run(lo, hi int, dst []storage.Row) ([]storage.Row, error) {
+	return s.apply(s.view.ScanBatch(lo, hi, &s.batch), dst)
 }
 
 // filterIter applies conjuncts to rows of a derived source.

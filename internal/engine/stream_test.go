@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/sieve-db/sieve/internal/sqlparser"
 	"github.com/sieve-db/sieve/internal/storage"
 )
 
@@ -119,6 +120,13 @@ func TestLazyCTEForwardReference(t *testing.T) {
 		if r[0].I >= 99 {
 			t.Fatal("CTE body resolved a later sibling CTE instead of the base table")
 		}
+	}
+	// The first body cannot see the clause's names, so its reference to "s"
+	// does not count against the later CTE "s" streaming (nor is the first
+	// body — where the policy rewrite puts the guard expression — walked).
+	stmt := sqlparser.MustParse("WITH a AS (SELECT id FROM s), s AS (SELECT id FROM a) SELECT id FROM s")
+	if lazy := lazyCTENames(stmt); !lazy["a"] || !lazy["s"] {
+		t.Fatalf("lazy WITH names = %v, want a and s", lazy)
 	}
 	// The later CTE itself is still usable from the statement body.
 	res, err = db.Query("WITH a AS (SELECT id FROM s), b AS (SELECT id + 99 AS id FROM s LIMIT 1) SELECT id FROM b")

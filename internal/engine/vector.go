@@ -1,19 +1,23 @@
 package engine
 
 import (
+	"cmp"
+	"slices"
+	"sync/atomic"
+
 	"github.com/sieve-db/sieve/internal/sqlparser"
 	"github.com/sieve-db/sieve/internal/storage"
 )
 
 // Vectorised guard evaluation: instead of interpreting the WHERE expression
-// tree once per tuple (rowPasses), every sequential scan compiles its
+// tree once per tuple (rowPasses), every filtered base-table access — a
+// sequential scan's batches and an index fetch list's alike — compiles its
 // conjuncts into a tree of vector operators and runs each operator
 // column-at-a-time over a batch of rows (storage.Batch). The interpretation
-// overhead — tree walks, type switches, env lookups — is paid once per batch
-// instead of once per row, which is where the cycles go once zone maps have
-// already skipped the segments that cannot match.
+// overhead — tree walks, type switches, column lookups by name — is paid
+// once per batch instead of once per row.
 //
-// Three rules make a program select exactly the rows rowPasses would:
+// Four rules make a program select exactly the rows rowPasses would:
 //
 //  1. Three-valued logic is preserved end to end. Every predicate operator
 //     produces a tri-state vector (true/false/null) and AND/OR/NOT combine
@@ -31,10 +35,19 @@ import (
 //     the scalar evaluator for exactly the rows still active at that point
 //     in the tree: a lazy leaf is the row evaluator at leaf granularity,
 //     so a filter with nothing columnar in it is still a program.
+//  4. A disjunction looks its arms up by the tuple instead of walking them
+//     (dispatchOr): an arm is skipped for a tuple only when the row
+//     evaluator would have found it FALSE before reaching anything that
+//     can fail or have an effect, so skipping changes no result, no error
+//     and no counter.
 //
-// rowPasses remains the filter of index fetch lists and derived sources,
-// and the reference the differential oracle (vector_oracle_test.go) holds
-// compiled programs to, row for row and counter for counter.
+// A compiled program is immutable and holds no scratch: everything a run
+// needs comes from the running goroutine's vecScratch, so fan-out workers
+// and concurrent executions of a cached plan share one program.
+//
+// rowPasses remains the filter of derived sources, and the reference the
+// differential oracle (vector_oracle_test.go) holds compiled programs to,
+// row for row and counter for counter.
 
 // tri is a three-valued truth value.
 type tri uint8
@@ -68,17 +81,6 @@ func triAnd(l, r tri) tri {
 	}
 }
 
-func triOr(l, r tri) tri {
-	switch {
-	case l == triTrue || r == triTrue:
-		return triTrue
-	case l == triNull || r == triNull:
-		return triNull
-	default:
-		return triFalse
-	}
-}
-
 func triNot(v tri) tri {
 	switch v {
 	case triNull:
@@ -90,19 +92,63 @@ func triNot(v tri) tri {
 	}
 }
 
-// vecEnv is the per-batch evaluation context: the batch, the scalar
-// evaluator lazy leaves fall back to, the scan's schema and outer env, the
-// segment's owner dictionary (for partition skipping), and a cancellation
-// hook polled between operators.
+func triOfBool(b bool) tri {
+	if b {
+		return triTrue
+	}
+	return triFalse
+}
+
+// vecScratch is one goroutine's scratch arena: three typed stacks that
+// operators take their per-batch buffers from and give back when they
+// return, so a run's peak is the depth of the operator tree times the batch
+// actually seen — not a batch-wide buffer per node — and a warmed-up
+// scanner allocates nothing per batch however many arms the program has.
+type vecScratch struct {
+	tris   []tri
+	ints   []int
+	vals   []storage.Value
+	nt, ni int
+	nv     int
+}
+
+// scratchMark is a position of the three stacks.
+type scratchMark struct{ t, i, v int }
+
+func (s *vecScratch) mark() scratchMark     { return scratchMark{s.nt, s.ni, s.nv} }
+func (s *vecScratch) release(m scratchMark) { s.nt, s.ni, s.nv = m.t, m.i, m.v }
+
+// take returns n elements (contents unspecified) from the top of a stack.
+// When the stack is too short it is replaced by a longer one; slices taken
+// earlier keep the backing they were cut from, so nothing is copied.
+func take[T any](buf *[]T, top *int, n int) []T {
+	if *top+n > len(*buf) {
+		*buf = make([]T, 2*(*top+n))
+	}
+	out := (*buf)[*top : *top+n : *top+n]
+	*top += n
+	return out
+}
+
+func (s *vecScratch) takeTris(n int) []tri           { return take(&s.tris, &s.nt, n) }
+func (s *vecScratch) takeInts(n int) []int           { return take(&s.ints, &s.ni, n) }
+func (s *vecScratch) takeVals(n int) []storage.Value { return take(&s.vals, &s.nv, n) }
+
+// vecEnv is one goroutine's evaluation context: the batch under evaluation,
+// the scratch arena, the scalar evaluator and row environment lazy leaves
+// fall back to, and a cancellation hook polled between conjuncts.
 type vecEnv struct {
-	b         *storage.Batch
-	ev        *evaluator
-	schema    *RelSchema
-	outer     *env
-	ownerCol  int // view's tracked owner column, -1 when untracked
-	owners    storage.OwnerDict
-	hasOwners bool
-	poll      func() error
+	b      *storage.Batch
+	s      vecScratch
+	ev     *evaluator
+	rowEnv env // schema and outer fixed; row set per scalar evaluation
+	poll   func() error
+}
+
+// scalar evaluates e for batch row i through the row evaluator.
+func (ve *vecEnv) scalar(e sqlparser.Expr, i int) (storage.Value, error) {
+	ve.rowEnv.row = ve.b.Row(i)
+	return ve.ev.eval(e, &ve.rowEnv)
 }
 
 // vecVal produces one value per active row position (out is indexed by
@@ -114,20 +160,6 @@ type vecVal interface {
 // vecPred produces one tri-state truth per active row position.
 type vecPred interface {
 	eval(ve *vecEnv, active []int, out []tri) error
-}
-
-func growVals(buf []storage.Value, n int) []storage.Value {
-	if cap(buf) < n {
-		return make([]storage.Value, n)
-	}
-	return buf[:n]
-}
-
-func growTris(buf []tri, n int) []tri {
-	if cap(buf) < n {
-		return make([]tri, n)
-	}
-	return buf[:n]
 }
 
 // ---- value operators ----
@@ -157,26 +189,26 @@ func (v *constVec) eval(ve *vecEnv, active []int, out []storage.Value) error {
 type arithVec struct {
 	op   sqlparser.BinOp
 	l, r vecVal
-	lbuf []storage.Value
-	rbuf []storage.Value
 }
 
 func (v *arithVec) eval(ve *vecEnv, active []int, out []storage.Value) error {
+	m := ve.s.mark()
 	n := ve.b.Len()
-	v.lbuf, v.rbuf = growVals(v.lbuf, n), growVals(v.rbuf, n)
-	if err := v.l.eval(ve, active, v.lbuf); err != nil {
+	lbuf, rbuf := ve.s.takeVals(n), ve.s.takeVals(n)
+	if err := v.l.eval(ve, active, lbuf); err != nil {
 		return err
 	}
-	if err := v.r.eval(ve, active, v.rbuf); err != nil {
+	if err := v.r.eval(ve, active, rbuf); err != nil {
 		return err
 	}
 	for _, i := range active {
-		x, err := arith(v.op, v.lbuf[i], v.rbuf[i])
+		x, err := arith(v.op, lbuf[i], rbuf[i])
 		if err != nil {
 			return err
 		}
 		out[i] = x
 	}
+	ve.s.release(m)
 	return nil
 }
 
@@ -187,8 +219,7 @@ type lazyVec struct{ expr sqlparser.Expr }
 
 func (v *lazyVec) eval(ve *vecEnv, active []int, out []storage.Value) error {
 	for _, i := range active {
-		en := &env{schema: ve.schema, row: ve.b.Row(i), outer: ve.outer}
-		x, err := ve.ev.eval(v.expr, en)
+		x, err := ve.scalar(v.expr, i)
 		if err != nil {
 			return err
 		}
@@ -199,26 +230,76 @@ func (v *lazyVec) eval(ve *vecEnv, active []int, out []storage.Value) error {
 
 // ---- predicate operators ----
 
+// intPayload reports whether values of kind k compare with one another on
+// their integer payload alone (storage.Compare's non-string, non-float case).
+func intPayload(k storage.Kind) bool {
+	switch k {
+	case storage.KindInt, storage.KindBool, storage.KindTime, storage.KindDate:
+		return true
+	}
+	return false
+}
+
+func cmpInts(op sqlparser.CmpOp, a, b int64) tri {
+	switch op {
+	case sqlparser.CmpEq:
+		return triOfBool(a == b)
+	case sqlparser.CmpNe:
+		return triOfBool(a != b)
+	case sqlparser.CmpLt:
+		return triOfBool(a < b)
+	case sqlparser.CmpLe:
+		return triOfBool(a <= b)
+	case sqlparser.CmpGt:
+		return triOfBool(a > b)
+	case sqlparser.CmpGe:
+		return triOfBool(a >= b)
+	}
+	return triNull
+}
+
+// cmpConst is `col op literal`. Like every leaf over literals it reads the
+// rows it is handed in place: after dispatch an arm sees a few rows of the
+// batch, so neither the literal nor the column is materialised batch-wide.
+type cmpConst struct {
+	op  sqlparser.CmpOp
+	col int
+	c   storage.Value
+}
+
+func (p *cmpConst) eval(ve *vecEnv, active []int, out []tri) error {
+	rows := ve.b.Rows()
+	ints := intPayload(p.c.K)
+	for _, i := range active {
+		if v := &rows[i][p.col]; ints && intPayload(v.K) {
+			out[i] = cmpInts(p.op, v.I, p.c.I)
+		} else {
+			out[i] = triOf(compareValues(p.op, *v, p.c))
+		}
+	}
+	return nil
+}
+
 // cmpVec compares two value vectors under SQL three-valued semantics.
 type cmpVec struct {
 	op   sqlparser.CmpOp
 	l, r vecVal
-	lbuf []storage.Value
-	rbuf []storage.Value
 }
 
 func (p *cmpVec) eval(ve *vecEnv, active []int, out []tri) error {
+	m := ve.s.mark()
 	n := ve.b.Len()
-	p.lbuf, p.rbuf = growVals(p.lbuf, n), growVals(p.rbuf, n)
-	if err := p.l.eval(ve, active, p.lbuf); err != nil {
+	lbuf, rbuf := ve.s.takeVals(n), ve.s.takeVals(n)
+	if err := p.l.eval(ve, active, lbuf); err != nil {
 		return err
 	}
-	if err := p.r.eval(ve, active, p.rbuf); err != nil {
+	if err := p.r.eval(ve, active, rbuf); err != nil {
 		return err
 	}
 	for _, i := range active {
-		out[i] = triOf(compareValues(p.op, p.lbuf[i], p.rbuf[i]))
+		out[i] = triOf(compareValues(p.op, lbuf[i], rbuf[i]))
 	}
+	ve.s.release(m)
 	return nil
 }
 
@@ -234,160 +315,262 @@ func (p *constTri) eval(ve *vecEnv, active []int, out []tri) error {
 }
 
 // valPred adapts a value vector to a predicate (SQL truthiness).
-type valPred struct {
-	v   vecVal
-	buf []storage.Value
-}
+type valPred struct{ v vecVal }
 
 func (p *valPred) eval(ve *vecEnv, active []int, out []tri) error {
-	p.buf = growVals(p.buf, ve.b.Len())
-	if err := p.v.eval(ve, active, p.buf); err != nil {
+	m := ve.s.mark()
+	buf := ve.s.takeVals(ve.b.Len())
+	if err := p.v.eval(ve, active, buf); err != nil {
 		return err
 	}
 	for _, i := range active {
-		out[i] = triOf(p.buf[i])
+		out[i] = triOf(buf[i])
 	}
+	ve.s.release(m)
 	return nil
 }
 
-// andVec is binary AND with the row evaluator's short-circuit: the right
-// side is evaluated only for rows the left side did not prove false.
-type andVec struct {
-	l, r vecPred
-	buf  []tri
-	act  []int
-}
+// andVec is the conjunction of its kids in evaluation order, with the row
+// evaluator's short-circuit: a kid is evaluated only for the rows no
+// earlier kid proved false. (Flattening nested ANDs keeps that set: a row
+// reaches a conjunct exactly when none before it was false, however the
+// ANDs were parenthesised.)
+type andVec struct{ kids []vecPred }
 
 func (p *andVec) eval(ve *vecEnv, active []int, out []tri) error {
-	if err := p.l.eval(ve, active, out); err != nil {
+	if err := p.kids[0].eval(ve, active, out); err != nil {
 		return err
 	}
-	p.act = p.act[:0]
+	m := ve.s.mark()
+	buf := ve.s.takeTris(ve.b.Len())
+	act := ve.s.takeInts(len(active))[:0]
 	for _, i := range active {
 		if out[i] != triFalse {
-			p.act = append(p.act, i)
+			act = append(act, i)
 		}
 	}
-	if len(p.act) == 0 {
-		return nil
-	}
-	p.buf = growTris(p.buf, ve.b.Len())
-	if err := p.r.eval(ve, p.act, p.buf); err != nil {
-		return err
-	}
-	for _, i := range p.act {
-		out[i] = triAnd(out[i], p.buf[i])
-	}
-	return nil
-}
-
-// armEq is one top-level owner-equality conjunct of a disjunction arm:
-// the arm can only be true for rows whose col value is one of pts.
-type armEq struct {
-	col int
-	pts []int64
-}
-
-// orVec is the n-ary disjunction operator — the shape the §5.3 rewrite
-// produces (one arm per guard partition). Arms are evaluated left to right
-// and each arm sees only the rows not yet proven true, mirroring or3's
-// short-circuit. Before an arm's vectors are touched, its owner-equality
-// points (when it has any on the scan's tracked owner column) are tested
-// against the segment's owner dictionary: a partition whose owner set is
-// disjoint from the dictionary cannot be true for any row in the batch, so
-// the whole arm is skipped. The skip is withheld when the segment has seen
-// NULL owners, where the arm would evaluate to NULL (not FALSE) and its
-// remaining conjuncts would still run under rowPasses semantics.
-type orVec struct {
-	arms   []vecPred
-	armEqs [][]armEq
-	buf    []tri
-	act    []int
-}
-
-// armRefuted reports whether the segment's owner dictionary proves the arm
-// false for every row of the batch.
-func (p *orVec) armRefuted(ve *vecEnv, k int) bool {
-	if !ve.hasOwners || ve.owners.HasNulls() {
-		return false
-	}
-	for _, eq := range p.armEqs[k] {
-		if eq.col == ve.ownerCol && ve.owners.DisjointFrom(eq.pts) {
-			return true
+	for _, kid := range p.kids[1:] {
+		if len(act) == 0 {
+			break
 		}
-	}
-	return false
-}
-
-func (p *orVec) eval(ve *vecEnv, active []int, out []tri) error {
-	for _, i := range active {
-		out[i] = triFalse
-	}
-	p.act = append(p.act[:0], active...)
-	p.buf = growTris(p.buf, ve.b.Len())
-	for k, arm := range p.arms {
-		if len(p.act) == 0 {
-			return nil
-		}
-		if p.armRefuted(ve, k) {
-			continue // or3(x, FALSE) = x for every active row
-		}
-		if err := arm.eval(ve, p.act, p.buf); err != nil {
+		if err := kid.eval(ve, act, buf); err != nil {
 			return err
 		}
-		keep := p.act[:0]
-		for _, i := range p.act {
-			out[i] = triOr(out[i], p.buf[i])
-			if out[i] != triTrue {
+		keep := act[:0]
+		for _, i := range act {
+			if out[i] = triAnd(out[i], buf[i]); out[i] != triFalse {
 				keep = append(keep, i)
 			}
 		}
-		p.act = keep
+		act = keep
 	}
+	ve.s.release(m)
 	return nil
+}
+
+// dispatchOr is the n-ary disjunction operator — the shape the §5.3 rewrite
+// produces, one arm per guard — and the engine's own Δ: instead of walking
+// the arms for every tuple it looks the tuple's arms up by one column.
+//
+// At compile time every arm that can only be anything but FALSE for a few
+// integer values of the dispatch column (`owner = 7 AND …`,
+// `owner IN (3, 4) AND …`, `g AND (owner = 1 AND … OR owner = 2 AND …)`) is
+// filed under those values; the arms that cannot are the tail. At run time
+// a tuple is handed to the arms filed under its value, merged with the tail
+// in original arm order, and every arm is evaluated over the tuples handed
+// to it that no earlier arm proved true — or3's short-circuit. A tuple
+// whose dispatch value is NULL or not an INT is handed to every arm: there
+// an equality is NULL, not FALSE, and the arm's remaining conjuncts run
+// under rowPasses semantics.
+//
+// Arms compile the first time a batch selects them, so building the
+// operator costs a look at each arm's leading conjunct, and an execution
+// that fetches five tuples compiles five arms' worth of expression. The
+// compiled arm is published with a compare-and-swap: concurrent users of a
+// shared program may both compile it, and agree on one.
+type dispatchOr struct {
+	vc   *vecCompiler
+	arms []lazyArm
+	// col is the dispatch column's schema offset; -1 when no arm is keyed
+	// and the operator is the plain left-to-right walk over tail.
+	col int
+	// keys are the distinct dispatch values in ascending order; keys[j]'s
+	// arms are lists[offs[j]:offs[j+1]], ascending. The stretch of lists
+	// from offs[len(keys)] on is every keyed arm, for tuples without an
+	// integer dispatch value.
+	keys  []int64
+	offs  []int
+	lists []int
+	// tail are the keyless arms, ascending; keyless[a] says arm a is one.
+	tail    []int
+	keyless []bool
+}
+
+type lazyArm struct {
+	expr sqlparser.Expr
+	pred atomic.Pointer[vecPred]
+}
+
+func (p *dispatchOr) arm(a int) vecPred {
+	la := &p.arms[a]
+	if c := la.pred.Load(); c != nil {
+		return *c
+	}
+	pred := p.vc.compilePred(la.expr)
+	la.pred.CompareAndSwap(nil, &pred)
+	return *la.pred.Load()
+}
+
+// armsFor returns the stretch of lists filed under key k (empty if none).
+func (p *dispatchOr) armsFor(k int64) (lo, hi int) {
+	j, ok := slices.BinarySearch(p.keys, k)
+	if !ok {
+		return 0, 0
+	}
+	return p.offs[j], p.offs[j+1]
+}
+
+func (p *dispatchOr) eval(ve *vecEnv, active []int, out []tri) error {
+	for _, i := range active {
+		out[i] = triFalse
+	}
+	s := &ve.s
+	m := s.mark()
+	buf := s.takeTris(ve.b.Len())
+	// act is what a tail arm sees: the active rows not yet proven true,
+	// compacted as arms are evaluated.
+	act := append(s.takeInts(len(active))[:0], active...)
+	order := p.tail
+	var rows, end []int
+	if p.col >= 0 {
+		order, rows, end = p.bucket(ve, active)
+	}
+	start, left := 0, len(active)
+	for _, a := range order {
+		if left == 0 {
+			break
+		}
+		var sel []int
+		if p.keyless[a] {
+			sel = act[:0]
+			for _, i := range act {
+				if out[i] != triTrue {
+					sel = append(sel, i)
+				}
+			}
+			act = sel
+		} else {
+			sel = rows[start:start]
+			for _, i := range rows[start:end[a]] {
+				if out[i] != triTrue {
+					sel = append(sel, i)
+				}
+			}
+			start = end[a]
+		}
+		if len(sel) == 0 {
+			continue
+		}
+		if err := p.arm(a).eval(ve, sel, buf); err != nil {
+			return err
+		}
+		for _, i := range sel {
+			switch buf[i] { // or3 with a value that is not TRUE
+			case triTrue:
+				out[i] = triTrue
+				left--
+			case triNull:
+				out[i] = triNull
+			}
+		}
+	}
+	s.release(m)
+	return nil
+}
+
+// bucket hands the active rows to the keyed arms their dispatch values
+// select: order is every arm with a row to see plus the tail, ascending;
+// arm a's rows, in batch order, are rows[end[b]:end[a]] for b the keyed arm
+// before it in order (0 for the first). All three live in ve's scratch.
+func (p *dispatchOr) bucket(ve *vecEnv, active []int) (order, rows, end []int) {
+	s := &ve.s
+	brows := ve.b.Rows()
+	spans := s.takeInts(2 * len(active)) // per active row: its stretch of lists
+	end = s.takeInts(len(p.arms))
+	clear(end) // counts first, offsets after
+	order = s.takeInts(len(p.arms))[:0]
+	total := 0
+	var last int64
+	lo, hi := 0, 0
+	cached := false
+	for j, i := range active {
+		v := &brows[i][p.col]
+		rlo, rhi := p.offs[len(p.keys)], len(p.lists)
+		if v.K == storage.KindInt {
+			// Stored by owner, a batch repeats its key for long runs.
+			if !cached || v.I != last {
+				last, cached = v.I, true
+				lo, hi = p.armsFor(v.I)
+			}
+			rlo, rhi = lo, hi
+		}
+		spans[2*j], spans[2*j+1] = rlo, rhi
+		for _, a := range p.lists[rlo:rhi] {
+			if end[a] == 0 {
+				order = append(order, a)
+			}
+			end[a]++
+		}
+		total += rhi - rlo
+	}
+	order = append(order, p.tail...)
+	slices.Sort(order)
+	off := 0
+	for _, a := range order {
+		n := end[a]
+		end[a] = off
+		off += n
+	}
+	rows = s.takeInts(total)
+	for j, i := range active {
+		for _, a := range p.lists[spans[2*j]:spans[2*j+1]] {
+			rows[end[a]] = i
+			end[a]++
+		}
+	}
+	return order, rows, end
 }
 
 // notVec negates under 3VL.
-type notVec struct {
-	kid vecPred
-	buf []tri
-}
+type notVec struct{ kid vecPred }
 
 func (p *notVec) eval(ve *vecEnv, active []int, out []tri) error {
-	p.buf = growTris(p.buf, ve.b.Len())
-	if err := p.kid.eval(ve, active, p.buf); err != nil {
+	if err := p.kid.eval(ve, active, out); err != nil {
 		return err
 	}
 	for _, i := range active {
-		out[i] = triNot(p.buf[i])
+		out[i] = triNot(out[i])
 	}
 	return nil
 }
 
-// betweenVec evaluates E BETWEEN Lo AND Hi; like the row evaluator it
-// computes all three operands, then and3's the bound comparisons.
-type betweenVec struct {
-	e, lo, hi          vecVal
-	not                bool
-	ebuf, lobuf, hibuf []storage.Value
+// betweenConst is `col [NOT] BETWEEN literal AND literal`.
+type betweenConst struct {
+	col    int
+	lo, hi storage.Value
+	not    bool
 }
 
-func (p *betweenVec) eval(ve *vecEnv, active []int, out []tri) error {
-	n := ve.b.Len()
-	p.ebuf, p.lobuf, p.hibuf = growVals(p.ebuf, n), growVals(p.lobuf, n), growVals(p.hibuf, n)
-	if err := p.e.eval(ve, active, p.ebuf); err != nil {
-		return err
-	}
-	if err := p.lo.eval(ve, active, p.lobuf); err != nil {
-		return err
-	}
-	if err := p.hi.eval(ve, active, p.hibuf); err != nil {
-		return err
-	}
+func (p *betweenConst) eval(ve *vecEnv, active []int, out []tri) error {
+	rows := ve.b.Rows()
+	ints := intPayload(p.lo.K) && intPayload(p.hi.K)
 	for _, i := range active {
-		ge := triOf(compareValues(sqlparser.CmpGe, p.ebuf[i], p.lobuf[i]))
-		le := triOf(compareValues(sqlparser.CmpLe, p.ebuf[i], p.hibuf[i]))
-		t := triAnd(ge, le)
+		var t tri
+		if v := &rows[i][p.col]; ints && intPayload(v.K) {
+			t = triOfBool(v.I >= p.lo.I && v.I <= p.hi.I)
+		} else {
+			t = triAnd(triOf(compareValues(sqlparser.CmpGe, *v, p.lo)), triOf(compareValues(sqlparser.CmpLe, *v, p.hi)))
+		}
 		if p.not {
 			t = triNot(t)
 		}
@@ -396,61 +579,122 @@ func (p *betweenVec) eval(ve *vecEnv, active []int, out []tri) error {
 	return nil
 }
 
-// inVec evaluates E IN (list) with SQL's NULL rules: a NULL probe is NULL
-// (members are then not evaluated, like the row path), a miss over a list
-// containing NULL is NULL.
-type inVec struct {
-	e     vecVal
-	list  []vecVal
-	not   bool
-	ebuf  []storage.Value
-	mbuf  []storage.Value
-	state []tri // running membership per row: false=miss, true=hit, null=miss-with-null
-	act   []int
+// betweenVec evaluates E BETWEEN Lo AND Hi; like the row evaluator it
+// computes all three operands, then and3's the bound comparisons.
+type betweenVec struct {
+	e, lo, hi vecVal
+	not       bool
 }
 
-func (p *inVec) eval(ve *vecEnv, active []int, out []tri) error {
+func (p *betweenVec) eval(ve *vecEnv, active []int, out []tri) error {
+	m := ve.s.mark()
 	n := ve.b.Len()
-	p.ebuf, p.mbuf = growVals(p.ebuf, n), growVals(p.mbuf, n)
-	p.state = growTris(p.state, n)
-	if err := p.e.eval(ve, active, p.ebuf); err != nil {
+	ebuf, lobuf, hibuf := ve.s.takeVals(n), ve.s.takeVals(n), ve.s.takeVals(n)
+	if err := p.e.eval(ve, active, ebuf); err != nil {
 		return err
 	}
-	p.act = p.act[:0]
+	if err := p.lo.eval(ve, active, lobuf); err != nil {
+		return err
+	}
+	if err := p.hi.eval(ve, active, hibuf); err != nil {
+		return err
+	}
 	for _, i := range active {
-		if p.ebuf[i].IsNull() {
-			out[i] = triNull
-			continue
-		}
-		p.state[i] = triFalse
-		p.act = append(p.act, i)
-	}
-	// The row evaluator materialises every member before scanning, so the
-	// vector path evaluates each member expression for all non-NULL probes.
-	for _, m := range p.list {
-		if len(p.act) == 0 {
-			break
-		}
-		if err := m.eval(ve, p.act, p.mbuf); err != nil {
-			return err
-		}
-		for _, i := range p.act {
-			switch {
-			case p.state[i] == triTrue:
-			case p.mbuf[i].IsNull():
-				p.state[i] = triNull
-			case storage.Equal(p.ebuf[i], p.mbuf[i]):
-				p.state[i] = triTrue
-			}
-		}
-	}
-	for _, i := range p.act {
-		t := p.state[i]
+		ge := triOf(compareValues(sqlparser.CmpGe, ebuf[i], lobuf[i]))
+		le := triOf(compareValues(sqlparser.CmpLe, ebuf[i], hibuf[i]))
+		t := triAnd(ge, le)
 		if p.not {
-			t = triNot(t) // NULL probes already hold triNull: not3(NULL) = NULL
+			t = triNot(t)
 		}
 		out[i] = t
 	}
+	ve.s.release(m)
+	return nil
+}
+
+// inMember folds one IN-list member into a row's running membership
+// (false = miss so far, true = hit, null = miss with a NULL member seen).
+func inMember(state tri, probe, member storage.Value) tri {
+	switch {
+	case state == triTrue:
+		return triTrue
+	case member.IsNull():
+		return triNull
+	case storage.Equal(probe, member):
+		return triTrue
+	}
+	return state
+}
+
+// inConst is `col [NOT] IN (literals)`, with SQL's NULL rules: a NULL probe
+// is NULL, a miss over a list containing NULL is NULL.
+type inConst struct {
+	col  int
+	list []storage.Value
+	not  bool
+}
+
+func (p *inConst) eval(ve *vecEnv, active []int, out []tri) error {
+	rows := ve.b.Rows()
+	for _, i := range active {
+		t := triNull
+		if v := rows[i][p.col]; !v.IsNull() {
+			t = triFalse
+			for _, m := range p.list {
+				t = inMember(t, v, m)
+			}
+			if p.not {
+				t = triNot(t)
+			}
+		}
+		out[i] = t
+	}
+	return nil
+}
+
+// inVec evaluates E IN (list) over arbitrary member expressions. A NULL
+// probe is NULL and its members are not evaluated, like the row path.
+type inVec struct {
+	e    vecVal
+	list []vecVal
+	not  bool
+}
+
+func (p *inVec) eval(ve *vecEnv, active []int, out []tri) error {
+	m := ve.s.mark()
+	n := ve.b.Len()
+	ebuf, mbuf := ve.s.takeVals(n), ve.s.takeVals(n)
+	if err := p.e.eval(ve, active, ebuf); err != nil {
+		return err
+	}
+	act := ve.s.takeInts(len(active))[:0]
+	for _, i := range active {
+		if ebuf[i].IsNull() {
+			out[i] = triNull
+			continue
+		}
+		out[i] = triFalse
+		act = append(act, i)
+	}
+	// The row evaluator materialises every member before scanning, so the
+	// vector path evaluates each member expression for all non-NULL probes.
+	for _, member := range p.list {
+		if len(act) == 0 {
+			break
+		}
+		if err := member.eval(ve, act, mbuf); err != nil {
+			return err
+		}
+		for _, i := range act {
+			out[i] = inMember(out[i], ebuf[i], mbuf[i])
+		}
+	}
+	if p.not {
+		for _, i := range act { // NULL probes stay NULL: not3(NULL) = NULL
+			out[i] = triNot(out[i])
+		}
+	}
+	ve.s.release(m)
 	return nil
 }
 
@@ -458,21 +702,25 @@ func (p *inVec) eval(ve *vecEnv, active []int, out []tri) error {
 type isNullVec struct {
 	e   vecVal
 	not bool
-	buf []storage.Value
 }
 
 func (p *isNullVec) eval(ve *vecEnv, active []int, out []tri) error {
-	p.buf = growVals(p.buf, ve.b.Len())
-	if err := p.e.eval(ve, active, p.buf); err != nil {
+	if c, ok := p.e.(*colVec); ok {
+		rows := ve.b.Rows()
+		for _, i := range active {
+			out[i] = triOfBool(rows[i][c.col].IsNull() != p.not)
+		}
+		return nil
+	}
+	m := ve.s.mark()
+	buf := ve.s.takeVals(ve.b.Len())
+	if err := p.e.eval(ve, active, buf); err != nil {
 		return err
 	}
 	for _, i := range active {
-		if p.buf[i].IsNull() != p.not {
-			out[i] = triTrue
-		} else {
-			out[i] = triFalse
-		}
+		out[i] = triOfBool(buf[i].IsNull() != p.not)
 	}
+	ve.s.release(m)
 	return nil
 }
 
@@ -482,8 +730,7 @@ type lazyTri struct{ expr sqlparser.Expr }
 
 func (p *lazyTri) eval(ve *vecEnv, active []int, out []tri) error {
 	for _, i := range active {
-		en := &env{schema: ve.schema, row: ve.b.Row(i), outer: ve.outer}
-		v, err := ve.ev.eval(p.expr, en)
+		v, err := ve.scalar(p.expr, i)
 		if err != nil {
 			return err
 		}
@@ -495,10 +742,41 @@ func (p *lazyTri) eval(ve *vecEnv, active []int, out []tri) error {
 // ---- compilation ----
 
 // vecCompiler translates scan conjuncts into vector operators against one
-// relation schema.
+// relation schema. It holds nothing else, so dispatchOr may compile arms
+// through it from any goroutine.
 type vecCompiler struct {
 	schema *RelSchema
-	armEqs int // disjunction arms that collected skippable eq points
+}
+
+// column resolves e as a column of the scan's own relation.
+func (vc *vecCompiler) column(e sqlparser.Expr) (int, bool) {
+	c, ok := e.(*sqlparser.ColRef)
+	if !ok {
+		return 0, false
+	}
+	i, err := vc.schema.Resolve(c.Table, c.Column)
+	return i, err == nil
+}
+
+func literal(e sqlparser.Expr) (storage.Value, bool) {
+	l, ok := e.(*sqlparser.Literal)
+	if !ok {
+		return storage.Null, false
+	}
+	return l.Val, true
+}
+
+// literals returns the values of an all-literal expression list.
+func literals(list []sqlparser.Expr) ([]storage.Value, bool) {
+	out := make([]storage.Value, len(list))
+	for i, e := range list {
+		v, ok := literal(e)
+		if !ok {
+			return nil, false
+		}
+		out[i] = v
+	}
+	return out, true
 }
 
 // compileVal translates a value expression; anything unknown becomes a
@@ -508,7 +786,7 @@ func (vc *vecCompiler) compileVal(e sqlparser.Expr) vecVal {
 	case *sqlparser.Literal:
 		return &constVec{v: x.Val}
 	case *sqlparser.ColRef:
-		if i, err := vc.schema.Resolve(x.Table, x.Column); err == nil {
+		if i, ok := vc.column(x); ok {
 			return &colVec{col: i}
 		}
 		// Correlated/outer (or ambiguous) reference: resolve per row
@@ -533,11 +811,25 @@ func (vc *vecCompiler) compilePred(e sqlparser.Expr) vecPred {
 	case *sqlparser.Literal:
 		return &constTri{t: triOf(x.Val)}
 	case *sqlparser.CompareExpr:
+		if col, ok := vc.column(x.L); ok {
+			if c, ok := literal(x.R); ok {
+				return &cmpConst{op: x.Op, col: col, c: c}
+			}
+		} else if col, ok := vc.column(x.R); ok {
+			if c, ok := literal(x.L); ok {
+				return &cmpConst{op: x.Op.Flip(), col: col, c: c}
+			}
+		}
 		return &cmpVec{op: x.Op, l: vc.compileVal(x.L), r: vc.compileVal(x.R)}
 	case *sqlparser.BinaryExpr:
 		switch x.Op {
 		case sqlparser.OpAnd:
-			return &andVec{l: vc.compilePred(x.L), r: vc.compilePred(x.R)}
+			conjs := sqlparser.Conjuncts(e)
+			and := &andVec{kids: make([]vecPred, len(conjs))}
+			for i, cj := range conjs {
+				and.kids[i] = vc.compilePred(cj)
+			}
+			return and
 		case sqlparser.OpOr:
 			return vc.compileOr(e)
 		}
@@ -545,10 +837,22 @@ func (vc *vecCompiler) compilePred(e sqlparser.Expr) vecPred {
 	case *sqlparser.NotExpr:
 		return &notVec{kid: vc.compilePred(x.E)}
 	case *sqlparser.BetweenExpr:
+		if col, ok := vc.column(x.E); ok {
+			lo, okLo := literal(x.Lo)
+			hi, okHi := literal(x.Hi)
+			if okLo && okHi {
+				return &betweenConst{col: col, lo: lo, hi: hi, not: x.Not}
+			}
+		}
 		return &betweenVec{e: vc.compileVal(x.E), lo: vc.compileVal(x.Lo), hi: vc.compileVal(x.Hi), not: x.Not}
 	case *sqlparser.InExpr:
 		if x.Sub != nil {
 			return &lazyTri{expr: e}
+		}
+		if col, ok := vc.column(x.E); ok {
+			if list, ok := literals(x.List); ok {
+				return &inConst{col: col, list: list, not: x.Not}
+			}
 		}
 		iv := &inVec{e: vc.compileVal(x.E), not: x.Not}
 		for _, item := range x.List {
@@ -564,19 +868,179 @@ func (vc *vecCompiler) compilePred(e sqlparser.Expr) vecPred {
 	}
 }
 
-// compileOr builds the n-ary disjunction operator over e's disjuncts,
-// extracting each arm's top-level owner-equality points for
-// dictionary-based partition skipping.
+// keyArm files one arm under one dispatch value.
+type keyArm struct {
+	key int64
+	arm int
+}
+
+// compileOr builds the dispatch operator over e's disjuncts.
 func (vc *vecCompiler) compileOr(e sqlparser.Expr) vecPred {
 	disj := sqlparser.Disjuncts(e)
-	ov := &orVec{}
-	for _, d := range disj {
-		ov.arms = append(ov.arms, vc.compilePred(d))
-		eqs := vc.armEqPoints(d)
-		ov.armEqs = append(ov.armEqs, eqs)
-		vc.armEqs += len(eqs)
+	p := &dispatchOr{vc: vc, arms: make([]lazyArm, len(disj)), keyless: make([]bool, len(disj)), col: -1}
+	for a, d := range disj {
+		p.arms[a].expr = d
 	}
-	return ov
+	var pairs []keyArm
+	if col := vc.dispatchColumn(disj); col >= 0 {
+		pairs = make([]keyArm, 0, len(disj))
+		for a, d := range disj {
+			var ok bool
+			if pairs, ok = vc.keysOn(d, col, a, pairs); !ok {
+				p.keyless[a] = true
+			}
+		}
+		slices.SortFunc(pairs, func(x, y keyArm) int {
+			return cmp.Or(cmp.Compare(x.key, y.key), cmp.Compare(x.arm, y.arm))
+		})
+		pairs = slices.Compact(pairs)
+		p.col = col
+	}
+	// Under fewer than two keys every tuple that gets here selects the same
+	// arms — a partition nested inside its own owner's guard — and the
+	// plain walk does the same work without the bucketing.
+	if len(pairs) == 0 || pairs[0].key == pairs[len(pairs)-1].key {
+		p.col = -1
+		for a := range p.arms {
+			p.keyless[a] = true
+			p.tail = append(p.tail, a)
+		}
+		return p
+	}
+	p.lists = make([]int, 0, len(pairs)+len(disj))
+	for i, pr := range pairs {
+		if i == 0 || pr.key != pairs[i-1].key {
+			p.keys = append(p.keys, pr.key)
+			p.offs = append(p.offs, len(p.lists))
+		}
+		p.lists = append(p.lists, pr.arm)
+	}
+	p.offs = append(p.offs, len(p.lists))
+	for a, keyless := range p.keyless {
+		if keyless {
+			p.tail = append(p.tail, a)
+		} else {
+			p.lists = append(p.lists, a)
+		}
+	}
+	return p
+}
+
+// eqPoints recognises `col = k` (either way round) and `col IN (k1, …)`
+// over INT literals on a column of the scan's relation, calling emit with
+// every point; ok is false for any other shape.
+func (vc *vecCompiler) eqPoints(e sqlparser.Expr, emit func(int64)) (col int, ok bool) {
+	switch x := e.(type) {
+	case *sqlparser.CompareExpr:
+		if x.Op != sqlparser.CmpEq {
+			return 0, false
+		}
+		l, r := x.L, x.R
+		if _, isCol := l.(*sqlparser.ColRef); !isCol {
+			l, r = r, l
+		}
+		if k, isLit := literal(r); isLit && k.K == storage.KindInt {
+			if col, ok = vc.column(l); ok && emit != nil {
+				emit(k.I)
+			}
+			return col, ok
+		}
+	case *sqlparser.InExpr:
+		if x.Not || x.Sub != nil || len(x.List) == 0 {
+			return 0, false
+		}
+		for _, item := range x.List {
+			if k, isLit := literal(item); !isLit || k.K != storage.KindInt {
+				return 0, false
+			}
+		}
+		if col, ok = vc.column(x.E); ok && emit != nil {
+			for _, item := range x.List {
+				emit(item.(*sqlparser.Literal).Val.I)
+			}
+		}
+		return col, ok
+	}
+	return 0, false
+}
+
+// inOrder calls fn with the operands of e's chain of op (AND or OR) in
+// evaluation order, until fn returns false; it reports whether fn never did.
+func inOrder(e sqlparser.Expr, op sqlparser.BinOp, fn func(sqlparser.Expr) bool) bool {
+	if b, ok := e.(*sqlparser.BinaryExpr); ok && b.Op == op {
+		return inOrder(b.L, op, fn) && inOrder(b.R, op, fn)
+	}
+	return fn(e)
+}
+
+// dispatchColumn picks the column a disjunction dispatches on: the one the
+// most arms lead with an equality on; when no arm leads with one, the first
+// column the first arm is keyed on through a nested disjunction. -1: none.
+// It only chooses; keysOn then derives every arm's points on the choice.
+func (vc *vecCompiler) dispatchColumn(disj []sqlparser.Expr) int {
+	tally := make([]int, len(vc.schema.Cols))
+	best := -1
+	for _, d := range disj {
+		inOrder(d, sqlparser.OpAnd, func(cj sqlparser.Expr) bool {
+			col, ok := vc.eqPoints(cj, nil)
+			if !ok {
+				return vc.pureTotalPredicate(cj)
+			}
+			if tally[col]++; best < 0 || tally[col] > tally[best] {
+				best = col
+			}
+			return false
+		})
+	}
+	if best >= 0 || len(disj) == 0 {
+		return best
+	}
+	for col := range vc.schema.Cols {
+		if _, ok := vc.keysOn(disj[0], col, 0, nil); ok {
+			return col
+		}
+	}
+	return -1
+}
+
+// keysOn derives the arm's point set on col: ok means that for a tuple
+// whose col value is an INT outside the appended keys, the row evaluator
+// finds the arm FALSE without reaching anything that can fail or have an
+// effect — so not evaluating the arm for that tuple changes nothing.
+//
+// Conjuncts are taken in evaluation order. An equality or IN list over INT
+// literals on col gives the points. So does a nested disjunction all of
+// whose disjuncts have points on col (their union): outside it every
+// disjunct is FALSE by the same argument, hence the disjunction, hence the
+// arm. The walk stops at the first conjunct that is not pure and total —
+// an equality the row evaluator would only reach after a UDF call or a
+// possibly-erroring expression licenses nothing.
+func (vc *vecCompiler) keysOn(arm sqlparser.Expr, col, a int, pairs []keyArm) ([]keyArm, bool) {
+	found := false
+	inOrder(arm, sqlparser.OpAnd, func(cj sqlparser.Expr) bool {
+		if c, ok := vc.eqPoints(cj, nil); ok {
+			if c != col {
+				return true
+			}
+			vc.eqPoints(cj, func(k int64) { pairs = append(pairs, keyArm{k, a}) })
+			found = true
+			return false
+		}
+		if b, ok := cj.(*sqlparser.BinaryExpr); ok && b.Op == sqlparser.OpOr {
+			mark := len(pairs)
+			if inOrder(cj, sqlparser.OpOr, func(d sqlparser.Expr) bool {
+				var ok bool
+				pairs, ok = vc.keysOn(d, col, a, pairs)
+				return ok
+			}) {
+				found = true
+				return false
+			}
+			pairs = pairs[:mark]
+		}
+		return vc.pureTotalPredicate(cj)
+	})
+	return pairs, found
 }
 
 // pureTotalPredicate reports whether evaluating e can neither error nor
@@ -612,134 +1076,64 @@ func (vc *vecCompiler) pureTotalPredicate(e sqlparser.Expr) bool {
 	return pure
 }
 
-// armEqPoints collects the arm's top-level integer equality point sets
-// (col = k, col IN (k1, k2, …)) per schema column, stopping at the first
-// conjunct that is not pure and total — an equality the row evaluator
-// would only reach after a UDF call or a possibly-erroring expression
-// must not license skipping them. At run time the batch evaluator matches
-// the collected points against the view's tracked owner column; a
-// disjoint owner dictionary then refutes the arm for the whole batch.
-func (vc *vecCompiler) armEqPoints(arm sqlparser.Expr) []armEq {
-	var out []armEq
-	add := func(colRef *sqlparser.ColRef, pts []int64) {
-		if colRef == nil || len(pts) == 0 {
-			return
-		}
-		i, err := vc.schema.Resolve(colRef.Table, colRef.Column)
-		if err != nil {
-			return
-		}
-		out = append(out, armEq{col: i, pts: pts})
-	}
-	for _, cj := range sqlparser.Conjuncts(arm) {
-		if !vc.pureTotalPredicate(cj) {
-			break
-		}
-		switch x := cj.(type) {
-		case *sqlparser.CompareExpr:
-			if x.Op != sqlparser.CmpEq {
-				continue
-			}
-			if c, ok := x.L.(*sqlparser.ColRef); ok {
-				if l, ok := x.R.(*sqlparser.Literal); ok && l.Val.K == storage.KindInt {
-					add(c, []int64{l.Val.I})
-				}
-			} else if c, ok := x.R.(*sqlparser.ColRef); ok {
-				if l, ok := x.L.(*sqlparser.Literal); ok && l.Val.K == storage.KindInt {
-					add(c, []int64{l.Val.I})
-				}
-			}
-		case *sqlparser.InExpr:
-			if x.Not || x.Sub != nil {
-				continue
-			}
-			c, ok := x.E.(*sqlparser.ColRef)
-			if !ok {
-				continue
-			}
-			pts := make([]int64, 0, len(x.List))
-			for _, item := range x.List {
-				l, ok := item.(*sqlparser.Literal)
-				if !ok || l.Val.K != storage.KindInt {
-					pts = nil
-					break
-				}
-				pts = append(pts, l.Val.I)
-			}
-			add(c, pts)
-		}
-	}
-	return out
-}
-
-// vecProgram is the compiled batch filter for one scan: one predicate per
-// WHERE conjunct, applied in order with rows dropped as soon as a conjunct
-// is not definitely true (rowPasses semantics). A program holds scratch
-// state and is therefore single-goroutine; parallel scan workers compile
-// their own.
+// vecProgram is the compiled batch filter for one base-table access: one
+// predicate per WHERE conjunct, applied in order with rows dropped as soon
+// as a conjunct is not definitely true (rowPasses semantics).
 type vecProgram struct {
-	preds  []vecPred
-	out    []tri
-	active []int
-	// needsOwners gates the per-batch owner-dictionary snapshot: false
-	// when no disjunction arm collected skippable equality points.
-	needsOwners bool
+	preds []vecPred
 }
 
-// compileVecProgram compiles the scan conjuncts against the scan schema;
+// compileVecProgram compiles the conjuncts against the relation's schema;
 // nil when there is nothing to filter.
 func compileVecProgram(conjs []sqlparser.Expr, schema *RelSchema) *vecProgram {
 	if len(conjs) == 0 {
 		return nil
 	}
 	vc := &vecCompiler{schema: schema}
-	p := &vecProgram{}
-	for _, cj := range conjs {
-		p.preds = append(p.preds, vc.compilePred(cj))
+	p := &vecProgram{preds: make([]vecPred, len(conjs))}
+	for i, cj := range conjs {
+		p.preds[i] = vc.compilePred(cj)
 	}
-	p.needsOwners = vc.armEqs > 0
 	return p
 }
 
-// compileScanFilter is how a sequential scan obtains its filter. It is a
+// compileScanFilter is how a base-table access obtains its filter. It is a
 // variable only so that export_test.go can put the rowPasses reference in
 // its place for the differential oracle; nothing outside _test.go assigns it.
 var compileScanFilter = compileVecProgram
 
-// run filters the batch: every selected row satisfies all conjuncts, with
+// run filters ve's batch: every selected row satisfies all conjuncts, with
 // three-valued logic, short-circuits, and fallback evaluation matching
 // rowPasses row for row. ve.poll is honoured between conjuncts.
 func (p *vecProgram) run(ve *vecEnv) error {
 	n := ve.b.Len()
-	if cap(p.active) < n {
-		p.active = make([]int, 0, n)
+	ve.s.release(scratchMark{})
+	active := ve.s.takeInts(n)
+	for i := range active {
+		active[i] = i
 	}
-	p.active = p.active[:0]
-	for i := 0; i < n; i++ {
-		p.active = append(p.active, i)
-	}
-	p.out = growTris(p.out, n)
+	out := ve.s.takeTris(n)
 	for _, pred := range p.preds {
 		if ve.poll != nil {
 			if err := ve.poll(); err != nil {
 				return err
 			}
 		}
-		if len(p.active) == 0 {
+		if len(active) == 0 {
 			return nil
 		}
-		if err := pred.eval(ve, p.active, p.out); err != nil {
+		if err := pred.eval(ve, active, out); err != nil {
 			return err
 		}
-		keep := p.active[:0]
-		for _, i := range p.active {
-			if p.out[i] == triTrue {
+		keep := active[:0]
+		for _, i := range active {
+			if out[i] == triTrue {
 				keep = append(keep, i)
 			} else {
 				ve.b.Sel[i] = false
 			}
 		}
-		p.active = keep
+		active = keep
 	}
 	return nil
 }

@@ -310,6 +310,19 @@ func TestVectorNullHeavyFuzz(t *testing.T) {
 	}
 }
 
+// triOr is or3 over tri, for refTri alone: the dispatch operator folds an
+// arm's result into a row that is known not to be TRUE yet.
+func triOr(l, r tri) tri {
+	switch {
+	case l == triTrue || r == triTrue:
+		return triTrue
+	case l == triNull || r == triNull:
+		return triNull
+	default:
+		return triFalse
+	}
+}
+
 // refTri is an independent three-valued reference evaluator over the fuzz
 // fixture's (owner, x) rows — deliberately written against the SQL spec,
 // not against the engine's code, so both evaluation paths are checked for

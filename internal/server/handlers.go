@@ -314,9 +314,10 @@ type rowStream interface {
 
 // streamQuery runs one query and streams its result as NDJSON: a columns
 // line, one line per row, then a terminal done/error line. Flushes are
-// batched so a large result does not pay a syscall per row, but the
-// columns line flushes immediately — a client learns its query was
-// accepted before the first row materialises.
+// batched so a large result does not pay a syscall per row — after rows 1,
+// 2, 4, … 64, then every 64 — and the columns line flushes immediately: a
+// client learns its query was accepted before the first row materialises,
+// and sees the first row as soon as there is one.
 //
 // With ?trace=1 (or a configured SlowQuery threshold) the query runs
 // under a span tree: the engine phases accumulate through the context,
@@ -415,7 +416,10 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, run func(ct
 			return
 		}
 		n++
-		if n%64 == 0 {
+		// Flush after rows 1, 2, 4, … 64 and every 64th after: the first
+		// row of a slow stream reaches the client when it exists, and a
+		// long result still pays a syscall per 64 rows, not per row.
+		if n%64 == 0 || n&(n-1) == 0 {
 			flush()
 		}
 	}

@@ -381,23 +381,19 @@ func walkStmt(s *SelectStmt, fn func(Expr)) {
 }
 
 // Conjuncts flattens nested ANDs into a list of conjuncts.
-func Conjuncts(e Expr) []Expr {
-	if e == nil {
-		return nil
-	}
-	if b, ok := e.(*BinaryExpr); ok && b.Op == OpAnd {
-		return append(Conjuncts(b.L), Conjuncts(b.R)...)
-	}
-	return []Expr{e}
-}
+func Conjuncts(e Expr) []Expr { return operands(e, OpAnd, nil) }
 
 // Disjuncts flattens nested ORs into a list of disjuncts.
-func Disjuncts(e Expr) []Expr {
+func Disjuncts(e Expr) []Expr { return operands(e, OpOr, nil) }
+
+// operands appends the operands of e's chain of op to out, left to right:
+// one slice for the whole chain, however deep the guard rewrite nests it.
+func operands(e Expr, op BinOp, out []Expr) []Expr {
 	if e == nil {
-		return nil
+		return out
 	}
-	if b, ok := e.(*BinaryExpr); ok && b.Op == OpOr {
-		return append(Disjuncts(b.L), Disjuncts(b.R)...)
+	if b, ok := e.(*BinaryExpr); ok && b.Op == op {
+		return operands(b.R, op, operands(b.L, op, out))
 	}
-	return []Expr{e}
+	return append(out, e)
 }

@@ -1,9 +1,11 @@
 package storage
 
+import "slices"
+
 // Batch is a columnar view of the live rows in one heap-slot range (a whole
-// segment, or a piece of one): the rows in heap order, per-column value
-// vectors materialised on demand, and a selection bitmap the evaluator
-// narrows as predicates are applied. A Batch is the unit of vectorised
+// segment, or a piece of one) or of one stretch of an index fetch list: the
+// rows in load order, per-column value vectors materialised on demand, and a
+// selection bitmap the evaluator narrows as predicates are applied. A Batch is the unit of vectorised
 // guard evaluation — the engine runs each compiled conjunct
 // column-at-a-time over the vectors instead of interpreting the expression
 // tree once per row.
@@ -17,7 +19,7 @@ type Batch struct {
 	cols  [][]Value
 	built []bool
 	// Sel is the selection bitmap: Sel[i] reports whether row i is still a
-	// candidate. ScanBatch resets every entry to true.
+	// candidate. ScanBatch and FetchBatch reset every entry to true.
 	Sel []bool
 }
 
@@ -27,7 +29,7 @@ func (b *Batch) Len() int { return len(b.rows) }
 // Row returns row i (the full stored tuple, schema order).
 func (b *Batch) Row(i int) Row { return b.rows[i] }
 
-// Rows returns the underlying row slice, valid until the next ScanBatch.
+// Rows returns the underlying row slice, valid until the next load.
 func (b *Batch) Rows() []Row { return b.rows }
 
 // Col returns the value vector of schema column c, materialising and
@@ -55,10 +57,10 @@ func (b *Batch) Selected() int {
 	return n
 }
 
-// reset prepares the batch for ncols-wide rows, clearing cached vectors and
-// the selection bitmap while keeping capacity.
-func (b *Batch) reset(ncols int) {
-	b.rows = b.rows[:0]
+// reset prepares the batch for up to n ncols-wide rows, clearing cached
+// vectors and the selection bitmap while keeping capacity.
+func (b *Batch) reset(ncols, n int) {
+	b.rows = slices.Grow(b.rows[:0], n)
 	if len(b.cols) != ncols {
 		b.cols = make([][]Value, ncols)
 		b.built = make([]bool, ncols)
@@ -86,14 +88,32 @@ func (b *Batch) finish() {
 // without holding any lock (rows are immutable once stored), and vector
 // materialisation is deferred to Col. It returns b.Len().
 func (v *View) ScanBatch(lo, hi int, b *Batch) int {
-	b.reset(v.t.Schema.Len())
 	if hi > len(v.rows) {
 		hi = len(v.rows)
 	}
+	b.reset(v.t.Schema.Len(), max(hi-lo, 0))
 	v.t.mu.RLock()
 	for i := lo; i < hi; i++ {
 		if !v.deleted[i] {
 			b.rows = append(b.rows, v.rows[i])
+		}
+	}
+	v.t.mu.RUnlock()
+	b.finish()
+	return b.Len()
+}
+
+// FetchBatch loads the live rows among ids — an index fetch list, or a
+// stretch of one — into b in list order, resetting its vectors and selection
+// bitmap like ScanBatch. Ids refer to the captured heap, so a list resolved
+// through the same view stays consistent across a concurrent Compact;
+// tombstoned and out-of-range ids are skipped. It returns b.Len().
+func (v *View) FetchBatch(ids []RowID, b *Batch) int {
+	b.reset(v.t.Schema.Len(), len(ids))
+	v.t.mu.RLock()
+	for _, id := range ids {
+		if id >= 0 && int(id) < len(v.rows) && !v.deleted[id] {
+			b.rows = append(b.rows, v.rows[id])
 		}
 	}
 	v.t.mu.RUnlock()

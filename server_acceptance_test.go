@@ -4,12 +4,16 @@ import (
 	"context"
 	"net"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	sieve "github.com/sieve-db/sieve"
 	"github.com/sieve-db/sieve/client"
+	"github.com/sieve-db/sieve/internal/engine"
 	"github.com/sieve-db/sieve/internal/server"
+	"github.com/sieve-db/sieve/internal/storage"
 	"github.com/sieve-db/sieve/internal/workload"
 )
 
@@ -171,5 +175,82 @@ func TestServerAcceptance(t *testing.T) {
 	}
 	if _, err := client.New(url, "demo:nobody|analytics").OpenSession(ctx, ""); err == nil {
 		t.Fatal("server still accepting sessions after drain")
+	}
+}
+
+// TestServerFirstRowBeforeQueryEnds: the first row of a slow, multi-row
+// stream reaches the client while the query is still running — the server
+// flushes after rows 1, 2, 4, … 64, not only every 64th. The query's filter
+// passes a few rows of the scan's first batch and then stalls inside the
+// second until the client has read a row; had that row waited in the
+// server's buffer for 63 more (or for the done line), neither side would
+// move.
+func TestServerFirstRowBeforeQueryEnds(t *testing.T) {
+	demo, err := workload.NewDemo(sieve.MySQL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	var once sync.Once
+	open := func() { once.Do(func() { close(release) }) }
+	defer open()
+	var calls atomic.Int64
+	demo.Campus.DB.RegisterUDF("gate", func(_ *engine.UDFContext, args []storage.Value) (storage.Value, error) {
+		if calls.Add(1) > 64 { // past the scan's first batch
+			<-release
+		}
+		return storage.NewBool(args[0].I%16 == 0), nil
+	})
+	srv, err := server.New(server.Config{Middleware: demo.M, AllowDemoTokens: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(l) }()
+	ctx := context.Background()
+	sess, err := client.New("http://"+l.Addr().String(), "demo:anyone|analytics").OpenSession(ctx, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := sess.Query(ctx, "SELECT id FROM "+workload.TableUsers+" WHERE gate(id) = TRUE")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	first := make(chan bool, 1)
+	go func() { first <- rows.Next() }()
+	select {
+	case ok := <-first:
+		if !ok {
+			t.Fatalf("no first row: %v", rows.Err())
+		}
+	case <-time.After(10 * time.Second):
+		open()
+		t.Fatal("the first row did not reach the client while the query was still running")
+	}
+	// The row arrived with the gate shut, so the query could not have
+	// finished — provided it had a second batch to stall in.
+	open()
+	n := 1
+	for rows.Next() {
+		n++
+	}
+	if err := rows.Err(); err != nil || n < 3 {
+		t.Fatalf("stream after the stall: %d rows, err %v", n, err)
+	}
+	if calls.Load() <= 64 {
+		t.Fatalf("the filter ran %d times: no second batch to stall in, the fixture proves nothing", calls.Load())
+	}
+	sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(sctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("Serve: %v", err)
 	}
 }

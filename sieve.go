@@ -125,7 +125,7 @@ type (
 	Middleware = core.Middleware
 	// Option configures a Middleware.
 	Option = core.Option
-	// Report describes one rewrite: final SQL plus per-table decisions.
+	// Report describes one rewrite: per-table decisions and guard provenance.
 	Report = core.Report
 	// TableDecision is the per-table strategy choice of a rewrite.
 	TableDecision = core.TableDecision
