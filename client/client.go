@@ -132,15 +132,6 @@ func (c *Client) Health(ctx context.Context) (ok bool, err error) {
 	return resp.StatusCode == http.StatusOK, nil
 }
 
-// Varz fetches the server's counters.
-func (c *Client) Varz(ctx context.Context) (map[string]int64, error) {
-	var out map[string]int64
-	if err := c.do(ctx, http.MethodGet, "/varz", nil, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // OpenSession opens a session. purpose may be empty when the token pins
 // one; the server rejects a purpose conflicting with the token's.
 func (c *Client) OpenSession(ctx context.Context, purpose string) (*Session, error) {

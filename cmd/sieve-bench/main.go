@@ -8,14 +8,17 @@
 //	sieve-bench -micro
 //	sieve-bench -backend fake-postgres
 //
-// -seed drives every workload generator and the traffic harness from one
-// master seed, recorded in the BENCH_*.json artifacts.
+// It writes no file and is not where performance is measured: that is
+// bash benchmark/run.sh (BENCHMARK.json).
 //
-// -run traffic is the closed-loop load harness: concurrent Zipf-skewed
-// queriers mix early-closed, drained, prepared, and backend-shipped
-// queries over the campus, mall, and hospital workloads — in process and
-// through a real sieve-server — under live policy churn, with every
-// returned row invariant-checked. See docs/benchmarks.md.
+// -seed drives every workload generator and the traffic soak from one
+// master seed.
+//
+// -run traffic is the invariant soak: concurrent Zipf-skewed queriers mix
+// early-closed, drained, prepared, and backend-shipped queries over the
+// campus, mall, and hospital workloads — in process and through a real
+// sieve-server — under live policy churn, with every returned row
+// invariant-checked. See docs/benchmarks.md.
 //
 // -micro measures the execution-surface amortisations instead: prepared
 // statements (parse + rewrite paid once) versus per-call Execute, and
@@ -27,32 +30,20 @@
 // path is exercised and verified), or driver://dsn for a live server with
 // a compiled-in driver — and reports per-query row parity plus the
 // backend's wire counters.
-//
-// -server boots an in-process sieve-server on a loopback port and runs
-// the examples corpus through the HTTP client against the same queries
-// in process, verifying row parity and reporting per-query p50/p95 for
-// both paths — the protocol's overhead, isolated. Results also land in
-// BENCH_server.json.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"net"
 	"os"
-	"reflect"
-	"sort"
 	"strings"
 	"time"
 
 	sieve "github.com/sieve-db/sieve"
-	"github.com/sieve-db/sieve/client"
 	"github.com/sieve-db/sieve/internal/backend"
 	"github.com/sieve-db/sieve/internal/backend/backendtest"
 	"github.com/sieve-db/sieve/internal/cli"
 	"github.com/sieve-db/sieve/internal/experiment"
-	"github.com/sieve-db/sieve/internal/server"
 	"github.com/sieve-db/sieve/internal/workload"
 )
 
@@ -85,10 +76,39 @@ var experiments = []exp{
 		return experiment.DynamicRegeneration(c, 10)
 	}},
 	{"workers", "Parallel guarded scan scaling (1..NumCPU workers)", experiment.WorkerScaling},
-	{"policyscale", "Million-policy regime: signature-shared plans, scoped invalidation", experiment.PolicyScale},
 	{"recovery", "Durability: WAL append, snapshot MB/s, replay rec/s, cold recovery", experiment.Recovery},
-	{"latency", "Per-query latency over the examples corpus, tracing off vs on", experiment.Latency},
-	{"traffic", "Heavy-traffic mixed workload under churn, invariant-checked", experiment.Traffic},
+	{"traffic", "Invariant soak: heavy-traffic mixed workload under churn", experiment.Traffic},
+}
+
+// selectExperiments resolves a -run value ("all" or comma-separated ids)
+// against the table, in table order. An id the table does not hold is an
+// error: a CI line naming a retired experiment must not pass by running
+// nothing.
+func selectExperiments(run string) ([]exp, error) {
+	if run == "all" {
+		return experiments, nil
+	}
+	valid := make([]string, len(experiments))
+	known := map[string]bool{}
+	for i, e := range experiments {
+		valid[i] = e.id
+		known[e.id] = true
+	}
+	wanted := map[string]bool{}
+	for _, id := range strings.Split(run, ",") {
+		id = strings.TrimSpace(id)
+		if !known[id] {
+			return nil, fmt.Errorf("sieve-bench: unknown experiment id %q; valid ids: all, %s", id, strings.Join(valid, ", "))
+		}
+		wanted[id] = true
+	}
+	var out []exp
+	for _, e := range experiments {
+		if wanted[e.id] {
+			out = append(out, e)
+		}
+	}
+	return out, nil
 }
 
 func main() {
@@ -115,12 +135,10 @@ func main() {
 		}
 		return
 	}
-	if opts.Server {
-		if err := runServerBench(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+	selected, err := selectExperiments(opts.Run)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	var cfg experiment.Config
@@ -138,20 +156,10 @@ func main() {
 	cfg.Workers = opts.Workers
 	cfg.ApplySeed(opts.Seed)
 
-	wanted := map[string]bool{}
-	if opts.Run != "all" {
-		for _, id := range strings.Split(opts.Run, ",") {
-			wanted[strings.TrimSpace(id)] = true
-		}
-	}
-
 	fmt.Printf("sieve-bench scale=%s seed=%d (devices=%d days=%d)\n\n",
 		opts.Scale, cfg.Seed, cfg.Campus.Devices, cfg.Campus.Days)
 	failed := 0
-	for _, e := range experiments {
-		if len(wanted) > 0 && !wanted[e.id] {
-			continue
-		}
+	for _, e := range selected {
 		start := time.Now()
 		tab, err := e.run(cfg)
 		if err != nil {
@@ -229,153 +237,6 @@ func runMicro() error {
 	}
 	full := env.Campus.DB.Counters.TuplesRead
 	fmt.Printf("streaming 10 rows reads %d tuples; materialising reads %d\n", streamed, full)
-	return nil
-}
-
-// serverBenchStat is one corpus query's wire-vs-in-process comparison in
-// BENCH_server.json. Durations are microseconds.
-type serverBenchStat struct {
-	Name     string  `json:"name"`
-	Rows     int     `json:"rows"`
-	LocalP50 float64 `json:"local_p50_us"`
-	LocalP95 float64 `json:"local_p95_us"`
-	WireP50  float64 `json:"wire_p50_us"`
-	WireP95  float64 `json:"wire_p95_us"`
-	Parity   bool    `json:"parity"`
-}
-
-// percentileUS reads the p-th percentile (0..100) of a sorted duration
-// slice in microseconds.
-func percentileUS(sorted []time.Duration, p int) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := len(sorted) * p / 100
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return float64(sorted[i]) / float64(time.Microsecond)
-}
-
-// runServerBench measures what the network hop costs: the examples
-// corpus through a real sieve-server over loopback TCP — auth, NDJSON
-// encode, HTTP framing, decode — against the identical queries executed
-// in process on the same middleware, with row parity enforced between
-// the two paths before any number is reported.
-func runServerBench() error {
-	demo, err := workload.NewDemo(sieve.MySQL())
-	if err != nil {
-		return err
-	}
-	srv, err := server.New(server.Config{Middleware: demo.M, AllowDemoTokens: true})
-	if err != nil {
-		return err
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(l) }()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-		<-done
-	}()
-
-	ctx := context.Background()
-	querier := demo.Querier("auto")
-	inSess := demo.M.NewSession(sieve.Metadata{Querier: querier, Purpose: "analytics"})
-	wireSess, err := client.New("http://"+l.Addr().String(), "demo:"+querier+"|analytics").
-		OpenSession(ctx, "")
-	if err != nil {
-		return err
-	}
-	fmt.Printf("sieve-server on %s, querier %s\n\n", l.Addr(), querier)
-	fmt.Printf("%-22s %6s %10s %10s %10s %10s %7s\n",
-		"query", "rows", "local p50", "local p95", "wire p50", "wire p95", "parity")
-
-	const iters = 15
-	var stats []serverBenchStat
-	parityFailures := 0
-	for _, q := range demo.Campus.CorpusQueries() {
-		base, err := inSess.Execute(ctx, q.SQL)
-		if err != nil {
-			return fmt.Errorf("%s: in-process: %v", q.Name, err)
-		}
-		var want [][]any // nil when empty, like the wire side
-		for _, r := range base.Rows {
-			conv := make([]any, len(r))
-			for j, v := range r {
-				conv[j] = client.FromValue(v)
-			}
-			want = append(want, conv)
-		}
-
-		var local, wire []time.Duration
-		parity := true
-		for i := 0; i < iters; i++ {
-			start := time.Now()
-			if _, err := inSess.Execute(ctx, q.SQL); err != nil {
-				return fmt.Errorf("%s: in-process: %v", q.Name, err)
-			}
-			local = append(local, time.Since(start))
-
-			start = time.Now()
-			rows, err := wireSess.Query(ctx, q.SQL)
-			if err != nil {
-				return fmt.Errorf("%s: wire: %v", q.Name, err)
-			}
-			var got [][]any
-			for rows.Next() {
-				r := rows.Row()
-				cp := make([]any, len(r))
-				copy(cp, r)
-				got = append(got, cp)
-			}
-			if err := rows.Err(); err != nil {
-				return fmt.Errorf("%s: wire: %v", q.Name, err)
-			}
-			rows.Close()
-			wire = append(wire, time.Since(start))
-			if i == 0 && !reflect.DeepEqual(got, want) {
-				parity = false
-				parityFailures++
-			}
-		}
-		sort.Slice(local, func(i, j int) bool { return local[i] < local[j] })
-		sort.Slice(wire, func(i, j int) bool { return wire[i] < wire[j] })
-		st := serverBenchStat{
-			Name: q.Name, Rows: len(base.Rows),
-			LocalP50: percentileUS(local, 50), LocalP95: percentileUS(local, 95),
-			WireP50: percentileUS(wire, 50), WireP95: percentileUS(wire, 95),
-			Parity: parity,
-		}
-		stats = append(stats, st)
-		mark := "ok"
-		if !parity {
-			mark = "DIFF"
-		}
-		fmt.Printf("%-22s %6d %9.0fµ %9.0fµ %9.0fµ %9.0fµ %7s\n",
-			st.Name, st.Rows, st.LocalP50, st.LocalP95, st.WireP50, st.WireP95, mark)
-	}
-
-	out, err := json.MarshalIndent(map[string]any{
-		"iters":   iters,
-		"querier": querier,
-		"queries": stats,
-	}, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_server.json", append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote BENCH_server.json (%d queries, %d iterations each)\n", len(stats), iters)
-	if parityFailures > 0 {
-		return fmt.Errorf("%d corpus queries diverged between wire and in-process", parityFailures)
-	}
 	return nil
 }
 

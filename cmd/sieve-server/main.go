@@ -88,7 +88,6 @@ func run(opts *cli.ServerOpts) error {
 			return err
 		}
 		demo, mgr = &dd.Demo, dd.Manager
-		cfg.ExtraVarz = mgr.Varz
 		// The WAL's histograms land in the same registry the server
 		// scrapes at /metrics, and traced queries learn the log's share
 		// of their latency from the cumulative append/fsync clocks.

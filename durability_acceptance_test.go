@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"github.com/sieve-db/sieve/client"
+	"github.com/sieve-db/sieve/internal/obs"
 	"github.com/sieve-db/sieve/internal/server"
 	"github.com/sieve-db/sieve/internal/storage"
 	"github.com/sieve-db/sieve/internal/workload"
@@ -235,6 +236,24 @@ func TestServerCrashDurabilityAcceptance(t *testing.T) {
 	}
 	if n := countRows(t, p2.url, "nobody", markerAP); n != 0 {
 		t.Fatalf("after recovery the revoked grant leaked %d rows", n)
+	}
+	// The binary wires one registry into both the server and the WAL
+	// (cmd/sieve-server/main.go), which no in-process test sees: its
+	// /metrics must parse and carry the server's query counter next to
+	// the replay this boot just did.
+	resp, err := http.Get(p2.url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.ParseExposition(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("/metrics of the real binary does not parse: %v", err)
+	}
+	for _, name := range []string{"sieve_queries_total", "sieve_wal_records_replayed"} {
+		if f := fams[name]; f == nil || f.Value < 1 {
+			t.Fatalf("/metrics after recovery: %s = %+v, want >= 1", name, f)
+		}
 	}
 	// And the recovered server keeps logging: a fresh insert is visible
 	// through the surviving grant.

@@ -142,7 +142,6 @@ type BenchOpts struct {
 	List    bool
 	Micro   bool
 	Backend string
-	Server  bool
 	Workers int
 	Seed    int64
 }
@@ -151,18 +150,18 @@ type BenchOpts struct {
 const benchIntro = `Usage: sieve-bench [flags]
 
 Regenerates the paper's evaluation tables and figures on the embedded
-engine and prints them in the paper's layout. -run picks experiments by
-id (see -list), -scale the corpus size, and -seed drives every workload
-generator and load harness from one master seed, recorded in the JSON
-artifacts (BENCH_*.json) the heavier experiments write. -run traffic is
-the closed-loop load harness: concurrent Zipf-skewed queriers mix
-early-closed, drained, prepared, and backend-shipped queries over the
-campus, mall, and hospital workloads — in process and through a real
-sieve-server — under live policy churn, with every returned row checked
-against the policies legal during its query's lifetime. The run fails,
-and sieve-bench exits non-zero, on any invariant violation. -micro,
--backend, and -server are corpus-level modes described in
-docs/benchmarks.md.
+engine and prints them in the paper's layout; it writes no file. -run
+picks experiments by id (see -list; an unknown id is an error), -scale
+the corpus size, and -seed drives every workload generator and the
+traffic soak from one master seed. -run traffic is the invariant soak:
+concurrent Zipf-skewed queriers mix early-closed, drained, prepared, and
+backend-shipped queries over the campus, mall, and hospital workloads —
+in process and through a real sieve-server — under live policy churn,
+with every returned row checked against the policies legal during its
+query's lifetime. The run fails, and sieve-bench exits non-zero, on any
+invariant violation. -micro and -backend are corpus-level modes described
+in docs/benchmarks.md. Performance is measured by bash benchmark/run.sh,
+not here.
 
 Flags:
 `
@@ -176,9 +175,8 @@ func BenchFlags() (*flag.FlagSet, *BenchOpts) {
 	fs.BoolVar(&opts.List, "list", false, "list experiment ids and exit")
 	fs.BoolVar(&opts.Micro, "micro", false, "measure the Session/Stmt/Rows execution surface and exit")
 	fs.StringVar(&opts.Backend, "backend", "", "run the examples corpus through a backend (embedded | fake-mysql | fake-postgres | driver://dsn) and exit")
-	fs.BoolVar(&opts.Server, "server", false, "benchmark the corpus over the wire against an in-process sieve-server, write BENCH_server.json, and exit")
 	fs.IntVar(&opts.Workers, "workers", 0, "parallel scan workers per engine (0 = NumCPU); adds a scaling dimension to every experiment")
-	fs.Int64Var(&opts.Seed, "seed", 1, "master seed for workload generation and the traffic harness (1 = the committed baselines)")
+	fs.Int64Var(&opts.Seed, "seed", 1, "master seed for workload generation and the traffic soak")
 	setUsage(fs, benchIntro)
 	return fs, opts
 }

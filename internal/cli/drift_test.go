@@ -10,8 +10,9 @@ import (
 	"github.com/sieve-db/sieve/internal/workload"
 )
 
-// TestUsageDocsDrift fails when the usage text quoted in docs/ differs
-// from what `sieve-rewrite -h` / `sieve-explain -h` print. The binaries
+// TestUsageDocsDrift fails when the usage text quoted in docs/ (or
+// README.md) differs from what `sieve-rewrite -h` / `sieve-explain -h`
+// print, or when either still names surface that was removed. The binaries
 // build their flag sets from this package, so comparing against
 // RewriteUsage/ExplainUsage is comparing against the binaries' output.
 //
@@ -36,32 +37,41 @@ func TestUsageDocsDrift(t *testing.T) {
 	if err != nil {
 		t.Fatalf("docs directory missing: %v", err)
 	}
-	marker := regexp.MustCompile("(?s)<!-- usage:([a-z-]+) -->\\s*```text\n(.*?)```")
+	paths := []string{filepath.Join("..", "..", "README.md")}
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".md") {
-			continue
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".md") {
+			paths = append(paths, filepath.Join(docsDir, e.Name()))
 		}
-		raw, err := os.ReadFile(filepath.Join(docsDir, e.Name()))
+	}
+	marker := regexp.MustCompile("(?s)<!-- usage:([a-z-]+) -->\\s*```text\n(.*?)```")
+	for _, path := range paths {
+		name := filepath.Base(path)
+		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Surface that no longer exists must not linger in the docs.
-		for _, gone := range []string{"ForceRowEval", "-run vector"} {
+		for _, gone := range []string{
+			"ForceRowEval", "-run vector",
+			"BENCH_traffic.json", "BENCH_latency.json", "BENCH_recovery.json",
+			"BENCH_policy_scale.json", "BENCH_server.json", "bench_compare",
+			"-run latency", "-run policyscale", "sieve-bench -server", "/varz",
+		} {
 			if strings.Contains(string(raw), gone) {
-				t.Errorf("%s still mentions %q, which was removed", e.Name(), gone)
+				t.Errorf("%s still mentions %q, which was removed", name, gone)
 			}
 		}
 		for _, m := range marker.FindAllStringSubmatch(string(raw), -1) {
 			tool, quoted := m[1], m[2]
 			exp, ok := want[tool]
 			if !ok {
-				t.Errorf("%s quotes usage for unknown tool %q", e.Name(), tool)
+				t.Errorf("%s quotes usage for unknown tool %q", name, tool)
 				continue
 			}
 			found[tool]++
 			if quoted != exp {
 				t.Errorf("%s: quoted usage for %s drifted from `%s -h`:\n--- docs ---\n%s--- binary ---\n%s",
-					e.Name(), tool, tool, quoted, exp)
+					name, tool, tool, quoted, exp)
 			}
 		}
 	}

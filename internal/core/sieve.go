@@ -306,7 +306,7 @@ func (m *Middleware) ProtectedRelations() []string {
 // Epoch returns the policy-visibility epoch: it advances on every event
 // that can change what some querier is allowed to see (policy insert or
 // revocation, Protect, InvalidateAll). It is a churn counter for
-// observability (/varz); plan validity is scoped per signature via the
+// observability (sieve_policy_epoch on /metrics); plan validity is scoped per signature via the
 // plan tokens, not gated on this global value.
 func (m *Middleware) Epoch() uint64 { return m.epoch.Load() }
 

@@ -71,7 +71,7 @@ type cacheStats struct {
 }
 
 // CacheStats is a snapshot of the middleware's cache-effectiveness
-// counters (exposed via /varz, sieve-explain, and the experiments).
+// counters (exposed via /metrics, sieve-explain, and the experiments).
 type CacheStats struct {
 	// GuardCacheHits / GuardCacheMisses count claim resolutions served
 	// from a valid claim vs. resolutions that had to consult the store.

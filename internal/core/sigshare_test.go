@@ -106,6 +106,7 @@ func TestSignatureSharingIsOProfiles(t *testing.T) {
 
 	// One policy insert against grp0: exactly grp0's signature moves.
 	rewritesBefore := st.Rewrites()
+	claimsInvalidatedBefore := cs.ClaimsInvalidated
 	regensBefore := make(map[string]int)
 	for _, q := range f.queriers {
 		regensBefore[q] = f.m.Regens(f.metadata(q), "wifi")
@@ -133,6 +134,26 @@ func TestSignatureSharingIsOProfiles(t *testing.T) {
 		if got != want {
 			t.Errorf("querier %s (group %s): regens = %d, want %d", q, f.groupOf[q], got, want)
 		}
+	}
+	// The invalidation is scoped: it dropped claims of the touched
+	// group's members only, never the population's.
+	churned := f.m.CacheStats()
+	if got := churned.ClaimsInvalidated - claimsInvalidatedBefore; got < 1 || got > perGroup {
+		t.Errorf("claims invalidated by one AddPolicy = %d, want 1..%d (grp0's members)", got, perGroup)
+	}
+
+	// Steady state: one further full pass is served from the signature
+	// cache — no claim consults the store again.
+	for _, q := range f.queriers {
+		if _, err := st.Execute(context.Background(), f.m.NewSession(f.metadata(q))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	steady := f.m.CacheStats()
+	hits := steady.GuardCacheHits - churned.GuardCacheHits
+	misses := steady.GuardCacheMisses - churned.GuardCacheMisses
+	if hits == 0 || float64(hits)/float64(hits+misses) < 0.99 {
+		t.Errorf("steady-state guard cache: %d hits, %d misses, want hit rate >= 0.99", hits, misses)
 	}
 }
 

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,52 +11,38 @@ import (
 	"github.com/sieve-db/sieve/internal/wal"
 )
 
-// RecoveryFile is where Recovery writes its machine-readable results.
-const RecoveryFile = "BENCH_recovery.json"
-
 // recoveryTable is the relation the durability benchmark loads: shaped
 // like the WiFi connectivity relation (ids, owner, AP, timestamp) plus a
 // short string payload so snapshot throughput is not an integer-only
 // best case.
 const recoveryTable = "bench_events"
 
-// recoveryCell is one record-count measurement in BENCH_recovery.json.
+// recoveryCell is one record-count measurement.
 type recoveryCell struct {
-	Records int `json:"records"`
+	Records int
 	// Append-side cost of running with the log on (SyncNever, so the
 	// number is the logging overhead, not the disk's fsync latency).
-	WALBytes int64   `json:"wal_bytes"`
-	AppendUS float64 `json:"append_us_per_record"`
+	WALBytes int64
+	AppendUS float64
 	// Cold recovery from the bootstrap snapshot plus a full-length WAL
 	// suffix: the worst case a crash can leave behind.
-	ColdRecoveryMS float64 `json:"cold_recovery_ms"`
-	ReplayPerSec   float64 `json:"replay_records_per_s"`
+	ColdRecoveryMS float64
+	ReplayPerSec   float64
 	// Checkpoint write throughput, and recovery when that snapshot
 	// covers everything (the post-clean-shutdown boot).
-	SnapshotBytes int64   `json:"snapshot_bytes"`
-	SnapshotMS    float64 `json:"snapshot_ms"`
-	SnapshotMBps  float64 `json:"snapshot_mb_per_s"`
-	RestoreMS     float64 `json:"snapshot_restore_ms"`
-}
-
-// recoveryResult is the BENCH_recovery.json document.
-type recoveryResult struct {
-	Seed  int64          `json:"seed"`
-	Table string         `json:"table"`
-	Cells []recoveryCell `json:"cells"`
+	SnapshotBytes int64
+	SnapshotMS    float64
+	SnapshotMBps  float64
+	RestoreMS     float64
 }
 
 // Recovery measures the durability subsystem: WAL append overhead,
 // snapshot write throughput, replay rate, and cold-recovery wall time
-// across the configured record counts (10⁴–10⁶ at bench scale). Results
-// also land in BENCH_recovery.json, written and re-parsed so a malformed
-// document fails the run.
+// across the configured record counts (10⁴–10⁶ at bench scale). The
+// append half is also wal.append_us_per_rec / wal.bytes_per_write in
+// BENCHMARK.json; cold recovery and snapshot throughput are reported
+// only here.
 func Recovery(cfg Config) (*Table, error) {
-	return RecoveryToFile(cfg, RecoveryFile)
-}
-
-// RecoveryToFile is Recovery writing its JSON document to path.
-func RecoveryToFile(cfg Config, path string) (*Table, error) {
 	if len(cfg.RecoveryRecords) == 0 {
 		return nil, fmt.Errorf("experiment: recovery sweep is empty (set RecoveryRecords)")
 	}
@@ -70,16 +55,14 @@ func RecoveryToFile(cfg Config, path string) (*Table, error) {
 			"appends run under SyncNever so the numbers isolate logging cost from the disk's fsync latency",
 		},
 	}
-	res := recoveryResult{Seed: cfg.Seed, Table: recoveryTable}
 	for _, n := range cfg.RecoveryRecords {
 		cell, err := recoveryCellRun(n)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: recovery %d records: %w", n, err)
 		}
-		res.Cells = append(res.Cells, *cell)
 		tab.Rows = append(tab.Rows, []string{
 			fmt.Sprintf("%d", cell.Records),
-			fmt.Sprintf("%.1f", float64(cell.WALBytes)/1e6),
+			fmt.Sprintf("%.2f", float64(cell.WALBytes)/1e6),
 			fmt.Sprintf("%.2f", cell.AppendUS),
 			fmt.Sprintf("%.1f", cell.ColdRecoveryMS),
 			fmt.Sprintf("%.0f", cell.ReplayPerSec),
@@ -89,25 +72,6 @@ func RecoveryToFile(cfg Config, path string) (*Table, error) {
 			fmt.Sprintf("%.1f", cell.RestoreMS),
 		})
 	}
-	out, err := json.MarshalIndent(&res, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		return nil, err
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var check recoveryResult
-	if err := json.Unmarshal(raw, &check); err != nil {
-		return nil, fmt.Errorf("experiment: %s does not parse: %w", path, err)
-	}
-	if len(check.Cells) == 0 {
-		return nil, fmt.Errorf("experiment: %s has no cells", path)
-	}
-	tab.Notes = append(tab.Notes, fmt.Sprintf("wrote %s (%d cells)", path, len(check.Cells)))
 	return tab, nil
 }
 

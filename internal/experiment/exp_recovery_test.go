@@ -1,62 +1,37 @@
 package experiment
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
+	"strconv"
 	"testing"
 )
 
-// TestRecoveryArtifact runs the durability benchmark at test scale and
-// asserts the BENCH_recovery.json document — the artifact downstream
-// tooling consumes — parses and carries sane numbers.
+// TestRecoveryArtifact runs the durability sweep at test scale: one row
+// per record count, and a log that grows with it (the sweep swept).
 func TestRecoveryArtifact(t *testing.T) {
 	cfg := TestConfig()
 	cfg.RecoveryRecords = []int{500, 2000}
-	path := filepath.Join(t.TempDir(), "BENCH_recovery.json")
-	tab, err := RecoveryToFile(cfg, path)
+	tab, err := Recovery(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tab.Rows) != len(cfg.RecoveryRecords) {
 		t.Fatalf("table has %d rows, want %d", len(tab.Rows), len(cfg.RecoveryRecords))
 	}
-
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res recoveryResult
-	if err := json.Unmarshal(raw, &res); err != nil {
-		t.Fatalf("artifact does not parse: %v", err)
-	}
-	if res.Table != recoveryTable {
-		t.Fatalf("artifact table = %q, want %q", res.Table, recoveryTable)
-	}
-	if len(res.Cells) != len(cfg.RecoveryRecords) {
-		t.Fatalf("artifact has %d cells, want %d", len(res.Cells), len(cfg.RecoveryRecords))
-	}
-	for i, cell := range res.Cells {
-		if cell.Records != cfg.RecoveryRecords[i] {
-			t.Fatalf("cell %d: records = %d, want %d", i, cell.Records, cfg.RecoveryRecords[i])
+	var walMB [2]float64
+	for i, row := range tab.Rows {
+		if row[0] != strconv.Itoa(cfg.RecoveryRecords[i]) {
+			t.Fatalf("row %d: records = %s, want %d", i, row[0], cfg.RecoveryRecords[i])
 		}
-		if cell.WALBytes <= 0 || cell.SnapshotBytes <= 0 {
-			t.Fatalf("cell %d: empty artifact sizes: wal=%d snap=%d", i, cell.WALBytes, cell.SnapshotBytes)
-		}
-		if cell.AppendUS <= 0 || cell.ColdRecoveryMS <= 0 || cell.ReplayPerSec <= 0 ||
-			cell.SnapshotMS <= 0 || cell.SnapshotMBps <= 0 || cell.RestoreMS <= 0 {
-			t.Fatalf("cell %d: non-positive measurement: %+v", i, cell)
+		if walMB[i], err = strconv.ParseFloat(row[1], 64); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// More records must mean a longer log: the sweep actually swept.
-	if res.Cells[0].WALBytes >= res.Cells[1].WALBytes {
-		t.Fatalf("WAL did not grow with record count: %d then %d bytes",
-			res.Cells[0].WALBytes, res.Cells[1].WALBytes)
+	if walMB[0] <= 0 || walMB[0] >= walMB[1] {
+		t.Fatalf("WAL did not grow with record count: %v MB", walMB)
 	}
 
-	// The sweep must refuse to run empty rather than write a hollow file.
 	cfg.RecoveryRecords = nil
-	if _, err := RecoveryToFile(cfg, filepath.Join(t.TempDir(), "x.json")); err == nil {
-		t.Fatal("empty sweep produced an artifact")
+	if _, err := Recovery(cfg); err == nil {
+		t.Fatal("empty sweep ran")
 	}
 }

@@ -2,78 +2,17 @@ package experiment
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
-	"net/http"
-	"os"
 	"strings"
 	"time"
 
-	"github.com/sieve-db/sieve/client"
-	"github.com/sieve-db/sieve/internal/core"
 	"github.com/sieve-db/sieve/internal/engine"
 	"github.com/sieve-db/sieve/internal/loadgen"
-	"github.com/sieve-db/sieve/internal/obs"
 	"github.com/sieve-db/sieve/internal/policy"
 	"github.com/sieve-db/sieve/internal/server"
 	"github.com/sieve-db/sieve/internal/workload"
 )
-
-// TrafficFile is where Traffic writes its machine-readable results.
-const TrafficFile = "BENCH_traffic.json"
-
-// TrafficCell is one (workload, mode) run of the traffic harness in
-// BENCH_traffic.json. Durations are microseconds.
-type TrafficCell struct {
-	Workload string `json:"workload"`
-	Mode     string `json:"mode"` // "inproc" | "server"
-	Workers  int    `json:"workers"`
-
-	Ops    int64 `json:"ops"`
-	Rows   int64 `json:"rows"`
-	Errors int64 `json:"errors"`
-
-	P50us      float64 `json:"p50_us"`
-	P95us      float64 `json:"p95_us"`
-	P99us      float64 `json:"p99_us"`
-	OpsPerSec  float64 `json:"ops_per_sec"`
-	RowsPerSec float64 `json:"rows_per_sec"`
-
-	Kinds map[string]*loadgen.KindStats `json:"kinds"`
-
-	ChurnAdds    int64 `json:"churn_adds"`
-	ChurnRevokes int64 `json:"churn_revokes"`
-	// RowsChecked is how many result rows went through full per-row
-	// policy justification — proof the invariant checker ran.
-	RowsChecked int64                   `json:"rows_checked"`
-	Violations  loadgen.ViolationCounts `json:"violations"`
-
-	// Cache is the middleware's guard/plan cache state after the run
-	// (the environment is fresh per cell, so these are the run's own).
-	Cache core.CacheStats `json:"cache"`
-
-	// Wire counters from the server's /varz, server mode only.
-	WireQueries      int64 `json:"wire_queries,omitempty"`
-	WireRowsStreamed int64 `json:"wire_rows_streamed,omitempty"`
-	// MetricsFamilies is how many families the /metrics scrape parsed,
-	// server mode only (the parse itself is the gate).
-	MetricsFamilies int `json:"metrics_families,omitempty"`
-}
-
-// TrafficResult is the BENCH_traffic.json document.
-type TrafficResult struct {
-	Seed         int64         `json:"seed"`
-	Workers      int           `json:"workers"`
-	OpsPerWorker int           `json:"ops_per_worker"`
-	StreamLimit  int           `json:"stream_limit"`
-	ZipfS        float64       `json:"zipf_s"`
-	Mix          loadgen.Mix   `json:"mix"`
-	Cells        []TrafficCell `json:"cells"`
-
-	ViolationSamples []string `json:"violation_samples,omitempty"`
-	ErrorSamples     []string `json:"error_samples,omitempty"`
-}
 
 // trafficQueries maps a workload corpus onto the harness's query pool,
 // marking the shapes the checker can justify row by row.
@@ -90,8 +29,7 @@ func trafficQueries(named []workload.NamedQuery, relation string) []loadgen.Quer
 
 // TrafficScenario builds a fresh environment and scenario for one
 // workload ("campus", "mall", or "hospital"); each caller gets its own so
-// runs stay independent and the reported cache stats belong to the run
-// alone.
+// runs stay independent.
 func TrafficScenario(cfg Config, name string) (*loadgen.Scenario, error) {
 	switch name {
 	case "campus":
@@ -175,18 +113,14 @@ func TrafficScenario(cfg Config, name string) (*loadgen.Scenario, error) {
 	return nil, fmt.Errorf("experiment: unknown traffic workload %q", name)
 }
 
-// Traffic runs the heavy-traffic harness: for each of the campus, mall,
-// and hospital workloads, in process and over the sieve-server wire
-// path, concurrent Zipf-skewed queriers run a mixed op workload under
-// policy churn while the invariant checker watches every row. Results
-// land in BENCH_traffic.json; any invariant violation or op error makes
-// the experiment (and sieve-bench) fail after the artifact is written.
+// Traffic is the invariant soak: for each of the campus, mall, and
+// hospital workloads, in process and over the sieve-server wire path,
+// concurrent Zipf-skewed queriers run a mixed op workload under policy
+// churn while the two-legal-worlds checker watches every row. Any
+// violation or op error — or a cell whose checker or churn never ran —
+// fails the experiment. The latencies in the table are context for the
+// soak, not measurements; bash benchmark/run.sh measures.
 func Traffic(cfg Config) (*Table, error) {
-	return TrafficToFile(cfg, TrafficFile)
-}
-
-// TrafficToFile is Traffic writing its JSON document to path.
-func TrafficToFile(cfg Config, path string) (*Table, error) {
 	if cfg.TrafficWorkers < 1 || cfg.TrafficOps < 1 {
 		return nil, fmt.Errorf("experiment: traffic worker/op counts are empty (set TrafficWorkers, TrafficOps)")
 	}
@@ -205,10 +139,6 @@ func TrafficToFile(cfg Config, path string) (*Table, error) {
 		DenyEvery:   cfg.TrafficDenyEvery,
 		MaxSamples:  10,
 	}
-	res := TrafficResult{
-		Seed: cfg.Seed, Workers: lcfg.Workers, OpsPerWorker: lcfg.Ops,
-		StreamLimit: lcfg.StreamLimit, ZipfS: lcfg.ZipfQuerier, Mix: lcfg.Mix,
-	}
 	tab := &Table{
 		ID:      "Traffic",
 		Title:   "Heavy-traffic mixed workload under policy churn (µs)",
@@ -220,84 +150,51 @@ func TrafficToFile(cfg Config, path string) (*Table, error) {
 		},
 	}
 	ctx := context.Background()
-	failed := 0
+	var failures []string
 	for _, wl := range []string{"campus", "mall", "hospital"} {
 		for _, mode := range []string{"inproc", "server"} {
 			sc, err := TrafficScenario(cfg, wl)
 			if err != nil {
 				return nil, err
 			}
-			cell := TrafficCell{Workload: wl, Mode: mode, Workers: lcfg.Workers}
 			var run *loadgen.Result
 			if mode == "inproc" {
 				run, err = loadgen.Run(ctx, sc, lcfg, loadgen.NewInProcFactory(sc, lcfg))
 			} else {
-				run, err = runTrafficServer(ctx, sc, lcfg, &cell)
+				run, err = runTrafficServer(ctx, sc, lcfg)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("experiment: traffic %s/%s: %w", wl, mode, err)
 			}
-			cell.Ops, cell.Rows, cell.Errors = run.Ops, run.Rows, run.Errors
-			cell.P50us, cell.P95us, cell.P99us = run.P50us, run.P95us, run.P99us
-			cell.OpsPerSec, cell.RowsPerSec = run.OpsPerSec, run.RowsPerSec
-			cell.Kinds = run.Kinds
-			cell.ChurnAdds, cell.ChurnRevokes = run.ChurnAdds, run.ChurnRevokes
-			cell.RowsChecked = run.RowsChecked
-			cell.Violations = run.Violations
-			cell.Cache = sc.M.CacheStats()
-			res.Cells = append(res.Cells, cell)
-			for _, s := range run.ViolationSamples {
-				res.ViolationSamples = append(res.ViolationSamples, wl+"/"+mode+": "+s)
-			}
-			for _, s := range run.ErrorSamples {
-				res.ErrorSamples = append(res.ErrorSamples, wl+"/"+mode+": "+s)
-			}
 			if run.Failed() {
-				failed++
+				failures = append(failures, fmt.Sprintf("%s/%s: %d violations, %d op errors: %s",
+					wl, mode, run.Violations.Total(), run.Errors,
+					strings.Join(append(run.ViolationSamples, run.ErrorSamples...), "; ")))
+			} else if run.RowsChecked == 0 || run.ChurnAdds == 0 || run.ChurnRevokes == 0 {
+				failures = append(failures, fmt.Sprintf("%s/%s: vacuous run: %d rows checked, %d grants, %d revokes",
+					wl, mode, run.RowsChecked, run.ChurnAdds, run.ChurnRevokes))
 			}
 			tab.Rows = append(tab.Rows, []string{
 				wl, mode,
-				fmt.Sprintf("%d", cell.Ops), fmt.Sprintf("%d", cell.Rows), fmt.Sprintf("%d", cell.Errors),
-				fmt.Sprintf("%.0f", cell.P50us), fmt.Sprintf("%.0f", cell.P95us), fmt.Sprintf("%.0f", cell.P99us),
-				fmt.Sprintf("%.0f", cell.RowsPerSec),
-				fmt.Sprintf("%d", cell.RowsChecked),
-				fmt.Sprintf("%d", cell.Violations.Total()),
+				fmt.Sprintf("%d", run.Ops), fmt.Sprintf("%d", run.Rows), fmt.Sprintf("%d", run.Errors),
+				fmt.Sprintf("%.0f", run.P50us), fmt.Sprintf("%.0f", run.P95us), fmt.Sprintf("%.0f", run.P99us),
+				fmt.Sprintf("%.0f", run.RowsPerSec),
+				fmt.Sprintf("%d", run.RowsChecked),
+				fmt.Sprintf("%d", run.Violations.Total()),
 			})
 		}
 	}
-
-	out, err := json.MarshalIndent(&res, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		return nil, err
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var check TrafficResult
-	if err := json.Unmarshal(raw, &check); err != nil {
-		return nil, fmt.Errorf("experiment: %s does not parse: %w", path, err)
-	}
-	if len(check.Cells) != 6 {
-		return nil, fmt.Errorf("experiment: %s has %d cells, want 6", path, len(check.Cells))
-	}
-	tab.Notes = append(tab.Notes, fmt.Sprintf("wrote %s (%d cells)", path, len(check.Cells)))
-	if failed > 0 {
-		return nil, fmt.Errorf("experiment: traffic: %d of %d cells breached invariants or errored (artifact kept at %s): %s",
-			failed, len(res.Cells), path, strings.Join(append(res.ViolationSamples, res.ErrorSamples...), "; "))
+	if len(failures) > 0 {
+		return nil, fmt.Errorf("experiment: traffic: %d of %d cells failed: %s", len(failures), len(tab.Rows), strings.Join(failures, "; "))
 	}
 	return tab, nil
 }
 
 // runTrafficServer boots an in-process sieve-server on the scenario's
-// middleware and drives the same load over loopback HTTP, then scrapes
-// /varz and /metrics into the cell. Policy churn keeps mutating the
-// middleware directly, so the wire path is measured under the same
-// two-legal-worlds conditions.
-func runTrafficServer(ctx context.Context, sc *loadgen.Scenario, lcfg loadgen.Config, cell *TrafficCell) (*loadgen.Result, error) {
+// middleware and drives the same load over loopback HTTP. Policy churn
+// keeps mutating the middleware directly, so the wire path runs under the
+// same two-legal-worlds conditions.
+func runTrafficServer(ctx context.Context, sc *loadgen.Scenario, lcfg loadgen.Config) (*loadgen.Result, error) {
 	srv, err := server.New(server.Config{Middleware: sc.M, AllowDemoTokens: true})
 	if err != nil {
 		return nil, err
@@ -314,34 +211,5 @@ func runTrafficServer(ctx context.Context, sc *loadgen.Scenario, lcfg loadgen.Co
 		_ = srv.Shutdown(sctx)
 		<-done
 	}()
-
-	base := "http://" + l.Addr().String()
-	run, err := loadgen.Run(ctx, sc, lcfg, loadgen.NewWireFactory(base, sc, lcfg))
-	if err != nil {
-		return nil, err
-	}
-
-	vz, err := client.New(base, "demo:"+sc.Queriers[0]+"|"+sc.Purpose).Varz(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("varz scrape: %w", err)
-	}
-	cell.WireQueries = vz["queries_total"]
-	cell.WireRowsStreamed = vz["rows_streamed"]
-
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		return nil, fmt.Errorf("metrics scrape: %w", err)
-	}
-	defer resp.Body.Close()
-	fams, err := obs.ParseExposition(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("metrics exposition: %w", err)
-	}
-	for _, want := range []string{"sieve_queries_total", "sieve_rows_streamed_total", "sieve_query_duration_us"} {
-		if fams[want] == nil {
-			return nil, fmt.Errorf("metrics exposition: family %s missing", want)
-		}
-	}
-	cell.MetricsFamilies = len(fams)
-	return run, nil
+	return loadgen.Run(ctx, sc, lcfg, loadgen.NewWireFactory("http://"+l.Addr().String(), sc, lcfg))
 }

@@ -3,9 +3,11 @@
 // (guard generation and quality), Figure 3 (Inline vs Δ), Figure 4
 // (IndexQuery vs IndexGuards), Table 8 and Tables 9–11 (overall comparison
 // against the baselines), Figure 5 (PostgreSQL), Figure 6 (Mall
-// scalability), plus ablations of SIEVE's design choices. Each experiment
-// returns a printable Table; cmd/sieve-bench assembles them into
-// EXPERIMENTS.md-style output.
+// scalability), plus ablations of SIEVE's design choices, the durability
+// sweep (Recovery) and the invariant soak (Traffic). Each experiment
+// returns a printable Table and writes nothing; cmd/sieve-bench assembles
+// them into EXPERIMENTS.md-style output. Performance is measured by
+// bash benchmark/run.sh, not here.
 package experiment
 
 import (
@@ -65,9 +67,8 @@ func (t *Table) String() string {
 // Config scales an experiment run. Test configs finish in seconds; bench
 // configs approximate the paper's corpus.
 type Config struct {
-	// Seed is the master seed every bench run is reproducible from; it
-	// is recorded in the JSON artifacts. ApplySeed rebases the per-
-	// generator seeds below on it.
+	// Seed is the master seed every run is reproducible from. ApplySeed
+	// rebases the per-generator seeds below on it.
 	Seed            int64
 	Campus          workload.CampusConfig
 	Policy          workload.PolicyConfig
@@ -91,21 +92,10 @@ type Config struct {
 	// default, runtime.NumCPU()). The -workers flag of sieve-bench sets
 	// it, adding a scaling dimension to the exp4/5 curves.
 	Workers int
-	// PolicyScalePolicies and PolicyScaleQueriers are the corpus- and
-	// population-size sweep of the policyscale experiment (the
-	// million-policy regime), over PolicyScaleGroups access profiles
-	// with PolicyScaleZipf group-popularity skew.
-	PolicyScalePolicies []int
-	PolicyScaleQueriers []int
-	PolicyScaleGroups   int
-	PolicyScaleZipf     float64
 	// RecoveryRecords is the WAL-length sweep of the recovery
 	// experiment: each entry is a record count to load, snapshot, and
 	// cold-recover (paper-scale target: 10⁴–10⁶).
 	RecoveryRecords []int
-	// LatencyIters is the per-query sample size of the latency
-	// experiment (tracing off vs on over the examples corpus).
-	LatencyIters int
 	// TrafficWorkers is the concurrent querier count of the traffic
 	// harness; TrafficOps is each worker's closed-loop op count.
 	TrafficWorkers int
@@ -122,7 +112,7 @@ type Config struct {
 }
 
 // ApplySeed rebases every generator seed in the config on one master
-// seed, making a whole bench run reproducible from a single -seed flag.
+// seed, making a whole run reproducible from a single -seed flag.
 // Seed 1 reproduces the default configs exactly.
 func (c *Config) ApplySeed(seed int64) {
 	c.Seed = seed
@@ -147,13 +137,7 @@ func TestConfig() Config {
 		Queriers:        3,
 		SampleTuples:    400,
 
-		PolicyScalePolicies: []int{200, 1000},
-		PolicyScaleQueriers: []int{200},
-		PolicyScaleGroups:   10,
-		PolicyScaleZipf:     1.3,
-
 		RecoveryRecords: []int{1000, 5000},
-		LatencyIters:    5,
 
 		TrafficWorkers:     8,
 		TrafficOps:         10,
@@ -178,11 +162,7 @@ func MediumConfig() Config {
 	cfg.Queriers = 3
 	cfg.Timeout = 20 * time.Second
 	cfg.SampleTuples = 1500
-	cfg.PolicyScalePolicies = []int{1000, 5000, 20000}
-	cfg.PolicyScaleQueriers = []int{2000}
-	cfg.PolicyScaleGroups = 50
 	cfg.RecoveryRecords = []int{10000, 100000}
-	cfg.LatencyIters = 15
 	cfg.Hospital.Patients = 1200
 	cfg.Hospital.Days = 30
 	cfg.TrafficWorkers = 64
@@ -205,18 +185,8 @@ func BenchConfig() Config {
 		Queriers:        5,
 		SampleTuples:    3000,
 
-		// The acceptance shape of the million-policy regime: 10⁴
-		// queriers over ≤100 profiles, policy counts 10³ → 10⁵.
-		PolicyScalePolicies: []int{1000, 10000, 100000},
-		PolicyScaleQueriers: []int{1000, 10000},
-		PolicyScaleGroups:   100,
-		PolicyScaleZipf:     1.2,
-
-		// The ISSUE's durability sweep: cold recovery at 10⁴–10⁶
-		// logged records.
+		// The durability sweep: cold recovery at 10⁴–10⁶ logged records.
 		RecoveryRecords: []int{10000, 100000, 1000000},
-
-		LatencyIters: 31,
 
 		// Hundreds of concurrent queriers per cell; 2 modes × 3
 		// workloads puts the run into the thousands of sessions.
@@ -227,6 +197,26 @@ func BenchConfig() Config {
 		TrafficChurnHold:   time.Millisecond,
 		TrafficDenyEvery:   8,
 	}
+}
+
+// newEnv is what the three environments share: the workload's policies
+// bulk-loaded into a store over db, and a middleware protecting table.
+func newEnv(cfg Config, db *engine.DB, ps []*policy.Policy, groups policy.Groups, table string, opts []core.Option) (*policy.Store, *core.Middleware, error) {
+	if cfg.Workers > 0 {
+		db.ScanWorkers = cfg.Workers
+	}
+	store, err := policy.NewStore(db)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := store.BulkLoad(ps); err != nil {
+		return nil, nil, err
+	}
+	m, err := core.New(store, append([]core.Option{core.WithGroups(groups)}, opts...)...)
+	if err != nil {
+		return nil, nil, err
+	}
+	return store, m, m.Protect(table)
 }
 
 // CampusEnv bundles a generated campus, its policy corpus, and a SIEVE
@@ -244,23 +234,9 @@ func NewCampusEnv(cfg Config, dialect engine.Dialect, opts ...core.Option) (*Cam
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Workers > 0 {
-		c.DB.ScanWorkers = cfg.Workers
-	}
 	ps := c.GeneratePolicies(cfg.Policy)
-	store, err := policy.NewStore(c.DB)
+	store, m, err := newEnv(cfg, c.DB, ps, c.Groups(), workload.TableWiFi, opts)
 	if err != nil {
-		return nil, err
-	}
-	if err := store.BulkLoad(ps); err != nil {
-		return nil, err
-	}
-	opts = append([]core.Option{core.WithGroups(c.Groups())}, opts...)
-	m, err := core.New(store, opts...)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Protect(workload.TableWiFi); err != nil {
 		return nil, err
 	}
 	return &CampusEnv{Campus: c, Policies: ps, Store: store, M: m}, nil
@@ -280,22 +256,9 @@ func NewMallEnv(cfg Config, dialect engine.Dialect, opts ...core.Option) (*MallE
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Workers > 0 {
-		ml.DB.ScanWorkers = cfg.Workers
-	}
 	ps := ml.GeneratePolicies(cfg.Mall.Seed+1, cfg.MallPerCustomer)
-	store, err := policy.NewStore(ml.DB)
+	store, m, err := newEnv(cfg, ml.DB, ps, policy.NoGroups, workload.TableMallWiFi, opts)
 	if err != nil {
-		return nil, err
-	}
-	if err := store.BulkLoad(ps); err != nil {
-		return nil, err
-	}
-	m, err := core.New(store, opts...)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Protect(workload.TableMallWiFi); err != nil {
 		return nil, err
 	}
 	return &MallEnv{Mall: ml, Policies: ps, Store: store, M: m}, nil
@@ -317,23 +280,9 @@ func NewHospitalEnv(cfg Config, dialect engine.Dialect, opts ...core.Option) (*H
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Workers > 0 {
-		h.DB.ScanWorkers = cfg.Workers
-	}
 	ps := h.GeneratePolicies(cfg.Hospital.Seed + 1)
-	store, err := policy.NewStore(h.DB)
+	store, m, err := newEnv(cfg, h.DB, ps, h.Groups(), workload.TableVitals, opts)
 	if err != nil {
-		return nil, err
-	}
-	if err := store.BulkLoad(ps); err != nil {
-		return nil, err
-	}
-	opts = append([]core.Option{core.WithGroups(h.Groups())}, opts...)
-	m, err := core.New(store, opts...)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Protect(workload.TableVitals); err != nil {
 		return nil, err
 	}
 	return &HospitalEnv{Hospital: h, Policies: ps, Store: store, M: m}, nil

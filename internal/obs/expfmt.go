@@ -13,16 +13,19 @@ import (
 // family: its declared type, how many sample lines it carried, and — for
 // histograms — the +Inf bucket count and whether one was present.
 type ExpositionFamily struct {
-	Type           string
-	Samples        int
+	Type    string
+	Samples int
+	// Value is the family's last sample outside a histogram: the reading
+	// of an unlabelled counter or gauge.
+	Value          float64
 	HistogramCount int64
 	SawInf         bool
 }
 
 // ParseExposition is a minimal Prometheus text-format (0.0.4) parser: it
 // validates comment/TYPE structure, sample-line shape, and histogram
-// bucket monotonicity, returning the families it saw. The obs tests and
-// the server's CI scrape check both use it as the format gate — it
+// bucket monotonicity, returning the families it saw. The obs and server
+// tests and the real-binary acceptance test use it as the format gate — it
 // accepts exactly the subset WritePrometheus emits plus float values, so
 // a malformed render cannot slip through as "some other valid dialect".
 func ParseExposition(r io.Reader) (map[string]*ExpositionFamily, error) {
@@ -76,7 +79,9 @@ func ParseExposition(r io.Reader) (map[string]*ExpositionFamily, error) {
 			return nil, fmt.Errorf("line %d: sample %q precedes its TYPE line", lineNo, name)
 		}
 		f.Samples++
-		if f.Type == "histogram" && strings.HasSuffix(name, "_bucket") {
+		if f.Type != "histogram" {
+			f.Value = value
+		} else if strings.HasSuffix(name, "_bucket") {
 			le, ok := labels["le"]
 			if !ok {
 				return nil, fmt.Errorf("line %d: histogram bucket without le label", lineNo)

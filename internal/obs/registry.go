@@ -23,8 +23,7 @@ type Counter struct {
 func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n (negative deltas are the caller's bug; they are applied
-// as-is so /varz gauge-like fields, e.g. sessions_open, can ride the
-// same type).
+// as-is).
 func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Value returns the current count.

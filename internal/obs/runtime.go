@@ -5,7 +5,7 @@ import "runtime"
 // RegisterRuntimeGauges wires the process-health gauges the profiling
 // surface pairs with: goroutine count, heap usage, and GC pause totals.
 // They are GaugeFuncs, so the (comparatively expensive) runtime reads
-// happen only when something scrapes /metrics or /varz, never on the
+// happen only when something scrapes /metrics, never on the
 // query path.
 func RegisterRuntimeGauges(r *Registry) {
 	r.GaugeFunc("sieve_goroutines", func() int64 {

@@ -22,7 +22,6 @@ import (
 // patterns).
 func (s *Server) routes() {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /varz", s.handleVarz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	// Profiling stays behind bearer auth: a CPU profile or heap dump is
 	// operational data no anonymous caller should pull.
@@ -84,10 +83,10 @@ func pprofHandler(h http.HandlerFunc) authedHandler {
 // logs its completion.
 func (s *Server) auth(h authedHandler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		s.vz.Requests.Add(1)
+		s.met.Requests.Add(1)
 		prin, ok := s.authenticate(r)
 		if !ok {
-			s.vz.AuthFailures.Add(1)
+			s.met.AuthFailures.Add(1)
 			jsonError(w, http.StatusUnauthorized, "missing or unknown bearer token")
 			return
 		}
@@ -116,7 +115,7 @@ func (s *Server) withSession(h func(http.ResponseWriter, *http.Request, *liveSes
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	body := HealthResponse{Status: "ok", Backend: s.backendName(), Sessions: s.vz.SessionsOpen.Value()}
+	body := HealthResponse{Status: "ok", Backend: s.backendName(), Sessions: s.met.SessionsOpen.Value()}
 	if s.draining.Load() {
 		body.Status = "draining"
 		w.Header().Set("Content-Type", "application/json")
@@ -127,49 +126,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	jsonOK(w, body)
 }
 
-func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
-	ec := s.m.DB().CountersSnapshot()
-	cs := s.m.CacheStats()
-	body := map[string]int64{
-		"guard_cache_hits":         cs.GuardCacheHits,
-		"guard_cache_misses":       cs.GuardCacheMisses,
-		"guard_regens":             cs.GuardRegens,
-		"guard_shares":             cs.GuardShares,
-		"guard_states":             cs.GuardStates,
-		"guard_claims":             cs.Claims,
-		"scoped_invalidations":     cs.ScopedInvalidations,
-		"claims_invalidated":       cs.ClaimsInvalidated,
-		"plan_cache_hits":          cs.PlanCacheHits,
-		"plan_cache_misses":        cs.PlanCacheMisses,
-		"requests_total":           s.vz.Requests.Value(),
-		"auth_failures":            s.vz.AuthFailures.Value(),
-		"queries_total":            s.vz.Queries.Value(),
-		"rows_streamed":            s.vz.RowsStreamed.Value(),
-		"early_disconnects":        s.vz.EarlyDisconnects.Value(),
-		"rejected_draining":        s.vz.RejectedDraining.Value(),
-		"rejected_limit":           s.vz.RejectedLimit.Value(),
-		"sessions_opened":          s.vz.SessionsOpened.Value(),
-		"sessions_open":            s.vz.SessionsOpen.Value(),
-		"stmts_prepared":           s.vz.StmtsPrepared.Value(),
-		"policy_changes":           s.vz.PolicyChanges.Value(),
-		"row_changes":              s.vz.RowChanges.Value(),
-		"policy_epoch":             int64(s.m.Epoch()),
-		"engine_tuples_read":       ec.TuplesRead,
-		"engine_segments_pruned":   ec.SegmentsPruned,
-		"engine_owner_dict_pruned": ec.OwnerDictPruned,
-		"engine_policy_evals":      ec.PolicyEvals,
-	}
-	if s.cfg.ExtraVarz != nil {
-		for k, v := range s.cfg.ExtraVarz() {
-			body[k] = v
-		}
-	}
-	jsonOK(w, body)
-}
-
 func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request, prin Principal) {
 	if s.draining.Load() {
-		s.vz.RejectedDraining.Add(1)
+		s.met.RejectedDraining.Add(1)
 		jsonError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
@@ -187,7 +146,7 @@ func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request, prin 
 			s.mu.Unlock()
 			if capped {
 				code = http.StatusTooManyRequests
-				s.vz.RejectedLimit.Add(1)
+				s.met.RejectedLimit.Add(1)
 			}
 		}
 		jsonError(w, code, "%v", err)
@@ -251,7 +210,7 @@ func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request, ls *liveS
 
 func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request, ls *liveSession) {
 	if s.draining.Load() {
-		s.vz.RejectedDraining.Add(1)
+		s.met.RejectedDraining.Add(1)
 		jsonError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
@@ -265,7 +224,7 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request, ls *liveS
 		return
 	}
 	id := ls.prepare(st)
-	s.vz.StmtsPrepared.Add(1)
+	s.met.StmtsPrepared.Add(1)
 	jsonOK(w, PrepareResponse{StmtID: id, NumInput: st.NumInput()})
 }
 
@@ -327,7 +286,7 @@ type rowStream interface {
 // histograms on /metrics.
 func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, run func(ctx context.Context) (rowStream, error)) {
 	if s.draining.Load() {
-		s.vz.RejectedDraining.Add(1)
+		s.met.RejectedDraining.Add(1)
 		jsonError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
@@ -349,14 +308,14 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, run func(ct
 	}
 	release, ok := s.acquireQuerySlot(ctx)
 	if !ok {
-		s.vz.RejectedLimit.Add(1)
+		s.met.RejectedLimit.Add(1)
 		jsonError(w, http.StatusServiceUnavailable, "query queue wait exceeded the request deadline")
 		return
 	}
 	defer release()
-	s.vz.Queries.Add(1)
+	s.met.Queries.Add(1)
 	start := time.Now()
-	defer func() { s.vz.QueryDurationUS.Observe(time.Since(start).Microseconds()) }()
+	defer func() { s.met.QueryDurationUS.Observe(time.Since(start).Microseconds()) }()
 	var walAppend0, walFsync0 int64
 	if tr != nil && s.cfg.WALTimings != nil {
 		walAppend0, walFsync0 = s.cfg.WALTimings()
@@ -401,7 +360,7 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, run func(ct
 		return err
 	}
 	if err := emit(StreamLine{Columns: rows.Columns()}); err != nil {
-		s.vz.EarlyDisconnects.Add(1)
+		s.met.EarlyDisconnects.Add(1)
 		return
 	}
 	flush()
@@ -412,7 +371,7 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, run func(ct
 			// The write side failed: the client went away. Closing rows
 			// stops the scan so abandoned queries do not finish for an
 			// audience of nobody.
-			s.vz.EarlyDisconnects.Add(1)
+			s.met.EarlyDisconnects.Add(1)
 			return
 		}
 		n++
@@ -423,13 +382,13 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, run func(ct
 			flush()
 		}
 	}
-	s.vz.RowsStreamed.Add(n)
-	s.vz.QueryRows.Observe(n)
+	s.met.RowsStreamed.Add(n)
+	s.met.QueryRows.Observe(n)
 	if err := rows.Err(); err != nil {
 		if ctx.Err() != nil && r.Context().Err() != nil {
 			// The request context died first: a disconnect, not a query
 			// error worth a terminal line nobody will read.
-			s.vz.EarlyDisconnects.Add(1)
+			s.met.EarlyDisconnects.Add(1)
 			return
 		}
 		_ = emit(StreamLine{Error: err.Error(), RequestID: rid})
@@ -528,7 +487,7 @@ func (s *Server) handleAddPolicy(w http.ResponseWriter, r *http.Request, prin Pr
 		jsonError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.vz.PolicyChanges.Add(1)
+	s.met.PolicyChanges.Add(1)
 	jsonOK(w, PolicyResponse{ID: p.ID})
 }
 
@@ -542,7 +501,7 @@ func (s *Server) resolveRowTarget(w http.ResponseWriter, r *http.Request, prin P
 		return "", false
 	}
 	if s.draining.Load() {
-		s.vz.RejectedDraining.Add(1)
+		s.met.RejectedDraining.Add(1)
 		jsonError(w, http.StatusServiceUnavailable, "server is draining")
 		return "", false
 	}
@@ -587,7 +546,7 @@ func (s *Server) handleInsertRow(w http.ResponseWriter, r *http.Request, prin Pr
 		jsonError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.vz.RowChanges.Add(1)
+	s.met.RowChanges.Add(1)
 	jsonOK(w, RowResponse{RowID: int64(id)})
 }
 
@@ -613,7 +572,7 @@ func (s *Server) handleUpdateRow(w http.ResponseWriter, r *http.Request, prin Pr
 		jsonError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.vz.RowChanges.Add(1)
+	s.met.RowChanges.Add(1)
 	jsonOK(w, RowResponse{RowID: int64(id)})
 }
 
@@ -630,7 +589,7 @@ func (s *Server) handleDeleteRow(w http.ResponseWriter, r *http.Request, prin Pr
 		jsonError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	s.vz.RowChanges.Add(1)
+	s.met.RowChanges.Add(1)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -648,6 +607,6 @@ func (s *Server) handleRevokePolicy(w http.ResponseWriter, r *http.Request, prin
 		jsonError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	s.vz.PolicyChanges.Add(1)
+	s.met.PolicyChanges.Add(1)
 	w.WriteHeader(http.StatusNoContent)
 }

@@ -115,26 +115,22 @@ func TestEarlyDisconnectStopsTheScan(t *testing.T) {
 
 	// The handlers notice asynchronously; poll until the counters settle.
 	deadline := time.Now().Add(5 * time.Second)
-	var vz map[string]int64
+	var m map[string]int64
 	for {
-		var err error
-		vz, err = f.client("tok-alice").Varz(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if vz["early_disconnects"] >= n || time.Now().After(deadline) {
+		m = f.scrape(t)
+		if m["sieve_early_disconnects_total"] >= n || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if vz["early_disconnects"] < n {
-		t.Fatalf("want %d early disconnects, got %d", n, vz["early_disconnects"])
+	if m["sieve_early_disconnects_total"] < n {
+		t.Fatalf("want %d early disconnects, got %d", n, m["sieve_early_disconnects_total"])
 	}
 	// Completed streams would have tallied n*rows/2 (alice's half);
 	// abandoned ones tally nothing, so anything close to that means the
 	// server kept streaming into the void.
-	if vz["rows_streamed"] >= int64(n*rows/2)/10 {
-		t.Fatalf("rows_streamed=%d: abandoned queries were run to completion", vz["rows_streamed"])
+	if m["sieve_rows_streamed_total"] >= int64(n*rows/2)/10 {
+		t.Fatalf("rows_streamed=%d: abandoned queries were run to completion", m["sieve_rows_streamed_total"])
 	}
 }
 
@@ -172,12 +168,8 @@ func TestDrainRejectsNewWork(t *testing.T) {
 		!strings.Contains(err.Error(), "draining") {
 		t.Fatalf("prepare while draining: %v", err)
 	}
-	vz, err := f.client("tok-alice").Varz(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vz["rejected_draining"] < 3 {
-		t.Fatalf("rejected_draining = %d, want >= 3", vz["rejected_draining"])
+	if got := f.scrape(t)["sieve_rejected_draining_total"]; got < 3 {
+		t.Fatalf("rejected_draining = %d, want >= 3", got)
 	}
 }
 

@@ -11,11 +11,10 @@ import (
 	"github.com/sieve-db/sieve/internal/obs"
 )
 
-// varz is the server's operational counter set, backed by the obs
-// registry so the same cells feed GET /varz (legacy JSON) and GET
-// /metrics (Prometheus text). SessionsOpen is the one true gauge in the
-// set — it goes down on close.
-type varz struct {
+// serverMetrics is the server's operational counter set, registered on
+// the obs registry that GET /metrics renders. SessionsOpen is the one
+// true gauge in the set — it goes down on close.
+type serverMetrics struct {
 	Requests         *obs.Counter
 	AuthFailures     *obs.Counter
 	Queries          *obs.Counter
@@ -34,11 +33,10 @@ type varz struct {
 	QueryRows       *obs.Histogram
 }
 
-// newVarz registers the server's counters on reg. The Prometheus names
-// are stable API; the /varz JSON keys are rendered separately in
-// handleVarz and stay byte-compatible with earlier releases.
-func newVarz(reg *obs.Registry) varz {
-	return varz{
+// newServerMetrics registers the server's counters on reg. The
+// Prometheus names are stable API.
+func newServerMetrics(reg *obs.Registry) serverMetrics {
+	return serverMetrics{
 		Requests:         reg.Counter("sieve_requests_total"),
 		AuthFailures:     reg.Counter("sieve_auth_failures_total"),
 		Queries:          reg.Counter("sieve_queries_total"),
@@ -102,7 +100,7 @@ func (s *Server) registerBridges() {
 }
 
 // handleMetrics renders the registry in Prometheus text exposition
-// format. Unauthenticated, like /varz: both expose operational totals,
+// format. Unauthenticated, like /healthz: it exposes operational totals,
 // never row data.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

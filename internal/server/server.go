@@ -23,7 +23,7 @@
 //	PUT    /v1/tables/{table}/rows/{id}    update a row in place (admin)
 //	DELETE /v1/tables/{table}/rows/{id}    delete a row (admin)
 //	GET    /healthz                        liveness (503 while draining)
-//	GET    /varz                           counters, JSON
+//	GET    /metrics                        counters and histograms, Prometheus text
 //
 // Server-side prepared statements reuse core.Stmt, so the parse and the
 // policy rewrite are cached per policy-set signature: queriers sharing a
@@ -80,13 +80,9 @@ type Config struct {
 	RequestTimeout time.Duration
 	// Logger receives one structured line per request; nil discards.
 	Logger *slog.Logger
-	// ExtraVarz, when non-nil, contributes additional counters to GET
-	// /varz — cmd/sieve-server plugs the WAL manager's durability
-	// counters in here. Keys collide last-writer-wins; prefix them.
-	ExtraVarz func() map[string]int64
-	// Registry receives the server's metrics (GET /metrics, and the
-	// counters behind /varz). Nil gets a private registry; share one to
-	// merge in external families (the WAL manager's histograms).
+	// Registry receives the server's metrics (GET /metrics). Nil gets a
+	// private registry; share one to merge in external families (the
+	// WAL manager's gauges and histograms).
 	Registry *obs.Registry
 	// SlowQuery, when positive, logs a structured line with a per-phase
 	// duration breakdown for every query at least this slow. Setting it
@@ -123,7 +119,7 @@ type Server struct {
 	httpSrv *http.Server
 
 	reg *obs.Registry
-	vz  varz
+	met serverMetrics
 }
 
 // liveSession is one open wire session: the principal it authenticated
@@ -163,7 +159,7 @@ func New(cfg Config) (*Server, error) {
 	if s.reg == nil {
 		s.reg = obs.NewRegistry()
 	}
-	s.vz = newVarz(s.reg)
+	s.met = newServerMetrics(s.reg)
 	s.registerBridges()
 	obs.RegisterRuntimeGauges(s.reg)
 	if cfg.MaxConcurrentQueries > 0 {
@@ -260,8 +256,8 @@ func (s *Server) openSession(prin Principal, purpose string) (*liveSession, erro
 	}
 	s.sessions[ls.id] = ls
 	s.perTenant[prin.Querier]++
-	s.vz.SessionsOpened.Add(1)
-	s.vz.SessionsOpen.Add(1)
+	s.met.SessionsOpened.Add(1)
+	s.met.SessionsOpen.Add(1)
 	return ls, nil
 }
 
@@ -289,7 +285,7 @@ func (s *Server) closeSession(ls *liveSession) {
 	if s.perTenant[ls.prin.Querier]--; s.perTenant[ls.prin.Querier] <= 0 {
 		delete(s.perTenant, ls.prin.Querier)
 	}
-	s.vz.SessionsOpen.Add(-1)
+	s.met.SessionsOpen.Add(-1)
 }
 
 // prepare registers a prepared statement under the session and returns

@@ -368,7 +368,8 @@ func (m *Manager) RecoveryStats() *Recovered {
 	return m.recovered
 }
 
-// Varz exposes the durability counters for the server's /varz page.
+// Varz returns the durability counters as one map; SetRegistry serves
+// the same cells on /metrics as sieve_wal_* gauges.
 func (m *Manager) Varz() map[string]int64 {
 	return map[string]int64{
 		"wal_appends":          m.appends.Load(),
@@ -390,7 +391,7 @@ type walHistograms struct {
 // SetRegistry attaches a metrics registry: every subsequent append and
 // fsync observes its duration into sieve_wal_append_ns /
 // sieve_wal_fsync_ns, and the wal_* counters register as gauge funcs so
-// a /metrics scrape sees them without the server's /varz bridge.
+// a /metrics scrape sees them.
 func (m *Manager) SetRegistry(r *obs.Registry) {
 	if r == nil {
 		m.obsHist.Store(nil)
@@ -406,6 +407,7 @@ func (m *Manager) SetRegistry(r *obs.Registry) {
 	gauge("sieve_wal_fsyncs", &m.fsyncs)
 	gauge("sieve_wal_snapshots", &m.snapshots)
 	gauge("sieve_wal_records_replayed", &m.replayed)
+	gauge("sieve_wal_last_recovery_ms", &m.recoveryMS)
 	gauge("sieve_wal_append_ns_total", &m.appendNS)
 	gauge("sieve_wal_fsync_ns_total", &m.fsyncNS)
 }
