@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"github.com/sieve-db/sieve/internal/engine"
 	"github.com/sieve-db/sieve/internal/guard"
@@ -18,19 +20,41 @@ const (
 )
 
 // guardTables wraps the three guard relations. They are the durable form
-// of the middleware's guard cache: regeneration rewrites them, the rP
-// trigger flips the outdated flag, and a fresh middleware instance can
-// reload its cache from them.
+// of the middleware's guard cache, one expression per live guard state: a
+// state's rows are written when it is generated and deleted when it retires,
+// the rP trigger flips its outdated flag, and a fresh middleware instance
+// can reload its cache from them. Rows are found through the relations'
+// indexes by the expression's id, never by row id, so the heaps can be
+// compacted whenever tombstones pile up.
 type guardTables struct {
-	db          *engine.DB
-	ge, gg, gp  *storage.Table
+	ge, gg, gp *storage.Table
+
+	// mu serialises every write to the three relations and guards the
+	// fields below. It is taken without Middleware.mu on every path a
+	// query runs (generation saves before it re-locks, unlock flushes
+	// after it released), so table work never extends the lock readers
+	// share.
+	mu          sync.Mutex
 	nextGEID    int64
 	nextGuardID int64
 	clock       int64
+	// owned holds the rGE ids of this instance's states: saved here, or
+	// adopted by LoadPersistedGuards. Every other row is a previous
+	// instance's, replaced by the first save under its key.
+	owned map[int64]bool
 }
 
+// geRef names one persisted expression: its rGE id, and the querier its row
+// is indexed under.
+type geRef struct {
+	id      int64
+	querier string
+}
+
+func (st *geState) ref() geRef { return geRef{id: st.geID, querier: st.reprKey.querier} }
+
 func newGuardTables(db *engine.DB) (*guardTables, error) {
-	gt := &guardTables{db: db, nextGEID: 1, nextGuardID: 1}
+	gt := &guardTables{nextGEID: 1, nextGuardID: 1, owned: make(map[int64]bool)}
 	if t, ok := db.Table(TableGE); ok {
 		gt.ge = t
 		gt.gg = db.MustTable(TableGG)
@@ -95,125 +119,159 @@ func (gt *guardTables) recoverCounters() {
 	})
 }
 
-// save replaces any prior persisted expression for the key and writes the
-// new one; returns the rGE row id (for the outdated-flag fast path).
-func (gt *guardTables) save(ge *guard.GuardedExpression) (storage.RowID, error) {
-	gt.deleteFor(ge.Querier, ge.Purpose, ge.Relation)
+// save writes a freshly generated expression and returns its rGE id. An
+// expression a previous instance left under the same key is replaced.
+func (gt *guardTables) save(ge *guard.GuardedExpression) (int64, error) {
+	for gi := range ge.Guards {
+		if k := ge.Guards[gi].Cond.Kind; k != policy.CondCompare && k != policy.CondRange {
+			return 0, fmt.Errorf("sieve: unsupported guard condition kind %d", k)
+		}
+	}
+	gt.mu.Lock()
+	defer gt.mu.Unlock()
+	var stale []geRef
+	for _, rid := range gt.lookup(gt.ge, "querier", storage.NewString(ge.Querier)) {
+		if r, ok := gt.ge.Get(rid); ok && r[2].S == ge.Relation && r[3].S == ge.Purpose && !gt.owned[r[0].I] {
+			stale = append(stale, geRef{id: r[0].I, querier: ge.Querier})
+		}
+	}
+	gt.dropLocked(stale)
+
 	geID := gt.nextGEID
 	gt.nextGEID++
 	gt.clock++
-	rowID, err := gt.ge.Insert(storage.Row{
+	gt.owned[geID] = true
+	lit := func(v storage.Value) storage.Value { return storage.NewString(sqlparser.PrintExpr(sqlparser.Lit(v))) }
+	var err error
+	insert := func(t *storage.Table, r storage.Row) {
+		if err == nil {
+			_, err = t.Insert(r)
+		}
+	}
+	insert(gt.ge, storage.Row{
 		storage.NewInt(geID), storage.NewString(ge.Querier), storage.NewString(ge.Relation),
 		storage.NewString(ge.Purpose), storage.NewBool(false), storage.NewInt(gt.clock),
 	})
-	if err != nil {
-		return -1, err
-	}
-	lit := func(v storage.Value) string { return sqlparser.PrintExpr(sqlparser.Lit(v)) }
 	for gi := range ge.Guards {
 		g := &ge.Guards[gi]
-		guardID := gt.nextGuardID
+		head := storage.Row{storage.NewInt(gt.nextGuardID), storage.NewInt(geID), storage.NewString(g.Cond.Attr)}
 		gt.nextGuardID++
-		var rows []storage.Row
-		c := g.Cond
-		switch c.Kind {
-		case policy.CondCompare:
-			rows = append(rows, storage.Row{storage.NewInt(guardID), storage.NewInt(geID),
-				storage.NewString(c.Attr), storage.NewString(c.Op.String()), storage.NewString(lit(c.Val))})
-		case policy.CondRange:
+		if c := g.Cond; c.Kind == policy.CondCompare {
+			insert(gt.gg, append(head, storage.NewString(c.Op.String()), lit(c.Val)))
+		} else {
 			if !c.Lo.IsNull() {
-				rows = append(rows, storage.Row{storage.NewInt(guardID), storage.NewInt(geID),
-					storage.NewString(c.Attr), storage.NewString(c.LoOp.String()), storage.NewString(lit(c.Lo))})
+				insert(gt.gg, append(head, storage.NewString(c.LoOp.String()), lit(c.Lo)))
 			}
 			if !c.Hi.IsNull() {
-				rows = append(rows, storage.Row{storage.NewInt(guardID), storage.NewInt(geID),
-					storage.NewString(c.Attr), storage.NewString(c.HiOp.String()), storage.NewString(lit(c.Hi))})
-			}
-		default:
-			return -1, fmt.Errorf("sieve: unsupported guard condition kind %d", c.Kind)
-		}
-		for _, r := range rows {
-			if _, err := gt.gg.Insert(r); err != nil {
-				return -1, err
+				insert(gt.gg, append(head, storage.NewString(c.HiOp.String()), lit(c.Hi)))
 			}
 		}
 		for _, p := range g.Policies {
-			if _, err := gt.gp.Insert(storage.Row{storage.NewInt(guardID), storage.NewInt(p.ID)}); err != nil {
-				return -1, err
+			insert(gt.gp, storage.Row{head[0], storage.NewInt(p.ID)})
+		}
+	}
+	if err != nil {
+		gt.dropLocked([]geRef{{id: geID, querier: ge.Querier}})
+		return 0, err
+	}
+	return geID, nil
+}
+
+// lookup returns the ids of t's rows whose indexed column col equals key.
+func (gt *guardTables) lookup(t *storage.Table, col string, key storage.Value) []storage.RowID {
+	ids, _ := t.Lookup(nil, col, key) // newGuardTables built the index
+	return ids
+}
+
+// geRowLocked finds an expression's rGE row through the querier index.
+func (gt *guardTables) geRowLocked(ref geRef) (storage.RowID, bool) {
+	for _, rid := range gt.lookup(gt.ge, "querier", storage.NewString(ref.querier)) {
+		if r, ok := gt.ge.Get(rid); ok && r[0].I == ref.id {
+			return rid, true
+		}
+	}
+	return -1, false
+}
+
+// flush applies what a Middleware.mu critical section queued: the §5.1
+// outdated flag on the expressions it invalidated, and the deletion of the
+// ones it retired.
+func (gt *guardTables) flush(outdated, retired []geRef) {
+	if len(outdated)+len(retired) == 0 {
+		return
+	}
+	gt.mu.Lock()
+	defer gt.mu.Unlock()
+	for _, ref := range outdated {
+		// Two flushes are not ordered: the expression may be retired and
+		// gone already.
+		if rid, ok := gt.geRowLocked(ref); ok {
+			r, _ := gt.ge.Get(rid)
+			nr := r.Clone()
+			nr[4] = storage.NewBool(true)
+			_ = gt.ge.Update(rid, nr) // rid was just resolved under gt.mu, the tables' only writer
+		}
+	}
+	gt.dropLocked(retired)
+}
+
+// dropLocked deletes the named expressions with their guards and partitions:
+// rows found through the three indexes, one batched delete per relation,
+// then Vacuum — nothing here holds a row id across calls — which keeps heap
+// and index memory proportional to the live expressions under unbounded
+// churn.
+func (gt *guardTables) dropLocked(refs []geRef) {
+	var geRows, ggRows, gpRows []storage.RowID
+	for _, ref := range refs {
+		delete(gt.owned, ref.id)
+		rid, ok := gt.geRowLocked(ref)
+		if !ok {
+			continue // replaced by a later instance over the same database
+		}
+		geRows = append(geRows, rid)
+		lastGuard := int64(-1)
+		for _, rid := range gt.lookup(gt.gg, "guard_expression_id", storage.NewInt(ref.id)) {
+			ggRows = append(ggRows, rid)
+			// A range guard's two rows are adjacent: same key, insertion order.
+			if r, _ := gt.gg.Get(rid); r[0].I != lastGuard {
+				lastGuard = r[0].I
+				gpRows = append(gpRows, gt.lookup(gt.gp, "guard_id", r[0])...)
 			}
 		}
 	}
-	return rowID, nil
-}
-
-// deleteFor removes the persisted expression (and its guards/partitions)
-// for one key.
-func (gt *guardTables) deleteFor(querier, purpose, relation string) {
-	var geIDs []int64
-	var geRows []storage.RowID
-	gt.ge.Scan(func(id storage.RowID, r storage.Row) bool {
-		if r[1].S == querier && r[2].S == relation && r[3].S == purpose {
-			geIDs = append(geIDs, r[0].I)
-			geRows = append(geRows, id)
+	for _, d := range []struct {
+		t    *storage.Table
+		rows []storage.RowID
+	}{{gt.ge, geRows}, {gt.gg, ggRows}, {gt.gp, gpRows}} {
+		if len(d.rows) > 0 {
+			_ = d.t.DeleteBatch(d.rows) // live rows, each once: just read from the indexes under gt.mu
+			d.t.Vacuum()
 		}
-		return true
-	})
-	if len(geIDs) == 0 {
-		return
 	}
-	geSet := make(map[int64]bool, len(geIDs))
-	for _, id := range geIDs {
-		geSet[id] = true
-	}
-	var guardRows []storage.RowID
-	guardIDs := make(map[int64]bool)
-	gt.gg.Scan(func(id storage.RowID, r storage.Row) bool {
-		if geSet[r[1].I] {
-			guardRows = append(guardRows, id)
-			guardIDs[r[0].I] = true
-		}
-		return true
-	})
-	var gpRows []storage.RowID
-	gt.gp.Scan(func(id storage.RowID, r storage.Row) bool {
-		if guardIDs[r[0].I] {
-			gpRows = append(gpRows, id)
-		}
-		return true
-	})
-	for _, id := range geRows {
-		_ = gt.ge.Delete(id)
-	}
-	for _, id := range guardRows {
-		_ = gt.gg.Delete(id)
-	}
-	for _, id := range gpRows {
-		_ = gt.gp.Delete(id)
-	}
-}
-
-// markOutdated sets the outdated flag on an rGE row in place.
-func (gt *guardTables) markOutdated(rowID storage.RowID) {
-	r, ok := gt.ge.Get(rowID)
-	if !ok {
-		return
-	}
-	nr := r.Clone()
-	nr[4] = storage.NewBool(true)
-	_ = gt.ge.Update(rowID, nr)
 }
 
 // guardedExpressionFor returns the guard state for a key, applying the
 // §5.1/§6 freshness rules through the signature-sharing cache. The bool
 // reports whether the resolution was a cache hit (a valid claim).
 func (m *Middleware) guardedExpressionFor(qm policy.Metadata, relation string) (*geState, []*policy.Policy, bool, error) {
-	key := geKey{querier: qm.Querier, purpose: qm.Purpose, relation: relation}
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.resolveClaimLocked(key)
+	defer m.unlock()
+	return m.resolveClaimLocked(geKey{querier: qm.Querier, purpose: qm.Purpose, relation: relation})
 }
 
-// resolveClaimLocked is the heart of signature sharing. Caller holds m.mu.
+// unlock releases m.mu and then applies the persistence work the critical
+// section queued. Every section that can invalidate a claim or retire a
+// state ends with it.
+func (m *Middleware) unlock() {
+	outdated, retired := m.outdatedQ, m.retiredQ
+	m.outdatedQ, m.retiredQ = nil, nil
+	m.mu.Unlock()
+	m.persist.flush(outdated, retired)
+}
+
+// resolveClaimLocked is the heart of signature sharing. The caller holds
+// m.mu and holds it again on return, but a generation releases it in
+// between.
 //
 //   - valid claim → serve its state (plus §6 pending arms) with no store
 //     access at all;
@@ -221,55 +279,97 @@ func (m *Middleware) guardedExpressionFor(qm policy.Metadata, relation string) (
 //     in signature order: share an existing state generated for the exact
 //     same id set; else, under a §6 regeneration interval, keep the
 //     claim's stale state with the insert-only delta appended as pending
-//     arms while it stays below k̃; else generate (and persist) a fresh
-//     state for the signature.
+//     arms while it stays below k̃; else generate a fresh state for the
+//     signature — outside m.mu, once: the first reader to miss registers
+//     the signature in m.flights and generates; readers of the same
+//     signature wait for it and then share; readers of every other
+//     signature never wait.
+//
+// One invariant carries the safety of all of it: a state is bound to a claim
+// only if, under m.mu at bind time, the store's applicable id set for that
+// claim equals the state's ids. So every pass through the lock starts from
+// PoliciesFor again — after waiting, and after generating: a policy write
+// that lands while the state is being built cannot find it in m.states, so
+// neither RevokePolicy's sweep nor the insert trigger protects it. A state
+// generated for a set that has moved on is dropped unpublished.
 //
 // The corpus is always filtered with the middleware-wide group resolver:
 // states are shared across sessions, so a session's pinned older
 // resolution must never populate them.
 func (m *Middleware) resolveClaimLocked(key geKey) (*geState, []*policy.Policy, bool, error) {
-	c := m.claims[key]
-	if c != nil && c.valid {
+	if c := m.claims[key]; c != nil && c.valid {
 		m.stats.guardHits++
 		return c.state, m.pendingPoliciesLocked(c), true, nil
 	}
 	m.stats.guardMisses++
-	ps := m.store.PoliciesFor(policy.Metadata{Querier: key.querier, Purpose: key.purpose}, key.relation, m.groups)
-	ids := policyIDs(ps)
-	hash := signatureHash(ids)
-	if c == nil {
-		c = &claim{key: key}
-		m.claims[key] = c
-		m.registerClaimLocked(c)
-		m.evictClaimsLocked(c)
-	}
-	if st := m.lookupStateLocked(key.relation, hash, ids); st != nil {
-		m.bindClaimLocked(c, st, true)
-		return st, nil, false, nil
-	}
-	// §6 deferred regeneration: reuse the stale expression with the new
-	// grants appended as owner arms until the insertion count reaches k̃.
-	// Only insert-only deltas qualify; revocation-shaped changes (or a
-	// forced regen) fall through to generation.
-	if c.state != nil && !c.state.gone && !m.eagerRegen && !c.forceRegen {
-		if pend, ok := diffSuperset(ids, c.state.ids); ok && len(pend) < m.optimalK(c.state) {
-			c.pendingIDs = pend
-			c.valid = true
-			return c.state, m.pendingPoliciesLocked(c), false, nil
+	var fresh *geState // generated by this call, not yet published
+	for {
+		ps := m.store.PoliciesFor(policy.Metadata{Querier: key.querier, Purpose: key.purpose}, key.relation, m.groups)
+		ids := policyIDs(ps)
+		sk := stateKey{relation: key.relation, hash: signatureHash(ids)}
+		c := m.claims[key]
+		if c == nil {
+			c = &claim{key: key}
+			m.claims[key] = c
+			m.registerClaimLocked(c)
+			m.evictClaimsLocked(c)
 		}
+		st := m.lookupStateLocked(sk, ids)
+		shared := st != nil
+		if fresh != nil {
+			if !shared && slices.Equal(fresh.ids, ids) {
+				if err := m.publishStateLocked(fresh); err != nil {
+					return nil, nil, false, err
+				}
+				st = fresh
+			} else {
+				m.retiredQ = append(m.retiredQ, fresh.ref()) // the set moved on while it was built
+			}
+			fresh = nil
+		}
+		if st != nil {
+			m.bindClaimLocked(c, st, shared)
+			return st, nil, false, nil
+		}
+		// §6 deferred regeneration: reuse the stale expression with the new
+		// grants appended as owner arms until the insertion count reaches k̃.
+		// Only insert-only deltas qualify; revocation-shaped changes (or a
+		// forced regen) fall through to generation.
+		if c.state != nil && !m.eagerRegen && !c.forceRegen {
+			if pend, ok := diffSuperset(ids, c.state.ids); ok && len(pend) < m.optimalK(c.state) {
+				c.pendingIDs = pend
+				c.valid = true
+				return c.state, m.pendingPoliciesLocked(c), false, nil
+			}
+		}
+		if done := m.flights[sk]; done != nil {
+			// Someone is generating this signature (or, at 2⁻⁶⁴, one that
+			// hashes like it): wait, then resolve again.
+			m.unlock()
+			<-done
+			m.mu.Lock()
+			continue
+		}
+		done := make(chan struct{})
+		m.flights[sk] = done
+		m.unlock()
+		var err error
+		fresh, err = m.generateState(key, ps, ids, sk.hash)
+		m.mu.Lock()
+		delete(m.flights, sk)
+		close(done)
+		if err != nil {
+			return nil, nil, false, err
+		}
+		m.stats.guardRegens++
 	}
-	st, err := m.generateStateLocked(key, ps, ids, hash)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	m.bindClaimLocked(c, st, false)
-	return st, nil, false, nil
 }
 
-// generateStateLocked builds, persists, and indexes a fresh shared state
-// for a signature. Caller holds m.mu. key is only the representative the
-// rGE rows are written under; the state itself is keyed by signature.
-func (m *Middleware) generateStateLocked(key geKey, ps []*policy.Policy, ids []int64, hash uint64) (*geState, error) {
+// generateState builds and persists a fresh state for a signature. It runs
+// outside m.mu; the state is visible to nobody until publishStateLocked. key
+// is only the representative the rGE row is written under; the state itself
+// is keyed by signature.
+func (m *Middleware) generateState(key geKey, ps []*policy.Policy, ids []int64, hash uint64) (*geState, error) {
 	sel, err := m.selectivityFor(key.relation)
 	if err != nil {
 		return nil, err
@@ -278,33 +378,42 @@ func (m *Middleware) generateStateLocked(key geKey, ps []*policy.Policy, ids []i
 	if err != nil {
 		return nil, err
 	}
-	rowID, err := m.persist.save(ge)
+	geID, err := m.persist.save(ge)
 	if err != nil {
 		return nil, err
 	}
-	m.nextStateID++
-	st := &geState{
-		ge: ge, relation: key.relation, ids: ids, hash: hash,
-		stateID: m.nextStateID, geRowID: rowID, reprKey: key,
-		deltaSets: make(map[int]int64),
+	if m.hookGenerated != nil {
+		m.hookGenerated()
 	}
-	// Register Δ check sets for guards above the threshold (§5.4).
-	schema := m.db.MustTable(key.relation).Schema
-	for gi := range ge.Guards {
-		g := &ge.Guards[gi]
+	return &geState{
+		ge: ge, relation: key.relation, ids: ids, hash: hash,
+		geID: geID, reprKey: key, deltaSets: make(map[int]int64),
+	}, nil
+}
+
+// publishStateLocked makes a generated (or loaded) state shareable: Δ check
+// sets for guards above the threshold (§5.4), a generation token, and its
+// place in the signature index. Caller holds m.mu.
+func (m *Middleware) publishStateLocked(st *geState) error {
+	schema := m.db.MustTable(st.relation).Schema
+	for gi := range st.ge.Guards {
+		g := &st.ge.Guards[gi]
 		if m.deltaThreshold > 0 && len(g.Policies) > m.deltaThreshold {
-			id, err := m.registerCheckSetLocked(g.Policies, key.relation, schema)
+			id, err := m.registerCheckSetLocked(g.Policies, st.relation, schema)
 			if err != nil {
-				return nil, err
+				m.dropCheckSetsLocked(st.setIDs)
+				m.retiredQ = append(m.retiredQ, st.ref())
+				return err
 			}
 			st.setIDs = append(st.setIDs, id)
 			st.deltaSets[gi] = id
 		}
 	}
-	sk := stateKey{relation: key.relation, hash: hash}
+	m.nextStateID++
+	st.stateID = m.nextStateID
+	sk := stateKey{relation: st.relation, hash: st.hash}
 	m.states[sk] = append(m.states[sk], st)
-	m.stats.guardRegens++
-	return st, nil
+	return nil
 }
 
 // InvalidateAll retires every shared guard state and force-invalidates
@@ -314,10 +423,10 @@ func (m *Middleware) generateStateLocked(key geKey, ps []*policy.Policy, ids []i
 func (m *Middleware) InvalidateAll() {
 	defer m.epoch.Add(1)
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	defer m.unlock()
 	m.stats.scopedInvalidations++
 	for _, bucket := range m.states {
-		for _, st := range append([]*geState(nil), bucket...) {
+		for _, st := range slices.Clone(bucket) {
 			m.removeStateLocked(st)
 		}
 	}

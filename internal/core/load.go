@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"github.com/sieve-db/sieve/internal/guard"
 	"github.com/sieve-db/sieve/internal/policy"
@@ -12,173 +14,132 @@ import (
 // LoadPersistedGuards reconstructs the middleware's guard cache from the
 // rGE/rGG/rGP relations (§5.1): a re-attached instance resumes with the
 // previous instance's guarded expressions instead of regenerating them on
-// first query. Expressions persisted as outdated stay outdated (they will
-// regenerate per the freshness rules). Returns the number of expressions
+// first query. An rGE row yields one state — found or created by its
+// signature — and one claim, its representative's. The claim may be served
+// without consulting the store only if the row is not flagged outdated;
+// otherwise it re-resolves on its first query and re-binds the loaded state
+// by signature, without regenerating, when the policies still agree. Rows
+// this instance cannot adopt — their key already has a live claim or a
+// newer row, or their signature a live state — are deleted: every row left
+// belongs to exactly one live state. Returns the number of expressions
 // loaded.
 func (m *Middleware) LoadPersistedGuards() (int, error) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	defer m.unlock()
+	gt := m.persist
+	gt.mu.Lock()
+	defer gt.mu.Unlock()
 
 	type geHeader struct {
 		id       int64
 		key      geKey
 		outdated bool
-		rowID    storage.RowID
 	}
 	var headers []geHeader
-	m.persist.ge.Scan(func(rowID storage.RowID, r storage.Row) bool {
-		headers = append(headers, geHeader{
-			id:       r[0].I,
-			key:      geKey{querier: r[1].S, relation: r[2].S, purpose: r[3].S},
-			outdated: r[4].Bool(),
-			rowID:    rowID,
-		})
-		return true
-	})
-	if len(headers) == 0 {
-		return 0, nil
-	}
-
-	// Guard rows grouped by guarded-expression id, then by guard id (a
-	// range guard spans two rows).
-	type guardRows struct {
-		geID  int64
-		attr  string
-		ops   []string
-		vals  []string
-		order int
-	}
-	guardsByGE := make(map[int64]map[int64]*guardRows)
-	orderSeq := 0
-	m.persist.gg.Scan(func(_ storage.RowID, r storage.Row) bool {
-		guardID, geID, attr, op, val := r[0].I, r[1].I, r[2].S, r[3].S, r[4].S
-		byID, ok := guardsByGE[geID]
-		if !ok {
-			byID = make(map[int64]*guardRows)
-			guardsByGE[geID] = byID
+	gt.ge.Scan(func(_ storage.RowID, r storage.Row) bool {
+		if !gt.owned[r[0].I] {
+			headers = append(headers, geHeader{
+				id:       r[0].I,
+				key:      geKey{querier: r[1].S, relation: r[2].S, purpose: r[3].S},
+				outdated: r[4].Bool(),
+			})
 		}
-		g, ok := byID[guardID]
-		if !ok {
-			orderSeq++
-			g = &guardRows{geID: geID, attr: attr, order: orderSeq}
-			byID[guardID] = g
-		}
-		g.ops = append(g.ops, op)
-		g.vals = append(g.vals, val)
 		return true
 	})
-	partitions := make(map[int64][]int64) // guard id → policy ids
-	m.persist.gp.Scan(func(_ storage.RowID, r storage.Row) bool {
-		partitions[r[0].I] = append(partitions[r[0].I], r[1].I)
-		return true
-	})
+	// Newest first: where one key has several rows (its claim moved on while
+	// others still shared the older state), the claim is the newest row's.
+	slices.SortFunc(headers, func(a, b geHeader) int { return cmp.Compare(b.id, a.id) })
 
 	loaded := 0
 	for _, h := range headers {
-		if _, cached := m.claims[h.key]; cached {
-			continue // live claim wins over persisted state
+		ref := geRef{id: h.id, querier: h.key.querier}
+		if _, live := m.claims[h.key]; live {
+			m.retiredQ = append(m.retiredQ, ref)
+			continue
 		}
-		sel, err := m.selectivityFor(h.key.relation)
+		ge, err := m.loadExpressionLocked(h.id, h.key)
 		if err != nil {
 			return loaded, err
 		}
-		ge := &guard.GuardedExpression{
-			Relation: h.key.relation, Querier: h.key.querier, Purpose: h.key.purpose,
-		}
-		// Deterministic guard order: by first appearance in rGG.
-		var ids []int64
-		for id := range guardsByGE[h.id] {
-			ids = append(ids, id)
-		}
-		for i := 1; i < len(ids); i++ {
-			for j := i; j > 0 && guardsByGE[h.id][ids[j]].order < guardsByGE[h.id][ids[j-1]].order; j-- {
-				ids[j], ids[j-1] = ids[j-1], ids[j]
-			}
-		}
-		for _, guardID := range ids {
-			gr := guardsByGE[h.id][guardID]
-			cond, err := condFromRows(gr.attr, gr.ops, gr.vals)
-			if err != nil {
-				return loaded, fmt.Errorf("sieve: guard %d: %w", guardID, err)
-			}
-			g := guard.Guard{Cond: cond}
-			for _, pid := range partitions[guardID] {
-				if p, ok := m.store.ByID(pid); ok {
-					g.Policies = append(g.Policies, p)
-				}
-			}
-			if len(g.Policies) == 0 {
-				continue // partition's policies vanished; treat as stale
-			}
-			switch cond.Kind {
-			case policy.CondRange:
-				g.Sel = sel.EstimateRange(cond.Attr, cond.Lo, cond.Hi)
-			default:
-				g.Sel = sel.EstimateEq(cond.Attr, cond.Val)
-			}
-			ge.Guards = append(ge.Guards, g)
-		}
 		// The signature is the union of the partitions' surviving policy
-		// ids; identical persisted expressions (queriers that shared a
-		// profile when they were saved) fold back onto one shared state.
-		var sigIDs []int64
-		seenID := make(map[int64]bool)
+		// ids; identical persisted expressions fold back onto one state.
+		var ids []int64
 		for gi := range ge.Guards {
 			for _, p := range ge.Guards[gi].Policies {
-				if !seenID[p.ID] {
-					seenID[p.ID] = true
-					sigIDs = append(sigIDs, p.ID)
-				}
+				ids = append(ids, p.ID)
 			}
 		}
-		sortIDs(sigIDs)
-		hash := signatureHash(sigIDs)
-		st := m.lookupStateLocked(h.key.relation, hash, sigIDs)
-		if st == nil {
-			m.nextStateID++
+		slices.Sort(ids)
+		ids = slices.Compact(ids)
+		sk := stateKey{relation: h.key.relation, hash: signatureHash(ids)}
+		st := m.lookupStateLocked(sk, ids)
+		if st != nil {
+			m.retiredQ = append(m.retiredQ, ref)
+		} else {
 			st = &geState{
-				ge: ge, relation: h.key.relation, ids: sigIDs, hash: hash,
-				stateID: m.nextStateID, geRowID: h.rowID, reprKey: h.key,
-				deltaSets: map[int]int64{},
+				ge: ge, relation: h.key.relation, ids: ids, hash: sk.hash,
+				geID: h.id, reprKey: h.key, outdated: h.outdated, deltaSets: map[int]int64{},
 			}
-			// Re-register Δ check sets for oversized partitions (§5.4).
-			schema := m.db.MustTable(h.key.relation).Schema
-			for gi := range ge.Guards {
-				g := &ge.Guards[gi]
-				if m.deltaThreshold > 0 && len(g.Policies) > m.deltaThreshold {
-					id, err := m.registerCheckSetLocked(g.Policies, h.key.relation, schema)
-					if err != nil {
-						return loaded, err
-					}
-					st.setIDs = append(st.setIDs, id)
-					st.deltaSets[gi] = id
-				}
+			gt.owned[h.id] = true
+			if err := m.publishStateLocked(st); err != nil {
+				return loaded, err
 			}
-			sk := stateKey{relation: h.key.relation, hash: hash}
-			m.states[sk] = append(m.states[sk], st)
 		}
-		c := &claim{key: h.key, gens: 1, valid: !h.outdated}
+		c := &claim{key: h.key}
 		m.claims[h.key] = c
 		m.registerClaimLocked(c)
-		c.state = st
-		st.refs++
-		if st.claims == nil {
-			st.claims = make(map[*claim]struct{})
-		}
-		st.claims[c] = struct{}{}
+		m.bindClaimLocked(c, st, false)
+		c.valid = !h.outdated
 		loaded++
 	}
 	return loaded, nil
 }
 
-// sortIDs is an allocation-free insertion sort: persisted partitions are
-// near-sorted already and small.
-func sortIDs(ids []int64) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
+// loadExpressionLocked rebuilds one persisted expression from its rGG and
+// rGP rows, found through their indexes in insertion order — the order the
+// guards were generated in. Policies that have left the store since thin
+// their partitions; a guard left with none is dropped. Caller holds the
+// guard tables' lock.
+func (m *Middleware) loadExpressionLocked(geID int64, key geKey) (*guard.GuardedExpression, error) {
+	gt := m.persist
+	sel, err := m.selectivityFor(key.relation)
+	if err != nil {
+		return nil, err
 	}
+	ge := &guard.GuardedExpression{Relation: key.relation, Querier: key.querier, Purpose: key.purpose}
+	rows := gt.lookup(gt.gg, "guard_expression_id", storage.NewInt(geID))
+	for i := 0; i < len(rows); {
+		r, _ := gt.gg.Get(rows[i])
+		guardID, attr := r[0], r[2].S
+		var ops, vals []string // a range guard spans two rows
+		for ; i < len(rows); i++ {
+			if r, _ = gt.gg.Get(rows[i]); r[0].I != guardID.I {
+				break
+			}
+			ops, vals = append(ops, r[3].S), append(vals, r[4].S)
+		}
+		cond, err := condFromRows(attr, ops, vals)
+		if err != nil {
+			return nil, fmt.Errorf("sieve: guard %d: %w", guardID.I, err)
+		}
+		g := guard.Guard{Cond: cond}
+		for _, rid := range gt.lookup(gt.gp, "guard_id", guardID) {
+			pr, _ := gt.gp.Get(rid)
+			if p, ok := m.store.ByID(pr[1].I); ok {
+				g.Policies = append(g.Policies, p)
+			}
+		}
+		if len(g.Policies) == 0 {
+			continue
+		}
+		if cond.Kind == policy.CondRange {
+			g.Sel = sel.EstimateRange(cond.Attr, cond.Lo, cond.Hi)
+		} else {
+			g.Sel = sel.EstimateEq(cond.Attr, cond.Val)
+		}
+		ge.Guards = append(ge.Guards, g)
+	}
+	return ge, nil
 }
 
 // condFromRows rebuilds a guard condition from its rGG rows: one row for an

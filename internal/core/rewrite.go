@@ -96,11 +96,8 @@ func (m *Middleware) rewriteParsedSpan(stmt *sqlparser.SelectStmt, qm policy.Met
 		} else {
 			rep.GuardCacheMisses++
 		}
-		fmt.Fprintf(&tok, "%s=%d", relation, st.stateID)
-		for _, p := range pending {
-			fmt.Fprintf(&tok, ",%d", p.ID)
-		}
-		tok.WriteByte(';')
+		addTokenFragment(&tok, relation, st, pending)
+		rep.states = append(rep.states, st)
 		dec := m.chooseStrategy(stmt, relation, refName, st, pending)
 		dec.DeltaGuards = len(st.deltaSets)
 		dec.Signature = st.signature()

@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -63,14 +64,25 @@ type Middleware struct {
 	// shared guard state; states buckets the shared states by
 	// (relation, signature hash); byPrincipal is the scoped-invalidation
 	// index from (relation, principal) to the claims a policy naming that
-	// pair can affect.
+	// pair can affect; flights holds the signatures being generated
+	// outside mu right now (see resolveClaimLocked).
 	claims      map[geKey]*claim
 	states      map[stateKey][]*geState
+	flights     map[stateKey]chan struct{}
 	byPrincipal map[relPrincipal]map[*claim]struct{}
 	nextStateID uint64
 	stats       cacheStats
 	registry    map[int64]*checkSet
 	nextSetID   int64
+	// outdatedQ and retiredQ name the persisted expressions a critical
+	// section superseded: unlock applies them to rGE/rGG/rGP once mu is
+	// released, so no table work rides on the lock every reader takes.
+	outdatedQ, retiredQ []geRef
+
+	// hookGenerated, when non-nil, runs outside mu after a state has been
+	// generated and persisted and before it is published. Tests park a
+	// generation here to interleave readers and policy churn.
+	hookGenerated func()
 
 	// planHits/planMisses aggregate Stmt plan-token lookups; atomics
 	// because Stmt bumps them without holding m.mu.
@@ -138,15 +150,18 @@ type geState struct {
 	// deltaSets maps guard index → Δ check-set id for guards whose
 	// partitions exceed the Δ threshold (§5.4).
 	deltaSets map[int]int64
-	// geRowID is the row of this expression in rGE (persisted under
-	// reprKey, the first claim that generated it).
-	geRowID storage.RowID
-	reprKey geKey
-	// refs counts bound claims; claims holds them for scoped
-	// invalidation when the state retires. gone marks a retired state.
-	refs   int
+	// geID is this expression's id in rGE; its rows there and in rGG/rGP
+	// live exactly as long as the state. The rGE row is written under
+	// reprKey, the claim that generated it, and outdated mirrors its flag.
+	geID     int64
+	reprKey  geKey
+	outdated bool
+	// claims are the claims bound to the state, valid or not. gone marks a
+	// retired state: out of the signature index, rows queued for deletion,
+	// bound to no claim. Atomic because a Stmt checks it on its cached
+	// plans without m.mu.
 	claims map[*claim]struct{}
-	gone   bool
+	gone   atomic.Bool
 	// arms, guardOr and guardCols are the guard arms every rewrite over
 	// this state injects, their disjunction and their distinct columns —
 	// built once, at the first rewrite (see guardArms), not under m.mu.
@@ -218,6 +233,7 @@ func New(store *policy.Store, opts ...Option) (*Middleware, error) {
 		protected:      make(map[string]bool),
 		claims:         make(map[geKey]*claim),
 		states:         make(map[stateKey][]*geState),
+		flights:        make(map[stateKey]chan struct{}),
 		byPrincipal:    make(map[relPrincipal]map[*claim]struct{}),
 		registry:       make(map[int64]*checkSet),
 	}
@@ -333,20 +349,21 @@ func (m *Middleware) RevokePolicy(id int64) error {
 	}
 	defer m.epoch.Add(1)
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	defer m.unlock()
 	m.stats.scopedInvalidations++
 	// Retire every shared state whose signature contains the revoked id:
 	// revocation shrinks the grant set, which appended arms cannot
 	// express, so these generations must never be re-bound. Retirement
 	// force-invalidates the claims bound to them, wherever they came
 	// from — the principal index below additionally catches claims whose
-	// pending set held the policy.
+	// pending set held the policy. A state still being generated is in no
+	// bucket yet; its publisher re-resolves under mu (resolveClaimLocked).
 	for sk, bucket := range m.states {
 		if sk.relation != p.Relation {
 			continue
 		}
-		for _, st := range append([]*geState(nil), bucket...) {
-			if containsID(st.ids, p.ID) {
+		for _, st := range slices.Clone(bucket) {
+			if _, found := slices.BinarySearch(st.ids, p.ID); found {
 				m.removeStateLocked(st)
 			}
 		}
@@ -390,7 +407,7 @@ func (m *Middleware) onPolicyInserted(_ string, row storage.Row) {
 	querier, relation, purpose := row[2].S, row[3].S, row[4].S
 	defer m.epoch.Add(1)
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	defer m.unlock()
 	m.stats.scopedInvalidations++
 	for c := range m.byPrincipal[relPrincipal{relation: relation, principal: querier}] {
 		if purpose != policy.AnyPurpose && purpose != c.key.purpose {

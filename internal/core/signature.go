@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strings"
 
 	"github.com/sieve-db/sieve/internal/engine"
@@ -144,27 +145,6 @@ func signatureHash(ids []int64) uint64 {
 	return h.Sum64()
 }
 
-func sameIDs(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func containsID(ids []int64, id int64) bool {
-	for _, v := range ids {
-		if v == id {
-			return true
-		}
-	}
-	return false
-}
-
 // diffSuperset returns newIDs \ oldIDs when oldIDs ⊆ newIDs (both sorted).
 // ok is false when the change is not insert-only — a shrink cannot be
 // expressed as appended arms and must regenerate.
@@ -225,8 +205,9 @@ func (m *Middleware) unregisterClaimLocked(c *claim) {
 	}
 }
 
-// invalidateClaimLocked flags a claim for re-resolution on its next query
-// and persists the §5.1 outdated flag on its state's rGE row.
+// invalidateClaimLocked flags a claim for re-resolution on its next query.
+// The first invalidation among a state's claims persists the §5.1 outdated
+// flag on the state's rGE row; the rest find it set.
 func (m *Middleware) invalidateClaimLocked(c *claim, force bool) {
 	if force {
 		c.forceRegen = true
@@ -236,83 +217,91 @@ func (m *Middleware) invalidateClaimLocked(c *claim, force bool) {
 	}
 	c.valid = false
 	m.stats.claimsInvalidated++
-	if c.state != nil {
-		m.persist.markOutdated(c.state.geRowID)
+	if st := c.state; st != nil && !st.outdated {
+		st.outdated = true
+		m.outdatedQ = append(m.outdatedQ, st.ref())
 	}
 }
 
 // lookupStateLocked finds a live shared state for the exact id set.
-func (m *Middleware) lookupStateLocked(relation string, hash uint64, ids []int64) *geState {
-	for _, st := range m.states[stateKey{relation: relation, hash: hash}] {
-		if sameIDs(st.ids, ids) {
+func (m *Middleware) lookupStateLocked(sk stateKey, ids []int64) *geState {
+	for _, st := range m.states[sk] {
+		if slices.Equal(st.ids, ids) {
 			return st
 		}
 	}
 	return nil
 }
 
-// bindClaimLocked points a claim at a (possibly shared) state, adjusting
-// refcounts. gens advances only when the generation actually changed, so
-// a spurious invalidation that re-resolves to the same signature keeps
-// Regens flat.
+// bindClaimLocked points a claim at a (possibly shared) state. gens
+// advances only when the generation actually changed, so a spurious
+// invalidation that re-resolves to the same signature keeps Regens flat.
 func (m *Middleware) bindClaimLocked(c *claim, st *geState, shared bool) {
 	if c.state != st {
-		if c.state != nil {
-			delete(c.state.claims, c)
-			m.unrefStateLocked(c.state)
-		}
-		st.refs++
+		m.unbindClaimLocked(c)
 		if st.claims == nil {
 			st.claims = make(map[*claim]struct{})
 		}
 		st.claims[c] = struct{}{}
+		c.state = st
 		c.gens++
 		if shared {
 			m.stats.guardShares++
 		}
 	}
-	c.state = st
 	c.valid = true
 	c.forceRegen = false
 	c.pendingIDs = nil
 }
 
-// unrefStateLocked drops a reference; the last reference retires the
-// state (its check sets and persisted rows go with it).
-func (m *Middleware) unrefStateLocked(st *geState) {
-	st.refs--
-	if st.refs <= 0 {
-		m.removeStateLocked(st)
+// unbindClaimLocked detaches a claim from its state, and retires the state
+// by the event that superseded it: with no valid claim left on it, nobody
+// can be served from it again without re-resolving, and the first claim to
+// re-resolve elsewhere is the proof that its signature moved. Retiring it
+// then, not when its last claim happens to read again, is what frees a
+// written group's old expression after one read instead of one per member;
+// if a straggler still resolves to the old set it pays one regeneration.
+// Under a §6 regeneration interval an invalid claim's state is the base of
+// its pending arms, so there a state lives until its last claim leaves.
+func (m *Middleware) unbindClaimLocked(c *claim) {
+	st := c.state
+	if st == nil {
+		return
 	}
+	c.state = nil
+	delete(st.claims, c)
+	for other := range st.claims {
+		if other.valid || !m.eagerRegen {
+			return
+		}
+	}
+	m.removeStateLocked(st)
 }
 
 // removeStateLocked retires a shared state: it leaves the signature
 // index (so it can never be re-bound), its Δ check sets are dropped, its
-// persisted rGE row is flagged outdated, and every claim still bound to
-// it is force-invalidated — they regenerate on their next query.
+// persisted rows are queued for deletion, and every claim still bound to
+// it is force-invalidated and unbound — they re-resolve on their next
+// query, and a retired state's expression and arm ASTs are pinned by
+// nothing but the plans a Stmt has yet to sweep.
 func (m *Middleware) removeStateLocked(st *geState) {
-	if st.gone {
+	if st.gone.Swap(true) {
 		return
 	}
-	st.gone = true
 	sk := stateKey{relation: st.relation, hash: st.hash}
-	bucket := m.states[sk]
-	for i, other := range bucket {
-		if other == st {
-			bucket = append(bucket[:i], bucket[i+1:]...)
-			break
-		}
-	}
-	if len(bucket) == 0 {
+	if bucket := slices.DeleteFunc(m.states[sk], func(o *geState) bool { return o == st }); len(bucket) == 0 {
 		delete(m.states, sk)
 	} else {
 		m.states[sk] = bucket
 	}
 	m.dropCheckSetsLocked(st.setIDs)
-	m.persist.markOutdated(st.geRowID)
+	m.retiredQ = append(m.retiredQ, st.ref())
+	st.outdated = true // the row goes; no flag left to flip
 	for c := range st.claims {
 		m.invalidateClaimLocked(c, true)
+		c.state = nil
 	}
+	st.claims = nil
 }
 
 // maxClaims bounds the claim index. Claims are small (a key, a pointer,
@@ -321,36 +310,17 @@ func (m *Middleware) removeStateLocked(st *geState) {
 const maxClaims = 1 << 17
 
 func (m *Middleware) evictClaimsLocked(keep *claim) {
-	if len(m.claims) <= maxClaims {
-		return
-	}
-	for k, c := range m.claims {
-		if c == keep || c.valid {
-			continue
+	for _, validToo := range []bool{false, true} {
+		for k, c := range m.claims {
+			if len(m.claims) <= maxClaims {
+				return
+			}
+			if c != keep && (validToo || !c.valid) {
+				delete(m.claims, k)
+				m.unregisterClaimLocked(c)
+				m.unbindClaimLocked(c)
+			}
 		}
-		m.dropClaimLocked(k, c)
-		if len(m.claims) <= maxClaims {
-			return
-		}
-	}
-	for k, c := range m.claims {
-		if c == keep {
-			continue
-		}
-		m.dropClaimLocked(k, c)
-		if len(m.claims) <= maxClaims {
-			return
-		}
-	}
-}
-
-func (m *Middleware) dropClaimLocked(k geKey, c *claim) {
-	delete(m.claims, k)
-	m.unregisterClaimLocked(c)
-	if c.state != nil {
-		delete(c.state.claims, c)
-		m.unrefStateLocked(c.state)
-		c.state = nil
 	}
 }
 
@@ -377,28 +347,41 @@ func (st *geState) signature() string {
 	return fmt.Sprintf("%016x", st.hash)
 }
 
+// addTokenFragment appends one protected relation's fragment of a
+// plan-cache key: "relation=stateID[,pendingID...];". The token IS the
+// validation — any policy churn that could change this (querier, purpose)'s
+// rewrite replaces a state (fresh stateID) or grows the pending set,
+// producing a different token, so a cached plan is never served stale; and
+// churn that leaves the signature untouched leaves the token untouched, so
+// unrelated plans survive. Queriers sharing a signature produce identical
+// tokens and share one plan per statement.
+func addTokenFragment(tok *strings.Builder, relation string, st *geState, pending []*policy.Policy) {
+	fmt.Fprintf(tok, "%s=%d", relation, st.stateID)
+	for _, p := range pending {
+		fmt.Fprintf(tok, ",%d", p.ID)
+	}
+	tok.WriteByte(';')
+}
+
 // planTokenFor resolves the statement's protected relations to their
-// shared guard states and derives the plan-cache key: one
-// "relation=stateID[,pendingID...]" fragment per relation. The token IS
-// the validation — any policy churn that could change this
-// (querier, purpose)'s rewrite replaces a state (fresh stateID) or grows
-// the pending set, producing a different token, so a cached plan is never
-// served stale; and churn that leaves the signature untouched leaves the
-// token untouched, so unrelated plans survive. Queriers sharing a
-// signature produce identical tokens and share one plan per statement.
-// This function only LOOKS UP plans; Stmt.planFor inserts them under the
-// token the rewrite itself resolved (Report.planToken), so churn between
-// this resolution and the rewrite cannot mis-key a plan (see planFor).
-// seed carries the guard-cache counters for the caller to fold into the
-// query's engine counters.
+// shared guard states and returns the token. It only LOOKS UP plans;
+// Stmt.planForSpan inserts them under the token the rewrite itself resolved
+// (Report.planToken), so churn between this resolution and the rewrite
+// cannot mis-key a plan (see planForSpan). Each relation is resolved on its
+// own — m.mu may be released between two of them while a state is
+// generated — which is all the token's soundness asks: a fragment embedding
+// a state or pending id is only ever produced for a querier whose applicable
+// set on that relation is exactly those policies. seed carries the
+// guard-cache counters for the caller to fold into the query's engine
+// counters.
 func (m *Middleware) planTokenFor(qm policy.Metadata, tables []string) (string, engine.Counters, error) {
 	var seed engine.Counters
 	if qm.Querier == "" {
 		return "", seed, fmt.Errorf("sieve: query metadata must identify the querier")
 	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	var b strings.Builder
+	defer m.unlock()
+	var tok strings.Builder
 	for _, rel := range tables {
 		if !m.protected[rel] {
 			continue
@@ -412,11 +395,7 @@ func (m *Middleware) planTokenFor(qm policy.Metadata, tables []string) (string, 
 		} else {
 			seed.GuardCacheMisses++
 		}
-		fmt.Fprintf(&b, "%s=%d", rel, st.stateID)
-		for _, p := range pending {
-			fmt.Fprintf(&b, ",%d", p.ID)
-		}
-		b.WriteByte(';')
+		addTokenFragment(&tok, rel, st, pending)
 	}
-	return b.String(), seed, nil
+	return tok.String(), seed, nil
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -168,14 +170,10 @@ func (st *Stmt) ExecuteArgs(ctx context.Context, s *Session, args []storage.Valu
 	return st.m.db.QueryStmtCtx(ctx, stmt)
 }
 
-// bindRewrite binds args against the pristine AST (BindStmt deep-copies,
-// so st.ast stays reusable) and policy-rewrites the bound statement.
-func (st *Stmt) bindRewrite(qm policy.Metadata, args []storage.Value) (*sqlparser.SelectStmt, *Report, error) {
-	return st.bindRewriteCtx(context.Background(), qm, args)
-}
-
-// bindRewriteCtx is bindRewrite attributing the per-call rewrite to the
-// trace span carried by ctx, when one is.
+// bindRewriteCtx binds args against the pristine AST (BindStmt deep-copies,
+// so st.ast stays reusable) and policy-rewrites the bound statement,
+// attributing the per-call rewrite to the trace span carried by ctx, when
+// one is.
 func (st *Stmt) bindRewriteCtx(ctx context.Context, qm policy.Metadata, args []storage.Value) (*sqlparser.SelectStmt, *Report, error) {
 	bound, err := sqlparser.BindStmt(st.ast, args)
 	if err != nil {
@@ -197,7 +195,7 @@ func (st *Stmt) bindRewriteCtx(ctx context.Context, qm policy.Metadata, args []s
 // Report returns the decision report of the session's current cached
 // plan, rewriting first if the cache is cold or stale.
 func (st *Stmt) Report(s *Session) (*Report, error) {
-	p, _, err := st.planFor(s.qm)
+	p, _, err := st.planForSpan(s.qm, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +215,7 @@ func (st *Stmt) EmitSQL(s *Session, dialect string, opts ...engine.EmitOption) (
 	if err != nil {
 		return nil, err
 	}
-	p, _, err := st.planFor(s.qm)
+	p, _, err := st.planForSpan(s.qm, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -254,14 +252,7 @@ func (st *Stmt) CachedPlans() int {
 	return len(st.plans)
 }
 
-// maxCachedPlans bounds one Stmt's plan cache. Tokens make the live plan
-// population O(distinct policy signatures), not O(queriers), so the cap
-// only guards against unbounded signature churn; past it, arbitrary
-// entries are evicted (a superseded token can never be asked for again,
-// and a still-live one just re-rewrites on its next use).
-const maxCachedPlans = 1024
-
-// planFor returns the rewritten plan for the session's current plan
+// planForSpan returns the rewritten plan for the session's current plan
 // token. The token is resolved first; a hit returns the shared plan, a
 // miss rewrites from the pristine parse. The fresh plan is cached under
 // the token the rewrite itself resolved (Report.planToken), NOT the
@@ -274,16 +265,19 @@ const maxCachedPlans = 1024
 // sound under any interleaving (a token embedding a state or pending id
 // can only be produced by queriers whose applicable set contains exactly
 // those policies, and revocation retires the state or the pending id
-// from every future resolution). seed carries the guard/plan cache
-// counters for streaming paths to fold into the query's engine counters.
-func (st *Stmt) planFor(qm policy.Metadata) (*preparedPlan, engine.Counters, error) {
-	return st.planForSpan(qm, nil)
-}
-
-// planForSpan is planFor attributing its work to a trace: token
-// resolution and cache probing land on a "plan" child of sp (with
-// hit/miss counts), and a miss's re-rewrite lands on a "rewrite" child
-// alongside it. sp may be nil.
+// from every future resolution).
+//
+// A plan lives as long as every state in its token: a retired state's id
+// is never resolved again, so the plans naming one are dropped on the
+// statement's next miss — the same policy write that retired the state is
+// what makes some reader miss — and there is no cap to tune. What a state
+// outlives is only the plans of superseded §6 pending sets, fewer than k̃
+// per state.
+//
+// Token resolution and cache probing land on a "plan" child of sp (with
+// hit/miss counts), a miss's re-rewrite on a "rewrite" child alongside
+// it; sp may be nil. seed carries the guard/plan cache counters for
+// streaming paths to fold into the query's engine counters.
 func (st *Stmt) planForSpan(qm policy.Metadata, sp *obs.Span) (*preparedPlan, engine.Counters, error) {
 	var seed engine.Counters
 	if st.numInput > 0 {
@@ -320,21 +314,10 @@ func (st *Stmt) planForSpan(qm policy.Metadata, sp *obs.Span) (*preparedPlan, en
 	st.rewrites.Add(1)
 	p = &preparedPlan{stmt: stmt, rep: rep, exec: st.m.db.Prepare(stmt)}
 	st.mu.Lock()
-	if len(st.plans) >= maxCachedPlans {
-		st.evictLocked()
-	}
+	maps.DeleteFunc(st.plans, func(_ string, old *preparedPlan) bool {
+		return slices.ContainsFunc(old.rep.states, func(s *geState) bool { return s.gone.Load() })
+	})
 	st.plans[rep.planToken] = p
 	st.mu.Unlock()
 	return p, seed, nil
-}
-
-// evictLocked makes room in the plan cache by dropping arbitrary entries.
-// Caller holds st.mu.
-func (st *Stmt) evictLocked() {
-	for k := range st.plans {
-		delete(st.plans, k)
-		if len(st.plans) < maxCachedPlans {
-			return
-		}
-	}
 }

@@ -79,6 +79,9 @@ type Report struct {
 	// the new grant's arms to the pre-churn token — which queriers the
 	// grant does not apply to still resolve to.
 	planToken string
+	// states are the guard states that token names: the plan built from
+	// this rewrite dies with the first of them to retire.
+	states []*geState
 }
 
 // chooseStrategy implements §5.5: EXPLAIN the original query to learn the

@@ -1,6 +1,7 @@
 package guard
 
 import (
+	"slices"
 	"sort"
 
 	"github.com/sieve-db/sieve/internal/policy"
@@ -152,13 +153,16 @@ func generateCandidates(ps []*policy.Policy, sel Selectivity, cm CostModel, noMe
 					break
 				}
 				if mergeBeneficial(sel, attr, cur, cands[j], threshold) {
-					cur = rangeCand{
-						lo:   minBound(cur.lo, cands[j].lo),
-						hi:   maxBound(cur.hi, cands[j].hi),
-						pols: append(append([]*policy.Policy{}, cur.pols...), cands[j].pols...),
+					if !curMerged {
+						// The run starts: copy once, so that growing it in
+						// place never writes into cands[i]'s own list.
+						cur.pols = slices.Clone(cur.pols)
+						curMerged = true
 					}
+					cur.lo = minBound(cur.lo, cands[j].lo)
+					cur.hi = maxBound(cur.hi, cands[j].hi)
+					cur.pols = append(cur.pols, cands[j].pols...)
 					merged[j] = true
-					curMerged = true
 				}
 			}
 			if curMerged {

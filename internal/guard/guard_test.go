@@ -3,6 +3,8 @@ package guard
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -399,5 +401,66 @@ func TestTheorem1CostProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRangeMergeGrowsRunInPlace: the merge loop grows a run's policy list
+// in place; the candidates must be exactly what the old construction — a
+// fresh copy of the whole run at every merge — produced, originals
+// included, on an input whose runs are hundreds of policies long.
+func TestRangeMergeGrowsRunInPlace(t *testing.T) {
+	sel, cm := campusSel(), DefaultCostModel()
+	r := rand.New(rand.NewSource(5))
+	var ps []*policy.Policy
+	for i := 0; i < 2000; i++ {
+		lo := int64(r.Intn(80000))
+		ps = append(ps, pol(int64(i%300), policy.RangeClosed("ts_time", storage.NewInt(lo), storage.NewInt(lo+2000+int64(r.Intn(4000))))))
+	}
+
+	// The old construction, over the same sorted candidates.
+	cands := make([]rangeCand, len(ps))
+	for i, p := range ps {
+		cands[i] = rangeCand{lo: p.Conditions[0].Lo, hi: p.Conditions[0].Hi, pols: []*policy.Policy{p}}
+	}
+	sort.SliceStable(cands, func(i, j int) bool { return storage.Less(cands[i].lo, cands[j].lo) })
+	var want []Candidate
+	merged := make([]bool, len(cands))
+	longest := 0
+	for i := range cands {
+		cur, curMerged := cands[i], false
+		for j := i + 1; j < len(cands); j++ {
+			if merged[j] {
+				continue
+			}
+			if !intervalsOverlap(cur.lo, cur.hi, cands[j].lo, cands[j].hi) {
+				break
+			}
+			if mergeBeneficial(sel, "ts_time", cur, cands[j], cm.mergeThreshold()) {
+				cur = rangeCand{
+					lo:   minBound(cur.lo, cands[j].lo),
+					hi:   maxBound(cur.hi, cands[j].hi),
+					pols: append(append([]*policy.Policy{}, cur.pols...), cands[j].pols...),
+				}
+				merged[j], curMerged = true, true
+			}
+		}
+		if curMerged {
+			want = append(want, rangeToCandidate(sel, "ts_time", cur))
+			longest = max(longest, len(cur.pols))
+		}
+		want = append(want, rangeToCandidate(sel, "ts_time", cands[i]))
+	}
+	if longest < 100 {
+		t.Fatalf("longest merged run holds %d policies; the input should build runs of hundreds", longest)
+	}
+
+	var got []Candidate
+	for _, c := range GenerateCandidates(ps, sel, cm) {
+		if c.Cond.Attr == "ts_time" {
+			got = append(got, c)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%d range candidates differ from the old construction's %d", len(got), len(want))
 	}
 }

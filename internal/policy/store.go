@@ -62,6 +62,9 @@ type Store struct {
 
 	count atomic.Int64
 
+	// rowsMu serialises deleteRows, the one place that holds rP/rOC row ids.
+	rowsMu sync.Mutex
+
 	// durMu guards the durability hook pointer (set at wiring time).
 	durMu sync.RWMutex
 	dur   Durability
@@ -438,33 +441,27 @@ func (s *Store) applyRevoke(id int64) (*Policy, error) {
 }
 
 // deleteRows removes every persisted rP and rOC row of one policy id
-// (used by Revoke, and by Insert to roll back a partial persist).
+// (used by Revoke, and by Insert to roll back a partial persist), found
+// through the rP.id and rOC.policy_id indexes NewStore builds, and vacuums
+// the relations so that revoked policies do not accumulate as tombstones.
+// Both relations are logged logically (AddPolicy/RevokePolicy records), so
+// no log record names a row id the vacuum could renumber; rowsMu keeps the
+// ids read here naming the same rows until they are deleted.
 func (s *Store) deleteRows(id int64) error {
-	pTab := s.db.MustTable(TableP)
-	var pRows []storage.RowID
-	pTab.Scan(func(rowID storage.RowID, r storage.Row) bool {
-		if r[0].I == id {
-			pRows = append(pRows, rowID)
+	s.rowsMu.Lock()
+	defer s.rowsMu.Unlock()
+	for _, at := range []struct{ table, col string }{{TableP, "id"}, {TableOC, "policy_id"}} {
+		t := s.db.MustTable(at.table)
+		rows, ok := t.Lookup(nil, at.col, storage.NewInt(id))
+		if !ok {
+			return fmt.Errorf("policy: %s has no index on %s", at.table, at.col)
 		}
-		return true
-	})
-	for _, rowID := range pRows {
-		if err := pTab.Delete(rowID); err != nil {
-			return err
+		for _, rowID := range rows {
+			if err := t.Delete(rowID); err != nil {
+				return err
+			}
 		}
-	}
-	ocTab := s.db.MustTable(TableOC)
-	var ocRows []storage.RowID
-	ocTab.Scan(func(rowID storage.RowID, r storage.Row) bool {
-		if r[1].I == id {
-			ocRows = append(ocRows, rowID)
-		}
-		return true
-	})
-	for _, rowID := range ocRows {
-		if err := ocTab.Delete(rowID); err != nil {
-			return err
-		}
+		t.Vacuum()
 	}
 	return nil
 }

@@ -40,15 +40,9 @@ func entryLess(a, b indexEntry) bool {
 }
 
 func (ix *Index) rebuild(t *Table) {
-	ix.rebuildFrom(t.rows, t.deleted)
-}
-
-// rebuildFrom rebuilds the entries from an explicit heap; Compact uses it
-// to construct replacement indexes aside before the copy-on-write swap.
-func (ix *Index) rebuildFrom(rows []Row, deleted []bool) {
 	ix.entries = ix.entries[:0]
-	for i, r := range rows {
-		if deleted[i] {
+	for i, r := range t.rows {
+		if t.deleted[i] {
 			continue
 		}
 		if v := r[ix.col]; !v.IsNull() {
@@ -78,6 +72,20 @@ func (ix *Index) remove(key Value, id RowID) {
 	if pos < len(ix.entries) && Equal(ix.entries[pos].key, key) && ix.entries[pos].id == id {
 		ix.entries = append(ix.entries[:pos], ix.entries[pos+1:]...)
 	}
+}
+
+// removeDeleted drops every entry whose row is tombstoned in one pass. The
+// index holds live rows only, so after a batch of tombstones these are
+// exactly the batch's entries.
+func (ix *Index) removeDeleted(deleted []bool) {
+	kept := ix.entries[:0]
+	for _, e := range ix.entries {
+		if !deleted[e.id] {
+			kept = append(kept, e)
+		}
+	}
+	clear(ix.entries[len(kept):]) // the dropped keys' strings
+	ix.entries = kept
 }
 
 // lowerBound returns the first position whose key is >= key (or > key when

@@ -158,8 +158,8 @@ func TestViewSurvivesCompact(t *testing.T) {
 		seen[id] = true
 	}
 	// Post-compact state is tombstone-free with exact metadata.
-	if tab.NumRows() != 48 || tab.heapSize() != 48 {
-		t.Fatalf("compacted table: live=%d heap=%d, want 48/48", tab.NumRows(), tab.heapSize())
+	if tab.NumRows() != 48 || tab.NumSlots() != 48 {
+		t.Fatalf("compacted table: live=%d heap=%d, want 48/48", tab.NumRows(), tab.NumSlots())
 	}
 	if got, want := tab.SegmentCount(), 3; got != want {
 		t.Fatalf("compacted SegmentCount = %d, want %d", got, want)

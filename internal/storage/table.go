@@ -42,9 +42,6 @@ func (t *Table) NumRows() int {
 	return t.live
 }
 
-// heapSize returns the total heap slots including tombstones.
-func (t *Table) heapSize() int { return len(t.rows) }
-
 // Insert appends a row and maintains indexes. The row is cloned so callers
 // may reuse their buffer.
 func (t *Table) Insert(r Row) (RowID, error) {
@@ -146,6 +143,61 @@ func (t *Table) Delete(id RowID) error {
 	}
 	t.muts.Add(1)
 	return nil
+}
+
+// DeleteBatch tombstones every row in ids, all or none: a batch naming a
+// missing or already-deleted row, or one row twice, is rejected before
+// anything changes. Each index is compacted in one pass over its entries
+// where N single Deletes pay N binary searches and N memmoves. The heap
+// slots stay (row ids are stable until Compact), and so do the rows behind
+// them: a View captured earlier may share this heap but hold an older
+// tombstone bitmap, and must still find the row it believes live. Compact
+// is what returns the memory.
+func (t *Table) DeleteBatch(ids []RowID) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i, id := range ids {
+		if id < 0 || int(id) >= len(t.rows) || t.deleted[id] {
+			for _, undo := range ids[:i] {
+				t.deleted[undo] = false
+			}
+			return fmt.Errorf("table %s: delete of missing row %d", t.Name, id)
+		}
+		t.deleted[id] = true // doubles as the duplicate check
+	}
+	for _, id := range ids {
+		if s := t.segIndexFor(int(id)); s < len(t.segs) {
+			t.segs[s].live--
+		}
+	}
+	t.live -= len(ids)
+	for _, idx := range t.indexes {
+		idx.removeDeleted(t.deleted)
+	}
+	t.muts.Add(int64(len(ids)))
+	return nil
+}
+
+// Lookup appends to dst the ids of the live rows whose col equals key,
+// through the index on col, under the table's read lock — the index is
+// maintained under the write lock, so this is the lookup that is safe
+// beside concurrent writers. ok is false when col carries no index.
+func (t *Table) Lookup(dst []RowID, col string, key Value) (ids []RowID, ok bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	idx, ok := t.indexes[col]
+	if !ok {
+		return dst, false
+	}
+	return idx.Eq(dst, key), true
+}
+
+// NumSlots returns the heap length in slots, tombstones included; with
+// NumRows it tells a caller that holds no row ids when Compact pays.
+func (t *Table) NumSlots() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.rows)
 }
 
 // Scan calls fn for every live row in heap order. Returning false stops the
@@ -256,6 +308,26 @@ func (t *Table) RestoreHeap(rows []Row, deleted []bool) error {
 	return nil
 }
 
+// VacuumFloor is the number of tombstones Vacuum always tolerates, so that a
+// tiny relation is not rewritten on every delete.
+const VacuumFloor = 16
+
+// Vacuum compacts the table once its tombstones outgrow half its live rows:
+// heap, tombstone bitmap and index memory then stay within 1.5x of what the
+// live rows need however many have been deleted, at an amortised cost of
+// two row moves per delete. Compact renumbers rows, so Vacuum is for the
+// relations whose writers address rows by a logical id through an index and
+// hold no row id across calls (the guard and policy relations); row-logged
+// tables compact through engine.DB.Compact.
+func (t *Table) Vacuum() {
+	t.mu.RLock()
+	sparse := len(t.rows)-t.live > t.live/2+VacuumFloor
+	t.mu.RUnlock()
+	if sparse {
+		t.Compact()
+	}
+}
+
 // Compact rewrites the heap without tombstones. The new heap, tombstone
 // bitmap, segment metadata and indexes are all built aside and swapped in
 // atomically under one write lock (copy-on-write), so a streaming scan that
@@ -266,16 +338,24 @@ func (t *Table) Compact() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	rows := make([]Row, 0, t.live)
+	moved := make([]RowID, len(t.rows)) // old id → new id, for live rows
 	for i, r := range t.rows {
 		if !t.deleted[i] {
+			moved[i] = RowID(len(rows))
 			rows = append(rows, r)
 		}
 	}
 	deleted := make([]bool, len(rows))
+	// An index holds exactly the live rows, ordered by (key, id), and the
+	// renumbering keeps the order of ids: relabelling the entries is the
+	// rebuilt index, without the sort.
 	indexes := make(map[string]*Index, len(t.indexes))
 	for col, idx := range t.indexes {
 		fresh := newIndex(t.Name, col, idx.col)
-		fresh.rebuildFrom(rows, deleted)
+		fresh.entries = make([]indexEntry, len(idx.entries))
+		for i, e := range idx.entries {
+			fresh.entries[i] = indexEntry{key: e.key, id: moved[e.id]}
+		}
 		indexes[col] = fresh
 	}
 	segs := buildSegments(t.Schema.Len(), rows, deleted, t.segSize, 0, t.ownerCol)
