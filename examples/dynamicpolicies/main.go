@@ -1,5 +1,5 @@
-// Command dynamicpolicies demonstrates §6: policy churn flips the persisted
-// outdated flag through the rP insert trigger, and the middleware either
+// Command dynamicpolicies demonstrates §6: policy churn invalidates the
+// affected guards through the rP insert trigger, and the middleware either
 // regenerates guards eagerly or defers until the optimal insertion count k̃
 // while answering from stale guards plus appended arms. The query runs
 // through a prepared statement, so the same churn also exercises

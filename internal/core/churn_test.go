@@ -19,9 +19,9 @@ import (
 // These tests pin what a policy write may cost the queriers who did not
 // write it: a regeneration runs outside Middleware.mu, once per signature,
 // is bound only if the policy set it was built from is still the claim's,
-// and everything it supersedes — states, plans, rGE/rGG/rGP rows — is gone
-// by the next read. The concurrent ones park a generation in hookGenerated
-// (after persist, before publish) instead of sleeping; CI runs them under
+// and everything it supersedes — states, plans — is gone by the next read.
+// The concurrent ones park a generation in hookGenerated (generated, not yet
+// published) instead of sleeping; CI runs them under
 // -race with -cpu=1,4.
 
 // stuck bounds how long a test waits for something that must not block. It
@@ -40,45 +40,53 @@ func ownersOf(res *engine.Result) []int64 {
 	return keysOf(seen)
 }
 
-// guardRows counts the live rows and the heap slots of rGE, rGG and rGP.
-func guardRows(m *Middleware) (live, slots [3]int) {
-	for i, t := range []*storage.Table{m.persist.ge, m.persist.gg, m.persist.gp} {
-		live[i], slots[i] = t.NumRows(), t.NumSlots()
-	}
-	return live, slots
-}
-
-// checkGuardRows asserts that the guard relations hold exactly the rows of
-// the live states — one rGE row per state under its id, one or two rGG rows
-// per guard, one rGP row per partition member — and nothing else.
-func checkGuardRows(t *testing.T, m *Middleware) {
+// checkStates asserts that the signature index holds exactly what the claims
+// are bound to, and that what they are bound to is what the store says: no
+// retired state in a bucket, every state under its own signature and there
+// once, every bound claim on an indexed state, every valid claim's state
+// (plus its §6 pending ids) equal to PoliciesFor now — so the live states are
+// the distinct live signatures, no more.
+func checkStates(t *testing.T, m *Middleware) {
 	t.Helper()
-	var want [3]int
-	ids := map[int64]bool{}
 	m.mu.Lock()
-	for _, bucket := range m.states {
-		for _, st := range bucket {
-			want[0]++
-			ids[st.geID] = true
-			for _, g := range st.ge.Guards {
-				want[1]++
-				if c := g.Cond; c.Kind == policy.CondRange && !c.Lo.IsNull() && !c.Hi.IsNull() {
-					want[1]++
-				}
-				want[2] += len(g.Policies)
+	defer m.mu.Unlock()
+	indexed := map[*geState]bool{}
+	for sk, bucket := range m.states {
+		for i, st := range bucket {
+			if st.gone.Load() {
+				t.Errorf("state %d is retired and still indexed", st.stateID)
+			}
+			if sk != (stateKey{relation: st.relation, hash: signatureHash(st.ids)}) || sk.hash != st.hash {
+				t.Errorf("state %d (ids %v) is indexed under another signature", st.stateID, st.ids)
+			}
+			if slices.ContainsFunc(bucket[:i], func(o *geState) bool { return slices.Equal(o.ids, st.ids) }) {
+				t.Errorf("signature %v has two live states", st.ids)
+			}
+			indexed[st] = true
+		}
+	}
+	bound := map[*geState]bool{}
+	for key, c := range m.claims {
+		st := c.state
+		if st == nil {
+			continue
+		}
+		bound[st] = true
+		if _, ok := st.claims[c]; !ok || !indexed[st] {
+			t.Errorf("claim %v is bound to state %d, which is retired or does not know it", key, st.stateID)
+		}
+		if c.valid {
+			served := slices.Concat(st.ids, c.pendingIDs)
+			slices.Sort(served)
+			now := policyIDs(m.store.PoliciesFor(policy.Metadata{Querier: key.querier, Purpose: key.purpose}, key.relation, m.groups))
+			if !slices.Equal(served, now) {
+				t.Errorf("valid claim %v serves policies %v, PoliciesFor says %v", key, served, now)
 			}
 		}
 	}
-	m.mu.Unlock()
-	if live, _ := guardRows(m); live != want {
-		t.Errorf("live rows of rGE/rGG/rGP = %v, the live states account for %v", live, want)
+	if len(bound) != len(indexed) {
+		t.Errorf("%d live states, the claims are bound to %d", len(indexed), len(bound))
 	}
-	m.persist.ge.Scan(func(_ storage.RowID, r storage.Row) bool {
-		if !ids[r[0].I] {
-			t.Errorf("rGE row %d (%s) belongs to no live state", r[0].I, r[1].S)
-		}
-		return true
-	})
 }
 
 // boundIDs returns the policy ids of the state the querier's claim is bound
@@ -162,7 +170,7 @@ func TestGenerationDoesNotBlockOtherSignatures(t *testing.T) {
 	if err := <-aDone; err != nil {
 		t.Fatal(err)
 	}
-	checkGuardRows(t, f.m)
+	checkStates(t, f.m)
 }
 
 // TestOneGenerationPerInvalidatedSignature: N queriers whose shared
@@ -231,13 +239,13 @@ func TestOneGenerationPerInvalidatedSignature(t *testing.T) {
 	if len(results[0]) != (sigOwnersPerGroup+1)*days*hours {
 		t.Errorf("rows = %d, want the five stable owners' and the new grant's", len(results[0]))
 	}
-	checkGuardRows(t, f.m)
+	checkStates(t, f.m)
 }
 
 // TestPolicyWriteBetweenGeneratedAndPublished: a state is bound only if the
 // policy set it was built from is still the claim's when it is published. A
 // revocation — and, separately, an insert — lands while the generated state
-// is in nobody's index: the state is dropped with its rows, the reader
+// is in nobody's index: the state is dropped, the reader
 // regenerates, and ends bound to what PoliciesFor says now.
 func TestPolicyWriteBetweenGeneratedAndPublished(t *testing.T) {
 	for _, write := range []string{"revoke", "insert"} {
@@ -293,7 +301,7 @@ func TestPolicyWriteBetweenGeneratedAndPublished(t *testing.T) {
 			if cs := f.m.CacheStats(); cs.GuardStates != 1 {
 				t.Errorf("guard states = %d, want 1 (the orphan is never published)", cs.GuardStates)
 			}
-			checkGuardRows(t, f.m)
+			checkStates(t, f.m)
 			// The peer shares what was published, without generating.
 			if _, err := st.Execute(ctx, f.m.NewSession(f.metadata("member0_1"))); err != nil {
 				t.Fatal(err)
@@ -317,7 +325,8 @@ func TestChurnLeavesNothingBehind(t *testing.T) {
 	const members, writes, lapWrites = 40, 3000, 300
 	f := newSigFixture(t, 1, members)
 	ctx := context.Background()
-	// A base large enough that a state's rows outweigh storage.VacuumFloor.
+	// A base of conditioned grants, so every regenerated state carries
+	// attribute and range guards beside the owner ones.
 	var base []*policy.Policy
 	for i := 0; i < 80; i++ {
 		p := groupGrant("grp0", int64(i%owners))
@@ -369,11 +378,7 @@ func TestChurnLeavesNothingBehind(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	type footprint struct {
-		slots [3]int
-		heap  uint64
-	}
-	measure := func() footprint {
+	measure := func() uint64 {
 		t.Helper()
 		for len(live) > 0 {
 			write(false)
@@ -386,16 +391,15 @@ func TestChurnLeavesNothingBehind(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		checkGuardRows(t, f.m)
-		_, slots := guardRows(f.m)
+		checkStates(t, f.m)
 		runtime.GC()
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
-		return footprint{slots: slots, heap: ms.HeapAlloc}
+		return ms.HeapAlloc
 	}
 
-	var first, last footprint
+	var first, last uint64
 	for lap := 1; lap <= writes/lapWrites; lap++ {
 		for w := 1; w <= lapWrites; w++ {
 			write(w%3 != 0)
@@ -414,17 +418,8 @@ func TestChurnLeavesNothingBehind(t *testing.T) {
 			t.Errorf("statement %d caches %d plans after %d writes, want the live signature's (%d) and at most %d more", i, got, n, liveSignatures, slack)
 		}
 	}
-	live3, _ := guardRows(f.m)
-	for i, name := range []string{TableGE, TableGG, TableGP} {
-		if got, limit := last.slots[i], first.slots[i]*3/2+storage.VacuumFloor; got > limit {
-			t.Errorf("%s: %d heap slots after %d writes, %d after the first %d (limit %d)", name, got, writes, first.slots[i], lapWrites, limit)
-		}
-		if got, limit := last.slots[i], live3[i]+live3[i]/2+storage.VacuumFloor+1; got > limit {
-			t.Errorf("%s: %d heap slots over %d live rows (limit %d)", name, got, live3[i], limit)
-		}
-	}
-	if last.heap > first.heap*3/2 {
+	if last > first*3/2 {
 		t.Errorf("HeapAlloc after GC: %d KiB after %d writes, %d KiB after the first %d — the same live policies",
-			last.heap>>10, writes, first.heap>>10, lapWrites)
+			last>>10, writes, first>>10, lapWrites)
 	}
 }

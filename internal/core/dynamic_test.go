@@ -169,62 +169,6 @@ func TestEq19MinimisesTotalCost(t *testing.T) {
 	}
 }
 
-func TestGuardPersistenceTables(t *testing.T) {
-	f := newFixture(t, engine.MySQL(), 30)
-	if _, err := f.m.Execute(selectAll, f.qm); err != nil {
-		t.Fatal(err)
-	}
-	// rGE must hold one fresh row for the key.
-	res, err := f.db.Query("SELECT outdated FROM " + TableGE + " WHERE querier = 'prof'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 || res.Rows[0][0].Bool() {
-		t.Fatalf("rGE rows = %v", res.Rows)
-	}
-	// rGG and rGP must describe the cached expression.
-	ge, ok := f.m.GuardedExpression(f.qm, "wifi")
-	if !ok {
-		t.Fatal("no cached guarded expression")
-	}
-	gp, err := f.db.Query("SELECT count(*) FROM " + TableGP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gp.Rows[0][0].I != int64(ge.PolicyCount()) {
-		t.Fatalf("rGP rows = %v, want %d", gp.Rows[0][0], ge.PolicyCount())
-	}
-	gg, err := f.db.Query("SELECT count(DISTINCT id) FROM " + TableGG)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gg.Rows[0][0].I != int64(len(ge.Guards)) {
-		t.Fatalf("rGG distinct guards = %v, want %d", gg.Rows[0][0], len(ge.Guards))
-	}
-	// Trigger flips the persisted outdated flag.
-	if err := f.m.AddPolicy(newPolicy(1, 100)); err != nil {
-		t.Fatal(err)
-	}
-	res2, err := f.db.Query("SELECT outdated FROM " + TableGE + " WHERE querier = 'prof'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res2.Rows) != 1 || !res2.Rows[0][0].Bool() {
-		t.Fatalf("outdated flag not persisted: %v", res2.Rows)
-	}
-	// Regeneration replaces rows rather than accumulating them.
-	if _, err := f.m.Execute(selectAll, f.qm); err != nil {
-		t.Fatal(err)
-	}
-	res3, err := f.db.Query("SELECT count(*) FROM " + TableGE + " WHERE querier = 'prof'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res3.Rows[0][0].I != 1 {
-		t.Fatalf("rGE accumulated %v rows for one key", res3.Rows[0][0])
-	}
-}
-
 func TestInvalidateAllForcesRegeneration(t *testing.T) {
 	f := newFixture(t, engine.MySQL(), 15)
 	if _, err := f.m.Execute(selectAll, f.qm); err != nil {
@@ -272,23 +216,5 @@ func TestCalibrateProducesSaneModel(t *testing.T) {
 	}
 	if _, err := f.m.Calibrate("ghost", f.qm, 10); err == nil {
 		t.Error("calibration on missing relation must fail")
-	}
-}
-
-func TestQueriesSeenAndObservedRpq(t *testing.T) {
-	f := newFixture(t, engine.MySQL(), 10)
-	if f.m.QueriesSeen() != 0 {
-		t.Fatal("fresh middleware has seen queries")
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := f.m.Execute(selectAll, f.qm); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if f.m.QueriesSeen() != 4 {
-		t.Fatalf("QueriesSeen = %d, want 4", f.m.QueriesSeen())
-	}
-	if rpq := f.m.ObservedRpq(); rpq <= 0 {
-		t.Fatalf("ObservedRpq = %v", rpq)
 	}
 }

@@ -23,12 +23,6 @@ func (m *Middleware) Execute(sql string, qm policy.Metadata) (*engine.Result, er
 	return m.NewSession(qm).Execute(context.Background(), sql)
 }
 
-// ExecuteContext rewrites and runs the query under ctx through a fresh
-// Session.
-func (m *Middleware) ExecuteContext(ctx context.Context, sql string, qm policy.Metadata) (*engine.Result, error) {
-	return m.NewSession(qm).Execute(ctx, sql)
-}
-
 // Rewrite returns the rewritten SQL text plus the decision report.
 func (m *Middleware) Rewrite(sql string, qm policy.Metadata) (string, *Report, error) {
 	stmt, rep, err := m.RewriteQuery(sql, qm)
@@ -101,7 +95,7 @@ func (m *Middleware) rewriteParsedSpan(stmt *sqlparser.SelectStmt, qm policy.Met
 		dec := m.chooseStrategy(stmt, relation, refName, st, pending)
 		dec.DeltaGuards = len(st.deltaSets)
 		dec.Signature = st.signature()
-		dec.SharedState = st.reprKey != (geKey{querier: qm.Querier, purpose: qm.Purpose, relation: relation})
+		dec.SharedState = st.ge.Querier != qm.Querier || st.ge.Purpose != qm.Purpose
 		queryConjs := m.pushableConjuncts(stmt, relation)
 		cte, prov, err := m.buildGuardedCTE(relation, st, pending, queryConjs, dec)
 		if err != nil {
@@ -114,31 +108,8 @@ func (m *Middleware) rewriteParsedSpan(stmt *sqlparser.SelectStmt, qm policy.Met
 		rep.GuardedCTEs = append(rep.GuardedCTEs, prov)
 		rep.Decisions = append(rep.Decisions, dec)
 	}
-	m.mu.Lock()
-	m.queriesSeen++
-	m.mu.Unlock()
 	rep.planToken = tok.String()
 	return stmt, rep, nil
-}
-
-// QueriesSeen reports how many queries the middleware has rewritten; with
-// the policy store's insertion count it yields the observed r_pq for
-// RegenConfig (§6.2).
-func (m *Middleware) QueriesSeen() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.queriesSeen
-}
-
-// ObservedRpq estimates r_pq = queries per policy insertion from the
-// middleware's own counters; callers may feed it back into
-// WithRegenInterval's RegenConfig.
-func (m *Middleware) ObservedRpq() float64 {
-	inserts := float64(m.store.Len())
-	if inserts == 0 {
-		return 1
-	}
-	return float64(m.QueriesSeen()) / inserts
 }
 
 // protectedIn lists the protected relations referenced anywhere in the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -177,14 +178,16 @@ func TestNoHintsRewriteOmitsHints(t *testing.T) {
 	}
 }
 
-// TestMiddlewareReattachSharesPersistedState verifies that a second
-// middleware instance over the same database reattaches to the policy and
-// guard relations without duplicating them.
+// TestMiddlewareReattachSharesPersistedState: two middlewares over one
+// database serve the same rows and share nothing but rP/rOC — the second
+// finds the policies there and generates its own guards, and building it
+// takes nothing from the first, which keeps answering.
 func TestMiddlewareReattachSharesPersistedState(t *testing.T) {
 	f := newFixture(t, engine.MySQL(), 25)
 	if _, err := f.m.Execute(selectAll, f.qm); err != nil {
 		t.Fatal(err)
 	}
+	tables := f.db.TableNames()
 	// Reattach: fresh store + middleware over the same engine.
 	store2, err := policy.NewStore(f.db)
 	if err != nil {
@@ -200,22 +203,66 @@ func TestMiddlewareReattachSharesPersistedState(t *testing.T) {
 	if err := m2.Protect("wifi"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := m2.Execute(selectAll, f.qm)
-	if err != nil {
+	want := keysOf(f.allowedIDs(t))
+	for name, m := range map[string]*Middleware{"reattached": m2, "first": f.m} {
+		res, err := m.Execute(selectAll, f.qm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !equalIDs(idsOf(res, 0), want) {
+			t.Errorf("%s middleware diverges from the oracle", name)
+		}
+	}
+	if cs := m2.CacheStats(); cs.GuardRegens != 1 || cs.GuardStates != 1 {
+		t.Errorf("reattached middleware: %d generations, %d states, want its own one of each", cs.GuardRegens, cs.GuardStates)
+	}
+	if cs := f.m.CacheStats(); cs.GuardRegens != 1 || cs.GuardCacheHits == 0 {
+		t.Errorf("first middleware: %d generations, %d cache hits, want its state untouched by the reattach", cs.GuardRegens, cs.GuardCacheHits)
+	}
+	if got := f.db.TableNames(); !slices.Equal(got, tables) {
+		t.Errorf("relations after reattach = %v, before = %v", got, tables)
+	}
+}
+
+// TestMiddlewareOwnsOnlyPolicyRelations: a middleware's guard cache lives in
+// process. Whatever it is put through, the database holds the data relations
+// and the policy store's rP and rOC, nothing else.
+func TestMiddlewareOwnsOnlyPolicyRelations(t *testing.T) {
+	f := newSigFixture(t, 3, 2)
+	want := []string{"membership", policy.TableOC, policy.TableP, "wifi"}
+	slices.Sort(want)
+	check := func(when string) {
+		t.Helper()
+		if got := f.db.TableNames(); !slices.Equal(got, want) {
+			t.Fatalf("relations %s = %v, want %v", when, got, want)
+		}
+	}
+	check("after New and Protect")
+	readAll := func() {
+		t.Helper()
+		for _, q := range f.queriers {
+			if _, err := f.m.Execute(selectAll, f.metadata(q)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	readAll()
+	check("after queries from three signatures")
+	grant := groupGrant("grp1", 17)
+	grant.Conditions = []policy.ObjectCondition{policy.Compare("wifiAP", sqlparser.CmpEq, storage.NewInt(101))}
+	if err := f.m.AddPolicy(grant); err != nil {
 		t.Fatal(err)
 	}
-	if !equalIDs(idsOf(res, 0), keysOf(f.allowedIDs(t))) {
-		t.Fatal("reattached middleware diverges")
-	}
-	// The rGE table holds exactly one fresh row for the key (the reattach
-	// replaced the first instance's row rather than accumulating).
-	ge, err := f.db.Query("SELECT count(*) FROM " + TableGE + " WHERE querier = 'prof'")
-	if err != nil {
+	readAll()
+	check("after an insert and its regeneration")
+	if err := f.m.RevokePolicy(grant.ID); err != nil {
 		t.Fatal(err)
 	}
-	if ge.Rows[0][0].I != 1 {
-		t.Fatalf("rGE rows after reattach = %v, want 1", ge.Rows[0][0])
-	}
+	readAll()
+	check("after a revocation and its regeneration")
+	f.m.InvalidateAll()
+	readAll()
+	check("after InvalidateAll")
 }
 
 // TestRewriteWithSubqueryReferencingProtectedTable ensures replacement

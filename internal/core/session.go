@@ -58,8 +58,13 @@ func (s *Session) Groups() []string { return s.groups }
 // deadline expiry aborts the scan within the executor's check interval,
 // and closing the Rows early releases the scan (LIMIT-style early
 // termination without a LIMIT clause).
-func (s *Session) Query(ctx context.Context, sql string) (*engine.Rows, error) {
-	stmt, rep, err := s.rewriteArgsCtx(ctx, sql, nil)
+//
+// Placeholders (`?`) in sql are resolved to args before the policy rewrite,
+// so pushable conjuncts and index sargs see real literals — exactly as if
+// the caller had inlined them. The argument count must match the
+// placeholder count.
+func (s *Session) Query(ctx context.Context, sql string, args ...storage.Value) (*engine.Rows, error) {
+	stmt, rep, err := s.rewriteArgsCtx(ctx, sql, args)
 	if err != nil {
 		return nil, err
 	}
@@ -81,9 +86,9 @@ func cacheSeed(rep *Report) engine.Counters {
 }
 
 // Execute rewrites sql under the session's policies, runs it under ctx,
-// and materialises the result.
-func (s *Session) Execute(ctx context.Context, sql string) (*engine.Result, error) {
-	stmt, _, err := s.rewriteArgsCtx(ctx, sql, nil)
+// and materialises the result; args bind its placeholders (see Query).
+func (s *Session) Execute(ctx context.Context, sql string, args ...storage.Value) (*engine.Result, error) {
+	stmt, _, err := s.rewriteArgsCtx(ctx, sql, args)
 	if err != nil {
 		return nil, err
 	}
@@ -116,32 +121,6 @@ func (s *Session) RewriteSQL(sql, dialect string, opts ...engine.EmitOption) (*e
 		return nil, err
 	}
 	return e.Emit(stmt, rep.GuardedCTEs)
-}
-
-// QueryArgs is Query with inbound bind arguments: placeholders (`?`) in
-// sql are resolved to args before the policy rewrite, so pushable
-// conjuncts and index sargs see real literals — exactly as if the caller
-// had inlined them. The argument count must match the placeholder count.
-func (s *Session) QueryArgs(ctx context.Context, sql string, args []storage.Value) (*engine.Rows, error) {
-	stmt, rep, err := s.rewriteArgsCtx(ctx, sql, args)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := s.m.db.StreamStmt(ctx, stmt)
-	if err != nil {
-		return nil, err
-	}
-	rows.AddCounters(cacheSeed(rep))
-	return rows, nil
-}
-
-// ExecuteArgs is Execute with inbound bind arguments (see QueryArgs).
-func (s *Session) ExecuteArgs(ctx context.Context, sql string, args []storage.Value) (*engine.Result, error) {
-	stmt, _, err := s.rewriteArgsCtx(ctx, sql, args)
-	if err != nil {
-		return nil, err
-	}
-	return s.m.db.QueryStmtCtx(ctx, stmt)
 }
 
 // Prepare parses sql once for repeated execution through this session

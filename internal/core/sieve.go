@@ -1,14 +1,16 @@
 // Package core implements the SIEVE middleware itself (§5): it intercepts
 // queries bound for the underlying database, filters the policy corpus by
-// query metadata, maintains persisted guarded expressions per
-// (querier, purpose, relation) with trigger-driven invalidation, chooses an
-// execution strategy from a calibrated cost model (Inline vs Δ per guard,
-// LinearScan vs IndexQuery vs IndexGuards per table), rewrites the query
-// with WITH clauses and dialect-appropriate index hints, and hands the
-// rewritten SQL to the engine — or, through Session.RewriteSQL and
-// Stmt.EmitSQL, emits it as executable MySQL/PostgreSQL for an external
-// backend. The three baselines of the evaluation (BaselineP, BaselineI,
-// BaselineU, §7.2 Experiment 3) live here too.
+// query metadata, keeps one guarded expression per distinct applicable
+// policy set in process — shared by every (querier, purpose, relation) claim
+// that resolves to it, invalidated by the rP trigger, regenerated from rP on
+// the next query and on a cold start — chooses an execution strategy from a
+// calibrated cost model (Inline vs Δ per guard, LinearScan vs IndexQuery vs
+// IndexGuards per table), rewrites the query with WITH clauses and
+// dialect-appropriate index hints, and hands the rewritten SQL to the engine
+// — or, through Session.RewriteSQL and Stmt.EmitSQL, emits it as executable
+// MySQL/PostgreSQL for an external backend. The three baselines of the
+// evaluation (BaselineP, BaselineI, BaselineU, §7.2 Experiment 3) live here
+// too.
 package core
 
 import (
@@ -74,28 +76,20 @@ type Middleware struct {
 	stats       cacheStats
 	registry    map[int64]*checkSet
 	nextSetID   int64
-	// outdatedQ and retiredQ name the persisted expressions a critical
-	// section superseded: unlock applies them to rGE/rGG/rGP once mu is
-	// released, so no table work rides on the lock every reader takes.
-	outdatedQ, retiredQ []geRef
 
 	// hookGenerated, when non-nil, runs outside mu after a state has been
-	// generated and persisted and before it is published. Tests park a
-	// generation here to interleave readers and policy churn.
+	// generated and before it is published. Tests park a generation here
+	// to interleave readers and policy churn.
 	hookGenerated func()
 
 	// planHits/planMisses aggregate Stmt plan-token lookups; atomics
 	// because Stmt bumps them without holding m.mu.
 	planHits, planMisses atomic.Int64
 
-	persist *guardTables
-
 	// durMu guards the durability hook (SetDurability); Protect logs
 	// through it so a recovered instance re-protects the same relations.
 	durMu sync.RWMutex
 	dur   DurabilityLog
-
-	queriesSeen int64
 }
 
 // DurabilityLog is the middleware's WAL hook (internal/wal implements
@@ -131,7 +125,7 @@ type geKey struct {
 // geState is one generated guarded expression, shared by every claim
 // whose applicable policy set matches its signature. Immutable after
 // generation except for the refcount/claim bookkeeping, which m.mu
-// guards; the per-claim dynamic state (§5.1 outdated flag, §6 pending
+// guards; the per-claim dynamic state (§5.1 validity, §6 pending
 // policies) lives on the claims bound to it.
 type geState struct {
 	ge *guard.GuardedExpression
@@ -150,16 +144,9 @@ type geState struct {
 	// deltaSets maps guard index → Δ check-set id for guards whose
 	// partitions exceed the Δ threshold (§5.4).
 	deltaSets map[int]int64
-	// geID is this expression's id in rGE; its rows there and in rGG/rGP
-	// live exactly as long as the state. The rGE row is written under
-	// reprKey, the claim that generated it, and outdated mirrors its flag.
-	geID     int64
-	reprKey  geKey
-	outdated bool
 	// claims are the claims bound to the state, valid or not. gone marks a
-	// retired state: out of the signature index, rows queued for deletion,
-	// bound to no claim. Atomic because a Stmt checks it on its cached
-	// plans without m.mu.
+	// retired state: out of the signature index, bound to no claim. Atomic
+	// because a Stmt checks it on its cached plans without m.mu.
 	claims map[*claim]struct{}
 	gone   atomic.Bool
 	// arms, guardOr and guardCols are the guard arms every rewrite over
@@ -182,11 +169,6 @@ type Option func(*Middleware)
 // group policies.
 func WithGroups(g policy.Groups) Option {
 	return func(m *Middleware) { m.groups = g }
-}
-
-// WithCostModel overrides the calibrated cost model (§4).
-func WithCostModel(cm guard.CostModel) Option {
-	return func(m *Middleware) { m.cm = cm }
 }
 
 // WithDeltaThreshold overrides the partition size at which guards switch
@@ -240,14 +222,9 @@ func New(store *policy.Store, opts ...Option) (*Middleware, error) {
 	for _, o := range opts {
 		o(m)
 	}
-	pt, err := newGuardTables(m.db)
-	if err != nil {
-		return nil, err
-	}
-	m.persist = pt
 	m.registerDeltaUDF()
-	// Trigger on rP: a policy insert marks affected guarded expressions
-	// outdated (§5.1) and queues the policy for deferred regeneration (§6).
+	// Trigger on rP: a policy insert invalidates the claims it can affect
+	// (§5.1), which regenerate or, under §6, serve it as a pending arm.
 	m.db.OnInsert(policy.TableP, m.onPolicyInserted)
 	return m, nil
 }
@@ -349,7 +326,7 @@ func (m *Middleware) RevokePolicy(id int64) error {
 	}
 	defer m.epoch.Add(1)
 	m.mu.Lock()
-	defer m.unlock()
+	defer m.mu.Unlock()
 	m.stats.scopedInvalidations++
 	// Retire every shared state whose signature contains the revoked id:
 	// revocation shrinks the grant set, which appended arms cannot
@@ -407,7 +384,7 @@ func (m *Middleware) onPolicyInserted(_ string, row storage.Row) {
 	querier, relation, purpose := row[2].S, row[3].S, row[4].S
 	defer m.epoch.Add(1)
 	m.mu.Lock()
-	defer m.unlock()
+	defer m.mu.Unlock()
 	m.stats.scopedInvalidations++
 	for c := range m.byPrincipal[relPrincipal{relation: relation, principal: querier}] {
 		if purpose != policy.AnyPurpose && purpose != c.key.purpose {

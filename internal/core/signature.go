@@ -206,8 +206,6 @@ func (m *Middleware) unregisterClaimLocked(c *claim) {
 }
 
 // invalidateClaimLocked flags a claim for re-resolution on its next query.
-// The first invalidation among a state's claims persists the §5.1 outdated
-// flag on the state's rGE row; the rest find it set.
 func (m *Middleware) invalidateClaimLocked(c *claim, force bool) {
 	if force {
 		c.forceRegen = true
@@ -217,10 +215,6 @@ func (m *Middleware) invalidateClaimLocked(c *claim, force bool) {
 	}
 	c.valid = false
 	m.stats.claimsInvalidated++
-	if st := c.state; st != nil && !st.outdated {
-		st.outdated = true
-		m.outdatedQ = append(m.outdatedQ, st.ref())
-	}
 }
 
 // lookupStateLocked finds a live shared state for the exact id set.
@@ -279,11 +273,10 @@ func (m *Middleware) unbindClaimLocked(c *claim) {
 }
 
 // removeStateLocked retires a shared state: it leaves the signature
-// index (so it can never be re-bound), its Δ check sets are dropped, its
-// persisted rows are queued for deletion, and every claim still bound to
-// it is force-invalidated and unbound — they re-resolve on their next
-// query, and a retired state's expression and arm ASTs are pinned by
-// nothing but the plans a Stmt has yet to sweep.
+// index (so it can never be re-bound), its Δ check sets are dropped, and
+// every claim still bound to it is force-invalidated and unbound — they
+// re-resolve on their next query, and a retired state's expression and arm
+// ASTs are pinned by nothing but the plans a Stmt has yet to sweep.
 func (m *Middleware) removeStateLocked(st *geState) {
 	if st.gone.Swap(true) {
 		return
@@ -295,8 +288,6 @@ func (m *Middleware) removeStateLocked(st *geState) {
 		m.states[sk] = bucket
 	}
 	m.dropCheckSetsLocked(st.setIDs)
-	m.retiredQ = append(m.retiredQ, st.ref())
-	st.outdated = true // the row goes; no flag left to flip
 	for c := range st.claims {
 		m.invalidateClaimLocked(c, true)
 		c.state = nil
@@ -380,7 +371,7 @@ func (m *Middleware) planTokenFor(qm policy.Metadata, tables []string) (string, 
 		return "", seed, fmt.Errorf("sieve: query metadata must identify the querier")
 	}
 	m.mu.Lock()
-	defer m.unlock()
+	defer m.mu.Unlock()
 	var tok strings.Builder
 	for _, rel := range tables {
 		if !m.protected[rel] {

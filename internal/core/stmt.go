@@ -101,46 +101,29 @@ func referencedTables(ast *sqlparser.SelectStmt) []string {
 func (st *Stmt) SQL() string { return st.sql }
 
 // NumInput returns the number of bind placeholders (`?`) the statement
-// declares. A statement with placeholders must run through QueryArgs or
-// ExecuteArgs.
+// declares; Query and Execute take that many bind arguments.
 func (st *Stmt) NumInput() int { return st.numInput }
 
 // Query runs the prepared statement for the session, streaming the
-// result. The cached rewritten plan for the session's policy signature is
-// reused while the signature holds; otherwise the statement is
-// re-rewritten from the pristine parse.
-func (st *Stmt) Query(ctx context.Context, s *Session) (*engine.Rows, error) {
-	p, seed, err := st.planForSpan(s.qm, obs.SpanFrom(ctx))
-	if err != nil {
-		return nil, err
-	}
-	rows, err := p.exec.Stream(ctx)
-	if err != nil {
-		return nil, err
-	}
-	rows.AddCounters(seed)
-	return rows, nil
-}
-
-// Execute runs the prepared statement for the session and materialises
-// the result.
-func (st *Stmt) Execute(ctx context.Context, s *Session) (*engine.Result, error) {
-	p, _, err := st.planForSpan(s.qm, obs.SpanFrom(ctx))
-	if err != nil {
-		return nil, err
-	}
-	return p.exec.Query(ctx)
-}
-
-// QueryArgs runs the prepared statement with bind arguments, streaming
-// the result. Placeholders are bound against the pristine parse before
-// the policy rewrite, so each execution is rewritten with its literals in
-// place; the parse is still amortised across calls, but the plan cache
-// only serves placeholder-free statements — bound literals differ per
-// call.
-func (st *Stmt) QueryArgs(ctx context.Context, s *Session, args []storage.Value) (*engine.Rows, error) {
+// result. Without placeholders, the cached rewritten plan for the session's
+// policy signature is reused while the signature holds; otherwise the
+// statement is re-rewritten from the pristine parse. With placeholders, args
+// are bound against the pristine parse before the policy rewrite, so each
+// execution is rewritten with its literals in place: the parse is still
+// amortised across calls, but the plan cache only serves placeholder-free
+// statements — bound literals differ per call.
+func (st *Stmt) Query(ctx context.Context, s *Session, args ...storage.Value) (*engine.Rows, error) {
 	if st.numInput == 0 && len(args) == 0 {
-		return st.Query(ctx, s)
+		p, seed, err := st.planForSpan(s.qm, obs.SpanFrom(ctx))
+		if err != nil {
+			return nil, err
+		}
+		rows, err := p.exec.Stream(ctx)
+		if err != nil {
+			return nil, err
+		}
+		rows.AddCounters(seed)
+		return rows, nil
 	}
 	stmt, rep, err := st.bindRewriteCtx(ctx, s.qm, args)
 	if err != nil {
@@ -150,18 +133,19 @@ func (st *Stmt) QueryArgs(ctx context.Context, s *Session, args []storage.Value)
 	if err != nil {
 		return nil, err
 	}
-	rows.AddCounters(engine.Counters{
-		GuardCacheHits:   int64(rep.GuardCacheHits),
-		GuardCacheMisses: int64(rep.GuardCacheMisses),
-	})
+	rows.AddCounters(cacheSeed(rep))
 	return rows, nil
 }
 
-// ExecuteArgs runs the prepared statement with bind arguments and
-// materialises the result (see QueryArgs).
-func (st *Stmt) ExecuteArgs(ctx context.Context, s *Session, args []storage.Value) (*engine.Result, error) {
+// Execute runs the prepared statement for the session and materialises
+// the result (see Query).
+func (st *Stmt) Execute(ctx context.Context, s *Session, args ...storage.Value) (*engine.Result, error) {
 	if st.numInput == 0 && len(args) == 0 {
-		return st.Execute(ctx, s)
+		p, _, err := st.planForSpan(s.qm, obs.SpanFrom(ctx))
+		if err != nil {
+			return nil, err
+		}
+		return p.exec.Query(ctx)
 	}
 	stmt, _, err := st.bindRewriteCtx(ctx, s.qm, args)
 	if err != nil {
@@ -281,7 +265,7 @@ func (st *Stmt) CachedPlans() int {
 func (st *Stmt) planForSpan(qm policy.Metadata, sp *obs.Span) (*preparedPlan, engine.Counters, error) {
 	var seed engine.Counters
 	if st.numInput > 0 {
-		return nil, seed, fmt.Errorf("core: statement has %d placeholder(s); run it with QueryArgs/ExecuteArgs", st.numInput)
+		return nil, seed, fmt.Errorf("core: statement has %d placeholder(s); bind them through Query/Execute", st.numInput)
 	}
 	psp := sp.StartChild("plan")
 	tok, seed, err := st.m.planTokenFor(qm, st.tables)

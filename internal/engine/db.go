@@ -51,7 +51,7 @@ type UDF func(ctx *UDFContext, args []storage.Value) (storage.Value, error)
 type DeltaResolver func(setID int64) (ownerCol string, owners []int64, ok bool)
 
 // InsertTrigger runs after a row is inserted into a table. SIEVE uses one on
-// the policy table to flip the guarded expression's outdated flag (§5.1).
+// the policy table to invalidate the guarded expressions it affects (§5.1).
 type InsertTrigger func(table string, row storage.Row)
 
 // DB is the embedded database: a catalog of tables, statistics, UDFs and

@@ -248,8 +248,10 @@ type tableBinding struct {
 	ref    string
 	conjs  []sqlparser.Expr
 	schema *RelSchema
-	sargs  []sarg      // the sargable conjuncts
-	prog   *vecProgram // nil: nothing to filter
+	sargs  []sarg // the sargable conjuncts
+
+	progOnce sync.Once
+	prog     *vecProgram // nil: nothing to filter
 
 	orOnce sync.Once
 	ors    []orClause // the conjuncts with ≥ 2 disjuncts
@@ -271,8 +273,15 @@ func bindTable(t *storage.Table, ref string, conjs []sqlparser.Expr) *tableBindi
 			tb.sargs = append(tb.sargs, s)
 		}
 	}
-	tb.prog = compileScanFilter(conjs, tb.schema)
 	return tb
+}
+
+// program returns the conjuncts' compiled vector filter, compiled by the
+// first execution to filter a batch: Explain binds and plans but runs
+// nothing.
+func (tb *tableBinding) program() *vecProgram {
+	tb.progOnce.Do(func() { tb.prog = compileScanFilter(tb.conjs, tb.schema) })
+	return tb.prog
 }
 
 // orClause is what a disjunctive conjunct offers an index union: for every

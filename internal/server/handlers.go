@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -139,15 +140,9 @@ func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request, prin 
 	ls, err := s.openSession(prin, req.Purpose)
 	if err != nil {
 		code := http.StatusBadRequest
-		if s.cfg.MaxSessionsPerTenant > 0 {
-			// openSession's only post-validation failure is the cap.
-			s.mu.Lock()
-			capped := s.perTenant[prin.Querier] >= s.cfg.MaxSessionsPerTenant
-			s.mu.Unlock()
-			if capped {
-				code = http.StatusTooManyRequests
-				s.met.RejectedLimit.Add(1)
-			}
+		if errors.Is(err, errSessionLimit) {
+			code = http.StatusTooManyRequests
+			s.met.RejectedLimit.Add(1)
 		}
 		jsonError(w, code, "%v", err)
 		return
@@ -178,7 +173,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, ls *liveSes
 			}
 			return backend.SessionQuery(ctx, s.cfg.Backend, ls.sess, req.SQL)
 		}
-		return ls.sess.QueryArgs(ctx, req.SQL, args)
+		return ls.sess.Query(ctx, req.SQL, args...)
 	})
 }
 
@@ -250,7 +245,7 @@ func (s *Server) handleStmtQuery(w http.ResponseWriter, r *http.Request, ls *liv
 			}
 			return backend.StmtQuery(ctx, s.cfg.Backend, ls.sess, st)
 		}
-		return st.QueryArgs(ctx, ls.sess, args)
+		return st.Query(ctx, ls.sess, args...)
 	})
 }
 

@@ -38,6 +38,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net"
@@ -231,6 +232,10 @@ func newSessionID() string { return randomHex() }
 // to add families of their own next to the server's.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
+// errSessionLimit is openSession's per-tenant cap rejection: the one failure
+// that is the server's state (429), not the request's fault (400).
+var errSessionLimit = errors.New("per-tenant session limit reached")
+
 // openSession registers a live session for prin, enforcing the per-tenant
 // cap. The error is user-facing.
 func (s *Server) openSession(prin Principal, purpose string) (*liveSession, error) {
@@ -252,7 +257,7 @@ func (s *Server) openSession(prin Principal, purpose string) (*liveSession, erro
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if lim := s.cfg.MaxSessionsPerTenant; lim > 0 && s.perTenant[prin.Querier] >= lim {
-		return nil, fmt.Errorf("querier %q already has %d open sessions (the per-tenant limit)", prin.Querier, lim)
+		return nil, fmt.Errorf("querier %q already has %d open sessions: %w", prin.Querier, lim, errSessionLimit)
 	}
 	s.sessions[ls.id] = ls
 	s.perTenant[prin.Querier]++

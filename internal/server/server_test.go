@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	sieve "github.com/sieve-db/sieve"
@@ -401,6 +402,16 @@ func TestSessionLimitAndDemoTokens(t *testing.T) {
 		!strings.Contains(err.Error(), "429") {
 		t.Fatalf("second session must hit the tenant cap: %v", err)
 	}
+	// A request that is wrong in itself is answered 400 and is no cap
+	// rejection, even from a tenant sitting at its cap.
+	limited := f.scrape(t)["sieve_rejected_limit_total"]
+	if _, err := f.client("tok-alice").OpenSession(ctx, "billing"); err == nil ||
+		!strings.Contains(err.Error(), "400") {
+		t.Fatalf("a purpose the token does not pin must be a 400 at the cap too: %v", err)
+	}
+	if got := f.scrape(t)["sieve_rejected_limit_total"]; got != limited || got != 1 {
+		t.Fatalf("rejected_limit = %d after one cap rejection and one bad request, want 1", got)
+	}
 	if err := s1.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -410,6 +421,30 @@ func TestSessionLimitAndDemoTokens(t *testing.T) {
 		t.Fatalf("slot not released: %v", err)
 	}
 	s2.Close(ctx)
+
+	// A cap rejection is a 429 whatever the tenant's count is by the time
+	// it is answered: four clients race open-then-close for the one slot.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := f.client("tok-alice")
+			for i := 0; i < 100; i++ {
+				s, err := c.OpenSession(ctx, "audit")
+				if err == nil {
+					err = s.Close(ctx)
+				} else if strings.Contains(err.Error(), "429") {
+					continue
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 
 	// The demo scheme asserts identity without a token entry, and rides
 	// the same enforcement: alice's grant, bob's default deny.

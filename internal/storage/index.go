@@ -74,20 +74,6 @@ func (ix *Index) remove(key Value, id RowID) {
 	}
 }
 
-// removeDeleted drops every entry whose row is tombstoned in one pass. The
-// index holds live rows only, so after a batch of tombstones these are
-// exactly the batch's entries.
-func (ix *Index) removeDeleted(deleted []bool) {
-	kept := ix.entries[:0]
-	for _, e := range ix.entries {
-		if !deleted[e.id] {
-			kept = append(kept, e)
-		}
-	}
-	clear(ix.entries[len(kept):]) // the dropped keys' strings
-	ix.entries = kept
-}
-
 // lowerBound returns the first position whose key is >= key (or > key when
 // strict). Positions run [0, Len()].
 func (ix *Index) lowerBound(key Value, strict bool) int {

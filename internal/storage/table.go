@@ -145,39 +145,6 @@ func (t *Table) Delete(id RowID) error {
 	return nil
 }
 
-// DeleteBatch tombstones every row in ids, all or none: a batch naming a
-// missing or already-deleted row, or one row twice, is rejected before
-// anything changes. Each index is compacted in one pass over its entries
-// where N single Deletes pay N binary searches and N memmoves. The heap
-// slots stay (row ids are stable until Compact), and so do the rows behind
-// them: a View captured earlier may share this heap but hold an older
-// tombstone bitmap, and must still find the row it believes live. Compact
-// is what returns the memory.
-func (t *Table) DeleteBatch(ids []RowID) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i, id := range ids {
-		if id < 0 || int(id) >= len(t.rows) || t.deleted[id] {
-			for _, undo := range ids[:i] {
-				t.deleted[undo] = false
-			}
-			return fmt.Errorf("table %s: delete of missing row %d", t.Name, id)
-		}
-		t.deleted[id] = true // doubles as the duplicate check
-	}
-	for _, id := range ids {
-		if s := t.segIndexFor(int(id)); s < len(t.segs) {
-			t.segs[s].live--
-		}
-	}
-	t.live -= len(ids)
-	for _, idx := range t.indexes {
-		idx.removeDeleted(t.deleted)
-	}
-	t.muts.Add(int64(len(ids)))
-	return nil
-}
-
 // Lookup appends to dst the ids of the live rows whose col equals key,
 // through the index on col, under the table's read lock — the index is
 // maintained under the write lock, so this is the lookup that is safe
@@ -317,7 +284,7 @@ const VacuumFloor = 16
 // live rows need however many have been deleted, at an amortised cost of
 // two row moves per delete. Compact renumbers rows, so Vacuum is for the
 // relations whose writers address rows by a logical id through an index and
-// hold no row id across calls (the guard and policy relations); row-logged
+// hold no row id across calls (the policy relations); row-logged
 // tables compact through engine.DB.Compact.
 func (t *Table) Vacuum() {
 	t.mu.RLock()

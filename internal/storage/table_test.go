@@ -193,6 +193,23 @@ func TestBulkInsertAndCompact(t *testing.T) {
 	if total != 90 {
 		t.Errorf("index entries after compact = %d, want 90", total)
 	}
+	// Compact relabels index entries instead of re-sorting them: a lookup
+	// is still the scan's answer, in id order.
+	for o := int64(0); o < 7; o++ {
+		var want []RowID
+		tb.Scan(func(id RowID, row Row) bool {
+			if row[1].I == o {
+				want = append(want, id)
+			}
+			return true
+		})
+		if got, _ := tb.Lookup(nil, "owner", NewInt(o)); !slices.Equal(got, want) {
+			t.Errorf("after compact, owner = %d: index %v, scan %v", o, got, want)
+		}
+	}
+	if _, ok := tb.Lookup(nil, "id", NewInt(1)); ok {
+		t.Error("Lookup on an unindexed column reported an index")
+	}
 }
 
 func TestBulkInsertValidatesAll(t *testing.T) {
@@ -282,139 +299,5 @@ func TestIndexMatchesScanProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestDeleteBatchEqualsSingleDeletes: one batched delete leaves a table
-// exactly where N single deletes leave it — rows, every index, live and
-// per-segment counts, the mutation counter — is all-or-nothing on a bad
-// batch, and does not disturb a View captured before it.
-func TestDeleteBatchEqualsSingleDeletes(t *testing.T) {
-	build := func() *Table {
-		tb := NewTable("t", testSchema(t))
-		tb.SetSegmentSize(16)
-		for _, col := range []string{"owner", "name"} {
-			if _, err := tb.CreateIndex(col); err != nil {
-				t.Fatal(err)
-			}
-		}
-		r := rand.New(rand.NewSource(7))
-		for i := 0; i < 200; i++ {
-			name := Null
-			if i%9 != 0 {
-				name = NewString(string(rune('a' + r.Intn(6))))
-			}
-			if _, err := tb.Insert(Row{NewInt(int64(i)), NewInt(int64(r.Intn(12))), name}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return tb
-	}
-	same := func(a, b *Table) {
-		t.Helper()
-		if a.NumRows() != b.NumRows() || a.NumSlots() != b.NumSlots() || a.Mutations() != b.Mutations() {
-			t.Fatalf("live %d/%d slots %d/%d mutations %d/%d", a.NumRows(), b.NumRows(),
-				a.NumSlots(), b.NumSlots(), a.Mutations(), b.Mutations())
-		}
-		for id := RowID(0); int(id) < a.NumSlots(); id++ {
-			ra, oka := a.Get(id)
-			rb, okb := b.Get(id)
-			if oka != okb || (oka && ra[0].I != rb[0].I) {
-				t.Fatalf("slot %d: %v,%v against %v,%v", id, ra, oka, rb, okb)
-			}
-		}
-		for s := 0; s < a.SegmentCount(); s++ {
-			if a.SegmentLive(s) != b.SegmentLive(s) {
-				t.Fatalf("segment %d live %d against %d", s, a.SegmentLive(s), b.SegmentLive(s))
-			}
-		}
-		for _, col := range []string{"owner", "name"} {
-			ia, _ := a.Index(col)
-			ib, _ := b.Index(col)
-			if ia.Len() != ib.Len() {
-				t.Fatalf("index %s: %d entries against %d", col, ia.Len(), ib.Len())
-			}
-			if got, want := ib.Range(nil, Null, false, Null, false), ia.Range(nil, Null, false, Null, false); !slices.Equal(got, want) {
-				t.Fatalf("index %s full range: %v against %v", col, got, want)
-			}
-		}
-		ia, _ := a.Index("owner")
-		for k := int64(0); k < 12; k++ {
-			got, _ := b.Lookup(nil, "owner", NewInt(k))
-			if want := ia.Eq(nil, NewInt(k)); !slices.Equal(got, want) {
-				t.Fatalf("owner = %d: %v against %v", k, got, want)
-			}
-			ib, _ := b.Index("owner")
-			if got, want := ib.Range(nil, NewInt(k), true, NewInt(k+4), false), ia.Range(nil, NewInt(k), true, NewInt(k+4), false); !slices.Equal(got, want) {
-				t.Fatalf("owner in (%d, %d]: %v against %v", k, k+4, got, want)
-			}
-		}
-	}
-
-	single, batched := build(), build()
-	var ids []RowID
-	r := rand.New(rand.NewSource(11))
-	for _, i := range r.Perm(200)[:70] {
-		ids = append(ids, RowID(i))
-	}
-	before := batched.View()
-	for _, id := range ids {
-		if err := single.Delete(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := batched.DeleteBatch(ids); err != nil {
-		t.Fatal(err)
-	}
-	same(single, batched)
-
-	// A bad batch applies nothing: out of range, already deleted, named twice.
-	live := RowID(r.Perm(200)[70])
-	for name, bad := range map[string][]RowID{
-		"missing": {live, 200},
-		"deleted": {live, ids[0]},
-		"twice":   {live, live},
-	} {
-		if err := batched.DeleteBatch(bad); err == nil {
-			t.Fatalf("%s: batch %v accepted", name, bad)
-		}
-		same(single, batched)
-	}
-	if _, ok := batched.Lookup(nil, "id", NewInt(1)); ok {
-		t.Fatal("Lookup on an unindexed column reported an index")
-	}
-
-	// The earlier View reads through the batch: every slot is a whole row or
-	// absent, by Get, by segment walk and by batch load.
-	var b Batch
-	n := before.ScanBatch(0, before.NumSlots(), &b)
-	for i := 0; i < n; i++ {
-		if len(b.Row(i)) != 3 {
-			t.Fatalf("batch row %d = %v", i, b.Row(i))
-		}
-	}
-	for s := 0; s < before.NumSegments(); s++ {
-		before.SegmentSlots(s, func(id RowID, row Row, ok bool) bool {
-			if got, okGet := before.Get(id); ok != okGet || (ok && (len(row) != 3 || got[0].I != row[0].I)) {
-				t.Fatalf("view slot %d: walk %v,%v get %v,%v", id, row, ok, got, okGet)
-			}
-			return true
-		})
-	}
-
-	// Compact relabels index entries instead of re-sorting them: a lookup
-	// is still the scan's answer, in id order.
-	batched.Compact()
-	for k := int64(0); k < 12; k++ {
-		var want []RowID
-		batched.Scan(func(id RowID, row Row) bool {
-			if row[1].I == k {
-				want = append(want, id)
-			}
-			return true
-		})
-		if got, _ := batched.Lookup(nil, "owner", NewInt(k)); !slices.Equal(got, want) {
-			t.Fatalf("after Compact, owner = %d: index %v, scan %v", k, got, want)
-		}
 	}
 }

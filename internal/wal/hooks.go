@@ -21,9 +21,8 @@ var _ engine.WAL = (*Manager)(nil)
 var _ policy.Durability = (*Manager)(nil)
 
 // LogsTable gates row logging. The policy relations are logged logically
-// (AddPolicy/RevokePolicy records) and SkipTables hold derived guard
-// state that regenerates lazily, so their row mutations never hit the
-// log.
+// (AddPolicy/RevokePolicy records), so their row mutations never hit the
+// log; neither do those of Options.SkipTables.
 func (m *Manager) LogsTable(table string) bool {
 	if table == policy.TableP || table == policy.TableOC {
 		return false

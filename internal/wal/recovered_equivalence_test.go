@@ -107,9 +107,9 @@ func equivMutate(t *testing.T, m *core.Middleware, db *engine.DB, querier string
 }
 
 // TestRecoveredStoreDifferentialOracle boots the full durable stack,
-// warms the guard cache (so the derived sieve_guard_* relations exist and
-// SkipTables must really exclude them), applies a mutation suffix, closes
-// without a checkpoint, and recovers. The recovered middleware — replayed
+// warms the guard cache (in process: it is no part of what is logged or
+// recovered), applies a mutation suffix, closes without a checkpoint, and
+// recovers. The recovered middleware — replayed
 // state — must answer the whole query corpus exactly like a never-crashed
 // mirror.
 func TestRecoveredStoreDifferentialOracle(t *testing.T) {
@@ -119,10 +119,7 @@ func TestRecoveredStoreDifferentialOracle(t *testing.T) {
 	if len(queriers) == 0 {
 		t.Fatal("no queriers with policies in the corpus")
 	}
-	m, err := wal.Open(dir, wal.Options{
-		Sync: wal.SyncNever, CheckpointEvery: -1,
-		SkipTables: workload.GuardSkipTables(),
-	})
+	m, err := wal.Open(dir, wal.Options{Sync: wal.SyncNever, CheckpointEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +136,7 @@ func TestRecoveredStoreDifferentialOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m2, err := wal.Open(dir, wal.Options{SkipTables: workload.GuardSkipTables()})
+	m2, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

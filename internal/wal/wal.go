@@ -95,9 +95,10 @@ type Options struct {
 	// (default 4096; <0 disables automatic checkpoints — Checkpoint and
 	// the clean-shutdown path still cut them explicitly).
 	CheckpointEvery int64
-	// SkipTables are excluded from row logging and from snapshots:
-	// derived state (the middleware's guard cache relations) that
-	// regenerates lazily after recovery.
+	// SkipTables are excluded from row logging and from snapshots. Nothing
+	// sets it to a non-empty list since the guard cache left the database;
+	// it remains because benchmark/inputs.go sets the field and a PR
+	// outside [benchmark] may not edit that module (ROADMAP).
 	SkipTables []string
 }
 

@@ -20,19 +20,17 @@ type DurableDemo struct {
 	Recovered *wal.Recovered
 }
 
-// GuardSkipTables lists the middleware's derived guard-cache relations.
-// They are excluded from logging and snapshots: the guard cache is
-// regenerated lazily from policies, exactly as on a cold start.
-func GuardSkipTables() []string {
-	return []string{core.TableGE, core.TableGG, core.TableGP}
-}
+// GuardSkipTables returns nil: the middleware keeps its guard cache in
+// process and owns no derived relation to keep out of the log. It remains
+// only because benchmark/inputs.go calls it and a PR outside [benchmark] may
+// not edit that module; the next [benchmark] PR deletes both (ROADMAP).
+func GuardSkipTables() []string { return nil }
 
 // NewDurableDemo opens (or creates) the durable demo under dir. A fresh
 // directory seeds the test campus and snapshots it; an existing one is
 // recovered — snapshot restore plus WAL replay — and serves exactly the
 // acknowledged pre-crash state.
 func NewDurableDemo(d engine.Dialect, dir string, opts wal.Options) (*DurableDemo, error) {
-	opts.SkipTables = append(opts.SkipTables, GuardSkipTables()...)
 	m, err := wal.Open(dir, opts)
 	if err != nil {
 		return nil, err

@@ -223,7 +223,7 @@ func TestPreparedPlanCacheInvalidation(t *testing.T) {
 // queriers, so distinct guarded expressions regenerate concurrently) plus
 // a policy writer against one Middleware. Run under -race this exercises
 // the executor's per-query counters, the shared prepared-statement plan
-// cache, and the guard persistence tables.
+// cache, and single-flight guard generation.
 func TestConcurrentSessionsSharedMiddleware(t *testing.T) {
 	const (
 		queriers = 6

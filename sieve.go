@@ -279,18 +279,16 @@ func NewDB(d Dialect) *DB { return engine.New(d) }
 // NewStore creates (or reattaches to) the policy relations in db.
 func NewStore(db *DB) (*Store, error) { return policy.NewStore(db) }
 
-// New builds a SIEVE middleware over a policy store's database. A
-// middleware re-attached to an existing database may call
-// Middleware.LoadPersistedGuards to resume from the persisted guarded
-// expressions (§5.1) instead of regenerating them on first query.
+// New builds a SIEVE middleware over a policy store's database. Its guard
+// cache lives in process: a middleware attached to an existing database
+// generates each guarded expression from rP on the first query that needs
+// it, as after a crash recovery.
 func New(store *Store, opts ...Option) (*Middleware, error) { return core.New(store, opts...) }
 
 // Middleware options.
 var (
 	// WithGroups supplies the group-membership resolver.
 	WithGroups = core.WithGroups
-	// WithCostModel overrides the calibrated cost model.
-	WithCostModel = core.WithCostModel
 	// WithDeltaThreshold overrides the Inline-vs-Δ partition threshold.
 	WithDeltaThreshold = core.WithDeltaThreshold
 	// WithRegenInterval enables §6 deferred guard regeneration.

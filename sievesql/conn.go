@@ -101,7 +101,7 @@ func (c *conn) QueryContext(ctx context.Context, query string, args []driver.Nam
 	if err != nil {
 		return nil, err
 	}
-	r, err := c.session().QueryArgs(ctx, query, vals)
+	r, err := c.session().Query(ctx, query, vals...)
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +116,7 @@ func (c *conn) ExecContext(ctx context.Context, query string, args []driver.Name
 	if err != nil {
 		return nil, err
 	}
-	res, err := c.session().ExecuteArgs(ctx, query, vals)
+	res, err := c.session().Execute(ctx, query, vals...)
 	if err != nil {
 		return nil, err
 	}
@@ -187,7 +187,7 @@ func (s *stmt) ExecContext(ctx context.Context, args []driver.NamedValue) (drive
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.st.ExecuteArgs(ctx, s.c.session(), vals)
+	res, err := s.st.Execute(ctx, s.c.session(), vals...)
 	if err != nil {
 		return nil, err
 	}
@@ -206,7 +206,7 @@ func (s *stmt) QueryContext(ctx context.Context, args []driver.NamedValue) (driv
 	if err != nil {
 		return nil, err
 	}
-	r, err := s.st.QueryArgs(ctx, s.c.session(), vals)
+	r, err := s.st.Query(ctx, s.c.session(), vals...)
 	if err != nil {
 		return nil, err
 	}
