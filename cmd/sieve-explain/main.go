@@ -120,8 +120,7 @@ func main() {
 	fmt.Printf("\nresult: %d rows\n", len(res.Rows))
 	fmt.Printf("executor: %d tuples read, %d segments scanned, %d pruned (zero tuple reads), %d parallel scans (workers=%d)\n",
 		c.TuplesRead, c.SegmentsScanned, c.SegmentsPruned, c.ParallelScans, campus.DB.EffectiveScanWorkers())
-	fmt.Printf("vectorised: %d batches / %d rows batch-evaluated, %d segments pruned by owner dictionaries\n",
-		c.BatchesVectorised, c.RowsVectorised, c.OwnerDictPruned)
+	fmt.Printf("vectorised: %d batches / %d rows batch-evaluated\n", c.BatchesVectorised, c.RowsVectorised)
 
 	cs := demo.M.CacheStats()
 	fmt.Printf("guard cache: %d hits / %d misses, %d generations, %d shared bindings, %d live states for %d claims\n",

@@ -56,6 +56,7 @@ func TestUsageDocsDrift(t *testing.T) {
 			"BENCH_traffic.json", "BENCH_latency.json", "BENCH_recovery.json",
 			"BENCH_policy_scale.json", "BENCH_server.json", "bench_compare",
 			"-run latency", "-run policyscale", "sieve-bench -server", "/varz",
+			"OwnerDict", "owner dictionar", "owner_dict_pruned", "Calibrate(",
 		} {
 			if strings.Contains(string(raw), gone) {
 				t.Errorf("%s still mentions %q, which was removed", name, gone)

@@ -26,12 +26,6 @@ type checkSet struct {
 	// hasDerived caches compiled.HasSubqueryConditions so the per-tuple
 	// Δ path only builds a sub-evaluator when one can actually be called.
 	hasDerived bool
-	// owners is the partition's distinct policy-owner ids, the closed set
-	// of tuple owners the Δ call can ever match (owner-first-match denies
-	// everyone else, NULL included). Exposed to the engine's planner
-	// through a DeltaResolver so a Δ arm refutes segments like an explicit
-	// owner IN (...) list. Never mutated after registration.
-	owners []int64
 }
 
 // registerCheckSetLocked compiles and registers a policy set; caller holds
@@ -45,14 +39,6 @@ func (m *Middleware) registerCheckSetLocked(ps []*policy.Policy, relation string
 	if ownerIdx < 0 {
 		return 0, fmt.Errorf("sieve: relation %q lacks owner attribute", relation)
 	}
-	seen := make(map[int64]bool, len(ps))
-	owners := make([]int64, 0, len(ps))
-	for _, p := range ps {
-		if !seen[p.Owner] {
-			seen[p.Owner] = true
-			owners = append(owners, p.Owner)
-		}
-	}
 	cs := &checkSet{
 		relation:   relation,
 		schema:     schema,
@@ -60,27 +46,29 @@ func (m *Middleware) registerCheckSetLocked(ps []*policy.Policy, relation string
 		compiled:   compiled,
 		ownerIdx:   ownerIdx,
 		hasDerived: compiled.HasSubqueryConditions(),
-		owners:     owners,
 	}
 	m.nextSetID++
 	id := m.nextSetID
-	m.registry[id] = cs
+	m.registry.Store(id, cs)
 	return id, nil
 }
 
 // dropCheckSetsLocked forgets stale check sets; caller holds m.mu.
 func (m *Middleware) dropCheckSetsLocked(ids []int64) {
 	for _, id := range ids {
-		delete(m.registry, id)
+		m.registry.Delete(id)
 	}
 }
 
-// lookupCheckSet fetches a registered set.
+// lookupCheckSet fetches a registered set without taking m.mu: the Δ UDF
+// calls it per tuple from scan workers, which must never wait behind a
+// rewrite or a policy write.
 func (m *Middleware) lookupCheckSet(id int64) (*checkSet, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	cs, ok := m.registry[id]
-	return cs, ok
+	v, ok := m.registry.Load(id)
+	if !ok {
+		return nil, false
+	}
+	return v.(*checkSet), true
 }
 
 // registerDeltaUDF installs the Δ operator (§5.2) in the engine. Arguments:
@@ -89,18 +77,6 @@ func (m *Middleware) lookupCheckSet(id int64) (*checkSet, bool) {
 // policy filtering of §3.2) and evaluates only those, stopping at the
 // first match.
 func (m *Middleware) registerDeltaUDF() {
-	// The planner-side half of the operator: Δ provenance. A Δ arm's
-	// partition is a closed owner set, so `sieve_delta(id, …) = TRUE`
-	// implies `owner IN (partition owners)`; registering the resolver lets
-	// planAccess refute the arm against segment zones and owner
-	// dictionaries before any tuple (or UDF bridge invocation) is paid.
-	m.db.RegisterDeltaResolver(DeltaUDFName, func(setID int64) (string, []int64, bool) {
-		cs, ok := m.lookupCheckSet(setID)
-		if !ok {
-			return "", nil, false
-		}
-		return policy.OwnerAttr, cs.owners, true
-	})
 	m.db.RegisterUDF(DeltaUDFName, func(ctx *engine.UDFContext, args []storage.Value) (storage.Value, error) {
 		if len(args) < 1 || args[0].K != storage.KindInt {
 			return storage.Null, fmt.Errorf("%s: first argument must be a check-set id", DeltaUDFName)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"testing"
+	"time"
 
 	"github.com/sieve-db/sieve/internal/engine"
 	"github.com/sieve-db/sieve/internal/policy"
@@ -10,16 +11,14 @@ import (
 	"github.com/sieve-db/sieve/internal/storage"
 )
 
-// TestDeltaArmRefutedAtPlanTime is the middleware-level regression test
-// for Δ provenance reaching planAccess. The fixture is engineered so the
-// chosen guard is a condition guard (loc = 7) whose partition spans 12
-// owners and exceeds the Δ threshold, while neither the guard predicate
-// (loc is scattered, every segment hull covers 7) nor sarg extraction
-// (the Δ call is an opaque UDF invocation) can refute anything. Before Δ
-// provenance the scan read every segment; with it, the partition's owner
-// set refutes every second-half segment through its owner dictionary —
-// the hulls [2,40] cover owners 4..15, so only the dictionaries are
-// decisive.
+// TestDeltaArmRefutedAtPlanTime pins what prunes a Δ arm: its own guard
+// predicate. The fixture is engineered so the chosen guard is a condition
+// guard (loc = 7) whose partition spans 12 owners and exceeds the Δ
+// threshold. The Δ call is an opaque UDF invocation the planner does not
+// look into — the second half's owner hulls [2,40] cover owners 4..15, so
+// owner zones decide nothing either — while the second half's loc hulls
+// [8,63] miss 7: the guard conjunct refutes those segments, and the rows
+// equal BaselineP's.
 func TestDeltaArmRefutedAtPlanTime(t *testing.T) {
 	db := engine.New(engine.MySQL())
 	db.UDFOverheadIters = 0
@@ -35,15 +34,11 @@ func TestDeltaArmRefutedAtPlanTime(t *testing.T) {
 	const n = 1024
 	rows := make([]storage.Row, 0, n)
 	for i := 0; i < n; i++ {
-		var owner int64
-		if i < n/2 {
-			owner = int64(i % 16) // first half: owners 0..15 in every segment
-		} else {
-			owner = 2 + int64(i%2)*38 // second half: owners {2,40} only
+		owner, loc := int64(i%16), int64(i%64) // first half: owners 0..15, locs 0..63 in every segment
+		if i >= n/2 {
+			owner, loc = 2+int64(i%2)*38, 8+int64(i%56) // second half: owners {2,40}, locs 8..63
 		}
-		rows = append(rows, storage.Row{
-			storage.NewInt(int64(i)), storage.NewInt(owner), storage.NewInt(int64(i % 64)),
-		})
+		rows = append(rows, storage.Row{storage.NewInt(int64(i)), storage.NewInt(owner), storage.NewInt(loc)})
 	}
 	if err := tbl.BulkInsert(rows); err != nil {
 		t.Fatal(err)
@@ -103,33 +98,58 @@ func TestDeltaArmRefutedAtPlanTime(t *testing.T) {
 	}
 	c := db.CountersSnapshot()
 	total := tbl.SegmentCount()
-	if int(c.SegmentsPruned) != total/2 || int(c.OwnerDictPruned) != total/2 {
-		t.Fatalf("Δ provenance must owner-dict prune the %d second-half segments, got pruned=%d dict=%d",
-			total/2, c.SegmentsPruned, c.OwnerDictPruned)
+	if int(c.SegmentsPruned) != total/2 || int(c.SegmentsScanned) != total/2 {
+		t.Fatalf("the guard must prune the %d second-half segments, got pruned=%d scanned=%d",
+			total/2, c.SegmentsPruned, c.SegmentsScanned)
 	}
-	if int(c.SegmentsScanned) != total/2 {
-		t.Fatalf("scanned %d segments, want %d", c.SegmentsScanned, total/2)
+	if c.UDFInvocations == 0 {
+		t.Fatal("fixture broken: the Δ UDF never ran")
 	}
 
-	// Soundness cross-check: the pruned result matches what the guard
-	// partition's policies allow row-by-row (pure policy evaluation,
-	// independent of the rewrite and the pruning).
-	compiled, err := policy.CompileSet(ps, schema)
+	base, err := m.ExecuteBaseline(BaselineP, "SELECT * FROM t", sess.Metadata())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 0
-	tbl.Scan(func(_ storage.RowID, r storage.Row) bool {
-		ok, _, err := compiled.EvalFirstMatch(r, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
-			want++
-		}
-		return true
-	})
-	if want != len(res.Rows) {
-		t.Fatalf("oracle allows %d rows, query returned %d", want, len(res.Rows))
+	if !equalIDs(idsOf(res, 0), idsOf(base, 0)) {
+		t.Fatalf("BaselineP returns %d rows, the Δ rewrite %d", len(base.Rows), len(res.Rows))
+	}
+}
+
+// TestDeltaUDFDoesNotTakeMiddlewareLock is the regression test for the Δ
+// UDF's per-tuple check-set lookup: it must not wait on m.mu, the lock
+// every rewrite and policy write holds. The test holds m.mu itself while a
+// BaselineU statement — one Δ call per tuple — runs to completion.
+func TestDeltaUDFDoesNotTakeMiddlewareLock(t *testing.T) {
+	f := newFixture(t, engine.MySQL(), 15)
+	stmt, err := f.m.RewriteBaseline(BaselineU, selectAll, f.qm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := keysOf(f.allowedIDs(t))
+
+	type outcome struct {
+		res *engine.Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	f.m.mu.Lock()
+	go func() {
+		res, err := f.m.db.QueryStmt(stmt)
+		done <- outcome{res, err}
+	}()
+	var out outcome
+	select {
+	case out = <-done:
+		f.m.mu.Unlock()
+	case <-time.After(20 * time.Second):
+		f.m.mu.Unlock()
+		<-done
+		t.Fatal("the Δ UDF waited on Middleware.mu")
+	}
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	if !equalIDs(idsOf(out.res, 0), want) {
+		t.Fatalf("BaselineU under a held lock returned %d rows, oracle allows %d", len(out.res.Rows), len(want))
 	}
 }

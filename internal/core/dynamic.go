@@ -59,13 +59,6 @@ func (m *Middleware) optimalK(st *geState) int {
 	return ki
 }
 
-// TotalCostModel returns the §6.1 query-evaluation cost with a guarded
-// expression (Eq. 14): ρ(oc_g)·(cr + ce·α·(|Pn| + |Q|)), exposed for the
-// dynamic-scenario experiments and the Eq. 19 sanity property test.
-func TotalCostModel(rho, cr, ce, alpha float64, policies, queryPreds int) float64 {
-	return rho * (cr + ce*alpha*float64(policies+queryPreds))
-}
-
 // PendingPolicies reports how many policies are queued against the key's
 // guard state awaiting regeneration. For an invalidated claim the delta
 // is computed on demand against the store (pending ids are no longer

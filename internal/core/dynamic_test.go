@@ -164,9 +164,6 @@ func TestEq19MinimisesTotalCost(t *testing.T) {
 		t.Fatalf("total(k̃)=%.1f more than 15%% above optimum %.1f (k*=%d, k̃=%.1f)",
 			atK, bestCost, bestK, kOpt)
 	}
-	if got := TotalCostModel(rho, cr, ce, alpha, int(pn), int(q)); got <= 0 {
-		t.Fatalf("TotalCostModel = %v", got)
-	}
 }
 
 func TestInvalidateAllForcesRegeneration(t *testing.T) {
@@ -181,40 +178,5 @@ func TestInvalidateAllForcesRegeneration(t *testing.T) {
 	}
 	if got := f.m.Regens(f.qm, "wifi"); got != before+1 {
 		t.Fatalf("regens = %d, want %d", got, before+1)
-	}
-}
-
-func TestCalibrateProducesSaneModel(t *testing.T) {
-	f := newFixture(t, engine.MySQL(), 40)
-	cal, err := f.m.Calibrate("wifi", f.qm, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cal.Cr <= 0 || cal.Ce <= 0 || cal.UDFPerTuple <= 0 {
-		t.Fatalf("non-positive calibration: %+v", cal)
-	}
-	if cal.Alpha <= 0 || cal.Alpha > 1 {
-		t.Fatalf("alpha out of range: %v", cal.Alpha)
-	}
-	if cal.DeltaThreshold < 1 {
-		t.Fatalf("threshold = %d", cal.DeltaThreshold)
-	}
-	cm := f.m.CostModel()
-	if cm.Ce != cal.Ce || cm.Cr != cal.Cr {
-		t.Error("calibration not installed into the cost model")
-	}
-	// Soundness still holds under the calibrated model.
-	res, err := f.m.Execute(selectAll, f.qm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equalIDs(idsOf(res, 0), keysOf(f.allowedIDs(t))) {
-		t.Fatal("calibrated model broke soundness")
-	}
-	if _, err := f.m.Calibrate("wifi", policy.Metadata{Querier: "none", Purpose: "x"}, 10); err == nil {
-		t.Error("calibration without policies must fail")
-	}
-	if _, err := f.m.Calibrate("ghost", f.qm, 10); err == nil {
-		t.Error("calibration on missing relation must fail")
 	}
 }

@@ -4,8 +4,8 @@
 // policy set in process — shared by every (querier, purpose, relation) claim
 // that resolves to it, invalidated by the rP trigger, regenerated from rP on
 // the next query and on a cold start — chooses an execution strategy from a
-// calibrated cost model (Inline vs Δ per guard, LinearScan vs IndexQuery vs
-// IndexGuards per table), rewrites the query with WITH clauses and
+// cost model (Inline vs Δ per guard, LinearScan vs IndexQuery vs IndexGuards
+// per table), rewrites the query with WITH clauses and
 // dialect-appropriate index hints, and hands the rewritten SQL to the engine
 // — or, through Session.RewriteSQL and Stmt.EmitSQL, emits it as executable
 // MySQL/PostgreSQL for an external backend. The three baselines of the
@@ -35,8 +35,8 @@ import (
 const DeltaUDFName = "sieve_delta"
 
 // DefaultDeltaThreshold is the partition size beyond which the Δ operator
-// beats inlining when calibration is disabled. The paper measures the
-// crossover at |PG_i| ≈ 120 on MySQL (§5.4, Experiment 2.1).
+// beats inlining. The paper measures the crossover at |PG_i| ≈ 120 on
+// MySQL (§5.4, Experiment 2.1).
 const DefaultDeltaThreshold = 120
 
 // Middleware is a SIEVE instance layered over one database.
@@ -74,8 +74,10 @@ type Middleware struct {
 	byPrincipal map[relPrincipal]map[*claim]struct{}
 	nextStateID uint64
 	stats       cacheStats
-	registry    map[int64]*checkSet
-	nextSetID   int64
+	// registry maps check-set ids to their *checkSet. Written under mu,
+	// read lock-free by the Δ UDF (lookupCheckSet).
+	registry  sync.Map
+	nextSetID int64
 
 	// hookGenerated, when non-nil, runs outside mu after a state has been
 	// generated and before it is published. Tests park a generation here
@@ -217,7 +219,6 @@ func New(store *policy.Store, opts ...Option) (*Middleware, error) {
 		states:         make(map[stateKey][]*geState),
 		flights:        make(map[stateKey]chan struct{}),
 		byPrincipal:    make(map[relPrincipal]map[*claim]struct{}),
-		registry:       make(map[int64]*checkSet),
 	}
 	for _, o := range opts {
 		o(m)
@@ -257,12 +258,6 @@ func (m *Middleware) Protect(relation string) error {
 		if err := m.db.CreateIndex(relation, policy.OwnerAttr); err != nil {
 			return err
 		}
-	}
-	// Protected relations carry per-segment owner dictionaries: the scan
-	// prunes guard partitions whose owner sets miss a segment entirely,
-	// and guard selection credits owner guards with that pruning power.
-	if err := t.TrackOwners(policy.OwnerAttr); err != nil {
-		return err
 	}
 	// Log after the physical preparation (the CreateIndex above logged as
 	// its own DDL record), before the relation joins the protected set: a

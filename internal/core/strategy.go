@@ -166,23 +166,17 @@ func (m *Middleware) chooseStrategy(stmt *sqlparser.SelectStmt, relation, refNam
 
 const inf = 1e300
 
-// guardZoneArms returns, per guard, what segment metadata can refute it by:
-// the guard's interval and its partition's owner set, so a segment whose
-// owner dictionary is disjoint from the partition is refuted even when the
-// interval alone cannot decide. Like the guard arms they depend on the state
-// alone and are built once.
+// guardZoneArms returns, per guard, what zone maps can refute it by: the
+// guard's interval. Like the guard arms they depend on the state alone and
+// are built once.
 func (st *geState) guardZoneArms() []storage.ZoneArm {
 	st.zoneOnce.Do(func() {
 		st.zoneArms = make([]storage.ZoneArm, len(st.ge.Guards))
 		for i := range st.ge.Guards {
 			g := &st.ge.Guards[i]
-			owners := make([]int64, len(g.Policies))
-			for j, p := range g.Policies {
-				owners[j] = p.Owner
-			}
-			// An interval-free guard may match anywhere its partition's
-			// owners live; only the owner dictionaries can prune it.
-			st.zoneArms[i] = storage.ZoneArm{Col: g.Cond.Attr, Owners: owners}
+			// An interval-free guard keeps its NULL (unbounded) bounds: it
+			// may match anywhere.
+			st.zoneArms[i] = storage.ZoneArm{Col: g.Cond.Attr}
 			if lo, hi, ok := g.Cond.Interval(); ok {
 				st.zoneArms[i].Lo, st.zoneArms[i].Hi = lo, hi
 			}
@@ -191,7 +185,7 @@ func (st *geState) guardZoneArms() []storage.ZoneArm {
 	return st.zoneArms
 }
 
-// prunableSegments counts the storage segments whose metadata refutes
+// prunableSegments counts the storage segments whose zone maps refute
 // every arm of the guarded expression — the guards' zone arms plus one
 // owner-equality interval per pending policy. Those segments contribute
 // nothing to a guarded linear scan. With no arms at all (default deny) the
@@ -200,7 +194,7 @@ func prunableSegments(t *storage.Table, guards []storage.ZoneArm, pending []*pol
 	arms := guards[:len(guards):len(guards)] // appending a pending arm copies
 	for _, p := range pending {
 		v := storage.NewInt(p.Owner)
-		arms = append(arms, storage.ZoneArm{Col: policy.OwnerAttr, Lo: v, Hi: v, Owners: []int64{p.Owner}})
+		arms = append(arms, storage.ZoneArm{Col: policy.OwnerAttr, Lo: v, Hi: v})
 	}
 	return t.PrunableSegments(arms)
 }

@@ -37,19 +37,6 @@ func (c *UDFContext) ColumnValue(name string) storage.Value {
 // UDF is a scalar user-defined function invoked per tuple.
 type UDF func(ctx *UDFContext, args []storage.Value) (storage.Value, error)
 
-// DeltaResolver exposes a Δ-style UDF's partition provenance to the
-// planner: given the set id (the UDF's first, constant argument), it
-// returns the column the set filters on and the closed list of ids the
-// set can ever match. ok is false for unknown or unresolvable ids. The
-// contract is soundness-critical: `udf(id, …) = TRUE` must imply
-// `ownerCol IN (owners)` for every row — exactly what SIEVE's Δ operator
-// guarantees by owner-partitioned first-match evaluation (NULL owners
-// denied). With that implication, zone compilation can treat the opaque
-// UDF call as an owner-equality sarg and refute whole segments whose
-// zones or owner dictionaries are disjoint from the partition.
-// The returned slice must not be mutated afterwards.
-type DeltaResolver func(setID int64) (ownerCol string, owners []int64, ok bool)
-
 // InsertTrigger runs after a row is inserted into a table. SIEVE uses one on
 // the policy table to invalidate the guarded expressions it affects (§5.1).
 type InsertTrigger func(table string, row storage.Row)
@@ -65,7 +52,6 @@ type DB struct {
 	stats    map[string]*storage.TableStats
 	udfs     map[string]UDF
 	triggers map[string][]InsertTrigger
-	deltas   map[string]DeltaResolver
 	wal      WAL // durability hook (SetWAL); nil = in-memory only
 
 	// analyzeMu single-flights auto-analyze: when concurrent queries all
@@ -349,27 +335,6 @@ func (db *DB) udf(name string) (UDF, bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	f, ok := db.udfs[name]
-	return f, ok
-}
-
-// RegisterDeltaResolver installs (or replaces) partition provenance for
-// the named UDF, letting the planner refute `name(id, …) = TRUE`
-// conjuncts at the segment level (see DeltaResolver's soundness
-// contract).
-func (db *DB) RegisterDeltaResolver(name string, fn DeltaResolver) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.deltas == nil {
-		db.deltas = make(map[string]DeltaResolver)
-	}
-	db.deltas[name] = fn
-}
-
-// deltaResolverFor looks up a registered resolver by UDF name.
-func (db *DB) deltaResolverFor(name string) (DeltaResolver, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	f, ok := db.deltas[name]
 	return f, ok
 }
 

@@ -57,11 +57,10 @@ type Counters struct {
 	BitmapOrScans   int64 // bitmap OR scans started
 	ParallelScans   int64 // sequential scans executed by the parallel operator
 	SegmentsScanned int64 // segments whose tuples were read by a seq scan
-	SegmentsPruned  int64 // segments skipped entirely via segment metadata (zone maps, owner dicts)
-	// OwnerDictPruned is the subset of SegmentsPruned where the per-segment
-	// owner dictionary was decisive: the min/max zones alone could not
-	// refute, but every guard partition's owner set was disjoint from the
-	// segment's dictionary.
+	SegmentsPruned  int64 // segments skipped entirely via their zone maps
+	// OwnerDictPruned is always 0: nothing writes it. The field and its
+	// line in Add stay only because benchmark/traced.go reads it and only
+	// a [benchmark] PR may edit that module (see ROADMAP).
 	OwnerDictPruned int64
 	// BatchesVectorised counts segment batches whose filter ran on the
 	// vectorised evaluator (column-at-a-time over storage.Batch vectors);

@@ -61,9 +61,6 @@ func dispatchFixture(t *testing.T, ownerKind storage.Kind) *DB {
 	if err := db.CreateIndex("t", "x"); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.TrackOwners("owner"); err != nil {
-		t.Fatal(err)
-	}
 	// probe stands in for Δ: it tallies PolicyEvals beside UDFInvocations.
 	db.RegisterUDF("probe", func(ctx *UDFContext, args []storage.Value) (storage.Value, error) {
 		ctx.Counters.PolicyEvals++

@@ -21,12 +21,8 @@ type TableAccess struct {
 	// Segments and SegmentsPruned report zone-map pruning for sequential
 	// scans: of Segments total, SegmentsPruned are refuted by the scan's
 	// predicates against current zone maps and will not be read.
-	// SegmentsOwnerPruned is the subset only the per-segment owner
-	// dictionaries could refute (guard partitions whose owner sets miss
-	// every owner the segment holds).
-	Segments            int
-	SegmentsPruned      int
-	SegmentsOwnerPruned int
+	Segments       int
+	SegmentsPruned int
 	// Vectorised reports whether the access runs a compiled batch filter
 	// (column-at-a-time): every base-table access with a predicate does,
 	// sequential scan and index fetch list alike.
@@ -48,9 +44,6 @@ func (e *Explain) String() string {
 			t.Table, t.Kind, orDash(t.Index), t.EstSel, t.EstRows)
 		if t.Kind == AccessSeq && t.Segments > 0 {
 			fmt.Fprintf(&b, " segs=%d/%d pruned", t.SegmentsPruned, t.Segments)
-			if t.SegmentsOwnerPruned > 0 {
-				fmt.Fprintf(&b, " (%d by owner dict)", t.SegmentsOwnerPruned)
-			}
 		}
 		if t.Vectorised {
 			b.WriteString(" vec")
@@ -113,17 +106,16 @@ func (ex *executor) explain(s *sqlparser.SelectStmt) (*Explain, error) {
 			continue
 		}
 		plan := planAccess(ex.db, src.tbl, bindTable(src.tbl, src.name, perSource[i]), src.ref.Hint)
-		pruned, ownerPruned, total := plan.segmentStats(src.tbl)
+		pruned, total := plan.segmentStats(src.tbl)
 		out.Tables = append(out.Tables, TableAccess{
-			Table:               src.name,
-			Kind:                plan.Kind,
-			Index:               plan.Index,
-			EstSel:              plan.EstSel,
-			EstRows:             plan.EstSel * float64(src.tbl.NumRows()),
-			Segments:            total,
-			SegmentsPruned:      pruned,
-			SegmentsOwnerPruned: ownerPruned,
-			Vectorised:          len(perSource[i]) > 0,
+			Table:          src.name,
+			Kind:           plan.Kind,
+			Index:          plan.Index,
+			EstSel:         plan.EstSel,
+			EstRows:        plan.EstSel * float64(src.tbl.NumRows()),
+			Segments:       total,
+			SegmentsPruned: pruned,
+			Vectorised:     len(perSource[i]) > 0,
 		})
 	}
 	return out, nil

@@ -319,12 +319,9 @@ func (tb *tableBinding) orClauses(schema *storage.Schema) []orClause {
 }
 
 // zones returns the conjuncts' zone-refutation predicates (zonemap.go),
-// compiled at the first sequential plan: an index plan never reads them. A
-// Δ arm lowers to the owner set its check-set id resolves to, which is fixed
-// for the id's lifetime (DeltaResolver's contract), so the compiled form
-// holds for the binding's.
-func (tb *tableBinding) zones(db *DB, schema *storage.Schema) ([]zoneNode, []int) {
-	tb.zoneOnce.Do(func() { tb.zonePreds, tb.zoneCols = compileZonePreds(db, tb.conjs, tb.ref, schema) })
+// compiled at the first sequential plan: an index plan never reads them.
+func (tb *tableBinding) zones(schema *storage.Schema) ([]zoneNode, []int) {
+	tb.zoneOnce.Do(func() { tb.zonePreds, tb.zoneCols = compileZonePreds(tb.conjs, tb.ref, schema) })
 	return tb.zonePreds, tb.zoneCols
 }
 
@@ -374,7 +371,7 @@ func planAccess(db *DB, t *storage.Table, tb *tableBinding, hint *sqlparser.Inde
 	n := float64(t.NumRows())
 	seqPlan := func() accessPlan {
 		seq := accessPlan{Kind: AccessSeq, EstSel: 1}
-		seq.zonePreds, seq.zoneCols = tb.zones(db, t.Schema)
+		seq.zonePreds, seq.zoneCols = tb.zones(t.Schema)
 		return seq
 	}
 	if n == 0 {

@@ -329,10 +329,10 @@ func (it *fetchIter) Close() {}
 const scanFirstBatch = 64
 
 // scanIter is the sequential-scan operator, the same for every consumer:
-// prune a segment by its zone maps and owner dictionary, load a batch of
-// its rows, run the binding's compiled filter over the batch, hand out the
-// selected rows. It reads through a copy-on-write heap View, so an in-flight scan
-// finishes over the heap it started on whatever Compact does meanwhile.
+// prune a segment by its zone maps, load a batch of its rows, run the
+// binding's compiled filter over the batch, hand out the selected rows. It
+// reads through a copy-on-write heap View, so an in-flight scan finishes
+// over the heap it started on whatever Compact does meanwhile.
 //
 // Nothing tells the operator whether its consumer will drain it; it goes by
 // what the consumer pulls. The first segment that survives pruning is read
@@ -449,10 +449,9 @@ func (it *scanIter) Close() {
 // fan-out worker has its own, over the same program.
 type segScanner struct {
 	*batchFilter
-	view       *storage.View
-	plan       *accessPlan
-	zbuf       []storage.ZoneMap
-	wantOwners bool // some zone leaf can use the owner dictionaries
+	view *storage.View
+	plan *accessPlan
+	zbuf []storage.ZoneMap
 }
 
 // newSegScanner builds a scanner for it's scan that tallies into ex; poll
@@ -463,26 +462,22 @@ func newSegScanner(it *scanIter, ex *executor, poll func() error) *segScanner {
 		view:        it.view,
 		plan:        &it.plan,
 		zbuf:        make([]storage.ZoneMap, len(it.plan.zoneCols)),
-		wantOwners:  hasOwnerLeaf(it.plan.zonePreds, it.view.OwnerColumn()),
 	}
 }
 
 // refuted reports whether segment seg can be skipped without touching a
-// tuple — only its zone maps and owner dictionary are read — and tallies
-// the segment as pruned or scanned.
+// tuple — only its zone maps are read — and tallies the segment as pruned
+// or scanned.
 func (s *segScanner) refuted(seg int) bool {
 	var t0 time.Time
 	if s.ex.spPrune != nil {
 		t0 = time.Now()
 	}
-	refuted, dict := segmentRefuted(s.view, seg, s.plan.zonePreds, s.plan.zoneCols, s.zbuf, s.wantOwners)
+	refuted := segmentRefuted(s.view, seg, s.plan.zonePreds, s.plan.zoneCols, s.zbuf)
 	if s.ex.spPrune != nil {
 		s.ex.spPrune.AddSince(t0)
 		if refuted {
 			s.ex.spPrune.Count("segments", 1)
-			if dict {
-				s.ex.spPrune.Count("owner_dict", 1)
-			}
 		}
 	}
 	if !refuted {
@@ -490,9 +485,6 @@ func (s *segScanner) refuted(seg int) bool {
 		return false
 	}
 	s.ex.counters.SegmentsPruned++
-	if dict {
-		s.ex.counters.OwnerDictPruned++
-	}
 	return true
 }
 

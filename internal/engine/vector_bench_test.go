@@ -32,9 +32,6 @@ func benchGuardDB(b *testing.B) *DB {
 	if err := tbl.BulkInsert(rows); err != nil {
 		b.Fatal(err)
 	}
-	if err := tbl.TrackOwners("owner"); err != nil {
-		b.Fatal(err)
-	}
 	return db
 }
 

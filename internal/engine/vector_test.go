@@ -12,8 +12,8 @@ import (
 
 // vecTestDB builds a two-column table with clustered-but-scattered owners:
 // each 64-row segment holds exactly the owners {base, base+10} so min/max
-// hulls cover ids the segments do not contain — the shape only the owner
-// dictionary can refute.
+// hulls cover ids the segments do not contain — the shape zone maps cannot
+// refute and the filter has to.
 func vecTestDB(t *testing.T) (*DB, *storage.Table, []storage.Row) {
 	t.Helper()
 	schema := storage.MustSchema(
@@ -35,9 +35,6 @@ func vecTestDB(t *testing.T) (*DB, *storage.Table, []storage.Row) {
 		t.Fatal(err)
 	}
 	tbl.SetSegmentSize(64)
-	if err := tbl.TrackOwners("owner"); err != nil {
-		t.Fatal(err)
-	}
 	return db, tbl, rows
 }
 
@@ -61,47 +58,55 @@ func runReference(t *testing.T, db *DB, sql string) (*Result, Counters) {
 	return runCounted(t, db, sql)
 }
 
-// TestOwnerDictPrunesDisjointPartitions is the acceptance test for
-// dictionary pruning: a multi-owner guard-shaped disjunction whose owner
-// sets appear in no segment is refuted everywhere — zero tuple reads —
-// and the refutation is attributed to the dictionaries (the min/max hull
-// [0,12] covers the probed ids, so zones alone cannot prune).
-func TestOwnerDictPrunesDisjointPartitions(t *testing.T) {
+// TestZoneMapsPruneScatteredOwners pins what segment pruning is on the
+// scattered-owner fixture: a guard-shaped disjunction skips exactly the
+// segments whose owner hull misses every probed id — owners the hull covers
+// but the segment does not hold cost a scan — and the rows equal the row
+// reference's either way.
+func TestZoneMapsPruneScatteredOwners(t *testing.T) {
 	db, tbl, _ := vecTestDB(t)
-
-	res, c := runCounted(t, db, "SELECT * FROM t WHERE (owner = 5 AND x > 10) OR (owner = 7 AND x < 2000)")
-	if len(res.Rows) != 0 {
-		t.Fatalf("no row has owner 5 or 7, got %d rows", len(res.Rows))
-	}
 	total := tbl.SegmentCount()
-	if c.SegmentsPruned != int64(total) || c.OwnerDictPruned != int64(total) {
-		t.Fatalf("want all %d segments owner-dict pruned, got pruned=%d ownerDict=%d", total, c.SegmentsPruned, c.OwnerDictPruned)
-	}
-	if c.TuplesRead != 0 || c.SegmentsScanned != 0 {
-		t.Fatalf("pruned segments must cost zero tuple reads, got tuples=%d segs=%d", c.TuplesRead, c.SegmentsScanned)
-	}
-
-	// Partial pruning: owner 11 lives only in the {1,11} segments (every
-	// third segment); the others are refuted by their dictionaries alone.
-	res, c = runCounted(t, db, "SELECT * FROM t WHERE (owner = 11 AND x >= 0) OR (owner = 7 AND x >= 0)")
-	want := 0
-	for seg := 0; seg < total; seg++ {
-		if od, ok := tbl.SegmentOwners(seg); ok && od.MayContain(11) {
-			want++
+	for _, tc := range []struct {
+		sql  string
+		pts  []int64
+		rows int
+	}{
+		// 5 and 7 sit inside every hull and in no segment.
+		{"SELECT * FROM t WHERE (owner = 5 AND x > 10) OR (owner = 7 AND x < 2000)", []int64{5, 7}, 0},
+		// 11 and 12 miss the {0,10} hulls only: the odd rows of the 10
+		// {1,11} and {2,12} segments match.
+		{"SELECT * FROM t WHERE (owner = 11 AND x >= 0) OR (owner = 12 AND x >= 0)", []int64{11, 12}, 10 * 32},
+		// Outside every hull.
+		{"SELECT * FROM t WHERE (owner = 20 AND x >= 0) OR (owner = 30 AND x >= 0)", []int64{20, 30}, 0},
+	} {
+		wantPruned := 0
+		for seg := 0; seg < total; seg++ {
+			z, ok := tbl.SegmentZone(seg, "owner")
+			if !ok {
+				t.Fatalf("segment %d has no owner zone", seg)
+			}
+			hit := false
+			for _, p := range tc.pts {
+				hit = hit || z.MayContainValue(storage.NewInt(p))
+			}
+			if !hit {
+				wantPruned++
+			}
 		}
-	}
-	if want == 0 || want == total {
-		t.Fatalf("bad fixture: owner 11 in %d/%d segments", want, total)
-	}
-	if int(c.SegmentsScanned) != want || int(c.OwnerDictPruned) != total-want {
-		t.Fatalf("want %d scanned / %d owner-dict pruned of %d, got %d / %d",
-			want, total-want, total, c.SegmentsScanned, c.OwnerDictPruned)
-	}
-	if len(res.Rows) != 64/2*(total/3) {
-		t.Fatalf("unexpected row count %d", len(res.Rows))
-	}
-	if c.TuplesRead != int64(want*64) {
-		t.Fatalf("tuples read %d, want %d (only surviving segments)", c.TuplesRead, want*64)
+		res, c := runCounted(t, db, tc.sql)
+		ref, refC := runReference(t, db, tc.sql)
+		if !reflect.DeepEqual(res, ref) || c != refC {
+			t.Fatalf("%s: diverges from the row reference: %d vs %d rows, %+v vs %+v", tc.sql, len(res.Rows), len(ref.Rows), c, refC)
+		}
+		if len(res.Rows) != tc.rows {
+			t.Fatalf("%s: got %d rows, want %d", tc.sql, len(res.Rows), tc.rows)
+		}
+		if int(c.SegmentsPruned) != wantPruned || int(c.SegmentsScanned) != total-wantPruned {
+			t.Fatalf("%s: pruned=%d scanned=%d, want %d/%d", tc.sql, c.SegmentsPruned, c.SegmentsScanned, wantPruned, total-wantPruned)
+		}
+		if c.TuplesRead != int64((total-wantPruned)*64) {
+			t.Fatalf("%s: tuples read %d, want %d (surviving segments only)", tc.sql, c.TuplesRead, (total-wantPruned)*64)
+		}
 	}
 }
 
@@ -167,7 +172,7 @@ func TestVectorUDFParity(t *testing.T) {
 }
 
 // TestVectorArmSkipRespectsEvaluationOrder pins the soundness restriction
-// on dictionary arm-skipping: an owner equality that the row evaluator
+// on arm-skipping: an owner equality that the row evaluator
 // only reaches AFTER a UDF call must not license skipping the arm — the
 // UDF's invocations (and potential errors) happen first in row order, so
 // the vector path must perform them too. The guard rewrite always puts
@@ -178,7 +183,7 @@ func TestVectorArmSkipRespectsEvaluationOrder(t *testing.T) {
 	db.RegisterUDF("probe", func(ctx *UDFContext, args []storage.Value) (storage.Value, error) {
 		return storage.NewBool(true), nil
 	})
-	// owner = 5 appears in no segment (dict-disjoint everywhere), but the
+	// owner = 5 appears in no segment (no tuple matches it), but the
 	// UDF precedes it inside the arm.
 	q := "SELECT count(*) FROM t WHERE (probe(x) = TRUE AND owner = 5) OR (owner = 11 AND x < 100)"
 
@@ -192,7 +197,7 @@ func TestVectorArmSkipRespectsEvaluationOrder(t *testing.T) {
 	}
 
 	// With the owner equality first, the row path short-circuits the UDF
-	// away on every row, so the dictionary skip is free to fire — and the
+	// away on every row, so the arm skip is free to fire — and the
 	// UDF must run zero times on both paths.
 	q = "SELECT count(*) FROM t WHERE (owner = 5 AND probe(x) = TRUE) OR (owner = 11 AND x < 100)"
 	_, rowC = runReference(t, db, q)
@@ -232,9 +237,6 @@ func TestVectorNullHeavyFuzz(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl.SetSegmentSize(32)
-	if err := tbl.TrackOwners("owner"); err != nil {
-		t.Fatal(err)
-	}
 
 	lit := func() sqlparser.Expr {
 		if r.Intn(8) == 0 {

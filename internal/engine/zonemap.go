@@ -36,20 +36,11 @@ type zoneNode struct {
 	kids []zoneNode
 	slot int  // leaf: index into the compiled column-slot list
 	s    sarg // leaf: the predicate to test against the zone
-	// schemaCol/pts64 support owner-dictionary refutation: the leaf's
-	// schema column offset and its equality points as int64 ids (nil when
-	// the leaf is a range or has non-integer points). When the leaf sits
-	// on the scan's tracked owner column and the segment's dictionary is
-	// disjoint from pts64, the leaf refutes even where min/max cannot.
-	schemaCol int
-	pts64     []int64
 }
 
 // zoneCompiler interns referenced columns into compact slots so the scan
-// fetches each segment's zones with one lock acquisition. db (optional)
-// supplies Δ-resolver provenance for UDF-call conjuncts.
+// fetches each segment's zones with one lock acquisition.
 type zoneCompiler struct {
-	db     *DB
 	ref    string
 	schema *storage.Schema
 	cols   []int // schema column offsets, deduped
@@ -105,150 +96,50 @@ func (zc *zoneCompiler) compile(e sqlparser.Expr) (zoneNode, bool) {
 		return zoneNode{}, false
 	}
 	if s, ok := extractSarg(e, zc.ref, zc.schema); ok {
-		n := zoneNode{op: zoneLeaf, slot: zc.slotFor(s.col), s: s, schemaCol: zc.schema.ColumnIndex(s.col)}
-		if len(s.points) > 0 {
-			pts := make([]int64, 0, len(s.points))
-			for _, p := range s.points {
-				if p.K != storage.KindInt {
-					pts = nil
-					break
-				}
-				pts = append(pts, p.I)
-			}
-			n.pts64 = pts
-		}
-		return n, true
-	}
-	if n, ok := zc.compileDelta(e); ok {
-		return n, true
+		return zoneNode{op: zoneLeaf, slot: zc.slotFor(s.col), s: s}, true
 	}
 	return zoneNode{}, false
 }
 
-// maxDeltaZonePoints bounds the owner set a Δ leaf enumerates: testing a
-// segment costs O(points), so a partition wider than this stays
-// unrefutable rather than taxing every segment of every scan.
-const maxDeltaZonePoints = 4096
-
-// compileDelta recognises a Δ-call arm — `udf(setID, …) = TRUE`, the
-// shape SIEVE emits for partitions past the Δ threshold (§5.4) — and,
-// when a DeltaResolver is registered for the UDF, lowers it to an
-// owner-equality leaf over the partition's owner set. The resolver's
-// contract (the call implies ownerCol IN owners) is what makes the
-// refutation sound; min/max zones and the segment owner dictionary then
-// prune exactly as they would for an explicit IN list.
-func (zc *zoneCompiler) compileDelta(e sqlparser.Expr) (zoneNode, bool) {
-	if zc.db == nil {
-		return zoneNode{}, false
-	}
-	cmp, ok := e.(*sqlparser.CompareExpr)
-	if !ok || cmp.Op != sqlparser.CmpEq {
-		return zoneNode{}, false
-	}
-	call, _ := cmp.L.(*sqlparser.FuncCall)
-	lit, _ := cmp.R.(*sqlparser.Literal)
-	if call == nil { // flipped: TRUE = udf(...)
-		call, _ = cmp.R.(*sqlparser.FuncCall)
-		lit, _ = cmp.L.(*sqlparser.Literal)
-	}
-	if call == nil || lit == nil || lit.Val.K != storage.KindBool || lit.Val.I == 0 {
-		return zoneNode{}, false
-	}
-	if len(call.Args) == 0 {
-		return zoneNode{}, false
-	}
-	idLit, ok := call.Args[0].(*sqlparser.Literal)
-	if !ok || idLit.Val.K != storage.KindInt {
-		return zoneNode{}, false
-	}
-	resolve, ok := zc.db.deltaResolverFor(call.Name)
-	if !ok {
-		return zoneNode{}, false
-	}
-	ownerCol, owners, ok := resolve(idLit.Val.I)
-	if !ok || len(owners) == 0 || len(owners) > maxDeltaZonePoints {
-		return zoneNode{}, false
-	}
-	ci := zc.schema.ColumnIndex(ownerCol)
-	if ci < 0 {
-		return zoneNode{}, false
-	}
-	pts := make([]storage.Value, len(owners))
-	for i, id := range owners {
-		pts[i] = storage.NewInt(id)
-	}
-	return zoneNode{
-		op:        zoneLeaf,
-		slot:      zc.slotFor(ownerCol),
-		s:         sarg{col: ownerCol, points: pts},
-		schemaCol: ci,
-		pts64:     owners,
-	}, true
-}
-
-// segMeta carries one segment's refutation inputs: the interned zone maps
-// plus (when the table tracks owners) the segment's owner dictionary.
-type segMeta struct {
-	zones     []storage.ZoneMap
-	owners    storage.OwnerDict
-	hasOwners bool
-	ownerCol  int
-}
-
-// refuted reports whether the segment metadata proves no row satisfies the
-// node's predicate. usedDict reports whether the owner dictionary was
-// decisive — a refutation the min/max zones alone could not reach — and
-// feeds the OwnerDictPruned counter.
-func (n *zoneNode) refuted(m *segMeta) (refuted, usedDict bool) {
+// refuted reports whether the segment's interned zone maps prove no row
+// satisfies the node's predicate.
+func (n *zoneNode) refuted(zones []storage.ZoneMap) bool {
 	switch n.op {
 	case zoneFalse:
-		return true, false
+		return true
 	case zoneLeaf:
-		z := m.zones[n.slot]
+		z := zones[n.slot]
 		if n.s.isRange {
-			return !z.MayContain(n.s.lo, n.s.loS, n.s.hi, n.s.hiS), false
+			return !z.MayContain(n.s.lo, n.s.loS, n.s.hi, n.s.hiS)
 		}
-		zoneHit := false
 		for _, p := range n.s.points {
 			if z.MayContainValue(p) {
-				zoneHit = true
-				break
+				return false
 			}
 		}
-		if !zoneHit {
-			return true, false
-		}
-		// The hull covers some point; the dictionary may still prove the
-		// segment holds none of the guard partition's owners.
-		if m.hasOwners && n.schemaCol == m.ownerCol && len(n.pts64) > 0 && m.owners.DisjointFrom(n.pts64) {
-			return true, true
-		}
-		return false, false
+		return true
 	case zoneAnd:
 		for i := range n.kids {
-			if r, d := n.kids[i].refuted(m); r {
-				return true, d
+			if n.kids[i].refuted(zones) {
+				return true
 			}
 		}
-		return false, false
+		return false
 	default: // zoneOr
-		anyDict := false
 		for i := range n.kids {
-			r, d := n.kids[i].refuted(m)
-			if !r {
-				return false, false
+			if !n.kids[i].refuted(zones) {
+				return false
 			}
-			anyDict = anyDict || d
 		}
-		return true, anyDict
+		return true
 	}
 }
 
 // compileZonePreds compiles the scan's conjuncts into refutation trees plus
 // the schema column offsets their leaves reference. An empty tree list
-// means the scan cannot prune. db may be nil (no Δ-resolver lowering).
-func compileZonePreds(db *DB, conjs []sqlparser.Expr, ref string, schema *storage.Schema) ([]zoneNode, []int) {
-	zc := &zoneCompiler{db: db, ref: ref, schema: schema, slots: make(map[int]int)}
+// means the scan cannot prune.
+func compileZonePreds(conjs []sqlparser.Expr, ref string, schema *storage.Schema) ([]zoneNode, []int) {
+	zc := &zoneCompiler{ref: ref, schema: schema, slots: make(map[int]int)}
 	var nodes []zoneNode
 	for _, cj := range conjs {
 		if n, ok := zc.compile(cj); ok {
@@ -261,80 +152,39 @@ func compileZonePreds(db *DB, conjs []sqlparser.Expr, ref string, schema *storag
 	return nodes, zc.cols
 }
 
-// hasOwnerLeaf reports whether any compiled node carries integer equality
-// points on schema column ownerCol — the precondition for dictionary
-// refutation to ever fire. Scans precompute it so segments without a
-// chance of a dictionary hit skip the per-segment snapshot entirely.
-func hasOwnerLeaf(preds []zoneNode, ownerCol int) bool {
-	if ownerCol < 0 {
-		return false
+// segmentRefuted tests one segment of a view against the compiled
+// predicates, reusing zbuf (len(cols)). Empty segments (live == 0) are
+// refuted unconditionally. Conjuncts combine with AND: any refuted
+// predicate kills the segment.
+func segmentRefuted(v *storage.View, seg int, preds []zoneNode, cols []int, zbuf []storage.ZoneMap) bool {
+	if len(preds) == 0 {
+		return v.Zones(seg, nil, nil) == 0
 	}
-	var walk func(n *zoneNode) bool
-	walk = func(n *zoneNode) bool {
-		if n.op == zoneLeaf {
-			return n.schemaCol == ownerCol && len(n.pts64) > 0
-		}
-		for i := range n.kids {
-			if walk(&n.kids[i]) {
-				return true
-			}
-		}
-		return false
+	if v.Zones(seg, cols, zbuf) == 0 {
+		return true
 	}
 	for i := range preds {
-		if walk(&preds[i]) {
+		if preds[i].refuted(zbuf) {
 			return true
 		}
 	}
 	return false
 }
 
-// segmentRefuted tests one segment of a view against the compiled
-// predicates, reusing zbuf (len(cols)). Empty segments (live == 0) are
-// refuted unconditionally. Conjuncts combine with AND: any refuted
-// predicate kills the segment. wantOwners (from hasOwnerLeaf, computed
-// once per scan) gates the per-segment dictionary snapshot. usedDict
-// reports an owner-dictionary refutation the zones alone could not reach
-// (OwnerDictPruned).
-func segmentRefuted(v *storage.View, seg int, preds []zoneNode, cols []int, zbuf []storage.ZoneMap, wantOwners bool) (refuted, usedDict bool) {
-	if len(preds) == 0 {
-		return v.Zones(seg, nil, nil) == 0, false
-	}
-	m := segMeta{zones: zbuf, ownerCol: v.OwnerColumn()}
-	live := v.Zones(seg, cols, zbuf)
-	if live == 0 {
-		return true, false
-	}
-	if wantOwners {
-		m.owners, m.hasOwners = v.Owners(seg)
-	}
-	for i := range preds {
-		if r, d := preds[i].refuted(&m); r {
-			return true, d
-		}
-	}
-	return false, false
-}
-
 // segmentStats counts, against the current heap, the segments the plan's
 // zone predicates would prune versus scan — the planner-side estimate
-// EXPLAIN reports before any tuple is touched. ownerPruned is the subset
-// only the owner dictionaries could refute.
-func (p *accessPlan) segmentStats(t *storage.Table) (pruned, ownerPruned, total int) {
+// EXPLAIN reports before any tuple is touched.
+func (p *accessPlan) segmentStats(t *storage.Table) (pruned, total int) {
 	if p.Kind != AccessSeq {
-		return 0, 0, 0
+		return 0, 0
 	}
 	v := t.View()
 	total = v.NumSegments()
 	zbuf := make([]storage.ZoneMap, len(p.zoneCols))
-	wantOwners := hasOwnerLeaf(p.zonePreds, v.OwnerColumn())
 	for seg := 0; seg < total; seg++ {
-		if r, d := segmentRefuted(v, seg, p.zonePreds, p.zoneCols, zbuf, wantOwners); r {
+		if segmentRefuted(v, seg, p.zonePreds, p.zoneCols, zbuf) {
 			pruned++
-			if d {
-				ownerPruned++
-			}
 		}
 	}
-	return pruned, ownerPruned, total
+	return pruned, total
 }

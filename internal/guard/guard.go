@@ -33,9 +33,9 @@ type CostModel struct {
 	Alpha float64
 }
 
-// DefaultCostModel mirrors the classic 4:1 read-to-evaluate ratio; the
-// middleware calibrates the real constants at start-up (§5.4) and passes
-// its own model.
+// DefaultCostModel mirrors the classic 4:1 read-to-evaluate ratio. The
+// paper measures its constants at start-up (§5.4); this reproduction runs
+// on these.
 func DefaultCostModel() CostModel { return CostModel{Ce: 1, Cr: 4, Alpha: 0.7} }
 
 // mergeThreshold is ce/(cr+ce): merging two overlapping candidates is
@@ -100,68 +100,16 @@ func (t *TableSelectivity) PruneFrac(attr string, lo, hi storage.Value) float64 
 	return t.Table.PruneFracRange(attr, lo, hi)
 }
 
-// OwnerPruner is an optional Selectivity extension reporting
-// owner-dictionary pruning power: the fraction of the relation living in
-// segments whose owner dictionaries are provably disjoint from ids.
-// Dictionaries refute scattered owner sets the min/max zones cannot, so an
-// owner-equality guard over a handful of devices is credited with the
-// segments a dictionary-aware scan skips for it.
-type OwnerPruner interface {
-	PruneFracOwners(attr string, ids []int64) float64
-}
-
-// PruneFracOwners implements OwnerPruner when the selectivity carries its
-// table (zero pruning otherwise, or when attr is not the tracked owner
-// column).
-func (t *TableSelectivity) PruneFracOwners(attr string, ids []int64) float64 {
-	if t.Table == nil {
-		return 0
-	}
-	return t.Table.PruneFracOwners(attr, ids)
-}
-
-// eqPoints returns the condition's equality points as integer ids; ok is
-// false for ranges, non-integer points, and NOT IN shapes.
-func eqPoints(cond policy.ObjectCondition) ([]int64, bool) {
-	switch cond.Kind {
-	case policy.CondCompare:
-		if cond.Op != sqlparser.CmpEq || cond.Val.K != storage.KindInt {
-			return nil, false
-		}
-		return []int64{cond.Val.I}, true
-	case policy.CondIn:
-		pts := make([]int64, 0, len(cond.Vals))
-		for _, v := range cond.Vals {
-			if v.K != storage.KindInt {
-				return nil, false
-			}
-			pts = append(pts, v.I)
-		}
-		return pts, len(pts) > 0
-	}
-	return nil, false
-}
-
 // pruneFracFor returns the segment prune fraction of a candidate guard
-// condition under sel: the zone-map fraction of its interval, improved by
-// the owner-dictionary fraction when the condition is an integer equality
-// (owner guards). Zero when sel carries no segment information or the
-// condition has no refutable form.
+// condition under sel: the zone-map fraction of its interval. Zero when sel
+// carries no segment information or the condition has no interval form.
 func pruneFracFor(sel Selectivity, cond policy.ObjectCondition) float64 {
-	frac := 0.0
 	if sp, ok := sel.(SegmentPruner); ok {
 		if lo, hi, ok := cond.Interval(); ok {
-			frac = sp.PruneFrac(cond.Attr, lo, hi)
+			return sp.PruneFrac(cond.Attr, lo, hi)
 		}
 	}
-	if op, ok := sel.(OwnerPruner); ok {
-		if pts, ok := eqPoints(cond); ok {
-			if f := op.PruneFracOwners(cond.Attr, pts); f > frac {
-				frac = f
-			}
-		}
-	}
-	return frac
+	return 0
 }
 
 // Guard is one selected guarded expression Gi = oc_g ∧ PG_i.

@@ -397,7 +397,6 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, run func(ct
 			TuplesRead:       c.TuplesRead,
 			SegmentsScanned:  c.SegmentsScanned,
 			SegmentsPruned:   c.SegmentsPruned,
-			OwnerDictPruned:  c.OwnerDictPruned,
 			PolicyEvals:      c.PolicyEvals,
 			UDFInvocations:   c.UDFInvocations,
 			GuardCacheHits:   c.GuardCacheHits,

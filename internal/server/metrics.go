@@ -71,10 +71,9 @@ func (s *Server) registerBridges() {
 	s.reg.GaugeFunc("sieve_policy_epoch", func() int64 { return int64(m.Epoch()) })
 
 	engineGauges := map[string]func() int64{
-		"sieve_engine_tuples_read":       func() int64 { return m.DB().CountersSnapshot().TuplesRead },
-		"sieve_engine_segments_pruned":   func() int64 { return m.DB().CountersSnapshot().SegmentsPruned },
-		"sieve_engine_owner_dict_pruned": func() int64 { return m.DB().CountersSnapshot().OwnerDictPruned },
-		"sieve_engine_policy_evals":      func() int64 { return m.DB().CountersSnapshot().PolicyEvals },
+		"sieve_engine_tuples_read":     func() int64 { return m.DB().CountersSnapshot().TuplesRead },
+		"sieve_engine_segments_pruned": func() int64 { return m.DB().CountersSnapshot().SegmentsPruned },
+		"sieve_engine_policy_evals":    func() int64 { return m.DB().CountersSnapshot().PolicyEvals },
 	}
 	for name, fn := range engineGauges {
 		s.reg.GaugeFunc(name, fn)

@@ -214,7 +214,6 @@ type StreamCounters struct {
 	TuplesRead      int64 `json:"tuples_read"`
 	SegmentsScanned int64 `json:"segments_scanned"`
 	SegmentsPruned  int64 `json:"segments_pruned"`
-	OwnerDictPruned int64 `json:"owner_dict_pruned"`
 	PolicyEvals     int64 `json:"policy_evals"`
 	UDFInvocations  int64 `json:"udf_invocations"`
 	// Rewrite-layer cache effectiveness for this query: guard-state

@@ -1,7 +1,5 @@
 package storage
 
-import "fmt"
-
 // SegmentSize is the default number of heap slots per segment. Segments are
 // the pruning and parallelism granule of the engine: each carries per-column
 // zone maps so a scan can skip whole segments whose value ranges cannot
@@ -75,21 +73,18 @@ func (z ZoneMap) MayContainValue(v Value) bool {
 	return z.MayContain(v, false, v, false)
 }
 
-// segment is the per-segment metadata: the live-row count, one zone map
-// per schema column, and — when the table tracks an owner column — the
-// bounded dictionary of distinct owner ids. Zone maps cover the rows in
-// the segment's slot range [i*segSize, (i+1)*segSize).
+// segment is the per-segment metadata: the live-row count and one zone map
+// per schema column. Zone maps cover the rows in the segment's slot range
+// [i*segSize, (i+1)*segSize).
 type segment struct {
-	live   int
-	zones  []ZoneMap
-	owners OwnerDict
+	live  int
+	zones []ZoneMap
 }
 
 // buildSegments computes exact segment metadata for rows. deleted may be
 // nil (all rows live). Deleted slots contribute to neither zones nor live
-// counts. ownerCol is the schema offset of the tracked owner column (-1
-// when untracked) whose distinct values feed the per-segment dictionary.
-func buildSegments(ncols int, rows []Row, deleted []bool, segSize int, from int, ownerCol int) []segment {
+// counts.
+func buildSegments(ncols int, rows []Row, deleted []bool, segSize int, from int) []segment {
 	if segSize < 1 {
 		segSize = SegmentSize
 	}
@@ -113,9 +108,6 @@ func buildSegments(ncols int, rows []Row, deleted []bool, segSize int, from int,
 				continue
 			}
 			seg.live++
-			if ownerCol >= 0 {
-				seg.owners.add(rows[i][ownerCol])
-			}
 			for c, v := range rows[i] {
 				z := &seg.zones[c]
 				if v.IsNull() {
@@ -146,13 +138,12 @@ func buildSegments(ncols int, rows []Row, deleted []bool, segSize int, from int,
 // Rows appended after capture fall outside the captured length and are not
 // observed (read-committed scan, segment granularity).
 type View struct {
-	t        *Table
-	rows     []Row
-	deleted  []bool
-	segs     []segment
-	segSize  int
-	ownerCol int
-	indexes  map[string]*Index
+	t       *Table
+	rows    []Row
+	deleted []bool
+	segs    []segment
+	segSize int
+	indexes map[string]*Index
 }
 
 // View captures the current heap for scanning. The secondary indexes are
@@ -166,7 +157,7 @@ func (t *Table) View() *View {
 	for c, ix := range t.indexes {
 		indexes[c] = ix
 	}
-	return &View{t: t, rows: t.rows, deleted: t.deleted, segs: t.segs, segSize: t.segSize, ownerCol: t.ownerCol, indexes: indexes}
+	return &View{t: t, rows: t.rows, deleted: t.deleted, segs: t.segs, segSize: t.segSize, indexes: indexes}
 }
 
 // Index returns the captured index on col, if any. It belongs to the same
@@ -193,21 +184,6 @@ func (v *View) Zones(seg int, cols []int, out []ZoneMap) (live int) {
 		out[i] = s.zones[c]
 	}
 	return s.live
-}
-
-// OwnerColumn returns the schema offset of the owner column the view's
-// table tracked at capture time, or -1.
-func (v *View) OwnerColumn() int { return v.ownerCol }
-
-// Owners returns a snapshot of segment seg's owner dictionary under the
-// table lock; ok is false when owners are untracked.
-func (v *View) Owners(seg int) (OwnerDict, bool) {
-	if v.ownerCol < 0 {
-		return OwnerDict{}, false
-	}
-	v.t.mu.RLock()
-	defer v.t.mu.RUnlock()
-	return v.segs[seg].owners.snapshot(), true
 }
 
 // NumSlots returns the captured heap length in slots, tombstones included.
@@ -271,22 +247,19 @@ func (t *Table) widenSegment(i int, r Row, countLive bool) {
 	if countLive {
 		seg.live++
 	}
-	if t.ownerCol >= 0 {
-		seg.owners.add(r[t.ownerCol])
-	}
 	for c, v := range r {
 		seg.zones[c].widen(v)
 	}
 }
 
-// RebuildSegments recomputes exact segment metadata (zone maps, owner
-// dictionaries, live counts) for the whole heap. The rebuild allocates
-// fresh metadata and swaps it in under the write lock, so open Views keep
-// their captured (conservative) metadata.
+// RebuildSegments recomputes exact segment metadata (zone maps, live
+// counts) for the whole heap. The rebuild allocates fresh metadata and
+// swaps it in under the write lock, so open Views keep their captured
+// (conservative) metadata.
 func (t *Table) RebuildSegments() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.segs = buildSegments(t.Schema.Len(), t.rows, t.deleted, t.segSize, 0, t.ownerCol)
+	t.segs = buildSegments(t.Schema.Len(), t.rows, t.deleted, t.segSize, 0)
 }
 
 // SetSegmentSize changes the table's segment granule (default SegmentSize)
@@ -299,46 +272,7 @@ func (t *Table) SetSegmentSize(n int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.segSize = n
-	t.segs = buildSegments(t.Schema.Len(), t.rows, t.deleted, t.segSize, 0, t.ownerCol)
-}
-
-// TrackOwners designates col as the table's owner column and rebuilds
-// segment metadata so every segment carries an exact owner dictionary.
-// SIEVE's middleware calls it when protecting a relation (the paper's
-// mandatory indexed owner attribute, §3.1); from then on inserts and
-// updates keep the dictionaries conservative supersets of the live owners.
-func (t *Table) TrackOwners(col string) error {
-	ci := t.Schema.ColumnIndex(col)
-	if ci < 0 {
-		return fmt.Errorf("table %s: no column %q to track owners on", t.Name, col)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.ownerCol == ci {
-		return nil
-	}
-	t.ownerCol = ci
-	t.segs = buildSegments(t.Schema.Len(), t.rows, t.deleted, t.segSize, 0, t.ownerCol)
-	return nil
-}
-
-// OwnerColumn returns the schema offset of the tracked owner column, or -1
-// when TrackOwners has not been called.
-func (t *Table) OwnerColumn() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.ownerCol
-}
-
-// SegmentOwners returns a snapshot of segment seg's owner dictionary; ok
-// is false when seg is out of range or owners are untracked.
-func (t *Table) SegmentOwners(seg int) (OwnerDict, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if t.ownerCol < 0 || seg < 0 || seg >= len(t.segs) {
-		return OwnerDict{}, false
-	}
-	return t.segs[seg].owners.snapshot(), true
+	t.segs = buildSegments(t.Schema.Len(), t.rows, t.deleted, t.segSize, 0)
 }
 
 // SegmentCount returns the current number of segments.
@@ -400,20 +334,14 @@ func (t *Table) PruneFracRange(col string, lo, hi Value) float64 {
 }
 
 // ZoneArm is one disjunct of a guarded expression reduced to its interval
-// form: values of Col in [Lo, Hi] (NULL bounds unbounded). Owners, when
-// set, is the arm's guard-partition owner set: segments whose owner
-// dictionary is disjoint from it are refuted for this arm even when the
-// interval alone cannot decide (the arm requires the tuple's owner to be
-// one of the partition's owners).
+// form: values of Col in [Lo, Hi] (NULL bounds unbounded).
 type ZoneArm struct {
 	Col    string
 	Lo, Hi Value
-	Owners []int64
 }
 
-// PrunableSegments counts the segments whose metadata refutes every arm —
-// no arm's interval intersects the segment's zone for its column, or the
-// arm's owner set is disjoint from the segment's owner dictionary — under
+// PrunableSegments counts the segments whose zone maps refute every arm —
+// no arm's interval intersects the segment's zone for its column — under
 // one lock acquisition. Empty segments are always prunable; an arm on an
 // unknown column may match anywhere and keeps every segment alive. With no
 // arms at all, nothing can match and every segment is prunable (the
@@ -434,14 +362,7 @@ func (t *Table) PrunableSegments(arms []ZoneArm) (pruned, total int) {
 		}
 		survives := false
 		for i, a := range arms {
-			refuted := false
-			if cols[i] >= 0 && !seg.zones[cols[i]].MayContain(a.Lo, false, a.Hi, false) {
-				refuted = true
-			}
-			if !refuted && len(a.Owners) > 0 && t.ownerCol >= 0 && seg.owners.DisjointFrom(a.Owners) {
-				refuted = true
-			}
-			if !refuted {
+			if cols[i] < 0 || seg.zones[cols[i]].MayContain(a.Lo, false, a.Hi, false) {
 				survives = true
 				break
 			}
@@ -451,33 +372,6 @@ func (t *Table) PrunableSegments(arms []ZoneArm) (pruned, total int) {
 		}
 	}
 	return pruned, total
-}
-
-// PruneFracOwners returns the fraction of heap slots living in segments
-// whose owner dictionaries are provably disjoint from ids — the share of
-// the relation an owner-aware scan skips for a guard partition with that
-// owner set. col must be the tracked owner column; anything else (or an
-// untracked table, or an empty id set) prunes nothing.
-func (t *Table) PruneFracOwners(col string, ids []int64) float64 {
-	ci := t.Schema.ColumnIndex(col)
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if ci < 0 || ci != t.ownerCol || len(ids) == 0 || len(t.rows) == 0 {
-		return 0
-	}
-	prunedSlots := 0
-	for s := range t.segs {
-		seg := &t.segs[s]
-		if seg.live > 0 && !seg.owners.DisjointFrom(ids) {
-			continue
-		}
-		slots := t.segSize
-		if last := len(t.rows) - s*t.segSize; last < slots {
-			slots = last
-		}
-		prunedSlots += slots
-	}
-	return float64(prunedSlots) / float64(len(t.rows))
 }
 
 // Mutations returns the table's monotonically increasing mutation count

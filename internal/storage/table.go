@@ -19,20 +19,19 @@ type Table struct {
 	Name   string
 	Schema *Schema
 
-	mu       sync.RWMutex
-	rows     []Row
-	deleted  []bool
-	live     int
-	indexes  map[string]*Index // keyed by column name
-	segs     []segment         // fixed-size segment metadata (zone maps, owner dicts)
-	segSize  int
-	ownerCol int          // schema offset of the tracked owner column, -1 when untracked
-	muts     atomic.Int64 // monotonically increasing mutation count
+	mu      sync.RWMutex
+	rows    []Row
+	deleted []bool
+	live    int
+	indexes map[string]*Index // keyed by column name
+	segs    []segment         // fixed-size segment metadata (zone maps)
+	segSize int
+	muts    atomic.Int64 // monotonically increasing mutation count
 }
 
 // NewTable creates an empty table.
 func NewTable(name string, schema *Schema) *Table {
-	return &Table{Name: name, Schema: schema, indexes: make(map[string]*Index), segSize: SegmentSize, ownerCol: -1}
+	return &Table{Name: name, Schema: schema, indexes: make(map[string]*Index), segSize: SegmentSize}
 }
 
 // NumRows returns the number of live rows.
@@ -82,7 +81,7 @@ func (t *Table) BulkInsert(rows []Row) error {
 	// fresh slice so open Views keep their captured metadata.
 	segs := make([]segment, 0, (len(t.rows)+t.segSize-1)/t.segSize)
 	segs = append(segs, t.segs[:firstSeg]...)
-	segs = append(segs, buildSegments(t.Schema.Len(), t.rows, t.deleted, t.segSize, firstSeg, t.ownerCol)...)
+	segs = append(segs, buildSegments(t.Schema.Len(), t.rows, t.deleted, t.segSize, firstSeg)...)
 	t.segs = segs
 	for _, idx := range t.indexes {
 		idx.rebuild(t)
@@ -267,7 +266,7 @@ func (t *Table) RestoreHeap(rows []Row, deleted []bool) error {
 	t.rows = rows
 	t.deleted = deleted
 	t.live = live
-	t.segs = buildSegments(t.Schema.Len(), t.rows, t.deleted, t.segSize, 0, t.ownerCol)
+	t.segs = buildSegments(t.Schema.Len(), t.rows, t.deleted, t.segSize, 0)
 	for _, idx := range t.indexes {
 		idx.rebuild(t)
 	}
@@ -325,7 +324,7 @@ func (t *Table) Compact() {
 		}
 		indexes[col] = fresh
 	}
-	segs := buildSegments(t.Schema.Len(), rows, deleted, t.segSize, 0, t.ownerCol)
+	segs := buildSegments(t.Schema.Len(), rows, deleted, t.segSize, 0)
 	t.rows = rows
 	t.deleted = deleted
 	t.indexes = indexes

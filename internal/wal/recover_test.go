@@ -22,7 +22,7 @@ func wifiRow(id, owner int64, ap string) storage.Row {
 	return storage.Row{storage.NewInt(id), storage.NewInt(owner), storage.NewString(ap)}
 }
 
-// buildSeedDB builds a db with a small owner-tracked table, as the fresh
+// buildSeedDB builds a db with a small table, as the fresh
 // bootstrap path does before the WAL starts. No *testing.T so the crash
 // harness's re-exec'd child can seed the same world.
 func buildSeedDB() (*engine.DB, error) {
@@ -37,9 +37,6 @@ func buildSeedDB() (*engine.DB, error) {
 		return nil, err
 	}
 	tab.SetSegmentSize(4) // several segments even at test scale
-	if err := tab.TrackOwners("owner"); err != nil {
-		return nil, err
-	}
 	for i := int64(0); i < 10; i++ {
 		if err := db.Insert(testTable, wifiRow(i, i%3, fmt.Sprintf("ap-%d", i))); err != nil {
 			return nil, err

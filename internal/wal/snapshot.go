@@ -21,7 +21,7 @@ import (
 //	  string name
 //	  uvarint nCols, (string name, byte kind)*
 //	  uvarint segSize
-//	  string ownerCol                 "" when owners are untracked
+//	  string (reserved)               written "", read and discarded
 //	  uvarint nIndexes, strings       indexed columns (sorted)
 //	  uvarint nSlots, then per slot:  byte 1 + nCols values, or byte 0
 //	uint32 LE CRC32 of everything above
@@ -42,13 +42,12 @@ var snapEnd = []byte("SIEVEND1")
 
 // snapshotTable is one relation's serialised state.
 type snapshotTable struct {
-	name     string
-	cols     []storage.Column
-	segSize  int
-	ownerCol string
-	indexes  []string
-	rows     []storage.Row
-	deleted  []bool
+	name    string
+	cols    []storage.Column
+	segSize int
+	indexes []string
+	rows    []storage.Row
+	deleted []bool
 }
 
 // snapshot is a decoded snapshot file.
@@ -84,11 +83,7 @@ func encodeSnapshot(db *engine.DB, lsn uint64, protected []string, skip map[stri
 			b = append(b, byte(c.Type))
 		}
 		b = binary.AppendUvarint(b, uint64(v.SegmentRows()))
-		owner := ""
-		if oc := v.OwnerColumn(); oc >= 0 {
-			owner = t.Schema.Columns[oc].Name
-		}
-		b = appendStr(b, owner)
+		b = appendStr(b, "") // reserved
 		idxs := t.IndexedColumns()
 		sort.Strings(idxs)
 		b = binary.AppendUvarint(b, uint64(len(idxs)))
@@ -156,7 +151,7 @@ func decodeSnapshot(data []byte) (*snapshot, error) {
 			}
 		}
 		t.segSize = int(r.uvarint())
-		t.ownerCol = r.str()
+		r.str() // reserved: snapshots from before PR 23 name an owner column here
 		for i, n := 0, r.count(1); i < n && r.err == nil; i++ {
 			t.indexes = append(t.indexes, r.str())
 		}
@@ -230,10 +225,9 @@ func writeSnapshotFile(dir string, lsn uint64, data []byte, crash *crashPlan) (s
 
 // restoreSnapshot rebuilds db's catalog and heaps from a decoded
 // snapshot: tables are created, heaps restored slot-exact (rebuilding
-// segment zone maps exactly), owner tracking re-established, and indexes
-// rebuilt — the Compact/analyze machinery the engine already has.
-// Histograms are not persisted; StatsRefreshed re-analyzes lazily on
-// first planner use.
+// segment zone maps exactly), and indexes rebuilt — the Compact/analyze
+// machinery the engine already has. Histograms are not persisted;
+// StatsRefreshed re-analyzes lazily on first planner use.
 func restoreSnapshot(db *engine.DB, s *snapshot) error {
 	for _, ts := range s.tables {
 		schema, err := storage.NewSchema(ts.cols...)
@@ -246,11 +240,6 @@ func restoreSnapshot(db *engine.DB, s *snapshot) error {
 		}
 		if ts.segSize != storage.SegmentSize {
 			t.SetSegmentSize(ts.segSize)
-		}
-		if ts.ownerCol != "" {
-			if err := t.TrackOwners(ts.ownerCol); err != nil {
-				return err
-			}
 		}
 		if err := t.RestoreHeap(ts.rows, ts.deleted); err != nil {
 			return err

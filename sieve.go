@@ -9,7 +9,7 @@
 // purpose —, (2) factors the surviving policies into guarded expressions
 // whose guards are cheap index-backed predicates, and (3) evaluates large
 // policy partitions through a Δ operator UDF that prunes policies by tuple
-// context. A calibrated cost model picks, per query and per table, among a
+// context. A cost model picks, per query and per table, among a
 // linear scan, an index scan on the query's own predicate, or index scans
 // on the guards.
 //
@@ -135,8 +135,6 @@ type (
 	BaselineKind = core.BaselineKind
 	// RegenConfig parameterises deferred guard regeneration (§6).
 	RegenConfig = core.RegenConfig
-	// Calibration holds measured cost-model constants (§5.4).
-	Calibration = core.Calibration
 	// CacheStats snapshots the middleware's guard/plan cache
 	// effectiveness: signature-cache hits and misses, guard
 	// generations vs. shared bindings, live states and claims, and
