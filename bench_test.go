@@ -177,13 +177,13 @@ func BenchmarkGuardGenerationSingleQuerier(b *testing.B) {
 func BenchmarkRewriteSelectAll(b *testing.B) {
 	env, qm := benchEnv(b, sieve.MySQL())
 	q := "SELECT * FROM " + workload.TableWiFi
-	if _, _, err := env.M.Rewrite(q, qm); err != nil {
+	if _, _, err := env.M.NewSession(qm).Rewrite(q); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := env.M.Rewrite(q, qm); err != nil {
+		if _, _, err := env.M.NewSession(qm).Rewrite(q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -199,9 +199,9 @@ func BenchmarkExecuteSieveVsBaselineP(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var err error
 				if strat == "SIEVE" {
-					_, err = env.M.Execute(q, qm)
+					_, err = env.M.NewSession(qm).Execute(context.Background(), q)
 				} else {
-					_, err = env.M.ExecuteBaseline(sieve.BaselineP, q, qm)
+					_, err = env.M.ExecuteBaseline(context.Background(), sieve.BaselineP, q, qm)
 				}
 				if err != nil {
 					b.Fatal(err)
@@ -220,14 +220,14 @@ func BenchmarkPreparedVsExecute(b *testing.B) {
 	q := "SELECT * FROM " + workload.TableWiFi
 	ctx := context.Background()
 	// Warm the guard cache so neither arm measures guard generation.
-	if _, err := env.M.Execute(q, qm); err != nil {
+	if _, err := env.M.NewSession(qm).Execute(ctx, q); err != nil {
 		b.Fatal(err)
 	}
 
 	b.Run("Execute", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := env.M.Execute(q, qm); err != nil {
+			if _, err := env.M.NewSession(qm).Execute(ctx, q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -288,7 +288,7 @@ func BenchmarkDeltaOperator(b *testing.B) {
 	q := "SELECT * FROM " + workload.TableWiFi
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Execute(q, qm); err != nil {
+		if _, err := m.NewSession(qm).Execute(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,7 +6,7 @@
 // parse and policy rewrite are cached — and re-done transparently when
 // the policy corpus changes.
 //
-//	c := client.New("http://127.0.0.1:8743", "demo:Prof. Smith:attendance")
+//	c := client.New("http://127.0.0.1:8743", "demo:Prof. Smith|attendance")
 //	sess, err := c.OpenSession(ctx, "")
 //	defer sess.Close(ctx)
 //	rows, err := sess.Query(ctx, "SELECT * FROM WiFi_Dataset")
@@ -499,8 +499,8 @@ func (r *Rows) Err() error { return r.err }
 // stream completes).
 func (r *Rows) N() int64 { return r.n }
 
-// Counters returns the query's server-side work tally when the done line
-// carried one (embedded backend only); nil otherwise.
+// Counters returns the query's server-side work tally from the done line;
+// nil until the stream completes.
 func (r *Rows) Counters() *server.StreamCounters { return r.stats }
 
 // Trace returns the query's server-side span tree when it ran with

@@ -6,7 +6,6 @@
 //	sieve-bench -scale bench -run fig5,fig6
 //	sieve-bench -run traffic -seed 1
 //	sieve-bench -micro
-//	sieve-bench -backend fake-postgres
 //
 // It writes no file and is not where performance is measured: that is
 // bash benchmark/run.sh (BENCHMARK.json).
@@ -23,13 +22,6 @@
 // -micro measures the execution-surface amortisations instead: prepared
 // statements (parse + rewrite paid once) versus per-call Execute, and
 // streaming LIMIT termination versus full materialisation.
-//
-// -backend runs the examples corpus through an execution backend —
-// embedded, fake-mysql / fake-postgres (the recording fake driver, seeded
-// with the embedded engine's rows so the full encode → SQL → decode wire
-// path is exercised and verified), or driver://dsn for a live server with
-// a compiled-in driver — and reports per-query row parity plus the
-// backend's wire counters.
 package main
 
 import (
@@ -40,8 +32,6 @@ import (
 	"time"
 
 	sieve "github.com/sieve-db/sieve"
-	"github.com/sieve-db/sieve/internal/backend"
-	"github.com/sieve-db/sieve/internal/backend/backendtest"
 	"github.com/sieve-db/sieve/internal/cli"
 	"github.com/sieve-db/sieve/internal/experiment"
 	"github.com/sieve-db/sieve/internal/workload"
@@ -128,13 +118,6 @@ func main() {
 		}
 		return
 	}
-	if opts.Backend != "" {
-		if err := runBackendCorpus(opts.Backend); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 	selected, err := selectExperiments(opts.Run)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -196,7 +179,7 @@ func runMicro() error {
 
 	start := time.Now()
 	for i := 0; i < iters; i++ {
-		if _, err := env.M.Execute(q, sess.Metadata()); err != nil {
+		if _, err := sess.Execute(ctx, q); err != nil {
 			return err
 		}
 	}
@@ -237,71 +220,5 @@ func runMicro() error {
 	}
 	full := env.Campus.DB.Counters.TuplesRead
 	fmt.Printf("streaming 10 rows reads %d tuples; materialising reads %d\n", streamed, full)
-	return nil
-}
-
-// runBackendCorpus ships the examples corpus through an execution
-// backend and verifies row parity against the embedded engine. The fake
-// backends are seeded with the embedded baseline converted to driver
-// values, so the run exercises the complete wire path — arg binding,
-// placeholder order, row decoding — with no live server.
-func runBackendCorpus(spec string) error {
-	demo, err := workload.NewDemo(sieve.MySQL())
-	if err != nil {
-		return err
-	}
-	b, fake, err := backend.For(spec, demo.Campus.DB)
-	if err != nil {
-		return err
-	}
-	defer b.Close()
-	ctx := context.Background()
-	if err := b.Ping(ctx); err != nil {
-		return fmt.Errorf("backend %s unreachable: %v", b.Name(), err)
-	}
-	qm := sieve.Metadata{Querier: demo.Querier("auto"), Purpose: "analytics"}
-	sess := demo.M.NewSession(qm)
-	fmt.Printf("backend %s (dialect %s), querier %s\n\n", b.Name(), b.Dialect(), qm.Querier)
-	fmt.Printf("%-22s %8s %8s %6s %10s\n", "query", "rows", "base", "match", "time")
-
-	mismatches := 0
-	for _, q := range demo.Campus.CorpusQueries() {
-		base, err := sess.Execute(ctx, q.SQL)
-		if err != nil {
-			return fmt.Errorf("%s: embedded baseline: %v", q.Name, err)
-		}
-		if fake != nil {
-			fake.Push(backendtest.ResultFromRows(base.Columns, base.Rows))
-		}
-		em, err := sess.RewriteSQL(q.SQL, b.Dialect())
-		if err != nil {
-			return fmt.Errorf("%s: emit: %v", q.Name, err)
-		}
-		start := time.Now()
-		n, err := b.Exec(ctx, em, nil)
-		if err != nil {
-			return fmt.Errorf("%s: %s: %v", q.Name, b.Name(), err)
-		}
-		match := "ok"
-		if n != int64(len(base.Rows)) {
-			match = "DIFF"
-			mismatches++
-		}
-		fmt.Printf("%-22s %8d %8d %6s %10v\n",
-			q.Name, n, len(base.Rows), match, time.Since(start).Round(time.Microsecond))
-	}
-	c := b.Counters()
-	fmt.Printf("\nwire counters: %d execs, %d rows decoded, %d args bound, %d errors\n",
-		c.Execs, c.RowsDecoded, c.ArgsBound, c.Errors)
-	if fake != nil {
-		calls := fake.Calls()
-		fmt.Printf("fake driver recorded %d statements; last:\n", len(calls))
-		if len(calls) > 0 {
-			fmt.Printf("  %s\n", calls[len(calls)-1].SQL)
-		}
-	}
-	if mismatches > 0 {
-		return fmt.Errorf("%d corpus queries diverged from the embedded baseline", mismatches)
-	}
 	return nil
 }

@@ -12,10 +12,10 @@
 //	\prepare <sql>       prepare a statement; run it with \exec
 //	\exec                execute the prepared statement for this session
 //	\backend <spec>      route queries through an execution backend:
-//	                     embedded | fake-mysql | fake-postgres |
-//	                     driver://dsn | off. The fakes are seeded with the
-//	                     embedded engine's rows, so results round-trip the
-//	                     full emit -> ship -> decode wire path.
+//	                     fake-mysql | fake-postgres | driver://dsn | off.
+//	                     The fakes are seeded with the session's own rows,
+//	                     so results round-trip the full emit -> ship ->
+//	                     decode wire path.
 //	\policies            count policies for the current metadata
 //	\guards              show the cached guarded expression
 //	\quit
@@ -43,7 +43,6 @@ import (
 // are routed through.
 type repl struct {
 	m           *sieve.Middleware
-	db          *sieve.DB
 	sess        *sieve.Session
 	prepared    *sieve.Stmt
 	showRewrite bool
@@ -88,7 +87,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	r := &repl{m: m, db: campus.DB}
+	r := &repl{m: m}
 	r.sess = m.NewSession(sieve.Metadata{
 		Querier: workload.TopQueriers(policies, 1, 1)[0],
 		Purpose: "analytics",
@@ -228,7 +227,7 @@ func (r *repl) setBackend(spec string) {
 		fmt.Println("backend = embedded session (direct)")
 		return
 	}
-	b, fake, err := backend.For(spec, r.db)
+	b, fake, err := backend.For(spec)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -296,7 +295,7 @@ func (r *repl) handleMeta(line string) (quit bool) {
 				name = r.backend.Name()
 			}
 			fmt.Println("backend =", name)
-			fmt.Println("usage: \\backend embedded | fake-mysql | fake-postgres | driver://dsn | off")
+			fmt.Println("usage: \\backend fake-mysql | fake-postgres | driver://dsn | off")
 			break
 		}
 		r.setBackend(fields[1])

@@ -8,11 +8,10 @@
 //	curl -s -H 'Authorization: Bearer demo:profile:staff|analytics' \
 //	     -X POST http://127.0.0.1:8743/v1/sessions -d '{}'
 //
-// Production-shaped deployments list bearer tokens in a file (-tokens)
-// and front a real DBMS through -backend driver://dsn; the demo-token
-// scheme exists so the campus is explorable with zero setup. SIGTERM and
-// SIGINT drain gracefully: /healthz flips to 503, new work is rejected,
-// and in-flight streams get -drain-timeout to finish.
+// Production-shaped deployments list bearer tokens in a file (-tokens);
+// the demo-token scheme exists so the campus is explorable with zero
+// setup. SIGTERM and SIGINT drain gracefully: /healthz flips to 503, new
+// work is rejected, and in-flight streams get -drain-timeout to finish.
 //
 // With -data-dir the server is durable: every acknowledged mutation (row
 // writes, policy grants and revocations, Protect calls) is write-ahead
@@ -33,7 +32,6 @@ import (
 	"time"
 
 	sieve "github.com/sieve-db/sieve"
-	"github.com/sieve-db/sieve/internal/backend"
 	"github.com/sieve-db/sieve/internal/cli"
 	"github.com/sieve-db/sieve/internal/obs"
 	"github.com/sieve-db/sieve/internal/server"
@@ -89,10 +87,8 @@ func run(opts *cli.ServerOpts) error {
 		}
 		demo, mgr = &dd.Demo, dd.Manager
 		// The WAL's histograms land in the same registry the server
-		// scrapes at /metrics, and traced queries learn the log's share
-		// of their latency from the cumulative append/fsync clocks.
+		// scrapes at /metrics.
 		mgr.SetRegistry(cfg.Registry)
-		cfg.WALTimings = func() (int64, int64) { return mgr.AppendNanos(), mgr.FsyncNanos() }
 		if rec := dd.Recovered; rec != nil {
 			fmt.Printf("recovered %s: snapshot lsn %d + %d replayed records in %v (torn tail: %d bytes)\n",
 				opts.DataDir, rec.SnapshotLSN, rec.Replayed, rec.Duration.Round(time.Millisecond), rec.TornBytes)
@@ -105,14 +101,6 @@ func run(opts *cli.ServerOpts) error {
 		demo = d
 	}
 	cfg.Middleware = demo.M
-	if opts.Backend != "" && opts.Backend != "embedded" {
-		b, _, err := backend.For(opts.Backend, demo.Campus.DB)
-		if err != nil {
-			return err
-		}
-		defer b.Close()
-		cfg.Backend = b
-	}
 
 	srv, err := server.New(cfg)
 	if err != nil {
@@ -122,8 +110,8 @@ func run(opts *cli.ServerOpts) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("sieve-server listening on http://%s (backend %s, %d policies, querier hint: %s)\n",
-		l.Addr(), opts.Backend, len(demo.Policies), demo.Querier("auto"))
+	fmt.Printf("sieve-server listening on http://%s (%d policies, querier hint: %s)\n",
+		l.Addr(), len(demo.Policies), demo.Querier("auto"))
 
 	// SIGTERM/SIGINT starts the drain; a second signal aborts it.
 	sigCtx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)

@@ -103,9 +103,9 @@ func ExampleStmt() {
 	// run 2 rows: 2 rewrites: 1
 }
 
-// ExampleMiddleware_Rewrite shows how to inspect the SQL SIEVE would send
+// ExampleSession_Rewrite shows how to inspect the SQL SIEVE would send
 // to the underlying database.
-func ExampleMiddleware_Rewrite() {
+func ExampleSession_Rewrite() {
 	db := sieve.NewDB(sieve.MySQL())
 	schema := sieve.MustSchema(
 		sieve.Column{Name: "id", Type: sieve.KindInt},
@@ -122,7 +122,8 @@ func ExampleMiddleware_Rewrite() {
 	_ = store.Insert(&sieve.Policy{
 		Owner: 7, Querier: "alice", Purpose: "audit", Relation: "t", Action: sieve.Allow,
 	})
-	sql, report, err := m.Rewrite("SELECT * FROM t", sieve.Metadata{Querier: "alice", Purpose: "audit"})
+	sess := m.NewSession(sieve.Metadata{Querier: "alice", Purpose: "audit"})
+	sql, report, err := sess.Rewrite("SELECT * FROM t")
 	if err != nil {
 		log.Fatal(err)
 	}

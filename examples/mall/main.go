@@ -60,7 +60,7 @@ func main() {
 	for _, shop := range shops {
 		sess := m.NewSession(sieve.Metadata{Querier: shop, Purpose: "marketing"})
 		start := time.Now()
-		base, err := m.ExecuteBaselineContext(ctx, sieve.BaselineP, query, sess.Metadata())
+		base, err := m.ExecuteBaseline(ctx, sieve.BaselineP, query, sess.Metadata())
 		if err != nil {
 			log.Fatal(err)
 		}

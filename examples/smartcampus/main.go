@@ -65,7 +65,7 @@ func main() {
 	sieveTime := time.Since(start)
 
 	start = time.Now()
-	base, err := m.ExecuteBaselineContext(ctx, sieve.BaselineP, query, sess.Metadata())
+	base, err := m.ExecuteBaseline(ctx, sieve.BaselineP, query, sess.Metadata())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,13 +5,12 @@
 // *unmodified* DBMS, so the rewritten query has to travel to a live
 // backend and its rows have to travel back.
 //
-// Two backends are provided. Embedded executes sieve-dialect emissions on
-// the in-process engine, preserving its streaming surface, parallel
-// guarded scans and work counters. Remote ships mysql/postgres emissions
-// over any *sql.DB — a real server when a driver is compiled in, or the
+// Remote is the backend: it ships mysql/postgres emissions over any
+// *sql.DB — a real server when a driver is compiled in, or the
 // backendtest fake driver in CI — converting storage.Value args to
 // driver-native types on the way out and decoding result rows back on the
-// way in.
+// way in. The in-process engine needs no backend: Session.Query runs the
+// rewrite on it directly.
 //
 // Backends execute post-rewrite SQL: policy enforcement happened when the
 // emission was produced (Session.RewriteSQL, Stmt.EmitSQL). The helpers
@@ -44,11 +43,10 @@ type Rows interface {
 // Implementations are safe for concurrent use; the Rows they return are
 // not.
 type Backend interface {
-	// Name identifies the backend instance, e.g. "embedded" or
-	// "remote-mysql".
+	// Name identifies the backend instance, e.g. "remote-mysql".
 	Name() string
-	// Dialect is the emission dialect this backend consumes: "sieve",
-	// "mysql" or "postgres". Pass it to Session.RewriteSQL / Stmt.EmitSQL.
+	// Dialect is the emission dialect this backend consumes: "mysql" or
+	// "postgres". Pass it to Session.RewriteSQL / Stmt.EmitSQL.
 	Dialect() string
 	// Query runs the emission and streams its result. args overrides the
 	// emission's own bound-args list when non-nil; pass nil to ship

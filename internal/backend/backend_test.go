@@ -20,7 +20,7 @@ import (
 // newFixture builds a middleware over one protected relation whose schema
 // exercises every scalar kind the wire has to carry, with "alice"/"audit"
 // granted a date-and-time-windowed view of owner 7's rows.
-func newFixture(t testing.TB) (*core.Middleware, *engine.DB, *core.Session) {
+func newFixture(t testing.TB) (*core.Middleware, *core.Session) {
 	t.Helper()
 	db := engine.New(engine.MySQL())
 	schema := storage.MustSchema(
@@ -73,7 +73,7 @@ func newFixture(t testing.TB) (*core.Middleware, *engine.DB, *core.Session) {
 		t.Fatal(err)
 	}
 	sess := m.NewSession(policy.Metadata{Querier: "alice", Purpose: "audit"})
-	return m, db, sess
+	return m, sess
 }
 
 const fixtureQuery = "SELECT id, day, tod, note, score FROM events"
@@ -96,68 +96,6 @@ func collect(t *testing.T, rows backend.Rows) []storage.Row {
 	return out
 }
 
-// TestEmbeddedQuery checks the embedded backend executes the sieve
-// emission to the same rows as the session's own streaming path, and
-// tallies its wire counters.
-func TestEmbeddedQuery(t *testing.T) {
-	_, db, sess := newFixture(t)
-	ctx := context.Background()
-
-	base, err := sess.Execute(ctx, fixtureQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(base.Rows) == 0 {
-		t.Fatal("fixture policy admits no rows")
-	}
-
-	b := backend.NewEmbedded(db)
-	rows, err := backend.SessionQuery(ctx, b, sess, fixtureQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rows.Columns(), base.Columns) {
-		t.Fatalf("columns = %v, want %v", rows.Columns(), base.Columns)
-	}
-	got := collect(t, rows)
-	if !reflect.DeepEqual(got, base.Rows) {
-		t.Fatalf("embedded backend rows diverge from Session.Execute:\ngot  %v\nwant %v", got, base.Rows)
-	}
-
-	c := b.Counters()
-	if c.Queries != 1 || c.RowsDecoded != int64(len(base.Rows)) || c.Errors != 0 {
-		t.Fatalf("counters = %+v", c)
-	}
-	if err := b.Ping(ctx); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestEmbeddedRejections pins the embedded backend's contract: only
-// sieve-dialect emissions, no bound args.
-func TestEmbeddedRejections(t *testing.T) {
-	_, db, sess := newFixture(t)
-	b := backend.NewEmbedded(db)
-
-	em, err := sess.RewriteSQL(fixtureQuery, "mysql")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Query(context.Background(), em, nil); err == nil {
-		t.Fatal("embedded backend accepted a mysql emission")
-	}
-	sv, err := sess.RewriteSQL(fixtureQuery, "sieve")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Query(context.Background(), sv, []storage.Value{storage.NewInt(1)}); err == nil {
-		t.Fatal("embedded backend accepted bound args")
-	}
-	if c := b.Counters(); c.Errors != 2 {
-		t.Fatalf("Errors = %d, want 2", c.Errors)
-	}
-}
-
 // TestRemoteOverFake is the wire round trip with no live server: the
 // emission ships over the fake driver, the recorded SQL and args must be
 // exactly the emission's (args in placeholder order, converted to
@@ -166,7 +104,7 @@ func TestEmbeddedRejections(t *testing.T) {
 func TestRemoteOverFake(t *testing.T) {
 	for _, dialect := range []string{"mysql", "postgres"} {
 		t.Run(dialect, func(t *testing.T) {
-			_, _, sess := newFixture(t)
+			_, sess := newFixture(t)
 			ctx := context.Background()
 
 			base, err := sess.Execute(ctx, fixtureQuery)
@@ -286,7 +224,7 @@ func TestRemoteDialectContract(t *testing.T) {
 // backend twice and checks the rewrite ran once — the middleware's
 // amortisation carried to the wire.
 func TestStmtQueryCachedEmission(t *testing.T) {
-	m, _, sess := newFixture(t)
+	m, sess := newFixture(t)
 	st, err := m.Prepare(fixtureQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -319,30 +257,13 @@ func TestStmtQueryCachedEmission(t *testing.T) {
 	}
 }
 
-// TestExecCountsRows checks Exec's drain semantics and counter split on
-// both backends.
+// TestExecCountsRows checks Exec's drain semantics and counter split.
 func TestExecCountsRows(t *testing.T) {
-	_, db, sess := newFixture(t)
+	_, sess := newFixture(t)
 	ctx := context.Background()
 	base, err := sess.Execute(ctx, fixtureQuery)
 	if err != nil {
 		t.Fatal(err)
-	}
-
-	emb := backend.NewEmbedded(db)
-	sv, err := sess.RewriteSQL(fixtureQuery, "sieve")
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := emb.Exec(ctx, sv, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(len(base.Rows)) {
-		t.Fatalf("embedded Exec = %d rows, want %d", n, len(base.Rows))
-	}
-	if c := emb.Counters(); c.Execs != 1 || c.Queries != 0 {
-		t.Fatalf("embedded counters = %+v", c)
 	}
 
 	fake := backendtest.New()
@@ -356,7 +277,7 @@ func TestExecCountsRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err = rem.Exec(ctx, em, nil)
+	n, err := rem.Exec(ctx, em, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,17 +357,7 @@ func TestFakeQueueSemantics(t *testing.T) {
 // only be proven up to sql.Open's unknown-driver error — which is the
 // point of the message.
 func TestForSpecs(t *testing.T) {
-	_, db, _ := newFixture(t)
-
-	b, fake, err := backend.For("embedded", db)
-	if err != nil || fake != nil || b.Name() != "embedded" {
-		t.Fatalf("embedded spec: %v, fake=%v, b=%v", err, fake, b)
-	}
-	if _, _, err := backend.For("embedded", nil); err == nil {
-		t.Fatal("embedded spec without an engine must error")
-	}
-
-	b, fake, err = backend.For("fake-postgres", nil)
+	b, fake, err := backend.For("fake-postgres")
 	if err != nil || fake == nil || b.Dialect() != "postgres" {
 		t.Fatalf("fake-postgres spec: %v, fake=%v", err, fake)
 	}
@@ -454,14 +365,14 @@ func TestForSpecs(t *testing.T) {
 
 	// A Δ-declared DSN spec: the +delta suffix must strip before driver
 	// resolution, so the error names "mysql", not "mysql+delta".
-	_, _, err = backend.For("mysql+delta://user@tcp(host)/db", nil)
+	_, _, err = backend.For("mysql+delta://user@tcp(host)/db")
 	if err == nil || !strings.Contains(err.Error(), `"mysql" driver compiled`) {
 		t.Fatalf("mysql+delta spec: %v", err)
 	}
-	if _, _, err := backend.For("oracle://dsn", nil); err == nil || !strings.Contains(err.Error(), "dialect") {
+	if _, _, err := backend.For("oracle://dsn"); err == nil || !strings.Contains(err.Error(), "dialect") {
 		t.Fatalf("unknown driver spec: %v", err)
 	}
-	if _, _, err := backend.For("bogus", nil); err == nil {
+	if _, _, err := backend.For("bogus"); err == nil {
 		t.Fatal("bogus spec must error")
 	}
 }

@@ -31,8 +31,8 @@ type Result struct {
 
 // ResultFromRows converts engine rows to the canned form through the
 // same Native binding the outbound arg path uses — the loopback seeding
-// every fake-backed harness needs (tests, sieve-bench -backend, the repl
-// \backend command).
+// every fake-backed door needs (the corpus harness's fake remotes, the
+// repl's \backend command).
 func ResultFromRows(cols []string, rows []storage.Row) Result {
 	out := Result{Cols: cols}
 	for _, r := range rows {

@@ -6,12 +6,10 @@ import (
 	"strings"
 
 	"github.com/sieve-db/sieve/internal/backend/backendtest"
-	"github.com/sieve-db/sieve/internal/engine"
 )
 
-// For resolves a tool's -backend spec to a live Backend:
+// For resolves a backend spec to a live Backend:
 //
-//	embedded         the in-process engine (db must be non-nil)
 //	fake-mysql       Remote over the recording fake driver, mysql dialect
 //	fake-postgres    Remote over the recording fake driver, postgres dialect
 //	<driver>://<dsn> Remote over sql.Open(driver, dsn) — a real server;
@@ -25,13 +23,8 @@ import (
 // default. A "+delta" scheme suffix — "mysql+delta://…" — declares the
 // sieve_delta helper installed on the server (WithDeltaHelper), letting
 // Δ-bearing emissions through.
-func For(spec string, db *engine.DB) (Backend, *backendtest.Fake, error) {
+func For(spec string) (Backend, *backendtest.Fake, error) {
 	switch spec {
-	case "embedded":
-		if db == nil {
-			return nil, nil, fmt.Errorf("backend: the embedded spec needs an engine")
-		}
-		return NewEmbedded(db), nil, nil
 	case "fake-mysql", "fake-postgres":
 		fake := backendtest.New()
 		b, err := NewRemote(sql.OpenDB(fake.Connector()), strings.TrimPrefix(spec, "fake-"), WithDeltaHelper())
@@ -42,7 +35,7 @@ func For(spec string, db *engine.DB) (Backend, *backendtest.Fake, error) {
 	}
 	drv, dsn, ok := strings.Cut(spec, "://")
 	if !ok {
-		return nil, nil, fmt.Errorf("backend: unknown spec %q (want embedded, fake-mysql, fake-postgres or driver://dsn)", spec)
+		return nil, nil, fmt.Errorf("backend: unknown spec %q (want fake-mysql, fake-postgres or driver://dsn)", spec)
 	}
 	var opts []RemoteOption
 	if base, found := strings.CutSuffix(drv, "+delta"); found {

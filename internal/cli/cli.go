@@ -88,7 +88,6 @@ type ServerOpts struct {
 	Addr           string
 	Tokens         string
 	DemoTokens     bool
-	Backend        string
 	DataDir        string
 	WALSync        string
 	RequestTimeout time.Duration
@@ -122,7 +121,6 @@ func ServerFlags() (*flag.FlagSet, *ServerOpts) {
 	fs.StringVar(&opts.Addr, "addr", "127.0.0.1:8743", "listen address")
 	fs.StringVar(&opts.Tokens, "tokens", "", "token file: one 'token querier [purpose|-] [admin]' per line")
 	fs.BoolVar(&opts.DemoTokens, "demo-tokens", false, "accept 'demo:<querier>[|<purpose>][|admin]' bearer tokens (INSECURE, demos only)")
-	fs.StringVar(&opts.Backend, "backend", "embedded", "execution backend: embedded | fake-mysql | fake-postgres | driver://dsn")
 	fs.StringVar(&opts.DataDir, "data-dir", "", "durability directory for WAL + snapshots (empty = in-memory only)")
 	fs.StringVar(&opts.WALSync, "wal-sync", "always", "WAL fsync policy with -data-dir: always | interval | none")
 	fs.DurationVar(&opts.RequestTimeout, "request-timeout", 30*time.Second, "per-query execution deadline, streaming included (0 = none)")
@@ -141,7 +139,6 @@ type BenchOpts struct {
 	Run     string
 	List    bool
 	Micro   bool
-	Backend string
 	Workers int
 	Seed    int64
 }
@@ -159,8 +156,8 @@ backend-shipped queries over the campus, mall, and hospital workloads —
 in process and through a real sieve-server — under live policy churn,
 with every returned row checked against the policies legal during its
 query's lifetime. The run fails, and sieve-bench exits non-zero, on any
-invariant violation. -micro and -backend are corpus-level modes described
-in docs/benchmarks.md. Performance is measured by bash benchmark/run.sh,
+invariant violation. -micro measures the execution surface, see
+docs/benchmarks.md. Performance is measured by bash benchmark/run.sh,
 not here.
 
 Flags:
@@ -174,7 +171,6 @@ func BenchFlags() (*flag.FlagSet, *BenchOpts) {
 	fs.StringVar(&opts.Run, "run", "all", "comma-separated experiment ids, or 'all'")
 	fs.BoolVar(&opts.List, "list", false, "list experiment ids and exit")
 	fs.BoolVar(&opts.Micro, "micro", false, "measure the Session/Stmt/Rows execution surface and exit")
-	fs.StringVar(&opts.Backend, "backend", "", "run the examples corpus through a backend (embedded | fake-mysql | fake-postgres | driver://dsn) and exit")
 	fs.IntVar(&opts.Workers, "workers", 0, "parallel scan workers per engine (0 = NumCPU); adds a scaling dimension to every experiment")
 	fs.Int64Var(&opts.Seed, "seed", 1, "master seed for workload generation and the traffic soak")
 	setUsage(fs, benchIntro)

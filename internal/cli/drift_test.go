@@ -57,6 +57,8 @@ func TestUsageDocsDrift(t *testing.T) {
 			"BENCH_policy_scale.json", "BENCH_server.json", "bench_compare",
 			"-run latency", "-run policyscale", "sieve-bench -server", "/varz",
 			"OwnerDict", "owner dictionar", "owner_dict_pruned", "Calibrate(",
+			"EmbeddedBackend", "NewEmbedded", "sieve-bench -backend", "ExecuteBaselineContext",
+			"WALTimings", "64 RWMutex",
 		} {
 			if strings.Contains(string(raw), gone) {
 				t.Errorf("%s still mentions %q, which was removed", name, gone)

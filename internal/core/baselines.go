@@ -27,14 +27,10 @@ const (
 	BaselineU BaselineKind = "BaselineU"
 )
 
-// ExecuteBaseline rewrites with the chosen baseline and runs the query.
-func (m *Middleware) ExecuteBaseline(kind BaselineKind, sql string, qm policy.Metadata) (*engine.Result, error) {
-	return m.ExecuteBaselineContext(context.Background(), kind, sql, qm)
-}
-
-// ExecuteBaselineContext is ExecuteBaseline under a context: cancellation
-// aborts the baseline's scan like any other query.
-func (m *Middleware) ExecuteBaselineContext(ctx context.Context, kind BaselineKind, sql string, qm policy.Metadata) (*engine.Result, error) {
+// ExecuteBaseline rewrites with the chosen baseline and runs the query
+// under ctx: cancellation aborts the baseline's scan like any other
+// query.
+func (m *Middleware) ExecuteBaseline(ctx context.Context, kind BaselineKind, sql string, qm policy.Metadata) (*engine.Result, error) {
 	stmt, err := m.RewriteBaseline(kind, sql, qm)
 	if err != nil {
 		return nil, err

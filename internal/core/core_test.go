@@ -205,7 +205,7 @@ func TestSieveMatchesGroundTruthSelectAll(t *testing.T) {
 		if len(want) == 0 {
 			t.Fatal("fixture produced no allowed rows")
 		}
-		res, err := f.m.Execute(selectAll, f.qm)
+		res, err := f.m.NewSession(f.qm).Execute(t.Context(), selectAll)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +219,7 @@ func TestBaselinesMatchGroundTruth(t *testing.T) {
 	f := newFixture(t, engine.MySQL(), 40)
 	want := keysOf(f.allowedIDs(t))
 	for _, kind := range []BaselineKind{BaselineP, BaselineI, BaselineU} {
-		res, err := f.m.ExecuteBaseline(kind, selectAll, f.qm)
+		res, err := f.m.ExecuteBaseline(t.Context(), kind, selectAll, f.qm)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
@@ -232,7 +232,7 @@ func TestBaselinesMatchGroundTruth(t *testing.T) {
 func TestDefaultDenyWithoutPolicies(t *testing.T) {
 	f := newFixture(t, engine.MySQL(), 30)
 	nobody := policy.Metadata{Querier: "stranger", Purpose: "snooping"}
-	res, err := f.m.Execute(selectAll, nobody)
+	res, err := f.m.NewSession(nobody).Execute(t.Context(), selectAll)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestDefaultDenyWithoutPolicies(t *testing.T) {
 		t.Fatalf("default deny violated: %d rows", len(res.Rows))
 	}
 	for _, kind := range []BaselineKind{BaselineP, BaselineI, BaselineU} {
-		res, err := f.m.ExecuteBaseline(kind, selectAll, nobody)
+		res, err := f.m.ExecuteBaseline(t.Context(), kind, selectAll, nobody)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
@@ -260,11 +260,11 @@ func TestSieveWithQueryPredicatesAndJoin(t *testing.T) {
 	for _, d := range []engine.Dialect{engine.MySQL(), engine.Postgres()} {
 		f := newFixture(t, d, 80)
 		for _, q := range queries {
-			sieveRes, err := f.m.Execute(q, f.qm)
+			sieveRes, err := f.m.NewSession(f.qm).Execute(t.Context(), q)
 			if err != nil {
 				t.Fatalf("[%s] sieve %q: %v", d.Name(), q, err)
 			}
-			baseRes, err := f.m.ExecuteBaseline(BaselineP, q, f.qm)
+			baseRes, err := f.m.ExecuteBaseline(t.Context(), BaselineP, q, f.qm)
 			if err != nil {
 				t.Fatalf("[%s] baseline %q: %v", d.Name(), q, err)
 			}
@@ -279,7 +279,7 @@ func TestSieveWithQueryPredicatesAndJoin(t *testing.T) {
 
 func TestAggregationOverProtectedRelation(t *testing.T) {
 	f := newFixture(t, engine.MySQL(), 60)
-	res, err := f.m.Execute("SELECT owner, count(*) AS n FROM wifi GROUP BY owner ORDER BY owner", f.qm)
+	res, err := f.m.NewSession(f.qm).Execute(t.Context(), "SELECT owner, count(*) AS n FROM wifi GROUP BY owner ORDER BY owner")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestAggregationOverProtectedRelation(t *testing.T) {
 
 func TestRewriteShapeMySQL(t *testing.T) {
 	f := newFixture(t, engine.MySQL(), 50)
-	sqlText, rep, err := f.m.Rewrite(selectAll, f.qm)
+	sqlText, rep, err := f.m.NewSession(f.qm).Rewrite(selectAll)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestRewriteShapeMySQL(t *testing.T) {
 
 func TestRewriteOmitsHintsOnPostgres(t *testing.T) {
 	f := newFixture(t, engine.Postgres(), 50)
-	sqlText, _, err := f.m.Rewrite(selectAll, f.qm)
+	sqlText, _, err := f.m.NewSession(f.qm).Rewrite(selectAll)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestRewriteOmitsHintsOnPostgres(t *testing.T) {
 func TestStrategySelection(t *testing.T) {
 	f := newFixture(t, engine.MySQL(), 60)
 	// Highly selective query predicate → IndexQuery.
-	_, rep, err := f.m.Rewrite("SELECT * FROM wifi WHERE ts_time = TIME '09:00' AND ts_date = DATE '2000-01-01'", f.qm)
+	_, rep, err := f.m.NewSession(f.qm).Rewrite("SELECT * FROM wifi WHERE ts_time = TIME '09:00' AND ts_date = DATE '2000-01-01'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestStrategySelection(t *testing.T) {
 		t.Fatalf("IndexQuery not priced: %+v", rep.Decisions[0])
 	}
 	// SELECT-all: no query predicate → IndexQuery impossible.
-	_, rep2, err := f.m.Rewrite(selectAll, f.qm)
+	_, rep2, err := f.m.NewSession(f.qm).Rewrite(selectAll)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestStrategySelection(t *testing.T) {
 
 func TestDeltaPathUsedForLargePartitions(t *testing.T) {
 	f := newFixture(t, engine.MySQL(), 120, WithDeltaThreshold(3))
-	sqlText, rep, err := f.m.Rewrite(selectAll, f.qm)
+	sqlText, rep, err := f.m.NewSession(f.qm).Rewrite(selectAll)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestDeltaPathUsedForLargePartitions(t *testing.T) {
 		t.Fatalf("delta rewrite missing UDF call")
 	}
 	f.db.Counters.Reset()
-	res, err := f.m.Execute(selectAll, f.qm)
+	res, err := f.m.NewSession(f.qm).Execute(t.Context(), selectAll)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestDerivedValuePolicyEndToEnd(t *testing.T) {
 	if err := f.m.AddPolicy(p); err != nil {
 		t.Fatal(err)
 	}
-	res, err := f.m.Execute(selectAll, f.qm)
+	res, err := f.m.NewSession(f.qm).Execute(t.Context(), selectAll)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +441,7 @@ func TestProtectValidation(t *testing.T) {
 
 func TestUnprotectedTablesPassThrough(t *testing.T) {
 	f := newFixture(t, engine.MySQL(), 20)
-	res, err := f.m.Execute("SELECT count(*) FROM membership", f.qm)
+	res, err := f.m.NewSession(f.qm).Execute(t.Context(), "SELECT count(*) FROM membership")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +452,7 @@ func TestUnprotectedTablesPassThrough(t *testing.T) {
 
 func TestMissingQuerierRejected(t *testing.T) {
 	f := newFixture(t, engine.MySQL(), 10)
-	if _, err := f.m.Execute(selectAll, policy.Metadata{}); err == nil {
+	if _, err := f.m.NewSession(policy.Metadata{}).Execute(t.Context(), selectAll); err == nil {
 		t.Error("empty metadata must be rejected")
 	}
 	if _, err := f.m.RewriteBaseline(BaselineP, selectAll, policy.Metadata{}); err == nil {

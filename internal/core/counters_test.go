@@ -13,22 +13,22 @@ func TestSieveReadsFewerTuplesThanBaselineP(t *testing.T) {
 	// strategy, which is the pruning this test asserts.
 	f := newFixture(t, engine.MySQL(), 12)
 	// Warm both paths so guard generation is excluded.
-	if _, err := f.m.Execute(selectAll, f.qm); err != nil {
+	if _, err := f.m.NewSession(f.qm).Execute(t.Context(), selectAll); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.m.ExecuteBaseline(BaselineP, selectAll, f.qm); err != nil {
+	if _, err := f.m.ExecuteBaseline(t.Context(), BaselineP, selectAll, f.qm); err != nil {
 		t.Fatal(err)
 	}
 
 	f.db.Counters.Reset()
-	sieveRes, err := f.m.Execute(selectAll, f.qm)
+	sieveRes, err := f.m.NewSession(f.qm).Execute(t.Context(), selectAll)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sieveReads := f.db.Counters.TuplesRead
 
 	f.db.Counters.Reset()
-	baseRes, err := f.m.ExecuteBaseline(BaselineP, selectAll, f.qm)
+	baseRes, err := f.m.ExecuteBaseline(t.Context(), BaselineP, selectAll, f.qm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +51,11 @@ func TestSieveReadsFewerTuplesThanBaselineP(t *testing.T) {
 // coverage the optimizer rightly prefers a sequential scan.)
 func TestSievePrunesOnPostgresViaBitmap(t *testing.T) {
 	f := newFixture(t, engine.Postgres(), 12)
-	if _, err := f.m.Execute(selectAll, f.qm); err != nil {
+	if _, err := f.m.NewSession(f.qm).Execute(t.Context(), selectAll); err != nil {
 		t.Fatal(err)
 	}
 	f.db.Counters.Reset()
-	if _, err := f.m.Execute(selectAll, f.qm); err != nil {
+	if _, err := f.m.NewSession(f.qm).Execute(t.Context(), selectAll); err != nil {
 		t.Fatal(err)
 	}
 	if f.db.Counters.BitmapOrScans == 0 {
@@ -75,21 +75,21 @@ func TestHintsEnableIndexMergeOnMySQL(t *testing.T) {
 	// IndexGuards is the chosen strategy; with dense coverage LinearScan
 	// would win legitimately and hints would be moot.
 	withHints := newFixture(t, engine.MySQL(), 12)
-	if _, err := withHints.m.Execute(selectAll, withHints.qm); err != nil {
+	if _, err := withHints.m.NewSession(withHints.qm).Execute(t.Context(), selectAll); err != nil {
 		t.Fatal(err)
 	}
 	withHints.db.Counters.Reset()
-	if _, err := withHints.m.Execute(selectAll, withHints.qm); err != nil {
+	if _, err := withHints.m.NewSession(withHints.qm).Execute(t.Context(), selectAll); err != nil {
 		t.Fatal(err)
 	}
 	hinted := withHints.db.Counters.TuplesRead
 
 	noHints := newFixture(t, engine.MySQL(), 12, WithoutHints())
-	if _, err := noHints.m.Execute(selectAll, noHints.qm); err != nil {
+	if _, err := noHints.m.NewSession(noHints.qm).Execute(t.Context(), selectAll); err != nil {
 		t.Fatal(err)
 	}
 	noHints.db.Counters.Reset()
-	if _, err := noHints.m.Execute(selectAll, noHints.qm); err != nil {
+	if _, err := noHints.m.NewSession(noHints.qm).Execute(t.Context(), selectAll); err != nil {
 		t.Fatal(err)
 	}
 	unhinted := noHints.db.Counters.TuplesRead

@@ -106,7 +106,7 @@ func TestDeltaArmRefutedAtPlanTime(t *testing.T) {
 		t.Fatal("fixture broken: the Δ UDF never ran")
 	}
 
-	base, err := m.ExecuteBaseline(BaselineP, "SELECT * FROM t", sess.Metadata())
+	base, err := m.ExecuteBaseline(t.Context(), BaselineP, "SELECT * FROM t", sess.Metadata())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func newPolicy(owner int64, ap int64) *policy.Policy {
 
 func TestTriggerMarksOutdatedAndEagerRegen(t *testing.T) {
 	f := newFixture(t, engine.MySQL(), 20)
-	if _, err := f.m.Execute(selectAll, f.qm); err != nil {
+	if _, err := f.m.NewSession(f.qm).Execute(t.Context(), selectAll); err != nil {
 		t.Fatal(err)
 	}
 	if f.m.Regens(f.qm, "wifi") != 1 {
@@ -36,7 +36,7 @@ func TestTriggerMarksOutdatedAndEagerRegen(t *testing.T) {
 		t.Fatalf("pending = %d, want 1", f.m.PendingPolicies(f.qm, "wifi"))
 	}
 	// Eager mode (default): the next query regenerates.
-	res, err := f.m.Execute(selectAll, f.qm)
+	res, err := f.m.NewSession(f.qm).Execute(t.Context(), selectAll)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestTriggerMarksOutdatedAndEagerRegen(t *testing.T) {
 func TestDeferredRegenUsesStaleGuardsPlusPendingArms(t *testing.T) {
 	cfg := RegenConfig{CG: 1e12, Rpq: 1, MinK: 5, MaxK: 100} // huge CG → large k̃
 	f := newFixture(t, engine.MySQL(), 20, WithRegenInterval(cfg))
-	if _, err := f.m.Execute(selectAll, f.qm); err != nil {
+	if _, err := f.m.NewSession(f.qm).Execute(t.Context(), selectAll); err != nil {
 		t.Fatal(err)
 	}
 	regensBefore := f.m.Regens(f.qm, "wifi")
@@ -72,7 +72,7 @@ func TestDeferredRegenUsesStaleGuardsPlusPendingArms(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := f.m.Execute(selectAll, f.qm)
+	res, err := f.m.NewSession(f.qm).Execute(t.Context(), selectAll)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestDeferredRegenUsesStaleGuardsPlusPendingArms(t *testing.T) {
 func TestDeferredRegenTriggersAtK(t *testing.T) {
 	cfg := RegenConfig{CG: 1, Rpq: 1000, MinK: 2, MaxK: 2} // force tiny k̃
 	f := newFixture(t, engine.MySQL(), 20, WithRegenInterval(cfg))
-	if _, err := f.m.Execute(selectAll, f.qm); err != nil {
+	if _, err := f.m.NewSession(f.qm).Execute(t.Context(), selectAll); err != nil {
 		t.Fatal(err)
 	}
 	before := f.m.Regens(f.qm, "wifi")
@@ -100,7 +100,7 @@ func TestDeferredRegenTriggersAtK(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := f.m.Execute(selectAll, f.qm); err != nil {
+	if _, err := f.m.NewSession(f.qm).Execute(t.Context(), selectAll); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.m.Regens(f.qm, "wifi"); got != before+1 {
@@ -168,12 +168,12 @@ func TestEq19MinimisesTotalCost(t *testing.T) {
 
 func TestInvalidateAllForcesRegeneration(t *testing.T) {
 	f := newFixture(t, engine.MySQL(), 15)
-	if _, err := f.m.Execute(selectAll, f.qm); err != nil {
+	if _, err := f.m.NewSession(f.qm).Execute(t.Context(), selectAll); err != nil {
 		t.Fatal(err)
 	}
 	before := f.m.Regens(f.qm, "wifi")
 	f.m.InvalidateAll()
-	if _, err := f.m.Execute(selectAll, f.qm); err != nil {
+	if _, err := f.m.NewSession(f.qm).Execute(t.Context(), selectAll); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.m.Regens(f.qm, "wifi"); got != before+1 {

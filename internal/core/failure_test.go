@@ -25,15 +25,15 @@ func TestPolicyWithBrokenSubqueryFailsClosed(t *testing.T) {
 	if err := f.m.AddPolicy(p); err != nil {
 		t.Fatal(err) // the subquery parses; the missing table is a runtime error
 	}
-	_, err := f.m.Execute(selectAll, f.qm)
+	_, err := f.m.NewSession(f.qm).Execute(t.Context(), selectAll)
 	if err == nil || !strings.Contains(err.Error(), "no_such_table") {
 		t.Fatalf("broken derived-value subquery must error, got %v", err)
 	}
 	// Baselines fail closed too.
-	if _, err := f.m.ExecuteBaseline(BaselineP, selectAll, f.qm); err == nil {
+	if _, err := f.m.ExecuteBaseline(t.Context(), BaselineP, selectAll, f.qm); err == nil {
 		t.Error("BaselineP must propagate the error")
 	}
-	if _, err := f.m.ExecuteBaseline(BaselineU, selectAll, f.qm); err == nil {
+	if _, err := f.m.ExecuteBaseline(t.Context(), BaselineU, selectAll, f.qm); err == nil {
 		t.Error("BaselineU must propagate the error")
 	}
 }
@@ -41,10 +41,10 @@ func TestPolicyWithBrokenSubqueryFailsClosed(t *testing.T) {
 func TestMalformedQueryRejected(t *testing.T) {
 	f := newFixture(t, engine.MySQL(), 5)
 	for _, q := range []string{"", "SELEC * FROM wifi", "SELECT * FROM wifi WHERE"} {
-		if _, err := f.m.Execute(q, f.qm); err == nil {
+		if _, err := f.m.NewSession(f.qm).Execute(t.Context(), q); err == nil {
 			t.Errorf("malformed query %q accepted", q)
 		}
-		if _, err := f.m.ExecuteBaseline(BaselineI, q, f.qm); err == nil {
+		if _, err := f.m.ExecuteBaseline(t.Context(), BaselineI, q, f.qm); err == nil {
 			t.Errorf("baseline accepted malformed query %q", q)
 		}
 	}
@@ -70,7 +70,7 @@ func TestDeltaUDFArgumentValidation(t *testing.T) {
 
 func TestDeltaArityMismatch(t *testing.T) {
 	f := newFixture(t, engine.MySQL(), 50, WithDeltaThreshold(1))
-	if _, err := f.m.Execute(selectAll, f.qm); err != nil {
+	if _, err := f.m.NewSession(f.qm).Execute(t.Context(), selectAll); err != nil {
 		t.Fatal(err)
 	}
 	// Find a live set id by probing small integers; the arity check must
@@ -100,7 +100,7 @@ func TestOwnerNullTupleDenied(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := f.m.Execute(selectAll, f.qm)
+	res, err := f.m.NewSession(f.qm).Execute(t.Context(), selectAll)
 	if err != nil {
 		t.Fatal(err)
 	}

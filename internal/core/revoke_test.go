@@ -14,7 +14,7 @@ func TestRevokePolicyRemovesAccess(t *testing.T) {
 	if err := f.m.AddPolicy(p); err != nil {
 		t.Fatal(err)
 	}
-	res, err := f.m.Execute(selectAll, f.qm)
+	res, err := f.m.NewSession(f.qm).Execute(t.Context(), selectAll)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestRevokePolicyRemovesAccess(t *testing.T) {
 	if err := f.m.RevokePolicy(p.ID); err != nil {
 		t.Fatal(err)
 	}
-	res2, err := f.m.Execute(selectAll, f.qm)
+	res2, err := f.m.NewSession(f.qm).Execute(t.Context(), selectAll)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestRevokePolicyRemovesAccess(t *testing.T) {
 	}
 	// Baselines agree (store-level removal).
 	for _, kind := range []BaselineKind{BaselineP, BaselineI, BaselineU} {
-		bres, err := f.m.ExecuteBaseline(kind, selectAll, f.qm)
+		bres, err := f.m.ExecuteBaseline(t.Context(), kind, selectAll, f.qm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,13 +79,13 @@ func TestRevokeForcesRegenUnderDeferral(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := f.m.Execute(selectAll, f.qm); err != nil {
+	if _, err := f.m.NewSession(f.qm).Execute(t.Context(), selectAll); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.m.RevokePolicy(drop.ID); err != nil {
 		t.Fatal(err)
 	}
-	res, err := f.m.Execute(selectAll, f.qm)
+	res, err := f.m.NewSession(f.qm).Execute(t.Context(), selectAll)
 	if err != nil {
 		t.Fatal(err)
 	}

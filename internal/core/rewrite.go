@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -14,23 +13,6 @@ import (
 	"github.com/sieve-db/sieve/internal/sqlparser"
 	"github.com/sieve-db/sieve/internal/storage"
 )
-
-// Execute rewrites the query under the metadata's policies and runs it.
-// It is a legacy convenience: a one-shot Session without a context. New
-// code should hold a Session and pass a context (Session.Execute /
-// Session.Query).
-func (m *Middleware) Execute(sql string, qm policy.Metadata) (*engine.Result, error) {
-	return m.NewSession(qm).Execute(context.Background(), sql)
-}
-
-// Rewrite returns the rewritten SQL text plus the decision report.
-func (m *Middleware) Rewrite(sql string, qm policy.Metadata) (string, *Report, error) {
-	stmt, rep, err := m.RewriteQuery(sql, qm)
-	if err != nil {
-		return "", nil, err
-	}
-	return sqlparser.Print(stmt), rep, nil
-}
 
 // RewriteQuery parses and rewrites a query: every protected relation
 // reference is replaced by a WITH-clause projection that satisfies the

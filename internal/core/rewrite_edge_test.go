@@ -11,14 +11,14 @@ func TestCTENameCollisionGetsFreshName(t *testing.T) {
 	f := newFixture(t, engine.MySQL(), 20)
 	// The user query already defines a CTE named like SIEVE's choice.
 	q := "WITH wifi_sieve AS (SELECT * FROM membership) SELECT count(*) FROM wifi, wifi_sieve WHERE wifi.owner = wifi_sieve.uid"
-	text, _, err := f.m.Rewrite(q, f.qm)
+	text, _, err := f.m.NewSession(f.qm).Rewrite(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(text, "wifi_sieve2") {
 		t.Fatalf("collision not resolved: %s", text[:150])
 	}
-	if _, err := f.m.Execute(q, f.qm); err != nil {
+	if _, err := f.m.NewSession(f.qm).Execute(t.Context(), q); err != nil {
 		t.Fatalf("collision query failed: %v", err)
 	}
 }
@@ -28,7 +28,7 @@ func TestSelfJoinOfProtectedRelation(t *testing.T) {
 	// Both sides of the self-join must be policy-filtered; pushdown is
 	// skipped (ambiguous ref), correctness preserved.
 	q := "SELECT a.id FROM wifi AS a, wifi AS b WHERE a.id = b.id"
-	res, err := f.m.Execute(q, f.qm)
+	res, err := f.m.NewSession(f.qm).Execute(t.Context(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestPushdownSkipsJoinPredicates(t *testing.T) {
 	// The join predicate references both tables; it must not be pushed
 	// into the wifi CTE (where membership is out of scope).
 	q := "SELECT W.id FROM wifi AS W, membership AS M WHERE M.uid = W.owner AND W.wifiAP = 100"
-	text, _, err := f.m.Rewrite(q, f.qm)
+	text, _, err := f.m.NewSession(f.qm).Rewrite(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestPushdownSkipsJoinPredicates(t *testing.T) {
 	if !strings.Contains(cte, "wifiAP = 100") {
 		t.Fatalf("single-table predicate not pushed: %s", cte)
 	}
-	if _, err := f.m.Execute(q, f.qm); err != nil {
+	if _, err := f.m.NewSession(f.qm).Execute(t.Context(), q); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -62,7 +62,7 @@ func TestPushdownSkipsJoinPredicates(t *testing.T) {
 func TestPushdownSkipsSubqueryPredicates(t *testing.T) {
 	f := newFixture(t, engine.MySQL(), 25)
 	q := "SELECT id FROM wifi WHERE owner IN (SELECT uid FROM membership WHERE gid = 1) AND wifiAP = 101"
-	text, _, err := f.m.Rewrite(q, f.qm)
+	text, _, err := f.m.NewSession(f.qm).Rewrite(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +70,11 @@ func TestPushdownSkipsSubqueryPredicates(t *testing.T) {
 	if strings.Contains(cte, "membership") {
 		t.Fatalf("subquery predicate pushed into the CTE: %s", cte)
 	}
-	res, err := f.m.Execute(q, f.qm)
+	res, err := f.m.NewSession(f.qm).Execute(t.Context(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := f.m.ExecuteBaseline(BaselineP, q, f.qm)
+	base, err := f.m.ExecuteBaseline(t.Context(), BaselineP, q, f.qm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,12 +88,12 @@ func TestRewriteKeepsUserAliasWorking(t *testing.T) {
 	// Qualified references through the user's alias must keep resolving
 	// after the table is redirected to the CTE.
 	q := "SELECT W.owner FROM wifi AS W WHERE W.wifiAP = 100 GROUP BY W.owner"
-	if _, err := f.m.Execute(q, f.qm); err != nil {
+	if _, err := f.m.NewSession(f.qm).Execute(t.Context(), q); err != nil {
 		t.Fatalf("aliased query failed after rewrite: %v", err)
 	}
 	// Unaliased references get the relation name as alias (footnote 8).
 	q2 := "SELECT wifi.owner FROM wifi WHERE wifi.wifiAP = 100 GROUP BY wifi.owner"
-	if _, err := f.m.Execute(q2, f.qm); err != nil {
+	if _, err := f.m.NewSession(f.qm).Execute(t.Context(), q2); err != nil {
 		t.Fatalf("name-qualified query failed after rewrite: %v", err)
 	}
 }
@@ -101,11 +101,11 @@ func TestRewriteKeepsUserAliasWorking(t *testing.T) {
 func TestRewriteAppliesInsideUserCTEs(t *testing.T) {
 	f := newFixture(t, engine.MySQL(), 30)
 	q := "WITH mine AS (SELECT * FROM wifi WHERE wifiAP = 100) SELECT count(*) FROM mine"
-	res, err := f.m.Execute(q, f.qm)
+	res, err := f.m.NewSession(f.qm).Execute(t.Context(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := f.m.ExecuteBaseline(BaselineP, q, f.qm)
+	base, err := f.m.ExecuteBaseline(t.Context(), BaselineP, q, f.qm)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"slices"
 	"strings"
 	"testing"
@@ -56,7 +57,7 @@ func TestNonMonotonicMinusSemantics(t *testing.T) {
 	}
 	qm := policy.Metadata{Querier: "q", Purpose: "p"}
 	query := "SELECT owner, val FROM rj MINUS SELECT owner, val FROM rk"
-	res, err := m.Execute(query, qm)
+	res, err := m.NewSession(qm).Execute(t.Context(), query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestNonMonotonicMinusSemantics(t *testing.T) {
 		t.Fatalf("MINUS semantics broken: rows = %v", res.Rows)
 	}
 	for _, kind := range []BaselineKind{BaselineP, BaselineI, BaselineU} {
-		bres, err := m.ExecuteBaseline(kind, query, qm)
+		bres, err := m.ExecuteBaseline(t.Context(), kind, query, qm)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
@@ -105,8 +106,7 @@ func TestMultipleProtectedRelationsInOneQuery(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := f.m.Execute(
-		"SELECT W.id FROM wifi AS W, badges AS B WHERE W.id = B.id", f.qm)
+	res, err := f.m.NewSession(f.qm).Execute(t.Context(), "SELECT W.id FROM wifi AS W, badges AS B WHERE W.id = B.id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestGuardGenOptionsAblations(t *testing.T) {
 	}
 	for name, opts := range variants {
 		f := newFixture(t, engine.MySQL(), 60, opts...)
-		res, err := f.m.Execute(selectAll, f.qm)
+		res, err := f.m.NewSession(f.qm).Execute(t.Context(), selectAll)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -148,7 +148,7 @@ func TestGuardGenOptionsAblations(t *testing.T) {
 	}
 	// owner-only guards must produce one guard per distinct owner.
 	f := newFixture(t, engine.MySQL(), 60, WithGuardGenOptions(guard.GenOptions{OwnerOnly: true}))
-	if _, err := f.m.Execute(selectAll, f.qm); err != nil {
+	if _, err := f.m.NewSession(f.qm).Execute(t.Context(), selectAll); err != nil {
 		t.Fatal(err)
 	}
 	ge, _ := f.m.GuardedExpression(f.qm, "wifi")
@@ -169,7 +169,7 @@ func TestGuardGenOptionsAblations(t *testing.T) {
 // TestNoHintsRewriteOmitsHints checks the hint-suppression ablation shape.
 func TestNoHintsRewriteOmitsHints(t *testing.T) {
 	f := newFixture(t, engine.MySQL(), 30, WithoutHints())
-	sqlText, _, err := f.m.Rewrite(selectAll, f.qm)
+	sqlText, _, err := f.m.NewSession(f.qm).Rewrite(selectAll)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestNoHintsRewriteOmitsHints(t *testing.T) {
 // takes nothing from the first, which keeps answering.
 func TestMiddlewareReattachSharesPersistedState(t *testing.T) {
 	f := newFixture(t, engine.MySQL(), 25)
-	if _, err := f.m.Execute(selectAll, f.qm); err != nil {
+	if _, err := f.m.NewSession(f.qm).Execute(t.Context(), selectAll); err != nil {
 		t.Fatal(err)
 	}
 	tables := f.db.TableNames()
@@ -205,7 +205,7 @@ func TestMiddlewareReattachSharesPersistedState(t *testing.T) {
 	}
 	want := keysOf(f.allowedIDs(t))
 	for name, m := range map[string]*Middleware{"reattached": m2, "first": f.m} {
-		res, err := m.Execute(selectAll, f.qm)
+		res, err := m.NewSession(f.qm).Execute(t.Context(), selectAll)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func TestMiddlewareOwnsOnlyPolicyRelations(t *testing.T) {
 	readAll := func() {
 		t.Helper()
 		for _, q := range f.queriers {
-			if _, err := f.m.Execute(selectAll, f.metadata(q)); err != nil {
+			if _, err := f.m.NewSession(f.metadata(q)).Execute(context.Background(), selectAll); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -270,7 +270,7 @@ func TestMiddlewareOwnsOnlyPolicyRelations(t *testing.T) {
 func TestRewriteWithSubqueryReferencingProtectedTable(t *testing.T) {
 	f := newFixture(t, engine.MySQL(), 40)
 	q := "SELECT count(*) FROM membership AS M WHERE M.uid IN (SELECT owner FROM wifi)"
-	res, err := f.m.Execute(q, f.qm)
+	res, err := f.m.NewSession(f.qm).Execute(t.Context(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestRewriteWithSubqueryReferencingProtectedTable(t *testing.T) {
 		t.Fatalf("subquery enforcement: %v members, want %d", res.Rows[0][0], len(visOwners))
 	}
 	// The rewritten SQL must not reference the raw table anymore.
-	text, _, err := f.m.Rewrite(q, f.qm)
+	text, _, err := f.m.NewSession(f.qm).Rewrite(q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func TestEnforcementSoundnessProperty(t *testing.T) {
 				opts = append(opts, WithDeltaThreshold(1+r.Intn(5))) // exercise Δ aggressively
 			}
 			fx := newFixtureSeeded(t, d, seed, npol, opts...)
-			res, err := fx.m.Execute(q, fx.qm)
+			res, err := fx.m.NewSession(fx.qm).Execute(t.Context(), q)
 			if err != nil {
 				t.Logf("seed %d [%s]: sieve: %v", seed, d.Name(), err)
 				return false
@@ -52,7 +52,7 @@ func TestEnforcementSoundnessProperty(t *testing.T) {
 				refIDs = ids
 				// Ground truth on the first dialect only (policy corpus is
 				// identical across dialects).
-				base, err := fx.m.ExecuteBaseline(BaselineP, q, fx.qm)
+				base, err := fx.m.ExecuteBaseline(t.Context(), BaselineP, q, fx.qm)
 				if err != nil {
 					t.Logf("seed %d: baselineP: %v", seed, err)
 					return false
@@ -63,7 +63,7 @@ func TestEnforcementSoundnessProperty(t *testing.T) {
 					return false
 				}
 				for _, kind := range []BaselineKind{BaselineI, BaselineU} {
-					bres, err := fx.m.ExecuteBaseline(kind, q, fx.qm)
+					bres, err := fx.m.ExecuteBaseline(t.Context(), kind, q, fx.qm)
 					if err != nil {
 						t.Logf("seed %d: %s: %v", seed, kind, err)
 						return false
@@ -137,7 +137,7 @@ func TestGroupPoliciesEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	qm := policy.Metadata{Querier: "prof", Purpose: "attendance"}
-	res, err := m.Execute(selectAll, qm)
+	res, err := m.NewSession(qm).Execute(t.Context(), selectAll)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestGroupPoliciesEndToEnd(t *testing.T) {
 	if err := m.AddPolicy(grp2); err != nil {
 		t.Fatal(err)
 	}
-	res2, err := m.Execute(selectAll, qm)
+	res2, err := m.NewSession(qm).Execute(t.Context(), selectAll)
 	if err != nil {
 		t.Fatal(err)
 	}

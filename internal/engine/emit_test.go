@@ -120,7 +120,7 @@ func emitCases(t *testing.T) []emitCase {
 	}
 }
 
-func renderGolden(em *Emission) string {
+func goldenText(em *Emission) string {
 	var b strings.Builder
 	b.WriteString(em.SQL)
 	b.WriteString("\n")
@@ -180,7 +180,7 @@ func TestEmitGoldens(t *testing.T) {
 					}
 				}
 
-				got := renderGolden(em)
+				got := goldenText(em)
 				path := filepath.Join("testdata", "emit", tc.name+"."+d+".sql")
 				if *updateGoldens {
 					if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

@@ -21,14 +21,15 @@ import (
 
 	"github.com/sieve-db/sieve/internal/core"
 	"github.com/sieve-db/sieve/internal/engine"
+	"github.com/sieve-db/sieve/internal/loadgen"
 	"github.com/sieve-db/sieve/internal/policy"
 	"github.com/sieve-db/sieve/internal/sqlparser"
 	"github.com/sieve-db/sieve/internal/storage"
 	"github.com/sieve-db/sieve/internal/workload"
 )
 
-// oracleEnv is one fully built middleware stack; rowRef makes its queries
-// run with the rowPasses reference installed.
+// oracleEnv is one fully built middleware stack; rowRef makes its counted
+// queries run with the rowPasses reference installed.
 type oracleEnv struct {
 	campus *workload.Campus
 	m      *core.Middleware
@@ -69,64 +70,33 @@ func buildOracleEnv(t *testing.T, rowRef bool, opts ...core.Option) *oracleEnv {
 	return &oracleEnv{campus: c, m: m, ps: ps, rowRef: rowRef}
 }
 
-// render prints one row the way both sides are compared.
-func render(r storage.Row) string {
-	var b strings.Builder
-	for _, v := range r {
-		b.WriteString(v.String())
-		b.WriteByte('|')
+// counted makes d carry the engine's work counters: zeroed before each
+// query and read after it, on the reference filter when rowRef is set.
+// Counters are exact only for drained scans: one a LIMIT cuts short has
+// read ahead by however far the fan-out's workers got, so such queries
+// run on one goroutine. Every counted run is reported to seen.
+func (e *oracleEnv) counted(d loadgen.Runner, seen func(engine.Counters)) loadgen.Runner {
+	run := d.Run
+	d.Run = func(ctx context.Context, md policy.Metadata, sql string, limit int) (loadgen.Result, error) {
+		if e.rowRef {
+			defer engine.UseRowReference()()
+		}
+		stmt, err := sqlparser.Parse(sql)
+		if err != nil {
+			return loadgen.Result{}, err
+		}
+		if b := stmt.Body; b.Limit >= 0 && len(b.OrderBy) == 0 && len(b.GroupBy) == 0 {
+			defer func(w int) { e.campus.DB.ScanWorkers = w }(e.campus.DB.ScanWorkers)
+			e.campus.DB.ScanWorkers = 1
+		}
+		e.campus.DB.ResetCounters()
+		res, err := run(ctx, md, sql, limit)
+		c := e.campus.DB.CountersSnapshot()
+		res.Counters = &c
+		seen(c)
+		return res, err
 	}
-	return b.String()
-}
-
-// run executes one query for one querier to completion, returning the
-// rendered rows and the query's counter delta.
-func (e *oracleEnv) run(t *testing.T, querier, sql string) ([]string, engine.Counters) {
-	t.Helper()
-	if e.rowRef {
-		defer engine.UseRowReference()()
-	}
-	// Counters are exact only for drained scans: one a LIMIT cuts short has
-	// read ahead by however far the fan-out's workers got. Such queries are
-	// compared on one goroutine.
-	stmt, err := sqlparser.Parse(sql)
-	if err != nil {
-		t.Fatalf("%s: %v", sql, err)
-	}
-	if b := stmt.Body; b.Limit >= 0 && len(b.OrderBy) == 0 && len(b.GroupBy) == 0 {
-		defer func(w int) { e.campus.DB.ScanWorkers = w }(e.campus.DB.ScanWorkers)
-		e.campus.DB.ScanWorkers = 1
-	}
-	e.campus.DB.ResetCounters()
-	sess := e.m.NewSession(policy.Metadata{Querier: querier, Purpose: "analytics"})
-	res, err := sess.Execute(context.Background(), sql)
-	if err != nil {
-		t.Fatalf("querier %s: %s: %v", querier, sql, err)
-	}
-	rows := make([]string, 0, len(res.Rows))
-	for _, r := range res.Rows {
-		rows = append(rows, render(r))
-	}
-	return rows, e.campus.DB.CountersSnapshot()
-}
-
-// streamPrefix opens the query as a stream, pulls k rows and closes early.
-func (e *oracleEnv) streamPrefix(t *testing.T, querier, sql string, k int) []string {
-	t.Helper()
-	sess := e.m.NewSession(policy.Metadata{Querier: querier, Purpose: "analytics"})
-	rs, err := sess.Query(context.Background(), sql)
-	if err != nil {
-		t.Fatalf("querier %s: %s: %v", querier, sql, err)
-	}
-	defer rs.Close()
-	var rows []string
-	for len(rows) < k && rs.Next() {
-		rows = append(rows, render(rs.Row()))
-	}
-	if err := rs.Err(); err != nil {
-		t.Fatalf("querier %s: %s: %v", querier, sql, err)
-	}
-	return rows
+	return d
 }
 
 // randomGuardQueries generates deterministic guard-shaped probes beyond
@@ -171,13 +141,14 @@ func randomGuardQueries(n int, seed int64, cfg workload.CampusConfig) []string {
 	return out
 }
 
-// TestVectorOracle is the differential oracle: the corpus plus randomized
-// guard probes, for several queriers, must return identical rows and
+// TestVectorOracle is the differential oracle: through the corpus harness
+// (loadgen.Replay), the corpus plus randomized guard probes, for several
+// queriers and a default-deny one, must return identical rows and
 // identical work counters from compiled programs and from the rowPasses
-// reference, and a stream of the same query closed early must be a prefix
-// of the drained rows. The "natural" variant lets the middleware pick
-// strategies (mostly IndexGuards on this corpus: guarded index fetch lists);
-// the "linearscan" variant forces the guarded sequential scan with every
+// reference, and a stream of each closed early must be a prefix of the
+// drained rows. The "natural" variant lets the middleware pick strategies
+// (mostly IndexGuards on this corpus: guarded index fetch lists); the
+// "linearscan" variant forces the guarded sequential scan with every
 // partition behind Δ. Each must have run the batch evaluator on its access
 // path.
 func TestVectorOracle(t *testing.T) {
@@ -201,39 +172,22 @@ func TestVectorOracle(t *testing.T) {
 			if len(queriers) == 0 {
 				t.Fatal("no queriers with policies in the corpus")
 			}
-			// A querier with no policies exercises the default-deny rewrite.
-			queriers = append(queriers, "nobody@example")
-
-			var queries []workload.NamedQuery
-			queries = append(queries, vec.campus.CorpusQueries()...)
+			var queries []loadgen.Query
+			for _, q := range vec.campus.CorpusQueries() {
+				queries = append(queries, loadgen.Query{Name: q.Name, SQL: q.SQL})
+			}
 			for i, sql := range randomGuardQueries(40, 42, vec.campus.Cfg) {
-				queries = append(queries, workload.NamedQuery{Name: fmt.Sprintf("rand_%02d", i), SQL: sql})
+				queries = append(queries, loadgen.Query{Name: fmt.Sprintf("rand_%02d", i), SQL: sql})
 			}
 
 			sawVectorised := false
-			for _, q := range queries {
-				for _, who := range queriers {
-					vRows, vC := vec.run(t, who, q.SQL)
-					rRows, rC := row.run(t, who, q.SQL)
-					if len(vRows) != len(rRows) {
-						t.Fatalf("%s / %s: vector %d rows, row-eval %d rows", q.Name, who, len(vRows), len(rRows))
-					}
-					for i := range vRows {
-						if vRows[i] != rRows[i] {
-							t.Fatalf("%s / %s: row %d diverges:\nvec: %s\nrow: %s", q.Name, who, i, vRows[i], rRows[i])
-						}
-					}
-					if vC != rC {
-						t.Fatalf("%s / %s: counters diverge:\nvec: %+v\nrow: %+v", q.Name, who, vC, rC)
-					}
-				}
-				vec.campus.DB.ResetCounters()
-				sess := vec.m.NewSession(policy.Metadata{Querier: queriers[0], Purpose: "analytics"})
-				if _, err := sess.Execute(context.Background(), q.SQL); err == nil {
-					if c := vec.campus.DB.CountersSnapshot(); c.BatchesVectorised > 0 && variant.ranOn(c) {
-						sawVectorised = true
-					}
-				}
+			ref := vec.counted(loadgen.SessionQuery(vec.m), func(c engine.Counters) {
+				sawVectorised = sawVectorised || c.BatchesVectorised > 0 && variant.ranOn(c)
+			})
+			rowRef := row.counted(loadgen.SessionQuery(row.m), func(engine.Counters) {})
+			rowRef.Name = "row reference"
+			if err := loadgen.Replay(t.Context(), "analytics", queriers, queries, ref, rowRef); err != nil {
+				t.Fatal(err)
 			}
 			if !sawVectorised {
 				t.Fatal("oracle never ran the batch evaluator on the variant's access path; fixture is broken")
@@ -348,8 +302,7 @@ func TestOracleNullOwnerUnboundedRange(t *testing.T) {
 		return db, m
 	}
 	for _, deltaThreshold := range []int{0, 1} {
-		var sides [2][]string
-		var counters [2]engine.Counters
+		var sides [2]loadgen.Result
 		for side, rowRef := range []bool{false, true} {
 			db, m := build(deltaThreshold)
 			restore := func() {}
@@ -362,23 +315,21 @@ func TestOracleNullOwnerUnboundedRange(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Δ threshold %d, rowRef %v: %v", deltaThreshold, rowRef, err)
 			}
-			for _, r := range res.Rows {
-				sides[side] = append(sides[side], render(r))
-			}
-			counters[side] = db.CountersSnapshot()
-			if deltaThreshold > 0 && counters[side].UDFInvocations == 0 {
+			c := db.CountersSnapshot()
+			sides[side] = loadgen.Result{Cols: res.Columns, Rows: res.Rows, Counters: &c}
+			if deltaThreshold > 0 && c.UDFInvocations == 0 {
 				t.Fatalf("rowRef %v: Δ path not exercised (no UDF invocations)", rowRef)
 			}
-			if counters[side].RowsVectorised == 0 {
+			if c.RowsVectorised == 0 {
 				t.Fatalf("Δ threshold %d, rowRef %v: the guarded scan did not run on the scan operator", deltaThreshold, rowRef)
 			}
 		}
-		if want := []string{"0|", "2|"}; fmt.Sprint(sides[0]) != fmt.Sprint(want) || fmt.Sprint(sides[1]) != fmt.Sprint(want) {
-			t.Fatalf("Δ threshold %d: compiled %v, reference %v, want %v (NULL temp or NULL owner leaked through a guard arm)",
-				deltaThreshold, sides[0], sides[1], want)
+		want := loadgen.Result{Cols: []string{"id"}, Rows: []storage.Row{{storage.NewInt(0)}, {storage.NewInt(2)}}}
+		if err := loadgen.Compare(want, sides[0]); err != nil {
+			t.Fatalf("Δ threshold %d: compiled: %v (NULL temp or NULL owner leaked through a guard arm)", deltaThreshold, err)
 		}
-		if counters[0] != counters[1] {
-			t.Fatalf("Δ threshold %d: counters diverge:\ncompiled:  %+v\nreference: %+v", deltaThreshold, counters[0], counters[1])
+		if err := loadgen.Compare(sides[0], sides[1]); err != nil {
+			t.Fatalf("Δ threshold %d: reference diverges from compiled: %v", deltaThreshold, err)
 		}
 	}
 }

@@ -25,8 +25,7 @@ func runStrategy(sess *core.Session, label, q string) error {
 	case "SIEVE":
 		_, err = sess.Execute(context.Background(), q)
 	default:
-		_, err = sess.Middleware().ExecuteBaselineContext(
-			context.Background(), core.BaselineKind(label), q, sess.Metadata())
+		_, err = sess.Middleware().ExecuteBaseline(context.Background(), core.BaselineKind(label), q, sess.Metadata())
 	}
 	return err
 }

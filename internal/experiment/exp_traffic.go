@@ -137,7 +137,6 @@ func Traffic(cfg Config) (*Table, error) {
 		Churn:       true,
 		ChurnHold:   cfg.TrafficChurnHold,
 		DenyEvery:   cfg.TrafficDenyEvery,
-		MaxSamples:  10,
 	}
 	tab := &Table{
 		ID:      "Traffic",
@@ -157,9 +156,9 @@ func Traffic(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			var run *loadgen.Result
+			var run *loadgen.Report
 			if mode == "inproc" {
-				run, err = loadgen.Run(ctx, sc, lcfg, loadgen.NewInProcFactory(sc, lcfg))
+				run, err = loadgen.Run(ctx, sc, lcfg, loadgen.NewInProcFactory(sc.M))
 			} else {
 				run, err = runTrafficServer(ctx, sc, lcfg)
 			}
@@ -194,7 +193,7 @@ func Traffic(cfg Config) (*Table, error) {
 // middleware and drives the same load over loopback HTTP. Policy churn
 // keeps mutating the middleware directly, so the wire path runs under the
 // same two-legal-worlds conditions.
-func runTrafficServer(ctx context.Context, sc *loadgen.Scenario, lcfg loadgen.Config) (*loadgen.Result, error) {
+func runTrafficServer(ctx context.Context, sc *loadgen.Scenario, lcfg loadgen.Config) (*loadgen.Report, error) {
 	srv, err := server.New(server.Config{Middleware: sc.M, AllowDemoTokens: true})
 	if err != nil {
 		return nil, err
@@ -211,5 +210,5 @@ func runTrafficServer(ctx context.Context, sc *loadgen.Scenario, lcfg loadgen.Co
 		_ = srv.Shutdown(sctx)
 		<-done
 	}()
-	return loadgen.Run(ctx, sc, lcfg, loadgen.NewWireFactory("http://"+l.Addr().String(), sc, lcfg))
+	return loadgen.Run(ctx, sc, lcfg, loadgen.NewWireFactory("http://"+l.Addr().String()))
 }

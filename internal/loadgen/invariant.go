@@ -22,21 +22,11 @@ type ViolationCounts struct {
 	// was already dead before the query began — a revocation that
 	// resurfaced.
 	RevokedRows int64 `json:"revoked_rows"`
-	// BackendParity is fake-backend executions whose decoded row count
-	// diverged from the embedded baseline with no churn in between.
-	BackendParity int64 `json:"backend_parity"`
 }
 
 // Total sums every category.
 func (v ViolationCounts) Total() int64 {
-	return v.UnjustifiedRows + v.DefaultDenyRows + v.RevokedRows + v.BackendParity
-}
-
-func (v *ViolationCounts) add(o ViolationCounts) {
-	v.UnjustifiedRows += o.UnjustifiedRows
-	v.DefaultDenyRows += o.DefaultDenyRows
-	v.RevokedRows += o.RevokedRows
-	v.BackendParity += o.BackendParity
+	return v.UnjustifiedRows + v.DefaultDenyRows + v.RevokedRows
 }
 
 // churnEntry is one dynamic grant's conservative liveness window on the
@@ -174,15 +164,6 @@ func (c *Checker) Violations() (ViolationCounts, []string) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.counts, append([]string(nil), c.samples...)
-}
-
-// BackendMismatch records a fake-backend row-count divergence observed
-// with no churn tick in between (with churn in flight the two rewrites
-// may legally see different policy sets, so callers only report when the
-// clock was stable across the op).
-func (c *Checker) BackendMismatch(querier string, q Query, got, want int64) {
-	c.violation(func(v *ViolationCounts) { v.BackendParity++ },
-		"backend parity: querier %s query %s decoded %d rows, embedded baseline %d", querier, q.Name, got, want)
 }
 
 // CheckRows holds a query's observed rows to the enforcement invariants.

@@ -9,6 +9,10 @@
 // repo's largest concurrency test. The traffic experiment wires the
 // campus, mall, and hospital workloads through it, in process and over
 // the sieve-server wire path.
+//
+// The ops run through Runners — one per door a client can take into the
+// middleware — and the same Runners are the corpus harness: Replay holds
+// every door to Session.Query, query by query and querier by querier.
 package loadgen
 
 import (
@@ -134,21 +138,6 @@ func (m Mix) pick(r *rand.Rand) OpKind {
 	return OpExhaust
 }
 
-// Executor runs ops for one worker. Implementations exist for in-process
-// sessions and for the sieve-server wire path.
-type Executor interface {
-	// Run executes q as kind and returns the observed result rows in the
-	// relation's schema layout (nil when the kind does not surface
-	// checkable rows) plus the result columns.
-	Run(ctx context.Context, kind OpKind, q Query) (rows []storage.Row, cols []string, err error)
-	Close()
-}
-
-// ExecutorFactory builds one worker's executor for a querier identity.
-// Run hands it the live Checker so executors can report parity breaches
-// (the fake-backend path) against the churn clock.
-type ExecutorFactory func(worker int, querier string, ck *Checker) (Executor, error)
-
 // Config scales a run.
 type Config struct {
 	Seed int64
@@ -170,35 +159,21 @@ type Config struct {
 	// DenyEvery makes every Nth worker run as a default-deny querier
 	// (0 = none).
 	DenyEvery int
-	// MaxSamples bounds retained violation/error samples.
-	MaxSamples int
 }
 
-// KindStats is one op kind's share of a Result.
-type KindStats struct {
-	Ops   int64   `json:"ops"`
-	Rows  int64   `json:"rows"`
-	P50us float64 `json:"p50_us"`
-	P95us float64 `json:"p95_us"`
-	P99us float64 `json:"p99_us"`
-}
+// maxSamples bounds a run's retained violation and error samples.
+const maxSamples = 10
 
-// Result is one run's report.
-type Result struct {
-	Workload string        `json:"workload"`
-	Workers  int           `json:"workers"`
-	Ops      int64         `json:"ops"`
-	Rows     int64         `json:"rows"`
-	Errors   int64         `json:"errors"`
-	Duration time.Duration `json:"duration_ns"`
+// Report is what one Run observed.
+type Report struct {
+	Ops    int64 `json:"ops"`
+	Rows   int64 `json:"rows"`
+	Errors int64 `json:"errors"`
 
 	P50us      float64 `json:"p50_us"`
 	P95us      float64 `json:"p95_us"`
 	P99us      float64 `json:"p99_us"`
-	OpsPerSec  float64 `json:"ops_per_sec"`
 	RowsPerSec float64 `json:"rows_per_sec"`
-
-	Kinds map[string]*KindStats `json:"kinds"`
 
 	ChurnAdds    int64 `json:"churn_adds"`
 	ChurnRevokes int64 `json:"churn_revokes"`
@@ -210,12 +185,12 @@ type Result struct {
 }
 
 // Failed reports whether the run breached an invariant or errored.
-func (r *Result) Failed() bool { return r.Errors > 0 || r.Violations.Total() > 0 }
+func (r *Report) Failed() bool { return r.Errors > 0 || r.Violations.Total() > 0 }
 
 // workerStats accumulates one worker's measurements without locks.
 type workerStats struct {
-	durs       [numOpKinds][]time.Duration
-	rows       [numOpKinds]int64
+	durs       []time.Duration
+	rows       int64
 	errs       int64
 	errSamples []string
 }
@@ -236,24 +211,21 @@ func zipfIndex(r *rand.Rand, s float64, n int) func() int {
 // Run drives the scenario: Workers goroutines, each bound to one querier
 // drawn by Zipf rank, issue Ops mixed operations while (with Churn) a
 // churn goroutine grants and revokes policies and probes after every
-// revocation. The returned Result carries latency percentiles,
+// revocation. The returned Report carries latency percentiles,
 // throughput, churn counters, and the checker's verdicts; Run itself
 // errors only on setup failure — op errors and violations land in the
-// Result for the caller to gate on.
-func Run(ctx context.Context, sc *Scenario, cfg Config, newExec ExecutorFactory) (*Result, error) {
+// Report for the caller to gate on.
+func Run(ctx context.Context, sc *Scenario, cfg Config, newExec ExecutorFactory) (*Report, error) {
 	if cfg.Workers < 1 || cfg.Ops < 1 {
 		return nil, fmt.Errorf("loadgen: Workers and Ops must be positive")
 	}
 	if len(sc.Queriers) == 0 || len(sc.Queries) == 0 {
 		return nil, fmt.Errorf("loadgen: scenario %s has no queriers or queries", sc.Name)
 	}
-	if cfg.MaxSamples <= 0 {
-		cfg.MaxSamples = 10
-	}
 	if cfg.StreamLimit <= 0 {
 		cfg.StreamLimit = 8
 	}
-	checker, err := NewChecker(sc, cfg.MaxSamples)
+	checker, err := NewChecker(sc, maxSamples)
 	if err != nil {
 		return nil, err
 	}
@@ -289,7 +261,7 @@ func Run(ctx context.Context, sc *Scenario, cfg Config, newExec ExecutorFactory)
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	res := &Result{Workload: sc.Name, Workers: cfg.Workers, Kinds: map[string]*KindStats{}}
+	res := &Report{}
 	var churnWG sync.WaitGroup
 	if cfg.Churn && sc.ChurnQuerier != "" && len(sc.ChurnOwners) > 0 {
 		churnWG.Add(1)
@@ -308,12 +280,17 @@ func Run(ctx context.Context, sc *Scenario, cfg Config, newExec ExecutorFactory)
 		go func(w int) {
 			defer wg.Done()
 			st := &stats[w]
-			exec, err := newExec(w, queriers[w], checker)
+			md := policy.Metadata{Querier: queriers[w], Purpose: sc.Purpose}
+			exec, err := newExec(md)
 			if err != nil {
 				setupErr.Store(fmt.Errorf("loadgen: worker %d executor: %w", w, err))
 				return
 			}
-			defer exec.Close()
+			for _, d := range exec {
+				if d.Close != nil {
+					defer d.Close()
+				}
+			}
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(w)*104729 + 1))
 			pool := sc.Queries
 			if denySet[queriers[w]] && len(rowCheckPool) > 0 {
@@ -326,9 +303,13 @@ func Run(ctx context.Context, sc *Scenario, cfg Config, newExec ExecutorFactory)
 				}
 				kind := cfg.Mix.pick(rng)
 				q := pool[zQuery()]
+				limit := -1
+				if kind == OpStream {
+					limit = cfg.StreamLimit
+				}
 				qStart := checker.Clock()
 				t0 := time.Now()
-				rows, cols, err := exec.Run(runCtx, kind, q)
+				res, err := exec[kind].Run(runCtx, md, q.SQL, limit)
 				d := time.Since(t0)
 				if err != nil {
 					if errors.Is(err, context.Canceled) {
@@ -341,14 +322,14 @@ func Run(ctx context.Context, sc *Scenario, cfg Config, newExec ExecutorFactory)
 					}
 					continue
 				}
-				st.durs[kind] = append(st.durs[kind], d)
-				st.rows[kind] += int64(len(rows))
-				checker.CheckRows(queriers[w], qStart, q, rows, cols)
+				st.durs = append(st.durs, d)
+				st.rows += int64(len(res.Rows))
+				checker.CheckRows(queriers[w], qStart, q, res.Rows, res.Cols)
 			}
 		}(w)
 	}
 	wg.Wait()
-	res.Duration = time.Since(start)
+	elapsed := time.Since(start)
 	cancel()
 	churnWG.Wait()
 	if err, _ := setupErr.Load().(error); err != nil {
@@ -357,39 +338,22 @@ func Run(ctx context.Context, sc *Scenario, cfg Config, newExec ExecutorFactory)
 
 	// Merge worker stats.
 	var all []time.Duration
-	for k := OpKind(0); k < numOpKinds; k++ {
-		var durs []time.Duration
-		var rows int64
-		for i := range stats {
-			durs = append(durs, stats[i].durs[k]...)
-			rows += stats[i].rows[k]
-		}
-		if len(durs) == 0 && rows == 0 {
-			continue
-		}
-		sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-		res.Kinds[k.String()] = &KindStats{
-			Ops: int64(len(durs)), Rows: rows,
-			P50us: percentileUS(durs, 50), P95us: percentileUS(durs, 95), P99us: percentileUS(durs, 99),
-		}
-		res.Ops += int64(len(durs))
-		res.Rows += rows
-		all = append(all, durs...)
-	}
 	for i := range stats {
+		all = append(all, stats[i].durs...)
+		res.Rows += stats[i].rows
 		res.Errors += stats[i].errs
 		for _, s := range stats[i].errSamples {
-			if len(res.ErrorSamples) < cfg.MaxSamples {
+			if len(res.ErrorSamples) < maxSamples {
 				res.ErrorSamples = append(res.ErrorSamples, s)
 			}
 		}
 	}
+	res.Ops = int64(len(all))
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 	res.P50us = percentileUS(all, 50)
 	res.P95us = percentileUS(all, 95)
 	res.P99us = percentileUS(all, 99)
-	if secs := res.Duration.Seconds(); secs > 0 {
-		res.OpsPerSec = float64(res.Ops) / secs
+	if secs := elapsed.Seconds(); secs > 0 {
 		res.RowsPerSec = float64(res.Rows) / secs
 	}
 	res.RowsChecked = checker.RowsChecked()
@@ -403,7 +367,7 @@ func Run(ctx context.Context, sc *Scenario, cfg Config, newExec ExecutorFactory)
 // revoke), and each revocation is followed by a targeted probe: the
 // revoked owner's rows queried as the churn querier must be justified by
 // something else or absent.
-func churnLoop(ctx context.Context, sc *Scenario, cfg Config, checker *Checker, res *Result) {
+func churnLoop(ctx context.Context, sc *Scenario, cfg Config, checker *Checker, res *Report) {
 	rng := rand.New(rand.NewSource(cfg.Seed + 7919))
 	sess := sc.M.NewSession(policy.Metadata{Querier: sc.ChurnQuerier, Purpose: sc.Purpose})
 	probe := Query{Name: "churn_probe", RowCheck: true}

@@ -2,11 +2,13 @@ package loadgen_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"github.com/sieve-db/sieve/internal/engine"
 	"github.com/sieve-db/sieve/internal/experiment"
 	"github.com/sieve-db/sieve/internal/loadgen"
+	"github.com/sieve-db/sieve/internal/policy"
 	"github.com/sieve-db/sieve/internal/storage"
 	"github.com/sieve-db/sieve/internal/workload"
 )
@@ -32,7 +34,7 @@ func TestTrafficSoakHospital(t *testing.T) {
 		Churn:       true,
 		DenyEvery:   4,
 	}
-	res, err := loadgen.Run(context.Background(), sc, cfg, loadgen.NewInProcFactory(sc, cfg))
+	res, err := loadgen.Run(context.Background(), sc, cfg, loadgen.NewInProcFactory(sc.M))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,6 +53,19 @@ func TestTrafficSoakHospital(t *testing.T) {
 	}
 	if !(res.P50us <= res.P95us && res.P95us <= res.P99us) {
 		t.Fatalf("percentiles not monotone: %v %v %v", res.P50us, res.P95us, res.P99us)
+	}
+
+	// A door's own check — the fake remote's decode-versus-seed parity
+	// among them — fails the soak through its op error, sampled.
+	var broken loadgen.Executor
+	for k := range broken {
+		broken[k].Run = func(context.Context, policy.Metadata, string, int) (loadgen.Result, error) {
+			return loadgen.Result{}, errors.New("decoded rows are not the seed")
+		}
+	}
+	res, err = loadgen.Run(t.Context(), sc, loadgen.Config{Workers: 2, Ops: 3}, func(policy.Metadata) (loadgen.Executor, error) { return broken, nil })
+	if err != nil || !res.Failed() || res.Errors != 6 || len(res.ErrorSamples) == 0 {
+		t.Fatalf("door errors not counted: %v, %+v", err, res)
 	}
 }
 
@@ -99,15 +114,9 @@ func TestCheckerDetectsViolations(t *testing.T) {
 
 	// Any row reaching a default-deny querier is a leak.
 	ck.CheckRows(sc.DenyQueriers[0], ck.Clock(), q, []storage.Row{vitalsRow(owner)}, cols)
-	if v, _ := ck.Violations(); v.DefaultDenyRows != 1 {
-		t.Fatalf("default-deny leak not flagged: %+v", v)
-	}
-
-	// Backend parity breaches are counted and sampled.
-	ck.BackendMismatch("x", q, 3, 5)
 	v, samples := ck.Violations()
-	if v.BackendParity != 1 || v.Total() != 4 || len(samples) != 4 {
-		t.Fatalf("violation bookkeeping off: %+v, %d samples", v, len(samples))
+	if v.DefaultDenyRows != 1 || v.Total() != 3 || len(samples) != 3 {
+		t.Fatalf("default-deny leak not flagged, or bookkeeping off: %+v, %d samples", v, len(samples))
 	}
 }
 

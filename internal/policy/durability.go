@@ -1,10 +1,6 @@
 package policy
 
-import (
-	"fmt"
-
-	"github.com/sieve-db/sieve/internal/storage"
-)
+import "fmt"
 
 // Durability is the store's WAL hook (internal/wal implements it). Policy
 // mutations are logged LOGICALLY — one AddPolicy record carrying the whole
@@ -60,8 +56,8 @@ func UnmarshalConditionText(ts []ConditionText) ([]ObjectCondition, error) {
 }
 
 // ApplyLogged re-inserts a recovered policy during WAL replay, keeping its
-// logged id and timestamp. It follows Insert's persist path (cache first,
-// then rP and rOC) but assigns nothing: the id generator and clock only
+// logged id and timestamp. It takes Insert's persist path but assigns
+// nothing: the id generator and clock only
 // ratchet forward past the logged values. The store must not have a
 // durability hook attached yet.
 func (s *Store) ApplyLogged(p *Policy) error {
@@ -86,25 +82,7 @@ func (s *Store) ApplyLogged(p *Policy) error {
 	if err != nil {
 		return err
 	}
-	s.cache(p)
-	if err := s.db.Insert(TableP, storage.Row{
-		storage.NewInt(p.ID), storage.NewInt(p.Owner), storage.NewString(p.Querier),
-		storage.NewString(p.Relation), storage.NewString(p.Purpose),
-		storage.NewString(string(p.Action)), storage.NewInt(p.InsertedAt),
-	}); err != nil {
-		s.uncache(p)
-		return err
-	}
-	for _, r := range rows {
-		if err := s.db.Insert(TableOC, r); err != nil {
-			s.uncache(p)
-			if derr := s.deleteRows(p.ID); derr != nil {
-				return fmt.Errorf("%w (rollback also failed: %v)", err, derr)
-			}
-			return err
-		}
-	}
-	return nil
+	return s.persist(p, rows)
 }
 
 // ApplyRevokeLogged replays a revocation. ok is false when the id is

@@ -2,7 +2,6 @@ package policy
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,49 +17,31 @@ const (
 	TableOC = "sieve_object_conditions" // rOC
 )
 
-// storeShards fixes the shard fan-out of the in-memory policy indexes. A
-// power of two so the hash folds with a mask; 64 keeps per-shard maps tiny
-// even at 10⁶ policies while bounding the struct's fixed footprint.
-const storeShards = 64
-
-// querierShard holds one shard of the querier index: querier name →
-// relation → that querier's policies. The per-relation sub-index keeps
-// PoliciesFor proportional to the policies that can actually apply, not to
-// everything a busy group owns across relations.
-type querierShard struct {
-	mu        sync.RWMutex
-	byQuerier map[string]map[string][]*Policy
-}
-
-// idShard holds one shard of the id index.
-type idShard struct {
-	mu   sync.RWMutex
-	byID map[int64]*Policy
-}
-
 // Store persists policies in the engine's rP and rOC relations and keeps an
 // in-memory cache for the hot lookup paths (the Δ operator and P_QM
 // filtering). The cache and the relations are maintained together; loading
 // an existing database reconstructs the cache from the relations.
 //
-// The cache is sharded: queriers and ids hash onto independent
-// RWMutex-guarded shards, so concurrent PoliciesFor reads for different
-// principals never contend with each other — and contend with churn only
-// when the churn touches their own shard. This is what lets a large querier
-// population resolve policy signatures in parallel while policies are being
-// inserted and revoked.
+// One RWMutex guards the cache. Its one reader on the query path,
+// PoliciesFor via core's claim resolution, runs under the middleware's
+// own lock, and every writer takes that lock right after touching the
+// cache (Insert through the rP trigger, Revoke through RevokePolicy), so
+// finer locking here would buy no parallelism.
 type Store struct {
 	db *engine.DB
 
-	queriers [storeShards]querierShard
-	ids      [storeShards]idShard
+	mu sync.RWMutex
+	// byQuerier is querier name → relation → that querier's policies. The
+	// per-relation sub-index keeps PoliciesFor proportional to the
+	// policies that can actually apply, not to everything a busy group
+	// owns across relations.
+	byQuerier map[string]map[string][]*Policy
+	byID      map[int64]*Policy
 
 	// meta guards the id/clock generators only.
 	meta   sync.Mutex
 	nextID int64
 	clock  int64
-
-	count atomic.Int64
 
 	// rowsMu serialises deleteRows, the one place that holds rP/rOC row ids.
 	rowsMu sync.Mutex
@@ -70,23 +51,9 @@ type Store struct {
 	dur   Durability
 }
 
-func shardOf(name string) uint32 {
-	h := fnv.New32a()
-	h.Write([]byte(name))
-	return h.Sum32() & (storeShards - 1)
-}
-
-func idShardOf(id int64) uint32 { return uint32(id) & (storeShards - 1) }
-
 // NewStore creates (or reattaches to) the policy relations in db.
 func NewStore(db *engine.DB) (*Store, error) {
-	s := &Store{db: db, nextID: 1}
-	for i := range s.queriers {
-		s.queriers[i].byQuerier = make(map[string]map[string][]*Policy)
-	}
-	for i := range s.ids {
-		s.ids[i].byID = make(map[int64]*Policy)
-	}
+	s := &Store{db: db, nextID: 1, byQuerier: map[string]map[string][]*Policy{}, byID: map[int64]*Policy{}}
 	if _, ok := db.Table(TableP); !ok {
 		pSchema := storage.MustSchema(
 			storage.Column{Name: "id", Type: storage.KindInt},
@@ -128,39 +95,38 @@ func NewStore(db *engine.DB) (*Store, error) {
 func (s *Store) DB() *engine.DB { return s.db }
 
 // Len returns the number of stored policies.
-func (s *Store) Len() int { return int(s.count.Load()) }
+func (s *Store) Len() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.byID)
+}
 
 // All returns the stored policies sorted by id. The slice is freshly
 // assembled per call; callers must not mutate the policies themselves.
 func (s *Store) All() []*Policy {
-	out := make([]*Policy, 0, s.count.Load())
-	for i := range s.ids {
-		sh := &s.ids[i]
-		sh.mu.RLock()
-		for _, p := range sh.byID {
-			out = append(out, p)
-		}
-		sh.mu.RUnlock()
+	s.mu.RLock()
+	out := make([]*Policy, 0, len(s.byID))
+	for _, p := range s.byID {
+		out = append(out, p)
 	}
+	s.mu.RUnlock()
 	Sort(out)
 	return out
 }
 
 // ByID looks a policy up by id.
 func (s *Store) ByID(id int64) (*Policy, bool) {
-	sh := &s.ids[idShardOf(id)]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	p, ok := sh.byID[id]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	p, ok := s.byID[id]
 	return p, ok
 }
 
 // PoliciesFor returns P_QM^i for one relation: allow-policies whose querier
 // conditions match the metadata directly or via group membership (§3.2).
 // The result is sorted by id, so two queriers with the same applicable set
-// get byte-identical signatures. Each principal name touches exactly one
-// shard under a read lock, and a policy lives under its own querier name
-// only — so visiting each DISTINCT name once yields no duplicates. The
+// get byte-identical signatures. A policy lives under its own querier name
+// only, so visiting each DISTINCT name once yields no duplicates. The
 // duplicate-skip below guards against Groups resolvers that return the
 // querier itself or repeated group names: a duplicated policy id would
 // break signature canonicality (splitting otherwise-identical profiles)
@@ -168,6 +134,7 @@ func (s *Store) ByID(id int64) (*Policy, bool) {
 func (s *Store) PoliciesFor(qm Metadata, relation string, groups Groups) []*Policy {
 	names := append([]string{qm.Querier}, groups.GroupsOf(qm.Querier)...)
 	var out []*Policy
+	s.mu.RLock()
 	for i, name := range names {
 		dup := false
 		for _, prev := range names[:i] {
@@ -179,16 +146,14 @@ func (s *Store) PoliciesFor(qm Metadata, relation string, groups Groups) []*Poli
 		if dup {
 			continue
 		}
-		sh := &s.queriers[shardOf(name)]
-		sh.mu.RLock()
-		for _, p := range sh.byQuerier[name][relation] {
+		for _, p := range s.byQuerier[name][relation] {
 			if p.Action != Allow || !p.AppliesTo(qm, groups) {
 				continue
 			}
 			out = append(out, p)
 		}
-		sh.mu.RUnlock()
 	}
+	s.mu.RUnlock()
 	Sort(out)
 	return out
 }
@@ -235,28 +200,40 @@ func (s *Store) Insert(p *Policy) error {
 		defer commit()
 	}
 
+	return s.persist(p, rows)
+}
+
+// persist caches p, then writes its rP row and its rOC rows through
+// engine.Insert so rP's triggers fire. A failed write rolls the
+// half-commit back — the cached policy and every row that already landed
+// go, so memory, rP and rOC agree the policy does not exist. (The rP
+// trigger may already have fired, but it only invalidates claims — a
+// conservative no-op once the policy is gone from the store.)
+func (s *Store) persist(p *Policy, ocRows []storage.Row) error {
 	s.cache(p)
-	if err := s.db.Insert(TableP, storage.Row{
-		storage.NewInt(p.ID), storage.NewInt(p.Owner), storage.NewString(p.Querier),
-		storage.NewString(p.Relation), storage.NewString(p.Purpose),
-		storage.NewString(string(p.Action)), storage.NewInt(p.InsertedAt),
-	}); err != nil {
+	if err := s.db.Insert(TableP, policyRow(p)); err != nil {
 		s.uncache(p)
 		return err
 	}
-	for _, r := range rows {
+	for _, r := range ocRows {
 		if err := s.db.Insert(TableOC, r); err != nil {
-			// Roll back the half-commit: drop the cached policy and every
-			// row that already landed so memory, rP and rOC agree the
-			// policy does not exist. (The rP trigger already fired, but it
-			// only invalidates claims — a conservative no-op once the
-			// policy is gone from the store.)
 			s.uncache(p)
-			s.deleteRows(p.ID)
+			if derr := s.deleteRows(p.ID); derr != nil {
+				return fmt.Errorf("%w (rollback also failed: %v)", err, derr)
+			}
 			return err
 		}
 	}
 	return nil
+}
+
+// policyRow is p's rP row.
+func policyRow(p *Policy) storage.Row {
+	return storage.Row{
+		storage.NewInt(p.ID), storage.NewInt(p.Owner), storage.NewString(p.Querier),
+		storage.NewString(p.Relation), storage.NewString(p.Purpose),
+		storage.NewString(string(p.Action)), storage.NewInt(p.InsertedAt),
+	}
 }
 
 // BulkLoad persists many policies without firing triggers (initial load).
@@ -272,11 +249,7 @@ func (s *Store) BulkLoad(ps []*Policy) error {
 		s.clock++
 		p.InsertedAt = s.clock
 		s.meta.Unlock()
-		pRows = append(pRows, storage.Row{
-			storage.NewInt(p.ID), storage.NewInt(p.Owner), storage.NewString(p.Querier),
-			storage.NewString(p.Relation), storage.NewString(p.Purpose),
-			storage.NewString(string(p.Action)), storage.NewInt(p.InsertedAt),
-		})
+		pRows = append(pRows, policyRow(p))
 		rows, err := conditionRows(p)
 		if err != nil {
 			return err
@@ -290,41 +263,27 @@ func (s *Store) BulkLoad(ps []*Policy) error {
 	return s.db.BulkInsert(TableOC, ocRows)
 }
 
-// cache records a policy in the sharded in-memory indexes.
+// cache records a policy in the in-memory indexes.
 func (s *Store) cache(p *Policy) {
-	qs := &s.queriers[shardOf(p.Querier)]
-	qs.mu.Lock()
-	byRel, ok := qs.byQuerier[p.Querier]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	byRel, ok := s.byQuerier[p.Querier]
 	if !ok {
 		byRel = make(map[string][]*Policy)
-		qs.byQuerier[p.Querier] = byRel
+		s.byQuerier[p.Querier] = byRel
 	}
 	byRel[p.Relation] = append(byRel[p.Relation], p)
-	qs.mu.Unlock()
-
-	is := &s.ids[idShardOf(p.ID)]
-	is.mu.Lock()
-	is.byID[p.ID] = p
-	is.mu.Unlock()
-
-	s.count.Add(1)
+	s.byID[p.ID] = p
 }
 
-// uncache reverses cache after a failed persist.
+// uncache reverses cache: a failed persist, or a revocation.
 func (s *Store) uncache(p *Policy) {
-	qs := &s.queriers[shardOf(p.Querier)]
-	qs.mu.Lock()
-	if byRel, ok := qs.byQuerier[p.Querier]; ok {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if byRel, ok := s.byQuerier[p.Querier]; ok {
 		byRel[p.Relation] = removePolicy(byRel[p.Relation], p.ID)
 	}
-	qs.mu.Unlock()
-
-	is := &s.ids[idShardOf(p.ID)]
-	is.mu.Lock()
-	delete(is.byID, p.ID)
-	is.mu.Unlock()
-
-	s.count.Add(-1)
+	delete(s.byID, p.ID)
 }
 
 // ocSeq issues rOC row ids. Atomic: stores of different databases, and
@@ -415,24 +374,18 @@ func (s *Store) Revoke(id int64) (*Policy, error) {
 // applyRevoke removes a policy from the cache and its persisted rows; the
 // in-memory shrink happens first (see Revoke's ordering contract).
 func (s *Store) applyRevoke(id int64) (*Policy, error) {
-	is := &s.ids[idShardOf(id)]
-	is.mu.Lock()
-	p, ok := is.byID[id]
+	s.mu.Lock()
+	p, ok := s.byID[id]
 	if ok {
-		delete(is.byID, id)
+		delete(s.byID, id)
+		if byRel, ok := s.byQuerier[p.Querier]; ok {
+			byRel[p.Relation] = removePolicy(byRel[p.Relation], id)
+		}
 	}
-	is.mu.Unlock()
+	s.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("policy: no policy %d to revoke", id)
 	}
-
-	qs := &s.queriers[shardOf(p.Querier)]
-	qs.mu.Lock()
-	if byRel, ok := qs.byQuerier[p.Querier]; ok {
-		byRel[p.Relation] = removePolicy(byRel[p.Relation], id)
-	}
-	qs.mu.Unlock()
-	s.count.Add(-1)
 
 	if err := s.deleteRows(id); err != nil {
 		return nil, err
@@ -466,9 +419,7 @@ func (s *Store) deleteRows(id int64) error {
 	return nil
 }
 
-// removePolicy copies ps without id. A fresh slice, not an in-place
-// truncation: readers under a shard RLock may still be iterating the old
-// backing array.
+// removePolicy copies ps without id.
 func removePolicy(ps []*Policy, id int64) []*Policy {
 	out := make([]*Policy, 0, len(ps))
 	for _, p := range ps {

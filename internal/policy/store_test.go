@@ -226,38 +226,43 @@ func TestStoreQueryableLikePaperTable4(t *testing.T) {
 }
 
 func TestInsertAbortsCleanlyOnUnserialisableCondition(t *testing.T) {
-	// A condition kind the store cannot serialise must abort the insert
-	// with NO trace: no cached policy, no rP row, no rOC rows. A
-	// half-committed insert (rP row without its conditions) would make a
-	// reload reconstruct the policy with fewer conditions than granted,
-	// silently widening the grant.
-	s := newStore(t)
-	bad := &Policy{
-		Owner: 7, Querier: "Mallory", Purpose: "Attendance",
-		Relation: "WiFi_Dataset", Action: Allow,
-		Conditions: []ObjectCondition{
-			{Attr: "wifiAP", Kind: CondKind(99)},
-		},
-	}
-	if err := s.Insert(bad); err == nil {
-		t.Fatal("Insert accepted an unserialisable condition")
-	}
-	if s.Len() != 0 {
-		t.Errorf("store caches %d policies after failed insert, want 0", s.Len())
-	}
-	if _, ok := s.ByID(bad.ID); ok {
-		t.Error("failed insert left the policy in the id index")
-	}
-	if got := s.PoliciesFor(Metadata{Querier: "Mallory", Purpose: "Attendance"}, "WiFi_Dataset", NoGroups); len(got) != 0 {
-		t.Errorf("failed insert left %d policies applicable", len(got))
-	}
-	count := 0
-	s.DB().MustTable(TableP).Scan(func(_ storage.RowID, _ storage.Row) bool {
-		count++
-		return true
-	})
-	if count != 0 {
-		t.Errorf("failed insert left %d rP rows, want 0", count)
+	// A condition kind the store cannot serialise must abort the insert —
+	// live, or replayed from the WAL — with NO trace: no cached policy, no
+	// rP row, no rOC rows. A half-committed insert (rP row without its
+	// conditions) would make a reload reconstruct the policy with fewer
+	// conditions than granted, silently widening the grant.
+	for name, insert := range map[string]func(*Store, *Policy) error{
+		"Insert":      (*Store).Insert,
+		"ApplyLogged": (*Store).ApplyLogged,
+	} {
+		s := newStore(t)
+		bad := &Policy{
+			ID: 1, Owner: 7, Querier: "Mallory", Purpose: "Attendance",
+			Relation: "WiFi_Dataset", Action: Allow,
+			Conditions: []ObjectCondition{
+				{Attr: "wifiAP", Kind: CondKind(99)},
+			},
+		}
+		if err := insert(s, bad); err == nil {
+			t.Fatalf("%s accepted an unserialisable condition", name)
+		}
+		if s.Len() != 0 {
+			t.Errorf("%s: store caches %d policies after failed insert, want 0", name, s.Len())
+		}
+		if _, ok := s.ByID(bad.ID); ok {
+			t.Errorf("%s: failed insert left the policy in the id index", name)
+		}
+		if got := s.PoliciesFor(Metadata{Querier: "Mallory", Purpose: "Attendance"}, "WiFi_Dataset", NoGroups); len(got) != 0 {
+			t.Errorf("%s: failed insert left %d policies applicable", name, len(got))
+		}
+		count := 0
+		s.DB().MustTable(TableP).Scan(func(_ storage.RowID, _ storage.Row) bool {
+			count++
+			return true
+		})
+		if count != 0 {
+			t.Errorf("%s: failed insert left %d rP rows, want 0", name, count)
+		}
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/sieve-db/sieve/internal/backend"
 	"github.com/sieve-db/sieve/internal/engine"
 	"github.com/sieve-db/sieve/internal/obs"
 	"github.com/sieve-db/sieve/internal/policy"
@@ -116,7 +115,7 @@ func (s *Server) withSession(h func(http.ResponseWriter, *http.Request, *liveSes
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	body := HealthResponse{Status: "ok", Backend: s.backendName(), Sessions: s.met.SessionsOpen.Value()}
+	body := HealthResponse{Status: "ok", Sessions: s.met.SessionsOpen.Value()}
 	if s.draining.Load() {
 		body.Status = "draining"
 		w.Header().Set("Content-Type", "application/json")
@@ -166,13 +165,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, ls *liveSes
 		jsonError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.streamQuery(w, r, func(ctx context.Context) (rowStream, error) {
-		if s.cfg.Backend != nil {
-			if len(args) > 0 {
-				return nil, fmt.Errorf("placeholder arguments need the embedded backend; %s executes each emission's own args", s.backendName())
-			}
-			return backend.SessionQuery(ctx, s.cfg.Backend, ls.sess, req.SQL)
-		}
+	s.streamQuery(w, r, func(ctx context.Context) (*engine.Rows, error) {
 		return ls.sess.Query(ctx, req.SQL, args...)
 	})
 }
@@ -238,13 +231,7 @@ func (s *Server) handleStmtQuery(w http.ResponseWriter, r *http.Request, ls *liv
 		jsonError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.streamQuery(w, r, func(ctx context.Context) (rowStream, error) {
-		if s.cfg.Backend != nil {
-			if len(args) > 0 {
-				return nil, fmt.Errorf("placeholder arguments need the embedded backend; %s executes each emission's own args", s.backendName())
-			}
-			return backend.StmtQuery(ctx, s.cfg.Backend, ls.sess, st)
-		}
+	s.streamQuery(w, r, func(ctx context.Context) (*engine.Rows, error) {
 		return st.Query(ctx, ls.sess, args...)
 	})
 }
@@ -257,15 +244,6 @@ func (s *Server) handleStmtClose(w http.ResponseWriter, r *http.Request, ls *liv
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// rowStream is the common pull surface of engine.Rows and backend.Rows.
-type rowStream interface {
-	Columns() []string
-	Next() bool
-	Row() storage.Row
-	Err() error
-	Close() error
-}
-
 // streamQuery runs one query and streams its result as NDJSON: a columns
 // line, one line per row, then a terminal done/error line. Flushes are
 // batched so a large result does not pay a syscall per row — after rows 1,
@@ -275,11 +253,10 @@ type rowStream interface {
 //
 // With ?trace=1 (or a configured SlowQuery threshold) the query runs
 // under a span tree: the engine phases accumulate through the context,
-// the server adds emit (NDJSON encoding), stream (flushes), and — when
-// WALTimings is wired — the wal share of durable DML, and the finished
-// tree rides the done line as `trace` and feeds the per-phase duration
-// histograms on /metrics.
-func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, run func(ctx context.Context) (rowStream, error)) {
+// the server adds emit (NDJSON encoding) and stream (flushes), and the
+// finished tree rides the done line as `trace` and feeds the per-phase
+// duration histograms on /metrics.
+func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, run func(ctx context.Context) (*engine.Rows, error)) {
 	if s.draining.Load() {
 		s.met.RejectedDraining.Add(1)
 		jsonError(w, http.StatusServiceUnavailable, "server is draining")
@@ -311,10 +288,6 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, run func(ct
 	s.met.Queries.Add(1)
 	start := time.Now()
 	defer func() { s.met.QueryDurationUS.Observe(time.Since(start).Microseconds()) }()
-	var walAppend0, walFsync0 int64
-	if tr != nil && s.cfg.WALTimings != nil {
-		walAppend0, walFsync0 = s.cfg.WALTimings()
-	}
 
 	rows, err := run(ctx)
 	if err != nil {
@@ -390,39 +363,22 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, run func(ct
 		flush()
 		return
 	}
-	done := StreamLine{Done: true, Rows: n, RequestID: rid}
-	if er, ok := rows.(*engine.Rows); ok {
-		c := er.Counters()
-		done.Counters = &StreamCounters{
-			TuplesRead:       c.TuplesRead,
-			SegmentsScanned:  c.SegmentsScanned,
-			SegmentsPruned:   c.SegmentsPruned,
-			PolicyEvals:      c.PolicyEvals,
-			UDFInvocations:   c.UDFInvocations,
-			GuardCacheHits:   c.GuardCacheHits,
-			GuardCacheMisses: c.GuardCacheMisses,
-			PlanCacheHits:    c.PlanCacheHits,
-			PlanCacheMisses:  c.PlanCacheMisses,
-		}
-		s.log.Info("query",
-			"req_id", rid, "rows", n, "tuples_read", c.TuplesRead,
-			"segments_pruned", c.SegmentsPruned, "policy_evals", c.PolicyEvals)
-	}
+	c := rows.Counters()
+	done := StreamLine{Done: true, Rows: n, RequestID: rid, Counters: &StreamCounters{
+		TuplesRead:       c.TuplesRead,
+		SegmentsScanned:  c.SegmentsScanned,
+		SegmentsPruned:   c.SegmentsPruned,
+		PolicyEvals:      c.PolicyEvals,
+		UDFInvocations:   c.UDFInvocations,
+		GuardCacheHits:   c.GuardCacheHits,
+		GuardCacheMisses: c.GuardCacheMisses,
+		PlanCacheHits:    c.PlanCacheHits,
+		PlanCacheMisses:  c.PlanCacheMisses,
+	}}
+	s.log.Info("query",
+		"req_id", rid, "rows", n, "tuples_read", c.TuplesRead,
+		"segments_pruned", c.SegmentsPruned, "policy_evals", c.PolicyEvals)
 	if tr != nil {
-		if s.cfg.WALTimings != nil {
-			// Attribute the WAL's share of a durable DML statement. The
-			// cumulative counters are process-wide, so concurrent writers
-			// can smear across traces; for latency attribution that is
-			// the right bias — the query did wait on those appends.
-			walAppend1, walFsync1 := s.cfg.WALTimings()
-			if d := walAppend1 - walAppend0; d > 0 {
-				wsp := tr.Child("wal")
-				wsp.Add(time.Duration(d))
-				if f := walFsync1 - walFsync0; f > 0 {
-					wsp.Child("fsync").Add(time.Duration(f))
-				}
-			}
-		}
 		tr.Count("rows", n)
 		tr.Finish()
 		node := tr.Node()

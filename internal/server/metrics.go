@@ -59,7 +59,7 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 // before the first traced query populates it.
 var tracedPhases = []string{
 	"parse", "guard-resolve", "rewrite", "plan", "scan",
-	"prune", "vector", "workers", "emit", "stream", "wal", "query",
+	"prune", "vector", "workers", "emit", "stream", "query",
 }
 
 // registerBridges exposes the middleware's existing accumulators —

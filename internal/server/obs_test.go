@@ -8,14 +8,23 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	sieve "github.com/sieve-db/sieve"
+	"github.com/sieve-db/sieve/client"
+	"github.com/sieve-db/sieve/internal/engine"
 	"github.com/sieve-db/sieve/internal/obs"
 	"github.com/sieve-db/sieve/internal/server"
+	"github.com/sieve-db/sieve/internal/storage"
+	"github.com/sieve-db/sieve/internal/wal"
+	"github.com/sieve-db/sieve/internal/workload"
 )
 
 func TestMetricsExposition(t *testing.T) {
@@ -318,5 +327,76 @@ func TestPprofBehindAuth(t *testing.T) {
 	raw, _ := io.ReadAll(resp.Body)
 	if !strings.Contains(string(raw), "goroutine") {
 		t.Error("pprof index does not list profiles")
+	}
+}
+
+// TestTracedQueryHasNoWALPhase: a traced SELECT's span tree holds only
+// the query's own phases. The fixture is the durable demo wired as
+// cmd/sieve-server wires it; while the traced query is held open by a
+// gate UDF, an admin row insert commits through the WAL — work the query
+// never waited on, so it must not surface as a "wal" phase of its trace.
+func TestTracedQueryHasNoWALPhase(t *testing.T) {
+	dd, err := workload.NewDurableDemo(sieve.MySQL(), t.TempDir(), wal.Options{Sync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dd.Manager.Close()
+	cfg := server.Config{Middleware: dd.M, AllowDemoTokens: true, Registry: obs.NewRegistry()}
+	dd.Manager.SetRegistry(cfg.Registry)
+	release := make(chan struct{})
+	var once sync.Once
+	open := func() { once.Do(func() { close(release) }) }
+	defer open()
+	var calls atomic.Int64
+	dd.M.DB().RegisterUDF("gate", func(_ *engine.UDFContext, args []storage.Value) (storage.Value, error) {
+		if calls.Add(1) > 64 { // past the scan's first batch
+			<-release
+		}
+		return storage.NewBool(args[0].I%16 == 0), nil
+	})
+	srv, err := server.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	ctx := context.Background()
+	sess, err := client.New(ts.URL, "demo:anyone|analytics").OpenSession(ctx, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := sess.QueryTrace(ctx, "SELECT id FROM "+workload.TableUsers+" WHERE gate(id) = TRUE")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	if !rows.Next() {
+		t.Fatalf("no first row: %v", rows.Err())
+	}
+
+	appended := dd.Manager.AppendNanos()
+	body := `{"values":[{"t":"int","v":"999999"},{"t":"str","v":"dev"},{"t":"int","v":"1"}]}`
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/tables/"+workload.TableUsers+"/rows", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Authorization", "Bearer demo:root|admin")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || dd.Manager.AppendNanos() == appended {
+		t.Fatalf("the admin insert did not commit through the WAL: %s", resp.Status)
+	}
+
+	open()
+	for rows.Next() {
+	}
+	if err := rows.Err(); err != nil || rows.Trace() == nil {
+		t.Fatalf("traced stream: err %v, trace %v", err, rows.Trace())
+	}
+	if phases := rows.Trace().Phases(); slices.Contains(phases, "wal") {
+		t.Fatalf("the query's trace reports another client's WAL append as its own phase: %v", phases)
 	}
 }

@@ -47,7 +47,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/sieve-db/sieve/internal/backend"
 	"github.com/sieve-db/sieve/internal/core"
 	"github.com/sieve-db/sieve/internal/obs"
 	"github.com/sieve-db/sieve/internal/policy"
@@ -56,17 +55,13 @@ import (
 // Config assembles a Server. Middleware is the only mandatory field.
 type Config struct {
 	// Middleware enforces the policies; its embedded engine holds the
-	// data unless Backend routes execution elsewhere.
+	// data.
 	Middleware *core.Middleware
-	// Backend, when non-nil, executes rewritten queries on an external
-	// target (see internal/backend) instead of the embedded engine.
-	// Placeholder arguments are an embedded-only feature: the remote path
-	// ships each emission's own lifted args.
-	Backend backend.Backend
 	// Tokens maps bearer tokens to principals (see ParseTokens).
 	Tokens map[string]Principal
-	// AllowDemoTokens additionally accepts `demo:<querier>[:<purpose>]`
-	// bearer tokens — identity assertion for demos and tests only.
+	// AllowDemoTokens additionally accepts `demo:<querier>[|<purpose>][|admin]`
+	// bearer tokens — identity assertion for demos and tests only. The
+	// separator is "|" because queriers may contain ":".
 	AllowDemoTokens bool
 	// MaxSessionsPerTenant caps concurrently open sessions per querier
 	// (0 = unlimited). The 429 a capped tenant gets names the limit.
@@ -90,11 +85,6 @@ type Config struct {
 	// traces every query (the breakdown needs the span tree), which
 	// costs a few time.Now calls per phase.
 	SlowQuery time.Duration
-	// WALTimings, when non-nil, samples the WAL's cumulative append and
-	// fsync nanoseconds (wal.Manager.AppendNanos/FsyncNanos). Traced
-	// queries diff it around execution so durable DML shows a "wal"
-	// phase with the log's share of the latency.
-	WALTimings func() (appendNS, fsyncNS int64)
 }
 
 // Server is the middleware with a listener in front. Create with New,
@@ -336,12 +326,4 @@ func (s *Server) acquireQuerySlot(ctx context.Context) (release func(), ok bool)
 	case <-ctx.Done():
 		return nil, false
 	}
-}
-
-// backendName names what executes queries, for /healthz and logs.
-func (s *Server) backendName() string {
-	if s.cfg.Backend != nil {
-		return s.cfg.Backend.Name()
-	}
-	return "embedded"
 }

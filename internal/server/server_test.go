@@ -229,7 +229,7 @@ func TestQueryStreamParity(t *testing.T) {
 		t.Fatalf("done line reported %d rows", rows.N())
 	}
 	if c := rows.Counters(); c == nil || c.TuplesRead == 0 {
-		t.Fatalf("embedded stream must carry engine counters, got %+v", c)
+		t.Fatalf("stream must carry engine counters, got %+v", c)
 	}
 
 	// Default deny over the wire: bob has no policies and sees nothing —

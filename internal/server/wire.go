@@ -204,12 +204,11 @@ type ErrorResponse struct {
 // HealthResponse is GET /healthz's body (503 while draining).
 type HealthResponse struct {
 	Status   string `json:"status"` // "ok" or "draining"
-	Backend  string `json:"backend"`
 	Sessions int64  `json:"sessions_open"`
 }
 
 // StreamCounters is the per-query work tally attached to a stream's done
-// line when the query ran on the embedded engine.
+// line.
 type StreamCounters struct {
 	TuplesRead      int64 `json:"tuples_read"`
 	SegmentsScanned int64 `json:"segments_scanned"`
@@ -227,8 +226,8 @@ type StreamCounters struct {
 
 // StreamLine is one line of a query response (application/x-ndjson).
 // Exactly one group of fields is set per line: Columns on the first line,
-// Row per tuple, then a terminal line with either Done (plus Rows and,
-// on the embedded backend, Counters) or Error. A stream that ends without
+// Row per tuple, then a terminal line with either Done (plus Rows and
+// Counters) or Error. A stream that ends without
 // a terminal line was cut mid-flight and must not be trusted as complete.
 //
 // The terminal line also carries the request id the server assigned

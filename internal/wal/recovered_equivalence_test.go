@@ -4,7 +4,7 @@ package wal_test
 // indistinguishable from one that never crashed. Two gates ride on the
 // earlier PRs' strongest suites:
 //
-//   - the differential oracle's corpus: every corpus query, for every
+//   - the corpus harness (loadgen.Replay): every corpus query, for every
 //     querier, returns identical rows on a recovered middleware and on a
 //     never-crashed mirror (that the scan filter agrees with the row
 //     evaluator on the same corpus is the engine oracle's job,
@@ -17,11 +17,11 @@ package wal_test
 import (
 	"context"
 	"fmt"
-	"strings"
 	"testing"
 
 	"github.com/sieve-db/sieve/internal/core"
 	"github.com/sieve-db/sieve/internal/engine"
+	"github.com/sieve-db/sieve/internal/loadgen"
 	"github.com/sieve-db/sieve/internal/policy"
 	"github.com/sieve-db/sieve/internal/storage"
 	"github.com/sieve-db/sieve/internal/wal"
@@ -53,26 +53,6 @@ func buildEquivEnv(t *testing.T) (*workload.Campus, *policy.Store, []*policy.Pol
 		t.Fatal(err)
 	}
 	return c, store, ps, m
-}
-
-// equivQuery runs one query and renders its rows, oracle-style.
-func equivQuery(t *testing.T, m *core.Middleware, querier, sql string) []string {
-	t.Helper()
-	sess := m.NewSession(policy.Metadata{Querier: querier, Purpose: "analytics"})
-	res, err := sess.Execute(context.Background(), sql)
-	if err != nil {
-		t.Fatalf("querier %s: %s: %v", querier, sql, err)
-	}
-	rows := make([]string, 0, len(res.Rows))
-	for _, r := range res.Rows {
-		var b strings.Builder
-		for _, v := range r {
-			b.WriteString(v.String())
-			b.WriteByte('|')
-		}
-		rows = append(rows, b.String())
-	}
-	return rows
 }
 
 // equivMutate is the post-boot mutation suffix both sides apply: fresh
@@ -109,9 +89,9 @@ func equivMutate(t *testing.T, m *core.Middleware, db *engine.DB, querier string
 // TestRecoveredStoreDifferentialOracle boots the full durable stack,
 // warms the guard cache (in process: it is no part of what is logged or
 // recovered), applies a mutation suffix, closes without a checkpoint, and
-// recovers. The recovered middleware — replayed
-// state — must answer the whole query corpus exactly like a never-crashed
-// mirror.
+// recovers. Through the corpus harness, the recovered middleware —
+// replayed state — must answer the whole query corpus exactly like a
+// never-crashed mirror.
 func TestRecoveredStoreDifferentialOracle(t *testing.T) {
 	dir := t.TempDir()
 	c, store, ps, mw := buildEquivEnv(t)
@@ -130,7 +110,10 @@ func TestRecoveredStoreDifferentialOracle(t *testing.T) {
 	store.SetDurability(m)
 	mw.SetDurability(m)
 
-	equivQuery(t, mw, queriers[0], "SELECT count(*) FROM "+workload.TableWiFi)
+	warm := mw.NewSession(policy.Metadata{Querier: queriers[0], Purpose: "analytics"})
+	if _, err := warm.Execute(t.Context(), "SELECT count(*) FROM "+workload.TableWiFi); err != nil {
+		t.Fatal(err)
+	}
 	revID := equivMutate(t, mw, c.DB, queriers[0])
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
@@ -177,31 +160,24 @@ func TestRecoveredStoreDifferentialOracle(t *testing.T) {
 		t.Fatalf("mirror diverged before the comparison: revoked id %d vs %d", revB, revID)
 	}
 
-	queries := cB.CorpusQueries()
+	var queries []loadgen.Query
+	for _, q := range cB.CorpusQueries() {
+		queries = append(queries, loadgen.Query{Name: q.Name, SQL: q.SQL})
+	}
 	queries = append(queries,
-		workload.NamedQuery{Name: "probe_disjunction", SQL: fmt.Sprintf(
+		loadgen.Query{Name: "probe_disjunction", SQL: fmt.Sprintf(
 			"SELECT * FROM %s WHERE owner IN (1, 3, 5) OR (wifiAP BETWEEN 2 AND 5 AND owner = 7)", workload.TableWiFi)},
-		workload.NamedQuery{Name: "probe_agg", SQL: fmt.Sprintf(
+		loadgen.Query{Name: "probe_agg", SQL: fmt.Sprintf(
 			"SELECT count(*), min(owner), max(wifiAP) FROM %s WHERE wifiAP = 3 OR owner = 11", workload.TableWiFi)},
-		workload.NamedQuery{Name: "probe_group", SQL: fmt.Sprintf(
+		loadgen.Query{Name: "probe_group", SQL: fmt.Sprintf(
 			"SELECT owner, count(*) AS n FROM %s GROUP BY owner ORDER BY n DESC, owner LIMIT 10", workload.TableWiFi)},
-		workload.NamedQuery{Name: "probe_replayed_rows", SQL: fmt.Sprintf(
+		loadgen.Query{Name: "probe_replayed_rows", SQL: fmt.Sprintf(
 			"SELECT id, owner FROM %s WHERE id >= 900000 ORDER BY id", workload.TableWiFi)},
 	)
-	for _, who := range append(queriers, "nobody@example") {
-		for _, q := range queries {
-			recRows := equivQuery(t, mwR, who, q.SQL)
-			mirRows := equivQuery(t, mwB, who, q.SQL)
-			if len(recRows) != len(mirRows) {
-				t.Fatalf("%s / %s: recovered %d rows, mirror %d rows", q.Name, who, len(recRows), len(mirRows))
-			}
-			for i := range recRows {
-				if recRows[i] != mirRows[i] {
-					t.Fatalf("%s / %s: row %d diverges:\nrecovered: %s\nmirror:    %s",
-						q.Name, who, i, recRows[i], mirRows[i])
-				}
-			}
-		}
+	recovered := loadgen.SessionQuery(mwR)
+	recovered.Name = "recovered Session.Query"
+	if err := loadgen.Replay(t.Context(), "analytics", queriers, queries, loadgen.SessionQuery(mwB), recovered); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -61,10 +61,9 @@
 //	// em.SQL: WITH "WiFi_Dataset_sieve" AS (... WHERE ... $1 ... $2 ...) ...
 //	// em.Args: the constants the placeholders bind
 //
-// Emissions execute through pluggable backends (docs/backends.md): an
-// EmbeddedBackend runs the sieve form on the in-process engine, a
-// RemoteBackend ships mysql/postgres emissions over any *sql.DB with
-// args bound as driver-native values and rows decoded back. The inverse
+// Emissions execute on a RemoteBackend (docs/backends.md), which ships
+// mysql/postgres emissions over any *sql.DB with args bound as
+// driver-native values and rows decoded back. The inverse
 // integration is the sievesql subpackage, which registers SIEVE as a
 // standard database/sql driver:
 //
@@ -178,8 +177,7 @@ type (
 	CmpOp = sqlparser.CmpOp
 
 	// Backend executes emitted statements against one execution target:
-	// the in-process engine (EmbeddedBackend) or any database/sql pool
-	// fronting a real server (RemoteBackend).
+	// any database/sql pool fronting a real server (RemoteBackend).
 	Backend = backend.Backend
 	// BackendRows is a streaming result decoded from a backend.
 	BackendRows = backend.Rows
@@ -219,9 +217,6 @@ var (
 // data path to an actual DBMS (docs/backends.md). The sievesql package is
 // the inverse door: it exposes SIEVE itself as a database/sql driver.
 var (
-	// EmbeddedBackend executes sieve-dialect emissions on the in-process
-	// engine.
-	EmbeddedBackend = backend.NewEmbedded
 	// RemoteBackend ships mysql/postgres emissions over any *sql.DB.
 	RemoteBackend = backend.NewRemote
 	// WithDeltaHelper declares the sieve_delta helper installed on a
@@ -387,8 +382,3 @@ var (
 	// FactorDeny folds deny policies into the allow set (§3.1).
 	FactorDeny = policy.FactorDeny
 )
-
-// FactorDenyPolicies is a readable alias of FactorDeny.
-func FactorDenyPolicies(allows, denies []*Policy) []*Policy {
-	return policy.FactorDeny(allows, denies)
-}

@@ -75,7 +75,7 @@ func TestPublicAPIPaperExample(t *testing.T) {
 	for _, d := range []sieve.Dialect{sieve.MySQL(), sieve.Postgres()} {
 		m, _ := buildDemoDB(t, d)
 		qm := sieve.Metadata{Querier: "Prof. Smith", Purpose: "Attendance"}
-		res, err := m.Execute("SELECT id FROM WiFi_Dataset", qm)
+		res, err := m.NewSession(qm).Execute(t.Context(), "SELECT id FROM WiFi_Dataset")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func TestPublicAPIPaperExample(t *testing.T) {
 			t.Fatalf("[%s] allowed rows = %v, want {1,4}", d.Name(), got)
 		}
 		// Nobody else sees anything.
-		res2, err := m.Execute("SELECT id FROM WiFi_Dataset", sieve.Metadata{Querier: "Mallory", Purpose: "Attendance"})
+		res2, err := m.NewSession(sieve.Metadata{Querier: "Mallory", Purpose: "Attendance"}).Execute(t.Context(), "SELECT id FROM WiFi_Dataset")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestPublicAPIPaperExample(t *testing.T) {
 func TestPublicAPIRewriteInspection(t *testing.T) {
 	m, _ := buildDemoDB(t, sieve.MySQL())
 	qm := sieve.Metadata{Querier: "Prof. Smith", Purpose: "Attendance"}
-	sqlText, rep, err := m.Rewrite("SELECT * FROM WiFi_Dataset WHERE ts_time >= TIME '09:00'", qm)
+	sqlText, rep, err := m.NewSession(qm).Rewrite("SELECT * FROM WiFi_Dataset WHERE ts_time >= TIME '09:00'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,12 +123,12 @@ func TestPublicAPIRewriteInspection(t *testing.T) {
 func TestPublicAPIBaselinesAgree(t *testing.T) {
 	m, _ := buildDemoDB(t, sieve.MySQL())
 	qm := sieve.Metadata{Querier: "Prof. Smith", Purpose: "Attendance"}
-	want, err := m.Execute("SELECT id FROM WiFi_Dataset", qm)
+	want, err := m.NewSession(qm).Execute(t.Context(), "SELECT id FROM WiFi_Dataset")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, kind := range []sieve.BaselineKind{sieve.BaselineP, sieve.BaselineI, sieve.BaselineU} {
-		got, err := m.ExecuteBaseline(kind, "SELECT id FROM WiFi_Dataset", qm)
+		got, err := m.ExecuteBaseline(t.Context(), kind, "SELECT id FROM WiFi_Dataset", qm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,9 +153,6 @@ func TestPublicAPIFactorDeny(t *testing.T) {
 	out := sieve.FactorDeny([]*sieve.Policy{allow}, []*sieve.Policy{deny})
 	if len(out) != 1 || len(out[0].Conditions) != 1 {
 		t.Fatalf("factored = %v", out)
-	}
-	if alias := sieve.FactorDenyPolicies([]*sieve.Policy{allow}, []*sieve.Policy{deny}); len(alias) != 1 {
-		t.Fatal("FactorDenyPolicies alias broken")
 	}
 }
 
