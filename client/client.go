@@ -395,15 +395,24 @@ func (c *Client) stream(ctx context.Context, path string, body any) (*Rows, erro
 		return nil, decodeError(resp)
 	}
 	r := &Rows{body: resp.Body, sc: bufio.NewScanner(resp.Body)}
-	r.sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
+	// Row lines are ~100 bytes: start at the Scanner's 4 KiB default and
+	// grow on demand, up to a 16 MiB line.
+	r.sc.Buffer(nil, 16<<20)
 	// The first line carries the column names; its arrival is the
 	// server's acknowledgement that the query was accepted.
-	line, err := r.nextLine()
+	if !r.sc.Scan() {
+		resp.Body.Close()
+		if err := r.sc.Err(); err != nil {
+			return nil, err
+		}
+		return nil, fmt.Errorf("sieve-server: stream did not start with a columns line")
+	}
+	line, err := decodeLine(r.sc.Bytes())
 	if err != nil {
 		resp.Body.Close()
 		return nil, err
 	}
-	if line == nil || line.Columns == nil {
+	if line.Columns == nil {
 		resp.Body.Close()
 		return nil, fmt.Errorf("sieve-server: stream did not start with a columns line")
 	}
@@ -424,6 +433,7 @@ type Rows struct {
 	sc     *bufio.Scanner
 	cols   []string
 	cur    []any
+	vals   storage.Row // ParseRowLine's reused scratch row
 	n      int64
 	done   bool
 	closed bool
@@ -436,16 +446,10 @@ type Rows struct {
 // Columns returns the result column names.
 func (r *Rows) Columns() []string { return r.cols }
 
-// nextLine reads one NDJSON line; nil without error means EOF.
-func (r *Rows) nextLine() (*server.StreamLine, error) {
-	if !r.sc.Scan() {
-		if err := r.sc.Err(); err != nil {
-			return nil, err
-		}
-		return nil, nil
-	}
+// decodeLine decodes one NDJSON line as JSON.
+func decodeLine(b []byte) (*server.StreamLine, error) {
 	var line server.StreamLine
-	if err := json.Unmarshal(r.sc.Bytes(), &line); err != nil {
+	if err := json.Unmarshal(b, &line); err != nil {
 		return nil, fmt.Errorf("sieve-server: bad stream line: %w", err)
 	}
 	return &line, nil
@@ -457,15 +461,31 @@ func (r *Rows) Next() bool {
 	if r.closed || r.done || r.err != nil {
 		return false
 	}
-	line, err := r.nextLine()
+	if !r.sc.Scan() {
+		r.err = r.sc.Err()
+		if r.err == nil {
+			r.err = fmt.Errorf("sieve-server: stream ended without a done line (connection cut mid-result)")
+		}
+		r.release()
+		return false
+	}
+	// A row line in the server's canonical form skips encoding/json;
+	// anything else, including a row line it declines, is decoded below.
+	if vals, ok := server.ParseRowLine(r.sc.Bytes(), r.vals); ok {
+		r.vals = vals
+		r.cur = make([]any, len(vals))
+		for i, v := range vals {
+			r.cur[i] = FromValue(v)
+		}
+		return true
+	}
+	line, err := decodeLine(r.sc.Bytes())
 	if err != nil {
 		r.err = err
 		r.release()
 		return false
 	}
 	switch {
-	case line == nil:
-		r.err = fmt.Errorf("sieve-server: stream ended without a done line (connection cut mid-result)")
 	case line.Error != "":
 		r.err = fmt.Errorf("sieve-server: %s", line.Error)
 	case line.Done:

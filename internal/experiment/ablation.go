@@ -12,10 +12,11 @@ import (
 	"github.com/sieve-db/sieve/internal/workload"
 )
 
-// Ablations measures the contribution of SIEVE's individual design choices
-// (the knobs DESIGN.md calls out): Theorem 1 range merging, utility-greedy
-// guard grouping versus naive per-owner guards, index usage hints on the
-// mysql dialect, and the Δ threshold.
+// Ablations measures the contribution of SIEVE's individual design choices,
+// as the paper introduces them: Theorem 1 range merging (§4.1),
+// utility-greedy guard grouping versus naive per-owner guards (§4.2), index
+// usage hints on the mysql dialect (§5.3, §5.5), and the Δ threshold
+// (§5.4).
 func Ablations(cfg Config) (*Table, error) {
 	tab := &Table{
 		ID:      "Ablation",

@@ -9,6 +9,7 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/sieve-db/sieve/internal/engine"
@@ -244,18 +245,32 @@ func (s *Server) handleStmtClose(w http.ResponseWriter, r *http.Request, ls *liv
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// lineBufs holds streamQuery's per-request line buffers.
+var lineBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledLineBuf caps the buffer a request returns to lineBufs: a window
+// of huge rows should not stay pinned for every later query.
+const maxPooledLineBuf = 64 << 10
+
+// timeoutReportGrace is how long past its RequestTimeout a query may
+// still write: the 503, 400 or in-band error line that reports the
+// timeout is written after the deadline and must still reach a client
+// that is reading.
+const timeoutReportGrace = time.Second
+
 // streamQuery runs one query and streams its result as NDJSON: a columns
-// line, one line per row, then a terminal done/error line. Flushes are
-// batched so a large result does not pay a syscall per row — after rows 1,
-// 2, 4, … 64, then every 64 — and the columns line flushes immediately: a
-// client learns its query was accepted before the first row materialises,
-// and sees the first row as soon as there is one.
+// line, one line per row, then a terminal done/error line. Lines are
+// encoded into one buffer that goes out in one Write per flush window so
+// a large result does not pay a syscall per row — after rows 1, 2, 4, …
+// 64, then every 64 — and the columns line flushes immediately: a client
+// learns its query was accepted before the first row materialises, and
+// sees the first row as soon as there is one.
 //
 // With ?trace=1 (or a configured SlowQuery threshold) the query runs
 // under a span tree: the engine phases accumulate through the context,
-// the server adds emit (NDJSON encoding) and stream (flushes), and the
-// finished tree rides the done line as `trace` and feeds the per-phase
-// duration histograms on /metrics.
+// the server adds emit (encoding lines into the buffer) and stream (each
+// window's Write and Flush), and the finished tree rides the done line as
+// `trace` and feeds the per-phase duration histograms on /metrics.
 func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, run func(ctx context.Context) (*engine.Rows, error)) {
 	if s.draining.Load() {
 		s.met.RejectedDraining.Add(1)
@@ -277,6 +292,11 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, run func(ct
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
 		defer cancel()
+		// A handler blocked in Write never observes ctx: only a write
+		// deadline frees the query slot of a client that stopped reading.
+		// A ResponseWriter without deadlines stays unbounded, as before.
+		dl, _ := ctx.Deadline()
+		_ = http.NewResponseController(w).SetWriteDeadline(dl.Add(timeoutReportGrace))
 	}
 	release, ok := s.acquireQuerySlot(ctx)
 	if !ok {
@@ -297,57 +317,77 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, run func(ct
 	defer rows.Close()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
+	bufp := lineBufs.Get().(*[]byte)
+	buf := (*bufp)[:0]
+	defer func() {
+		if cap(buf) <= maxPooledLineBuf {
+			*bufp = buf[:0]
+			lineBufs.Put(bufp)
+		}
+	}()
 	flusher, _ := w.(http.Flusher)
 	spEmit := tr.Child("emit")     // nil-safe: both stay nil when
 	spStream := tr.Child("stream") // tracing is off
-	flush := func() {
-		if flusher == nil {
-			return
-		}
+	// send writes the lines buffered since the last window and flushes;
+	// its Write is where a client that went away shows up.
+	send := func() error {
 		var t0 time.Time
 		if spStream != nil {
 			t0 = time.Now()
 		}
-		flusher.Flush()
+		_, err := w.Write(buf)
+		buf = buf[:0]
+		if err == nil && flusher != nil {
+			flusher.Flush()
+		}
 		if spStream != nil {
 			spStream.AddSince(t0)
 			spStream.Count("flushes", 1)
 		}
+		return err
 	}
-	emit := func(line StreamLine) error {
+	// emit buffers a columns, done or error line.
+	emit := func(line StreamLine) {
 		var t0 time.Time
 		if spEmit != nil {
 			t0 = time.Now()
 		}
-		err := enc.Encode(line)
+		b, _ := json.Marshal(line) // a StreamLine always marshals
+		buf = append(append(buf, b...), '\n')
 		if spEmit != nil {
 			spEmit.AddSince(t0)
 			spEmit.Count("lines", 1)
 		}
-		return err
 	}
-	if err := emit(StreamLine{Columns: rows.Columns()}); err != nil {
+	emit(StreamLine{Columns: rows.Columns()})
+	if err := send(); err != nil {
 		s.met.EarlyDisconnects.Add(1)
 		return
 	}
-	flush()
 
 	var n int64
 	for rows.Next() {
-		if err := emit(StreamLine{Row: EncodeRow(rows.Row())}); err != nil {
-			// The write side failed: the client went away. Closing rows
-			// stops the scan so abandoned queries do not finish for an
-			// audience of nobody.
-			s.met.EarlyDisconnects.Add(1)
-			return
+		var t0 time.Time
+		if spEmit != nil {
+			t0 = time.Now()
+		}
+		buf = AppendRowLine(buf, rows.Row())
+		if spEmit != nil {
+			spEmit.AddSince(t0)
+			spEmit.Count("lines", 1)
 		}
 		n++
-		// Flush after rows 1, 2, 4, … 64 and every 64th after: the first
+		// Send after rows 1, 2, 4, … 64 and every 64th after: the first
 		// row of a slow stream reaches the client when it exists, and a
 		// long result still pays a syscall per 64 rows, not per row.
 		if n%64 == 0 || n&(n-1) == 0 {
-			flush()
+			if err := send(); err != nil {
+				// The client went away. Closing rows stops the scan so
+				// abandoned queries do not finish for an audience of
+				// nobody.
+				s.met.EarlyDisconnects.Add(1)
+				return
+			}
 		}
 	}
 	s.met.RowsStreamed.Add(n)
@@ -359,8 +399,8 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, run func(ct
 			s.met.EarlyDisconnects.Add(1)
 			return
 		}
-		_ = emit(StreamLine{Error: err.Error(), RequestID: rid})
-		flush()
+		emit(StreamLine{Error: err.Error(), RequestID: rid})
+		_ = send() // the stream ends here either way
 		return
 	}
 	c := rows.Counters()
@@ -392,8 +432,8 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, run func(ct
 				"phases", phaseBreakdown(node))
 		}
 	}
-	_ = emit(done)
-	flush()
+	emit(done)
+	_ = send() // the stream ends here either way
 }
 
 // cmpOps maps the protocol's condition operators to the parser's.

@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	sieve "github.com/sieve-db/sieve"
 	"github.com/sieve-db/sieve/client"
+	"github.com/sieve-db/sieve/internal/server"
 )
 
 // TestConcurrentClientsWithLivePolicyWriter is the wire-level race
@@ -131,6 +133,90 @@ func TestEarlyDisconnectStopsTheScan(t *testing.T) {
 	// server kept streaming into the void.
 	if m["sieve_rows_streamed_total"] >= int64(n*rows/2)/10 {
 		t.Fatalf("rows_streamed=%d: abandoned queries were run to completion", m["sieve_rows_streamed_total"])
+	}
+}
+
+// TestStalledReaderReleasesSlotAtRequestTimeout: a client that stops
+// reading mid-result wedges its handler in Write, where the request
+// context cannot reach it. The RequestTimeout (plus the second a timed-out
+// query keeps to report its timeout) must still end that handler and free
+// its query slot, so with a single slot a second query soon runs instead
+// of queueing into a 503 — and each 503 until then reaches its client.
+func TestStalledReaderReleasesSlotAtRequestTimeout(t *testing.T) {
+	// As in TestEarlyDisconnectStopsTheScan: the result must overflow the
+	// socket buffers so the handler blocks on a write nobody drains.
+	const timeout = 300 * time.Millisecond
+	f := newFixture(t, 200000, func(c *server.Config) {
+		c.RequestTimeout = timeout
+		c.MaxConcurrentQueries = 1
+	})
+	ctx := context.Background()
+	sess, err := f.client("tok-alice").OpenSession(ctx, "audit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const probe = "SELECT id FROM events LIMIT 1"
+	// A cold middleware spends about a third of a second on its first
+	// query under -race: pay that in process, outside the wire deadline.
+	warm, err := f.m.NewSession(sieve.Metadata{Querier: "alice", Purpose: "audit"}).Query(ctx, probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for warm.Next() {
+	}
+	if err := warm.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stalled, err := sess.Query(ctx, "SELECT * FROM events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	if !stalled.Next() {
+		t.Fatalf("no first row: %v", stalled.Err())
+	}
+	// ...and never read again.
+
+	// Each attempt waits up to its own RequestTimeout for the slot; the
+	// stalled handler must give it up well within a few of them.
+	deadline := time.Now().Add(10 * timeout)
+	for {
+		rows, err := sess.Query(ctx, probe)
+		if err == nil {
+			if got := collect(t, rows); len(got) != 1 {
+				t.Fatalf("second query returned %d rows, want 1", len(got))
+			}
+			return
+		}
+		if !strings.Contains(err.Error(), "query queue wait exceeded the request deadline") {
+			t.Fatalf("a query refused its slot must get the 503, got: %v", err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stalled reader still holds the only query slot %v after its %v RequestTimeout: %v",
+				10*timeout, timeout, err)
+		}
+	}
+}
+
+// TestRequestTimeoutReachesTheClient: a query past its RequestTimeout is
+// reported as such — as a 400 or an in-band error line — although the
+// report is written after the deadline, not cut off by the write deadline
+// that bounds stalled readers.
+func TestRequestTimeoutReachesTheClient(t *testing.T) {
+	f := newFixture(t, 10, func(c *server.Config) { c.RequestTimeout = time.Nanosecond })
+	ctx := context.Background()
+	sess, err := f.client("tok-alice").OpenSession(ctx, "audit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := sess.Query(ctx, "SELECT id FROM events")
+	if err == nil {
+		for rows.Next() {
+		}
+		err = rows.Err()
+	}
+	if err == nil || !strings.Contains(err.Error(), "deadline exceeded") {
+		t.Fatalf("a query past its RequestTimeout must report the deadline, got: %v", err)
 	}
 }
 

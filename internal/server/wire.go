@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"strconv"
 
@@ -81,13 +83,198 @@ func DecodeValue(w WireValue) (storage.Value, error) {
 	return storage.Null, fmt.Errorf("server: unknown value tag %q", w.T)
 }
 
-// EncodeRow converts an engine row for the stream.
-func EncodeRow(r storage.Row) []WireValue {
-	out := make([]WireValue, len(r))
-	for i, v := range r {
-		out[i] = EncodeValue(v)
+// AppendRowLine appends r's stream line, newline included, to dst: the
+// bytes json.Encoder writes for StreamLine{Row: …} with each cell as
+// EncodeValue renders it, produced without reflection or a []WireValue.
+func AppendRowLine(dst []byte, r storage.Row) []byte {
+	if len(r) == 0 {
+		return append(dst, "{}\n"...) // omitempty drops an empty row
 	}
-	return out
+	dst = append(dst, `{"row":[`...)
+	for i, v := range r {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendCell(dst, v)
+	}
+	return append(dst, "]}\n"...)
+}
+
+// appendCell appends v's WireValue object; a kind EncodeValue does not
+// know is a null there too.
+func appendCell(dst []byte, v storage.Value) []byte {
+	switch v.K {
+	case storage.KindInt:
+		dst = strconv.AppendInt(append(dst, `{"t":"int","v":"`...), v.I, 10)
+	case storage.KindFloat:
+		dst = strconv.AppendFloat(append(dst, `{"t":"float","v":"`...), v.F, 'g', -1, 64)
+	case storage.KindTime:
+		dst = strconv.AppendInt(append(dst, `{"t":"time","v":"`...), v.I, 10)
+	case storage.KindDate:
+		dst = strconv.AppendInt(append(dst, `{"t":"date","v":"`...), v.I, 10)
+	case storage.KindString:
+		if v.S == "" {
+			return append(dst, `{"t":"str"}`...) // omitempty drops V
+		}
+		return append(appendString(append(dst, `{"t":"str","v":`...), v.S), '}')
+	case storage.KindBool:
+		if v.I != 0 {
+			return append(dst, `{"t":"bool","v":"t"}`...)
+		}
+		return append(dst, `{"t":"bool","v":"f"}`...)
+	default:
+		return append(dst, `{"t":"null"}`...)
+	}
+	return append(dst, `"}`...)
+}
+
+// plainByte reports whether encoding/json copies c into a string
+// verbatim: printable ASCII other than the quote, the backslash and the
+// three bytes its HTML-safe default escapes.
+func plainByte(c byte) bool {
+	return c >= 0x20 && c < 0x7f && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+}
+
+// appendString appends s as a JSON string. Anything but plain bytes goes
+// through encoding/json, so escapes, U+2028/U+2029 and invalid UTF-8 come
+// out exactly as the Encoder writes them.
+func appendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if !plainByte(s[i]) {
+			b, _ := json.Marshal(s) // a string always marshals
+			return append(dst, b...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// ParseRowLine decodes a row line (without its newline) written exactly
+// as AppendRowLine writes it, reusing dst's storage. Any other line — a
+// columns, done or error line, or a row line with whitespace, reordered
+// or extra keys, escapes, non-ASCII bytes, an unknown tag, or a number
+// not in its canonical rendering — reports false, and the caller decodes
+// it as JSON. It never disagrees with that path: it returns the same
+// values and kinds or declines.
+func ParseRowLine(line []byte, dst storage.Row) (storage.Row, bool) {
+	p, ok := bytes.CutPrefix(line, []byte(`{"row":[`))
+	if !ok {
+		return dst, false
+	}
+	dst = dst[:0]
+	for {
+		var v storage.Value
+		if v, p, ok = parseCell(p); !ok {
+			return dst, false
+		}
+		dst = append(dst, v)
+		if rest, more := bytes.CutPrefix(p, []byte(",")); more {
+			p = rest
+			continue
+		}
+		return dst, string(p) == "]}"
+	}
+}
+
+// parseCell decodes one canonical WireValue object at the start of b.
+func parseCell(b []byte) (storage.Value, []byte, bool) {
+	b, ok := bytes.CutPrefix(b, []byte(`{"t":"`))
+	if !ok {
+		return storage.Null, nil, false
+	}
+	i := bytes.IndexByte(b, '"')
+	if i < 0 {
+		return storage.Null, nil, false
+	}
+	tag := b[:i]
+	if rest, ok := bytes.CutPrefix(b[i+1:], []byte("}")); ok {
+		switch string(tag) { // the kinds whose V can be empty
+		case "null":
+			return storage.Null, rest, true
+		case "str":
+			return storage.NewString(""), rest, true
+		}
+		return storage.Null, nil, false
+	}
+	if b, ok = bytes.CutPrefix(b[i+1:], []byte(`,"v":"`)); !ok {
+		return storage.Null, nil, false
+	}
+	if i = bytes.IndexByte(b, '"'); i < 0 {
+		return storage.Null, nil, false
+	}
+	payload := b[:i]
+	rest, ok := bytes.CutPrefix(b[i+1:], []byte("}"))
+	if !ok || len(payload) == 0 {
+		return storage.Null, nil, false
+	}
+	switch string(tag) {
+	case "int", "time", "date":
+		n, ok := parseCanonicalInt(payload)
+		if !ok {
+			return storage.Null, nil, false
+		}
+		switch tag[0] {
+		case 't':
+			return storage.NewTime(n), rest, true
+		case 'd':
+			return storage.NewDate(n), rest, true
+		}
+		return storage.NewInt(n), rest, true
+	case "float":
+		f, err := strconv.ParseFloat(string(payload), 64)
+		var canon [32]byte
+		if err != nil || !bytes.Equal(strconv.AppendFloat(canon[:0], f, 'g', -1, 64), payload) {
+			return storage.Null, nil, false
+		}
+		return storage.NewFloat(f), rest, true
+	case "str":
+		for _, c := range payload {
+			if !plainByte(c) {
+				return storage.Null, nil, false
+			}
+		}
+		return storage.NewString(string(payload)), rest, true
+	case "bool":
+		switch string(payload) {
+		case "t":
+			return storage.NewBool(true), rest, true
+		case "f":
+			return storage.NewBool(false), rest, true
+		}
+	}
+	return storage.Null, nil, false
+}
+
+// parseCanonicalInt parses b only if it is strconv.AppendInt's rendering
+// of an int64: no sign but a leading '-', no leading zeros, no "-0", no
+// overflow.
+func parseCanonicalInt(b []byte) (int64, bool) {
+	neg := b[0] == '-'
+	if neg {
+		b = b[1:]
+	}
+	// 19 digits hold every int64 and cannot overflow the uint64 below.
+	if len(b) == 0 || len(b) > 19 || (b[0] == '0' && (len(b) > 1 || neg)) {
+		return 0, false
+	}
+	var u uint64
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		u = u*10 + uint64(c-'0')
+	}
+	if neg {
+		if u > 1<<63 {
+			return 0, false
+		}
+		return int64(-u), true
+	}
+	if u > 1<<63-1 {
+		return 0, false
+	}
+	return int64(u), true
 }
 
 // DecodeArgs converts a request's bound-argument list.
