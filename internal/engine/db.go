@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/sieve-db/sieve/internal/sqlparser"
@@ -93,6 +94,11 @@ type DB struct {
 	// segment zone maps both — on their next planner use. 0 disables
 	// auto-refresh; tables never analyzed are never auto-analyzed.
 	AutoAnalyzeThreshold int
+
+	// rowReference, when set, compiles this DB's base-table filters in
+	// compileVecProgram's place. Only the test-only UseRowReference
+	// (export_test.go) sets it; it is nil in every other DB.
+	rowReference atomic.Pointer[func([]sqlparser.Expr, *RelSchema) *vecProgram]
 }
 
 // MaxScanWorkers is the per-DB cap on parallel scan fan-out, bounding

@@ -176,7 +176,7 @@ func TestVectorDispatchFuzz(t *testing.T) {
 				for _, workers := range []int{1, 4} {
 					db.ScanWorkers = workers
 					name := fmt.Sprintf("%s owners, trial %d, %s, workers=%d: %s", kind, trial, path.name, workers, sql)
-					restore := UseRowReference()
+					restore := db.UseRowReference()
 					want := run(db, func() (*Result, error) { return db.QueryStmt(stmt) })
 					restore()
 					prep := db.Prepare(stmt)

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"github.com/sieve-db/sieve/internal/sqlparser"
 	"github.com/sieve-db/sieve/internal/storage"
@@ -56,14 +57,19 @@ func (s *RelSchema) ColumnNames() []string {
 }
 
 // env binds a tuple to a relation schema, with a link to the enclosing
-// query's env for correlated subqueries.
+// query's env for correlated subqueries. An env without a schema binds
+// nothing: it is the boundary an expression subquery's first run is
+// evaluated behind (executor.subquery), and reached records that some
+// column lookup resolved past it, into the enclosing query's row.
 type env struct {
-	schema *RelSchema
-	row    storage.Row
-	outer  *env
+	schema  *RelSchema
+	row     storage.Row
+	outer   *env
+	reached atomic.Bool // fan-out workers may resolve past the same boundary
 }
 
-// lookup resolves a column reference through the env chain.
+// lookup resolves a column reference through the env chain, marking every
+// boundary it resolves past as reached.
 func (e *env) lookup(table, col string) (storage.Value, error) {
 	for cur := e; cur != nil; cur = cur.outer {
 		if cur.schema == nil {
@@ -71,6 +77,11 @@ func (e *env) lookup(table, col string) (storage.Value, error) {
 		}
 		i, err := cur.schema.Resolve(table, col)
 		if err == nil {
+			for b := e; b != cur; b = b.outer {
+				if b.schema == nil && !b.reached.Load() {
+					b.reached.Store(true)
+				}
+			}
 			return cur.row[i], nil
 		}
 		if err != errColNotFound {
@@ -191,7 +202,7 @@ func (ev *evaluator) eval(e sqlparser.Expr, en *env) (storage.Value, error) {
 	case *sqlparser.SubqueryExpr:
 		return ev.evalScalarSubquery(x.Select, en)
 	case *sqlparser.ExistsExpr:
-		res, err := ev.ex.selectStmt(x.Select, ev.scope, en)
+		res, _, err := ev.ex.subquery(x.Select, ev.scope, en)
 		if err != nil {
 			return storage.Null, err
 		}
@@ -241,60 +252,76 @@ func (ev *evaluator) evalBinary(x *sqlparser.BinaryExpr, en *env) (storage.Value
 	return arith(x.Op, l, r)
 }
 
+// evalIn tests the probe against the executor's set for a literal list or a
+// subquery (memberSet.has). A list with an expression in it is evaluated
+// per row, and not at all for a NULL probe: being non-empty, it makes
+// that NULL whatever its members.
 func (ev *evaluator) evalIn(x *sqlparser.InExpr, en *env) (storage.Value, error) {
 	v, err := ev.eval(x.E, en)
 	if err != nil {
 		return storage.Null, err
 	}
-	if v.IsNull() {
-		return storage.Null, nil
+	set, err := ev.inSet(x, en)
+	if err != nil {
+		return storage.Null, err
 	}
-	var members []storage.Value
-	if x.Sub != nil {
-		res, err := ev.ex.selectStmt(x.Sub, ev.scope, en)
-		if err != nil {
-			return storage.Null, err
-		}
-		if len(res.Columns) != 1 {
-			return storage.Null, fmt.Errorf("engine: IN subquery must return one column, got %d", len(res.Columns))
-		}
-		for _, r := range res.Rows {
-			members = append(members, r[0])
-		}
-	} else {
-		for _, item := range x.List {
-			m, err := ev.eval(item, en)
-			if err != nil {
+	t := triNull
+	switch {
+	case set != nil:
+		t = set.has(v)
+	case !v.IsNull():
+		members := make([]storage.Value, len(x.List))
+		for i, item := range x.List {
+			if members[i], err = ev.eval(item, en); err != nil {
 				return storage.Null, err
 			}
-			members = append(members, m)
 		}
-	}
-	sawNull := false
-	found := false
-	for _, m := range members {
-		if m.IsNull() {
-			sawNull = true
-			continue
-		}
-		if storage.Equal(v, m) {
-			found = true
-			break
-		}
-	}
-	var res storage.Value
-	switch {
-	case found:
-		res = boolVal(true)
-	case sawNull:
-		res = storage.Null
-	default:
-		res = boolVal(false)
+		t = inList(v, members)
 	}
 	if x.Not {
-		return not3(res), nil
+		t = triNot(t)
 	}
-	return res, nil
+	return triValue(t), nil
+}
+
+// inSet returns the set x's probe is tested against: a literal list's,
+// built once per executor; an uncorrelated subquery's, built once per
+// execution; a correlated subquery's, this row's result unhashed. nil for a
+// list of expressions.
+func (ev *evaluator) inSet(x *sqlparser.InExpr, en *env) (*memberSet, error) {
+	if x.Sub == nil {
+		return ev.ex.literalSet(x), nil
+	}
+	res, once, err := ev.ex.subquery(x.Sub, ev.scope, en)
+	if err != nil {
+		return nil, err
+	}
+	if once != nil && once.set != nil {
+		return once.set, nil
+	}
+	if len(res.Columns) != 1 {
+		return nil, fmt.Errorf("engine: IN subquery must return one column, got %d", len(res.Columns))
+	}
+	members := make([]storage.Value, len(res.Rows))
+	for i, r := range res.Rows {
+		members[i] = r[0]
+	}
+	if once == nil {
+		return &memberSet{members: members}, nil
+	}
+	once.set = newMemberSet(members)
+	return once.set, nil
+}
+
+// triValue is t as a SQL value.
+func triValue(t tri) storage.Value {
+	switch t {
+	case triTrue:
+		return boolVal(true)
+	case triFalse:
+		return boolVal(false)
+	}
+	return storage.Null
 }
 
 func (ev *evaluator) evalFunc(x *sqlparser.FuncCall, en *env) (storage.Value, error) {
@@ -324,7 +351,7 @@ func (ev *evaluator) evalFunc(x *sqlparser.FuncCall, en *env) (storage.Value, er
 // engine documents MySQL-with-LIMIT-1 semantics; the paper's derived-value
 // conditions, §3.1, select a single attribute of a single matching tuple).
 func (ev *evaluator) evalScalarSubquery(s *sqlparser.SelectStmt, en *env) (storage.Value, error) {
-	res, err := ev.ex.selectStmt(s, ev.scope, en)
+	res, _, err := ev.ex.subquery(s, ev.scope, en)
 	if err != nil {
 		return storage.Null, err
 	}

@@ -75,6 +75,11 @@ type executor struct {
 	// cache is the Prepared's plan cache when the statement is one; nil
 	// when every binding is derived for this execution alone.
 	cache *planCache
+	// lists and subqs are what the row evaluator keeps for the rest of
+	// the execution: literal IN lists as sets (nil for a list with an
+	// expression in it), and expression subqueries' outcomes (subquery).
+	lists map[*sqlparser.InExpr]*memberSet
+	subqs map[subqKey]*subqResult
 
 	// Trace spans, resolved once from ctx at construction; all nil when
 	// tracing is off, so the scan hot paths pay a single nil check.
@@ -148,6 +153,73 @@ func (ex *executor) selectStmt(s *sqlparser.SelectStmt, sc *scope, outer *env) (
 	return &Result{Columns: cols, Rows: rows}, nil
 }
 
+// subqKey names an expression subquery evaluated in one scope. The same node
+// in another scope is another subquery: one nested in a correlated subquery
+// with a WITH clause sees that clause bound afresh on every run.
+type subqKey struct {
+	stmt *sqlparser.SelectStmt
+	sc   *scope
+}
+
+// subqResult is an uncorrelated subquery's result, kept for the rest of the
+// execution, with its IN set once one is built; a nil *subqResult records
+// that the subquery is correlated.
+type subqResult struct {
+	res *Result
+	set *memberSet
+}
+
+// subquery runs an expression subquery — IN, EXISTS, scalar, and with the
+// last the §3.1 derived-value conditions of inlined guard arms — as seen
+// from the row env outer, running it once per execution when its result
+// cannot depend on that row. Correlation is observed, not inferred: the
+// first run goes through a boundary env (no schema), and its result is kept
+// (and returned as kept) only if no column lookup resolved past the
+// boundary — a run that read nothing of the enclosing rows computes the
+// same result for every one of them. Otherwise the subquery runs again for
+// every row, as SQL defines it. One execution is one read: a kept result
+// does not see rows inserted while the statement runs, and its work is
+// counted once.
+func (ex *executor) subquery(s *sqlparser.SelectStmt, sc *scope, outer *env) (res *Result, kept *subqResult, err error) {
+	k := subqKey{s, sc}
+	if prior, seen := ex.subqs[k]; seen {
+		if prior != nil {
+			return prior.res, prior, nil
+		}
+		res, err = ex.selectStmt(s, sc, outer)
+		return res, nil, err
+	}
+	boundary := &env{outer: outer}
+	if res, err = ex.selectStmt(s, sc, boundary); err != nil {
+		return nil, nil, err
+	}
+	if !boundary.reached.Load() {
+		kept = &subqResult{res: res}
+	}
+	if ex.subqs == nil {
+		ex.subqs = make(map[subqKey]*subqResult)
+	}
+	ex.subqs[k] = kept
+	return res, kept, nil
+}
+
+// literalSet returns x's list as a set when every member is a literal,
+// built at the executor's first use of it; nil otherwise.
+func (ex *executor) literalSet(x *sqlparser.InExpr) *memberSet {
+	set, seen := ex.lists[x]
+	if seen {
+		return set
+	}
+	if vals, ok := literals(x.List); ok {
+		set = newMemberSet(vals)
+	}
+	if ex.lists == nil {
+		ex.lists = make(map[*sqlparser.InExpr]*memberSet)
+	}
+	ex.lists[x] = set
+	return set
+}
+
 // stmtIter opens a statement as a stream of rows. Set operations (UNION /
 // MINUS) materialise their arms; plain selects stream through coreIter.
 func (ex *executor) stmtIter(s *sqlparser.SelectStmt, sc *scope, outer *env) ([]string, rowIter, error) {
@@ -211,8 +283,8 @@ func (ex *executor) coreResult(core *sqlparser.SelectCore, sc *scope, outer *env
 
 // lazyCTENames reports which WITH names may stream: referenced exactly
 // once across the whole statement, with that reference in a FROM clause
-// rather than inside an expression subquery (expression subqueries
-// re-execute per outer row and would consume a stream repeatedly).
+// rather than inside an expression subquery (a correlated one re-executes
+// per outer row and would consume a stream repeatedly).
 // Anything else keeps the materialise-up-front semantics.
 func lazyCTENames(s *sqlparser.SelectStmt) map[string]bool {
 	if len(s.With) == 0 {

@@ -284,6 +284,37 @@ func TestInSubquery(t *testing.T) {
 	}
 }
 
+// TestNullInEmptySubquery pins SQL's rule for a NULL probe, which MySQL and
+// PostgreSQL follow: nothing is IN an empty set, so NULL IN (<empty>) is
+// FALSE and NULL NOT IN (<empty>) is TRUE; over a set with members a NULL
+// probe stays NULL either way. A probe that evaluates to NULL (here an
+// aggregate over no rows) behaves as the literal does.
+func TestNullInEmptySubquery(t *testing.T) {
+	db := newTestDB(t, MySQL())
+	const empty = "(SELECT uid FROM membership WHERE gid = 99)"
+	const some = "(SELECT uid FROM membership WHERE gid = 1)"
+	for _, c := range []struct {
+		where string
+		want  int64
+	}{
+		{"NULL NOT IN " + empty, 160},
+		{"NOT (NULL IN " + empty + ")", 160},
+		{"NULL IN " + empty, 0},
+		{"(NULL IN " + empty + ") IS NULL", 0},
+		{"(NULL NOT IN " + empty + ") IS NULL", 0},
+		{"(NULL IN " + some + ") IS NULL", 160},
+		{"(NULL NOT IN " + some + ") IS NULL", 160},
+		{"NULL NOT IN " + some, 0},
+		{"(SELECT max(uid) FROM membership WHERE gid = 99) NOT IN " + empty, 160},
+		{"((SELECT max(uid) FROM membership WHERE gid = 99) IN " + some + ") IS NULL", 160},
+	} {
+		sql := "SELECT count(*) FROM wifi WHERE " + c.where
+		if got := mustQuery(t, db, sql).Rows[0][0].I; got != c.want {
+			t.Errorf("%s: count = %d, want %d", sql, got, c.want)
+		}
+	}
+}
+
 func TestExistsSubquery(t *testing.T) {
 	db := newTestDB(t, MySQL())
 	res := mustQuery(t, db,

@@ -9,18 +9,19 @@ import "github.com/sieve-db/sieve/internal/sqlparser"
 // the operators' own either way, so the reference and the production filter
 // can be compared row for row and counter for counter.
 
-// UseRowReference installs the reference and returns the function that
-// removes it. compileScanFilter is package state: install it only while no
-// query of any DB is running, and not from parallel tests. A Prepared keeps
-// whichever filter was in place when it first bound a table.
-func UseRowReference() (restore func()) {
-	compileScanFilter = func(conjs []sqlparser.Expr, _ *RelSchema) *vecProgram {
+// UseRowReference installs the reference on db and returns the function that
+// removes it. It is db's setting alone: other DBs, and tests running in
+// parallel on them, keep compiled programs. A Prepared keeps whichever filter
+// was in place when it first bound a table.
+func (db *DB) UseRowReference() (restore func()) {
+	ref := func(conjs []sqlparser.Expr, _ *RelSchema) *vecProgram {
 		if len(conjs) == 0 {
 			return nil
 		}
 		return &vecProgram{preds: []vecPred{rowReference(conjs)}}
 	}
-	return func() { compileScanFilter = compileVecProgram }
+	db.rowReference.Store(&ref)
+	return func() { db.rowReference.Store(nil) }
 }
 
 type rowReference []sqlparser.Expr

@@ -166,7 +166,8 @@ func (f *fanOut) close() {
 // parallelSafeConjuncts reports whether the filter can run on worker
 // goroutines: subquery expressions are excluded because their evaluation
 // threads through the (unsynchronised) CTE scope and re-enters the
-// executor. Plain predicates, and UDF calls — the Δ operator's path — are
+// executor, whose kept subquery results are the consumer goroutine's alone.
+// Plain predicates, and UDF calls — the Δ operator's path — are
 // safe: registered UDFs must be safe for concurrent invocation, which the
 // engine's own (and SIEVE's Δ) are.
 func parallelSafeConjuncts(conjs []sqlparser.Expr) bool {

@@ -279,8 +279,8 @@ func bindTable(t *storage.Table, ref string, conjs []sqlparser.Expr) *tableBindi
 // program returns the conjuncts' compiled vector filter, compiled by the
 // first execution to filter a batch: Explain binds and plans but runs
 // nothing.
-func (tb *tableBinding) program() *vecProgram {
-	tb.progOnce.Do(func() { tb.prog = compileScanFilter(tb.conjs, tb.schema) })
+func (tb *tableBinding) program(db *DB) *vecProgram {
+	tb.progOnce.Do(func() { tb.prog = db.compileScanFilter(tb.conjs, tb.schema) })
 	return tb.prog
 }
 

@@ -225,7 +225,7 @@ type batchFilter struct {
 // newBatchFilter builds a filter over tb's program that tallies into ex;
 // poll is threaded into the program for cancellation between conjuncts.
 func newBatchFilter(ex *executor, tb *tableBinding, sc *scope, outer *env, poll func() error) *batchFilter {
-	f := &batchFilter{ex: ex, prog: tb.program()}
+	f := &batchFilter{ex: ex, prog: tb.program(ex.db)}
 	f.ve = vecEnv{
 		b: &f.batch, ev: &evaluator{ex: ex, scope: sc},
 		rowEnv: env{schema: tb.schema, outer: outer}, poll: poll,

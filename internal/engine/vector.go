@@ -626,26 +626,20 @@ func inMember(state tri, probe, member storage.Value) tri {
 	return state
 }
 
-// inConst is `col [NOT] IN (literals)`, with SQL's NULL rules: a NULL probe
-// is NULL, a miss over a list containing NULL is NULL.
+// inConst is `col [NOT] IN (literals)`, the list a memberSet built at
+// compile time.
 type inConst struct {
-	col  int
-	list []storage.Value
-	not  bool
+	col int
+	set *memberSet
+	not bool
 }
 
 func (p *inConst) eval(ve *vecEnv, active []int, out []tri) error {
 	rows := ve.b.Rows()
 	for _, i := range active {
-		t := triNull
-		if v := rows[i][p.col]; !v.IsNull() {
-			t = triFalse
-			for _, m := range p.list {
-				t = inMember(t, v, m)
-			}
-			if p.not {
-				t = triNot(t)
-			}
+		t := p.set.has(rows[i][p.col])
+		if p.not {
+			t = triNot(t)
 		}
 		out[i] = t
 	}
@@ -851,7 +845,7 @@ func (vc *vecCompiler) compilePred(e sqlparser.Expr) vecPred {
 		}
 		if col, ok := vc.column(x.E); ok {
 			if list, ok := literals(x.List); ok {
-				return &inConst{col: col, list: list, not: x.Not}
+				return &inConst{col: col, set: newMemberSet(list), not: x.Not}
 			}
 		}
 		iv := &inVec{e: vc.compileVal(x.E), not: x.Not}
@@ -1097,10 +1091,15 @@ func compileVecProgram(conjs []sqlparser.Expr, schema *RelSchema) *vecProgram {
 	return p
 }
 
-// compileScanFilter is how a base-table access obtains its filter. It is a
-// variable only so that export_test.go can put the rowPasses reference in
-// its place for the differential oracle; nothing outside _test.go assigns it.
-var compileScanFilter = compileVecProgram
+// compileScanFilter is how a base-table access of db obtains its filter:
+// the compiled program, unless a test has put the rowPasses reference in
+// its place for this DB (export_test.go).
+func (db *DB) compileScanFilter(conjs []sqlparser.Expr, schema *RelSchema) *vecProgram {
+	if ref := db.rowReference.Load(); ref != nil {
+		return (*ref)(conjs, schema)
+	}
+	return compileVecProgram(conjs, schema)
+}
 
 // run filters ve's batch: every selected row satisfies all conjuncts, with
 // three-valued logic, short-circuits, and fallback evaluation matching

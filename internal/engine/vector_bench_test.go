@@ -60,7 +60,41 @@ func BenchmarkVectorisedScan(b *testing.B) {
 		}{{"row", true}, {"vector", false}} {
 			b.Run(fmt.Sprintf("guards=%d/%s", guards, mode.name), func(b *testing.B) {
 				if mode.rowRef {
-					defer UseRowReference()()
+					defer db.UseRowReference()()
+				}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := db.Query(sql); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkInMembership measures a `col IN (…)` filter over the 64k-row
+// relation at 3, 8, 32 and 256 integer members, through the compiled
+// program (inConst) and through rowPasses (evalIn): the measurement behind
+// memberSet and hashMinMembers. The members are the even owners from 0, so
+// the bigger lists hit more rows. Run with:
+//
+//	go test -run='^$' -bench BenchmarkInMembership -benchtime=20x ./internal/engine
+func BenchmarkInMembership(b *testing.B) {
+	db := benchGuardDB(b)
+	for _, n := range []int{3, 8, 32, 256} {
+		members := make([]string, n)
+		for i := range members {
+			members[i] = fmt.Sprint(2 * i)
+		}
+		sql := "SELECT count(*) FROM t WHERE owner IN (" + strings.Join(members, ", ") + ")"
+		for _, mode := range []struct {
+			name   string
+			rowRef bool
+		}{{"row", true}, {"vector", false}} {
+			b.Run(fmt.Sprintf("members=%d/%s", n, mode.name), func(b *testing.B) {
+				if mode.rowRef {
+					defer db.UseRowReference()()
 				}
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

@@ -2,7 +2,7 @@
 // filter: the full middleware stack (rewrite, guards, Δ, strategy choice) is
 // run over the workload corpus twice — once on the production path, whose
 // sequential scans and index fetch lists run compiled vector programs, once
-// with both filtering through rowPasses (engine.UseRowReference, the
+// with both filtering through rowPasses (DB.UseRowReference, the
 // test-only seam in export_test.go) — and the two executions must agree row
 // for row and counter for counter. The oracle is what licenses compiled
 // programs to be the only filter base tables have: any semantic drift from
@@ -79,7 +79,7 @@ func (e *oracleEnv) counted(d loadgen.Runner, seen func(engine.Counters)) loadge
 	run := d.Run
 	d.Run = func(ctx context.Context, md policy.Metadata, sql string, limit int) (loadgen.Result, error) {
 		if e.rowRef {
-			defer engine.UseRowReference()()
+			defer e.campus.DB.UseRowReference()()
 		}
 		stmt, err := sqlparser.Parse(sql)
 		if err != nil {
@@ -307,7 +307,7 @@ func TestOracleNullOwnerUnboundedRange(t *testing.T) {
 			db, m := build(deltaThreshold)
 			restore := func() {}
 			if rowRef {
-				restore = engine.UseRowReference()
+				restore = db.UseRowReference()
 			}
 			res, err := m.NewSession(policy.Metadata{Querier: "q", Purpose: "p"}).
 				Execute(context.Background(), "SELECT id FROM readings ORDER BY id")

@@ -54,7 +54,7 @@ func runCounted(t *testing.T, db *DB, sql string) (*Result, Counters) {
 // rowPasses, the test-only reference (export_test.go).
 func runReference(t *testing.T, db *DB, sql string) (*Result, Counters) {
 	t.Helper()
-	defer UseRowReference()()
+	defer db.UseRowReference()()
 	return runCounted(t, db, sql)
 }
 
@@ -286,7 +286,7 @@ func TestVectorNullHeavyFuzz(t *testing.T) {
 			Where: e,
 			Limit: -1,
 		}}
-		restore := UseRowReference()
+		restore := db.UseRowReference()
 		rowRes, err := db.QueryStmt(stmt)
 		restore()
 		if err != nil {

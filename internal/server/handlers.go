@@ -390,15 +390,17 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, run func(ct
 			}
 		}
 	}
+	err = rows.Err()
+	if err != nil && ctx.Err() != nil && r.Context().Err() != nil {
+		// The request context died first: a disconnect, not a query error
+		// worth a terminal line nobody will read, and like a failed send
+		// no rows streamed.
+		s.met.EarlyDisconnects.Add(1)
+		return
+	}
 	s.met.RowsStreamed.Add(n)
 	s.met.QueryRows.Observe(n)
-	if err := rows.Err(); err != nil {
-		if ctx.Err() != nil && r.Context().Err() != nil {
-			// The request context died first: a disconnect, not a query
-			// error worth a terminal line nobody will read.
-			s.met.EarlyDisconnects.Add(1)
-			return
-		}
+	if err != nil {
 		emit(StreamLine{Error: err.Error(), RequestID: rid})
 		_ = send() // the stream ends here either way
 		return
