@@ -39,3 +39,22 @@ func (p rowReference) eval(ve *vecEnv, active []int, out []tri) error {
 	}
 	return nil
 }
+
+// fetchBufCap returns the capacity of the id buffer of the index fetch at
+// the bottom of r's operator chain (0 for a single lookup, which needs
+// none), or -1 when r does not read through an index fetch.
+func (r *Rows) fetchBufCap() int {
+	it := r.it
+	for {
+		switch x := it.(type) {
+		case *limitIter:
+			it = x.src
+		case *projIter:
+			it = x.src
+		case *fetchIter:
+			return cap(x.ids.buf)
+		default:
+			return -1
+		}
+	}
+}

@@ -11,8 +11,8 @@ import (
 
 // Cost factors for access-path choice, in units of "sequential tuple
 // reads". Random (index-driven) heap fetches cost more than sequential
-// ones; bitmap scans sort row ids first and land in between. The ratios
-// are the classic planner defaults, not measurements.
+// ones; bitmap scans read the heap in slot order and land in between. The
+// ratios are the classic planner defaults, not measurements.
 const (
 	randAccessFactor   = 2.0
 	bitmapAccessFactor = 1.4
@@ -191,23 +191,60 @@ func clampSel(x float64) float64 {
 	return x
 }
 
-// fetchSarg appends the row ids matched by a sarg to ids through the view's
-// captured index, so the ids stay resolvable against the same heap even if
-// a Compact lands mid-query.
-func fetchSarg(v *storage.View, s sarg, c *Counters, ids []storage.RowID) []storage.RowID {
-	idx, ok := v.Index(s.col)
-	if !ok {
-		return ids
+// fetchSargs resolves the union of the sargs' index lookups — one per
+// point, one per range — through the view's captured indexes, so the ids stay
+// resolvable against the same heap even if a Compact lands mid-query. One
+// lookup appends its ids, which arrive as one run in key order; two or more
+// mark one bitmap over the view's heap slots, which the fetch walks in heap
+// order with no duplicate and nothing to sort.
+func fetchSargs(v *storage.View, c *Counters, sargs []sarg) idCursor {
+	if lookups(sargs) < 2 {
+		var ids []storage.RowID
+		for _, s := range sargs {
+			idx, ok := v.Index(s.col)
+			if !ok {
+				continue
+			}
+			c.IndexLookups++
+			if s.isRange {
+				ids = idx.Range(ids, s.lo, s.loS, s.hi, s.hiS)
+			} else {
+				ids = idx.Eq(ids, s.points[0])
+			}
+		}
+		return idCursor{list: ids}
 	}
-	if s.isRange {
-		c.IndexLookups++
-		return idx.Range(ids, s.lo, s.loS, s.hi, s.hiS)
+	slots := v.NumSlots()
+	bm := getBitmap(slots)
+	for _, s := range sargs {
+		idx, ok := v.Index(s.col)
+		if !ok {
+			continue
+		}
+		if s.isRange {
+			c.IndexLookups++
+			idx.RangeBits(bm.words, slots, s.lo, s.loS, s.hi, s.hiS)
+			continue
+		}
+		for _, p := range s.points {
+			c.IndexLookups++
+			idx.EqBits(bm.words, slots, p)
+		}
 	}
-	for _, p := range s.points {
-		c.IndexLookups++
-		ids = idx.Eq(ids, p)
+	return idCursor{bm: bm, buf: bm.ids}
+}
+
+// lookups counts the index lookups fetchSargs makes for sargs.
+func lookups(sargs []sarg) int {
+	n := 0
+	for _, s := range sargs {
+		if s.isRange {
+			n++
+		} else {
+			n += len(s.points)
+		}
 	}
-	return ids
+	return n
 }
 
 // AccessKind labels the access path in EXPLAIN output.
@@ -226,9 +263,9 @@ type accessPlan struct {
 	Kind   AccessKind
 	Index  string  // driving index column(s), comma-joined for bitmap OR
 	EstSel float64 // estimated fraction of the table fetched
-	// fetch returns candidate row ids resolved through the scan's heap
-	// view; nil for sequential scans.
-	fetch func(v *storage.View, c *Counters) []storage.RowID
+	// fetch opens a cursor over the candidate row ids resolved through the
+	// scan's heap view; nil for sequential scans.
+	fetch func(v *storage.View, c *Counters) idCursor
 	// zonePreds/zoneCols are the compiled zone-refutation predicates a
 	// sequential scan uses to skip whole segments (nil when nothing in
 	// the conjuncts can refute, and on every index plan).
@@ -437,16 +474,9 @@ func planAccess(db *DB, t *storage.Table, tb *tableBinding, hint *sqlparser.Inde
 				Kind:   AccessBitmapOr,
 				Index:  strings.Join(names, ","),
 				EstSel: sel,
-				fetch: func(v *storage.View, c *Counters) []storage.RowID {
+				fetch: func(v *storage.View, c *Counters) idCursor {
 					c.BitmapOrScans++
-					var ids []storage.RowID
-					for _, b := range bs {
-						ids = fetchSarg(v, b, c, ids)
-					}
-					// The union in heap order: branches overlap rarely and,
-					// over data stored by owner, arrive nearly sorted.
-					slices.Sort(ids)
-					return slices.Compact(ids)
+					return fetchSargs(v, c, bs)
 				},
 			}
 			if orPlan == nil || plan.EstSel < orPlan.EstSel {
@@ -457,14 +487,14 @@ func planAccess(db *DB, t *storage.Table, tb *tableBinding, hint *sqlparser.Inde
 	}
 
 	mkIndexPlan := func(c cand) accessPlan {
-		s := c.s
+		ss := []sarg{c.s}
 		return accessPlan{
 			Kind:   AccessIndex,
-			Index:  s.col,
+			Index:  c.s.col,
 			EstSel: c.sel,
-			fetch: func(v *storage.View, cn *Counters) []storage.RowID {
+			fetch: func(v *storage.View, cn *Counters) idCursor {
 				cn.IndexScans++
-				return fetchSarg(v, s, cn, nil)
+				return fetchSargs(v, cn, ss)
 			},
 		}
 	}

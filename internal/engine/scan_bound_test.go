@@ -17,7 +17,10 @@ import (
 // and Δ-style arms (a UDF per surviving row) are held to the same bound,
 // the UDF's invocation count included. An index fetch list loads in the same
 // ramp: stopping at the p-th fetched id has read at most min(2p+64, len(ids))
-// tuples, on one goroutine whatever the worker budget.
+// tuples, on one goroutine whatever the worker budget. A union of lookups —
+// a bitmap OR, or an IN list — is a heap-order bitmap walked in that ramp,
+// under the same bound over the union's ids, and its id buffer never grows
+// past one segment's worth.
 func TestEarlyStopReadBound(t *testing.T) {
 	const n, segRows = 20000, 256
 	arms := []struct{ name, where string }{
@@ -114,6 +117,67 @@ func TestEarlyStopReadBound(t *testing.T) {
 					if c.TuplesRead > bound || c.UDFInvocations > bound {
 						t.Errorf("%s: stopped at fetched id %d: TuplesRead=%d UDFInvocations=%d, bound %d",
 							name, p, c.TuplesRead, c.UDFInvocations, bound)
+					}
+				}
+			}
+		}
+
+		// Unions: the fetch is the ascending ids the sequential scan returns.
+		if err := db.CreateIndex("p", "val"); err != nil {
+			t.Fatal(err)
+		}
+		for _, arm := range []struct {
+			name, hint, where string
+			bitmapOr          bool
+		}{
+			{"bitmap-or", "grp, val", "grp = 3 OR val = 7", true},
+			{"in-list", "grp", "grp IN (3, 7)", false},
+			{"wide", "grp, val", "grp IN (1, 3, 5, 7) OR val < 10", true},
+		} {
+			all, err := db.Query("SELECT id FROM p USE INDEX () WHERE " + arm.where)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pos := make(map[int64]int64, len(all.Rows)) // id → 1-based place in the fetch
+			for i, r := range all.Rows {
+				pos[r[0].I] = int64(i + 1)
+			}
+			total := int64(len(all.Rows))
+			for _, k := range []int{1, 5, 40, 400, len(all.Rows)} {
+				for _, stop := range []string{"limit", "close"} {
+					name := fmt.Sprintf("workers=%d/%s/k=%d/%s", workers, arm.name, k, stop)
+					sql := fmt.Sprintf("SELECT id FROM p FORCE INDEX (%s) WHERE %s", arm.hint, arm.where)
+					if stop == "limit" {
+						sql += fmt.Sprintf(" LIMIT %d", k)
+					}
+					rows, err := db.Stream(context.Background(), sql)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					var p int64
+					got := 0
+					for got < k && rows.Next() {
+						p = pos[rows.Row()[0].I]
+						if p != int64(got+1) {
+							t.Fatalf("%s: row %d is fetched id %d: not the union in heap order", name, got+1, p)
+						}
+						got++
+					}
+					bufCap := rows.fetchBufCap()
+					rows.Close()
+					if err := rows.Err(); err != nil || got != k {
+						t.Fatalf("%s: %d rows, err %v", name, got, err)
+					}
+					c := rows.Counters()
+					if arm.bitmapOr != (c.BitmapOrScans == 1) || arm.bitmapOr == (c.IndexScans == 1) || c.ParallelScans != 0 {
+						t.Errorf("%s: not the %s plan on one goroutine: %+v", name, arm.name, c)
+					}
+					if bound := min(2*p+scanFirstBatch, total); c.TuplesRead > bound {
+						t.Errorf("%s: stopped at fetched id %d: TuplesRead=%d, bound %d", name, p, c.TuplesRead, bound)
+					}
+					if bufCap <= 0 || bufCap > storage.SegmentSize {
+						t.Errorf("%s: fetch id buffer capacity %d of a %d-id union, want (0, %d]",
+							name, bufCap, total, storage.SegmentSize)
 					}
 				}
 			}

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
+	"sync"
 	"time"
 
 	"github.com/sieve-db/sieve/internal/sqlparser"
@@ -265,12 +267,12 @@ func (f *batchFilter) apply(n int, dst []storage.Row) ([]storage.Row, error) {
 	return dst, nil
 }
 
-// fetchIter is the index access path: the plan's fetch list resolved
+// fetchIter is the index access path: the plan's fetch cursor resolved
 // through a copy-on-write heap View (so a concurrent Compact cannot shift
 // the ids under it), loaded in batches that double from scanFirstBatch and
 // filtered by the same compiled program a sequential scan runs — so a
 // consumer that stops after the p-th fetched id has paid for at most
-// min(2p+scanFirstBatch, len(ids)) tuples, and one that drains the list
+// min(2p+scanFirstBatch, len(ids)) tuples, and one that drains the fetch
 // filters it a segment's worth at a time.
 type fetchIter struct {
 	ex    *executor
@@ -282,8 +284,7 @@ type fetchIter struct {
 
 	view   *storage.View
 	filter *batchFilter
-	ids    []storage.RowID
-	next   int // next id to load
+	ids    idCursor
 	size   int // next batch's length in ids
 	buf    []storage.Row
 	pos    int
@@ -297,12 +298,11 @@ func (it *fetchIter) Next() (storage.Row, error) {
 		it.size = scanFirstBatch
 	}
 	for it.pos >= len(it.buf) {
-		if it.next >= len(it.ids) {
+		ids := it.ids.next(it.size)
+		if len(ids) == 0 {
 			return nil, nil
 		}
-		hi := min(it.next+it.size, len(it.ids))
-		n := it.view.FetchBatch(it.ids[it.next:hi], &it.filter.batch)
-		it.next = hi
+		n := it.view.FetchBatch(ids, &it.filter.batch)
 		it.size = min(2*it.size, storage.SegmentSize)
 		var err error
 		it.buf, err = it.filter.apply(n, it.buf[:0])
@@ -319,7 +319,92 @@ func (it *fetchIter) Next() (storage.Row, error) {
 	return row, nil
 }
 
-func (it *fetchIter) Close() {}
+// Close hands the cursor's bitmap back to its pool if the walk has zeroed
+// it, and drops it otherwise: the pool holds only zeroed bitmaps.
+func (it *fetchIter) Close() { it.ids.close() }
+
+// idCursor hands out an index fetch a batch at a time: the ids of one
+// lookup in the order the index lists them, or the union of several as a
+// bitmap over the view's heap slots, walked word by word in heap order. The
+// walk zeroes each word it reads, so the full id list of a union is never
+// built and a walked bitmap goes back to its pool clean.
+type idCursor struct {
+	list []storage.RowID // one lookup's ids not yet handed out
+	bm   *bitmap         // a union; nil for one lookup and once closed
+	word int             // next bitmap word to read
+	cur  uint64          // the unread bits of word-1
+	buf  []storage.RowID // the bitmap walk's batch, pooled with bm
+}
+
+// next returns the next at most n ids, none once the fetch is exhausted; the
+// slice is valid until the next call.
+func (c *idCursor) next(n int) []storage.RowID {
+	if c.bm == nil {
+		n = min(n, len(c.list))
+		ids := c.list[:n]
+		c.list = c.list[n:]
+		return ids
+	}
+	if cap(c.buf) < n {
+		c.buf = make([]storage.RowID, 0, n)
+	}
+	ids, words := c.buf[:0], c.bm.words
+	for len(ids) < n {
+		if c.cur == 0 {
+			w := c.word
+			for w+4 <= len(words) && words[w]|words[w+1]|words[w+2]|words[w+3] == 0 {
+				w += 4
+			}
+			for w < len(words) && words[w] == 0 {
+				w++
+			}
+			if w == len(words) {
+				c.word = w
+				break
+			}
+			c.cur, words[w] = words[w], 0
+			c.word = w + 1
+		}
+		ids = append(ids, storage.RowID((c.word-1)<<6|bits.TrailingZeros64(c.cur)))
+		c.cur &= c.cur - 1
+	}
+	c.buf = ids
+	if len(ids) == 0 {
+		c.close()
+	}
+	return ids
+}
+
+// close ends the cursor: a bitmap walked to its end goes back to the pool
+// with the id buffer, one closed early is dropped. Idempotent.
+func (c *idCursor) close() {
+	if c.bm != nil && c.cur == 0 && c.word == len(c.bm.words) {
+		c.bm.ids = c.buf[:0]
+		bitmapPool.Put(c.bm)
+	}
+	c.bm = nil
+}
+
+// bitmap is a pooled row-id set over a view's heap slots — bit id%64 of
+// words[id/64] — and the id buffer its walk fills. Every word of a pooled
+// bitmap, up to its capacity, is zero.
+type bitmap struct {
+	words []uint64
+	ids   []storage.RowID
+}
+
+var bitmapPool = sync.Pool{New: func() any { return new(bitmap) }}
+
+// getBitmap returns an all-zero bitmap over slots heap slots.
+func getBitmap(slots int) *bitmap {
+	bm := bitmapPool.Get().(*bitmap)
+	n := (slots + 63) >> 6
+	if cap(bm.words) < n {
+		bm.words = make([]uint64, n)
+	}
+	bm.words = bm.words[:n]
+	return bm
+}
 
 // scanFirstBatch is the heap-slot length of a sequential scan's first
 // batch. Each later batch of the first scanned segment is twice the one

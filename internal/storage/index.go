@@ -1,6 +1,9 @@
 package storage
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Index is an ordered secondary index over a single column: a sorted slice
 // of (key, rowID) entries searched with binary search. It supports equality
@@ -89,57 +92,79 @@ func (ix *Index) lowerBound(key Value, strict bool) int {
 	})
 }
 
+// eqSpan returns the entry positions [lo, hi) whose key equals key; a NULL
+// key matches nothing.
+func (ix *Index) eqSpan(key Value) (lo, hi int) {
+	if key.IsNull() {
+		return 0, 0
+	}
+	return ix.lowerBound(key, false), ix.lowerBound(key, true)
+}
+
+// rangeSpan returns the entry positions [lo, hi) with lo ≤/< key ≤/< hi. A
+// NULL lo means unbounded below; NULL hi unbounded above. loStrict/hiStrict
+// select open bounds.
+func (ix *Index) rangeSpan(lo Value, loStrict bool, hi Value, hiStrict bool) (start, end int) {
+	if !lo.IsNull() {
+		start = ix.lowerBound(lo, loStrict)
+	}
+	end = len(ix.entries)
+	if !hi.IsNull() {
+		end = ix.lowerBound(hi, !hiStrict)
+	}
+	return start, max(start, end)
+}
+
 // Eq appends to dst the row IDs whose key equals key and returns dst.
 func (ix *Index) Eq(dst []RowID, key Value) []RowID {
-	if key.IsNull() {
-		return dst
-	}
-	for i := ix.lowerBound(key, false); i < len(ix.entries); i++ {
-		if !Equal(ix.entries[i].key, key) {
-			break
-		}
-		dst = append(dst, ix.entries[i].id)
+	lo, hi := ix.eqSpan(key)
+	return ix.appendIDs(dst, lo, hi)
+}
+
+// Range appends row IDs with lo ≤/< key ≤/< hi (see rangeSpan), in key
+// order.
+func (ix *Index) Range(dst []RowID, lo Value, loStrict bool, hi Value, hiStrict bool) []RowID {
+	start, end := ix.rangeSpan(lo, loStrict, hi, hiStrict)
+	return ix.appendIDs(dst, start, end)
+}
+
+// EqBits is Eq into a bitmap: it sets bit id of bits (bit id%64 of word
+// id/64) for every row id whose key equals key, and skips ids at or past
+// slots — a view's captured heap length, as FetchBatch does. A union of
+// lookups marks one bitmap and is read back in heap order, with no
+// duplicate and nothing to sort.
+func (ix *Index) EqBits(bits []uint64, slots int, key Value) {
+	lo, hi := ix.eqSpan(key)
+	ix.setBits(bits, slots, lo, hi)
+}
+
+// RangeBits is Range into a bitmap, as EqBits is Eq.
+func (ix *Index) RangeBits(bits []uint64, slots int, lo Value, loStrict bool, hi Value, hiStrict bool) {
+	start, end := ix.rangeSpan(lo, loStrict, hi, hiStrict)
+	ix.setBits(bits, slots, start, end)
+}
+
+func (ix *Index) appendIDs(dst []RowID, lo, hi int) []RowID {
+	dst = slices.Grow(dst, hi-lo)
+	for _, e := range ix.entries[lo:hi] {
+		dst = append(dst, e.id)
 	}
 	return dst
 }
 
-// Range appends row IDs with lo ≤/< key ≤/< hi. A NULL lo means unbounded
-// below; NULL hi unbounded above. loStrict/hiStrict select open bounds.
-func (ix *Index) Range(dst []RowID, lo Value, loStrict bool, hi Value, hiStrict bool) []RowID {
-	start := 0
-	if !lo.IsNull() {
-		start = ix.lowerBound(lo, loStrict)
-	}
-	for i := start; i < len(ix.entries); i++ {
-		if !hi.IsNull() {
-			c, ok := Compare(ix.entries[i].key, hi)
-			if !ok {
-				break
-			}
-			if c > 0 || (hiStrict && c == 0) {
-				break
-			}
+func (ix *Index) setBits(bits []uint64, slots, lo, hi int) {
+	for _, e := range ix.entries[lo:hi] {
+		if int(e.id) < slots {
+			bits[e.id>>6] |= 1 << (e.id & 63)
 		}
-		dst = append(dst, ix.entries[i].id)
 	}
-	return dst
 }
 
 // CountRange returns the number of entries in the range without
 // materialising row IDs; the planner uses it for exact index selectivity
 // when a histogram is unavailable.
 func (ix *Index) CountRange(lo Value, loStrict bool, hi Value, hiStrict bool) int {
-	start := 0
-	if !lo.IsNull() {
-		start = ix.lowerBound(lo, loStrict)
-	}
-	end := len(ix.entries)
-	if !hi.IsNull() {
-		end = ix.lowerBound(hi, !hiStrict)
-	}
-	if end < start {
-		return 0
-	}
+	start, end := ix.rangeSpan(lo, loStrict, hi, hiStrict)
 	return end - start
 }
 
