@@ -52,7 +52,7 @@ func (m *Middleware) RewriteBaseline(kind BaselineKind, sql string, qm policy.Me
 		ps := m.store.PoliciesFor(qm, relation, m.groups)
 		switch kind {
 		case BaselineP:
-			m.appendPerCore(stmt, relation, func(refName string) sqlparser.Expr {
+			appendPerCore(stmt, relation, func(refName string) sqlparser.Expr {
 				if e := policy.Expression(ps, refName); e != nil {
 					return e
 				}
@@ -66,7 +66,7 @@ func (m *Middleware) RewriteBaseline(kind BaselineKind, sql string, qm policy.Me
 			if err != nil {
 				return nil, err
 			}
-			m.appendPerCore(stmt, relation, func(refName string) sqlparser.Expr {
+			appendPerCore(stmt, relation, func(refName string) sqlparser.Expr {
 				if len(ps) == 0 {
 					return sqlparser.Lit(storage.NewBool(false))
 				}
@@ -88,46 +88,15 @@ func (m *Middleware) RewriteBaseline(kind BaselineKind, sql string, qm policy.Me
 }
 
 // appendPerCore conjoins mk(refName) to the WHERE clause of every select
-// core that references the relation, for each reference (policy checks
-// precede any non-monotonic set operation, §3.1).
-func (m *Middleware) appendPerCore(stmt *sqlparser.SelectStmt, relation string, mk func(refName string) sqlparser.Expr) {
-	var visitStmt func(s *sqlparser.SelectStmt)
-	visitCore := func(c *sqlparser.SelectCore) {
-		if c == nil {
-			return
+// core that references the relation, for each reference, wherever the core
+// sits — expression subqueries included (policy checks precede any
+// non-monotonic set operation, §3.1).
+func appendPerCore(stmt *sqlparser.SelectStmt, relation string, mk func(refName string) sqlparser.Expr) {
+	forEachBaseRef(stmt, func(c *sqlparser.SelectCore, ref *sqlparser.TableRef) {
+		if ref.Name == relation {
+			c.Where = sqlparser.And(c.Where, mk(ref.RefName()))
 		}
-		for i := range c.From {
-			ref := &c.From[i]
-			if ref.Subquery == nil && ref.Name == relation {
-				c.Where = sqlparser.And(c.Where, mk(ref.RefName()))
-			}
-		}
-	}
-	visitStmt = func(s *sqlparser.SelectStmt) {
-		if s == nil {
-			return
-		}
-		for _, cte := range s.With {
-			visitStmt(cte.Select)
-		}
-		visitCore(s.Body)
-		for _, op := range s.Ops {
-			visitCore(op.Core)
-		}
-		// Derived tables and expression subqueries.
-		cores := []*sqlparser.SelectCore{s.Body}
-		for _, op := range s.Ops {
-			cores = append(cores, op.Core)
-		}
-		for _, c := range cores {
-			for i := range c.From {
-				if c.From[i].Subquery != nil {
-					visitStmt(c.From[i].Subquery)
-				}
-			}
-		}
-	}
-	visitStmt(stmt)
+	})
 }
 
 // buildBaselineICTE constructs BaselineI's projection: one forced

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -225,6 +227,53 @@ func TestBaselinesMatchGroundTruth(t *testing.T) {
 		}
 		if !equalIDs(idsOf(res, 0), want) {
 			t.Errorf("%s returned %d rows, ground truth %d", kind, len(res.Rows), len(want))
+		}
+	}
+}
+
+// TestBaselinesGuardEverySubquery: every baseline guards each reference to
+// the protected relation wherever it sits in the statement, expression
+// subqueries included, so it returns the rows SIEVE's Session.Query does.
+// Not even a count over the relation may leak past the querier's policies.
+func TestBaselinesGuardEverySubquery(t *testing.T) {
+	f := newFixture(t, engine.MySQL(), 40)
+	shapes := []struct{ name, sql string }{
+		{"select_list", "SELECT uid, (SELECT count(*) FROM wifi) AS n FROM membership WHERE uid < 3"},
+		{"in", "SELECT uid FROM membership WHERE uid IN (SELECT owner FROM wifi)"},
+		{"correlated_exists", "SELECT uid FROM membership WHERE EXISTS " +
+			"(SELECT 1 FROM wifi AS W WHERE W.owner = membership.uid AND W.ts_time >= TIME '16:00')"},
+		{"having", "SELECT gid, count(*) AS n FROM membership GROUP BY gid HAVING count(*) * 200 <= (SELECT count(*) FROM wifi)"},
+		{"derived", "SELECT d.owner, count(*) AS n FROM (SELECT owner FROM wifi WHERE wifiAP = 101) AS d GROUP BY d.owner"},
+		{"cte", "WITH w AS (SELECT id FROM wifi WHERE wifiAP = 103) SELECT id FROM w"},
+		{"union_arm", "SELECT uid FROM membership WHERE gid = 1 UNION SELECT owner FROM wifi WHERE wifiAP = 104"},
+	}
+	for _, sh := range shapes {
+		rows, err := f.m.NewSession(f.qm).Query(t.Context(), sh.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sh.name, err)
+		}
+		var want []string
+		for rows.Next() {
+			want = append(want, fmt.Sprint(rows.Row()))
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatalf("%s: %v", sh.name, err)
+		}
+		rows.Close()
+		sort.Strings(want)
+		for _, kind := range []BaselineKind{BaselineP, BaselineI, BaselineU} {
+			res, err := f.m.ExecuteBaseline(t.Context(), kind, sh.sql, f.qm)
+			if err != nil {
+				t.Fatalf("%s %s: %v", kind, sh.name, err)
+			}
+			var got []string
+			for _, r := range res.Rows {
+				got = append(got, fmt.Sprint(r))
+			}
+			sort.Strings(got)
+			if !slices.Equal(got, want) {
+				t.Errorf("%s %s: %d rows %.120v, Session.Query %d rows %.120v", kind, sh.name, len(got), got, len(want), want)
+			}
 		}
 	}
 }

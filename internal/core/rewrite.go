@@ -100,8 +100,8 @@ func (m *Middleware) protectedIn(stmt *sqlparser.SelectStmt) []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	seen := make(map[string]bool)
-	forEachTableRef(stmt, func(ref *sqlparser.TableRef) {
-		if ref.Subquery == nil && m.protected[ref.Name] {
+	forEachBaseRef(stmt, func(_ *sqlparser.SelectCore, ref *sqlparser.TableRef) {
+		if m.protected[ref.Name] {
 			seen[ref.Name] = true
 		}
 	})
@@ -113,63 +113,26 @@ func (m *Middleware) protectedIn(stmt *sqlparser.SelectStmt) []string {
 	return out
 }
 
-// forEachTableRef visits every FROM entry in the statement tree, including
-// CTEs, set-operation arms, derived tables, and subqueries in expressions.
-func forEachTableRef(stmt *sqlparser.SelectStmt, fn func(*sqlparser.TableRef)) {
-	if stmt == nil {
-		return
-	}
-	var visitCore func(c *sqlparser.SelectCore)
-	visitExpr := func(e sqlparser.Expr) {
-		sqlparser.Walk(e, false, func(x sqlparser.Expr) {
-			switch s := x.(type) {
-			case *sqlparser.SubqueryExpr:
-				forEachTableRef(s.Select, fn)
-			case *sqlparser.ExistsExpr:
-				forEachTableRef(s.Select, fn)
-			case *sqlparser.InExpr:
-				forEachTableRef(s.Sub, fn)
-			}
-		})
-	}
-	visitCore = func(c *sqlparser.SelectCore) {
-		if c == nil {
-			return
-		}
+// forEachBaseRef calls fn for every FROM entry naming a table rather than a
+// derived table, with the core it belongs to, wherever sqlparser.WalkCores
+// reaches: CTEs, set-operation arms, derived tables and expression
+// subqueries.
+func forEachBaseRef(stmt *sqlparser.SelectStmt, fn func(*sqlparser.SelectCore, *sqlparser.TableRef)) {
+	sqlparser.WalkCores(stmt, func(c *sqlparser.SelectCore, _ bool) {
 		for i := range c.From {
-			ref := &c.From[i]
-			if ref.Subquery != nil {
-				forEachTableRef(ref.Subquery, fn)
+			if c.From[i].Subquery == nil {
+				fn(c, &c.From[i])
 			}
-			fn(ref)
 		}
-		for _, it := range c.Items {
-			visitExpr(it.Expr)
-		}
-		visitExpr(c.Where)
-		for _, g := range c.GroupBy {
-			visitExpr(g)
-		}
-		visitExpr(c.Having)
-		for _, o := range c.OrderBy {
-			visitExpr(o.Expr)
-		}
-	}
-	for _, cte := range stmt.With {
-		forEachTableRef(cte.Select, fn)
-	}
-	visitCore(stmt.Body)
-	for _, op := range stmt.Ops {
-		visitCore(op.Core)
-	}
+	})
 }
 
 // replaceTableRefs redirects every base reference to relation to the CTE,
 // keeping aliases (an unaliased reference gets the relation name as alias
 // so qualified column references keep resolving, footnote 8 of §5.3).
 func replaceTableRefs(stmt *sqlparser.SelectStmt, relation, cteName string) {
-	forEachTableRef(stmt, func(ref *sqlparser.TableRef) {
-		if ref.Subquery != nil || ref.Name != relation {
+	forEachBaseRef(stmt, func(_ *sqlparser.SelectCore, ref *sqlparser.TableRef) {
+		if ref.Name != relation {
 			return
 		}
 		if ref.Alias == "" {
@@ -223,26 +186,23 @@ func (m *Middleware) pushableConjuncts(stmt *sqlparser.SelectStmt, relation stri
 	t := m.db.MustTable(relation)
 	var out []sqlparser.Expr
 	for _, conj := range sqlparser.Conjuncts(stmt.Body.Where) {
-		hasSubquery := false
+		if sqlparser.HasSubquery(conj) {
+			continue
+		}
 		onlyThisTable := true
 		sqlparser.Walk(conj, false, func(x sqlparser.Expr) {
-			switch c := x.(type) {
-			case *sqlparser.SubqueryExpr, *sqlparser.ExistsExpr:
-				hasSubquery = true
-			case *sqlparser.InExpr:
-				if c.Sub != nil {
-					hasSubquery = true
-				}
-			case *sqlparser.ColRef:
-				if c.Table != "" && c.Table != refName {
-					onlyThisTable = false
-				}
-				if c.Table == "" && !t.Schema.HasColumn(c.Column) {
-					onlyThisTable = false
-				}
+			c, ok := x.(*sqlparser.ColRef)
+			if !ok {
+				return
+			}
+			if c.Table != "" && c.Table != refName {
+				onlyThisTable = false
+			}
+			if c.Table == "" && !t.Schema.HasColumn(c.Column) {
+				onlyThisTable = false
 			}
 		})
-		if hasSubquery || !onlyThisTable {
+		if !onlyThisTable {
 			continue
 		}
 		out = append(out, sqlparser.RequalifyExpr(sqlparser.RequalifyExpr(conj, refName, relation), "", relation))
@@ -281,14 +241,7 @@ func (st *geState) guardArms(schema *storage.Schema) ([]engine.GuardArm, sqlpars
 			st.guardCols = append(st.guardCols, c)
 		}
 		sort.Strings(st.guardCols)
-		sqlparser.Walk(st.guardOr, false, func(x sqlparser.Expr) {
-			switch s := x.(type) {
-			case *sqlparser.SubqueryExpr, *sqlparser.ExistsExpr:
-				st.armsHoldSubquery = true
-			case *sqlparser.InExpr:
-				st.armsHoldSubquery = st.armsHoldSubquery || s.Sub != nil
-			}
-		})
+		st.armsHoldSubquery = sqlparser.HasSubquery(st.guardOr)
 	})
 	if !st.armsHoldSubquery {
 		return st.arms, st.guardOr, st.guardCols

@@ -295,8 +295,8 @@ func TestRewriteWithSubqueryReferencingProtectedTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := 0
-	forEachTableRef(stmt, func(ref *sqlparser.TableRef) {
-		if ref.Name == "wifi" && ref.Subquery == nil {
+	forEachBaseRef(stmt, func(_ *sqlparser.SelectCore, ref *sqlparser.TableRef) {
+		if ref.Name == "wifi" {
 			raw++
 		}
 	})

@@ -84,10 +84,8 @@ func (m *Middleware) Prepare(sql string) (*Stmt, error) {
 // references anywhere (including subqueries and CTE bodies), sorted.
 func referencedTables(ast *sqlparser.SelectStmt) []string {
 	seen := make(map[string]bool)
-	forEachTableRef(ast, func(ref *sqlparser.TableRef) {
-		if ref.Subquery == nil {
-			seen[ref.Name] = true
-		}
+	forEachBaseRef(ast, func(_ *sqlparser.SelectCore, ref *sqlparser.TableRef) {
+		seen[ref.Name] = true
 	})
 	out := make([]string, 0, len(seen))
 	for name := range seen {

@@ -297,7 +297,16 @@ func lazyCTENames(s *sqlparser.SelectStmt) map[string]bool {
 	// rewrite fills with the whole guard expression: not walked.
 	rest := *s
 	rest.With = s.With[1:]
-	countTableRefs(&rest, false, total, inExpr)
+	sqlparser.WalkCores(&rest, func(c *sqlparser.SelectCore, underExpr bool) {
+		for _, ref := range c.From {
+			if ref.Subquery == nil {
+				total[ref.Name]++
+				if underExpr {
+					inExpr[ref.Name]++
+				}
+			}
+		}
+	})
 	out := make(map[string]bool, len(s.With))
 	for _, cte := range s.With {
 		if total[cte.Name] == 1 && inExpr[cte.Name] == 0 {
@@ -305,62 +314,6 @@ func lazyCTENames(s *sqlparser.SelectStmt) map[string]bool {
 		}
 	}
 	return out
-}
-
-// countTableRefs tallies FROM references per relation name; insideExpr is
-// true below any expression subquery (which may re-execute per row).
-func countTableRefs(s *sqlparser.SelectStmt, insideExpr bool, total, inExpr map[string]int) {
-	if s == nil {
-		return
-	}
-	visitExpr := func(e sqlparser.Expr) {
-		sqlparser.Walk(e, false, func(x sqlparser.Expr) {
-			switch sub := x.(type) {
-			case *sqlparser.SubqueryExpr:
-				countTableRefs(sub.Select, true, total, inExpr)
-			case *sqlparser.ExistsExpr:
-				countTableRefs(sub.Select, true, total, inExpr)
-			case *sqlparser.InExpr:
-				if sub.Sub != nil {
-					countTableRefs(sub.Sub, true, total, inExpr)
-				}
-			}
-		})
-	}
-	visitCore := func(c *sqlparser.SelectCore) {
-		if c == nil {
-			return
-		}
-		for i := range c.From {
-			ref := &c.From[i]
-			if ref.Subquery != nil {
-				countTableRefs(ref.Subquery, insideExpr, total, inExpr)
-				continue
-			}
-			total[ref.Name]++
-			if insideExpr {
-				inExpr[ref.Name]++
-			}
-		}
-		for _, it := range c.Items {
-			visitExpr(it.Expr)
-		}
-		visitExpr(c.Where)
-		for _, g := range c.GroupBy {
-			visitExpr(g)
-		}
-		visitExpr(c.Having)
-		for _, o := range c.OrderBy {
-			visitExpr(o.Expr)
-		}
-	}
-	for _, cte := range s.With {
-		countTableRefs(cte.Select, insideExpr, total, inExpr)
-	}
-	visitCore(s.Body)
-	for _, op := range s.Ops {
-		visitCore(op.Core)
-	}
 }
 
 func unionResults(l, r *Result, all bool) *Result {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -171,21 +172,5 @@ func (f *fanOut) close() {
 // safe: registered UDFs must be safe for concurrent invocation, which the
 // engine's own (and SIEVE's Δ) are.
 func parallelSafeConjuncts(conjs []sqlparser.Expr) bool {
-	for _, cj := range conjs {
-		unsafe := false
-		sqlparser.Walk(cj, false, func(x sqlparser.Expr) {
-			switch s := x.(type) {
-			case *sqlparser.SubqueryExpr, *sqlparser.ExistsExpr:
-				unsafe = true
-			case *sqlparser.InExpr:
-				if s.Sub != nil {
-					unsafe = true
-				}
-			}
-		})
-		if unsafe {
-			return false
-		}
-	}
-	return true
+	return !slices.ContainsFunc(conjs, sqlparser.HasSubquery)
 }

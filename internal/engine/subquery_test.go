@@ -252,6 +252,48 @@ func derivedValueQuery(t *testing.T, db *engine.DB, derived string) []storage.Ro
 	return res.Rows
 }
 
+// TestCorrelatedDerivedTableInSubquery: in a join, a subquery whose
+// correlation to the second source sits in a derived table of the subquery
+// waits for the join that binds that source, rather than being pushed into
+// the first source's scan, where the reference cannot resolve. EXISTS, IN
+// and scalar forms each return the rows of the same query without the
+// derived table, through DB.Query and through a Prepared.
+func TestCorrelatedDerivedTableInSubquery(t *testing.T) {
+	const join = "SELECT W.id FROM wifi AS W, membership AS M WHERE W.owner = M.uid AND "
+	cases := []struct{ name, derived, plain string }{
+		{"exists",
+			"EXISTS (SELECT 1 FROM (SELECT * FROM membership AS c WHERE c.uid = M.uid AND c.gid = 1) AS d)",
+			"EXISTS (SELECT 1 FROM membership AS c WHERE c.uid = M.uid AND c.gid = 1)"},
+		{"in",
+			"W.wifiAP IN (SELECT d.ap FROM (SELECT c.uid + 100 AS ap FROM membership AS c WHERE c.uid = M.uid) AS d)",
+			"W.wifiAP IN (SELECT c.uid + 100 FROM membership AS c WHERE c.uid = M.uid)"},
+		{"scalar",
+			"W.wifiAP = (SELECT max(d.ap) FROM (SELECT c.uid + 101 AS ap FROM membership AS c WHERE c.uid = M.uid) AS d)",
+			"W.wifiAP = (SELECT max(c.uid + 101) FROM membership AS c WHERE c.uid = M.uid)"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			db, _ := subqueryDB(t)
+			want, _ := queryCounted(t, db, join+c.plain+" ORDER BY W.id")
+			if len(want) == 0 {
+				t.Fatal("the plain query returns no rows")
+			}
+			sql := join + c.derived + " ORDER BY W.id"
+			got, _ := queryCounted(t, db, sql)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("DB.Query: ids %v, want %v", ids(got), ids(want))
+			}
+			res, err := db.Prepare(sqlparser.MustParse(sql)).Query(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.Rows, want) {
+				t.Fatalf("Prepared: ids %v, want %v", ids(res.Rows), ids(want))
+			}
+		})
+	}
+}
+
 // TestCorrelatedSubqueryRerunsPerRow: a subquery that reads the outer row
 // runs once per outer row and computes each row's own answer — through a
 // column reference in IN, EXISTS and a scalar subquery, and through a WITH

@@ -309,77 +309,6 @@ func Lit(v storage.Value) *Literal { return &Literal{Val: v} }
 // Eq builds column = value.
 func Eq(l, r Expr) *CompareExpr { return &CompareExpr{Op: CmpEq, L: l, R: r} }
 
-// Walk calls fn for every expression node in e, depth-first, including
-// expressions nested in subqueries when descend is true.
-func Walk(e Expr, descend bool, fn func(Expr)) {
-	if e == nil {
-		return
-	}
-	fn(e)
-	switch x := e.(type) {
-	case *BinaryExpr:
-		Walk(x.L, descend, fn)
-		Walk(x.R, descend, fn)
-	case *CompareExpr:
-		Walk(x.L, descend, fn)
-		Walk(x.R, descend, fn)
-	case *NotExpr:
-		Walk(x.E, descend, fn)
-	case *BetweenExpr:
-		Walk(x.E, descend, fn)
-		Walk(x.Lo, descend, fn)
-		Walk(x.Hi, descend, fn)
-	case *InExpr:
-		Walk(x.E, descend, fn)
-		for _, it := range x.List {
-			Walk(it, descend, fn)
-		}
-		if descend && x.Sub != nil {
-			walkStmt(x.Sub, fn)
-		}
-	case *IsNullExpr:
-		Walk(x.E, descend, fn)
-	case *FuncCall:
-		for _, a := range x.Args {
-			Walk(a, descend, fn)
-		}
-	case *SubqueryExpr:
-		if descend {
-			walkStmt(x.Select, fn)
-		}
-	case *ExistsExpr:
-		if descend {
-			walkStmt(x.Select, fn)
-		}
-	}
-}
-
-func walkStmt(s *SelectStmt, fn func(Expr)) {
-	if s == nil {
-		return
-	}
-	cores := []*SelectCore{s.Body}
-	for _, u := range s.Ops {
-		cores = append(cores, u.Core)
-	}
-	for _, c := range cores {
-		for _, it := range c.Items {
-			Walk(it.Expr, true, fn)
-		}
-		Walk(c.Where, true, fn)
-		for _, g := range c.GroupBy {
-			Walk(g, true, fn)
-		}
-		Walk(c.Having, true, fn)
-		for _, o := range c.OrderBy {
-			Walk(o.Expr, true, fn)
-		}
-	}
-	for _, cte := range s.With {
-		walkStmt(cte.Select, fn)
-	}
-}
-
 // Conjuncts flattens nested ANDs into a list of conjuncts.
 func Conjuncts(e Expr) []Expr { return operands(e, OpAnd, nil) }
 

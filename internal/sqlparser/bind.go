@@ -11,34 +11,21 @@ import (
 // subqueries.
 func NumPlaceholders(s *SelectStmt) int {
 	n := 0
-	var root func(Expr)
-	visitStmt := func(sub *SelectStmt) { forEachExprRoot(sub, root) }
-	root = func(e Expr) {
-		// Walk without descent, recursing into subquery statements by hand
-		// so derived tables nested below them are covered too.
-		Walk(e, false, func(x Expr) {
-			switch y := x.(type) {
-			case *Placeholder:
-				n++
-			case *InExpr:
-				visitStmt(y.Sub)
-			case *SubqueryExpr:
-				visitStmt(y.Select)
-			case *ExistsExpr:
-				visitStmt(y.Select)
-			}
-		})
-	}
-	forEachExprRoot(s, root)
+	walkNodes(s, func(e Expr) {
+		if _, ok := e.(*Placeholder); ok {
+			n++
+		}
+	})
 	return n
 }
 
 // BindStmt resolves every placeholder in s against args (args[i] binds
 // placeholder i+1) and returns the bound statement. The argument count
-// must match exactly. Binding happens on a deep copy, so the input — a
-// pristine prepared AST, typically — is never mutated; a statement with
-// no placeholders is returned as-is. Values pass through untyped: the
-// engine coerces comparisons the same way it does for inline literals.
+// must match exactly. Binding is a clone with each placeholder substituted,
+// so the input — a pristine prepared AST, typically — is never mutated; a
+// statement with no placeholders is returned as-is. Values pass through
+// untyped: the engine coerces comparisons the same way it does for inline
+// literals.
 func BindStmt(s *SelectStmt, args []storage.Value) (*SelectStmt, error) {
 	want := NumPlaceholders(s)
 	if len(args) != want {
@@ -47,196 +34,10 @@ func BindStmt(s *SelectStmt, args []storage.Value) (*SelectStmt, error) {
 	if want == 0 {
 		return s, nil
 	}
-	out := CloneStmt(s)
-	var err error
-	forEachExprSlot(out, func(e Expr) Expr {
-		bound, bindErr := bindExpr(e, args)
-		if bindErr != nil && err == nil {
-			err = bindErr
-		}
-		return bound
-	})
-	if err != nil {
-		return nil, err
+	cl := cloner{args: args}
+	out := cl.stmt(s)
+	if cl.err != nil {
+		return nil, cl.err
 	}
 	return out, nil
-}
-
-// forEachExprRoot visits every top-level expression slot of the statement
-// read-only, descending into CTEs, set arms and derived tables. (Walk
-// handles descent below each root, including InExpr/Subquery/Exists
-// bodies.)
-func forEachExprRoot(s *SelectStmt, fn func(Expr)) {
-	if s == nil {
-		return
-	}
-	for _, cte := range s.With {
-		forEachExprRoot(cte.Select, fn)
-	}
-	cores := []*SelectCore{s.Body}
-	for _, op := range s.Ops {
-		cores = append(cores, op.Core)
-	}
-	for _, c := range cores {
-		if c == nil {
-			continue
-		}
-		for _, it := range c.Items {
-			fn(it.Expr)
-		}
-		for _, t := range c.From {
-			forEachExprRoot(t.Subquery, fn)
-		}
-		fn(c.Where)
-		for _, g := range c.GroupBy {
-			fn(g)
-		}
-		fn(c.Having)
-		for _, o := range c.OrderBy {
-			fn(o.Expr)
-		}
-	}
-}
-
-// forEachExprSlot rewrites every top-level expression slot of the
-// statement in place through fn, descending into CTEs, set arms and
-// derived tables.
-func forEachExprSlot(s *SelectStmt, fn func(Expr) Expr) {
-	if s == nil {
-		return
-	}
-	for _, cte := range s.With {
-		forEachExprSlot(cte.Select, fn)
-	}
-	cores := []*SelectCore{s.Body}
-	for _, op := range s.Ops {
-		cores = append(cores, op.Core)
-	}
-	for _, c := range cores {
-		if c == nil {
-			continue
-		}
-		for i := range c.Items {
-			c.Items[i].Expr = fn(c.Items[i].Expr)
-		}
-		for i := range c.From {
-			forEachExprSlot(c.From[i].Subquery, fn)
-		}
-		c.Where = fn(c.Where)
-		for i := range c.GroupBy {
-			c.GroupBy[i] = fn(c.GroupBy[i])
-		}
-		c.Having = fn(c.Having)
-		for i := range c.OrderBy {
-			c.OrderBy[i].Expr = fn(c.OrderBy[i].Expr)
-		}
-	}
-}
-
-// bindExpr replaces placeholders in an (already cloned) expression tree
-// with literals, recursing into subquery bodies.
-func bindExpr(e Expr, args []storage.Value) (Expr, error) {
-	if e == nil {
-		return nil, nil
-	}
-	switch x := e.(type) {
-	case *Placeholder:
-		if x.Idx < 1 || x.Idx > len(args) {
-			return nil, fmt.Errorf("sql: placeholder %d out of range for %d argument(s)", x.Idx, len(args))
-		}
-		return Lit(args[x.Idx-1]), nil
-	case *Literal, *ColRef:
-		return e, nil
-	case *BinaryExpr:
-		var err error
-		if x.L, err = bindExpr(x.L, args); err != nil {
-			return nil, err
-		}
-		if x.R, err = bindExpr(x.R, args); err != nil {
-			return nil, err
-		}
-		return x, nil
-	case *CompareExpr:
-		var err error
-		if x.L, err = bindExpr(x.L, args); err != nil {
-			return nil, err
-		}
-		if x.R, err = bindExpr(x.R, args); err != nil {
-			return nil, err
-		}
-		return x, nil
-	case *NotExpr:
-		var err error
-		if x.E, err = bindExpr(x.E, args); err != nil {
-			return nil, err
-		}
-		return x, nil
-	case *BetweenExpr:
-		var err error
-		if x.E, err = bindExpr(x.E, args); err != nil {
-			return nil, err
-		}
-		if x.Lo, err = bindExpr(x.Lo, args); err != nil {
-			return nil, err
-		}
-		if x.Hi, err = bindExpr(x.Hi, args); err != nil {
-			return nil, err
-		}
-		return x, nil
-	case *InExpr:
-		var err error
-		if x.E, err = bindExpr(x.E, args); err != nil {
-			return nil, err
-		}
-		for i := range x.List {
-			if x.List[i], err = bindExpr(x.List[i], args); err != nil {
-				return nil, err
-			}
-		}
-		if err = bindSub(x.Sub, args); err != nil {
-			return nil, err
-		}
-		return x, nil
-	case *IsNullExpr:
-		var err error
-		if x.E, err = bindExpr(x.E, args); err != nil {
-			return nil, err
-		}
-		return x, nil
-	case *FuncCall:
-		var err error
-		for i := range x.Args {
-			if x.Args[i], err = bindExpr(x.Args[i], args); err != nil {
-				return nil, err
-			}
-		}
-		return x, nil
-	case *SubqueryExpr:
-		if err := bindSub(x.Select, args); err != nil {
-			return nil, err
-		}
-		return x, nil
-	case *ExistsExpr:
-		if err := bindSub(x.Select, args); err != nil {
-			return nil, err
-		}
-		return x, nil
-	}
-	return nil, fmt.Errorf("sql: cannot bind unknown expression node %T", e)
-}
-
-// bindSub applies bindExpr to every slot of a nested statement in place.
-func bindSub(s *SelectStmt, args []storage.Value) error {
-	if s == nil {
-		return nil
-	}
-	var err error
-	forEachExprSlot(s, func(e Expr) Expr {
-		bound, bindErr := bindExpr(e, args)
-		if bindErr != nil && err == nil {
-			err = bindErr
-		}
-		return bound
-	})
-	return err
 }

@@ -1,7 +1,38 @@
 package sqlparser
 
+import (
+	"fmt"
+
+	"github.com/sieve-db/sieve/internal/storage"
+)
+
 // CloneExpr deep-copies an expression tree.
 func CloneExpr(e Expr) Expr {
+	var cl cloner
+	return cl.expr(e)
+}
+
+// CloneStmt deep-copies a statement tree.
+func CloneStmt(s *SelectStmt) *SelectStmt {
+	var cl cloner
+	return cl.stmt(s)
+}
+
+// CloneCore deep-copies one select core.
+func CloneCore(c *SelectCore) *SelectCore {
+	var cl cloner
+	return cl.core(c)
+}
+
+// cloner deep-copies trees. With args set it binds as it copies: placeholder
+// i becomes a literal of args[i-1] (BindStmt), and the first placeholder out
+// of range is kept in err.
+type cloner struct {
+	args []storage.Value
+	err  error
+}
+
+func (cl *cloner) expr(e Expr) Expr {
 	if e == nil {
 		return nil
 	}
@@ -13,65 +44,72 @@ func CloneExpr(e Expr) Expr {
 		c := *x
 		return &c
 	case *Placeholder:
-		c := *x
-		return &c
+		if cl.args == nil {
+			c := *x
+			return &c
+		}
+		if x.Idx < 1 || x.Idx > len(cl.args) {
+			if cl.err == nil {
+				cl.err = fmt.Errorf("sql: placeholder %d out of range for %d argument(s)", x.Idx, len(cl.args))
+			}
+			return nil
+		}
+		return Lit(cl.args[x.Idx-1])
 	case *BinaryExpr:
-		return &BinaryExpr{Op: x.Op, L: CloneExpr(x.L), R: CloneExpr(x.R)}
+		return &BinaryExpr{Op: x.Op, L: cl.expr(x.L), R: cl.expr(x.R)}
 	case *CompareExpr:
-		return &CompareExpr{Op: x.Op, L: CloneExpr(x.L), R: CloneExpr(x.R)}
+		return &CompareExpr{Op: x.Op, L: cl.expr(x.L), R: cl.expr(x.R)}
 	case *NotExpr:
-		return &NotExpr{E: CloneExpr(x.E)}
+		return &NotExpr{E: cl.expr(x.E)}
 	case *BetweenExpr:
-		return &BetweenExpr{E: CloneExpr(x.E), Lo: CloneExpr(x.Lo), Hi: CloneExpr(x.Hi), Not: x.Not}
+		return &BetweenExpr{E: cl.expr(x.E), Lo: cl.expr(x.Lo), Hi: cl.expr(x.Hi), Not: x.Not}
 	case *InExpr:
-		c := &InExpr{E: CloneExpr(x.E), Not: x.Not, Sub: CloneStmt(x.Sub)}
+		c := &InExpr{E: cl.expr(x.E), Not: x.Not, Sub: cl.stmt(x.Sub)}
 		for _, it := range x.List {
-			c.List = append(c.List, CloneExpr(it))
+			c.List = append(c.List, cl.expr(it))
 		}
 		return c
 	case *IsNullExpr:
-		return &IsNullExpr{E: CloneExpr(x.E), Not: x.Not}
+		return &IsNullExpr{E: cl.expr(x.E), Not: x.Not}
 	case *FuncCall:
 		c := &FuncCall{Name: x.Name, Star: x.Star, Distinct: x.Distinct}
 		for _, a := range x.Args {
-			c.Args = append(c.Args, CloneExpr(a))
+			c.Args = append(c.Args, cl.expr(a))
 		}
 		return c
 	case *SubqueryExpr:
-		return &SubqueryExpr{Select: CloneStmt(x.Select)}
+		return &SubqueryExpr{Select: cl.stmt(x.Select)}
 	case *ExistsExpr:
-		return &ExistsExpr{Select: CloneStmt(x.Select)}
+		return &ExistsExpr{Select: cl.stmt(x.Select)}
 	}
 	return e
 }
 
-// CloneStmt deep-copies a statement tree.
-func CloneStmt(s *SelectStmt) *SelectStmt {
+func (cl *cloner) stmt(s *SelectStmt) *SelectStmt {
 	if s == nil {
 		return nil
 	}
 	out := &SelectStmt{}
 	for _, cte := range s.With {
-		out.With = append(out.With, CTE{Name: cte.Name, Select: CloneStmt(cte.Select)})
+		out.With = append(out.With, CTE{Name: cte.Name, Select: cl.stmt(cte.Select)})
 	}
-	out.Body = CloneCore(s.Body)
+	out.Body = cl.core(s.Body)
 	for _, op := range s.Ops {
-		out.Ops = append(out.Ops, SetOp{Kind: op.Kind, All: op.All, Core: CloneCore(op.Core)})
+		out.Ops = append(out.Ops, SetOp{Kind: op.Kind, All: op.All, Core: cl.core(op.Core)})
 	}
 	return out
 }
 
-// CloneCore deep-copies one select core.
-func CloneCore(c *SelectCore) *SelectCore {
+func (cl *cloner) core(c *SelectCore) *SelectCore {
 	if c == nil {
 		return nil
 	}
 	out := &SelectCore{Distinct: c.Distinct, Star: c.Star, Limit: c.Limit, Offset: c.Offset}
 	for _, it := range c.Items {
-		out.Items = append(out.Items, SelectItem{Expr: CloneExpr(it.Expr), Alias: it.Alias})
+		out.Items = append(out.Items, SelectItem{Expr: cl.expr(it.Expr), Alias: it.Alias})
 	}
 	for _, t := range c.From {
-		ref := TableRef{Name: t.Name, Alias: t.Alias, Subquery: CloneStmt(t.Subquery)}
+		ref := TableRef{Name: t.Name, Alias: t.Alias, Subquery: cl.stmt(t.Subquery)}
 		if t.Hint != nil {
 			h := &IndexHint{Kind: t.Hint.Kind}
 			if t.Hint.Indexes != nil {
@@ -81,13 +119,13 @@ func CloneCore(c *SelectCore) *SelectCore {
 		}
 		out.From = append(out.From, ref)
 	}
-	out.Where = CloneExpr(c.Where)
+	out.Where = cl.expr(c.Where)
 	for _, g := range c.GroupBy {
-		out.GroupBy = append(out.GroupBy, CloneExpr(g))
+		out.GroupBy = append(out.GroupBy, cl.expr(g))
 	}
-	out.Having = CloneExpr(c.Having)
+	out.Having = cl.expr(c.Having)
 	for _, o := range c.OrderBy {
-		out.OrderBy = append(out.OrderBy, OrderItem{Expr: CloneExpr(o.Expr), Desc: o.Desc})
+		out.OrderBy = append(out.OrderBy, OrderItem{Expr: cl.expr(o.Expr), Desc: o.Desc})
 	}
 	return out
 }

@@ -29,7 +29,7 @@ func TestCloneStmtEqualAndIndependentProperty(t *testing.T) {
 
 func mutateFirstColRef(s *SelectStmt) {
 	done := false
-	walkStmt(s, func(e Expr) {
+	walkNodes(s, func(e Expr) {
 		if done {
 			return
 		}
@@ -42,7 +42,7 @@ func mutateFirstColRef(s *SelectStmt) {
 
 func hasColRef(s *SelectStmt) bool {
 	found := false
-	walkStmt(s, func(e Expr) {
+	walkNodes(s, func(e Expr) {
 		if _, ok := e.(*ColRef); ok {
 			found = true
 		}

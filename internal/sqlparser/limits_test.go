@@ -19,16 +19,7 @@ import (
 // first MaxNestingDepth levels — not after recursing through all of it
 // (unbounded, 10⁵ parentheses cost about a second, superlinearly).
 func TestParserBoundsHostileInput(t *testing.T) {
-	const n = 100000
-	const where = "SELECT * FROM t WHERE "
-	hostile := []struct{ name, sql, open string }{
-		{"parens", where + strings.Repeat("(", n) + "1" + strings.Repeat(")", n), "("},
-		{"nots", where + strings.Repeat("NOT ", n) + "x", "NOT "},
-		{"minuses", where + "x = " + strings.Repeat("- ", n) + "1", "- "},
-		{"derived tables", strings.Repeat("SELECT * FROM (", 10000) + "SELECT * FROM t" + strings.Repeat(") AS s", 10000), "SELECT * FROM ("},
-		{"1 MiB", where + "x IN (" + strings.Repeat("1, ", 1<<20/3) + "1)", ""},
-	}
-	for _, h := range hostile {
+	for _, h := range hostileInputs(100000) {
 		t0 := time.Now()
 		_, err := sqlparser.Parse(h.sql)
 		d := time.Since(t0)
@@ -62,44 +53,65 @@ func TestParserBoundsHostileInput(t *testing.T) {
 	}
 }
 
-// TestParserLimitsAdmitTheCorpora: every query of the workload corpora and
-// every emitted guarded rewrite under engine/testdata/emit that parsed
-// without limits parses with them (mysql and postgres emissions use quoting
-// this parser never read; the sieve dialect's are its round-trip form).
-func TestParserLimitsAdmitTheCorpora(t *testing.T) {
+const where = "SELECT * FROM t WHERE "
+
+// hostileInputs are statements past the parser's limits: four ways of
+// nesting n levels deep (derived tables n/10), each with the text one level
+// repeats as open, and one statement of 1 MiB (open empty).
+func hostileInputs(n int) []struct{ name, sql, open string } {
+	return []struct{ name, sql, open string }{
+		{"parens", where + strings.Repeat("(", n) + "1" + strings.Repeat(")", n), "("},
+		{"nots", where + strings.Repeat("NOT ", n) + "x", "NOT "},
+		{"minuses", where + "x = " + strings.Repeat("- ", n) + "1", "- "},
+		{"derived tables", strings.Repeat("SELECT * FROM (", n/10) + "SELECT * FROM t" + strings.Repeat(") AS s", n/10), "SELECT * FROM ("},
+		{"1 MiB", where + "x IN (" + strings.Repeat("1, ", 1<<20/3) + "1)", ""},
+	}
+}
+
+// corpusSQL returns every query of the campus, mall and hospital corpora,
+// and every emitted guarded rewrite under engine/testdata/emit in the sieve
+// dialect (mysql and postgres emissions use quoting this parser never read;
+// the sieve dialect's are its round-trip form), each named.
+func corpusSQL(tb testing.TB) map[string]string {
+	tb.Helper()
 	campus, err := workload.BuildCampus(workload.TestCampusConfig(), engine.MySQL())
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	mall, err := workload.BuildMall(workload.TestMallConfig(), engine.MySQL())
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	hospital, err := workload.BuildHospital(workload.TestHospitalConfig(), engine.MySQL())
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	var corpus []workload.NamedQuery
-	corpus = append(corpus, campus.CorpusQueries()...)
-	corpus = append(corpus, mall.CorpusQueries()...)
-	corpus = append(corpus, hospital.CorpusQueries()...)
-	for _, q := range corpus {
-		if _, err := sqlparser.Parse(q.SQL); err != nil {
-			t.Errorf("corpus query %s: %v", q.Name, err)
+	out := map[string]string{}
+	for _, corpus := range [][]workload.NamedQuery{campus.CorpusQueries(), mall.CorpusQueries(), hospital.CorpusQueries()} {
+		for _, q := range corpus {
+			out["corpus query "+q.Name] = q.SQL
 		}
 	}
-
 	files, err := filepath.Glob(filepath.Join("..", "engine", "testdata", "emit", "*.sieve.sql"))
 	if err != nil || len(files) == 0 {
-		t.Fatalf("no emitted rewrites found: %v", err)
+		tb.Fatalf("no emitted rewrites found: %v", err)
 	}
 	for _, f := range files {
 		raw, err := os.ReadFile(f)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
-		if _, err := sqlparser.Parse(string(raw)); err != nil {
-			t.Errorf("%s: %v", filepath.Base(f), err)
+		out[filepath.Base(f)] = string(raw)
+	}
+	return out
+}
+
+// TestParserLimitsAdmitTheCorpora: every query of the workload corpora and
+// every emitted guarded rewrite that parsed without limits parses with them.
+func TestParserLimitsAdmitTheCorpora(t *testing.T) {
+	for name, sql := range corpusSQL(t) {
+		if _, err := sqlparser.Parse(sql); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
 	}
 }

@@ -290,6 +290,50 @@ func TestWalkVisitsSubqueries(t *testing.T) {
 	if countShallow != 0 {
 		t.Error("non-descending Walk entered subquery")
 	}
+
+	// A derived table below a subquery, and a CTE below that, are part of
+	// the subquery.
+	s = MustParse(`SELECT * FROM t WHERE EXISTS (SELECT 1 FROM (WITH w AS (SELECT * FROM v WHERE e = 9) SELECT * FROM u WHERE c = 9) AS d)`)
+	count = 0
+	Walk(s.Body.Where, true, func(e Expr) {
+		if lit, ok := e.(*Literal); ok && lit.Val.I == 9 {
+			count++
+		}
+	})
+	if count != 2 {
+		t.Errorf("Walk reached %d of the 2 literals below a subquery's derived table", count)
+	}
+}
+
+// TestWalkCoresReachesEveryCore: the walker reports the body, set arms,
+// CTE bodies, derived tables and the subqueries of every expression slot,
+// each once, flagging those reached through an expression subquery; what a
+// callback adds to a WHERE is not visited.
+func TestWalkCoresReachesEveryCore(t *testing.T) {
+	s := MustParse(`WITH w AS (SELECT * FROM cte) ` +
+		`SELECT (SELECT max(a) FROM item), x FROM (SELECT * FROM derived) AS d ` +
+		`WHERE x IN (SELECT a FROM (SELECT * FROM inderived) AS e) AND EXISTS (SELECT 1 FROM ex) ` +
+		`GROUP BY (SELECT 1 FROM grp) HAVING count(*) > (SELECT count(*) FROM hav) ORDER BY (SELECT 1 FROM ord) ` +
+		`UNION SELECT a FROM arm`)
+	got := map[string]bool{}
+	WalkCores(s, func(c *SelectCore, inExpr bool) {
+		name := c.From[0].RefName()
+		if _, dup := got[name]; dup {
+			t.Errorf("core %s reported twice", name)
+		}
+		got[name] = inExpr
+		// A subquery added here must not be walked.
+		c.Where = And(c.Where, &ExistsExpr{Select: MustParse("SELECT 1 FROM added")})
+	})
+	// Cores are named by their first FROM entry: the body reads d, the IN
+	// subquery reads e.
+	want := map[string]bool{
+		"cte": false, "derived": false, "d": false, "arm": false,
+		"item": true, "inderived": true, "e": true, "ex": true, "grp": true, "hav": true, "ord": true,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("cores reached %v, want %v", got, want)
+	}
 }
 
 func TestCmpOpHelpers(t *testing.T) {

@@ -3,6 +3,7 @@ package storage
 import (
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestDateFromYMDKnownValues(t *testing.T) {
@@ -51,6 +52,45 @@ func TestDateValidation(t *testing.T) {
 	}
 	if _, err := ParseDate("y-m-d"); err == nil {
 		t.Error("non-numeric date accepted")
+	}
+	// Years past four digits are refused, at once however large: a DATE
+	// literal costs constant time.
+	for _, s := range []string{"10000-01-01", "20999999990-1-1", "9223372036854775807-1-1"} {
+		t0 := time.Now()
+		if _, err := ParseDate(s); err == nil {
+			t.Errorf("%s accepted", s)
+		}
+		if d := time.Since(t0); d > 10*time.Millisecond {
+			t.Errorf("%s refused only after %v", s, d)
+		}
+	}
+}
+
+// Property: DateFromYMD and FormatDate agree with the time package on
+// every day of years 0000–9999.
+func TestDateMatchesTimePackage(t *testing.T) {
+	lo := time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC)
+	hi := time.Date(maxDateYear, 12, 31, 0, 0, 0, 0, time.UTC)
+	span := (hi.Unix() - lo.Unix()) / 86400
+	f := func(n uint32) bool {
+		day := lo.AddDate(0, 0, int(int64(n)%(span+1)))
+		v, err := DateFromYMD(day.Year(), int(day.Month()), day.Day())
+		if err != nil {
+			t.Logf("%s: %v", day.Format("2006-01-02"), err)
+			return false
+		}
+		if want := (day.Unix() - dateEpoch.Unix()) / 86400; v.I != want {
+			t.Logf("%s = day %d, want %d", day.Format("2006-01-02"), v.I, want)
+			return false
+		}
+		if got, want := FormatDate(v), day.Format("2006-01-02"); got != want {
+			t.Logf("day %d formats %s, want %s", v.I, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
 	}
 }
 
