@@ -31,24 +31,34 @@ const (
 // under ctx: cancellation aborts the baseline's scan like any other
 // query.
 func (m *Middleware) ExecuteBaseline(ctx context.Context, kind BaselineKind, sql string, qm policy.Metadata) (*engine.Result, error) {
-	stmt, err := m.RewriteBaseline(kind, sql, qm)
+	stmt, sets, err := m.rewriteBaseline(kind, sql, qm)
+	defer func() {
+		m.mu.Lock()
+		m.dropCheckSetsLocked(sets)
+		m.mu.Unlock()
+	}()
 	if err != nil {
 		return nil, err
 	}
 	return m.db.QueryStmtCtx(ctx, stmt)
 }
 
-// RewriteBaseline parses and rewrites a query with one of the baseline
-// strategies.
-func (m *Middleware) RewriteBaseline(kind BaselineKind, sql string, qm policy.Metadata) (*sqlparser.SelectStmt, error) {
-	stmt, err := sqlparser.Parse(sql)
+// rewriteBaseline parses and rewrites a query with one of the baseline
+// strategies. It returns the ids of the Δ check sets it registered
+// (BaselineU's, one per protected relation), on error too: they live until
+// the caller drops them.
+func (m *Middleware) rewriteBaseline(kind BaselineKind, sql string, qm policy.Metadata) (stmt *sqlparser.SelectStmt, sets []int64, err error) {
+	stmt, err = sqlparser.Parse(sql)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if qm.Querier == "" {
-		return nil, fmt.Errorf("sieve: query metadata must identify the querier")
+		return nil, nil, fmt.Errorf("sieve: query metadata must identify the querier")
 	}
-	for _, relation := range m.protectedIn(stmt) {
+	for _, relation := range referencedTables(stmt) {
+		if !m.Protected(relation) {
+			continue
+		}
 		ps := m.store.PoliciesFor(qm, relation, m.groups)
 		switch kind {
 		case BaselineP:
@@ -64,8 +74,9 @@ func (m *Middleware) RewriteBaseline(kind BaselineKind, sql string, qm policy.Me
 			setID, err := m.registerCheckSetLocked(ps, relation, schema)
 			m.mu.Unlock()
 			if err != nil {
-				return nil, err
+				return nil, sets, err
 			}
+			sets = append(sets, setID)
 			appendPerCore(stmt, relation, func(refName string) sqlparser.Expr {
 				if len(ps) == 0 {
 					return sqlparser.Lit(storage.NewBool(false))
@@ -73,18 +84,14 @@ func (m *Middleware) RewriteBaseline(kind BaselineKind, sql string, qm policy.Me
 				return deltaCall(setID, refName, schema)
 			})
 		case BaselineI:
-			cte, err := m.buildBaselineICTE(relation, ps)
-			if err != nil {
-				return nil, err
-			}
 			cteName := freshCTEName(stmt, relation)
 			replaceTableRefs(stmt, relation, cteName)
-			stmt.With = append([]sqlparser.CTE{{Name: cteName, Select: cte}}, stmt.With...)
+			stmt.With = append([]sqlparser.CTE{{Name: cteName, Select: m.buildBaselineICTE(relation, ps)}}, stmt.With...)
 		default:
-			return nil, fmt.Errorf("sieve: unknown baseline %q", kind)
+			return nil, sets, fmt.Errorf("sieve: unknown baseline %q", kind)
 		}
 	}
-	return stmt, nil
+	return stmt, sets, nil
 }
 
 // appendPerCore conjoins mk(refName) to the WHERE clause of every select
@@ -101,7 +108,7 @@ func appendPerCore(stmt *sqlparser.SelectStmt, relation string, mk func(refName 
 
 // buildBaselineICTE constructs BaselineI's projection: one forced
 // owner-index scan per policy, UNIONed.
-func (m *Middleware) buildBaselineICTE(relation string, ps []*policy.Policy) (*sqlparser.SelectStmt, error) {
+func (m *Middleware) buildBaselineICTE(relation string, ps []*policy.Policy) *sqlparser.SelectStmt {
 	mkCore := func(where sqlparser.Expr) *sqlparser.SelectCore {
 		ref := sqlparser.TableRef{Name: relation}
 		if m.db.Dialect().HonorsIndexHints() {
@@ -110,11 +117,11 @@ func (m *Middleware) buildBaselineICTE(relation string, ps []*policy.Policy) (*s
 		return &sqlparser.SelectCore{Star: true, From: []sqlparser.TableRef{ref}, Where: where, Limit: -1}
 	}
 	if len(ps) == 0 {
-		return &sqlparser.SelectStmt{Body: mkCore(sqlparser.Lit(storage.NewBool(false)))}, nil
+		return &sqlparser.SelectStmt{Body: mkCore(sqlparser.Lit(storage.NewBool(false)))}
 	}
 	out := &sqlparser.SelectStmt{Body: mkCore(ps[0].Expr(relation))}
 	for _, p := range ps[1:] {
 		out.Ops = append(out.Ops, sqlparser.SetOp{Kind: sqlparser.SetUnion, Core: mkCore(p.Expr(relation))})
 	}
-	return out, nil
+	return out
 }

@@ -278,6 +278,30 @@ func TestBaselinesGuardEverySubquery(t *testing.T) {
 	}
 }
 
+// TestBaselineUReleasesCheckSets: the Δ check set BaselineU registers for a
+// query lives only as long as that query, on success and on error alike.
+func TestBaselineUReleasesCheckSets(t *testing.T) {
+	f := newFixture(t, engine.MySQL(), 40)
+	live := func() int {
+		n := 0
+		f.m.registry.Range(func(_, _ any) bool { n++; return true })
+		return n
+	}
+	before := live()
+	for i := 0; i < 20; i++ {
+		if _, err := f.m.ExecuteBaseline(t.Context(), BaselineU, selectAll, f.qm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Rewritten (and its set registered), then failing in the engine.
+	if _, err := f.m.ExecuteBaseline(t.Context(), BaselineU, "SELECT nosuchcol FROM wifi", f.qm); err == nil {
+		t.Fatal("a query over an unknown column succeeded")
+	}
+	if got := live(); got != before {
+		t.Fatalf("%d check sets live after 21 BaselineU queries, %d before", got, before)
+	}
+}
+
 func TestDefaultDenyWithoutPolicies(t *testing.T) {
 	f := newFixture(t, engine.MySQL(), 30)
 	nobody := policy.Metadata{Querier: "stranger", Purpose: "snooping"}
@@ -504,7 +528,7 @@ func TestMissingQuerierRejected(t *testing.T) {
 	if _, err := f.m.NewSession(policy.Metadata{}).Execute(t.Context(), selectAll); err == nil {
 		t.Error("empty metadata must be rejected")
 	}
-	if _, err := f.m.RewriteBaseline(BaselineP, selectAll, policy.Metadata{}); err == nil {
+	if _, _, err := f.m.rewriteBaseline(BaselineP, selectAll, policy.Metadata{}); err == nil {
 		t.Error("empty metadata must be rejected for baselines")
 	}
 }

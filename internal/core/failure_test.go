@@ -52,7 +52,7 @@ func TestMalformedQueryRejected(t *testing.T) {
 
 func TestUnknownBaselineKind(t *testing.T) {
 	f := newFixture(t, engine.MySQL(), 5)
-	if _, err := f.m.RewriteBaseline(BaselineKind("BaselineX"), selectAll, f.qm); err == nil {
+	if _, _, err := f.m.rewriteBaseline(BaselineKind("BaselineX"), selectAll, f.qm); err == nil {
 		t.Error("unknown baseline kind accepted")
 	}
 }

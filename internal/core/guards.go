@@ -1,19 +1,62 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 
 	"github.com/sieve-db/sieve/internal/guard"
 	"github.com/sieve-db/sieve/internal/policy"
 )
 
-// guardedExpressionFor returns the guard state for a key, applying the
-// §5.1/§6 freshness rules through the signature-sharing cache. The bool
-// reports whether the resolution was a cache hit (a valid claim).
-func (m *Middleware) guardedExpressionFor(qm policy.Metadata, relation string) (*geState, []*policy.Policy, bool, error) {
+// resolution is one protected relation's guard state as one query sees it:
+// the claim's shared state, the §6 pending policies appended to it, and
+// whether the claim was served from the cache. A query resolves each of its
+// protected relations once; its plan token, its rewrite and its cache
+// counters all read that one resolution.
+type resolution struct {
+	relation string
+	state    *geState
+	pending  []*policy.Policy
+	hit      bool
+}
+
+// resolve keeps the protected relations among tables (distinct, in the
+// order the rewrite visits them) and resolves the querier's claim on each,
+// applying the §5.1/§6 freshness rules through the signature-sharing cache,
+// in one m.mu critical section — which a generation inside
+// resolveClaimLocked releases and retakes. That is all a plan token's
+// soundness asks: each resolution names a state or pending id only when the
+// querier's applicable set on that relation is exactly those policies.
+func (m *Middleware) resolve(qm policy.Metadata, tables []string) ([]resolution, error) {
+	if qm.Querier == "" {
+		return nil, fmt.Errorf("sieve: query metadata must identify the querier")
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.resolveClaimLocked(geKey{querier: qm.Querier, purpose: qm.Purpose, relation: relation})
+	var out []resolution
+	for _, rel := range tables {
+		if !m.protected[rel] {
+			continue
+		}
+		st, pending, hit, err := m.resolveClaimLocked(geKey{querier: qm.Querier, purpose: qm.Purpose, relation: rel})
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, resolution{relation: rel, state: st, pending: pending, hit: hit})
+	}
+	return out, nil
+}
+
+// countHits splits a query's resolutions into guard-cache hits and misses.
+func countHits(res []resolution) (hits, misses int) {
+	for _, r := range res {
+		if r.hit {
+			hits++
+		} else {
+			misses++
+		}
+	}
+	return hits, misses
 }
 
 // resolveClaimLocked is the heart of signature sharing. The caller holds

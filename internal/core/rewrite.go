@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
-	"time"
 
 	"github.com/sieve-db/sieve/internal/engine"
 	"github.com/sieve-db/sieve/internal/obs"
@@ -24,93 +22,67 @@ func (m *Middleware) RewriteQuery(sql string, qm policy.Metadata) (*sqlparser.Se
 	if err != nil {
 		return nil, nil, err
 	}
-	return m.rewriteParsed(stmt, qm)
+	return m.rewriteSpan(stmt, qm, nil)
 }
 
-// rewriteParsed rewrites a parsed statement in place under qm's policies.
-// Callers that keep the original AST (prepared statements) must pass a
-// clone. The Report carries the plan token assembled from the same
-// (state, pending) resolutions the CTEs were built from — each taken
-// under m.mu — so the token always describes exactly the guards in the
-// rewritten statement, however policy churn interleaves with the rewrite.
-func (m *Middleware) rewriteParsed(stmt *sqlparser.SelectStmt, qm policy.Metadata) (*sqlparser.SelectStmt, *Report, error) {
-	return m.rewriteParsedSpan(stmt, qm, nil)
-}
-
-// rewriteParsedSpan is rewriteParsed attributing its guard-cache
-// resolution to a "guard-resolve" child of sp (with hit/regen counts);
-// the rest of the rewrite — strategy choice, CTE construction — stays on
-// sp itself. sp may be nil (tracing off).
-func (m *Middleware) rewriteParsedSpan(stmt *sqlparser.SelectStmt, qm policy.Metadata, sp *obs.Span) (*sqlparser.SelectStmt, *Report, error) {
-	if qm.Querier == "" {
-		return nil, nil, fmt.Errorf("sieve: query metadata must identify the querier")
+// rewriteSpan is the rewrite of every statement that is not a prepared
+// plan: it lists the tables stmt references, resolves the protected ones
+// once (resolve) on a "guard-resolve" child of sp with hit/regen counts, and
+// rewrites stmt in place from that resolution on sp itself. Callers that
+// keep the original AST must pass a clone. sp may be nil (tracing off).
+func (m *Middleware) rewriteSpan(stmt *sqlparser.SelectStmt, qm policy.Metadata, sp *obs.Span) (*sqlparser.SelectStmt, *Report, error) {
+	tables := referencedTables(stmt)
+	gsp := sp.StartChild("guard-resolve")
+	res, err := m.resolve(qm, tables)
+	gsp.End()
+	if err != nil {
+		return nil, nil, err
 	}
-	rep := &Report{}
-	relations := m.protectedIn(stmt)
-	var tok strings.Builder
-	for _, relation := range relations {
-		refName := topLevelRefName(stmt, relation)
-		var t0 time.Time
-		if sp != nil {
-			t0 = time.Now()
-		}
-		st, pending, hit, err := m.guardedExpressionFor(qm, relation)
-		if sp != nil {
-			gsp := sp.Child("guard-resolve")
-			gsp.AddSince(t0)
-			if hit {
-				gsp.Count("hits", 1)
-			} else {
-				gsp.Count("regens", 1)
-			}
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		if hit {
-			rep.GuardCacheHits++
+	for _, r := range res {
+		if r.hit {
+			gsp.Count("hits", 1)
 		} else {
-			rep.GuardCacheMisses++
+			gsp.Count("regens", 1)
 		}
-		addTokenFragment(&tok, relation, st, pending)
-		rep.states = append(rep.states, st)
-		dec := m.chooseStrategy(stmt, relation, refName, st, pending)
+	}
+	return stmt, m.rewriteResolved(stmt, qm, res), nil
+}
+
+// rewriteResolved rewrites stmt in place from one resolution of its
+// protected relations, taking no lock: each relation's references are
+// redirected to a WITH entry built from its resolved state and pending
+// policies. The strategy choice reads one EXPLAIN of the statement as
+// written, taken before any reference is replaced (§5.5).
+func (m *Middleware) rewriteResolved(stmt *sqlparser.SelectStmt, qm policy.Metadata, res []resolution) *Report {
+	rep := &Report{}
+	rep.GuardCacheHits, rep.GuardCacheMisses = countHits(res)
+	var access []engine.TableAccess
+	if len(res) > 0 {
+		if ex, err := m.db.Explain(stmt); err == nil {
+			access = ex.Tables
+		}
+	}
+	for _, r := range res {
+		st := r.state
+		refName := topLevelRefName(stmt, r.relation)
+		var ta engine.TableAccess
+		if i := slices.IndexFunc(access, func(a engine.TableAccess) bool { return a.Table == refName }); i >= 0 {
+			ta = access[i]
+		}
+		dec := m.chooseStrategy(r.relation, ta, st, r.pending)
 		dec.DeltaGuards = len(st.deltaSets)
 		dec.Signature = st.signature()
 		dec.SharedState = st.ge.Querier != qm.Querier || st.ge.Purpose != qm.Purpose
-		queryConjs := m.pushableConjuncts(stmt, relation)
-		cte, prov, err := m.buildGuardedCTE(relation, st, pending, queryConjs, dec)
-		if err != nil {
-			return nil, nil, err
-		}
-		cteName := freshCTEName(stmt, relation)
-		replaceTableRefs(stmt, relation, cteName)
+		queryConjs := m.pushableConjuncts(stmt, r.relation)
+		cte, prov := m.buildGuardedCTE(r.relation, st, r.pending, queryConjs, dec)
+		cteName := freshCTEName(stmt, r.relation)
+		replaceTableRefs(stmt, r.relation, cteName)
 		stmt.With = append([]sqlparser.CTE{{Name: cteName, Select: cte}}, stmt.With...)
 		prov.Name = cteName
 		rep.GuardedCTEs = append(rep.GuardedCTEs, prov)
 		rep.Decisions = append(rep.Decisions, dec)
 	}
-	rep.planToken = tok.String()
-	return stmt, rep, nil
-}
-
-// protectedIn lists the protected relations referenced anywhere in the
-// statement, sorted for determinism.
-func (m *Middleware) protectedIn(stmt *sqlparser.SelectStmt) []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	seen := make(map[string]bool)
-	forEachBaseRef(stmt, func(_ *sqlparser.SelectCore, ref *sqlparser.TableRef) {
-		if m.protected[ref.Name] {
-			seen[ref.Name] = true
-		}
-	})
-	out := make([]string, 0, len(seen))
-	for r := range seen {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
+	return rep
 }
 
 // forEachBaseRef calls fn for every FROM entry naming a table rather than a
@@ -266,7 +238,7 @@ func (st *geState) guardArms(schema *storage.Schema) ([]engine.GuardArm, sqlpars
 // (engine.GuardedCTE; Name is filled by the caller once the WITH name is
 // chosen).
 func (m *Middleware) buildGuardedCTE(relation string, st *geState, pending []*policy.Policy,
-	queryConjs []sqlparser.Expr, dec TableDecision) (*sqlparser.SelectStmt, engine.GuardedCTE, error) {
+	queryConjs []sqlparser.Expr, dec TableDecision) (*sqlparser.SelectStmt, engine.GuardedCTE) {
 
 	arms, where, guardCols := st.guardArms(m.db.MustTable(relation).Schema)
 	prov := engine.GuardedCTE{
@@ -326,5 +298,5 @@ func (m *Middleware) buildGuardedCTE(relation string, st *geState, pending []*po
 			Where: where,
 			Limit: -1,
 		},
-	}, prov, nil
+	}, prov
 }

@@ -98,7 +98,7 @@ func (s *Session) Execute(ctx context.Context, sql string, args ...storage.Value
 // Rewrite returns the rewritten SQL and decision report for sql under the
 // session's metadata without executing it.
 func (s *Session) Rewrite(sql string) (string, *Report, error) {
-	stmt, rep, err := s.rewrite(sql)
+	stmt, rep, err := s.rewriteArgsCtx(context.Background(), sql, nil)
 	if err != nil {
 		return "", nil, err
 	}
@@ -116,7 +116,7 @@ func (s *Session) RewriteSQL(sql, dialect string, opts ...engine.EmitOption) (*e
 	if err != nil {
 		return nil, err
 	}
-	stmt, rep, err := s.rewrite(sql)
+	stmt, rep, err := s.rewriteArgsCtx(context.Background(), sql, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -127,20 +127,11 @@ func (s *Session) RewriteSQL(sql, dialect string, opts ...engine.EmitOption) (*e
 // (or any other session on the same middleware).
 func (s *Session) Prepare(sql string) (*Stmt, error) { return s.m.Prepare(sql) }
 
-func (s *Session) rewrite(sql string) (*sqlparser.SelectStmt, *Report, error) {
-	return s.rewriteArgs(sql, nil)
-}
-
-// rewriteArgs parses, binds placeholders (erroring on a count mismatch,
-// including args given to a placeholder-free statement), and rewrites.
-func (s *Session) rewriteArgs(sql string, args []storage.Value) (*sqlparser.SelectStmt, *Report, error) {
-	return s.rewriteArgsCtx(context.Background(), sql, args)
-}
-
-// rewriteArgsCtx is rewriteArgs attributing its phases — parse, then
-// rewrite with its guard-resolve sub-phase — to the trace span carried
-// by ctx, when one is (obs.SpanFrom is nil and every span method a no-op
-// otherwise).
+// rewriteArgsCtx parses, binds placeholders (erroring on a count mismatch,
+// including args given to a placeholder-free statement), and rewrites,
+// attributing its phases — parse, then rewrite with its guard-resolve
+// sub-phase — to the trace span carried by ctx, when one is (obs.SpanFrom
+// is nil and every span method a no-op otherwise).
 func (s *Session) rewriteArgsCtx(ctx context.Context, sql string, args []storage.Value) (*sqlparser.SelectStmt, *Report, error) {
 	sp := obs.SpanFrom(ctx)
 	psp := sp.StartChild("parse")
@@ -155,5 +146,5 @@ func (s *Session) rewriteArgsCtx(ctx context.Context, sql string, args []storage
 	}
 	rsp := sp.StartChild("rewrite")
 	defer rsp.End()
-	return s.m.rewriteParsedSpan(bound, s.qm, rsp)
+	return s.m.rewriteSpan(bound, s.qm, rsp)
 }

@@ -56,7 +56,7 @@ type Middleware struct {
 	// epoch counts policy-visibility changes (inserts, revocations,
 	// newly protected relations, administrative invalidation). It is an
 	// observability counter: plan validity is carried by the signature
-	// tokens (see planTokenFor), so churn no longer discards unrelated
+	// tokens (see resolutionToken), so churn no longer discards unrelated
 	// cached plans the way a global epoch check would.
 	epoch atomic.Uint64
 

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strings"
 
-	"github.com/sieve-db/sieve/internal/engine"
 	"github.com/sieve-db/sieve/internal/policy"
 )
 
@@ -94,7 +93,7 @@ type CacheStats struct {
 	ScopedInvalidations int64 `json:"scoped_invalidations"`
 	ClaimsInvalidated   int64 `json:"claims_invalidated"`
 	// PlanCacheHits / PlanCacheMisses count prepared-statement plan
-	// lookups by token (see planTokenFor).
+	// lookups by token (see resolutionToken).
 	PlanCacheHits   int64 `json:"plan_cache_hits"`
 	PlanCacheMisses int64 `json:"plan_cache_misses"`
 }
@@ -338,55 +337,22 @@ func (st *geState) signature() string {
 	return fmt.Sprintf("%016x", st.hash)
 }
 
-// addTokenFragment appends one protected relation's fragment of a
-// plan-cache key: "relation=stateID[,pendingID...];". The token IS the
-// validation — any policy churn that could change this (querier, purpose)'s
-// rewrite replaces a state (fresh stateID) or grows the pending set,
-// producing a different token, so a cached plan is never served stale; and
-// churn that leaves the signature untouched leaves the token untouched, so
-// unrelated plans survive. Queriers sharing a signature produce identical
-// tokens and share one plan per statement.
-func addTokenFragment(tok *strings.Builder, relation string, st *geState, pending []*policy.Policy) {
-	fmt.Fprintf(tok, "%s=%d", relation, st.stateID)
-	for _, p := range pending {
-		fmt.Fprintf(tok, ",%d", p.ID)
-	}
-	tok.WriteByte(';')
-}
-
-// planTokenFor resolves the statement's protected relations to their
-// shared guard states and returns the token. It only LOOKS UP plans;
-// Stmt.planForSpan inserts them under the token the rewrite itself resolved
-// (Report.planToken), so churn between this resolution and the rewrite
-// cannot mis-key a plan (see planForSpan). Each relation is resolved on its
-// own — m.mu may be released between two of them while a state is
-// generated — which is all the token's soundness asks: a fragment embedding
-// a state or pending id is only ever produced for a querier whose applicable
-// set on that relation is exactly those policies. seed carries the
-// guard-cache counters for the caller to fold into the query's engine
-// counters.
-func (m *Middleware) planTokenFor(qm policy.Metadata, tables []string) (string, engine.Counters, error) {
-	var seed engine.Counters
-	if qm.Querier == "" {
-		return "", seed, fmt.Errorf("sieve: query metadata must identify the querier")
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// resolutionToken is a prepared statement's plan-cache key for one
+// resolution: "relation=stateID[,pendingID...];" per protected relation.
+// The token IS the validation — any policy churn that could change this
+// (querier, purpose)'s rewrite replaces a state (fresh stateID) or grows
+// the pending set, producing a different token, so a cached plan is never
+// served stale; and churn that leaves the signature untouched leaves the
+// token untouched, so unrelated plans survive. Queriers sharing a
+// signature produce identical tokens and share one plan per statement.
+func resolutionToken(res []resolution) string {
 	var tok strings.Builder
-	for _, rel := range tables {
-		if !m.protected[rel] {
-			continue
+	for _, r := range res {
+		fmt.Fprintf(&tok, "%s=%d", r.relation, r.state.stateID)
+		for _, p := range r.pending {
+			fmt.Fprintf(&tok, ",%d", p.ID)
 		}
-		st, pending, hit, err := m.resolveClaimLocked(geKey{querier: qm.Querier, purpose: qm.Purpose, relation: rel})
-		if err != nil {
-			return "", seed, err
-		}
-		if hit {
-			seed.GuardCacheHits++
-		} else {
-			seed.GuardCacheMisses++
-		}
-		addTokenFragment(&tok, rel, st, pending)
+		tok.WriteByte(';')
 	}
-	return tok.String(), seed, nil
+	return tok.String()
 }

@@ -3,12 +3,13 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
 	"github.com/sieve-db/sieve/internal/engine"
 	"github.com/sieve-db/sieve/internal/policy"
-	"github.com/sieve-db/sieve/internal/sqlparser"
+	"github.com/sieve-db/sieve/internal/storage"
 )
 
 // sigFixture is a population of queriers split across access groups, with
@@ -294,13 +295,14 @@ func TestConcurrentChurnWithSharedPreparedStatements(t *testing.T) {
 }
 
 // TestPlanCachedUnderRewriteResolvedToken pins the plan-cache keying
-// invariant that closes the TOCTOU between token resolution and the
-// rewrite (both take m.mu separately): when a policy granted to ONE
-// member of a signature-sharing group lands between the two, the rewrite
-// includes the new grant's arm, so the plan must be cached under the
-// token the rewrite itself resolved. Caching it under the pre-insert
-// token would serve the grantee's extra rows to every peer still
-// resolving the old signature — peers the policy does not apply to.
+// invariant: a plan is cached under the token of the one resolution it was
+// rewritten from. When a policy granted to ONE member of a
+// signature-sharing group lands after the group's plan is cached, that
+// member's next query resolves a new token and rewrites from the same
+// resolution, so the plan carrying the grant's arm is cached under the
+// member's post-insert token. Caching it under the pre-insert token would
+// serve the grantee's extra rows to every peer still resolving the old
+// signature — peers the policy does not apply to.
 func TestPlanCachedUnderRewriteResolvedToken(t *testing.T) {
 	f := newSigFixture(t, 1, 2)
 	st, err := f.m.Prepare("SELECT * FROM wifi")
@@ -316,20 +318,21 @@ func TestPlanCachedUnderRewriteResolvedToken(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tokA, _, err := f.m.planTokenFor(qmA, st.tables)
-	if err != nil {
-		t.Fatal(err)
+	tokenOf := func(qm policy.Metadata) string {
+		t.Helper()
+		res, err := f.m.resolve(qm, st.tables)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resolutionToken(res)
 	}
-	tokB, _, err := f.m.planTokenFor(qmB, st.tables)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tokA, tokB := tokenOf(qmA), tokenOf(qmB)
 	if tokA != tokB {
 		t.Fatalf("shared-signature members resolved different tokens: %q vs %q", tokA, tokB)
 	}
 
-	// The racing insert: a personal grant to member0_0 (not the group),
-	// landing after A's token was resolved and before A's rewrite.
+	// A personal grant to member0_0 (not the group), then A's query: one
+	// resolution, and a plan rewritten from it.
 	const personalOwner = int64(25)
 	if err := f.m.AddPolicy(&policy.Policy{
 		Owner: personalOwner, Querier: "member0_0", Purpose: policy.AnyPurpose,
@@ -337,43 +340,125 @@ func TestPlanCachedUnderRewriteResolvedToken(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-
-	_, rep, err := f.m.rewriteParsed(sqlparser.CloneStmt(st.ast), qmA)
-	if err != nil {
+	if _, err := st.Execute(ctx, f.m.NewSession(qmA)); err != nil {
 		t.Fatal(err)
 	}
-	if rep.planToken == tokA {
-		t.Fatalf("post-insert rewrite reported the pre-insert token %q; a plan carrying the new grant would be cached under the shared stale key", tokA)
+	freshA := tokenOf(qmA)
+	if freshA == tokA {
+		t.Fatalf("post-insert resolution reported the pre-insert token %q; a plan carrying the new grant would be cached under the shared stale key", tokA)
 	}
-	freshA, _, err := f.m.planTokenFor(qmA, st.tables)
-	if err != nil {
-		t.Fatal(err)
+	sees := func(tok string) (cached, granted bool) {
+		t.Helper()
+		st.mu.Lock()
+		p := st.plans[tok]
+		st.mu.Unlock()
+		if p == nil {
+			return false, false
+		}
+		res, err := p.exec.Query(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return true, slices.ContainsFunc(res.Rows, func(r storage.Row) bool { return r[1].I == personalOwner })
 	}
-	if rep.planToken != freshA {
-		t.Errorf("rewrite token = %q, want A's post-insert token %q", rep.planToken, freshA)
+	if cached, granted := sees(freshA); !cached || !granted {
+		t.Errorf("rewrite token: plan under A's post-insert token %q cached=%v, carries the grant=%v; want both", freshA, cached, granted)
+	}
+	if _, granted := sees(tokA); granted {
+		t.Errorf("the plan under the pre-insert token %q carries A's personal grant", tokA)
 	}
 	// B's applicable set did not change: B keeps the old token and must
 	// never resolve to the grantee's.
-	freshB, _, err := f.m.planTokenFor(qmB, st.tables)
-	if err != nil {
-		t.Fatal(err)
-	}
+	freshB := tokenOf(qmB)
 	if freshB != tokB {
 		t.Errorf("peer's token moved %q → %q though its policy set is unchanged", tokB, freshB)
 	}
-	if freshB == rep.planToken {
+	if freshB == freshA {
 		t.Errorf("peer resolves the grantee's token %q: the personal grant's plan would be shared", freshB)
 	}
-
 }
 
-// TestMidRewriteInsertDoesNotPoisonSharedPlan drives the TOCTOU leak end
-// to end, deterministically: two queriers share a signature and their
-// claims are warm, the prepared statement's plan cache is cold, and a
-// personal grant to querier A is injected — via the test hook — exactly
-// between A's plan-token resolution and A's rewrite. A's rewrite then
-// carries the grant's arm while A's lookup token predates it; caching
-// that plan under the lookup token (the pre-fix behaviour) would hand
+// TestOneResolutionPerQuery: a query resolves each protected relation it
+// references exactly once, on every path — an unprepared Session.Query, a
+// prepared plan miss and hit, and a placeholder-bound Stmt.Query — so the
+// guard cache counts one hit or miss per relation per query.
+func TestOneResolutionPerQuery(t *testing.T) {
+	f := newFixture(t, engine.MySQL(), 30)
+	visits := storage.MustSchema(
+		storage.Column{Name: "id", Type: storage.KindInt},
+		storage.Column{Name: "owner", Type: storage.KindInt},
+	)
+	if _, err := f.db.CreateTable("visits", visits); err != nil {
+		t.Fatal(err)
+	}
+	var rows []storage.Row
+	for o := int64(0); o < owners; o++ {
+		rows = append(rows, storage.Row{storage.NewInt(o), storage.NewInt(o)})
+	}
+	if err := f.db.BulkInsert("visits", rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.m.Protect("visits"); err != nil {
+		t.Fatal(err)
+	}
+	for o := int64(0); o < owners; o += 3 {
+		if err := f.m.AddPolicy(&policy.Policy{Owner: o, Querier: "prof", Purpose: "attendance", Relation: "visits", Action: policy.Allow}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const join = "SELECT W.id FROM wifi AS W, visits AS V WHERE V.owner = W.owner"
+	ctx := context.Background()
+	sess := f.m.NewSession(f.qm)
+	prepared, err := f.m.Prepare(join)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, err := f.m.Prepare(join + " AND W.wifiAP = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := []struct {
+		name       string
+		query      func() (*engine.Rows, error)
+		planMisses int64
+		planHits   int64
+	}{
+		{"Session.Query", func() (*engine.Rows, error) { return sess.Query(ctx, join) }, 0, 0},
+		{"prepared miss", func() (*engine.Rows, error) { return prepared.Query(ctx, sess) }, 1, 0},
+		{"prepared hit", func() (*engine.Rows, error) { return prepared.Query(ctx, sess) }, 0, 1},
+		{"bound Stmt.Query", func() (*engine.Rows, error) { return bound.Query(ctx, sess, storage.NewInt(101)) }, 0, 0},
+	}
+	for _, c := range calls {
+		before := f.m.CacheStats()
+		rows, err := c.query()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for rows.Next() {
+		}
+		if err := rows.Close(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		after := f.m.CacheStats()
+		resolved := after.GuardCacheHits + after.GuardCacheMisses - before.GuardCacheHits - before.GuardCacheMisses
+		if resolved != 2 {
+			t.Errorf("%s: %d guard-cache resolutions for two protected relations, want 2", c.name, resolved)
+		}
+		if got := after.PlanCacheMisses - before.PlanCacheMisses; got != c.planMisses {
+			t.Errorf("%s: %d plan-cache misses, want %d", c.name, got, c.planMisses)
+		}
+		if got := after.PlanCacheHits - before.PlanCacheHits; got != c.planHits {
+			t.Errorf("%s: %d plan-cache hits, want %d", c.name, got, c.planHits)
+		}
+	}
+}
+
+// TestMidRewriteInsertDoesNotPoisonSharedPlan drives policy churn into a
+// plan miss end to end, deterministically: two queriers share a signature
+// and their claims are warm, the prepared statement's plan cache is cold,
+// and a personal grant to querier A is injected — via the test hook —
+// exactly between A's resolution and the rewrite built from it. A plan that
+// carried the grant's arm under the token A resolved before it would hand
 // B, who still resolves that token, the grantee's rows.
 func TestMidRewriteInsertDoesNotPoisonSharedPlan(t *testing.T) {
 	const grantOwner = int64(25) // outside grp0's stable grants (owners 0-4)
@@ -398,7 +483,7 @@ func TestMidRewriteInsertDoesNotPoisonSharedPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	inserted := false
-	st.hookAfterToken = func() {
+	st.hookAfterResolve = func() {
 		if inserted {
 			return
 		}
@@ -416,7 +501,7 @@ func TestMidRewriteInsertDoesNotPoisonSharedPlan(t *testing.T) {
 	if !inserted {
 		t.Fatal("test hook never fired; the window was not exercised")
 	}
-	st.hookAfterToken = nil
+	st.hookAfterResolve = nil
 	res, err := st.Execute(ctx, f.m.NewSession(qmB))
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,7 @@ import (
 // rewrite (guard lookup, strategy choice, CTE construction — the per-
 // query work SIEVE amortises, §5) is cached per plan token: the
 // signature-resolved guard states of the protected relations the
-// statement touches (see planTokenFor). Queriers who share a policy
+// statement touches (see resolutionToken). Queriers who share a policy
 // profile therefore share one rewritten plan and one per-dialect
 // emission, and policy churn invalidates only the plans whose signature
 // actually changed — a cached plan can never serve rows under stale
@@ -41,15 +41,18 @@ type Stmt struct {
 
 	rewrites atomic.Int64
 
-	// hookAfterToken, when non-nil, runs on a plan-cache miss between
-	// token resolution and the rewrite. Tests use it to interleave policy
-	// churn into the exact window the rewrite-resolved cache key closes.
-	hookAfterToken func()
+	// hookAfterResolve, when non-nil, runs on a plan-cache miss between the
+	// resolution and the rewrite built from it. Tests use it to interleave
+	// policy churn there.
+	hookAfterResolve func()
 }
 
 type preparedPlan struct {
 	stmt *sqlparser.SelectStmt
 	rep  *Report
+	// res is the resolution the plan was rewritten from: the plan dies with
+	// the first of its states to retire.
+	res []resolution
 	// exec is stmt bound to the engine: what the executor derives from the
 	// rewritten statement alone (conjunct classification, sargs, the
 	// compiled guard filter) is derived once and lives as long as the plan.
@@ -165,7 +168,7 @@ func (st *Stmt) bindRewriteCtx(ctx context.Context, qm policy.Metadata, args []s
 		bound = sqlparser.CloneStmt(st.ast)
 	}
 	rsp := obs.SpanFrom(ctx).StartChild("rewrite")
-	stmt, rep, err := st.m.rewriteParsedSpan(bound, qm, rsp)
+	stmt, rep, err := st.m.rewriteSpan(bound, qm, rsp)
 	rsp.End()
 	if err != nil {
 		return nil, nil, err
@@ -235,19 +238,11 @@ func (st *Stmt) CachedPlans() int {
 }
 
 // planForSpan returns the rewritten plan for the session's current plan
-// token. The token is resolved first; a hit returns the shared plan, a
-// miss rewrites from the pristine parse. The fresh plan is cached under
-// the token the rewrite itself resolved (Report.planToken), NOT the
-// lookup token: the two are taken under separate m.mu critical sections,
-// and an AddPolicy landing between them makes the rewrite include
-// pending/regenerated arms the lookup token does not encode — caching
-// that plan under the pre-insert token would serve the new grant's rows
-// to every querier still resolving the old signature, queriers the
-// policy does not apply to. Keying by the rewrite's own resolutions is
-// sound under any interleaving (a token embedding a state or pending id
-// can only be produced by queriers whose applicable set contains exactly
-// those policies, and revocation retires the state or the pending id
-// from every future resolution).
+// token. The statement's protected relations are resolved once; the token
+// is built from that resolution, a hit returns the shared plan, and a miss
+// rewrites the pristine parse from that same resolution and caches the plan
+// under that same token — so a plan never carries a grant its token does
+// not name, whatever policy churn does meanwhile.
 //
 // A plan lives as long as every state in its token: a retired state's id
 // is never resolved again, so the plans naming one are dropped on the
@@ -256,21 +251,24 @@ func (st *Stmt) CachedPlans() int {
 // outlives is only the plans of superseded §6 pending sets, fewer than k̃
 // per state.
 //
-// Token resolution and cache probing land on a "plan" child of sp (with
-// hit/miss counts), a miss's re-rewrite on a "rewrite" child alongside
-// it; sp may be nil. seed carries the guard/plan cache counters for
-// streaming paths to fold into the query's engine counters.
+// Resolution and cache probing land on a "plan" child of sp (with hit/miss
+// counts), a miss's rewrite on a "rewrite" child alongside it; sp may be
+// nil. seed carries the guard/plan cache counters for streaming paths to
+// fold into the query's engine counters.
 func (st *Stmt) planForSpan(qm policy.Metadata, sp *obs.Span) (*preparedPlan, engine.Counters, error) {
 	var seed engine.Counters
 	if st.numInput > 0 {
 		return nil, seed, fmt.Errorf("core: statement has %d placeholder(s); bind them through Query/Execute", st.numInput)
 	}
 	psp := sp.StartChild("plan")
-	tok, seed, err := st.m.planTokenFor(qm, st.tables)
+	res, err := st.m.resolve(qm, st.tables)
 	if err != nil {
 		psp.End()
 		return nil, seed, err
 	}
+	hits, misses := countHits(res)
+	seed.GuardCacheHits, seed.GuardCacheMisses = int64(hits), int64(misses)
+	tok := resolutionToken(res)
 	st.mu.Lock()
 	p := st.plans[tok]
 	st.mu.Unlock()
@@ -284,22 +282,20 @@ func (st *Stmt) planForSpan(qm policy.Metadata, sp *obs.Span) (*preparedPlan, en
 	psp.Count("misses", 1)
 	seed.PlanCacheMisses++
 	st.m.planMisses.Add(1)
-	if st.hookAfterToken != nil {
-		st.hookAfterToken()
+	if st.hookAfterResolve != nil {
+		st.hookAfterResolve()
 	}
 	rsp := sp.StartChild("rewrite")
-	stmt, rep, err := st.m.rewriteParsedSpan(sqlparser.CloneStmt(st.ast), qm, rsp)
+	stmt := sqlparser.CloneStmt(st.ast)
+	rep := st.m.rewriteResolved(stmt, qm, res)
 	rsp.End()
-	if err != nil {
-		return nil, seed, err
-	}
 	st.rewrites.Add(1)
-	p = &preparedPlan{stmt: stmt, rep: rep, exec: st.m.db.Prepare(stmt)}
+	p = &preparedPlan{stmt: stmt, rep: rep, res: res, exec: st.m.db.Prepare(stmt)}
 	st.mu.Lock()
 	maps.DeleteFunc(st.plans, func(_ string, old *preparedPlan) bool {
-		return slices.ContainsFunc(old.rep.states, func(s *geState) bool { return s.gone.Load() })
+		return slices.ContainsFunc(old.res, func(r resolution) bool { return r.state.gone.Load() })
 	})
-	st.plans[rep.planToken] = p
+	st.plans[tok] = p
 	st.mu.Unlock()
 	return p, seed, nil
 }

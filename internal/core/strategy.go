@@ -3,7 +3,6 @@ package core
 import (
 	"github.com/sieve-db/sieve/internal/engine"
 	"github.com/sieve-db/sieve/internal/policy"
-	"github.com/sieve-db/sieve/internal/sqlparser"
 	"github.com/sieve-db/sieve/internal/storage"
 )
 
@@ -22,10 +21,6 @@ const (
 	// matches, then evaluates the policy partitions.
 	IndexGuards Strategy = "IndexGuards"
 )
-
-// Cost factors matching the engine's planner constants: random index
-// access versus sequential scan.
-const randFactor = 2.0
 
 // TableDecision records the middleware's choices for one protected table
 // in one query: the strategy, the per-guard Δ decisions, and the modelled
@@ -71,25 +66,12 @@ type Report struct {
 	// consulting the policy store (sharing or regenerating).
 	GuardCacheHits   int
 	GuardCacheMisses int
-	// planToken is the signature token of the guard resolutions this
-	// rewrite was actually built from, in planTokenFor's format. Stmt
-	// caches the plan under THIS token, not the one resolved before the
-	// rewrite: the two are taken under separate critical sections, so a
-	// policy landing between them would otherwise bind a plan containing
-	// the new grant's arms to the pre-churn token — which queriers the
-	// grant does not apply to still resolve to.
-	planToken string
-	// states are the guard states that token names: the plan built from
-	// this rewrite dies with the first of them to retire.
-	states []*geState
 }
 
-// chooseStrategy implements §5.5: EXPLAIN the original query to learn the
-// optimizer's intended access path and its estimated selectivity for the
-// relation, price the three strategies, and pick the cheapest.
-func (m *Middleware) chooseStrategy(stmt *sqlparser.SelectStmt, relation, refName string,
-	st *geState, pending []*policy.Policy) TableDecision {
-
+// chooseStrategy implements §5.5: from ta, the optimizer's intended access
+// path for the relation in the original query (EXPLAIN) and its estimated
+// selectivity, price the three strategies and pick the cheapest.
+func (m *Middleware) chooseStrategy(relation string, ta engine.TableAccess, st *geState, pending []*policy.Policy) TableDecision {
 	ge := st.ge
 	t := m.db.MustTable(relation)
 	n := float64(t.NumRows())
@@ -114,25 +96,18 @@ func (m *Middleware) chooseStrategy(stmt *sqlparser.SelectStmt, relation, refNam
 	if igSel > 1 {
 		igSel = 1
 	}
-	dec.CostIndexGuards = igSel * n * randFactor
+	dec.CostIndexGuards = igSel * n * engine.RandAccessFactor
 	if len(ge.Guards) == 0 && len(pending) == 0 {
 		// Default deny: an empty rewrite reads nothing.
 		dec.CostIndexGuards = 0
 	}
 
 	// cost(IndexQuery): only when the optimizer would drive this table with
-	// an index on a query predicate (EXPLAIN of the original query).
+	// an index on a query predicate.
 	dec.CostIndexQuery = inf
-	if ex, err := m.db.Explain(stmt); err == nil {
-		for _, ta := range ex.Tables {
-			if ta.Table != refName {
-				continue
-			}
-			if ta.Kind == engine.AccessIndex {
-				dec.CostIndexQuery = ta.EstSel * n * randFactor
-				dec.QueryIndex = ta.Index
-			}
-		}
+	if ta.Kind == engine.AccessIndex {
+		dec.CostIndexQuery = ta.EstSel * n * engine.RandAccessFactor
+		dec.QueryIndex = ta.Index
 	}
 
 	// cost(LinearScan): the zone-mapped scan never reads segments every

@@ -77,15 +77,12 @@ type DB struct {
 	countersMu sync.Mutex
 	Counters   Counters
 
-	// HistogramBuckets controls Analyze resolution.
-	HistogramBuckets int
-
 	// ScanWorkers is the worker budget of the sequential-scan operator:
 	// once a consumer has pulled past the first scanned segment, the
 	// remaining segments fan out across this many goroutines. Defaults to
 	// runtime.NumCPU(); values ≤ 1 keep every scan serial; values above
-	// MaxScanWorkers are clamped. Like HistogramBuckets, set it at
-	// configuration time, before queries run concurrently.
+	// MaxScanWorkers are clamped. Set it at configuration time, before
+	// queries run concurrently.
 	ScanWorkers int
 
 	// AutoAnalyzeThreshold is the number of table mutations (inserts,
@@ -110,6 +107,10 @@ const MaxScanWorkers = 64
 // estimates track bulk loads, rare enough to stay off the per-query path.
 const DefaultAutoAnalyzeThreshold = storage.SegmentSize
 
+// histogramBuckets is the resolution of the per-column histograms Analyze
+// builds.
+const histogramBuckets = 64
+
 // DefaultUDFOverheadIters approximates a ~1µs per-invocation UDF bridge on
 // contemporary hardware, the same order as MySQL's UDF dispatch.
 const DefaultUDFOverheadIters = 400
@@ -123,7 +124,6 @@ func New(dialect Dialect) *DB {
 		udfs:                 make(map[string]UDF),
 		triggers:             make(map[string][]InsertTrigger),
 		UDFOverheadIters:     DefaultUDFOverheadIters,
-		HistogramBuckets:     64,
 		ScanWorkers:          runtime.NumCPU(),
 		AutoAnalyzeThreshold: DefaultAutoAnalyzeThreshold,
 	}
@@ -362,7 +362,7 @@ func (db *DB) analyze(table string, rebuildSegs bool) error {
 	if rebuildSegs {
 		t.RebuildSegments()
 	}
-	s := storage.Analyze(t, t.IndexedColumns(), db.HistogramBuckets)
+	s := storage.Analyze(t, t.IndexedColumns(), histogramBuckets)
 	db.mu.Lock()
 	db.stats[table] = s
 	db.mu.Unlock()

@@ -89,17 +89,8 @@ func (ex *executor) explain(s *sqlparser.SelectStmt) (*Explain, error) {
 		sources = append(sources, src)
 	}
 
-	conjuncts := sqlparser.Conjuncts(core.Where)
-	perSource := make([][]sqlparser.Expr, len(sources))
-	for _, cj := range conjuncts {
-		refs := refSet(cj, sources)
-		if len(refs) == 1 {
-			for s := range refs {
-				perSource[s] = append(perSource[s], cj)
-			}
-		}
-	}
-
+	// Conjuncts land on the scans execution pushes them into.
+	_, perSource := classifyConjuncts(core, sources)
 	for i, src := range sources {
 		if src.tbl == nil {
 			out.Tables = append(out.Tables, TableAccess{Table: src.name, Kind: AccessDerived, EstSel: 1})

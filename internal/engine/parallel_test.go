@@ -209,6 +209,38 @@ func TestExplainReportsSegmentPruning(t *testing.T) {
 	}
 }
 
+// TestExplainMatchesExecutedPruning: EXPLAIN assigns WHERE conjuncts to a
+// table as execution does, constant ones included, so the pruning it
+// predicts is the pruning the scan performs.
+func TestExplainMatchesExecutedPruning(t *testing.T) {
+	db := buildSegDB(t, 10000, 64)
+	db.ScanWorkers = 1
+	for _, q := range []string{
+		"SELECT * FROM p WHERE FALSE",
+		"SELECT * FROM p WHERE id BETWEEN 128 AND 191",
+		"SELECT * FROM p WHERE id < 640 AND 1 = 2",
+	} {
+		stmt, err := sqlparser.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, err := db.Explain(stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ta := ex.Tables[0]
+		db.ResetCounters()
+		if _, err := db.Query(q); err != nil {
+			t.Fatal(err)
+		}
+		c := db.CountersSnapshot()
+		if ta.Kind != AccessSeq || int64(ta.SegmentsPruned) != c.SegmentsPruned || !ta.Vectorised {
+			t.Errorf("%s: EXPLAIN %s prunes %d of %d segments (vectorised %v); the scan pruned %d and read %d tuples",
+				q, ta.Kind, ta.SegmentsPruned, ta.Segments, ta.Vectorised, c.SegmentsPruned, c.TuplesRead)
+		}
+	}
+}
+
 // TestParallelScanCancellation cancels the context from inside the scan (a
 // UDF side effect, so the trigger point is deterministic) and checks the
 // error surfaces and the workers stop well short of the full heap.

@@ -12,9 +12,10 @@ import (
 // Cost factors for access-path choice, in units of "sequential tuple
 // reads". Random (index-driven) heap fetches cost more than sequential
 // ones; bitmap scans read the heap in slot order and land in between. The
-// ratios are the classic planner defaults, not measurements.
+// ratios are the classic planner defaults, not measurements. The middleware
+// prices its §5.5 index strategies with RandAccessFactor too.
 const (
-	randAccessFactor   = 2.0
+	RandAccessFactor   = 2.0
 	bitmapAccessFactor = 1.4
 )
 
@@ -502,7 +503,7 @@ func planAccess(db *DB, t *storage.Table, tb *tableBinding, hint *sqlparser.Inde
 	if forced {
 		// The optimizer must use one of the listed indexes if at all possible.
 		if best != nil && orPlan != nil {
-			if best.sel*randAccessFactor <= orPlan.EstSel*bitmapAccessFactor {
+			if best.sel*RandAccessFactor <= orPlan.EstSel*bitmapAccessFactor {
 				return mkIndexPlan(*best)
 			}
 			return *orPlan
@@ -520,7 +521,7 @@ func planAccess(db *DB, t *storage.Table, tb *tableBinding, hint *sqlparser.Inde
 	cost := n
 	var choice *accessPlan
 	if best != nil {
-		if c := best.sel * n * randAccessFactor; c < cost {
+		if c := best.sel * n * RandAccessFactor; c < cost {
 			cost = c
 			p := mkIndexPlan(*best)
 			choice = &p
