@@ -54,8 +54,8 @@ func main() {
 		log.Fatal(err)
 	}
 	rewritten := sqlparser.Print(stmt)
-	for _, dec := range report.Decisions {
-		fmt.Printf("table %s:\n", dec.Relation)
+	for i, dec := range report.Decisions {
+		fmt.Printf("table %s as %s:\n", dec.Relation, report.GuardedCTEs[i].Name)
 		fmt.Printf("  strategy        : %s\n", dec.Strategy)
 		fmt.Printf("  guards          : %d (%d via Δ)\n", dec.Guards, dec.DeltaGuards)
 		fmt.Printf("  policies        : %d (+%d pending)\n", dec.Policies, dec.PendingPolicies)

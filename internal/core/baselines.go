@@ -55,6 +55,8 @@ func (m *Middleware) rewriteBaseline(kind BaselineKind, sql string, qm policy.Me
 	if qm.Querier == "" {
 		return nil, nil, fmt.Errorf("sieve: query metadata must identify the querier")
 	}
+	fresh := cteNamer(stmt)
+	var ctes []sqlparser.CTE
 	for _, relation := range referencedTables(stmt) {
 		if !m.Protected(relation) {
 			continue
@@ -84,13 +86,18 @@ func (m *Middleware) rewriteBaseline(kind BaselineKind, sql string, qm policy.Me
 				return deltaCall(setID, refName, schema)
 			})
 		case BaselineI:
-			cteName := freshCTEName(stmt, relation)
-			replaceTableRefs(stmt, relation, cteName)
-			stmt.With = append([]sqlparser.CTE{{Name: cteName, Select: m.buildBaselineICTE(relation, ps)}}, stmt.With...)
+			name := fresh(relation) // one CTE per relation: BaselineI pushes nothing
+			forEachBaseRef(stmt, func(_ *sqlparser.SelectCore, ref *sqlparser.TableRef) {
+				if ref.Name == relation {
+					redirect(ref, name)
+				}
+			})
+			ctes = append(ctes, sqlparser.CTE{Name: name, Select: m.buildBaselineICTE(relation, ps)})
 		default:
 			return nil, sets, fmt.Errorf("sieve: unknown baseline %q", kind)
 		}
 	}
+	stmt.With = append(ctes, stmt.With...)
 	return stmt, sets, nil
 }
 

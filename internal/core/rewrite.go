@@ -12,9 +12,9 @@ import (
 	"github.com/sieve-db/sieve/internal/storage"
 )
 
-// RewriteQuery parses and rewrites a query: every protected relation
-// reference is replaced by a WITH-clause projection that satisfies the
-// querier's guarded policy expression (§5.3), with strategy-specific index
+// RewriteQuery parses and rewrites a query: every reference to a protected
+// relation is replaced by a WITH-clause projection of its own that satisfies
+// the querier's guarded policy expression (§5.3), with strategy-specific index
 // hints on hint-honouring dialects (§5.5) and Δ calls for large partitions
 // (§5.4).
 func (m *Middleware) RewriteQuery(sql string, qm policy.Metadata) (*sqlparser.SelectStmt, *Report, error) {
@@ -49,39 +49,37 @@ func (m *Middleware) rewriteSpan(stmt *sqlparser.SelectStmt, qm policy.Metadata,
 }
 
 // rewriteResolved rewrites stmt in place from one resolution of its
-// protected relations, taking no lock: each relation's references are
-// redirected to a WITH entry built from its resolved state and pending
-// policies. The strategy choice reads one EXPLAIN of the statement as
-// written, taken before any reference is replaced (§5.5).
+// protected relations, taking no lock, in one walk: every base reference to
+// one, in whatever core it sits, gets a WITH entry of its own, priced (§5.5)
+// and filtered by the single-table conjuncts that move in from its core. The
+// entries are prepended after the walk, so it never enters a guard arm.
 func (m *Middleware) rewriteResolved(stmt *sqlparser.SelectStmt, qm policy.Metadata, res []resolution) *Report {
 	rep := &Report{}
 	rep.GuardCacheHits, rep.GuardCacheMisses = countHits(res)
-	var access []engine.TableAccess
-	if len(res) > 0 {
-		if ex, err := m.db.Explain(stmt); err == nil {
-			access = ex.Tables
-		}
+	if len(res) == 0 {
+		return rep
 	}
-	for _, r := range res {
-		st := r.state
-		refName := topLevelRefName(stmt, r.relation)
-		var ta engine.TableAccess
-		if i := slices.IndexFunc(access, func(a engine.TableAccess) bool { return a.Table == refName }); i >= 0 {
-			ta = access[i]
+	fresh := cteNamer(stmt)
+	var ctes []sqlparser.CTE
+	forEachBaseRef(stmt, func(c *sqlparser.SelectCore, ref *sqlparser.TableRef) {
+		i := slices.IndexFunc(res, func(r resolution) bool { return r.relation == ref.Name })
+		if i < 0 {
+			return
 		}
-		dec := m.chooseStrategy(r.relation, ta, st, r.pending)
-		dec.DeltaGuards = len(st.deltaSets)
-		dec.Signature = st.signature()
-		dec.SharedState = st.ge.Querier != qm.Querier || st.ge.Purpose != qm.Purpose
-		queryConjs := m.pushableConjuncts(stmt, r.relation)
-		cte, prov := m.buildGuardedCTE(r.relation, st, r.pending, queryConjs, dec)
-		cteName := freshCTEName(stmt, r.relation)
-		replaceTableRefs(stmt, r.relation, cteName)
-		stmt.With = append([]sqlparser.CTE{{Name: cteName, Select: cte}}, stmt.With...)
-		prov.Name = cteName
+		r := &res[i]
+		conjs := m.moveConjuncts(c, ref)
+		dec := m.chooseStrategy(r.relation, m.accessFor(ref, conjs), r.state, r.pending)
+		dec.DeltaGuards = len(r.state.deltaSets)
+		dec.Signature = r.state.signature()
+		dec.SharedState = r.state.ge.Querier != qm.Querier || r.state.ge.Purpose != qm.Purpose
+		cte, prov := m.buildGuardedCTE(r.relation, r.state, r.pending, conjs, dec)
+		prov.Name = fresh(r.relation)
+		redirect(ref, prov.Name)
+		ctes = append(ctes, sqlparser.CTE{Name: prov.Name, Select: cte})
 		rep.GuardedCTEs = append(rep.GuardedCTEs, prov)
 		rep.Decisions = append(rep.Decisions, dec)
-	}
+	})
+	stmt.With = append(ctes, stmt.With...)
 	return rep
 }
 
@@ -99,87 +97,78 @@ func forEachBaseRef(stmt *sqlparser.SelectStmt, fn func(*sqlparser.SelectCore, *
 	})
 }
 
-// replaceTableRefs redirects every base reference to relation to the CTE,
-// keeping aliases (an unaliased reference gets the relation name as alias
-// so qualified column references keep resolving, footnote 8 of §5.3).
-func replaceTableRefs(stmt *sqlparser.SelectStmt, relation, cteName string) {
-	forEachBaseRef(stmt, func(_ *sqlparser.SelectCore, ref *sqlparser.TableRef) {
-		if ref.Name != relation {
-			return
-		}
-		if ref.Alias == "" {
-			ref.Alias = relation
-		}
-		ref.Name = cteName
-		ref.Hint = nil // hints are meaningless on a derived relation
-	})
-}
-
-// freshCTEName picks an unused WITH name for the relation's projection.
-func freshCTEName(stmt *sqlparser.SelectStmt, relation string) string {
-	used := make(map[string]bool)
+// cteNamer returns a source of WITH names unused in stmt:
+// relation_sieve, relation_sieve2, … per relation.
+func cteNamer(stmt *sqlparser.SelectStmt) func(relation string) string {
+	used := make(map[string]bool, len(stmt.With))
 	for _, cte := range stmt.With {
 		used[cte.Name] = true
 	}
-	name := relation + "_sieve"
-	for i := 2; used[name]; i++ {
-		name = fmt.Sprintf("%s_sieve%d", relation, i)
+	return func(relation string) string {
+		name := relation + "_sieve"
+		for i := 2; used[name]; i++ {
+			name = fmt.Sprintf("%s_sieve%d", relation, i)
+		}
+		used[name] = true
+		return name
 	}
-	return name
 }
 
-// topLevelRefName returns how the outermost core refers to the relation
-// ("" when absent or ambiguous). Used for EXPLAIN matching and predicate
-// pushdown.
-func topLevelRefName(stmt *sqlparser.SelectStmt, relation string) string {
-	name := ""
-	count := 0
-	for i := range stmt.Body.From {
-		ref := &stmt.Body.From[i]
-		if ref.Subquery == nil && ref.Name == relation {
-			name = ref.RefName()
-			count++
-		}
+// redirect points a base reference at a WITH entry, keeping its alias (an
+// unaliased reference gets the relation name as alias so qualified column
+// references keep resolving, footnote 8 of §5.3).
+func redirect(ref *sqlparser.TableRef, cteName string) {
+	if ref.Alias == "" {
+		ref.Alias = ref.Name
 	}
-	if count != 1 {
-		return ""
-	}
-	return name
+	ref.Name = cteName
+	ref.Hint = nil // hints are meaningless on a derived relation
 }
 
-// pushableConjuncts extracts the outer query's single-table conjuncts on
-// the relation, re-qualified to the relation's own name for inclusion in
-// the WITH clause (§5.5's selective query predicates).
-func (m *Middleware) pushableConjuncts(stmt *sqlparser.SelectStmt, relation string) []sqlparser.Expr {
-	refName := topLevelRefName(stmt, relation)
-	if refName == "" {
-		return nil
-	}
-	t := m.db.MustTable(relation)
-	var out []sqlparser.Expr
-	for _, conj := range sqlparser.Conjuncts(stmt.Body.Where) {
-		if sqlparser.HasSubquery(conj) {
-			continue
-		}
-		onlyThisTable := true
+// moveConjuncts removes from c's WHERE the conjuncts that read ref alone and
+// returns them re-qualified to the relation's own name, for ref's guarded
+// CTE (§5.5's selective query predicates). A conjunct reads ref alone when
+// it holds no subquery and every column it reads is qualified with ref's
+// name or — when ref is c's only FROM entry — unqualified and in the
+// relation's schema. Comma joins are the only joins, so a WHERE conjunct
+// filters its entry the same inside the CTE as outside it.
+func (m *Middleware) moveConjuncts(c *sqlparser.SelectCore, ref *sqlparser.TableRef) []sqlparser.Expr {
+	refName, schema, alone := ref.RefName(), m.db.MustTable(ref.Name).Schema, len(c.From) == 1
+	var moved, kept []sqlparser.Expr
+	for _, conj := range sqlparser.Conjuncts(c.Where) {
+		own := !sqlparser.HasSubquery(conj)
 		sqlparser.Walk(conj, false, func(x sqlparser.Expr) {
-			c, ok := x.(*sqlparser.ColRef)
-			if !ok {
-				return
-			}
-			if c.Table != "" && c.Table != refName {
-				onlyThisTable = false
-			}
-			if c.Table == "" && !t.Schema.HasColumn(c.Column) {
-				onlyThisTable = false
+			if col, ok := x.(*sqlparser.ColRef); ok && col.Table != refName &&
+				(col.Table != "" || !alone || !schema.HasColumn(col.Column)) {
+				own = false
 			}
 		})
-		if !onlyThisTable {
-			continue
+		if own {
+			moved = append(moved, sqlparser.RequalifyExpr(sqlparser.RequalifyExpr(conj, refName, ref.Name), "", ref.Name))
+		} else {
+			kept = append(kept, conj)
 		}
-		out = append(out, sqlparser.RequalifyExpr(sqlparser.RequalifyExpr(conj, refName, relation), "", relation))
 	}
-	return out
+	if len(moved) > 0 {
+		c.Where = sqlparser.And(kept...)
+	}
+	return moved
+}
+
+// accessFor is the optimizer's EXPLAIN of the scan ref's guarded CTE runs:
+// the relation under the reference's own hint, filtered by the conjuncts
+// moved into it. It is the zero access (no usable index) if EXPLAIN fails.
+func (m *Middleware) accessFor(ref *sqlparser.TableRef, conjs []sqlparser.Expr) engine.TableAccess {
+	scan := &sqlparser.SelectCore{
+		Star:  true,
+		From:  []sqlparser.TableRef{{Name: ref.Name, Hint: ref.Hint}},
+		Where: sqlparser.And(conjs...),
+		Limit: -1,
+	}
+	if ex, err := m.db.Explain(&sqlparser.SelectStmt{Body: scan}); err == nil && len(ex.Tables) == 1 {
+		return ex.Tables[0]
+	}
+	return engine.TableAccess{}
 }
 
 // guardArms returns the state's guard arms — per guard, the guard predicate
@@ -188,10 +177,10 @@ func (m *Middleware) pushableConjuncts(stmt *sqlparser.SelectStmt, relation stri
 // distinct guard columns, sorted. They depend on the state alone, so they
 // are built at its first rewrite and shared read-only by every rewritten
 // statement after it: nothing downstream of the rewrite changes an
-// expression in place. The one thing the rewrite itself changes in place is
-// a table reference — a later protected relation's references are
-// redirected to its CTE, subqueries inside earlier CTE bodies included — so
-// arms that carry a subquery are handed out as copies.
+// expression in place, and the rewrite's own walk is over before it
+// prepends a guarded CTE, so it never redirects a reference inside an arm.
+// A subquery in an arm (a derived-value condition) therefore reads base
+// relations, as the Δ UDF's checks do.
 func (st *geState) guardArms(schema *storage.Schema) ([]engine.GuardArm, sqlparser.Expr, []string) {
 	st.armsOnce.Do(func() {
 		cols := map[string]bool{}
@@ -213,18 +202,8 @@ func (st *geState) guardArms(schema *storage.Schema) ([]engine.GuardArm, sqlpars
 			st.guardCols = append(st.guardCols, c)
 		}
 		sort.Strings(st.guardCols)
-		st.armsHoldSubquery = sqlparser.HasSubquery(st.guardOr)
 	})
-	if !st.armsHoldSubquery {
-		return st.arms, st.guardOr, st.guardCols
-	}
-	arms := slices.Clone(st.arms)
-	exprs := make([]sqlparser.Expr, len(arms))
-	for i := range arms {
-		arms[i].Expr = sqlparser.CloneExpr(arms[i].Expr)
-		exprs[i] = arms[i].Expr
-	}
-	return arms, sqlparser.Or(exprs...), st.guardCols
+	return st.arms, st.guardOr, st.guardCols
 }
 
 // buildGuardedCTE constructs the §5.3/§5.6 WITH body:

@@ -25,8 +25,8 @@ func TestCTENameCollisionGetsFreshName(t *testing.T) {
 
 func TestSelfJoinOfProtectedRelation(t *testing.T) {
 	f := newFixture(t, engine.MySQL(), 25)
-	// Both sides of the self-join must be policy-filtered; pushdown is
-	// skipped (ambiguous ref), correctness preserved.
+	// Both sides of the self-join must be policy-filtered: each reads a
+	// guarded CTE of its own, and the join predicate stays outside both.
 	q := "SELECT a.id FROM wifi AS a, wifi AS b WHERE a.id = b.id"
 	res, err := f.m.NewSession(f.qm).Execute(t.Context(), q)
 	if err != nil {

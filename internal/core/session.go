@@ -60,9 +60,9 @@ func (s *Session) Groups() []string { return s.groups }
 // termination without a LIMIT clause).
 //
 // Placeholders (`?`) in sql are resolved to args before the policy rewrite,
-// so pushable conjuncts and index sargs see real literals — exactly as if
-// the caller had inlined them. The argument count must match the
-// placeholder count.
+// so the conjuncts moved into guarded CTEs and index sargs see real
+// literals — exactly as if the caller had inlined them. The argument count
+// must match the placeholder count.
 func (s *Session) Query(ctx context.Context, sql string, args ...storage.Value) (*engine.Rows, error) {
 	stmt, rep, err := s.rewriteArgsCtx(ctx, sql, args)
 	if err != nil {

@@ -16,8 +16,8 @@ import (
 // and executed twice for two queriers of one signature, and its printed SQL
 // and rows are held to those of a fresh middleware that has rewritten
 // nothing else. A policy with a derived-value condition puts a subquery in
-// the arms; the rewrite redirects table references inside subqueries in
-// place, so those arms must be handed out as copies, and print the same.
+// the arms; the rewrite prepends its guarded CTEs only after its walk, so it
+// never redirects a reference inside an arm, and those arms are shared too.
 func TestGuardArmsSharedAcrossRewrites(t *testing.T) {
 	statements := []string{
 		"SELECT * FROM wifi",
@@ -35,7 +35,7 @@ func TestGuardArmsSharedAcrossRewrites(t *testing.T) {
 			Owner: 3, Querier: "grp0", Purpose: policy.AnyPurpose, Relation: "wifi", Action: policy.Allow,
 			Conditions: []policy.ObjectCondition{policy.DerivedValue("wifiAP", sqlparser.CmpEq,
 				"SELECT W2.wifiAP FROM wifi AS W2 WHERE W2.owner = 0 AND W2.ts_time = wifi.ts_time AND W2.ts_date = wifi.ts_date")},
-		}, false},
+		}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			build := func() *sigFixture {

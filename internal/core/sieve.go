@@ -154,11 +154,10 @@ type geState struct {
 	// arms, guardOr and guardCols are the guard arms every rewrite over
 	// this state injects, their disjunction and their distinct columns —
 	// built once, at the first rewrite (see guardArms), not under m.mu.
-	armsOnce         sync.Once
-	arms             []engine.GuardArm
-	guardOr          sqlparser.Expr
-	guardCols        []string
-	armsHoldSubquery bool
+	armsOnce  sync.Once
+	arms      []engine.GuardArm
+	guardOr   sqlparser.Expr
+	guardCols []string
 	// zoneArms are the guards' segment-refutation arms (guardZoneArms).
 	zoneOnce sync.Once
 	zoneArms []storage.ZoneArm

@@ -22,9 +22,10 @@ const (
 	IndexGuards Strategy = "IndexGuards"
 )
 
-// TableDecision records the middleware's choices for one protected table
-// in one query: the strategy, the per-guard Δ decisions, and the modelled
-// costs that drove them (exposed for experiments and sieve-explain).
+// TableDecision records the middleware's choices for one reference to a
+// protected table in one query: the strategy, the per-guard Δ decisions, and
+// the modelled costs that drove them (exposed for experiments and
+// sieve-explain).
 type TableDecision struct {
 	Relation        string
 	Strategy        Strategy
@@ -51,13 +52,14 @@ type TableDecision struct {
 	SharedState bool
 }
 
-// Report describes one rewrite: per-table decisions and the guard
-// provenance of every injected WITH entry (the input the dialect emitters
-// frame per backend). The rewritten SQL text is what Rewrite returns beside
-// it; a rewrite that is only executed is never printed.
+// Report describes one rewrite: per protected reference, in walk order, its
+// decision and the guard provenance of its WITH entry (the input the dialect
+// emitters frame per backend), as parallel slices. The rewritten SQL text is
+// what Rewrite returns beside it; a rewrite that is only executed is never
+// printed.
 type Report struct {
 	Decisions []TableDecision
-	// GuardedCTEs carries, per injected CTE, the guard arms, pushed query
+	// GuardedCTEs carries, per injected CTE, the guard arms, moved query
 	// conjuncts and strategy that produced it — engine.Emitter implementations
 	// consume it to reframe the disjunction for MySQL or PostgreSQL.
 	GuardedCTEs []engine.GuardedCTE
@@ -69,7 +71,7 @@ type Report struct {
 }
 
 // chooseStrategy implements §5.5: from ta, the optimizer's intended access
-// path for the relation in the original query (EXPLAIN) and its estimated
+// path for one reference under its own conjuncts (EXPLAIN) and its estimated
 // selectivity, price the three strategies and pick the cheapest.
 func (m *Middleware) chooseStrategy(relation string, ta engine.TableAccess, st *geState, pending []*policy.Policy) TableDecision {
 	ge := st.ge

@@ -1,6 +1,7 @@
 package guard
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -462,5 +463,47 @@ func TestRangeMergeGrowsRunInPlace(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%d range candidates differ from the old construction's %d", len(got), len(want))
+	}
+}
+
+// TestSelectGuardsOrderIsDeterministic: a selection re-queues the candidates
+// it touched in candidate order, so candidates of equal utility pop in the
+// same order and one policy set yields the same guards, in the same order
+// with the same partitions, on every generation.
+func TestSelectGuardsOrderIsDeterministic(t *testing.T) {
+	// Each AP is granted by forty owners, twenty of them on one date. The
+	// date's guard is selected first; it shrinks every AP candidate to the
+	// same twenty policies, and the APs, tied, are selected next.
+	var ps []*policy.Policy
+	day0 := policy.Compare("ts_date", sqlparser.CmpEq, storage.NewDate(0))
+	for a := int64(0); a < 8; a++ {
+		for i := int64(0); i < 40; i++ {
+			conds := []policy.ObjectCondition{apEq(a)}
+			if i < 20 {
+				conds = append(conds, day0)
+			}
+			ps = append(ps, pol(a*40+i, conds...))
+		}
+	}
+	arms := func() string {
+		ge, err := Generate(ps, "wifi", "q", "p", campusSel(), DefaultCostModel())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, g := range ge.Guards {
+			b.WriteString(g.Cond.String())
+			for _, p := range g.Policies {
+				fmt.Fprintf(&b, " %d", p.ID)
+			}
+			b.WriteString("; ")
+		}
+		return b.String()
+	}
+	first := arms()
+	for i := 0; i < 50; i++ {
+		if got := arms(); got != first {
+			t.Fatalf("generation %d differs from the first:\n got: %s\nwant: %s", i+2, got, first)
+		}
 	}
 }

@@ -1,8 +1,10 @@
 package guard
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
+	"slices"
 
 	"github.com/sieve-db/sieve/internal/policy"
 )
@@ -57,6 +59,7 @@ func (m CostModel) UtilityWithPruning(selFrac float64, partitionSize, rows int, 
 
 // workCand is a mutable candidate during selection.
 type workCand struct {
+	idx      int // position in the candidate list
 	cond     policy.ObjectCondition
 	sel      float64
 	prune    float64 // zone-map prune fraction of the guard's interval
@@ -95,7 +98,7 @@ func SelectGuards(cands []Candidate, ps []*policy.Policy, sel Selectivity, cm Co
 	byPolicy := make(map[int64][]*workCand)
 	q := make(priorityQueue, 0, len(cands))
 	for i, c := range cands {
-		w := &workCand{cond: c.Cond, sel: c.Sel, prune: pruneFracFor(sel, c.Cond), policies: make(map[int64]*policy.Policy, len(c.Policies))}
+		w := &workCand{idx: i, cond: c.Cond, sel: c.Sel, prune: pruneFracFor(sel, c.Cond), policies: make(map[int64]*policy.Policy, len(c.Policies))}
 		for _, p := range c.Policies {
 			w.policies[p.ID] = p
 			byPolicy[p.ID] = append(byPolicy[p.ID], w)
@@ -122,17 +125,22 @@ func SelectGuards(cands []Candidate, ps []*policy.Policy, sel Selectivity, cm Co
 		policy.Sort(g.Policies)
 		out = append(out, g)
 		// Remove the selected policies from every other candidate and
-		// requeue with fresh utilities (lines 9–14 of Algorithm 1).
+		// requeue with fresh utilities (lines 9–14 of Algorithm 1), in
+		// candidate order: candidates of equal utility then pop in the same
+		// order on every run, and so do the arms they become.
 		touched := make(map[*workCand]bool)
+		var requeue []*workCand
 		for id := range w.policies {
 			for _, other := range byPolicy[id] {
 				if other == w || touched[other] {
 					continue
 				}
 				touched[other] = true
+				requeue = append(requeue, other)
 			}
 		}
-		for other := range touched {
+		slices.SortFunc(requeue, func(a, b *workCand) int { return cmp.Compare(a.idx, b.idx) })
+		for _, other := range requeue {
 			before := len(other.policies)
 			for id := range w.policies {
 				delete(other.policies, id)
