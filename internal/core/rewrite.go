@@ -181,8 +181,16 @@ func (m *Middleware) accessFor(ref *sqlparser.TableRef, conjs []sqlparser.Expr) 
 // prepends a guarded CTE, so it never redirects a reference inside an arm.
 // A subquery in an arm (a derived-value condition) therefore reads base
 // relations, as the Δ UDF's checks do.
-func (st *geState) guardArms(schema *storage.Schema) ([]engine.GuardArm, sqlparser.Expr, []string) {
+//
+// A disjunction of arms is registered with the engine as a shared filter,
+// so the engine compiles it once per state rather than once per execution.
+// A retirement may land while this runs outside m.mu: whichever of the two
+// comes second sees the other (filter is stored before gone is read, gone
+// is set before filter is read), so a retired state is never left
+// registered.
+func (st *geState) guardArms(db *engine.DB) ([]engine.GuardArm, sqlparser.Expr, []string) {
 	st.armsOnce.Do(func() {
+		schema := db.MustTable(st.relation).Schema
 		cols := map[string]bool{}
 		exprs := make([]sqlparser.Expr, len(st.ge.Guards))
 		st.arms = make([]engine.GuardArm, len(st.ge.Guards))
@@ -198,6 +206,12 @@ func (st *geState) guardArms(schema *storage.Schema) ([]engine.GuardArm, sqlpars
 			st.arms[gi] = engine.GuardArm{Col: g.Cond.Attr, Expr: exprs[gi], Delta: useDelta}
 		}
 		st.guardOr = sqlparser.Or(exprs...)
+		if len(exprs) > 1 {
+			st.filter.Store(db.ShareFilter(st.relation, st.guardOr))
+			if st.gone.Load() {
+				st.filter.Load().Release()
+			}
+		}
 		for c := range cols {
 			st.guardCols = append(st.guardCols, c)
 		}
@@ -219,7 +233,7 @@ func (st *geState) guardArms(schema *storage.Schema) ([]engine.GuardArm, sqlpars
 func (m *Middleware) buildGuardedCTE(relation string, st *geState, pending []*policy.Policy,
 	queryConjs []sqlparser.Expr, dec TableDecision) (*sqlparser.SelectStmt, engine.GuardedCTE) {
 
-	arms, where, guardCols := st.guardArms(m.db.MustTable(relation).Schema)
+	arms, where, guardCols := st.guardArms(m.db)
 	prov := engine.GuardedCTE{
 		Relation:   relation,
 		Strategy:   string(dec.Strategy),

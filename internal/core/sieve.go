@@ -158,6 +158,11 @@ type geState struct {
 	arms      []engine.GuardArm
 	guardOr   sqlparser.Expr
 	guardCols []string
+	// filter is guardOr's registration with the engine (when it is a
+	// disjunction): its compiled filter, shared by every execution over the
+	// state, until removeStateLocked releases it. Atomic because guardArms
+	// stores it outside m.mu while a retirement may read it under m.mu.
+	filter atomic.Pointer[engine.SharedFilter]
 	// zoneArms are the guards' segment-refutation arms (guardZoneArms).
 	zoneOnce sync.Once
 	zoneArms []storage.ZoneArm

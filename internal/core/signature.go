@@ -272,14 +272,16 @@ func (m *Middleware) unbindClaimLocked(c *claim) {
 }
 
 // removeStateLocked retires a shared state: it leaves the signature
-// index (so it can never be re-bound), its Δ check sets are dropped, and
-// every claim still bound to it is force-invalidated and unbound — they
-// re-resolve on their next query, and a retired state's expression and arm
-// ASTs are pinned by nothing but the plans a Stmt has yet to sweep.
+// index (so it can never be re-bound), its Δ check sets and its engine
+// filter registration are dropped, and every claim still bound to it is
+// force-invalidated and unbound — they re-resolve on their next query, and a
+// retired state's expression, arm ASTs and compiled filter are pinned by
+// nothing but the plans a Stmt has yet to sweep.
 func (m *Middleware) removeStateLocked(st *geState) {
 	if st.gone.Swap(true) {
 		return
 	}
+	st.filter.Load().Release()
 	sk := stateKey{relation: st.relation, hash: st.hash}
 	if bucket := slices.DeleteFunc(m.states[sk], func(o *geState) bool { return o == st }); len(bucket) == 0 {
 		delete(m.states, sk)

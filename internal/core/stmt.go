@@ -55,7 +55,9 @@ type preparedPlan struct {
 	res []resolution
 	// exec is stmt bound to the engine: what the executor derives from the
 	// rewritten statement alone (conjunct classification, sargs, the
-	// compiled guard filter) is derived once and lives as long as the plan.
+	// compiled filter) is derived once and lives as long as the plan. The
+	// guard disjunction's parts are not the plan's: they belong to the
+	// guard state (geState.filter) and every execution over it shares them.
 	exec *engine.Prepared
 
 	// emissions caches per-dialect SQL generated from this plan. It lives

@@ -96,6 +96,11 @@ type DB struct {
 	// compileVecProgram's place. Only the test-only UseRowReference
 	// (export_test.go) sets it; it is nil in every other DB.
 	rowReference atomic.Pointer[func([]sqlparser.Expr, *RelSchema) *vecProgram]
+
+	// shared maps sharedKey to the registered *SharedFilter (shared.go);
+	// sharedCompiles counts the dispatch operators they have compiled.
+	shared         sync.Map
+	sharedCompiles atomic.Int64
 }
 
 // MaxScanWorkers is the per-DB cap on parallel scan fan-out, bounding

@@ -202,7 +202,7 @@ func TestVectorDispatchFuzz(t *testing.T) {
 				}
 			}
 			or := mustParseWhere(t, where)
-			if p, ok := compileVecProgram([]sqlparser.Expr{or}, qualifySchema("t", db.MustTable("t").Schema)).preds[0].(*dispatchOr); ok && p.col >= 0 {
+			if p, ok := compileVecProgram([]sqlparser.Expr{or}, qualifySchema("t", db.MustTable("t").Schema), nil).preds[0].(*dispatchOr); ok && p.col >= 0 {
 				sawDispatch = true
 			}
 		}

@@ -96,7 +96,7 @@ func (ex *executor) explain(s *sqlparser.SelectStmt) (*Explain, error) {
 			out.Tables = append(out.Tables, TableAccess{Table: src.name, Kind: AccessDerived, EstSel: 1})
 			continue
 		}
-		plan := planAccess(ex.db, src.tbl, bindTable(src.tbl, src.name, perSource[i]), src.ref.Hint)
+		plan := planAccess(ex.db, src.tbl, bindTable(ex.db, src.tbl, src.name, perSource[i]), src.ref.Hint)
 		pruned, total := plan.segmentStats(src.tbl)
 		out.Tables = append(out.Tables, TableAccess{
 			Table:          src.name,

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"slices"
 	"sync"
 	"time"
 
@@ -164,13 +163,13 @@ func (f *fanOut) close() {
 	}
 }
 
-// parallelSafeConjuncts reports whether the filter can run on worker
+// parallelSafeConjunct reports whether a filter conjunct can run on worker
 // goroutines: subquery expressions are excluded because their evaluation
 // threads through the (unsynchronised) CTE scope and re-enters the
 // executor, whose kept subquery results are the consumer goroutine's alone.
 // Plain predicates, and UDF calls — the Δ operator's path — are
 // safe: registered UDFs must be safe for concurrent invocation, which the
 // engine's own (and SIEVE's Δ) are.
-func parallelSafeConjuncts(conjs []sqlparser.Expr) bool {
-	return !slices.ContainsFunc(conjs, sqlparser.HasSubquery)
+func parallelSafeConjunct(cj sqlparser.Expr) bool {
+	return !sqlparser.HasSubquery(cj)
 }

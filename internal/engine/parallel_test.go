@@ -279,7 +279,7 @@ func TestParallelEarlyCloseStopsWorkers(t *testing.T) {
 	tab := db.MustTable("p")
 	ex := db.newExecutor(context.Background())
 	conjs := sqlparser.Conjuncts(mustParseWhere(t, "grp < 9"))
-	tb := bindTable(tab, "p", conjs)
+	tb := bindTable(db, tab, "p", conjs)
 	plan := planAccess(db, tab, tb, nil)
 	if plan.fetch != nil {
 		t.Fatal("expected a sequential plan")

@@ -276,17 +276,22 @@ type accessPlan struct {
 
 // tableBinding is what planning and filtering one base-table FROM entry
 // take from the statement and the schema alone: the entry's conjuncts, its
-// qualified schema, the sargs among the conjuncts, where the sargs inside
-// their disjunctions are, and the compiled filter. Nothing in it depends on
+// qualified schema, the sargs among the conjuncts, the sargs inside their
+// disjunctions, and the compiled filter. Nothing in it depends on
 // statistics, indexes or data, so a prepared statement keeps it (planCache)
 // and every execution — on any goroutine — shares it; what does depend on
 // them, selectivity estimates and the access-path choice, planAccess redoes
-// per execution.
+// per execution. A conjunct registered as a SharedFilter (shared.go) — a
+// guard state's disjunction — brings its parts from the registration, so
+// they are built once per state, not once per binding.
 type tableBinding struct {
 	ref    string
 	conjs  []sqlparser.Expr
 	schema *RelSchema
 	sargs  []sarg // the sargable conjuncts
+	// shared is conjs[i]'s registration, nil where it has none; nil when
+	// no conjunct has one.
+	shared []*SharedFilter
 
 	progOnce sync.Once
 	prog     *vecProgram // nil: nothing to filter
@@ -303,12 +308,23 @@ type tableBinding struct {
 }
 
 // bindTable derives the binding of the FROM entry named ref over t from the
-// conjuncts that reference only it.
-func bindTable(t *storage.Table, ref string, conjs []sqlparser.Expr) *tableBinding {
+// conjuncts that reference only it. When ref is the table's own name, a
+// conjunct registered on db over t is bound to its registration.
+func bindTable(db *DB, t *storage.Table, ref string, conjs []sqlparser.Expr) *tableBinding {
 	tb := &tableBinding{ref: ref, conjs: conjs, schema: qualifySchema(ref, t.Schema)}
-	for _, cj := range conjs {
+	for i, cj := range conjs {
 		if s, ok := extractSarg(cj, ref, t.Schema); ok {
 			tb.sargs = append(tb.sargs, s)
+			continue
+		}
+		if ref != t.Name {
+			continue
+		}
+		if sf := db.sharedFilter(t, cj); sf != nil {
+			if tb.shared == nil {
+				tb.shared = make([]*SharedFilter, len(conjs))
+			}
+			tb.shared[i] = sf
 		}
 	}
 	return tb
@@ -318,39 +334,49 @@ func bindTable(t *storage.Table, ref string, conjs []sqlparser.Expr) *tableBindi
 // first execution to filter a batch: Explain binds and plans but runs
 // nothing.
 func (tb *tableBinding) program(db *DB) *vecProgram {
-	tb.progOnce.Do(func() { tb.prog = db.compileScanFilter(tb.conjs, tb.schema) })
+	tb.progOnce.Do(func() { tb.prog = db.compileScanFilter(tb.conjs, tb.schema, tb.shared) })
 	return tb.prog
 }
 
 // orClause is what a disjunctive conjunct offers an index union: for every
-// disjunct, its conjuncts that are sargs — as expressions, one pointer per
-// guard arm, since a prepared plan keeps them per arm and there may be a
-// thousand plans; planAccess re-reads the sarg off the expression when it
-// prices the branches.
+// disjunct, its conjuncts that are sargs, extracted once — per binding, or
+// per guard state for a shared guard disjunction — so that planAccess only
+// prices them.
 type orClause struct {
-	cands []sqlparser.Expr // disjunct by disjunct
-	ends  []int            // disjunct i's candidates are cands[ends[i-1]:ends[i]]
+	sargs []sarg // disjunct by disjunct
+	ends  []int  // disjunct i's candidates are sargs[ends[i-1]:ends[i]]
+}
+
+// newOrClause extracts the candidates of a conjunct's disjuncts over the
+// table referenced as ref, cutting every equality's point from one arena.
+func newOrClause(disjuncts []sqlparser.Expr, ref string, schema *storage.Schema) orClause {
+	oc := orClause{sargs: make([]sarg, 0, len(disjuncts)), ends: make([]int, len(disjuncts))}
+	points := make([]storage.Value, 0, len(disjuncts))
+	for i, d := range disjuncts {
+		inOrder(d, sqlparser.OpAnd, func(conj sqlparser.Expr) bool {
+			if s, ok := extractSargInto(conj, ref, schema, &points); ok {
+				oc.sargs = append(oc.sargs, s)
+			}
+			return true
+		})
+		oc.ends[i] = len(oc.sargs)
+	}
+	return oc
 }
 
 // orClauses lists the binding's disjunctive conjuncts.
 func (tb *tableBinding) orClauses(schema *storage.Schema) []orClause {
 	tb.orOnce.Do(func() {
-		for _, cj := range tb.conjs {
-			disjuncts := sqlparser.Disjuncts(cj)
-			if len(disjuncts) < 2 {
+		for i, cj := range tb.conjs {
+			if sf := sharedAt(tb.shared, i); sf != nil {
+				if oc := sf.orClause(); len(oc.ends) >= 2 {
+					tb.ors = append(tb.ors, oc)
+				}
 				continue
 			}
-			oc := orClause{cands: make([]sqlparser.Expr, 0, len(disjuncts)), ends: make([]int, len(disjuncts))}
-			for i, d := range disjuncts {
-				inOrder(d, sqlparser.OpAnd, func(conj sqlparser.Expr) bool {
-					if _, ok := extractSarg(conj, tb.ref, schema); ok {
-						oc.cands = append(oc.cands, conj)
-					}
-					return true
-				})
-				oc.ends[i] = len(oc.cands)
+			if disjuncts := sqlparser.Disjuncts(cj); len(disjuncts) >= 2 {
+				tb.ors = append(tb.ors, newOrClause(disjuncts, tb.ref, schema))
 			}
-			tb.ors = append(tb.ors, oc)
 		}
 	})
 	return tb.ors
@@ -359,47 +385,55 @@ func (tb *tableBinding) orClauses(schema *storage.Schema) []orClause {
 // zones returns the conjuncts' zone-refutation predicates (zonemap.go),
 // compiled at the first sequential plan: an index plan never reads them.
 func (tb *tableBinding) zones(schema *storage.Schema) ([]zoneNode, []int) {
-	tb.zoneOnce.Do(func() { tb.zonePreds, tb.zoneCols = compileZonePreds(tb.conjs, tb.ref, schema) })
+	tb.zoneOnce.Do(func() { tb.zonePreds, tb.zoneCols = compileZonePreds(tb.conjs, tb.ref, schema, tb.shared) })
 	return tb.zonePreds, tb.zoneCols
 }
 
 // parallelSafe reports whether the filter may run on fan-out workers.
 func (tb *tableBinding) parallelSafe() bool {
-	tb.safeOnce.Do(func() { tb.safe = len(tb.conjs) > 0 && parallelSafeConjuncts(tb.conjs) })
+	tb.safeOnce.Do(func() {
+		tb.safe = len(tb.conjs) > 0
+		for i, cj := range tb.conjs {
+			if sf := sharedAt(tb.shared, i); sf != nil {
+				tb.safe = tb.safe && sf.parallelSafe()
+			} else {
+				tb.safe = tb.safe && parallelSafeConjunct(cj)
+			}
+		}
+	})
 	return tb.safe
 }
 
 // orBranches picks, for each disjunct of a disjunctive conjunct, its most
-// selective sarg on an indexed (and, when restricted, hinted) column. ok is
-// false if any disjunct lacks such a sarg — then the disjunction cannot
-// drive an index union and must be a filter.
-func orBranches(est *estimator, tb *tableBinding, oc orClause, allowed map[string]bool) ([]sarg, bool) {
+// selective sarg on an indexed (and, when restricted, hinted) column, and
+// sums their selectivities. ok is false if any disjunct lacks such a sarg —
+// then the disjunction cannot drive an index union and must be a filter.
+func orBranches(est *estimator, oc orClause, allowed map[string]bool) (branches []sarg, sel float64, ok bool) {
 	t := est.t
-	out := make([]sarg, 0, len(oc.ends))
-	points := make([]storage.Value, 0, len(oc.cands))
+	branches = make([]sarg, 0, len(oc.ends))
 	from := 0
 	for _, end := range oc.ends {
-		var best sarg
-		bestSel := 2.0
-		for _, conj := range oc.cands[from:end] {
-			s, _ := extractSargInto(conj, tb.ref, t.Schema, &points)
+		best, bestSel := -1, 2.0
+		for j := from; j < end; j++ {
+			s := &oc.sargs[j]
 			if _, indexed := t.Index(s.col); !indexed {
 				continue
 			}
 			if allowed != nil && !allowed[s.col] {
 				continue
 			}
-			if sel := est.sel(s); sel < bestSel {
-				best, bestSel = s, sel
+			if sj := est.sel(*s); sj < bestSel {
+				best, bestSel = j, sj
 			}
 		}
-		if bestSel > 1.5 {
-			return nil, false
+		if best < 0 {
+			return nil, 0, false
 		}
-		out = append(out, best)
+		branches = append(branches, oc.sargs[best])
+		sel += bestSel
 		from = end
 	}
-	return out, true
+	return branches, sel, true
 }
 
 // planAccess chooses the access path for one base table given its binding.
@@ -457,24 +491,21 @@ func planAccess(db *DB, t *storage.Table, tb *tableBinding, hint *sqlparser.Inde
 	var orPlan *accessPlan
 	if db.dialect.SupportsBitmapOr() || forced {
 		for _, oc := range tb.orClauses(t.Schema) {
-			branches, ok := orBranches(est, tb, oc, allowed)
+			branches, sel, ok := orBranches(est, oc, allowed)
 			if !ok {
 				continue
 			}
-			sel := 0.0
 			names := make([]string, 0, 2)
 			for _, b := range branches {
-				sel += est.sel(b)
 				if !slices.Contains(names, b.col) {
 					names = append(names, b.col)
 				}
 			}
-			sel = clampSel(sel)
 			bs := branches
 			plan := accessPlan{
 				Kind:   AccessBitmapOr,
 				Index:  strings.Join(names, ","),
-				EstSel: sel,
+				EstSel: clampSel(sel),
 				fetch: func(v *storage.View, c *Counters) idCursor {
 					c.BitmapOrScans++
 					return fetchSargs(v, c, bs)

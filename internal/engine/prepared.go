@@ -73,7 +73,7 @@ func (ex *executor) bindCore(core *sqlparser.SelectCore, sources []*sourceInfo) 
 	cb.classifieds, cb.perSource = classifyConjuncts(core, sources)
 	for i, src := range sources {
 		if src.tbl != nil {
-			cb.tables[i] = bindTable(src.tbl, src.name, cb.perSource[i])
+			cb.tables[i] = bindTable(ex.db, src.tbl, src.name, cb.perSource[i])
 		}
 	}
 	if pc == nil {

@@ -43,7 +43,9 @@ import (
 //
 // A compiled program is immutable and holds no scratch: everything a run
 // needs comes from the running goroutine's vecScratch, so fan-out workers
-// and concurrent executions of a cached plan share one program.
+// and concurrent executions of a cached plan share one program, and every
+// execution over one guard state shares its guard disjunction's operator
+// (shared.go).
 //
 // rowPasses remains the filter of derived sources, and the reference the
 // differential oracle (vector_oracle_test.go) holds compiled programs to,
@@ -1077,28 +1079,34 @@ type vecProgram struct {
 	preds []vecPred
 }
 
-// compileVecProgram compiles the conjuncts against the relation's schema;
-// nil when there is nothing to filter.
-func compileVecProgram(conjs []sqlparser.Expr, schema *RelSchema) *vecProgram {
+// compileVecProgram compiles the conjuncts against the relation's schema,
+// taking a shared conjunct's operator (shared[i], shared.go) as compiled
+// once; nil when there is nothing to filter.
+func compileVecProgram(conjs []sqlparser.Expr, schema *RelSchema, shared []*SharedFilter) *vecProgram {
 	if len(conjs) == 0 {
 		return nil
 	}
 	vc := &vecCompiler{schema: schema}
 	p := &vecProgram{preds: make([]vecPred, len(conjs))}
 	for i, cj := range conjs {
-		p.preds[i] = vc.compilePred(cj)
+		if sf := sharedAt(shared, i); sf != nil {
+			p.preds[i] = sf.program()
+		} else {
+			p.preds[i] = vc.compilePred(cj)
+		}
 	}
 	return p
 }
 
 // compileScanFilter is how a base-table access of db obtains its filter:
 // the compiled program, unless a test has put the rowPasses reference in
-// its place for this DB (export_test.go).
-func (db *DB) compileScanFilter(conjs []sqlparser.Expr, schema *RelSchema) *vecProgram {
+// its place for this DB (export_test.go) — in place of the whole filter,
+// shared conjuncts included.
+func (db *DB) compileScanFilter(conjs []sqlparser.Expr, schema *RelSchema, shared []*SharedFilter) *vecProgram {
 	if ref := db.rowReference.Load(); ref != nil {
 		return (*ref)(conjs, schema)
 	}
-	return compileVecProgram(conjs, schema)
+	return compileVecProgram(conjs, schema, shared)
 }
 
 // run filters ve's batch: every selected row satisfies all conjuncts, with

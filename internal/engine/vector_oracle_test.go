@@ -31,7 +31,9 @@ import (
 // oracleEnv is one fully built middleware stack; rowRef makes its counted
 // queries run with the rowPasses reference installed.
 type oracleEnv struct {
-	campus *workload.Campus
+	db     *engine.DB
+	campus *workload.Campus // nil for the mall
+	corpus []workload.NamedQuery
 	m      *core.Middleware
 	ps     []*policy.Policy
 	rowRef bool
@@ -67,7 +69,35 @@ func buildOracleEnv(t *testing.T, rowRef bool, opts ...core.Option) *oracleEnv {
 	}
 	// Shrink the segment granule so the test corpus spans many segments.
 	c.DB.MustTable(workload.TableWiFi).SetSegmentSize(256)
-	return &oracleEnv{campus: c, m: m, ps: ps, rowRef: rowRef}
+	return &oracleEnv{db: c.DB, campus: c, corpus: c.CorpusQueries(), m: m, ps: ps, rowRef: rowRef}
+}
+
+// buildMallOracleEnv is buildOracleEnv over the mall corpus: shops query
+// their customers' connectivity, purpose "marketing".
+func buildMallOracleEnv(t *testing.T, rowRef bool) *oracleEnv {
+	t.Helper()
+	ml, err := workload.BuildMall(workload.TestMallConfig(), engine.MySQL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ml.DB.UDFOverheadIters = 0
+	ps := ml.GeneratePolicies(ml.Cfg.Seed+1, 3)
+	store, err := policy.NewStore(ml.DB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.BulkLoad(ps); err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.New(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Protect(workload.TableMallWiFi); err != nil {
+		t.Fatal(err)
+	}
+	ml.DB.MustTable(workload.TableMallWiFi).SetSegmentSize(256)
+	return &oracleEnv{db: ml.DB, corpus: ml.CorpusQueries(), m: m, ps: ps, rowRef: rowRef}
 }
 
 // counted makes d carry the engine's work counters: zeroed before each
@@ -79,19 +109,19 @@ func (e *oracleEnv) counted(d loadgen.Runner, seen func(engine.Counters)) loadge
 	run := d.Run
 	d.Run = func(ctx context.Context, md policy.Metadata, sql string, limit int) (loadgen.Result, error) {
 		if e.rowRef {
-			defer e.campus.DB.UseRowReference()()
+			defer e.db.UseRowReference()()
 		}
 		stmt, err := sqlparser.Parse(sql)
 		if err != nil {
 			return loadgen.Result{}, err
 		}
 		if b := stmt.Body; b.Limit >= 0 && len(b.OrderBy) == 0 && len(b.GroupBy) == 0 {
-			defer func(w int) { e.campus.DB.ScanWorkers = w }(e.campus.DB.ScanWorkers)
-			e.campus.DB.ScanWorkers = 1
+			defer func(w int) { e.db.ScanWorkers = w }(e.db.ScanWorkers)
+			e.db.ScanWorkers = 1
 		}
-		e.campus.DB.ResetCounters()
+		e.db.ResetCounters()
 		res, err := run(ctx, md, sql, limit)
-		c := e.campus.DB.CountersSnapshot()
+		c := e.db.CountersSnapshot()
 		res.Counters = &c
 		seen(c)
 		return res, err
@@ -191,6 +221,68 @@ func TestVectorOracle(t *testing.T) {
 			}
 			if !sawVectorised {
 				t.Fatal("oracle never ran the batch evaluator on the variant's access path; fixture is broken")
+			}
+		})
+	}
+}
+
+// TestVectorOracleSharedGuardFilter holds the guard filter a guard state
+// shares across executions (engine.SharedFilter) to the rowPasses
+// reference. The campus and mall corpora run unprepared twice on each side:
+// the first run compiles every state's guard disjunction once, and the
+// second compiles none — each execution takes the state's operator, arms
+// compiled by earlier executions included — and must still agree with the
+// reference row for row and counter for counter, UDFInvocations and
+// PolicyEvals among them — "campus_delta" forces the guarded scan with
+// every partition behind Δ, so there they are not zero. The reference side
+// registers the same filters but never uses them: the row reference
+// replaces the whole filter.
+func TestVectorOracleSharedGuardFilter(t *testing.T) {
+	corpora := []struct {
+		name    string
+		purpose string
+		build   func(t *testing.T, rowRef bool) *oracleEnv
+		delta   bool // every partition behind Δ
+	}{
+		{"campus", "analytics",
+			func(t *testing.T, rowRef bool) *oracleEnv { return buildOracleEnv(t, rowRef) }, false},
+		{"campus_delta", "analytics",
+			func(t *testing.T, rowRef bool) *oracleEnv {
+				return buildOracleEnv(t, rowRef, core.WithForcedStrategy(core.LinearScan), core.WithDeltaThreshold(1))
+			}, true},
+		{"mall", "marketing", buildMallOracleEnv, false},
+	}
+	for _, corpus := range corpora {
+		t.Run(corpus.name, func(t *testing.T) {
+			vec, row := corpus.build(t, false), corpus.build(t, true)
+			queriers := workload.TopQueriers(vec.ps, 3, 1)
+			var queries []loadgen.Query
+			for _, q := range vec.corpus {
+				queries = append(queries, loadgen.Query{Name: q.Name, SQL: q.SQL})
+			}
+			var udfs int64
+			ref := vec.counted(loadgen.SessionQuery(vec.m), func(c engine.Counters) { udfs += c.UDFInvocations })
+			rowRef := row.counted(loadgen.SessionQuery(row.m), func(engine.Counters) {})
+			rowRef.Name = "row reference"
+			var compiled [2]int64
+			for run := range compiled {
+				if err := loadgen.Replay(t.Context(), corpus.purpose, queriers, queries, ref, rowRef); err != nil {
+					t.Fatalf("run %d: %v", run+1, err)
+				}
+				var live int
+				live, compiled[run] = vec.db.SharedFilters()
+				if live == 0 || compiled[run] == 0 {
+					t.Fatalf("run %d: %d shared filters, %d compiled: the corpus never ran a shared guard filter", run+1, live, compiled[run])
+				}
+			}
+			if corpus.delta && udfs == 0 {
+				t.Fatal("no Δ invocation: the corpus never ran a Δ arm")
+			}
+			if compiled[1] != compiled[0] {
+				t.Errorf("the second run compiled %d guard disjunctions again; it should take every one from its state", compiled[1]-compiled[0])
+			}
+			if _, refCompiled := row.db.SharedFilters(); refCompiled != 0 {
+				t.Errorf("the row reference compiled %d shared guard disjunctions; it replaces the whole filter", refCompiled)
 			}
 		})
 	}

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"slices"
+
 	"github.com/sieve-db/sieve/internal/sqlparser"
 	"github.com/sieve-db/sieve/internal/storage"
 )
@@ -45,6 +47,10 @@ type zoneCompiler struct {
 	schema *storage.Schema
 	cols   []int // schema column offsets, deduped
 	slots  map[int]int
+}
+
+func newZoneCompiler(ref string, schema *storage.Schema) *zoneCompiler {
+	return &zoneCompiler{ref: ref, schema: schema, slots: make(map[int]int)}
 }
 
 func (zc *zoneCompiler) slotFor(col string) int {
@@ -137,11 +143,37 @@ func (n *zoneNode) refuted(zones []storage.ZoneMap) bool {
 
 // compileZonePreds compiles the scan's conjuncts into refutation trees plus
 // the schema column offsets their leaves reference. An empty tree list
-// means the scan cannot prune.
-func compileZonePreds(conjs []sqlparser.Expr, ref string, schema *storage.Schema) ([]zoneNode, []int) {
-	zc := &zoneCompiler{ref: ref, schema: schema, slots: make(map[int]int)}
+// means the scan cannot prune. A shared conjunct (shared.go) brings its
+// tree compiled against slots of its own: the first such tree is placed
+// first and its slots seed this compile's, so it is used as it is; the rest
+// compile here. Order does not matter: the trees combine with AND.
+func compileZonePreds(conjs []sqlparser.Expr, ref string, schema *storage.Schema, shared []*SharedFilter) ([]zoneNode, []int) {
+	zc := newZoneCompiler(ref, schema)
 	var nodes []zoneNode
-	for _, cj := range conjs {
+	seeded := -1
+	for i, sf := range shared {
+		if sf == nil {
+			continue
+		}
+		if n, cols, ok := sf.zones(); ok {
+			nodes = append(nodes, n)
+			zc.cols = slices.Clip(cols) // appending copies: the shared slice stays as it is
+			for s, c := range cols {
+				zc.slots[c] = s
+			}
+			seeded = i
+			break
+		}
+	}
+	for i, cj := range conjs {
+		if i == seeded {
+			continue
+		}
+		if sf := sharedAt(shared, i); sf != nil {
+			if _, _, ok := sf.zones(); !ok {
+				continue // refutes nothing: compiled once already
+			}
+		}
 		if n, ok := zc.compile(cj); ok {
 			nodes = append(nodes, n)
 		}
