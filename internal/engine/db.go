@@ -97,6 +97,11 @@ type DB struct {
 	// (export_test.go) sets it; it is nil in every other DB.
 	rowReference atomic.Pointer[func([]sqlparser.Expr, *RelSchema) *vecProgram]
 
+	// filterEvents, when set, sees every batch filter of this DB's
+	// executions as it is taken from its pool (taken) and as it goes back,
+	// cleared. Only the test-only watchFilters (export_test.go) sets it.
+	filterEvents atomic.Pointer[func(f *batchFilter, taken bool)]
+
 	// shared maps sharedKey to the registered *SharedFilter (shared.go);
 	// sharedCompiles counts the dispatch operators they have compiled.
 	shared         sync.Map

@@ -107,6 +107,7 @@ func (f *fanOut) worker(child *executor, work <-chan segTask) {
 			return child.ctxErr()
 		}
 	})
+	defer scan.release()
 	segRows := f.it.view.SegmentRows()
 	for {
 		var tk segTask

@@ -216,23 +216,51 @@ func (it *sliceIter) Close() {}
 // batchFilter is one goroutine's compiled filter at work: the shared
 // program, and this goroutine's batch, scratch and evaluator, tallying into
 // its own executor. An index fetch list has one; a sequential scan has one
-// on the consumer's goroutine and one per fan-out worker.
+// on the consumer's goroutine and one per fan-out worker. The batch and the
+// scratch stacks are the scan's working memory and outlive the execution:
+// a filter comes from filterPool and its owner releases it exactly once,
+// when it is done with it, so the next scan on this P starts at the capacity
+// the last one grew to. An owner that is never closed releases nothing; its
+// filter is collected.
 type batchFilter struct {
 	ex    *executor
 	prog  *vecProgram // nil: nothing to filter
 	ve    vecEnv
+	ev    evaluator
 	batch storage.Batch
 }
 
-// newBatchFilter builds a filter over tb's program that tallies into ex;
-// poll is threaded into the program for cancellation between conjuncts.
+var filterPool = sync.Pool{New: func() any { return new(batchFilter) }}
+
+// newBatchFilter takes a filter from the pool and sets it to run tb's
+// program, tallying into ex; poll is threaded into the program for
+// cancellation between conjuncts.
 func newBatchFilter(ex *executor, tb *tableBinding, sc *scope, outer *env, poll func() error) *batchFilter {
-	f := &batchFilter{ex: ex, prog: tb.program(ex.db)}
-	f.ve = vecEnv{
-		b: &f.batch, ev: &evaluator{ex: ex, scope: sc},
-		rowEnv: env{schema: tb.schema, outer: outer}, poll: poll,
+	f := filterPool.Get().(*batchFilter)
+	f.ex, f.prog = ex, tb.program(ex.db)
+	f.ev = evaluator{ex: ex, scope: sc}
+	f.ve.b, f.ve.ev, f.ve.poll = &f.batch, &f.ev, poll
+	f.ve.rowEnv.schema, f.ve.rowEnv.outer = tb.schema, outer
+	if watch := ex.db.filterEvents.Load(); watch != nil {
+		(*watch)(f, true)
 	}
 	return f
+}
+
+// release hands f back to the pool holding nothing of this execution — no
+// row, value, executor, program or closure — at a cost in proportion to
+// what the execution loaded. The caller must not touch f again.
+func (f *batchFilter) release() {
+	watch := f.ex.db.filterEvents.Load()
+	f.batch.Clear()
+	f.ve.s.clear()
+	f.ex, f.prog, f.ev = nil, nil, evaluator{}
+	f.ve.b, f.ve.ev, f.ve.poll = nil, nil, nil
+	f.ve.rowEnv.schema, f.ve.rowEnv.row, f.ve.rowEnv.outer = nil, nil, nil
+	if watch != nil {
+		(*watch)(f, false)
+	}
+	filterPool.Put(f)
 }
 
 // apply runs the filter over the n rows just loaded into f.batch and appends
@@ -288,9 +316,13 @@ type fetchIter struct {
 	size   int // next batch's length in ids
 	buf    []storage.Row
 	pos    int
+	closed bool
 }
 
 func (it *fetchIter) Next() (storage.Row, error) {
+	if it.closed {
+		return nil, nil
+	}
 	if it.view == nil {
 		it.view = it.t.View()
 		it.ids = it.plan.fetch(it.view, it.ex.counters)
@@ -300,6 +332,7 @@ func (it *fetchIter) Next() (storage.Row, error) {
 	for it.pos >= len(it.buf) {
 		ids := it.ids.next(it.size)
 		if len(ids) == 0 {
+			it.Close()
 			return nil, nil
 		}
 		n := it.view.FetchBatch(ids, &it.filter.batch)
@@ -320,8 +353,20 @@ func (it *fetchIter) Next() (storage.Row, error) {
 }
 
 // Close hands the cursor's bitmap back to its pool if the walk has zeroed
-// it, and drops it otherwise: the pool holds only zeroed bitmaps.
-func (it *fetchIter) Close() { it.ids.close() }
+// it, and drops it otherwise: the pool holds only zeroed bitmaps. The
+// filter goes back to its pool. Idempotent.
+func (it *fetchIter) Close() {
+	if it.closed {
+		return
+	}
+	it.closed = true
+	it.buf, it.pos = nil, 0
+	it.ids.close()
+	if it.filter != nil {
+		it.filter.release()
+		it.filter = nil
+	}
+}
 
 // idCursor hands out an index fetch a batch at a time: the ids of one
 // lookup in the order the index lists them, or the union of several as a
@@ -517,7 +562,8 @@ func (it *scanIter) nextBatch() (rows []storage.Row, more bool, err error) {
 }
 
 // Close stops the scan; with a fan-out running it stops the workers, waits
-// for them and merges their counters. Idempotent.
+// for them and merges their counters. Then the consumer's filter goes back
+// to its pool. Idempotent.
 func (it *scanIter) Close() {
 	if it.closed {
 		return
@@ -526,6 +572,10 @@ func (it *scanIter) Close() {
 	it.buf, it.pos = nil, 0
 	if it.fan != nil {
 		it.fan.close()
+	}
+	if it.scan != nil {
+		it.scan.release()
+		it.scan = nil
 	}
 }
 
@@ -539,7 +589,7 @@ type segScanner struct {
 	zbuf []storage.ZoneMap
 }
 
-// newSegScanner builds a scanner for it's scan that tallies into ex; poll
+// newSegScanner builds a scanner for its scan that tallies into ex; poll
 // is threaded into the program for cancellation between conjuncts.
 func newSegScanner(it *scanIter, ex *executor, poll func() error) *segScanner {
 	return &segScanner{

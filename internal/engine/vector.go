@@ -104,14 +104,16 @@ func triOfBool(b bool) tri {
 // vecScratch is one goroutine's scratch arena: three typed stacks that
 // operators take their per-batch buffers from and give back when they
 // return, so a run's peak is the depth of the operator tree times the batch
-// actually seen — not a batch-wide buffer per node — and a warmed-up
-// scanner allocates nothing per batch however many arms the program has.
+// actually seen — not a batch-wide buffer per node. The arena outlives the
+// execution (it is pooled with its batch filter), so a warmed-up scanner
+// allocates nothing per batch, and nothing per execution, however many arms
+// the program has.
 type vecScratch struct {
 	tris   []tri
 	ints   []int
 	vals   []storage.Value
 	nt, ni int
-	nv     int
+	nv, hv int // hv: the value stack's high-water mark since the last clear
 }
 
 // scratchMark is a position of the three stacks.
@@ -119,6 +121,14 @@ type scratchMark struct{ t, i, v int }
 
 func (s *vecScratch) mark() scratchMark     { return scratchMark{s.nt, s.ni, s.nv} }
 func (s *vecScratch) release(m scratchMark) { s.nt, s.ni, s.nv = m.t, m.i, m.v }
+
+// clear empties the stacks and zeroes the values used since the last clear,
+// so a kept arena pins no string.
+func (s *vecScratch) clear() {
+	clear(s.vals[:s.hv])
+	s.release(scratchMark{})
+	s.hv = 0
+}
 
 // take returns n elements (contents unspecified) from the top of a stack.
 // When the stack is too short it is replaced by a longer one; slices taken
@@ -132,9 +142,13 @@ func take[T any](buf *[]T, top *int, n int) []T {
 	return out
 }
 
-func (s *vecScratch) takeTris(n int) []tri           { return take(&s.tris, &s.nt, n) }
-func (s *vecScratch) takeInts(n int) []int           { return take(&s.ints, &s.ni, n) }
-func (s *vecScratch) takeVals(n int) []storage.Value { return take(&s.vals, &s.nv, n) }
+func (s *vecScratch) takeTris(n int) []tri { return take(&s.tris, &s.nt, n) }
+func (s *vecScratch) takeInts(n int) []int { return take(&s.ints, &s.ni, n) }
+func (s *vecScratch) takeVals(n int) []storage.Value {
+	vals := take(&s.vals, &s.nv, n)
+	s.hv = max(s.hv, s.nv)
+	return vals
+}
 
 // vecEnv is one goroutine's evaluation context: the batch under evaluation,
 // the scratch arena, the scalar evaluator and row environment lazy leaves

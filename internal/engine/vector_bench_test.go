@@ -12,7 +12,7 @@ import (
 
 // benchGuardDB builds a 64k-row relation whose owners are spread over 256
 // ids, with default-size segments, for the guard-disjunction scan shape.
-func benchGuardDB(b *testing.B) *DB {
+func benchGuardDB(b testing.TB) *DB {
 	b.Helper()
 	schema := storage.MustSchema(
 		storage.Column{Name: "owner", Type: storage.KindInt},

@@ -10,14 +10,17 @@ import "slices"
 // column-at-a-time over the vectors instead of interpreting the expression
 // tree once per row.
 //
-// A Batch is owned by one scan cursor (or one parallel-scan worker) and is
-// reused batch after batch; it is not safe for concurrent use. Rows are
-// immutable once stored, so the vectors may be read without any lock after
-// ScanBatch returns.
+// A Batch is owned by one goroutine at a time — a scan cursor, an index
+// fetch or one parallel-scan worker — and is reused batch after batch; it is
+// not safe for concurrent use. The engine keeps batches across executions:
+// Clear, when an owner is done, drops what it loaded so a kept batch pins no
+// row. Rows are immutable once stored, so the vectors may be read without
+// any lock after ScanBatch returns.
 type Batch struct {
 	rows  []Row
 	cols  [][]Value
 	built []bool
+	hw    int // the most rows loaded at once since the last Clear
 	// Sel is the selection bitmap: Sel[i] reports whether row i is still a
 	// candidate. ScanBatch and FetchBatch reset every entry to true.
 	Sel []bool
@@ -58,20 +61,33 @@ func (b *Batch) Selected() int {
 }
 
 // reset prepares the batch for up to n ncols-wide rows, clearing cached
-// vectors and the selection bitmap while keeping capacity.
+// vectors and the selection bitmap while keeping capacity — the column
+// vectors' too, across tables of other widths.
 func (b *Batch) reset(ncols, n int) {
 	b.rows = slices.Grow(b.rows[:0], n)
-	if len(b.cols) != ncols {
-		b.cols = make([][]Value, ncols)
-		b.built = make([]bool, ncols)
+	if more := ncols - cap(b.cols); more > 0 {
+		b.cols = slices.Grow(b.cols[:cap(b.cols)], more)
 	}
-	for c := range b.built {
-		b.built[c] = false
+	b.cols = b.cols[:ncols]
+	b.built = slices.Grow(b.built[:0], ncols)[:ncols]
+	clear(b.built)
+}
+
+// Clear drops every row and column value loaded since the last Clear,
+// keeping capacity, so a batch kept for a later owner pins nothing. It
+// costs what was loaded, not what the batch could hold.
+func (b *Batch) Clear() {
+	clear(b.rows[:b.hw])
+	for _, vec := range b.cols[:cap(b.cols)] {
+		clear(vec[:min(b.hw, cap(vec))])
 	}
+	b.rows, b.hw = b.rows[:0], 0
+	clear(b.built)
 }
 
 // finish sizes the selection bitmap to the loaded rows, all selected.
 func (b *Batch) finish() {
+	b.hw = max(b.hw, len(b.rows))
 	if cap(b.Sel) < len(b.rows) {
 		b.Sel = make([]bool, len(b.rows))
 	} else {
