@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"github.com/sieve-db/sieve/internal/guard"
 	"github.com/sieve-db/sieve/internal/policy"
 )
 
@@ -36,14 +37,14 @@ func OptimalK(cg, rho, alpha, ce, rpq float64) float64 {
 
 // optimalK instantiates Eq. 19 for a cached expression: ρ(oc_G) is the
 // average guard cardinality of the current expression. Caller holds m.mu.
-func (m *Middleware) optimalK(st *geState) int {
+func (m *Middleware) optimalK(ge *guard.GuardedExpression) int {
 	rows := 0
-	if t, ok := m.db.Table(st.ge.Relation); ok {
+	if t, ok := m.db.Table(ge.Relation); ok {
 		rows = t.NumRows()
 	}
 	rho := 0.0
-	if n := len(st.ge.Guards); n > 0 {
-		rho = st.ge.TotalSel() / float64(n) * float64(rows)
+	if n := len(ge.Guards); n > 0 {
+		rho = ge.TotalSel() / float64(n) * float64(rows)
 	}
 	if rho < 1 {
 		rho = 1

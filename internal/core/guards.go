@@ -69,11 +69,12 @@ func countHits(res []resolution) (hits, misses int) {
 //     in signature order: share an existing state generated for the exact
 //     same id set; else, under a §6 regeneration interval, keep the
 //     claim's stale state with the insert-only delta appended as pending
-//     arms while it stays below k̃; else generate a fresh state for the
-//     signature — outside m.mu, once: the first reader to miss registers
-//     the signature in m.flights and generates; readers of the same
-//     signature wait for it and then share; readers of every other
-//     signature never wait.
+//     arms while it stays below k̃; else build a fresh state for the
+//     signature — patched from a nearby state while its drift stays within
+//     k̃ (choosePatchBaseLocked), generated in full otherwise — outside
+//     m.mu, once: the first reader to miss registers the signature in
+//     m.flights and builds; readers of the same signature wait for it and
+//     then share; readers of every other signature never wait.
 //
 // One invariant carries the safety of all of it: a state is bound to a claim
 // only if, under m.mu at bind time, the store's applicable id set for that
@@ -123,9 +124,9 @@ func (m *Middleware) resolveClaimLocked(key geKey) (*geState, []*policy.Policy, 
 		// §6 deferred regeneration: reuse the stale expression with the new
 		// grants appended as owner arms until the insertion count reaches k̃.
 		// Only insert-only deltas qualify; revocation-shaped changes (or a
-		// forced regen) fall through to generation.
+		// forced regen) fall through to a new state.
 		if c.state != nil && !m.eagerRegen && !c.forceRegen {
-			if pend, ok := diffSuperset(ids, c.state.ids); ok && len(pend) < m.optimalK(c.state) {
+			if pend, ok := diffSuperset(ids, c.state.ids); ok && len(pend) < m.optimalK(c.state.ge) {
 				c.pendingIDs = pend
 				c.valid = true
 				return c.state, m.pendingPoliciesLocked(c), false, nil
@@ -139,11 +140,12 @@ func (m *Middleware) resolveClaimLocked(key geKey) (*geState, []*policy.Policy, 
 			m.mu.Lock()
 			continue
 		}
+		base := m.choosePatchBaseLocked(c, ids)
 		done := make(chan struct{})
 		m.flights[sk] = done
 		m.mu.Unlock()
 		var err error
-		fresh, err = m.generateState(key, ps, ids, sk.hash)
+		fresh, err = m.buildState(key, ps, ids, sk.hash, base)
 		m.mu.Lock()
 		delete(m.flights, sk)
 		close(done)
@@ -151,26 +153,38 @@ func (m *Middleware) resolveClaimLocked(key geKey) (*geState, []*policy.Policy, 
 			return nil, nil, false, err
 		}
 		m.stats.guardRegens++
+		if base != nil {
+			m.stats.guardPatches++
+		}
 	}
 }
 
-// generateState builds a fresh state for a signature. It runs outside m.mu;
-// the state is visible to nobody until publishStateLocked. key only names the
-// claim the expression is generated for (ge.Querier/Purpose); the state
-// itself is keyed by signature.
-func (m *Middleware) generateState(key geKey, ps []*policy.Policy, ids []int64, hash uint64) (*geState, error) {
+// buildState builds a new state for a signature: patched from base
+// (guard.Patch) when there is one, generated by the full §4 pipeline when
+// base is nil. It runs outside m.mu; the state is visible to nobody until
+// publishStateLocked. key only names the claim the expression is built for
+// (ge.Querier/Purpose); the state itself is keyed by signature.
+func (m *Middleware) buildState(key geKey, ps []*policy.Policy, ids []int64, hash uint64, base *patchBase) (*geState, error) {
 	sel, err := m.selectivityFor(key.relation)
 	if err != nil {
 		return nil, err
 	}
-	ge, err := guard.GenerateWithOptions(ps, key.relation, key.querier, key.purpose, sel, m.cm, m.genOpts)
-	if err != nil {
+	st := &geState{relation: key.relation, ids: ids, hash: hash, deltaSets: make(map[int]int64)}
+	if base != nil {
+		st.ge, st.from, err = guard.Patch(base.ge, ps, sel, m.cm)
+		if err != nil {
+			return nil, err
+		}
+		st.ge.Querier, st.ge.Purpose = key.querier, key.purpose
+		st.drift = base.drift + idsDistance(base.ids, ids)
+		st.baseArms = base.arms
+	} else if st.ge, err = guard.GenerateWithOptions(ps, key.relation, key.querier, key.purpose, sel, m.cm, m.genOpts); err != nil {
 		return nil, err
 	}
 	if m.hookGenerated != nil {
 		m.hookGenerated()
 	}
-	return &geState{ge: ge, relation: key.relation, ids: ids, hash: hash, deltaSets: make(map[int]int64)}, nil
+	return st, nil
 }
 
 // publishStateLocked makes a generated state shareable: Δ check sets for
@@ -206,6 +220,7 @@ func (m *Middleware) InvalidateAll() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.stats.scopedInvalidations++
+	clear(m.patchBases)
 	for _, bucket := range m.states {
 		for _, st := range slices.Clone(bucket) {
 			m.removeStateLocked(st)

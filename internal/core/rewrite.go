@@ -180,7 +180,9 @@ func (m *Middleware) accessFor(ref *sqlparser.TableRef, conjs []sqlparser.Expr) 
 // expression in place, and the rewrite's own walk is over before it
 // prepends a guarded CTE, so it never redirects a reference inside an arm.
 // A subquery in an arm (a derived-value condition) therefore reads base
-// relations, as the Δ UDF's checks do.
+// relations, as the Δ UDF's checks do. For the same reason a patched state
+// takes its base's arm, AST and all, for every guard guard.Patch kept
+// unchanged and that is not Δ, and builds only the rest.
 //
 // A disjunction of arms is registered with the engine as a shared filter,
 // so the engine compiles it once per state rather than once per execution.
@@ -198,13 +200,20 @@ func (st *geState) guardArms(db *engine.DB) ([]engine.GuardArm, sqlparser.Expr, 
 			g := &st.ge.Guards[gi]
 			cols[g.Cond.Attr] = true
 			setID, useDelta := st.deltaSets[gi]
-			part := deltaCall(setID, st.relation, schema)
-			if !useDelta {
-				part = g.PartitionExpr(st.relation)
+			switch {
+			case useDelta:
+				st.arms[gi] = engine.GuardArm{Col: g.Cond.Attr, Expr: sqlparser.And(g.Expr(st.relation), deltaCall(setID, st.relation, schema)), Delta: true}
+			case st.baseArms != nil && st.from[gi] >= 0:
+				// A kept guard has its base's partition, so the base
+				// inlined it too: Δ follows the partition's size.
+				st.arms[gi] = st.baseArms[st.from[gi]]
+			default:
+				st.arms[gi] = engine.GuardArm{Col: g.Cond.Attr, Expr: sqlparser.And(g.Expr(st.relation), g.PartitionExpr(st.relation))}
 			}
-			exprs[gi] = sqlparser.And(g.Expr(st.relation), part)
-			st.arms[gi] = engine.GuardArm{Col: g.Cond.Attr, Expr: exprs[gi], Delta: useDelta}
+			exprs[gi] = st.arms[gi].Expr
 		}
+		st.from, st.baseArms = nil, nil
+		st.armsBuilt.Store(true)
 		st.guardOr = sqlparser.Or(exprs...)
 		if len(exprs) > 1 {
 			st.filter.Store(db.ShareFilter(st.relation, st.guardOr))

@@ -72,6 +72,10 @@ type Middleware struct {
 	states      map[stateKey][]*geState
 	flights     map[stateKey]chan struct{}
 	byPrincipal map[relPrincipal]map[*claim]struct{}
+	// patchBases holds, per (relation, principal) scope, what the last
+	// policy write to it superseded: the base a re-resolving claim under
+	// that scope patches its new state from (see choosePatchBaseLocked).
+	patchBases  map[relPrincipal]*patchBase
 	nextStateID uint64
 	stats       cacheStats
 	// registry maps check-set ids to their *checkSet. Written under mu,
@@ -136,6 +140,10 @@ type geState struct {
 	relation string
 	ids      []int64
 	hash     uint64
+	// drift counts the policy ids changed since the expression's last full
+	// generation: 0 for a generated state, the base's drift plus the ids
+	// patched in or out for a patched one (see choosePatchBaseLocked).
+	drift int
 	// stateID is a process-unique generation token; plan-cache tokens
 	// embed it, so replacing a state invalidates exactly the plans that
 	// used it.
@@ -155,9 +163,15 @@ type geState struct {
 	// this state injects, their disjunction and their distinct columns —
 	// built once, at the first rewrite (see guardArms), not under m.mu.
 	armsOnce  sync.Once
+	armsBuilt atomic.Bool // arms may be read without armsOnce
 	arms      []engine.GuardArm
 	guardOr   sqlparser.Expr
 	guardCols []string
+	// from and baseArms are a patched state's link to its base until its
+	// arms are built: from[gi] is the base guard guard gi is unchanged from
+	// (−1 if none), baseArms the base's arms, when it had built them.
+	from     []int
+	baseArms []engine.GuardArm
 	// filter is guardOr's registration with the engine (when it is a
 	// disjunction): its compiled filter, shared by every execution over the
 	// state, until removeStateLocked releases it. Atomic because guardArms
@@ -223,6 +237,7 @@ func New(store *policy.Store, opts ...Option) (*Middleware, error) {
 		states:         make(map[stateKey][]*geState),
 		flights:        make(map[stateKey]chan struct{}),
 		byPrincipal:    make(map[relPrincipal]map[*claim]struct{}),
+		patchBases:     make(map[relPrincipal]*patchBase),
 	}
 	for _, o := range opts {
 		o(m)
@@ -334,15 +349,24 @@ func (m *Middleware) RevokePolicy(id int64) error {
 	// from — the principal index below additionally catches claims whose
 	// pending set held the policy. A state still being generated is in no
 	// bucket yet; its publisher re-resolves under mu (resolveClaimLocked).
+	// The most-bound of them is recorded first, as the base the scope's
+	// claims patch their next states from.
+	var gone []*geState
+	var superseded *geState
 	for sk, bucket := range m.states {
 		if sk.relation != p.Relation {
 			continue
 		}
-		for _, st := range slices.Clone(bucket) {
+		for _, st := range bucket {
 			if _, found := slices.BinarySearch(st.ids, p.ID); found {
-				m.removeStateLocked(st)
+				gone = append(gone, st)
+				superseded = mostBound(superseded, st)
 			}
 		}
+	}
+	m.recordPatchBaseLocked(relPrincipal{relation: p.Relation, principal: p.Querier}, superseded)
+	for _, st := range gone {
+		m.removeStateLocked(st)
 	}
 	for c := range m.byPrincipal[relPrincipal{relation: p.Relation, principal: p.Querier}] {
 		m.invalidateClaimLocked(c, true)
@@ -385,10 +409,14 @@ func (m *Middleware) onPolicyInserted(_ string, row storage.Row) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.stats.scopedInvalidations++
-	for c := range m.byPrincipal[relPrincipal{relation: relation, principal: querier}] {
+	rp := relPrincipal{relation: relation, principal: querier}
+	var superseded *geState
+	for c := range m.byPrincipal[rp] {
 		if purpose != policy.AnyPurpose && purpose != c.key.purpose {
 			continue
 		}
 		m.invalidateClaimLocked(c, false)
+		superseded = mostBound(superseded, c.state)
 	}
+	m.recordPatchBaseLocked(rp, superseded)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"strings"
 
@@ -65,6 +64,7 @@ type cacheStats struct {
 	guardHits           int64
 	guardMisses         int64
 	guardRegens         int64
+	guardPatches        int64
 	guardShares         int64
 	scopedInvalidations int64
 	claimsInvalidated   int64
@@ -82,6 +82,10 @@ type CacheStats struct {
 	// — work the signature avoided.
 	GuardRegens int64 `json:"guard_regens"`
 	GuardShares int64 `json:"guard_shares"`
+	// GuardPatches counts the generations among GuardRegens that patched
+	// a nearby state's expression (guard.Patch) instead of running the §4
+	// pipeline in full.
+	GuardPatches int64 `json:"guard_patches"`
 	// GuardStates / Claims are gauges: distinct live guard generations vs.
 	// (querier, purpose, relation) bindings onto them. States = O(distinct
 	// policy profiles), claims = O(queriers).
@@ -111,6 +115,7 @@ func (m *Middleware) CacheStats() CacheStats {
 		GuardCacheMisses:    m.stats.guardMisses,
 		GuardRegens:         m.stats.guardRegens,
 		GuardShares:         m.stats.guardShares,
+		GuardPatches:        m.stats.guardPatches,
 		GuardStates:         int64(states),
 		Claims:              int64(len(m.claims)),
 		ScopedInvalidations: m.stats.scopedInvalidations,
@@ -130,18 +135,19 @@ func policyIDs(ps []*policy.Policy) []int64 {
 	return ids
 }
 
-// signatureHash folds a sorted policy-id list with FNV-64a.
+// signatureHash folds a sorted policy-id list with FNV-64a over each id's
+// little-endian bytes, inline: no hash.Hash, no allocation.
 func signatureHash(ids []int64) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
 	for _, id := range ids {
 		v := uint64(id)
 		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
+			h ^= uint64(byte(v >> (8 * i)))
+			h *= prime64
 		}
-		h.Write(buf[:])
 	}
-	return h.Sum64()
+	return h
 }
 
 // diffSuperset returns newIDs \ oldIDs when oldIDs ⊆ newIDs (both sorted).

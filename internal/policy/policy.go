@@ -258,13 +258,8 @@ var NoGroups = StaticGroups{}
 // policy's querier group, and any extra querier conditions must match the
 // metadata's context.
 func (p *Policy) AppliesTo(qm Metadata, groups Groups) bool {
-	if p.Purpose != AnyPurpose && p.Purpose != qm.Purpose {
+	if !p.matchesContext(qm) {
 		return false
-	}
-	for _, qc := range p.ExtraQuerier {
-		if qm.Context[qc.Attr] != qc.Val {
-			return false
-		}
 	}
 	if p.Querier == qm.Querier {
 		return true
@@ -275,6 +270,21 @@ func (p *Policy) AppliesTo(qm Metadata, groups Groups) bool {
 		}
 	}
 	return false
+}
+
+// matchesContext is AppliesTo without the querier test: the purposes match
+// (or the policy covers any purpose) and every extra querier condition
+// matches the metadata's context.
+func (p *Policy) matchesContext(qm Metadata) bool {
+	if p.Purpose != AnyPurpose && p.Purpose != qm.Purpose {
+		return false
+	}
+	for _, qc := range p.ExtraQuerier {
+		if qm.Context[qc.Attr] != qc.Val {
+			return false
+		}
+	}
+	return true
 }
 
 // Filter returns the subset of policies relevant to qm for the relation,

@@ -146,8 +146,10 @@ func (s *Store) PoliciesFor(qm Metadata, relation string, groups Groups) []*Poli
 		if dup {
 			continue
 		}
+		// Every policy filed under name names the querier or one of its
+		// groups, so of AppliesTo only the purpose and context tests remain.
 		for _, p := range s.byQuerier[name][relation] {
-			if p.Action != Allow || !p.AppliesTo(qm, groups) {
+			if p.Action != Allow || !p.matchesContext(qm) {
 				continue
 			}
 			out = append(out, p)

@@ -1,7 +1,10 @@
 package policy
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -339,5 +342,65 @@ func TestConcurrentInsertIssuesDistinctConditionIDs(t *testing.T) {
 	}
 	if want := writers * perWriter * 2; len(seen) != want { // owner + one condition each
 		t.Fatalf("%d distinct rOC ids, want %d", len(seen), want)
+	}
+}
+
+// TestPoliciesForMatchesFilter: PoliciesFor, which visits only the policies
+// filed under the querier and its groups and tests their purpose and
+// context alone, selects exactly what Filter's full AppliesTo test selects
+// from the whole corpus — over random corpora with groups, purposes, deny
+// policies and extra querier conditions.
+func TestPoliciesForMatchesFilter(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 11))
+	users := []string{"u0", "u1", "u2", "u3", "u4"}
+	principals := append(slices.Clone(users), "g0", "g1", "g2")
+	purposes := []string{"p0", "p1", AnyPurpose}
+	relations := []string{"r0", "r1"}
+	for round := 0; round < 20; round++ {
+		s := newStore(t)
+		groups := StaticGroups{}
+		for _, u := range users {
+			for _, g := range []string{"g0", "g1", "g2"} {
+				if rng.IntN(2) == 0 {
+					groups[u] = append(groups[u], g)
+				}
+			}
+		}
+		var ps []*Policy
+		for i := 0; i < 60; i++ {
+			p := &Policy{
+				Owner:    rng.Int64N(10),
+				Querier:  principals[rng.IntN(len(principals))],
+				Purpose:  purposes[rng.IntN(len(purposes))],
+				Relation: relations[rng.IntN(len(relations))],
+				Action:   Allow,
+			}
+			if rng.IntN(6) == 0 {
+				p.Action = Deny
+			}
+			if rng.IntN(3) == 0 {
+				p.ExtraQuerier = []QuerierCondition{{Attr: "ip", Val: fmt.Sprintf("10.0.0.%d", rng.IntN(2))}}
+			}
+			ps = append(ps, p)
+		}
+		if err := s.BulkLoad(ps); err != nil {
+			t.Fatal(err)
+		}
+		all := s.All()
+		for _, u := range append(slices.Clone(users), "stranger") {
+			for _, pur := range []string{"p0", "p1"} {
+				for _, ctx := range []map[string]string{nil, {"ip": "10.0.0.0"}, {"ip": "10.0.0.1"}} {
+					qm := Metadata{Querier: u, Purpose: pur, Context: ctx}
+					for _, rel := range relations {
+						want := Filter(all, qm, rel, groups)
+						Sort(want)
+						got := s.PoliciesFor(qm, rel, groups)
+						if !slices.Equal(got, want) {
+							t.Fatalf("round %d, %+v on %s: PoliciesFor = %v, Filter = %v", round, qm, rel, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }

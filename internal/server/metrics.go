@@ -82,6 +82,7 @@ func (s *Server) registerBridges() {
 		"sieve_guard_cache_hits":     func() int64 { return m.CacheStats().GuardCacheHits },
 		"sieve_guard_cache_misses":   func() int64 { return m.CacheStats().GuardCacheMisses },
 		"sieve_guard_regens":         func() int64 { return m.CacheStats().GuardRegens },
+		"sieve_guard_patches":        func() int64 { return m.CacheStats().GuardPatches },
 		"sieve_guard_shares":         func() int64 { return m.CacheStats().GuardShares },
 		"sieve_guard_states":         func() int64 { return m.CacheStats().GuardStates },
 		"sieve_guard_claims":         func() int64 { return m.CacheStats().Claims },
