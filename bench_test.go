@@ -113,7 +113,7 @@ func BenchmarkAblationDesignChoices(b *testing.B) {
 	runExperiment(b, experiment.Ablations)
 }
 
-// BenchmarkDynamicRegeneration regenerates the §6 eager-vs-deferred sweep.
+// BenchmarkDynamicRegeneration regenerates the §6 full-vs-patched sweep.
 func BenchmarkDynamicRegeneration(b *testing.B) {
 	runExperiment(b, func(c experiment.Config) (*experiment.Table, error) {
 		return experiment.DynamicRegeneration(c, 6)

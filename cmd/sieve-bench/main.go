@@ -62,7 +62,7 @@ var experiments = []exp{
 	{"fig5", "Figure 5: MySQL vs PostgreSQL dialects", experiment.PostgresComparison},
 	{"fig6", "Figure 6: Mall scalability", experiment.MallScalability},
 	{"ablation", "Ablations of SIEVE's design choices", experiment.Ablations},
-	{"dynamic", "Section 6: eager vs deferred regeneration", func(c experiment.Config) (*experiment.Table, error) {
+	{"dynamic", "Section 6: full vs k̃-bounded patched regeneration", func(c experiment.Config) (*experiment.Table, error) {
 		return experiment.DynamicRegeneration(c, 10)
 	}},
 	{"workers", "Parallel guarded scan scaling (1..NumCPU workers)", experiment.WorkerScaling},

@@ -58,7 +58,7 @@ func main() {
 		fmt.Printf("table %s as %s:\n", dec.Relation, report.GuardedCTEs[i].Name)
 		fmt.Printf("  strategy        : %s\n", dec.Strategy)
 		fmt.Printf("  guards          : %d (%d via Δ)\n", dec.Guards, dec.DeltaGuards)
-		fmt.Printf("  policies        : %d (+%d pending)\n", dec.Policies, dec.PendingPolicies)
+		fmt.Printf("  policies        : %d\n", dec.Policies)
 		fmt.Printf("  segments        : %d/%d prunable by guard zone maps\n", dec.SegmentsPrunable, dec.SegmentsTotal)
 		fmt.Printf("  cost LinearScan : %s\n", cost(dec.CostLinearScan))
 		fmt.Printf("  cost IndexQuery : %s (index %s)\n", cost(dec.CostIndexQuery), orDash(dec.QueryIndex))

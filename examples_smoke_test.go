@@ -21,7 +21,7 @@ func TestExamplesRun(t *testing.T) {
 		{"./examples/sqldriver", "alice sees 3 rows via database/sql"},
 		{"./examples/smartcampus", "guarded expression"},
 		{"./examples/mall", "speedup"},
-		{"./examples/dynamicpolicies", "deferred"},
+		{"./examples/dynamicpolicies", "writes absorbed by patching"},
 	}
 	for _, ex := range examples {
 		ex := ex

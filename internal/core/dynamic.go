@@ -4,11 +4,11 @@ import (
 	"math"
 
 	"github.com/sieve-db/sieve/internal/guard"
-	"github.com/sieve-db/sieve/internal/policy"
 )
 
-// RegenConfig parameterises the §6 deferred-regeneration mode.
-type RegenConfig struct {
+// regenConfig parameterises §6's k̃ (optimalK), the drift a patched guard
+// state may accumulate before its signature is generated in full again.
+type regenConfig struct {
 	// CG is the guard-generation cost in the cost model's tuple units
 	// (§6.2 treats it as a constant dominated by |Pn|).
 	CG float64
@@ -18,10 +18,10 @@ type RegenConfig struct {
 	MinK, MaxK int
 }
 
-// DefaultRegenConfig mirrors a workload with one query per policy
+// defaultRegenConfig mirrors a workload with one query per policy
 // insertion and a guard-generation cost of ~10k tuple-reads.
-func DefaultRegenConfig() RegenConfig {
-	return RegenConfig{CG: 10_000, Rpq: 1, MinK: 1, MaxK: 10_000}
+func defaultRegenConfig() regenConfig {
+	return regenConfig{CG: 10_000, Rpq: 1, MinK: 1, MaxK: 10_000}
 }
 
 // OptimalK computes k̃ = sqrt(4·CG / (ρ(oc_G)·α·ce·r_pq)) (Eq. 19): the
@@ -58,30 +58,4 @@ func (m *Middleware) optimalK(ge *guard.GuardedExpression) int {
 		ki = m.regen.MaxK
 	}
 	return ki
-}
-
-// PendingPolicies reports how many policies are queued against the key's
-// guard state awaiting regeneration. For an invalidated claim the delta
-// is computed on demand against the store (pending ids are no longer
-// accumulated by the trigger — invalidation is just a flag), so the count
-// reflects exactly the insert-only difference a §6 deferral would append.
-func (m *Middleware) PendingPolicies(qm policy.Metadata, relation string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c, ok := m.claims[geKey{querier: qm.Querier, purpose: qm.Purpose, relation: relation}]
-	if !ok || c.state == nil {
-		return 0
-	}
-	if c.valid {
-		return len(c.pendingIDs)
-	}
-	if c.forceRegen {
-		return 0
-	}
-	ps := m.store.PoliciesFor(policy.Metadata{Querier: qm.Querier, Purpose: qm.Purpose}, relation, m.groups)
-	pend, ok := diffSuperset(policyIDs(ps), c.state.ids)
-	if !ok {
-		return 0
-	}
-	return len(pend)
 }

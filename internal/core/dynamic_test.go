@@ -32,10 +32,10 @@ func TestTriggerMarksOutdatedAndEagerRegen(t *testing.T) {
 	if err := f.m.AddPolicy(newPolicy(5, 101)); err != nil {
 		t.Fatal(err)
 	}
-	if f.m.PendingPolicies(f.qm, "wifi") != 1 {
-		t.Fatalf("pending = %d, want 1", f.m.PendingPolicies(f.qm, "wifi"))
+	if _, valid := boundIDs(f.m, f.qm); valid {
+		t.Fatal("claim still valid after a policy insert for its querier")
 	}
-	// Eager mode (default): the next query regenerates.
+	// The next query builds a new state for the grown signature.
 	res, err := f.m.NewSession(f.qm).Execute(t.Context(), selectAll)
 	if err != nil {
 		t.Fatal(err)
@@ -53,61 +53,8 @@ func TestTriggerMarksOutdatedAndEagerRegen(t *testing.T) {
 	if err := f.m.AddPolicy(other); err != nil {
 		t.Fatal(err)
 	}
-	if f.m.PendingPolicies(f.qm, "wifi") != 0 {
-		t.Fatal("unrelated policy queued")
-	}
-}
-
-func TestDeferredRegenUsesStaleGuardsPlusPendingArms(t *testing.T) {
-	cfg := RegenConfig{CG: 1e12, Rpq: 1, MinK: 5, MaxK: 100} // huge CG → large k̃
-	f := newFixture(t, engine.MySQL(), 20, WithRegenInterval(cfg))
-	if _, err := f.m.NewSession(f.qm).Execute(t.Context(), selectAll); err != nil {
-		t.Fatal(err)
-	}
-	regensBefore := f.m.Regens(f.qm, "wifi")
-	// Insert fewer than k̃ policies: queries must stay correct WITHOUT
-	// regeneration (stale guards + appended arms).
-	for i := 0; i < 3; i++ {
-		if err := f.m.AddPolicy(newPolicy(int64(30+i), 100)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := f.m.NewSession(f.qm).Execute(t.Context(), selectAll)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := f.m.Regens(f.qm, "wifi"); got != regensBefore {
-		t.Fatalf("regenerated too early: %d → %d", regensBefore, got)
-	}
-	want := keysOf(f.allowedIDs(t))
-	if !equalIDs(idsOf(res, 0), want) {
-		t.Fatalf("stale-guard mode broke soundness: %d vs %d rows", len(res.Rows), len(want))
-	}
-	if f.m.PendingPolicies(f.qm, "wifi") != 3 {
-		t.Fatalf("pending = %d, want 3", f.m.PendingPolicies(f.qm, "wifi"))
-	}
-}
-
-func TestDeferredRegenTriggersAtK(t *testing.T) {
-	cfg := RegenConfig{CG: 1, Rpq: 1000, MinK: 2, MaxK: 2} // force tiny k̃
-	f := newFixture(t, engine.MySQL(), 20, WithRegenInterval(cfg))
-	if _, err := f.m.NewSession(f.qm).Execute(t.Context(), selectAll); err != nil {
-		t.Fatal(err)
-	}
-	before := f.m.Regens(f.qm, "wifi")
-	for i := 0; i < 2; i++ {
-		if err := f.m.AddPolicy(newPolicy(int64(33+i), 102)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := f.m.NewSession(f.qm).Execute(t.Context(), selectAll); err != nil {
-		t.Fatal(err)
-	}
-	if got := f.m.Regens(f.qm, "wifi"); got != before+1 {
-		t.Fatalf("regens = %d, want %d (k̃ reached)", got, before+1)
-	}
-	if f.m.PendingPolicies(f.qm, "wifi") != 0 {
-		t.Fatal("pending not cleared after regeneration")
+	if _, valid := boundIDs(f.m, f.qm); !valid {
+		t.Fatal("unrelated policy invalidated the claim")
 	}
 }
 

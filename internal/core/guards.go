@@ -9,14 +9,12 @@ import (
 )
 
 // resolution is one protected relation's guard state as one query sees it:
-// the claim's shared state, the §6 pending policies appended to it, and
-// whether the claim was served from the cache. A query resolves each of its
-// protected relations once; its plan token, its rewrite and its cache
-// counters all read that one resolution.
+// the claim's shared state and whether the claim was served from the cache.
+// A query resolves each of its protected relations once; its plan token, its
+// rewrite and its cache counters all read that one resolution.
 type resolution struct {
 	relation string
 	state    *geState
-	pending  []*policy.Policy
 	hit      bool
 }
 
@@ -25,7 +23,7 @@ type resolution struct {
 // applying the §5.1/§6 freshness rules through the signature-sharing cache,
 // in one m.mu critical section — which a generation inside
 // resolveClaimLocked releases and retakes. That is all a plan token's
-// soundness asks: each resolution names a state or pending id only when the
+// soundness asks: each resolution names a state only when the
 // querier's applicable set on that relation is exactly those policies.
 func (m *Middleware) resolve(qm policy.Metadata, tables []string) ([]resolution, error) {
 	if qm.Querier == "" {
@@ -38,11 +36,11 @@ func (m *Middleware) resolve(qm policy.Metadata, tables []string) ([]resolution,
 		if !m.protected[rel] {
 			continue
 		}
-		st, pending, hit, err := m.resolveClaimLocked(geKey{querier: qm.Querier, purpose: qm.Purpose, relation: rel})
+		st, hit, err := m.resolveClaimLocked(geKey{querier: qm.Querier, purpose: qm.Purpose, relation: rel})
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, resolution{relation: rel, state: st, pending: pending, hit: hit})
+		out = append(out, resolution{relation: rel, state: st, hit: hit})
 	}
 	return out, nil
 }
@@ -63,18 +61,15 @@ func countHits(res []resolution) (hits, misses int) {
 // m.mu and holds it again on return, but a generation releases it in
 // between.
 //
-//   - valid claim → serve its state (plus §6 pending arms) with no store
-//     access at all;
+//   - valid claim → serve its state with no store access at all;
 //   - invalid or missing claim → recompute the applicable policy set, and
 //     in signature order: share an existing state generated for the exact
-//     same id set; else, under a §6 regeneration interval, keep the
-//     claim's stale state with the insert-only delta appended as pending
-//     arms while it stays below k̃; else build a fresh state for the
-//     signature — patched from a nearby state while its drift stays within
-//     k̃ (choosePatchBaseLocked), generated in full otherwise — outside
-//     m.mu, once: the first reader to miss registers the signature in
-//     m.flights and builds; readers of the same signature wait for it and
-//     then share; readers of every other signature never wait.
+//     same id set; else build a fresh state for the signature — patched
+//     from a nearby state while its drift stays within k̃
+//     (choosePatchBaseLocked), generated in full otherwise — outside m.mu,
+//     once: the first reader to miss registers the signature in m.flights
+//     and builds; readers of the same signature wait for it and then share;
+//     readers of every other signature never wait.
 //
 // One invariant carries the safety of all of it: a state is bound to a claim
 // only if, under m.mu at bind time, the store's applicable id set for that
@@ -87,10 +82,10 @@ func countHits(res []resolution) (hits, misses int) {
 // The corpus is always filtered with the middleware-wide group resolver:
 // states are shared across sessions, so a session's pinned older
 // resolution must never populate them.
-func (m *Middleware) resolveClaimLocked(key geKey) (*geState, []*policy.Policy, bool, error) {
+func (m *Middleware) resolveClaimLocked(key geKey) (*geState, bool, error) {
 	if c := m.claims[key]; c != nil && c.valid {
 		m.stats.guardHits++
-		return c.state, m.pendingPoliciesLocked(c), true, nil
+		return c.state, true, nil
 	}
 	m.stats.guardMisses++
 	var fresh *geState // generated by this call, not yet published
@@ -111,7 +106,7 @@ func (m *Middleware) resolveClaimLocked(key geKey) (*geState, []*policy.Policy, 
 			// Publish it unless the set moved on while it was built.
 			if !shared && slices.Equal(fresh.ids, ids) {
 				if err := m.publishStateLocked(fresh); err != nil {
-					return nil, nil, false, err
+					return nil, false, err
 				}
 				st = fresh
 			}
@@ -119,18 +114,7 @@ func (m *Middleware) resolveClaimLocked(key geKey) (*geState, []*policy.Policy, 
 		}
 		if st != nil {
 			m.bindClaimLocked(c, st, shared)
-			return st, nil, false, nil
-		}
-		// §6 deferred regeneration: reuse the stale expression with the new
-		// grants appended as owner arms until the insertion count reaches k̃.
-		// Only insert-only deltas qualify; revocation-shaped changes (or a
-		// forced regen) fall through to a new state.
-		if c.state != nil && !m.eagerRegen && !c.forceRegen {
-			if pend, ok := diffSuperset(ids, c.state.ids); ok && len(pend) < m.optimalK(c.state.ge) {
-				c.pendingIDs = pend
-				c.valid = true
-				return c.state, m.pendingPoliciesLocked(c), false, nil
-			}
+			return st, false, nil
 		}
 		if done := m.flights[sk]; done != nil {
 			// Someone is generating this signature (or, at 2⁻⁶⁴, one that
@@ -150,7 +134,7 @@ func (m *Middleware) resolveClaimLocked(key geKey) (*geState, []*policy.Policy, 
 		delete(m.flights, sk)
 		close(done)
 		if err != nil {
-			return nil, nil, false, err
+			return nil, false, err
 		}
 		m.stats.guardRegens++
 		if base != nil {
@@ -227,7 +211,7 @@ func (m *Middleware) InvalidateAll() {
 		}
 	}
 	for _, c := range m.claims {
-		m.invalidateClaimLocked(c, true)
+		m.invalidateClaimLocked(c)
 	}
 }
 

@@ -181,7 +181,7 @@ func TestRevocationPatches(t *testing.T) {
 // starts again at drift 0.
 func TestDriftPastKRegenerates(t *testing.T) {
 	f := newSigFixture(t, 1, 2)
-	f.m.regen = RegenConfig{CG: 10_000, Rpq: 1, MinK: 3, MaxK: 3}
+	f.m.regen = regenConfig{CG: 10_000, Rpq: 1, MinK: 3, MaxK: 3}
 	ctx := context.Background()
 	qm := f.metadata("member0_0")
 	sess := f.m.NewSession(qm)

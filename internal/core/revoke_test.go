@@ -65,11 +65,13 @@ func TestRevokeUnknownPolicyErrors(t *testing.T) {
 	}
 }
 
-func TestRevokeForcesRegenUnderDeferral(t *testing.T) {
-	// Even in §6 deferred mode, a revocation must take effect on the very
-	// next query — appended arms can add grants but never remove them.
-	cfg := RegenConfig{CG: 1e12, Rpq: 1, MinK: 100, MaxK: 1000}
-	f := newFixture(t, engine.MySQL(), 0, WithRegenInterval(cfg))
+// TestRevokeTakesEffectWhenPatched: with k̃ pinned large, the state that
+// serves the read after a revocation is patched from the one it retires
+// (one patch, no full generation), and the revoked owner's tuples are gone
+// on that very read.
+func TestRevokeTakesEffectWhenPatched(t *testing.T) {
+	f := newFixture(t, engine.MySQL(), 0)
+	f.m.regen = regenConfig{CG: 1e12, Rpq: 1, MinK: 100, MaxK: 1000}
 	keep := newPolicy(3, 100)
 	keep.Conditions = nil
 	drop := newPolicy(5, 100)
@@ -82,6 +84,7 @@ func TestRevokeForcesRegenUnderDeferral(t *testing.T) {
 	if _, err := f.m.NewSession(f.qm).Execute(t.Context(), selectAll); err != nil {
 		t.Fatal(err)
 	}
+	before := f.m.CacheStats()
 	if err := f.m.RevokePolicy(drop.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -89,9 +92,13 @@ func TestRevokeForcesRegenUnderDeferral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	after := f.m.CacheStats()
+	if got := after.GuardPatches - before.GuardPatches; got != 1 {
+		t.Errorf("revocation then read patched %d states, want 1", got)
+	}
 	for _, r := range res.Rows {
-		if r[1].I == 5 {
-			t.Fatal("revoked owner's tuples leaked in deferred mode")
+		if r[1].I == drop.Owner {
+			t.Fatal("revoked owner's tuples leaked from the patched state")
 		}
 	}
 	if len(res.Rows) == 0 {

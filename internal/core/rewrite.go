@@ -68,11 +68,11 @@ func (m *Middleware) rewriteResolved(stmt *sqlparser.SelectStmt, qm policy.Metad
 		}
 		r := &res[i]
 		conjs := m.moveConjuncts(c, ref)
-		dec := m.chooseStrategy(r.relation, m.accessFor(ref, conjs), r.state, r.pending)
+		dec := m.chooseStrategy(r.relation, m.accessFor(ref, conjs), r.state)
 		dec.DeltaGuards = len(r.state.deltaSets)
 		dec.Signature = r.state.signature()
 		dec.SharedState = r.state.ge.Querier != qm.Querier || r.state.ge.Purpose != qm.Purpose
-		cte, prov := m.buildGuardedCTE(r.relation, r.state, r.pending, conjs, dec)
+		cte, prov := m.buildGuardedCTE(r.relation, r.state, conjs, dec)
 		prov.Name = fresh(r.relation)
 		redirect(ref, prov.Name)
 		ctes = append(ctes, sqlparser.CTE{Name: prov.Name, Select: cte})
@@ -234,12 +234,11 @@ func (st *geState) guardArms(db *engine.DB) ([]engine.GuardArm, sqlparser.Expr, 
 //	SELECT * FROM rj [hint] WHERE G1 OR … OR Gn
 //
 // where each arm conjoins the guard predicate and either the inlined policy
-// partition or a Δ call (the state's guardArms). Pending policies (§6
-// deferred regeneration) contribute one owner-guarded arm each. Alongside
-// the body it returns the guard provenance the dialect emitters consume
+// partition or a Δ call (the state's guardArms). Alongside the body it
+// returns the guard provenance the dialect emitters consume
 // (engine.GuardedCTE; Name is filled by the caller once the WITH name is
 // chosen).
-func (m *Middleware) buildGuardedCTE(relation string, st *geState, pending []*policy.Policy,
+func (m *Middleware) buildGuardedCTE(relation string, st *geState,
 	queryConjs []sqlparser.Expr, dec TableDecision) (*sqlparser.SelectStmt, engine.GuardedCTE) {
 
 	arms, where, guardCols := st.guardArms(m.db)
@@ -248,16 +247,7 @@ func (m *Middleware) buildGuardedCTE(relation string, st *geState, pending []*po
 		Strategy:   string(dec.Strategy),
 		QueryIndex: dec.QueryIndex,
 		QueryConjs: queryConjs,
-		Arms:       arms[:len(arms):len(arms)], // appending a pending arm copies
-	}
-	for _, p := range pending {
-		arm := p.Expr(relation)
-		where = sqlparser.Or(where, arm)
-		prov.Arms = append(prov.Arms, engine.GuardArm{Col: policy.OwnerAttr, Expr: arm})
-	}
-	if len(pending) > 0 && !slices.Contains(guardCols, policy.OwnerAttr) {
-		guardCols = append(slices.Clone(guardCols), policy.OwnerAttr)
-		sort.Strings(guardCols)
+		Arms:       arms,
 	}
 	if where == nil {
 		// Default deny: no applicable policies.

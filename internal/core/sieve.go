@@ -47,8 +47,7 @@ type Middleware struct {
 	cm     guard.CostModel
 
 	deltaThreshold int
-	eagerRegen     bool
-	regen          RegenConfig
+	regen          regenConfig
 	forced         Strategy         // non-empty pins the §5.5 strategy (ablations)
 	genOpts        guard.GenOptions // guard-generation ablation switches
 	noHints        bool             // suppress index hints even on mysql (ablation)
@@ -131,8 +130,8 @@ type geKey struct {
 // geState is one generated guarded expression, shared by every claim
 // whose applicable policy set matches its signature. Immutable after
 // generation except for the refcount/claim bookkeeping, which m.mu
-// guards; the per-claim dynamic state (§5.1 validity, §6 pending
-// policies) lives on the claims bound to it.
+// guards; the per-claim dynamic state (§5.1 validity) lives on the claims
+// bound to it.
 type geState struct {
 	ge *guard.GuardedExpression
 	// relation plus ids/hash form the signature: the canonical sorted
@@ -197,13 +196,6 @@ func WithDeltaThreshold(n int) Option {
 	return func(m *Middleware) { m.deltaThreshold = n }
 }
 
-// WithRegenInterval enables the §6 deferred-regeneration mode: a stale
-// guarded expression is reused (with pending policies appended as extra
-// owner-guarded arms) until the optimal insertion count k̃ is reached.
-func WithRegenInterval(cfg RegenConfig) Option {
-	return func(m *Middleware) { m.eagerRegen = false; m.regen = cfg }
-}
-
 // WithForcedStrategy pins the per-table strategy instead of choosing by
 // cost (§5.5) — used by Experiment 2.2 and the ablation benches.
 func WithForcedStrategy(s Strategy) Option {
@@ -230,8 +222,7 @@ func New(store *policy.Store, opts ...Option) (*Middleware, error) {
 		groups:         policy.NoGroups,
 		cm:             guard.DefaultCostModel(),
 		deltaThreshold: DefaultDeltaThreshold,
-		eagerRegen:     true,
-		regen:          DefaultRegenConfig(),
+		regen:          defaultRegenConfig(),
 		protected:      make(map[string]bool),
 		claims:         make(map[geKey]*claim),
 		states:         make(map[stateKey][]*geState),
@@ -244,7 +235,7 @@ func New(store *policy.Store, opts ...Option) (*Middleware, error) {
 	}
 	m.registerDeltaUDF()
 	// Trigger on rP: a policy insert invalidates the claims it can affect
-	// (§5.1), which regenerate or, under §6, serve it as a pending arm.
+	// (§5.1), whose next states are patched from the ones it supersedes (§6).
 	m.db.OnInsert(policy.TableP, m.onPolicyInserted)
 	return m, nil
 }
@@ -343,11 +334,10 @@ func (m *Middleware) RevokePolicy(id int64) error {
 	defer m.mu.Unlock()
 	m.stats.scopedInvalidations++
 	// Retire every shared state whose signature contains the revoked id:
-	// revocation shrinks the grant set, which appended arms cannot
-	// express, so these generations must never be re-bound. Retirement
-	// force-invalidates the claims bound to them, wherever they came
-	// from — the principal index below additionally catches claims whose
-	// pending set held the policy. A state still being generated is in no
+	// these generations grant what the store no longer does, so they must
+	// never be re-bound. Retirement invalidates the claims bound to them,
+	// wherever they came from; the principal index below catches the rest
+	// of the revoked policy's scope. A state still being generated is in no
 	// bucket yet; its publisher re-resolves under mu (resolveClaimLocked).
 	// The most-bound of them is recorded first, as the base the scope's
 	// claims patch their next states from.
@@ -369,7 +359,7 @@ func (m *Middleware) RevokePolicy(id int64) error {
 		m.removeStateLocked(st)
 	}
 	for c := range m.byPrincipal[relPrincipal{relation: p.Relation, principal: p.Querier}] {
-		m.invalidateClaimLocked(c, true)
+		m.invalidateClaimLocked(c)
 	}
 	return nil
 }
@@ -415,7 +405,7 @@ func (m *Middleware) onPolicyInserted(_ string, row storage.Row) {
 		if purpose != policy.AnyPurpose && purpose != c.key.purpose {
 			continue
 		}
-		m.invalidateClaimLocked(c, false)
+		m.invalidateClaimLocked(c)
 		superseded = mostBound(superseded, c.state)
 	}
 	m.recordPatchBaseLocked(rp, superseded)

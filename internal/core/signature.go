@@ -42,15 +42,9 @@ type stateKey struct {
 type claim struct {
 	key   geKey
 	state *geState
-	// valid means state (plus pendingIDs) reflects the store: the claim's
-	// resolution can be served without consulting the policy store.
+	// valid means state reflects the store: the claim's resolution can be
+	// served without consulting the policy store.
 	valid bool
-	// forceRegen overrides §6 deferral: set on revocation (and
-	// InvalidateAll), which appended arms cannot compensate.
-	forceRegen bool
-	// pendingIDs are policies inserted since state was generated, served
-	// as appended owner arms under §6 deferred regeneration.
-	pendingIDs []int64
 	// gens counts how many distinct guard generations this claim has been
 	// bound to (Regens reports it).
 	gens int
@@ -150,30 +144,6 @@ func signatureHash(ids []int64) uint64 {
 	return h
 }
 
-// diffSuperset returns newIDs \ oldIDs when oldIDs ⊆ newIDs (both sorted).
-// ok is false when the change is not insert-only — a shrink cannot be
-// expressed as appended arms and must regenerate.
-func diffSuperset(newIDs, oldIDs []int64) (pending []int64, ok bool) {
-	i, j := 0, 0
-	for i < len(newIDs) && j < len(oldIDs) {
-		switch {
-		case newIDs[i] == oldIDs[j]:
-			i++
-			j++
-		case newIDs[i] < oldIDs[j]:
-			pending = append(pending, newIDs[i])
-			i++
-		default:
-			return nil, false
-		}
-	}
-	if j < len(oldIDs) {
-		return nil, false
-	}
-	pending = append(pending, newIDs[i:]...)
-	return pending, true
-}
-
 // principalsFor lists the invalidation scopes a claim depends on: its own
 // querier plus each group the querier belongs to, all on the claim's
 // relation. Resolved with the middleware-wide group resolver at claim
@@ -211,10 +181,7 @@ func (m *Middleware) unregisterClaimLocked(c *claim) {
 }
 
 // invalidateClaimLocked flags a claim for re-resolution on its next query.
-func (m *Middleware) invalidateClaimLocked(c *claim, force bool) {
-	if force {
-		c.forceRegen = true
-	}
+func (m *Middleware) invalidateClaimLocked(c *claim) {
 	if !c.valid {
 		return
 	}
@@ -249,8 +216,6 @@ func (m *Middleware) bindClaimLocked(c *claim, st *geState, shared bool) {
 		}
 	}
 	c.valid = true
-	c.forceRegen = false
-	c.pendingIDs = nil
 }
 
 // unbindClaimLocked detaches a claim from its state, and retires the state
@@ -260,8 +225,6 @@ func (m *Middleware) bindClaimLocked(c *claim, st *geState, shared bool) {
 // then, not when its last claim happens to read again, is what frees a
 // written group's old expression after one read instead of one per member;
 // if a straggler still resolves to the old set it pays one regeneration.
-// Under a §6 regeneration interval an invalid claim's state is the base of
-// its pending arms, so there a state lives until its last claim leaves.
 func (m *Middleware) unbindClaimLocked(c *claim) {
 	st := c.state
 	if st == nil {
@@ -270,7 +233,7 @@ func (m *Middleware) unbindClaimLocked(c *claim) {
 	c.state = nil
 	delete(st.claims, c)
 	for other := range st.claims {
-		if other.valid || !m.eagerRegen {
+		if other.valid {
 			return
 		}
 	}
@@ -280,7 +243,7 @@ func (m *Middleware) unbindClaimLocked(c *claim) {
 // removeStateLocked retires a shared state: it leaves the signature
 // index (so it can never be re-bound), its Δ check sets and its engine
 // filter registration are dropped, and every claim still bound to it is
-// force-invalidated and unbound — they re-resolve on their next query, and a
+// invalidated and unbound — they re-resolve on their next query, and a
 // retired state's expression, arm ASTs and compiled filter are pinned by
 // nothing but the plans a Stmt has yet to sweep.
 func (m *Middleware) removeStateLocked(st *geState) {
@@ -296,7 +259,7 @@ func (m *Middleware) removeStateLocked(st *geState) {
 	}
 	m.dropCheckSetsLocked(st.setIDs)
 	for c := range st.claims {
-		m.invalidateClaimLocked(c, true)
+		m.invalidateClaimLocked(c)
 		c.state = nil
 	}
 	st.claims = nil
@@ -322,23 +285,6 @@ func (m *Middleware) evictClaimsLocked(keep *claim) {
 	}
 }
 
-// pendingPoliciesLocked resolves a claim's pending ids to policies for
-// appended owner arms. The ids came from PoliciesFor, so they are already
-// allow-policies on the claim's relation; ByID can only thin the list if
-// a revocation raced in — and that revocation also invalidated the claim.
-func (m *Middleware) pendingPoliciesLocked(c *claim) []*policy.Policy {
-	if len(c.pendingIDs) == 0 {
-		return nil
-	}
-	out := make([]*policy.Policy, 0, len(c.pendingIDs))
-	for _, id := range c.pendingIDs {
-		if p, ok := m.store.ByID(id); ok && p.Action == policy.Allow && p.Relation == c.key.relation {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // Signature returns the canonical policy-set signature of the claim's
 // current guard state for display ("" when the claim has no state yet).
 func (st *geState) signature() string {
@@ -346,21 +292,17 @@ func (st *geState) signature() string {
 }
 
 // resolutionToken is a prepared statement's plan-cache key for one
-// resolution: "relation=stateID[,pendingID...];" per protected relation.
-// The token IS the validation — any policy churn that could change this
-// (querier, purpose)'s rewrite replaces a state (fresh stateID) or grows
-// the pending set, producing a different token, so a cached plan is never
-// served stale; and churn that leaves the signature untouched leaves the
-// token untouched, so unrelated plans survive. Queriers sharing a
-// signature produce identical tokens and share one plan per statement.
+// resolution: "relation=stateID;" per protected relation. The token IS the
+// validation — any policy churn that could change this (querier, purpose)'s
+// rewrite replaces a state (fresh stateID), producing a different token, so
+// a cached plan is never served stale; and churn that leaves the signature
+// untouched leaves the token untouched, so unrelated plans survive. Queriers
+// sharing a signature produce identical tokens and share one plan per
+// statement.
 func resolutionToken(res []resolution) string {
 	var tok strings.Builder
 	for _, r := range res {
-		fmt.Fprintf(&tok, "%s=%d", r.relation, r.state.stateID)
-		for _, p := range r.pending {
-			fmt.Fprintf(&tok, ",%d", p.ID)
-		}
-		tok.WriteByte(';')
+		fmt.Fprintf(&tok, "%s=%d;", r.relation, r.state.stateID)
 	}
 	return tok.String()
 }

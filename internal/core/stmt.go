@@ -249,9 +249,7 @@ func (st *Stmt) CachedPlans() int {
 // A plan lives as long as every state in its token: a retired state's id
 // is never resolved again, so the plans naming one are dropped on the
 // statement's next miss — the same policy write that retired the state is
-// what makes some reader miss — and there is no cap to tune. What a state
-// outlives is only the plans of superseded §6 pending sets, fewer than k̃
-// per state.
+// what makes some reader miss — and there is no cap to tune.
 //
 // Resolution and cache probing land on a "plan" child of sp (with hit/miss
 // counts), a miss's rewrite on a "rewrite" child alongside it; sp may be

@@ -2,7 +2,6 @@ package core
 
 import (
 	"github.com/sieve-db/sieve/internal/engine"
-	"github.com/sieve-db/sieve/internal/policy"
 	"github.com/sieve-db/sieve/internal/storage"
 )
 
@@ -32,15 +31,14 @@ type TableDecision struct {
 	Guards          int
 	DeltaGuards     int
 	Policies        int
-	PendingPolicies int
 	QueryIndex      string // driving column under IndexQuery
 	CostLinearScan  float64
 	CostIndexQuery  float64
 	CostIndexGuards float64
 	// SegmentsTotal/SegmentsPrunable report the zone-map estimate behind
 	// CostLinearScan: of SegmentsTotal storage segments, SegmentsPrunable
-	// are refuted by every guard (and pending arm) interval, so the
-	// guarded linear scan skips them without reading a tuple.
+	// are refuted by every guard interval, so the guarded linear scan skips
+	// them without reading a tuple.
 	SegmentsTotal    int
 	SegmentsPrunable int
 	// Signature is the canonical policy-set signature (FNV-64a of the
@@ -73,33 +71,20 @@ type Report struct {
 // chooseStrategy implements §5.5: from ta, the optimizer's intended access
 // path for one reference under its own conjuncts (EXPLAIN) and its estimated
 // selectivity, price the three strategies and pick the cheapest.
-func (m *Middleware) chooseStrategy(relation string, ta engine.TableAccess, st *geState, pending []*policy.Policy) TableDecision {
+func (m *Middleware) chooseStrategy(relation string, ta engine.TableAccess, st *geState) TableDecision {
 	ge := st.ge
 	t := m.db.MustTable(relation)
 	n := float64(t.NumRows())
 
 	dec := TableDecision{
-		Relation:        relation,
-		Guards:          len(ge.Guards),
-		Policies:        ge.PolicyCount(),
-		PendingPolicies: len(pending),
+		Relation: relation,
+		Guards:   len(ge.Guards),
+		Policies: ge.PolicyCount(),
 	}
 
-	// cost(IndexGuards) = Σ ρ(Gi)·cr (§5.5); pending arms probe the owner
-	// index, each fetching that owner's tuples.
-	igSel := ge.TotalSel()
-	if len(pending) > 0 {
-		if stats, ok := m.db.StatsRefreshed(relation); ok {
-			for _, p := range pending {
-				igSel += stats.SelectivityEq(policy.OwnerAttr, storage.NewInt(p.Owner))
-			}
-		}
-	}
-	if igSel > 1 {
-		igSel = 1
-	}
-	dec.CostIndexGuards = igSel * n * engine.RandAccessFactor
-	if len(ge.Guards) == 0 && len(pending) == 0 {
+	// cost(IndexGuards) = Σ ρ(Gi)·cr (§5.5).
+	dec.CostIndexGuards = min(ge.TotalSel(), 1) * n * engine.RandAccessFactor
+	if len(ge.Guards) == 0 {
 		// Default deny: an empty rewrite reads nothing.
 		dec.CostIndexGuards = 0
 	}
@@ -115,8 +100,9 @@ func (m *Middleware) chooseStrategy(relation string, ta engine.TableAccess, st *
 	// cost(LinearScan): the zone-mapped scan never reads segments every
 	// guard arm refutes, so pruning discounts the classic |r| cost. The
 	// estimate mirrors the engine's refutation conservatively, using only
-	// the guard (and pending-owner) intervals.
-	dec.SegmentsPrunable, dec.SegmentsTotal = prunableSegments(t, st.guardZoneArms(), pending)
+	// the guard intervals. With no guard at all (default deny) the scan
+	// reads nothing, so every segment counts as prunable.
+	dec.SegmentsPrunable, dec.SegmentsTotal = t.PrunableSegments(st.guardZoneArms())
 	dec.CostLinearScan = n
 	if dec.SegmentsTotal > 0 {
 		dec.CostLinearScan = n * (1 - float64(dec.SegmentsPrunable)/float64(dec.SegmentsTotal))
@@ -160,18 +146,4 @@ func (st *geState) guardZoneArms() []storage.ZoneArm {
 		}
 	})
 	return st.zoneArms
-}
-
-// prunableSegments counts the storage segments whose zone maps refute
-// every arm of the guarded expression — the guards' zone arms plus one
-// owner-equality interval per pending policy. Those segments contribute
-// nothing to a guarded linear scan. With no arms at all (default deny) the
-// scan reads nothing, so every segment counts as prunable.
-func prunableSegments(t *storage.Table, guards []storage.ZoneArm, pending []*policy.Policy) (pruned, total int) {
-	arms := guards[:len(guards):len(guards)] // appending a pending arm copies
-	for _, p := range pending {
-		v := storage.NewInt(p.Owner)
-		arms = append(arms, storage.ZoneArm{Col: policy.OwnerAttr, Lo: v, Hi: v})
-	}
-	return t.PrunableSegments(arms)
 }

@@ -31,10 +31,9 @@ type Emission struct {
 
 // GuardArm is one arm of a guarded disjunction: the indexed column that can
 // drive it and the full arm expression (guard predicate ∧ inlined partition
-// or Δ call, or a pending policy's owner filter).
+// or Δ call).
 type GuardArm struct {
-	// Col is the arm's index-backed column (the guard's attribute, or the
-	// owner attribute for pending-policy arms).
+	// Col is the arm's index-backed column (the guard's attribute).
 	Col string
 	// Expr is the complete arm expression, qualified by the relation name.
 	Expr sqlparser.Expr

@@ -231,9 +231,9 @@ func TestDynamicRegenerationTable(t *testing.T) {
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	eagerRegens, _ := strconv.Atoi(tab.Rows[0][2])
-	deferredRegens, _ := strconv.Atoi(tab.Rows[1][2])
-	if deferredRegens > eagerRegens {
-		t.Errorf("deferred mode regenerated more often (%d) than eager (%d)", deferredRegens, eagerRegens)
+	fullGens, _ := strconv.Atoi(tab.Rows[0][3])
+	patchedGens, _ := strconv.Atoi(tab.Rows[1][3])
+	if patchedGens >= fullGens {
+		t.Errorf("patched mode ran %d full generations, full mode %d; want fewer", patchedGens, fullGens)
 	}
 }

@@ -132,8 +132,6 @@ type (
 	Strategy = core.Strategy
 	// BaselineKind selects one of the paper's baseline strategies.
 	BaselineKind = core.BaselineKind
-	// RegenConfig parameterises deferred guard regeneration (§6).
-	RegenConfig = core.RegenConfig
 	// CacheStats snapshots the middleware's guard/plan cache
 	// effectiveness: signature-cache hits and misses, guard
 	// generations vs. shared bindings, live states and claims, and
@@ -284,8 +282,6 @@ var (
 	WithGroups = core.WithGroups
 	// WithDeltaThreshold overrides the Inline-vs-Δ partition threshold.
 	WithDeltaThreshold = core.WithDeltaThreshold
-	// WithRegenInterval enables §6 deferred guard regeneration.
-	WithRegenInterval = core.WithRegenInterval
 	// WithForcedStrategy pins the §5.5 strategy (ablations).
 	WithForcedStrategy = core.WithForcedStrategy
 )
