@@ -123,8 +123,8 @@ func main() {
 	fmt.Printf("vectorised: %d batches / %d rows batch-evaluated\n", c.BatchesVectorised, c.RowsVectorised)
 
 	cs := demo.M.CacheStats()
-	fmt.Printf("guard cache: %d hits / %d misses, %d generations (%d patched), %d shared bindings, %d live states for %d claims\n",
-		cs.GuardCacheHits, cs.GuardCacheMisses, cs.GuardRegens, cs.GuardPatches, cs.GuardShares, cs.GuardStates, cs.Claims)
+	fmt.Printf("guard cache: %d hits / %d misses (%d derived), %d generations (%d patched), %d shared bindings, %d live states for %d claims\n",
+		cs.GuardCacheHits, cs.GuardCacheMisses, cs.ClaimsDerived, cs.GuardRegens, cs.GuardPatches, cs.GuardShares, cs.GuardStates, cs.Claims)
 	fmt.Printf("invalidation: %d churn events touched %d claims; plan cache %d hits / %d misses\n",
 		cs.ScopedInvalidations, cs.ClaimsInvalidated, cs.PlanCacheHits, cs.PlanCacheMisses)
 }

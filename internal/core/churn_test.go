@@ -44,8 +44,8 @@ func ownersOf(res *engine.Result) []int64 {
 // are bound to, and that what they are bound to is what the store says: no
 // retired state in a bucket, every state under its own signature and there
 // once, every bound claim on an indexed state, every valid claim's state
-// (plus its §6 pending ids) equal to PoliciesFor now — so the live states are
-// the distinct live signatures, no more.
+// equal to PoliciesFor now — so the live states are the distinct live
+// signatures, no more.
 func checkStates(t *testing.T, m *Middleware) {
 	t.Helper()
 	m.mu.Lock()

@@ -62,20 +62,28 @@ func countHits(res []resolution) (hits, misses int) {
 // between.
 //
 //   - valid claim → serve its state with no store access at all;
-//   - invalid or missing claim → recompute the applicable policy set, and
-//     in signature order: share an existing state generated for the exact
-//     same id set; else build a fresh state for the signature — patched
-//     from a nearby state while its drift stays within k̃
-//     (choosePatchBaseLocked), generated in full otherwise — outside m.mu,
-//     once: the first reader to miss registers the signature in m.flights
-//     and builds; readers of the same signature wait for it and then share;
-//     readers of every other signature never wait.
+//   - invalid but exact claim → derive its applicable set from the state it
+//     was last bound to plus the policy writes to its scopes since
+//     (derivedSet); if a live state has exactly that set, bind it, again
+//     with no store access: one member of a written group reads the store
+//     and builds, the others find its state;
+//   - otherwise → recompute the applicable policy set, and in signature
+//     order: share an existing state generated for the exact same id set;
+//     else build a fresh state for the signature — patched from a nearby
+//     state while its drift stays within k̃ (choosePatchBaseLocked),
+//     generated in full otherwise — outside m.mu, once: the first reader to
+//     miss registers the signature in m.flights and builds; readers of the
+//     same signature wait for it and then share; readers of every other
+//     signature never wait.
 //
 // One invariant carries the safety of all of it: a state is bound to a claim
-// only if, under m.mu at bind time, the store's applicable id set for that
-// claim equals the state's ids. So every pass through the lock starts from
-// PoliciesFor again — after waiting, and after generating: a policy write
-// that lands while the state is being built cannot find it in m.states, so
+// only if, under m.mu at bind time, the claim's applicable id set equals the
+// state's ids — read from PoliciesFor, or derived from an exact claim. The
+// derived set rests on what serving a valid claim already rests on: every
+// policy write to a claim's scopes reaches it under m.mu, here carrying the
+// id it adds or removes. So every pass through the lock derives or reads
+// the set again — after waiting, and after generating: a policy write that
+// lands while the state is being built cannot find it in m.states, so
 // neither RevokePolicy's sweep nor the insert trigger protects it. A state
 // generated for a set that has moved on is dropped unpublished.
 //
@@ -89,10 +97,15 @@ func (m *Middleware) resolveClaimLocked(key geKey) (*geState, bool, error) {
 	}
 	m.stats.guardMisses++
 	var fresh *geState // generated by this call, not yet published
+	readStore := false
+	policiesFor := func() []*policy.Policy {
+		readStore = true
+		if m.hookStoreRead != nil {
+			m.hookStoreRead()
+		}
+		return m.store.PoliciesFor(policy.Metadata{Querier: key.querier, Purpose: key.purpose}, key.relation, m.groups)
+	}
 	for {
-		ps := m.store.PoliciesFor(policy.Metadata{Querier: key.querier, Purpose: key.purpose}, key.relation, m.groups)
-		ids := policyIDs(ps)
-		sk := stateKey{relation: key.relation, hash: signatureHash(ids)}
 		c := m.claims[key]
 		if c == nil {
 			c = &claim{key: key}
@@ -100,11 +113,23 @@ func (m *Middleware) resolveClaimLocked(key geKey) (*geState, bool, error) {
 			m.registerClaimLocked(c)
 			m.evictClaimsLocked(c)
 		}
-		st := m.lookupStateLocked(sk, ids)
+		// d is the claim's applicable set: derived while the claim is
+		// exact, else read from the store (ps) with nothing to net out.
+		var d derivedSet
+		var ps []*policy.Policy
+		if c.exact {
+			d.load(c)
+		} else {
+			ps = policiesFor()
+			d.base = policyIDs(ps)
+			d.hash = signatureHash(d.base)
+		}
+		sk := stateKey{relation: key.relation, hash: d.hash}
+		st := m.lookupStateLocked(sk, &d)
 		shared := st != nil
 		if fresh != nil {
 			// Publish it unless the set moved on while it was built.
-			if !shared && slices.Equal(fresh.ids, ids) {
+			if !shared && d.equals(fresh.ids) {
 				if err := m.publishStateLocked(fresh); err != nil {
 					return nil, false, err
 				}
@@ -114,6 +139,9 @@ func (m *Middleware) resolveClaimLocked(key geKey) (*geState, bool, error) {
 		}
 		if st != nil {
 			m.bindClaimLocked(c, st, shared)
+			if !readStore {
+				m.stats.claimsDerived++
+			}
 			return st, false, nil
 		}
 		if done := m.flights[sk]; done != nil {
@@ -123,6 +151,17 @@ func (m *Middleware) resolveClaimLocked(key geKey) (*geState, bool, error) {
 			<-done
 			m.mu.Lock()
 			continue
+		}
+		ids := d.base
+		if c.exact {
+			// No live state has the derived set, so this call builds one,
+			// from the store's policies. The store is the authority: a
+			// derived set that disagrees with it ends the claim's chain.
+			ps = policiesFor()
+			if ids = policyIDs(ps); !d.equals(ids) {
+				c.inexact()
+				continue
+			}
 		}
 		base := m.choosePatchBaseLocked(c, ids)
 		done := make(chan struct{})
@@ -211,6 +250,7 @@ func (m *Middleware) InvalidateAll() {
 		}
 	}
 	for _, c := range m.claims {
+		c.inexact()
 		m.invalidateClaimLocked(c)
 	}
 }

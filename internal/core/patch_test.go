@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"slices"
 	"testing"
@@ -214,25 +213,32 @@ func TestDriftPastKRegenerates(t *testing.T) {
 	checkStates(t, f.m)
 }
 
-// TestSignatureHashIsFNV64a: the inlined fold is FNV-1a over each id's
-// little-endian bytes, value for value.
-func TestSignatureHashIsFNV64a(t *testing.T) {
+// TestSignatureHashIsASetHash: the signature hash ignores order, adding an
+// id adds its mix and removing it subtracts it again — what lets a claim
+// hash its derived signature in O(deltas) — and it allocates nothing.
+func TestSignatureHashIsASetHash(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for n := 0; n < 50; n++ {
 		ids := make([]int64, n)
 		for i := range ids {
-			ids[i] = r.Int63() - r.Int63()
+			ids[i] = r.Int63()
 		}
-		h := fnv.New64a()
-		for _, id := range ids {
-			var buf [8]byte
-			for i := range buf {
-				buf[i] = byte(uint64(id) >> (8 * i))
+		h := signatureHash(ids)
+		shuffled := slices.Clone(ids)
+		r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		if got := signatureHash(shuffled); got != h {
+			t.Fatalf("signatureHash depends on order: %x for %v, %x shuffled", h, ids, got)
+		}
+		x := r.Int63()
+		if got, want := signatureHash(append(slices.Clone(ids), x)), h+mix(uint64(x)); got != want {
+			t.Fatalf("h(S ∪ {%d}) = %x, h(S) + mix = %x", x, got, want)
+		}
+		if n > 0 {
+			i := r.Intn(n)
+			rest := slices.Delete(slices.Clone(ids), i, i+1)
+			if got, want := signatureHash(rest), h-mix(uint64(ids[i])); got != want {
+				t.Fatalf("h(S \\ {%d}) = %x, h(S) - mix = %x", ids[i], got, want)
 			}
-			h.Write(buf[:])
-		}
-		if got, want := signatureHash(ids), h.Sum64(); got != want {
-			t.Fatalf("signatureHash(%v) = %x, FNV-64a = %x", ids, got, want)
 		}
 	}
 	if allocs := testing.AllocsPerRun(10, func() { signatureHash([]int64{1, 2, 3}) }); allocs != 0 {

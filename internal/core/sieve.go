@@ -86,6 +86,9 @@ type Middleware struct {
 	// generated and before it is published. Tests park a generation here
 	// to interleave readers and policy churn.
 	hookGenerated func()
+	// hookStoreRead, when non-nil, runs under mu each time a claim
+	// resolution reads the store (PoliciesFor). Tests count reads with it.
+	hookStoreRead func()
 
 	// planHits/planMisses aggregate Stmt plan-token lookups; atomics
 	// because Stmt bumps them without holding m.mu.
@@ -354,12 +357,19 @@ func (m *Middleware) RevokePolicy(id int64) error {
 			}
 		}
 	}
-	m.recordPatchBaseLocked(relPrincipal{relation: p.Relation, principal: p.Querier}, superseded)
+	// The scope's claims learn of the revocation (−id where the policy was
+	// in their set) before those states retire, so retirement finds them
+	// invalid already and leaves them exact.
+	rp := relPrincipal{relation: p.Relation, principal: p.Querier}
+	m.recordPatchBaseLocked(rp, superseded)
+	for c := range m.byPrincipal[rp] {
+		if p.Grants(policy.Metadata{Querier: c.key.querier, Purpose: c.key.purpose}) {
+			c.noteDelta(-p.ID)
+		}
+		m.invalidateClaimLocked(c)
+	}
 	for _, st := range gone {
 		m.removeStateLocked(st)
-	}
-	for c := range m.byPrincipal[relPrincipal{relation: p.Relation, principal: p.Querier}] {
-		m.invalidateClaimLocked(c)
 	}
 	return nil
 }
@@ -387,23 +397,33 @@ func (m *Middleware) selectivityFor(relation string) (guard.Selectivity, error) 
 
 // onPolicyInserted is the rP insert trigger (§5.1), now scoped: only the
 // claims registered under the (relation, querier-principal) the policy
-// names — filtered by purpose — are flagged for re-resolution. Claims for
-// other principals, purposes, or relations keep their valid bindings and
-// their prepared plans. The store caches the policy before the rP insert
-// fires this trigger, so a flagged claim's re-resolution always sees the
-// new grant. The rP row layout is
-// ⟨id, owner, querier, associated_table, purpose, action, inserted_at⟩.
+// names — filtered by purpose — are flagged for re-resolution, and each
+// whose applicable set the policy joins records +id. Claims for other
+// principals, purposes, or relations keep their valid bindings and their
+// prepared plans. The store caches the policy and writes its rOC rows
+// before the rP insert fires this trigger, so the policy is fully granted
+// when it is announced here; it is looked up under m.mu, so a revocation
+// racing the trigger has either left the store already (the claims read
+// the store instead) or records its −id after this +id. The rP row layout
+// is ⟨id, owner, querier, associated_table, purpose, action, inserted_at⟩.
 func (m *Middleware) onPolicyInserted(_ string, row storage.Row) {
-	querier, relation, purpose := row[2].S, row[3].S, row[4].S
+	id, querier, relation, purpose := row[0].I, row[2].S, row[3].S, row[4].S
 	defer m.epoch.Add(1)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.stats.scopedInvalidations++
+	p, cached := m.store.ByID(id)
 	rp := relPrincipal{relation: relation, principal: querier}
 	var superseded *geState
 	for c := range m.byPrincipal[rp] {
 		if purpose != policy.AnyPurpose && purpose != c.key.purpose {
 			continue
+		}
+		switch {
+		case !cached:
+			c.inexact()
+		case p.Grants(policy.Metadata{Querier: c.key.querier, Purpose: c.key.purpose}):
+			c.noteDelta(id)
 		}
 		m.invalidateClaimLocked(c)
 		superseded = mostBound(superseded, c.state)

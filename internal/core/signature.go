@@ -50,6 +50,115 @@ type claim struct {
 	gens int
 	// principals are the invalidation scopes the claim registered under.
 	principals []relPrincipal
+	// ids and hash are the signature of the state the claim was last bound
+	// to (that state's own slice), kept when the state retires. While the
+	// claim is exact, deltas holds one entry per policy write to its scopes
+	// since that bind that changed its applicable set: +id for a policy
+	// that joined it, −id for one that left. The set is then ids with the
+	// deltas applied (derivedSet), and a re-resolution that finds a live
+	// state for it needs no store read. A bind makes a claim exact; an
+	// invalidation the deltas cannot account for ends it (inexact) and
+	// drops ids.
+	ids    []int64
+	hash   uint64
+	exact  bool
+	deltas []int64
+}
+
+// maxClaimDeltas caps a claim's delta chain: a claim written to more often
+// than this between two reads re-reads the store instead.
+const maxClaimDeltas = 8
+
+// noteDelta records a policy write that changed c's applicable set: +id
+// for a policy that joined it, −id for one that left.
+func (c *claim) noteDelta(d int64) {
+	if !c.exact {
+		return
+	}
+	if len(c.deltas) == maxClaimDeltas {
+		c.inexact()
+		return
+	}
+	c.deltas = append(c.deltas, d)
+}
+
+// inexact marks c's deltas as no longer accounting for every change to its
+// applicable set since its last bind: its next resolution reads the store.
+// It drops its last ids, which only derivation reads, so they no longer
+// pin a retired state's slice.
+func (c *claim) inexact() {
+	c.exact = false
+	c.ids = nil
+	c.deltas = c.deltas[:0]
+}
+
+// derivedSet is a claim's applicable set as base − rems + adds: for an
+// exact claim, the ids of its last bound state with its deltas netted out
+// (load); for any other, the store's ids with nothing to net. rems ⊆ base
+// and adds ∩ base = ∅, both sorted; hash is the set's signatureHash. Fixed
+// arrays keep it, and so a derived resolution, off the heap.
+type derivedSet struct {
+	base       []int64
+	hash       uint64
+	adds, rems [maxClaimDeltas]int64
+	nAdd, nRem int
+}
+
+// load nets c's deltas against its last bound ids. A revocation is final:
+// an id once removed is never re-added, since policy ids are not reused.
+func (d *derivedSet) load(c *claim) {
+	d.base, d.nAdd, d.nRem = c.ids, 0, 0
+	for _, v := range c.deltas {
+		id := max(v, -v)
+		_, inBase := slices.BinarySearch(d.base, id)
+		ai, inAdds := slices.BinarySearch(d.adds[:d.nAdd], id)
+		switch {
+		case v > 0 && !inBase && !inAdds:
+			d.nAdd = len(slices.Insert(d.adds[:d.nAdd], ai, id))
+		case v < 0 && inAdds:
+			d.nAdd = len(slices.Delete(d.adds[:d.nAdd], ai, ai+1))
+		case v < 0 && inBase:
+			if ri, found := slices.BinarySearch(d.rems[:d.nRem], id); !found {
+				d.nRem = len(slices.Insert(d.rems[:d.nRem], ri, id))
+			}
+		}
+	}
+	d.hash = c.hash
+	for _, id := range d.adds[:d.nAdd] {
+		d.hash += mix(uint64(id))
+	}
+	for _, id := range d.rems[:d.nRem] {
+		d.hash -= mix(uint64(id))
+	}
+}
+
+// equals reports whether ids (sorted) is exactly d's set, by one merge walk
+// over base and adds that skips rems and allocates nothing.
+func (d *derivedSet) equals(ids []int64) bool {
+	if len(ids) != len(d.base)-d.nRem+d.nAdd {
+		return false
+	}
+	adds, rems := d.adds[:d.nAdd], d.rems[:d.nRem]
+	b, a, r, j := 0, 0, 0, 0
+	for b < len(d.base) || a < len(adds) {
+		var x int64
+		if a < len(adds) && (b == len(d.base) || adds[a] < d.base[b]) {
+			x = adds[a]
+			a++
+		} else {
+			x = d.base[b]
+			b++
+			if r < len(rems) && rems[r] == x {
+				r++
+				continue
+			}
+		}
+		if ids[j] != x {
+			return false
+		}
+		j++
+	}
+	return true
 }
 
 // cacheStats holds the middleware-wide signature-sharing counters.
@@ -59,6 +168,7 @@ type cacheStats struct {
 	guardMisses         int64
 	guardRegens         int64
 	guardPatches        int64
+	claimsDerived       int64
 	guardShares         int64
 	scopedInvalidations int64
 	claimsInvalidated   int64
@@ -80,6 +190,10 @@ type CacheStats struct {
 	// a nearby state's expression (guard.Patch) instead of running the §4
 	// pipeline in full.
 	GuardPatches int64 `json:"guard_patches"`
+	// ClaimsDerived counts the misses among GuardCacheMisses served without
+	// a store read: the claim's signature derived from its last one plus
+	// the policy writes since, and a live state found for it.
+	ClaimsDerived int64 `json:"claims_derived"`
 	// GuardStates / Claims are gauges: distinct live guard generations vs.
 	// (querier, purpose, relation) bindings onto them. States = O(distinct
 	// policy profiles), claims = O(queriers).
@@ -110,6 +224,7 @@ func (m *Middleware) CacheStats() CacheStats {
 		GuardRegens:         m.stats.guardRegens,
 		GuardShares:         m.stats.guardShares,
 		GuardPatches:        m.stats.guardPatches,
+		ClaimsDerived:       m.stats.claimsDerived,
 		GuardStates:         int64(states),
 		Claims:              int64(len(m.claims)),
 		ScopedInvalidations: m.stats.scopedInvalidations,
@@ -129,19 +244,26 @@ func policyIDs(ps []*policy.Policy) []int64 {
 	return ids
 }
 
-// signatureHash folds a sorted policy-id list with FNV-64a over each id's
-// little-endian bytes, inline: no hash.Hash, no allocation.
+// signatureHash is a set hash of a policy-id list: the sum of mix over its
+// ids. It ignores order, and adding or removing one id moves it by that
+// id's mix, so a claim's derived signature is hashed in O(deltas)
+// (derivedSet.load). It allocates nothing.
 func signatureHash(ids []int64) uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
+	var h uint64
 	for _, id := range ids {
-		v := uint64(id)
-		for i := 0; i < 8; i++ {
-			h ^= uint64(byte(v >> (8 * i)))
-			h *= prime64
-		}
+		h += mix(uint64(id))
 	}
 	return h
+}
+
+// mix is splitmix64's finaliser: a bijection on 64 bits whose every output
+// bit depends on every input bit.
+func mix(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // principalsFor lists the invalidation scopes a claim depends on: its own
@@ -189,17 +311,18 @@ func (m *Middleware) invalidateClaimLocked(c *claim) {
 	m.stats.claimsInvalidated++
 }
 
-// lookupStateLocked finds a live shared state for the exact id set.
-func (m *Middleware) lookupStateLocked(sk stateKey, ids []int64) *geState {
+// lookupStateLocked finds a live shared state for exactly d's set.
+func (m *Middleware) lookupStateLocked(sk stateKey, d *derivedSet) *geState {
 	for _, st := range m.states[sk] {
-		if slices.Equal(st.ids, ids) {
+		if d.equals(st.ids) {
 			return st
 		}
 	}
 	return nil
 }
 
-// bindClaimLocked points a claim at a (possibly shared) state. gens
+// bindClaimLocked points a claim at a (possibly shared) state whose ids are
+// the claim's applicable set, and makes the claim exact from there. gens
 // advances only when the generation actually changed, so a spurious
 // invalidation that re-resolves to the same signature keeps Regens flat.
 func (m *Middleware) bindClaimLocked(c *claim, st *geState, shared bool) {
@@ -216,6 +339,8 @@ func (m *Middleware) bindClaimLocked(c *claim, st *geState, shared bool) {
 		}
 	}
 	c.valid = true
+	c.ids, c.hash, c.exact = st.ids, st.hash, true
+	c.deltas = c.deltas[:0]
 }
 
 // unbindClaimLocked detaches a claim from its state, and retires the state
@@ -245,7 +370,8 @@ func (m *Middleware) unbindClaimLocked(c *claim) {
 // filter registration are dropped, and every claim still bound to it is
 // invalidated and unbound — they re-resolve on their next query, and a
 // retired state's expression, arm ASTs and compiled filter are pinned by
-// nothing but the plans a Stmt has yet to sweep.
+// nothing but the plans a Stmt has yet to sweep. A claim still valid on it
+// saw no delta for what retired it, so it stops being exact.
 func (m *Middleware) removeStateLocked(st *geState) {
 	if st.gone.Swap(true) {
 		return
@@ -259,6 +385,9 @@ func (m *Middleware) removeStateLocked(st *geState) {
 	}
 	m.dropCheckSetsLocked(st.setIDs)
 	for c := range st.claims {
+		if c.valid {
+			c.inexact()
+		}
 		m.invalidateClaimLocked(c)
 		c.state = nil
 	}
@@ -278,6 +407,7 @@ func (m *Middleware) evictClaimsLocked(keep *claim) {
 			}
 			if c != keep && (validToo || !c.valid) {
 				delete(m.claims, k)
+				c.inexact()
 				m.unregisterClaimLocked(c)
 				m.unbindClaimLocked(c)
 			}

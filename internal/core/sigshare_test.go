@@ -20,6 +20,7 @@ type sigFixture struct {
 	db       *engine.DB
 	queriers []string
 	groupOf  map[string]string
+	groups   policy.StaticGroups // the middleware's resolver
 }
 
 // newSigFixture builds nGroups groups of perGroup queriers each. Group g
@@ -36,7 +37,7 @@ func newSigFixture(t *testing.T, nGroups, perGroup int) *sigFixture {
 		t.Fatal(err)
 	}
 	groups := policy.StaticGroups{}
-	f := &sigFixture{db: db, groupOf: make(map[string]string)}
+	f := &sigFixture{db: db, groupOf: make(map[string]string), groups: groups}
 	var ps []*policy.Policy
 	for g := 0; g < nGroups; g++ {
 		gname := fmt.Sprintf("grp%d", g)

@@ -287,6 +287,11 @@ func (p *Policy) matchesContext(qm Metadata) bool {
 	return true
 }
 
+// Grants reports whether PoliciesFor keeps p for qm when p is filed under
+// qm's querier or one of its groups: p allows, and its purpose and extra
+// querier conditions match qm.
+func (p *Policy) Grants(qm Metadata) bool { return p.Action == Allow && p.matchesContext(qm) }
+
 // Filter returns the subset of policies relevant to qm for the relation,
 // i.e. P_QM^i restricted to one table.
 func Filter(ps []*Policy, qm Metadata, relation string, groups Groups) []*Policy {

@@ -1,7 +1,9 @@
 package policy
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -31,10 +33,10 @@ type Store struct {
 	db *engine.DB
 
 	mu sync.RWMutex
-	// byQuerier is querier name → relation → that querier's policies. The
-	// per-relation sub-index keeps PoliciesFor proportional to the
-	// policies that can actually apply, not to everything a busy group
-	// owns across relations.
+	// byQuerier is querier name → relation → that querier's policies, in
+	// id order. The per-relation sub-index keeps PoliciesFor proportional
+	// to the policies that can actually apply, not to everything a busy
+	// group owns across relations.
 	byQuerier map[string]map[string][]*Policy
 	byID      map[int64]*Policy
 
@@ -125,39 +127,80 @@ func (s *Store) ByID(id int64) (*Policy, bool) {
 // PoliciesFor returns P_QM^i for one relation: allow-policies whose querier
 // conditions match the metadata directly or via group membership (§3.2).
 // The result is sorted by id, so two queriers with the same applicable set
-// get byte-identical signatures. A policy lives under its own querier name
-// only, so visiting each DISTINCT name once yields no duplicates. The
-// duplicate-skip below guards against Groups resolvers that return the
-// querier itself or repeated group names: a duplicated policy id would
-// break signature canonicality (splitting otherwise-identical profiles)
-// and duplicate guard arms.
+// get byte-identical signatures: every name's list is kept in id order
+// (see cache), and the lists of the querier and its groups are merged. A
+// policy lives under its own querier name only, so visiting each DISTINCT
+// name once yields no duplicates. The duplicate-skip below guards against
+// Groups resolvers that return the querier itself or repeated group names:
+// a duplicated policy id would break signature canonicality (splitting
+// otherwise-identical profiles) and duplicate guard arms.
 func (s *Store) PoliciesFor(qm Metadata, relation string, groups Groups) []*Policy {
 	names := append([]string{qm.Querier}, groups.GroupsOf(qm.Querier)...)
-	var out []*Policy
+	var ends [8]int
+	runs := append(ends[:0], 0) // out[runs[i]:runs[i+1]] is one name's run
 	s.mu.RLock()
-	for i, name := range names {
-		dup := false
-		for _, prev := range names[:i] {
-			if prev == name {
-				dup = true
-				break
-			}
+	distinct, lists := names[:0], 0
+	for _, name := range names {
+		if !slices.Contains(distinct, name) {
+			distinct = append(distinct, name)
+			lists += len(s.byQuerier[name][relation])
 		}
-		if dup {
-			continue
-		}
+	}
+	out := make([]*Policy, 0, lists)
+	for _, name := range distinct {
 		// Every policy filed under name names the querier or one of its
 		// groups, so of AppliesTo only the purpose and context tests remain.
 		for _, p := range s.byQuerier[name][relation] {
-			if p.Action != Allow || !p.matchesContext(qm) {
-				continue
+			if p.Grants(qm) {
+				out = append(out, p)
 			}
-			out = append(out, p)
+		}
+		if len(out) > runs[len(runs)-1] {
+			runs = append(runs, len(out))
 		}
 	}
 	s.mu.RUnlock()
-	Sort(out)
-	return out
+	return mergeRuns(out, runs)
+}
+
+// mergeRuns merges the id-ordered runs ps[runs[i]:runs[i+1]] pairwise,
+// level by level, into one id-ordered slice, which it returns (ps itself
+// when there is at most one run).
+func mergeRuns(ps []*Policy, runs []int) []*Policy {
+	if len(runs) <= 2 {
+		return ps
+	}
+	buf := make([]*Policy, len(ps))
+	for len(runs) > 2 {
+		n := len(runs) - 1 // runs on this level
+		w := 1
+		for i := 0; i < n; i += 2 {
+			lo, mid, hi := runs[i], runs[i+1], runs[i+1]
+			if i+1 < n {
+				hi = runs[i+2]
+			}
+			mergeByID(buf[lo:hi], ps[lo:mid], ps[mid:hi])
+			runs[w] = hi
+			w++
+		}
+		runs = runs[:w]
+		ps, buf = buf, ps
+	}
+	return ps
+}
+
+// mergeByID merges the id-ordered a and b into dst (len(a)+len(b) long).
+func mergeByID(dst, a, b []*Policy) {
+	i, j := 0, 0
+	for k := range dst {
+		if j == len(b) || i < len(a) && a[i].ID < b[j].ID {
+			dst[k] = a[i]
+			i++
+		} else {
+			dst[k] = b[j]
+			j++
+		}
+	}
 }
 
 // Insert persists one policy, assigning its ID and insertion timestamp.
@@ -205,28 +248,33 @@ func (s *Store) Insert(p *Policy) error {
 	return s.persist(p, rows)
 }
 
-// persist caches p, then writes its rP row and its rOC rows through
-// engine.Insert so rP's triggers fire. A failed write rolls the
-// half-commit back — the cached policy and every row that already landed
-// go, so memory, rP and rOC agree the policy does not exist. (The rP
-// trigger may already have fired, but it only invalidates claims — a
-// conservative no-op once the policy is gone from the store.)
+// persist caches p, then writes its rOC rows and, last, its rP row through
+// engine.Insert, so rP's triggers fire only for a policy whose every row
+// has landed: the middleware takes the trigger as the announcement of a
+// granted policy. A failed write rolls the half-commit back — the cached
+// policy and every row that already landed go, so memory, rP and rOC agree
+// the policy does not exist, and no trigger has fired for it.
 func (s *Store) persist(p *Policy, ocRows []storage.Row) error {
 	s.cache(p)
-	if err := s.db.Insert(TableP, policyRow(p)); err != nil {
-		s.uncache(p)
-		return err
-	}
 	for _, r := range ocRows {
 		if err := s.db.Insert(TableOC, r); err != nil {
-			s.uncache(p)
-			if derr := s.deleteRows(p.ID); derr != nil {
-				return fmt.Errorf("%w (rollback also failed: %v)", err, derr)
-			}
-			return err
+			return s.rollback(p, err)
 		}
 	}
+	if err := s.db.Insert(TableP, policyRow(p)); err != nil {
+		return s.rollback(p, err)
+	}
 	return nil
+}
+
+// rollback undoes a persist that failed with err: p leaves the cache and
+// every rP and rOC row of it that landed is deleted.
+func (s *Store) rollback(p *Policy, err error) error {
+	s.uncache(p)
+	if derr := s.deleteRows(p.ID); derr != nil {
+		return fmt.Errorf("%w (rollback also failed: %v)", err, derr)
+	}
+	return err
 }
 
 // policyRow is p's rP row.
@@ -265,7 +313,8 @@ func (s *Store) BulkLoad(ps []*Policy) error {
 	return s.db.BulkInsert(TableOC, ocRows)
 }
 
-// cache records a policy in the in-memory indexes.
+// cache records a policy in the in-memory indexes, at its id's place in
+// its name's list: concurrent Inserts can reach here out of id order.
 func (s *Store) cache(p *Policy) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -274,7 +323,9 @@ func (s *Store) cache(p *Policy) {
 		byRel = make(map[string][]*Policy)
 		s.byQuerier[p.Querier] = byRel
 	}
-	byRel[p.Relation] = append(byRel[p.Relation], p)
+	ps := byRel[p.Relation]
+	i, _ := slices.BinarySearchFunc(ps, p.ID, func(q *Policy, id int64) int { return cmp.Compare(q.ID, id) })
+	byRel[p.Relation] = slices.Insert(ps, i, p)
 	s.byID[p.ID] = p
 }
 

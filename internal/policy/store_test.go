@@ -177,6 +177,40 @@ func TestStoreBulkLoadSkipsTriggers(t *testing.T) {
 	}
 }
 
+// TestRPTriggerFiresAfterConditionRows: the rP row is a policy's last row,
+// so an rP trigger — the middleware's announcement of a granted policy —
+// finds every rOC row of it already persisted, and the policy cached.
+func TestRPTriggerFiresAfterConditionRows(t *testing.T) {
+	s := newStore(t)
+	oc := s.DB().MustTable(TableOC)
+	fired := 0
+	s.DB().OnInsert(TableP, func(_ string, row storage.Row) {
+		fired++
+		id := row[0].I
+		p, ok := s.ByID(id)
+		if !ok {
+			t.Errorf("rP trigger for policy %d fired before the policy was cached", id)
+			return
+		}
+		want, err := conditionRows(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := oc.Lookup(nil, "policy_id", storage.NewInt(id))
+		if len(got) != len(want) {
+			t.Errorf("rP trigger for policy %d saw %d of its %d rOC rows", id, len(got), len(want))
+		}
+	})
+	for _, p := range samplePolicies() {
+		if err := s.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fired != len(samplePolicies()) {
+		t.Errorf("rP trigger fired %d times, want %d", fired, len(samplePolicies()))
+	}
+}
+
 func TestPoliciesForFiltersByMetadata(t *testing.T) {
 	s := newStore(t)
 	if err := s.BulkLoad(samplePolicies()); err != nil {
@@ -401,6 +435,33 @@ func TestPoliciesForMatchesFilter(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestPoliciesForMergesOutOfOrderCaches: concurrent Inserts can cache
+// policies out of id order; each name's list still comes out in id order,
+// and the merge of the querier's and its groups' lists is sorted and
+// complete whatever the number of lists.
+func TestPoliciesForMergesOutOfOrderCaches(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 5))
+	for _, nGroups := range []int{0, 1, 2, 3, 7} {
+		s := newStore(t)
+		names := []string{"u"}
+		for g := 0; g < nGroups; g++ {
+			names = append(names, fmt.Sprintf("g%d", g))
+		}
+		var all []*Policy
+		for _, id := range rng.Perm(60) {
+			p := &Policy{ID: int64(id + 1), Owner: 1, Querier: names[rng.IntN(len(names))],
+				Purpose: AnyPurpose, Relation: "r", Action: Allow}
+			s.cache(p)
+			all = append(all, p)
+		}
+		Sort(all)
+		qm := Metadata{Querier: "u", Purpose: "p"}
+		if got := s.PoliciesFor(qm, "r", StaticGroups{"u": names[1:]}); !slices.Equal(got, all) {
+			t.Errorf("%d groups: PoliciesFor = %v, want %v", nGroups, got, all)
 		}
 	}
 }

@@ -72,6 +72,7 @@ func TestMetricsExposition(t *testing.T) {
 		"sieve_rows_streamed_total": "counter",
 		"sieve_sessions_open":       "gauge",
 		"sieve_guard_cache_hits":    "gauge",
+		"sieve_claims_derived":      "gauge",
 		"sieve_goroutines":          "gauge",
 		"sieve_query_duration_us":   "histogram",
 		"sieve_query_rows":          "histogram",
