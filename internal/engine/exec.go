@@ -567,7 +567,7 @@ func (ex *executor) scanSourceIter(src *sourceInfo, conjs []sqlparser.Expr, tb *
 		}
 		return r.schema, it, nil
 	default:
-		plan := planAccess(ex.db, src.tbl, tb, src.ref.Hint)
+		plan := tb.access(ex.db, src.tbl, src.ref.Hint)
 		if plan.fetch != nil {
 			return tb.schema, &fetchIter{ex: ex, t: src.tbl, plan: plan, tb: tb, sc: sc, outer: outer}, nil
 		}

@@ -280,7 +280,7 @@ func TestParallelEarlyCloseStopsWorkers(t *testing.T) {
 	ex := db.newExecutor(context.Background())
 	conjs := sqlparser.Conjuncts(mustParseWhere(t, "grp < 9"))
 	tb := bindTable(db, tab, "p", conjs)
-	plan := planAccess(db, tab, tb, nil)
+	plan := tb.access(db, tab, nil)
 	if plan.fetch != nil {
 		t.Fatal("expected a sequential plan")
 	}

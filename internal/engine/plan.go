@@ -4,6 +4,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"github.com/sieve-db/sieve/internal/sqlparser"
 	"github.com/sieve-db/sieve/internal/storage"
@@ -159,19 +160,20 @@ func (e *estimator) sel(s sarg) float64 {
 				return e.stats.SelectivityRange(s.col, s.lo, s.hi)
 			}
 			sel := 0.0
-			for range s.points {
-				sel += e.stats.SelectivityEq(s.col, s.points[0])
+			for _, p := range s.points {
+				sel += e.stats.SelectivityEq(s.col, p)
 			}
 			return clampSel(sel)
 		}
 	}
-	if idx, ok := e.t.Index(s.col); ok {
+	if _, ok := e.t.Index(s.col); ok {
 		cnt := 0
 		if s.isRange {
-			cnt = idx.CountRange(s.lo, s.loS, s.hi, s.hiS)
+			cnt, _ = e.t.CountRange(s.col, s.lo, s.loS, s.hi, s.hiS)
 		} else {
 			for _, p := range s.points {
-				cnt += idx.CountRange(p, false, p, false)
+				c, _ := e.t.CountRange(s.col, p, false, p, false)
+				cnt += c
 			}
 		}
 		return clampSel(float64(cnt) / float64(n))
@@ -194,11 +196,15 @@ func clampSel(x float64) float64 {
 
 // fetchSargs resolves the union of the sargs' index lookups — one per
 // point, one per range — through the view's captured indexes, so the ids stay
-// resolvable against the same heap even if a Compact lands mid-query. One
+// resolvable against the same heap even if a Compact lands mid-query, and
+// under the view's read lock, so a concurrent writer's in-place index
+// maintenance lands before or after them. One
 // lookup appends its ids, which arrive as one run in key order; two or more
 // mark one bitmap over the view's heap slots, which the fetch walks in heap
 // order with no duplicate and nothing to sort.
 func fetchSargs(v *storage.View, c *Counters, sargs []sarg) idCursor {
+	v.RLock()
+	defer v.RUnlock()
 	if lookups(sargs) < 2 {
 		var ids []storage.RowID
 		for _, s := range sargs {
@@ -274,16 +280,42 @@ type accessPlan struct {
 	zoneCols  []int
 }
 
+// planEpoch is the state of a table that an access-path choice is priced
+// against: its mutation count (which every insert, update and delete
+// moves, and with it the row count), its index-set epoch (which
+// CreateIndex moves), and the statistics Analyze last published for it.
+// The table itself is not part of it: a binding is built over one table,
+// which is never dropped or replaced. A choice made under one epoch is the
+// choice planAccess makes again until one of them moves. Every choice is
+// sound whatever the epoch — an index is never dropped, and a fetch
+// resolves through the scan's own view — so a stale one costs time, never
+// rows.
+type planEpoch struct {
+	muts  int64
+	idxs  int64
+	stats *storage.TableStats
+}
+
+// epochOf reads t's current epoch. It takes the statistics without the
+// auto-analyze refresh: a refresh made while pricing publishes new
+// statistics, so the choice stored under the old ones is priced again at
+// the next execution.
+func epochOf(db *DB, t *storage.Table) planEpoch {
+	stats, _ := db.Stats(t.Name)
+	return planEpoch{muts: t.Mutations(), idxs: t.IndexEpoch(), stats: stats}
+}
+
 // tableBinding is what planning and filtering one base-table FROM entry
 // take from the statement and the schema alone: the entry's conjuncts, its
 // qualified schema, the sargs among the conjuncts, the sargs inside their
-// disjunctions, and the compiled filter. Nothing in it depends on
-// statistics, indexes or data, so a prepared statement keeps it (planCache)
-// and every execution — on any goroutine — shares it; what does depend on
-// them, selectivity estimates and the access-path choice, planAccess redoes
-// per execution. A conjunct registered as a SharedFilter (shared.go) — a
-// guard state's disjunction — brings its parts from the registration, so
-// they are built once per state, not once per binding.
+// disjunctions, and the compiled filter. A prepared statement keeps it
+// (planCache) and every execution — on any goroutine — shares it. What
+// depends on statistics, indexes and data, the access-path choice, it
+// memoizes under the table's epoch (planEpoch): an execution re-plans only
+// after a write to the table, a new index or new statistics. A conjunct
+// registered as a SharedFilter (shared.go) — a guard state's disjunction —
+// brings its parts from the registration, so they are built once per
+// state, not once per binding.
 type tableBinding struct {
 	ref    string
 	conjs  []sqlparser.Expr
@@ -305,6 +337,29 @@ type tableBinding struct {
 	zoneOnce  sync.Once
 	zonePreds []zoneNode
 	zoneCols  []int
+
+	planned atomic.Pointer[boundPlan]
+}
+
+// boundPlan is a binding's access-path choice and the epoch it was made
+// under.
+type boundPlan struct {
+	epoch planEpoch
+	plan  accessPlan
+}
+
+// access returns the binding's access path over t under hint: the memoized
+// choice while t's epoch stands, planAccess's afresh otherwise. The hint is
+// the FROM entry's own, as fixed as the binding. Two executions racing past
+// a stale memo both plan, and store, the same choice.
+func (tb *tableBinding) access(db *DB, t *storage.Table, hint *sqlparser.IndexHint) accessPlan {
+	epoch := epochOf(db, t)
+	if bp := tb.planned.Load(); bp != nil && bp.epoch == epoch {
+		return bp.plan
+	}
+	plan := planAccess(db, t, tb, hint)
+	tb.planned.Store(&boundPlan{epoch: epoch, plan: plan})
+	return plan
 }
 
 // bindTable derives the binding of the FROM entry named ref over t from the
@@ -438,7 +493,8 @@ func orBranches(est *estimator, oc orClause, allowed map[string]bool) (branches 
 
 // planAccess chooses the access path for one base table given its binding.
 // The hint is honoured only on dialects that honour hints (§5.3). Zone
-// predicates are asked for on the sequential path alone.
+// predicates are asked for on the sequential path alone. Execution reaches
+// it through tableBinding.access, which keeps the choice per table epoch.
 func planAccess(db *DB, t *storage.Table, tb *tableBinding, hint *sqlparser.IndexHint) accessPlan {
 	n := float64(t.NumRows())
 	seqPlan := func() accessPlan {

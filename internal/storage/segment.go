@@ -167,6 +167,16 @@ func (v *View) Index(col string) (*Index, bool) {
 	return ix, ok
 }
 
+// RLock holds the view's indexes still until RUnlock. A writer maintains
+// the indexes in place under the table's write lock, so lookups through a
+// view beside a concurrent writer are made between the two; nothing between
+// them may take the table's lock again. Ids a lookup finds past the view's
+// slots belong to rows inserted after it, which its fetches skip.
+func (v *View) RLock() { v.t.mu.RLock() }
+
+// RUnlock releases RLock.
+func (v *View) RUnlock() { v.t.mu.RUnlock() }
+
 // NumSegments returns the number of segments in the view.
 func (v *View) NumSegments() int { return len(v.segs) }
 

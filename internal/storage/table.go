@@ -27,6 +27,7 @@ type Table struct {
 	segs    []segment         // fixed-size segment metadata (zone maps)
 	segSize int
 	muts    atomic.Int64 // monotonically increasing mutation count
+	idxs    atomic.Int64 // index-set epoch: one per index created
 }
 
 // NewTable creates an empty table.
@@ -158,6 +159,19 @@ func (t *Table) Lookup(dst []RowID, col string, key Value) (ids []RowID, ok bool
 	return idx.Eq(dst, key), true
 }
 
+// CountRange counts the live rows whose col lies in the range (see
+// Index.CountRange) through the index on col, under the table's read lock
+// as Lookup is. ok is false when col carries no index.
+func (t *Table) CountRange(col string, lo Value, loStrict bool, hi Value, hiStrict bool) (n int, ok bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	idx, ok := t.indexes[col]
+	if !ok {
+		return 0, false
+	}
+	return idx.CountRange(lo, loStrict, hi, hiStrict), true
+}
+
 // NumSlots returns the heap length in slots, tombstones included; with
 // NumRows it tells a caller that holds no row ids when Compact pays.
 func (t *Table) NumSlots() int {
@@ -212,8 +226,15 @@ func (t *Table) CreateIndex(col string) (*Index, error) {
 	idx := newIndex(t.Name, col, ci)
 	idx.rebuild(t)
 	t.indexes[col] = idx
+	t.idxs.Add(1)
 	return idx, nil
 }
+
+// IndexEpoch returns the table's index-set epoch: it moves when an index is
+// created and at no other time, so a plan priced against the indexes a table
+// had holds while it stands. Compact rebuilds the indexes the table has
+// without changing the set.
+func (t *Table) IndexEpoch() int64 { return t.idxs.Load() }
 
 // Index returns the index on col, if any.
 func (t *Table) Index(col string) (*Index, bool) {
