@@ -183,10 +183,12 @@ func (m *Middleware) resolveClaimLocked(key geKey) (*geState, bool, error) {
 }
 
 // buildState builds a new state for a signature: patched from base
-// (guard.Patch) when there is one, generated by the full §4 pipeline when
-// base is nil. It runs outside m.mu; the state is visible to nobody until
-// publishStateLocked. key only names the claim the expression is built for
-// (ge.Querier/Purpose); the state itself is keyed by signature.
+// (guard.Patch, which walks the difference between base.ids and ids — both
+// in id order, as PoliciesFor returns ps) when there is one, generated by
+// the full §4 pipeline when base is nil. It runs outside m.mu; the state
+// is visible to nobody until publishStateLocked. key only names the claim
+// the expression is built for (ge.Querier/Purpose); the state itself is
+// keyed by signature.
 func (m *Middleware) buildState(key geKey, ps []*policy.Policy, ids []int64, hash uint64, base *patchBase) (*geState, error) {
 	sel, err := m.selectivityFor(key.relation)
 	if err != nil {
@@ -194,7 +196,7 @@ func (m *Middleware) buildState(key geKey, ps []*policy.Policy, ids []int64, has
 	}
 	st := &geState{relation: key.relation, ids: ids, hash: hash, deltaSets: make(map[int]int64)}
 	if base != nil {
-		st.ge, st.from, err = guard.Patch(base.ge, ps, sel, m.cm)
+		st.ge, st.from, err = guard.Patch(base.ge, base.ids, ps, ids, sel, m.cm)
 		if err != nil {
 			return nil, err
 		}

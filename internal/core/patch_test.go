@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/sieve-db/sieve/internal/engine"
+	"github.com/sieve-db/sieve/internal/guard"
 	"github.com/sieve-db/sieve/internal/policy"
 	"github.com/sieve-db/sieve/internal/sqlparser"
 	"github.com/sieve-db/sieve/internal/storage"
@@ -208,6 +209,71 @@ func TestDriftPastKRegenerates(t *testing.T) {
 		}
 		if got := drift(); got != want {
 			t.Errorf("write %d: drift %d, want %d", i+1, got, want)
+		}
+	}
+	checkStates(t, f.m)
+}
+
+// TestInsertPatchKeepsEveryBaseGuard: an insert patches the group's next
+// state from the one it supersedes by reading the id delta alone — every
+// base guard stays at its index sharing its base's partition, except the
+// one guard the inserted grant joins, which gets a copy; a grant no base
+// guard implies adds one guard after them.
+func TestInsertPatchKeepsEveryBaseGuard(t *testing.T) {
+	f := newSigFixture(t, 1, 2)
+	ctx := context.Background()
+	qm := f.metadata("member0_0")
+	sess := f.m.NewSession(qm)
+	state := func() *geState {
+		f.m.mu.Lock()
+		defer f.m.mu.Unlock()
+		return f.m.claims[geKey{querier: qm.Querier, purpose: qm.Purpose, relation: "wifi"}].state
+	}
+	if _, err := sess.Execute(ctx, selectAll); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		owner  int64
+		joins  bool // the grant joins its owner's guard
+		guards int  // guards added
+	}{
+		{"a new owner adds an owner guard", 7, false, 1},
+		{"an owner already granted joins its guard", 2, true, 0},
+	} {
+		base := state().ge
+		joined := -1
+		if tc.joins {
+			joined = slices.IndexFunc(base.Guards, func(g guard.Guard) bool { return g.Policies[0].Owner == tc.owner })
+			if joined < 0 {
+				t.Fatalf("%s: no base guard holds owner %d", tc.name, tc.owner)
+			}
+		}
+		before := f.m.CacheStats()
+		if err := f.m.AddPolicy(groupGrant("grp0", tc.owner)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Execute(ctx, selectAll); err != nil {
+			t.Fatal(err)
+		}
+		if after := f.m.CacheStats(); after.GuardPatches-before.GuardPatches != 1 {
+			t.Fatalf("%s: the write's state was not patched", tc.name)
+		}
+		st := state()
+		if got, want := len(st.ge.Guards), len(base.Guards)+tc.guards; got != want {
+			t.Errorf("%s: %d guards, want %d", tc.name, got, want)
+		}
+		for i, b := range base.Guards {
+			g := st.ge.Guards[i]
+			shared := &g.Policies[0] == &b.Policies[0]
+			switch {
+			case g.Cond.String() != b.Cond.String():
+				t.Errorf("%s: guard %d is %s, base guard %d %s", tc.name, i, g.Cond, i, b.Cond)
+			case i == joined && (shared || len(g.Policies) != len(b.Policies)+1):
+				t.Errorf("%s: joined guard %d has %d policies, want a copy with %d", tc.name, i, len(g.Policies), len(b.Policies)+1)
+			case i != joined && !shared:
+				t.Errorf("%s: base guard %d is not kept as it is", tc.name, i)
+			}
 		}
 	}
 	checkStates(t, f.m)

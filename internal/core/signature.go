@@ -415,8 +415,8 @@ func (m *Middleware) evictClaimsLocked(keep *claim) {
 	}
 }
 
-// Signature returns the canonical policy-set signature of the claim's
-// current guard state for display ("" when the claim has no state yet).
+// signature renders the state's policy-set signature for display: its set
+// hash as 16 hex digits.
 func (st *geState) signature() string {
 	return fmt.Sprintf("%016x", st.hash)
 }

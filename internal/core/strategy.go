@@ -41,9 +41,10 @@ type TableDecision struct {
 	// them without reading a tuple.
 	SegmentsTotal    int
 	SegmentsPrunable int
-	// Signature is the canonical policy-set signature (FNV-64a of the
-	// sorted applicable policy ids) of the guard state this decision used.
-	// Queriers sharing it share the generation and the plan.
+	// Signature is the canonical policy-set signature of the guard state
+	// this decision used: the set hash of its applicable policy ids (the
+	// sum of each id's splitmix64 mix, signatureHash), printed as 16 hex
+	// digits. Queriers sharing it share the generation and the plan.
 	Signature string
 	// SharedState is true when the guard state was generated for a
 	// different (querier, purpose) and reused here via the signature.

@@ -459,15 +459,16 @@ func (tb *tableBinding) parallelSafe() bool {
 	return tb.safe
 }
 
-// orBranches picks, for each disjunct of a disjunctive conjunct, its most
-// selective sarg on an indexed (and, when restricted, hinted) column, and
-// sums their selectivities. ok is false if any disjunct lacks such a sarg —
-// then the disjunction cannot drive an index union and must be a filter.
-func orBranches(est *estimator, oc orClause, allowed map[string]bool) (branches []sarg, sel float64, ok bool) {
+// orBranches prices a disjunctive conjunct as an index union in one pass:
+// for each disjunct it records in picks (len(oc.ends) long) the position in
+// oc.sargs of its most selective sarg on an indexed (and, when restricted,
+// hinted) column, and sums their selectivities. ok is false if any disjunct
+// lacks such a sarg — then the disjunction cannot drive an index union and
+// must be a filter.
+func orBranches(est *estimator, oc orClause, allowed map[string]bool, picks []int) (sel float64, ok bool) {
 	t := est.t
-	branches = make([]sarg, 0, len(oc.ends))
 	from := 0
-	for _, end := range oc.ends {
+	for i, end := range oc.ends {
 		best, bestSel := -1, 2.0
 		for j := from; j < end; j++ {
 			s := &oc.sargs[j]
@@ -482,13 +483,35 @@ func orBranches(est *estimator, oc orClause, allowed map[string]bool) (branches 
 			}
 		}
 		if best < 0 {
-			return nil, 0, false
+			return 0, false
 		}
-		branches = append(branches, oc.sargs[best])
+		picks[i] = best
 		sel += bestSel
 		from = end
 	}
-	return branches, sel, true
+	return sel, true
+}
+
+// orUnionPlan is the bitmap OR plan over the sargs of oc that picks names:
+// the branch list is copied out here, for the one union planAccess keeps.
+func orUnionPlan(oc orClause, picks []int, sel float64) accessPlan {
+	branches := make([]sarg, len(picks))
+	var names []string
+	for i, j := range picks {
+		branches[i] = oc.sargs[j]
+		if !slices.Contains(names, branches[i].col) {
+			names = append(names, branches[i].col)
+		}
+	}
+	return accessPlan{
+		Kind:   AccessBitmapOr,
+		Index:  strings.Join(names, ","),
+		EstSel: sel,
+		fetch: func(v *storage.View, c *Counters) idCursor {
+			c.BitmapOrScans++
+			return fetchSargs(v, c, branches)
+		},
+	}
 }
 
 // planAccess chooses the access path for one base table given its binding.
@@ -543,34 +566,30 @@ func planAccess(db *DB, t *storage.Table, tb *tableBinding, hint *sqlparser.Inde
 	// Disjunction candidates: index-union of the branches of an OR. Used by
 	// the postgres dialect's bitmap OR scan, and by the mysql dialect when
 	// FORCE INDEX lists the branch indexes (index_merge union, the §5.6
-	// combined rewrite form).
-	var orPlan *accessPlan
+	// combined rewrite form). Each clause is priced into a picks buffer; the
+	// cheapest clause's picks are kept, and its plan — the branch list — is
+	// built only if the union is chosen.
+	var orBest orClause
+	var orPicks []int // the kept union's picks; nil: no union
+	orSel := 0.0
 	if db.dialect.SupportsBitmapOr() || forced {
-		for _, oc := range tb.orClauses(t.Schema) {
-			branches, sel, ok := orBranches(est, oc, allowed)
-			if !ok {
+		ors := tb.orClauses(t.Schema)
+		width := 0
+		for _, oc := range ors {
+			width = max(width, len(oc.ends))
+		}
+		var picks []int
+		for _, oc := range ors {
+			if picks == nil {
+				picks = make([]int, width)
+			}
+			sel, ok := orBranches(est, oc, allowed, picks[:len(oc.ends)])
+			if !ok || orPicks != nil && clampSel(sel) >= orSel {
 				continue
 			}
-			names := make([]string, 0, 2)
-			for _, b := range branches {
-				if !slices.Contains(names, b.col) {
-					names = append(names, b.col)
-				}
-			}
-			bs := branches
-			plan := accessPlan{
-				Kind:   AccessBitmapOr,
-				Index:  strings.Join(names, ","),
-				EstSel: clampSel(sel),
-				fetch: func(v *storage.View, c *Counters) idCursor {
-					c.BitmapOrScans++
-					return fetchSargs(v, c, bs)
-				},
-			}
-			if orPlan == nil || plan.EstSel < orPlan.EstSel {
-				p := plan
-				orPlan = &p
-			}
+			// The next clause prices into the other buffer.
+			orBest, orSel = oc, clampSel(sel)
+			orPicks, picks = picks[:len(oc.ends)], orPicks[:cap(orPicks)]
 		}
 	}
 
@@ -589,38 +608,37 @@ func planAccess(db *DB, t *storage.Table, tb *tableBinding, hint *sqlparser.Inde
 
 	if forced {
 		// The optimizer must use one of the listed indexes if at all possible.
-		if best != nil && orPlan != nil {
-			if best.sel*RandAccessFactor <= orPlan.EstSel*bitmapAccessFactor {
+		if best != nil && orPicks != nil {
+			if best.sel*RandAccessFactor <= orSel*bitmapAccessFactor {
 				return mkIndexPlan(*best)
 			}
-			return *orPlan
+			return orUnionPlan(orBest, orPicks, orSel)
 		}
 		if best != nil {
 			return mkIndexPlan(*best)
 		}
-		if orPlan != nil {
-			return *orPlan
+		if orPicks != nil {
+			return orUnionPlan(orBest, orPicks, orSel)
 		}
 		return seqPlan() // nothing sargable on the forced indexes; degenerate to scan
 	}
 
 	// Cost-based choice.
 	cost := n
-	var choice *accessPlan
+	useIndex, useOr := false, false
 	if best != nil {
 		if c := best.sel * n * RandAccessFactor; c < cost {
-			cost = c
-			p := mkIndexPlan(*best)
-			choice = &p
+			cost, useIndex = c, true
 		}
 	}
-	if orPlan != nil {
-		if c := orPlan.EstSel * n * bitmapAccessFactor; c < cost {
-			choice = orPlan
-		}
+	if orPicks != nil {
+		useOr = orSel*n*bitmapAccessFactor < cost
 	}
-	if choice == nil {
-		return seqPlan()
+	switch {
+	case useOr:
+		return orUnionPlan(orBest, orPicks, orSel)
+	case useIndex:
+		return mkIndexPlan(*best)
 	}
-	return *choice
+	return seqPlan()
 }

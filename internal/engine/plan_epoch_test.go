@@ -181,6 +181,50 @@ func TestPreparedGuardedPlanningFlatInArms(t *testing.T) {
 	}
 }
 
+// TestUnpreparedGuardedPlanningFlatInArms: an unprepared execution — a new
+// binding, planned afresh — over a shared guard filter of 300 owner arms
+// whose index union loses to the owner index allocates, in count and in
+// bytes, what one over 10 arms does plus a small constant: pricing records
+// each arm's pick as an index and builds no branch list for a union it does
+// not keep.
+func TestUnpreparedGuardedPlanningFlatInArms(t *testing.T) {
+	measure := func(arms int) (allocs, bytes float64) {
+		db, stmt, _ := guardedDispatch(t, arms)
+		query := func() {
+			res, err := db.QueryStmt(stmt)
+			if err != nil || len(res.Rows) != 64 {
+				t.Fatalf("%d arms: %d rows, err %v", arms, len(res.Rows), err)
+			}
+		}
+		db.ResetCounters()
+		query()
+		if c := db.CountersSnapshot(); c.IndexScans != 1 || c.BitmapOrScans != 0 {
+			t.Fatalf("%d arms: the owner index does not win the access path: %+v", arms, c)
+		}
+		allocs = testing.AllocsPerRun(20, query)
+		bytes = math.Inf(1)
+		var before, after runtime.MemStats
+		for i := 0; i < 50; i++ {
+			runtime.ReadMemStats(&before)
+			query()
+			runtime.ReadMemStats(&after)
+			bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc))
+		}
+		return allocs, bytes
+	}
+	fewAllocs, fewBytes := measure(10)
+	manyAllocs, manyBytes := measure(300)
+	t.Logf("per execution: %.0f allocs, %.0f B at 10 arms; %.0f allocs, %.0f B at 300", fewAllocs, fewBytes, manyAllocs, manyBytes)
+	// The 290 more picks cost 2.3 KB; a branch list for each pricing would
+	// cost about 39 KB.
+	if manyAllocs > fewAllocs+16 {
+		t.Errorf("an unprepared execution makes %.0f allocations at 300 arms against %.0f at 10", manyAllocs, fewAllocs)
+	}
+	if manyBytes > fewBytes+4096 {
+		t.Errorf("an unprepared execution allocates %.0f B at 300 arms against %.0f B at 10", manyBytes, fewBytes)
+	}
+}
+
 // TestAccessPlanMemoUnderWrites: 8 goroutines run one prepared guarded
 // statement and one unprepared statement over the same shared guard filter
 // while a writer inserts rows and re-analyzes — moving the table's epoch

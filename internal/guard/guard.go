@@ -11,6 +11,7 @@ package guard
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/sieve-db/sieve/internal/policy"
@@ -162,58 +163,86 @@ func (ge *GuardedExpression) TotalSel() float64 {
 }
 
 // Validate checks the §3.2 invariants: the guards partition the policy set
-// (every policy exactly once) and every partition member has an object
-// condition implying its guard.
+// (every policy of ps exactly once, and no policy outside it) and every
+// partition member has an object condition implying its guard. Each guard's
+// interval is read once, and coverage is counted on one sorted id list, so
+// the allocations do not grow with the policy count.
 func (ge *GuardedExpression) Validate(ps []*policy.Policy) error {
-	seen := make(map[int64]int)
+	got := make([]int64, 0, ge.PolicyCount()+len(ps))
 	for _, g := range ge.Guards {
 		if len(g.Policies) == 0 {
 			return fmt.Errorf("guard: empty partition for guard %s", g.Cond)
 		}
+		gLo, gHi, ok := g.Cond.Interval()
 		for _, p := range g.Policies {
-			seen[p.ID]++
-			if !policyImpliesGuard(p, g.Cond) {
+			if !ok || !impliesInterval(p, g.Cond.Attr, gLo, gHi) {
 				return fmt.Errorf("guard: policy %d lacks a condition implying guard %s", p.ID, g.Cond)
 			}
+			got = append(got, p.ID)
 		}
 	}
+	want := got[len(got):]
 	for _, p := range ps {
-		switch seen[p.ID] {
+		want = append(want, p.ID)
+	}
+	slices.Sort(got)
+	slices.Sort(want)
+	i := 0
+	for j, id := range want {
+		if j > 0 && want[j-1] == id {
+			continue
+		}
+		if i < len(got) && got[i] < id {
+			return fmt.Errorf("guard: policy %d is not in the policy set", got[i])
+		}
+		c := i
+		for c < len(got) && got[c] == id {
+			c++
+		}
+		switch c - i {
 		case 0:
-			return fmt.Errorf("guard: policy %d not covered", p.ID)
+			return fmt.Errorf("guard: policy %d not covered", id)
 		case 1:
 		default:
-			return fmt.Errorf("guard: policy %d covered %d times", p.ID, seen[p.ID])
+			return fmt.Errorf("guard: policy %d covered %d times", id, c-i)
 		}
+		i = c
+	}
+	if i < len(got) {
+		return fmt.Errorf("guard: policy %d is not in the policy set", got[i])
 	}
 	return nil
 }
 
 // policyImpliesGuard checks ∃ oc ∈ OC_l such that oc ⇒ guard.
 func policyImpliesGuard(p *policy.Policy, g policy.ObjectCondition) bool {
-	for _, c := range p.AllConditions() {
-		if c.Attr != g.Attr {
+	gLo, gHi, ok := g.Interval()
+	return ok && impliesInterval(p, g.Attr, gLo, gHi)
+}
+
+// impliesInterval checks ∃ oc ∈ OC_l on attr whose interval lies within
+// [gLo, gHi]: the owner condition first, then p.Conditions in place.
+func impliesInterval(p *policy.Policy, attr string, gLo, gHi storage.Value) bool {
+	if attr == policy.OwnerAttr {
+		if owner := storage.NewInt(p.Owner); within(owner, owner, gLo, gHi) {
+			return true
+		}
+	}
+	for i := range p.Conditions {
+		c := &p.Conditions[i]
+		if c.Attr != attr {
 			continue
 		}
-		if conditionImplies(c, g) {
+		if cLo, cHi, ok := c.Interval(); ok && within(cLo, cHi, gLo, gHi) {
 			return true
 		}
 	}
 	return false
 }
 
-// conditionImplies conservatively tests c ⇒ g for the condition shapes
-// guards are built from (equality points and ranges).
-func conditionImplies(c, g policy.ObjectCondition) bool {
-	cLo, cHi, ok := c.Interval()
-	if !ok {
-		return false
-	}
-	gLo, gHi, ok := g.Interval()
-	if !ok {
-		return false
-	}
-	// c ⊆ g: gLo ≤ cLo and cHi ≤ gHi (NULL = unbounded).
+// within conservatively tests [cLo, cHi] ⊆ [gLo, gHi]: gLo ≤ cLo and
+// cHi ≤ gHi, NULL meaning unbounded.
+func within(cLo, cHi, gLo, gHi storage.Value) bool {
 	if !gLo.IsNull() && (cLo.IsNull() || storage.Less(cLo, gLo)) {
 		return false
 	}

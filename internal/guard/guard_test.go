@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -273,33 +274,100 @@ func TestGuardExprAndPartitionExpr(t *testing.T) {
 	}
 }
 
+// TestValidateDetectsViolations: Validate accepts a partition of the set
+// and names each way an expression can fail to be one.
 func TestValidateDetectsViolations(t *testing.T) {
-	ps := []*policy.Policy{pol(1), pol(2)}
+	ps := []*policy.Policy{pol(1), pol(2), pol(3, apEq(4))}
+	ownerGuard := func(p *policy.Policy) Guard {
+		return Guard{Cond: policy.Compare("owner", sqlparser.CmpEq, storage.NewInt(p.Owner)), Policies: []*policy.Policy{p}}
+	}
 	okGE := &GuardedExpression{Guards: []Guard{
-		{Cond: policy.Compare("owner", sqlparser.CmpEq, storage.NewInt(ps[0].Owner)), Policies: ps[:1]},
-		{Cond: policy.Compare("owner", sqlparser.CmpEq, storage.NewInt(ps[1].Owner)), Policies: ps[1:]},
+		ownerGuard(ps[0]), ownerGuard(ps[1]),
+		{Cond: apEq(4), Policies: ps[2:]},
 	}}
 	if err := okGE.Validate(ps); err != nil {
 		t.Fatalf("valid expression rejected: %v", err)
 	}
-	missing := &GuardedExpression{Guards: okGE.Guards[:1]}
-	if err := missing.Validate(ps); err == nil {
-		t.Error("uncovered policy not detected")
+	outsider := pol(9)
+	for _, tc := range []struct {
+		name   string
+		guards []Guard
+		ps     []*policy.Policy
+		want   string
+	}{
+		{"a policy that does not imply its guard", []Guard{
+			{Cond: policy.Compare("owner", sqlparser.CmpEq, storage.NewInt(999)), Policies: ps[:1]},
+			okGE.Guards[1], okGE.Guards[2],
+		}, ps, "lacks a condition implying"},
+		{"a policy whose condition is on another attribute", []Guard{
+			okGE.Guards[0], okGE.Guards[1],
+			{Cond: policy.RangeClosed("ts_time", storage.MustTime("09:00"), storage.MustTime("10:00")), Policies: ps[2:]},
+		}, ps, "lacks a condition implying"},
+		{"an uncovered policy", okGE.Guards[:2], ps, "not covered"},
+		{"a policy covered twice", []Guard{okGE.Guards[0], okGE.Guards[0], okGE.Guards[1], okGE.Guards[2]}, ps, "covered 2 times"},
+		{"an empty partition", []Guard{{Cond: okGE.Guards[0].Cond}}, nil, "empty partition"},
+		{"a policy outside the set", append(slices.Clone(okGE.Guards), ownerGuard(outsider)), ps, "not in the policy set"},
+		{"a policy outside an empty set", okGE.Guards[:1], nil, "not in the policy set"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ge := &GuardedExpression{Guards: tc.guards}
+			if err := ge.Validate(tc.ps); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Validate = %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
-	double := &GuardedExpression{Guards: []Guard{okGE.Guards[0], okGE.Guards[0], okGE.Guards[1]}}
-	if err := double.Validate(ps); err == nil {
-		t.Error("double coverage not detected")
+}
+
+// TestPolicyImpliesGuardAllocatesNothing: the implication test reads the
+// owner condition and the policy's conditions in place.
+func TestPolicyImpliesGuardAllocatesNothing(t *testing.T) {
+	p := pol(7, apEq(3), timeRange("09:00", "10:00"), policy.In("ts_date", storage.NewDate(4), storage.NewDate(9)))
+	for _, tc := range []struct {
+		g    policy.ObjectCondition
+		want bool
+	}{
+		{policy.Compare("owner", sqlparser.CmpEq, storage.NewInt(7)), true},
+		{policy.Compare("owner", sqlparser.CmpEq, storage.NewInt(8)), false},
+		{apEq(3), true},
+		{timeRange("08:00", "11:00"), true},
+		{timeRange("09:30", "11:00"), false},
+		{policy.RangeClosed("ts_date", storage.NewDate(0), storage.NewDate(10)), true},
+	} {
+		var got bool
+		if allocs := testing.AllocsPerRun(100, func() { got = policyImpliesGuard(p, tc.g) }); allocs != 0 {
+			t.Errorf("policyImpliesGuard(%s) allocates %.0f times", tc.g, allocs)
+		}
+		if got != tc.want {
+			t.Errorf("policyImpliesGuard(%s) = %v, want %v", tc.g, got, tc.want)
+		}
 	}
-	wrongGuard := &GuardedExpression{Guards: []Guard{
-		{Cond: policy.Compare("owner", sqlparser.CmpEq, storage.NewInt(999)), Policies: ps[:1]},
-		okGE.Guards[1],
-	}}
-	if err := wrongGuard.Validate(ps); err == nil {
-		t.Error("non-implying guard not detected")
+}
+
+// TestValidateAllocationsFlatInPolicies: validating an expression of 2 600
+// policies allocates as often as validating one of 260, plus a constant.
+func TestValidateAllocationsFlatInPolicies(t *testing.T) {
+	measure := func(n int) float64 {
+		ps := make([]*policy.Policy, 0, n)
+		ge := &GuardedExpression{}
+		for i := 0; i < n; i++ {
+			ap := int64(i % 10)
+			p := pol(int64(i), apEq(ap), timeRange("09:00", "10:00"))
+			ps = append(ps, p)
+			if int(ap) == len(ge.Guards) {
+				ge.Guards = append(ge.Guards, Guard{Cond: apEq(ap)})
+			}
+			ge.Guards[ap].Policies = append(ge.Guards[ap].Policies, p)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if err := ge.Validate(ps); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	empty := &GuardedExpression{Guards: []Guard{{Cond: okGE.Guards[0].Cond}}}
-	if err := empty.Validate(nil); err == nil {
-		t.Error("empty partition not detected")
+	few, many := measure(260), measure(2600)
+	t.Logf("Validate allocates %.0f times at 260 policies, %.0f at 2 600", few, many)
+	if many > few+2 {
+		t.Errorf("Validate allocates %.0f times at 2 600 policies against %.0f at 260", many, few)
 	}
 }
 

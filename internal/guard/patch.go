@@ -1,6 +1,7 @@
 package guard
 
 import (
+	"cmp"
 	"slices"
 
 	"github.com/sieve-db/sieve/internal/policy"
@@ -10,42 +11,58 @@ import (
 
 // Patch derives the guarded expression of ps from base, the expression of a
 // nearby policy set, instead of running the §4 pipeline again (the §6
-// insert-adds-to-the-current-expression path, extended to revocations):
+// insert-adds-to-the-current-expression path, extended to revocations).
+// baseIDs lists the ids of base's policies and ids those of ps, both in
+// ascending order, ids[i] being ps[i].ID; Patch walks their difference:
 //
-//   - a base guard whose partition lies wholly in ps is kept as it is, the
-//     same Guard value sharing the same Policies slice;
-//   - policies missing from ps leave their partitions, and a guard left with
-//     none is dropped;
-//   - each policy of ps that no base guard covers joins the guard where its
-//     marginal Eq. 3 cost is least: a guard it implies, at ρ(g)·α·ce, or a
-//     new guard on its owner, at ρ(owner)·(cr+α·ce). Guards added earlier in
-//     the same patch are candidates for the policies after them.
+//   - with no id revoked, every base guard is kept as it is, the same Guard
+//     value sharing the same Policies slice, and only the added ids are
+//     placed;
+//   - a revoked id leaves its partition, and a guard left with none is
+//     dropped; a guard that loses none is kept as it is;
+//   - each added policy, in id order, joins the guard where its marginal
+//     Eq. 3 cost is least: a guard it implies, at ρ(g)·α·ce, or a new guard
+//     on its owner, at ρ(owner)·(cr+α·ce). Guards added earlier in the same
+//     patch are candidates for the policies after them. A partition it joins
+//     takes it at its id position, so every partition stays in id order.
 //
 // So a patched expression never costs more than the base with one owner arm
 // per inserted policy, which is what §6's pending arms would have served.
 // from reports, per output guard, the index of the base guard it is
 // unchanged from, or −1 for a guard that is new or whose partition moved.
-func Patch(base *GuardedExpression, ps []*policy.Policy, sel Selectivity, cm CostModel) (ge *GuardedExpression, from []int, err error) {
-	want := make([]int64, len(ps))
-	for i, p := range ps {
-		want[i] = p.ID
-	}
-	slices.Sort(want)
-	covered := make([]bool, len(want)) // by position in want
-	in := func(id int64) bool {
-		_, ok := slices.BinarySearch(want, id)
-		return ok
+// The result is validated against ps in full, so lists that do not describe
+// base and ps yield an error, never a wrong expression.
+func Patch(base *GuardedExpression, baseIDs []int64, ps []*policy.Policy, ids []int64, sel Selectivity, cm CostModel) (ge *GuardedExpression, from []int, err error) {
+	var revoked []int64        // in base, not in ps
+	var added []*policy.Policy // in ps, not in base
+	for i, j := 0, 0; i < len(baseIDs) || j < len(ids); {
+		switch {
+		case j == len(ids) || i < len(baseIDs) && baseIDs[i] < ids[j]:
+			revoked = append(revoked, baseIDs[i])
+			i++
+		case i == len(baseIDs) || ids[j] < baseIDs[i]:
+			added = append(added, ps[j])
+			j++
+		default:
+			i++
+			j++
+		}
 	}
 
 	ge = &GuardedExpression{Relation: base.Relation, Querier: base.Querier, Purpose: base.Purpose,
-		Guards: make([]Guard, 0, len(base.Guards))}
-	from = make([]int, 0, len(base.Guards))
+		Guards: make([]Guard, 0, len(base.Guards)+len(added))}
+	from = make([]int, 0, cap(ge.Guards))
+	isRevoked := func(p *policy.Policy) bool {
+		_, ok := slices.BinarySearch(revoked, p.ID)
+		return ok
+	}
 	for gi, g := range base.Guards {
-		kept := 0
-		for _, p := range g.Policies {
-			if i, ok := slices.BinarySearch(want, p.ID); ok {
-				kept++
-				covered[i] = true
+		kept := len(g.Policies)
+		if len(revoked) > 0 {
+			for _, p := range g.Policies {
+				if isRevoked(p) {
+					kept--
+				}
 			}
 		}
 		switch kept {
@@ -54,19 +71,14 @@ func Patch(base *GuardedExpression, ps []*policy.Policy, sel Selectivity, cm Cos
 			from = append(from, gi)
 		case 0:
 		default:
-			g.Policies = slices.DeleteFunc(slices.Clone(g.Policies), func(p *policy.Policy) bool { return !in(p.ID) })
+			g.Policies = slices.DeleteFunc(slices.Clone(g.Policies), isRevoked)
 			ge.Guards = append(ge.Guards, g)
 			from = append(from, -1)
 		}
 	}
 
 	rows := sel.Rows()
-	for _, p := range ps {
-		i, _ := slices.BinarySearch(want, p.ID)
-		if covered[i] {
-			continue
-		}
-		covered[i] = true
+	for _, p := range added {
 		owner := storage.NewInt(p.Owner)
 		best, bestCost := -1, cm.Cost(sel.EstimateEq(policy.OwnerAttr, owner), 1, rows)
 		for gi := range ge.Guards {
@@ -88,14 +100,16 @@ func Patch(base *GuardedExpression, ps []*policy.Policy, sel Selectivity, cm Cos
 			continue
 		}
 		g := &ge.Guards[best]
+		at, _ := slices.BinarySearchFunc(g.Policies, p.ID, func(q *policy.Policy, id int64) int { return cmp.Compare(q.ID, id) })
 		if from[best] >= 0 {
 			// The first change to a kept guard copies its partition: the
 			// base still serves the old one.
-			g.Policies = slices.Clone(g.Policies)
+			grown := make([]*policy.Policy, len(g.Policies), len(g.Policies)+1)
+			copy(grown, g.Policies)
+			g.Policies = grown
 			from[best] = -1
 		}
-		g.Policies = append(g.Policies, p)
-		policy.Sort(g.Policies)
+		g.Policies = slices.Insert(g.Policies, at, p)
 	}
 
 	if err := ge.Validate(ps); err != nil {

@@ -2,6 +2,7 @@ package guard
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -24,13 +25,105 @@ func without(ps []*policy.Policy, ids ...int64) []*policy.Policy {
 	return slices.DeleteFunc(slices.Clone(ps), func(p *policy.Policy) bool { return slices.Contains(ids, p.ID) })
 }
 
+// idsOf lists the ids of ps in ascending order.
+func idsOf(ps []*policy.Policy) []int64 {
+	ids := make([]int64, len(ps))
+	for i, p := range ps {
+		ids[i] = p.ID
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// policiesOf lists an expression's policies, guard by guard.
+func policiesOf(ge *GuardedExpression) []*policy.Policy {
+	var ps []*policy.Policy
+	for _, g := range ge.Guards {
+		ps = append(ps, g.Policies...)
+	}
+	return ps
+}
+
+// referencePatch is the per-policy patch Patch replaced, written out: it
+// sorts the wanted ids, binary-searches every base policy among them, and
+// re-sorts a partition after each policy joins it.
+func referencePatch(base *GuardedExpression, ps []*policy.Policy, sel Selectivity, cm CostModel) (*GuardedExpression, []int) {
+	want := idsOf(ps)
+	covered := make([]bool, len(want))
+	in := func(id int64) bool {
+		_, ok := slices.BinarySearch(want, id)
+		return ok
+	}
+	ge := &GuardedExpression{Relation: base.Relation, Querier: base.Querier, Purpose: base.Purpose}
+	var from []int
+	for gi, g := range base.Guards {
+		kept := 0
+		for _, p := range g.Policies {
+			if i, ok := slices.BinarySearch(want, p.ID); ok {
+				kept++
+				covered[i] = true
+			}
+		}
+		switch kept {
+		case len(g.Policies):
+			ge.Guards = append(ge.Guards, g)
+			from = append(from, gi)
+		case 0:
+		default:
+			g.Policies = slices.DeleteFunc(slices.Clone(g.Policies), func(p *policy.Policy) bool { return !in(p.ID) })
+			ge.Guards = append(ge.Guards, g)
+			from = append(from, -1)
+		}
+	}
+	rows := sel.Rows()
+	for _, p := range ps {
+		i, _ := slices.BinarySearch(want, p.ID)
+		if covered[i] {
+			continue
+		}
+		covered[i] = true
+		owner := storage.NewInt(p.Owner)
+		best, bestCost := -1, cm.Cost(sel.EstimateEq(policy.OwnerAttr, owner), 1, rows)
+		for gi := range ge.Guards {
+			g := &ge.Guards[gi]
+			c := cm.Cost(g.Sel, 1, rows) - cm.Cost(g.Sel, 0, rows)
+			if (c < bestCost || best < 0 && c == bestCost) && policyImpliesGuard(p, g.Cond) {
+				best, bestCost = gi, c
+			}
+		}
+		if best < 0 {
+			ge.Guards = append(ge.Guards, Guard{
+				Cond:     policy.Compare(policy.OwnerAttr, sqlparser.CmpEq, owner),
+				Policies: []*policy.Policy{p},
+				Sel:      sel.EstimateEq(policy.OwnerAttr, owner),
+			})
+			from = append(from, -1)
+			continue
+		}
+		g := &ge.Guards[best]
+		if from[best] >= 0 {
+			g.Policies = slices.Clone(g.Policies)
+			from[best] = -1
+		}
+		g.Policies = append(g.Policies, p)
+		policy.Sort(g.Policies)
+	}
+	return ge, from
+}
+
 // checkPatch holds a patch of base to ps to what every patch owes: it covers
 // exactly ps, costs no more than base plus one owner guard per policy base
 // did not cover, reports every guard it kept by the base index it came from
-// and shares that guard's partition, and reports no other guard as kept.
+// and shares that guard's partition, and reports no other guard as kept. It
+// must also equal referencePatch guard for guard, partition for partition
+// and in from; and with nothing revoked, base guard i is output guard i,
+// reported unchanged unless a policy joined it.
 func checkPatch(t *testing.T, base *GuardedExpression, ps []*policy.Policy, sel Selectivity, cm CostModel) (*GuardedExpression, []int) {
 	t.Helper()
-	ge, from, err := Patch(base, ps, sel, cm)
+	ps = slices.Clone(ps)
+	policy.Sort(ps)
+	baseIDs, psIDs := idsOf(policiesOf(base)), idsOf(ps)
+	ge, from, err := Patch(base, baseIDs, ps, psIDs, sel, cm)
 	if err != nil {
 		t.Fatalf("Patch: %v", err)
 	}
@@ -41,10 +134,8 @@ func checkPatch(t *testing.T, base *GuardedExpression, ps []*policy.Policy, sel 
 		t.Fatalf("from has %d entries for %d guards", len(from), len(ge.Guards))
 	}
 	inBase := map[int64]bool{}
-	for _, g := range base.Guards {
-		for _, p := range g.Policies {
-			inBase[p.ID] = true
-		}
+	for _, id := range baseIDs {
+		inBase[id] = true
 	}
 	bound := exprCost(base, sel, cm)
 	for _, p := range ps {
@@ -80,7 +171,71 @@ func checkPatch(t *testing.T, base *GuardedExpression, ps []*policy.Policy, sel 
 			used[from[i]] = true
 		}
 	}
+
+	ref, refFrom := referencePatch(base, ps, sel, cm)
+	if !slices.Equal(from, refFrom) {
+		t.Errorf("from = %v, the per-policy reference's %v", from, refFrom)
+	}
+	if len(ge.Guards) != len(ref.Guards) {
+		t.Fatalf("%d guards, the per-policy reference's %d", len(ge.Guards), len(ref.Guards))
+	}
+	for i, g := range ge.Guards {
+		r := ref.Guards[i]
+		if g.Cond.String() != r.Cond.String() || g.Sel != r.Sel || !slices.Equal(ids(g), ids(r)) {
+			t.Errorf("guard %d is %s ρ=%g %v, the per-policy reference's %s ρ=%g %v", i, g.Cond, g.Sel, ids(g), r.Cond, r.Sel, ids(r))
+		}
+	}
+
+	if revoked := slices.ContainsFunc(baseIDs, func(id int64) bool {
+		_, ok := slices.BinarySearch(psIDs, id)
+		return !ok
+	}); !revoked {
+		for i, b := range base.Guards {
+			g := ge.Guards[i]
+			grew := len(g.Policies) > len(b.Policies)
+			if g.Cond.String() != b.Cond.String() || !grew && from[i] != i {
+				t.Errorf("nothing revoked: guard %d is %s from %d, want base guard %d (%s) kept", i, g.Cond, from[i], i, b.Cond)
+			}
+		}
+	}
 	return ge, from
+}
+
+// TestPatchMatchesPerPolicyReference chains patches over random insert and
+// revoke sequences, each patched from the previous step's expression, and
+// holds every step to the per-policy reference (checkPatch).
+func TestPatchMatchesPerPolicyReference(t *testing.T) {
+	sel, cm := campusSel(), DefaultCostModel()
+	for seed := int64(1); seed <= 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		randPolicy := func() *policy.Policy {
+			return decodePolicy(byte(r.Intn(256)&^0x80), byte(r.Intn(256)), byte(r.Intn(256)), byte(r.Intn(256)))
+		}
+		var live []*policy.Policy
+		for i := r.Intn(40); i > 0; i-- {
+			live = append(live, randPolicy())
+		}
+		ge, err := Generate(live, "wifi", "q", "p", sel, cm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 25; step++ {
+			revokeOnly := r.Intn(3) == 0
+			for k := 1 + r.Intn(3); k > 0; k-- {
+				if len(live) > 0 && (revokeOnly || r.Intn(2) == 0) {
+					i := r.Intn(len(live))
+					live = slices.Delete(live, i, i+1)
+				} else {
+					live = append(live, randPolicy())
+				}
+			}
+			next, _ := checkPatch(t, ge, live, sel, cm)
+			if t.Failed() {
+				t.Fatalf("seed %d step %d", seed, step)
+			}
+			ge = next
+		}
+	}
 }
 
 func TestPatch(t *testing.T) {
@@ -247,8 +402,19 @@ func FuzzGuardPatch(f *testing.F) {
 		for _, p := range ps {
 			data = append(data, encodePolicy(p)...)
 		}
-		data = append(data, 0, 1, 0, 0, 1, 2, 3, 0, 2, 3, 4, 5, 3, 4, 0, 60, 4, 5, 0, 0, 0x41, 1, 3, 3, 0x80, 0, 0, 0)
-		f.Add(data)
+		inserts := append(data, 0, 1, 0, 0, 1, 2, 3, 0, 2, 3, 4, 5, 3, 4, 0, 60, 4, 5, 0, 0, 0x41, 1, 3, 3)
+		f.Add(append(inserts, 0x80, 0, 0, 0))
+	}
+	// Inserts alone: with nothing revoked every base guard stays at its
+	// index, unchanged unless a policy joins it — here a new owner and an
+	// AP 3 grant over the first corpus (which has no AP guard) and over the
+	// last (which has one).
+	for _, ps := range [][]*policy.Policy{corpora[0], corpora[3]} {
+		data := []byte{byte(len(ps))}
+		for _, p := range ps {
+			data = append(data, encodePolicy(p)...)
+		}
+		f.Add(append(data, 0, 9, 0, 0, 1, 7, 3, 0))
 	}
 	f.Add([]byte{0, 1, 1, 1, 1})
 	f.Add([]byte{2, 1, 1, 1, 1, 2, 2, 2, 2, 0x80, 0, 0, 0, 0x80, 0, 0, 0})
