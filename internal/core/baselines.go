@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"github.com/sieve-db/sieve/internal/engine"
 	"github.com/sieve-db/sieve/internal/policy"
@@ -34,7 +35,7 @@ func (m *Middleware) ExecuteBaseline(ctx context.Context, kind BaselineKind, sql
 	stmt, sets, err := m.rewriteBaseline(kind, sql, qm)
 	defer func() {
 		m.mu.Lock()
-		m.dropCheckSetsLocked(sets)
+		m.dropCheckSetsLocked(slices.Values(sets))
 		m.mu.Unlock()
 	}()
 	if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"iter"
 
 	"github.com/sieve-db/sieve/internal/engine"
 	"github.com/sieve-db/sieve/internal/policy"
@@ -54,8 +55,8 @@ func (m *Middleware) registerCheckSetLocked(ps []*policy.Policy, relation string
 }
 
 // dropCheckSetsLocked forgets stale check sets; caller holds m.mu.
-func (m *Middleware) dropCheckSetsLocked(ids []int64) {
-	for _, id := range ids {
+func (m *Middleware) dropCheckSetsLocked(ids iter.Seq[int64]) {
+	for id := range ids {
 		m.registry.Delete(id)
 	}
 }

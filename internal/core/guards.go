@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"github.com/sieve-db/sieve/internal/guard"
@@ -222,10 +223,9 @@ func (m *Middleware) publishStateLocked(st *geState) error {
 		if m.deltaThreshold > 0 && len(g.Policies) > m.deltaThreshold {
 			id, err := m.registerCheckSetLocked(g.Policies, st.relation, schema)
 			if err != nil {
-				m.dropCheckSetsLocked(st.setIDs)
+				m.dropCheckSetsLocked(maps.Values(st.deltaSets))
 				return err
 			}
-			st.setIDs = append(st.setIDs, id)
 			st.deltaSets[gi] = id
 		}
 	}

@@ -64,11 +64,40 @@ func (s *Session) Groups() []string { return s.groups }
 // literals — exactly as if the caller had inlined them. The argument count
 // must match the placeholder count.
 func (s *Session) Query(ctx context.Context, sql string, args ...storage.Value) (*engine.Rows, error) {
-	stmt, rep, err := s.rewriteArgsCtx(ctx, sql, args)
+	psp := obs.SpanFrom(ctx).StartChild("parse")
+	ast, err := sqlparser.Parse(sql)
+	psp.End()
 	if err != nil {
 		return nil, err
 	}
-	rows, err := s.m.db.StreamStmt(ctx, stmt)
+	return s.m.open(ctx, ast, s.qm, args)
+}
+
+// Execute is Query materialised: it drains the stream Query opens.
+func (s *Session) Execute(ctx context.Context, sql string, args ...storage.Value) (*engine.Result, error) {
+	return engine.Collect(s.Query(ctx, sql, args...))
+}
+
+// open binds args into ast, policy-rewrites the bound statement under qm
+// and opens it as a stream that carries the rewrite's guard-cache counts:
+// how Session.Query, and Stmt.Query with placeholders, run a statement. The
+// rewrite, with its guard-resolve sub-phase, lands on a "rewrite" child of
+// the trace span ctx carries, when it carries one. A count mismatch is an
+// error, args given to a placeholder-free statement included. BindStmt
+// deep-copies a statement with placeholders, so a prepared parse stays
+// pristine; one without is rewritten in place and must be the caller's own.
+func (m *Middleware) open(ctx context.Context, ast *sqlparser.SelectStmt, qm policy.Metadata, args []storage.Value) (*engine.Rows, error) {
+	bound, err := sqlparser.BindStmt(ast, args)
+	if err != nil {
+		return nil, err
+	}
+	rsp := obs.SpanFrom(ctx).StartChild("rewrite")
+	stmt, rep, err := m.rewriteSpan(bound, qm, rsp)
+	rsp.End()
+	if err != nil {
+		return nil, err
+	}
+	rows, err := m.db.StreamStmt(ctx, stmt)
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +106,7 @@ func (s *Session) Query(ctx context.Context, sql string, args ...storage.Value) 
 }
 
 // cacheSeed lifts a rewrite report's cache-effectiveness counts into
-// engine counters so streaming queries carry them in Rows.Counters().
+// engine counters, for the query's Rows to carry.
 func cacheSeed(rep *Report) engine.Counters {
 	return engine.Counters{
 		GuardCacheHits:   int64(rep.GuardCacheHits),
@@ -85,20 +114,10 @@ func cacheSeed(rep *Report) engine.Counters {
 	}
 }
 
-// Execute rewrites sql under the session's policies, runs it under ctx,
-// and materialises the result; args bind its placeholders (see Query).
-func (s *Session) Execute(ctx context.Context, sql string, args ...storage.Value) (*engine.Result, error) {
-	stmt, _, err := s.rewriteArgsCtx(ctx, sql, args)
-	if err != nil {
-		return nil, err
-	}
-	return s.m.db.QueryStmtCtx(ctx, stmt)
-}
-
 // Rewrite returns the rewritten SQL and decision report for sql under the
 // session's metadata without executing it.
 func (s *Session) Rewrite(sql string) (string, *Report, error) {
-	stmt, rep, err := s.rewriteArgsCtx(context.Background(), sql, nil)
+	stmt, rep, err := s.rewrite(sql)
 	if err != nil {
 		return "", nil, err
 	}
@@ -116,7 +135,7 @@ func (s *Session) RewriteSQL(sql, dialect string, opts ...engine.EmitOption) (*e
 	if err != nil {
 		return nil, err
 	}
-	stmt, rep, err := s.rewriteArgsCtx(context.Background(), sql, nil)
+	stmt, rep, err := s.rewrite(sql)
 	if err != nil {
 		return nil, err
 	}
@@ -127,24 +146,16 @@ func (s *Session) RewriteSQL(sql, dialect string, opts ...engine.EmitOption) (*e
 // (or any other session on the same middleware).
 func (s *Session) Prepare(sql string) (*Stmt, error) { return s.m.Prepare(sql) }
 
-// rewriteArgsCtx parses, binds placeholders (erroring on a count mismatch,
-// including args given to a placeholder-free statement), and rewrites,
-// attributing its phases — parse, then rewrite with its guard-resolve
-// sub-phase — to the trace span carried by ctx, when one is (obs.SpanFrom
-// is nil and every span method a no-op otherwise).
-func (s *Session) rewriteArgsCtx(ctx context.Context, sql string, args []storage.Value) (*sqlparser.SelectStmt, *Report, error) {
-	sp := obs.SpanFrom(ctx)
-	psp := sp.StartChild("parse")
-	parsed, err := sqlparser.Parse(sql)
-	psp.End()
+// rewrite parses and policy-rewrites sql without running it: what Rewrite
+// and RewriteSQL show. Nothing binds a placeholder here, so one is an
+// error, as it is for a Query given no args.
+func (s *Session) rewrite(sql string) (*sqlparser.SelectStmt, *Report, error) {
+	ast, err := sqlparser.Parse(sql)
+	if err == nil {
+		ast, err = sqlparser.BindStmt(ast, nil)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
-	bound, err := sqlparser.BindStmt(parsed, args)
-	if err != nil {
-		return nil, nil, err
-	}
-	rsp := sp.StartChild("rewrite")
-	defer rsp.End()
-	return s.m.rewriteSpan(bound, s.qm, rsp)
+	return s.m.rewriteSpan(ast, s.qm, nil)
 }

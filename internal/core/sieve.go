@@ -150,11 +150,9 @@ type geState struct {
 	// embed it, so replacing a state invalidates exactly the plans that
 	// used it.
 	stateID uint64
-	// setIDs are the Δ check-set ids registered for this expression's
-	// guards; dropped when the state retires.
-	setIDs []int64
 	// deltaSets maps guard index → Δ check-set id for guards whose
-	// partitions exceed the Δ threshold (§5.4).
+	// partitions exceed the Δ threshold (§5.4); the sets are dropped when
+	// the state retires.
 	deltaSets map[int]int64
 	// claims are the claims bound to the state, valid or not. gone marks a
 	// retired state: out of the signature index, bound to no claim. Atomic

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 
@@ -368,10 +369,14 @@ func (m *Middleware) unbindClaimLocked(c *claim) {
 // removeStateLocked retires a shared state: it leaves the signature
 // index (so it can never be re-bound), its Δ check sets and its engine
 // filter registration are dropped, and every claim still bound to it is
-// invalidated and unbound — they re-resolve on their next query, and a
-// retired state's expression, arm ASTs and compiled filter are pinned by
-// nothing but the plans a Stmt has yet to sweep. A claim still valid on it
-// saw no delta for what retired it, so it stops being exact.
+// invalidated and unbound — they re-resolve on their next query. A
+// retired state's expression, arm ASTs and compiled filter stay reachable
+// from the plans a Stmt has yet to sweep; its expression and arms also
+// from a scope's patch-base record, since the record of each written scope
+// pins one expression until that scope's next write or InvalidateAll, even
+// after every claim in the scope has rebound to its successor. A claim
+// still valid on it saw no delta for what retired it, so it stops being
+// exact.
 func (m *Middleware) removeStateLocked(st *geState) {
 	if st.gone.Swap(true) {
 		return
@@ -383,7 +388,7 @@ func (m *Middleware) removeStateLocked(st *geState) {
 	} else {
 		m.states[sk] = bucket
 	}
-	m.dropCheckSetsLocked(st.setIDs)
+	m.dropCheckSetsLocked(maps.Values(st.deltaSets))
 	for c := range st.claims {
 		if c.valid {
 			c.inexact()

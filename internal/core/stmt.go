@@ -128,55 +128,17 @@ func (st *Stmt) Query(ctx context.Context, s *Session, args ...storage.Value) (*
 		rows.AddCounters(seed)
 		return rows, nil
 	}
-	stmt, rep, err := st.bindRewriteCtx(ctx, s.qm, args)
+	rows, err := st.m.open(ctx, st.ast, s.qm, args)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := st.m.db.StreamStmt(ctx, stmt)
-	if err != nil {
-		return nil, err
-	}
-	rows.AddCounters(cacheSeed(rep))
+	st.rewrites.Add(1)
 	return rows, nil
 }
 
-// Execute runs the prepared statement for the session and materialises
-// the result (see Query).
+// Execute is Query materialised: it drains the stream Query opens.
 func (st *Stmt) Execute(ctx context.Context, s *Session, args ...storage.Value) (*engine.Result, error) {
-	if st.numInput == 0 && len(args) == 0 {
-		p, _, err := st.planForSpan(s.qm, obs.SpanFrom(ctx))
-		if err != nil {
-			return nil, err
-		}
-		return p.exec.Query(ctx)
-	}
-	stmt, _, err := st.bindRewriteCtx(ctx, s.qm, args)
-	if err != nil {
-		return nil, err
-	}
-	return st.m.db.QueryStmtCtx(ctx, stmt)
-}
-
-// bindRewriteCtx binds args against the pristine AST (BindStmt deep-copies,
-// so st.ast stays reusable) and policy-rewrites the bound statement,
-// attributing the per-call rewrite to the trace span carried by ctx, when
-// one is.
-func (st *Stmt) bindRewriteCtx(ctx context.Context, qm policy.Metadata, args []storage.Value) (*sqlparser.SelectStmt, *Report, error) {
-	bound, err := sqlparser.BindStmt(st.ast, args)
-	if err != nil {
-		return nil, nil, err
-	}
-	if bound == st.ast { // zero placeholders: rewrite must not mutate the pristine parse
-		bound = sqlparser.CloneStmt(st.ast)
-	}
-	rsp := obs.SpanFrom(ctx).StartChild("rewrite")
-	stmt, rep, err := st.m.rewriteSpan(bound, qm, rsp)
-	rsp.End()
-	if err != nil {
-		return nil, nil, err
-	}
-	st.rewrites.Add(1)
-	return stmt, rep, nil
+	return engine.Collect(st.Query(ctx, s, args...))
 }
 
 // Report returns the decision report of the session's current cached
@@ -253,8 +215,8 @@ func (st *Stmt) CachedPlans() int {
 //
 // Resolution and cache probing land on a "plan" child of sp (with hit/miss
 // counts), a miss's rewrite on a "rewrite" child alongside it; sp may be
-// nil. seed carries the guard/plan cache counters for streaming paths to
-// fold into the query's engine counters.
+// nil. seed carries the guard/plan cache counters for the query's Rows to
+// carry.
 func (st *Stmt) planForSpan(qm policy.Metadata, sp *obs.Span) (*preparedPlan, engine.Counters, error) {
 	var seed engine.Counters
 	if st.numInput > 0 {

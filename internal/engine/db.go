@@ -68,9 +68,9 @@ type DB struct {
 	UDFOverheadIters int
 
 	// Counters accumulate work across queries. Each query tallies into a
-	// private counter set merged here when it finishes (materialising
-	// calls merge on return; streaming results on Close/exhaustion), so
-	// concurrent sessions do not contend or race on per-row updates.
+	// private counter set merged here when its Rows is released (on
+	// exhaustion, error or Close), so concurrent sessions do not contend
+	// or race on per-row updates.
 	// Direct field access is only safe while no query or open Rows is
 	// live; concurrent readers must use CountersSnapshot, and
 	// ResetCounters likewise takes the merge lock.
@@ -505,28 +505,10 @@ func (db *DB) QueryStmt(stmt *sqlparser.SelectStmt) (*Result, error) {
 	return db.QueryStmtCtx(context.Background(), stmt)
 }
 
-// QueryStmtCtx executes a parsed statement under ctx. It is a thin
-// materialising wrapper over the streaming executor: it drains the same
-// pipeline StreamStmt exposes.
+// QueryStmtCtx executes a parsed statement under ctx and materialises the
+// result: Collect over the stream StreamStmt opens.
 func (db *DB) QueryStmtCtx(ctx context.Context, stmt *sqlparser.SelectStmt) (*Result, error) {
-	return db.query(ctx, stmt, nil)
-}
-
-// query is QueryStmtCtx over an optional plan cache (Prepared.Query).
-func (db *DB) query(ctx context.Context, stmt *sqlparser.SelectStmt, cache *planCache) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ex := db.newExecutor(ctx)
-	ex.cache = cache
-	defer ex.flush(db)
-	if ex.span == nil {
-		return ex.selectStmt(stmt, newScope(nil), nil)
-	}
-	t0 := time.Now()
-	res, err := ex.selectStmt(stmt, newScope(nil), nil)
-	ex.span.AddSince(t0)
-	return res, err
+	return Collect(db.StreamStmt(ctx, stmt))
 }
 
 // Stream parses and opens a SQL statement as a streaming result.
@@ -545,19 +527,31 @@ func (db *DB) StreamStmt(ctx context.Context, stmt *sqlparser.SelectStmt) (*Rows
 	return db.stream(ctx, stmt, nil)
 }
 
-// stream is StreamStmt over an optional plan cache (Prepared.Stream).
+// stream is StreamStmt over an optional plan cache (Prepared.Stream): the
+// one way a statement runs. The open — set operations, eager WITH bodies
+// and grouped or ordered cores materialise here — is timed into the
+// executor's "scan" span, as every later Rows.Next is.
 func (db *DB) stream(ctx context.Context, stmt *sqlparser.SelectStmt, cache *planCache) (*Rows, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ex := db.newExecutor(ctx)
+	r := &Rows{}
+	ex := r.ex.init(ctx, db)
 	ex.cache = cache
+	var t0 time.Time
+	if ex.span != nil {
+		t0 = time.Now()
+	}
 	cols, it, err := ex.stmtIter(stmt, newScope(nil), nil)
+	if ex.span != nil {
+		ex.span.AddSince(t0)
+	}
 	if err != nil {
 		ex.flush(db)
 		return nil, err
 	}
-	return &Rows{cols: cols, it: it, ex: ex, db: db}, nil
+	r.cols, r.it = cols, it
+	return r, nil
 }
 
 // Explain plans the statement's first select core without executing it and

@@ -70,8 +70,9 @@ type Counters struct {
 	RowsVectorised    int64
 	UDFInvocations    int64 // user-defined function calls
 	PolicyEvals       int64 // policy object-condition set evaluations (set by UDFs)
-	// Rewrite-layer cache effectiveness, seeded by the middleware on
-	// streaming paths (core.Rows carry them via Rows.AddCounters):
+	// Rewrite-layer cache effectiveness, seeded by the middleware into
+	// every query it opens (Rows.AddCounters) — a materialising door
+	// drains that same Rows, so every door adds them:
 	// GuardCacheHits/GuardCacheMisses count protected-relation guard-state
 	// resolutions served from a valid cached claim vs. recomputed;
 	// PlanCacheHits/PlanCacheMisses count prepared-statement plan-token

@@ -91,10 +91,17 @@ type executor struct {
 	spVector *obs.Span
 }
 
-// newExecutor builds a per-query executor bound to ctx. When ctx carries
-// a trace span, the executor's work is attributed to a "scan" child.
+// newExecutor builds a per-query executor bound to ctx.
 func (db *DB) newExecutor(ctx context.Context) *executor {
-	ex := &executor{db: db, ctx: ctx}
+	return new(executor).init(ctx, db)
+}
+
+// init binds a zero executor to ctx and db and returns it; a Rows holds
+// its executor inline, so a query allocates the two as one. When ctx
+// carries a trace span, the executor's work is attributed to a "scan"
+// child.
+func (ex *executor) init(ctx context.Context, db *DB) *executor {
+	ex.db, ex.ctx = db, ctx
 	ex.counters = &ex.local
 	if sp := obs.SpanFrom(ctx); sp != nil {
 		ex.span = sp.Child("scan")
@@ -123,7 +130,7 @@ func (ex *executor) ctxErr() error {
 }
 
 // flush merges the executor's work counters into the DB's accumulators;
-// idempotent, so both materialising calls and Rows.Close may invoke it.
+// idempotent, so a Rows may release more than once.
 func (ex *executor) flush(db *DB) {
 	if ex.flushed {
 		return

@@ -31,10 +31,10 @@ func (p *Prepared) Stream(ctx context.Context) (*Rows, error) {
 	return p.db.stream(ctx, p.stmt, &p.cache)
 }
 
-// Query executes the statement and materialises the result, like
-// DB.QueryStmtCtx.
+// Query executes the statement and materialises the result: Collect over
+// Stream.
 func (p *Prepared) Query(ctx context.Context) (*Result, error) {
-	return p.db.query(ctx, p.stmt, &p.cache)
+	return Collect(p.Stream(ctx))
 }
 
 // planCache holds a Prepared's bindings, keyed by the statement's own AST

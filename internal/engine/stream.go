@@ -38,8 +38,7 @@ type rowIter interface {
 type Rows struct {
 	cols   []string
 	it     rowIter
-	ex     *executor
-	db     *DB
+	ex     executor
 	cur    storage.Row
 	err    error
 	closed bool
@@ -173,10 +172,31 @@ func (r *Rows) release() {
 	r.closed = true
 	r.cur = nil
 	r.it.Close()
-	r.ex.flush(r.db)
+	r.ex.flush(r.ex.db)
 }
 
-// drain consumes an iterator to completion, closing it.
+// Collect drains a stream opened by StreamStmt, Prepared.Stream or a
+// middleware Query into a Result, closing it: the one materialising path,
+// so a materialised call opens, times and counts exactly as a streamed
+// one. err is the open's error, passed through, so Collect wraps an open
+// call directly. A stream that fails mid-way returns its error and no
+// partial Result.
+func Collect(rows *Rows, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	defer rows.Close()
+	var out []storage.Row
+	for rows.Next() {
+		out = append(out, rows.cur)
+	}
+	if rows.err != nil {
+		return nil, rows.err
+	}
+	return &Result{Columns: rows.cols, Rows: out}, nil
+}
+
+// drainIter consumes an iterator to completion, closing it.
 func drainIter(it rowIter) ([]storage.Row, error) {
 	defer it.Close()
 	var rows []storage.Row

@@ -199,9 +199,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return nil
 }
 
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // randomHex returns 16 hex digits of crypto randomness — the shape of
 // both session ids and request ids.
 func randomHex() string {

@@ -49,17 +49,6 @@ func (b *Batch) Col(c int) []Value {
 	return b.cols[c]
 }
 
-// Selected counts the rows still selected.
-func (b *Batch) Selected() int {
-	n := 0
-	for _, s := range b.Sel {
-		if s {
-			n++
-		}
-	}
-	return n
-}
-
 // reset prepares the batch for up to n ncols-wide rows, clearing cached
 // vectors and the selection bitmap while keeping capacity — the column
 // vectors' too, across tables of other widths.

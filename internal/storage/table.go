@@ -195,21 +195,6 @@ func (t *Table) Scan(fn func(id RowID, r Row) bool) {
 	}
 }
 
-// NextLive returns the first live row at or after id in heap order, for
-// pull-based scans that must not hold the table lock between rows. ok is
-// false when no live row remains at or after id. Rows inserted while a
-// cursor is open may or may not be observed (read-committed scan).
-func (t *Table) NextLive(id RowID) (RowID, Row, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for i := int(id); i >= 0 && i < len(t.rows); i++ {
-		if !t.deleted[i] {
-			return RowID(i), t.rows[i], true
-		}
-	}
-	return -1, nil, false
-}
-
 // CreateIndex builds an ordered secondary index over column col. Creating an
 // index that already exists is a no-op. SIEVE assumes r.owner is always
 // indexed (§3.1); the engine leaves that to the caller (engine.DB does it).

@@ -361,14 +361,6 @@ func (m *Manager) Close() error {
 	return nil
 }
 
-// Recovered returns the stats of the recovery that ran at open, or nil
-// for a fresh start.
-func (m *Manager) RecoveryStats() *Recovered {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.recovered
-}
-
 // Varz returns the durability counters as one map; SetRegistry serves
 // the same cells on /metrics as sieve_wal_* gauges.
 func (m *Manager) Varz() map[string]int64 {
@@ -414,9 +406,7 @@ func (m *Manager) SetRegistry(r *obs.Registry) {
 }
 
 // AppendNanos returns the cumulative time spent in the append path
-// (frame write plus any inline fsync). Server request handlers diff it
-// around a durable apply to attribute WAL time to a trace's "wal" span.
+// (frame write plus any inline fsync). A caller diffs it around a stretch
+// of writes to price the WAL's share of them, as the benchmark's traced
+// run does for wal.append_us_per_rec.
 func (m *Manager) AppendNanos() int64 { return m.appendNS.Load() }
-
-// FsyncNanos returns the cumulative time spent in fsync calls.
-func (m *Manager) FsyncNanos() int64 { return m.fsyncNS.Load() }
