@@ -45,11 +45,12 @@ func (m *Middleware) ExecuteBaseline(ctx context.Context, kind BaselineKind, sql
 }
 
 // rewriteBaseline parses and rewrites a query with one of the baseline
-// strategies. It returns the ids of the Δ check sets it registered
-// (BaselineU's, one per protected relation), on error too: they live until
-// the caller drops them.
+// strategies; like RewriteQuery it binds no arguments, so a placeholder is
+// an error, raised before anything is registered. It returns the ids of the
+// Δ check sets it registered (BaselineU's, one per protected relation), on
+// error too: they live until the caller drops them.
 func (m *Middleware) rewriteBaseline(kind BaselineKind, sql string, qm policy.Metadata) (stmt *sqlparser.SelectStmt, sets []int64, err error) {
-	stmt, err = sqlparser.Parse(sql)
+	stmt, err = parseUnbound(sql)
 	if err != nil {
 		return nil, nil, err
 	}

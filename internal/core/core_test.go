@@ -302,6 +302,40 @@ func TestBaselineUReleasesCheckSets(t *testing.T) {
 	}
 }
 
+// TestUnboundPlaceholderRejectedAtEveryDoor: every door that rewrites SQL
+// text without binding arguments rejects a statement with a placeholder,
+// with the bind error, before it registers anything.
+func TestUnboundPlaceholderRejectedAtEveryDoor(t *testing.T) {
+	const q = "SELECT * FROM wifi WHERE wifiAP = ?"
+	const want = "statement has 1 placeholder(s), got 0 argument(s)"
+	f := newFixture(t, engine.MySQL(), 40)
+	sess := f.m.NewSession(f.qm)
+	sets := func() int {
+		n := 0
+		f.m.registry.Range(func(_, _ any) bool { n++; return true })
+		return n
+	}
+	before := sets()
+	doors := map[string]func() error{
+		"RewriteQuery": func() error { _, _, err := f.m.RewriteQuery(q, f.qm); return err },
+		"Rewrite":      func() error { _, _, err := sess.Rewrite(q); return err },
+	}
+	for _, d := range []string{"sieve", "mysql", "postgres"} {
+		doors["RewriteSQL/"+d] = func() error { _, err := sess.RewriteSQL(q, d); return err }
+	}
+	for _, kind := range []BaselineKind{BaselineP, BaselineI, BaselineU} {
+		doors[string(kind)] = func() error { _, err := f.m.ExecuteBaseline(t.Context(), kind, q, f.qm); return err }
+	}
+	for name, door := range doors {
+		if err := door(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want %q", name, err, want)
+		}
+	}
+	if got := sets(); got != before {
+		t.Errorf("%d check sets registered after the doors, %d before", got, before)
+	}
+}
+
 func TestDefaultDenyWithoutPolicies(t *testing.T) {
 	f := newFixture(t, engine.MySQL(), 30)
 	nobody := policy.Metadata{Querier: "stranger", Purpose: "snooping"}

@@ -43,11 +43,35 @@ func mostBound(a, b *geState) *geState {
 
 // recordPatchBaseLocked remembers st, a state a policy write to scope rp
 // supersedes, as the base the scope's claims patch their next states from.
-// A scope keeps one record, the last write's; a write that supersedes no
-// state (st nil) keeps the one before it. Caller holds m.mu.
+// A scope keeps one record, the last write's, until its claims have all
+// rebound; a write that supersedes no state (st nil) keeps the one before
+// it. Caller holds m.mu.
 func (m *Middleware) recordPatchBaseLocked(rp relPrincipal, st *geState) {
 	if st != nil {
 		m.patchBases[rp] = baseOf(st)
+	}
+}
+
+// releasePatchBasesLocked drops the patch-base record of each of c's scopes
+// under which no claim is still invalid: every claim the write invalidated
+// there has rebound, so no claim will patch from the record, and keeping it
+// would pin the superseded expression until the scope's next write. Caller
+// holds m.mu, with c just bound.
+func (m *Middleware) releasePatchBasesLocked(c *claim) {
+	for _, rp := range c.principals {
+		if m.patchBases[rp] == nil {
+			continue
+		}
+		pending := false
+		for other := range m.byPrincipal[rp] {
+			if !other.valid {
+				pending = true
+				break
+			}
+		}
+		if !pending {
+			delete(m.patchBases, rp)
+		}
 	}
 }
 

@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
+	"weak"
 
 	"github.com/sieve-db/sieve/internal/engine"
 	"github.com/sieve-db/sieve/internal/guard"
@@ -171,6 +173,41 @@ func TestRevocationPatches(t *testing.T) {
 	}
 	if got := ownersOf(res); slices.Contains(got, victim.Owner) || len(got) != sigOwnersPerGroup-1 {
 		t.Errorf("after revoking owner %d's grant, owners read = %v", victim.Owner, got)
+	}
+	checkStates(t, f.m)
+}
+
+// TestPatchBaseReleasedOnceScopeRebinds: a group grant records the state it
+// supersedes as its scope's patch base. Once every member has re-read and
+// rebound, nothing patches from the record any more, so it must not keep
+// the superseded expression reachable.
+func TestPatchBaseReleasedOnceScopeRebinds(t *testing.T) {
+	f := newSigFixture(t, 1, 4)
+	ctx := context.Background()
+	readAll := func() {
+		t.Helper()
+		for _, q := range f.queriers {
+			if _, err := f.m.NewSession(f.metadata(q)).Execute(ctx, selectAll); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	readAll()
+	ge, ok := f.m.GuardedExpression(f.metadata(f.queriers[0]), "wifi")
+	if !ok {
+		t.Fatal("no guarded expression after the first reads")
+	}
+	old := weak.Make(ge)
+	if err := f.m.AddPolicy(groupGrant("grp0", 21)); err != nil {
+		t.Fatal(err)
+	}
+	readAll()
+	if cs := f.m.CacheStats(); cs.GuardPatches != 1 {
+		t.Fatalf("%d states patched after the grant, want 1", cs.GuardPatches)
+	}
+	runtime.GC()
+	if old.Value() != nil {
+		t.Error("the superseded guarded expression is still reachable after every member rebound")
 	}
 	checkStates(t, f.m)
 }

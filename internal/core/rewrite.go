@@ -3,26 +3,36 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"github.com/sieve-db/sieve/internal/engine"
 	"github.com/sieve-db/sieve/internal/obs"
 	"github.com/sieve-db/sieve/internal/policy"
 	"github.com/sieve-db/sieve/internal/sqlparser"
-	"github.com/sieve-db/sieve/internal/storage"
 )
 
-// RewriteQuery parses and rewrites a query: every reference to a protected
-// relation is replaced by a WITH-clause projection of its own that satisfies
-// the querier's guarded policy expression (§5.3), with strategy-specific index
-// hints on hint-honouring dialects (§5.5) and Δ calls for large partitions
-// (§5.4).
+// RewriteQuery parses and rewrites a query without running it: every
+// reference to a protected relation is replaced by a WITH-clause projection
+// of its own that satisfies the querier's guarded policy expression (§5.3),
+// with strategy-specific index hints on hint-honouring dialects (§5.5) and Δ
+// calls for large partitions (§5.4). It is the one door from SQL text to a
+// rewrite that binds no arguments, so a placeholder is an error here, as it
+// is for a Query given no args.
 func (m *Middleware) RewriteQuery(sql string, qm policy.Metadata) (*sqlparser.SelectStmt, *Report, error) {
-	stmt, err := sqlparser.Parse(sql)
+	stmt, err := parseUnbound(sql)
 	if err != nil {
 		return nil, nil, err
 	}
 	return m.rewriteSpan(stmt, qm, nil)
+}
+
+// parseUnbound parses sql for a rewrite that binds no arguments: a
+// statement with a placeholder is rejected.
+func parseUnbound(sql string) (*sqlparser.SelectStmt, error) {
+	stmt, err := sqlparser.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	return sqlparser.BindStmt(stmt, nil)
 }
 
 // rewriteSpan is the rewrite of every statement that is not a prepared
@@ -38,12 +48,12 @@ func (m *Middleware) rewriteSpan(stmt *sqlparser.SelectStmt, qm policy.Metadata,
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, r := range res {
-		if r.hit {
-			gsp.Count("hits", 1)
-		} else {
-			gsp.Count("regens", 1)
-		}
+	hits, regens := countHits(res)
+	if hits > 0 {
+		gsp.Count("hits", int64(hits))
+	}
+	if regens > 0 {
+		gsp.Count("regens", int64(regens))
 	}
 	return stmt, m.rewriteResolved(stmt, qm, res), nil
 }
@@ -60,6 +70,7 @@ func (m *Middleware) rewriteResolved(stmt *sqlparser.SelectStmt, qm policy.Metad
 		return rep
 	}
 	fresh := cteNamer(stmt)
+	hints := m.db.Dialect().HonorsIndexHints() && !m.noHints
 	var ctes []sqlparser.CTE
 	forEachBaseRef(stmt, func(c *sqlparser.SelectCore, ref *sqlparser.TableRef) {
 		i := slices.IndexFunc(res, func(r resolution) bool { return r.relation == ref.Name })
@@ -72,11 +83,20 @@ func (m *Middleware) rewriteResolved(stmt *sqlparser.SelectStmt, qm policy.Metad
 		dec.DeltaGuards = len(r.state.deltaSets)
 		dec.Signature = r.state.signature()
 		dec.SharedState = r.state.ge.Querier != qm.Querier || r.state.ge.Purpose != qm.Purpose
-		cte, prov := m.buildGuardedCTE(r.relation, r.state, conjs, dec)
-		prov.Name = fresh(r.relation)
-		redirect(ref, prov.Name)
-		ctes = append(ctes, sqlparser.CTE{Name: prov.Name, Select: cte})
-		rep.GuardedCTEs = append(rep.GuardedCTEs, prov)
+		arms, guardOr := r.state.guardArms(m.db)
+		g := engine.GuardedCTE{
+			Name:        fresh(r.relation),
+			Relation:    r.relation,
+			Strategy:    string(dec.Strategy),
+			QueryIndex:  dec.QueryIndex,
+			DefaultDeny: guardOr == nil,
+			Arms:        arms,
+			Guard:       guardOr,
+			QueryConjs:  conjs,
+		}
+		redirect(ref, g.Name)
+		ctes = append(ctes, sqlparser.CTE{Name: g.Name, Select: g.Frame(hints)})
+		rep.GuardedCTEs = append(rep.GuardedCTEs, g)
 		rep.Decisions = append(rep.Decisions, dec)
 	})
 	stmt.With = append(ctes, stmt.With...)
@@ -173,16 +193,16 @@ func (m *Middleware) accessFor(ref *sqlparser.TableRef, conjs []sqlparser.Expr) 
 
 // guardArms returns the state's guard arms — per guard, the guard predicate
 // conjoined with the inlined policy partition or a Δ call, plus the
-// provenance the dialect emitters consume — their disjunction, and the
-// distinct guard columns, sorted. They depend on the state alone, so they
-// are built at its first rewrite and shared read-only by every rewritten
-// statement after it: nothing downstream of the rewrite changes an
-// expression in place, and the rewrite's own walk is over before it
-// prepends a guarded CTE, so it never redirects a reference inside an arm.
-// A subquery in an arm (a derived-value condition) therefore reads base
-// relations, as the Δ UDF's checks do. For the same reason a patched state
-// takes its base's arm, AST and all, for every guard guard.Patch kept
-// unchanged and that is not Δ, and builds only the rest.
+// provenance the dialect emitters consume — and their disjunction. They
+// depend on the state alone, so they are built at its first rewrite and
+// shared read-only by every rewritten statement after it: nothing
+// downstream of the rewrite changes an expression in place, and the
+// rewrite's own walk is over before it prepends a guarded CTE, so it never
+// redirects a reference inside an arm. A subquery in an arm (a
+// derived-value condition) therefore reads base relations, as the Δ UDF's
+// checks do. For the same reason a patched state takes its base's arm, AST
+// and all, for every guard guard.Patch kept unchanged and that is not Δ,
+// and builds only the rest.
 //
 // A disjunction of arms is registered with the engine as a shared filter,
 // so the engine compiles it once per state rather than once per execution.
@@ -190,15 +210,13 @@ func (m *Middleware) accessFor(ref *sqlparser.TableRef, conjs []sqlparser.Expr) 
 // comes second sees the other (filter is stored before gone is read, gone
 // is set before filter is read), so a retired state is never left
 // registered.
-func (st *geState) guardArms(db *engine.DB) ([]engine.GuardArm, sqlparser.Expr, []string) {
+func (st *geState) guardArms(db *engine.DB) ([]engine.GuardArm, sqlparser.Expr) {
 	st.armsOnce.Do(func() {
 		schema := db.MustTable(st.relation).Schema
-		cols := map[string]bool{}
 		exprs := make([]sqlparser.Expr, len(st.ge.Guards))
 		st.arms = make([]engine.GuardArm, len(st.ge.Guards))
 		for gi := range st.ge.Guards {
 			g := &st.ge.Guards[gi]
-			cols[g.Cond.Attr] = true
 			setID, useDelta := st.deltaSets[gi]
 			switch {
 			case useDelta:
@@ -221,74 +239,6 @@ func (st *geState) guardArms(db *engine.DB) ([]engine.GuardArm, sqlparser.Expr, 
 				st.filter.Load().Release()
 			}
 		}
-		for c := range cols {
-			st.guardCols = append(st.guardCols, c)
-		}
-		sort.Strings(st.guardCols)
 	})
-	return st.arms, st.guardOr, st.guardCols
-}
-
-// buildGuardedCTE constructs the §5.3/§5.6 WITH body:
-//
-//	SELECT * FROM rj [hint] WHERE G1 OR … OR Gn
-//
-// where each arm conjoins the guard predicate and either the inlined policy
-// partition or a Δ call (the state's guardArms). Alongside the body it
-// returns the guard provenance the dialect emitters consume
-// (engine.GuardedCTE; Name is filled by the caller once the WITH name is
-// chosen).
-func (m *Middleware) buildGuardedCTE(relation string, st *geState,
-	queryConjs []sqlparser.Expr, dec TableDecision) (*sqlparser.SelectStmt, engine.GuardedCTE) {
-
-	arms, where, guardCols := st.guardArms(m.db)
-	prov := engine.GuardedCTE{
-		Relation:   relation,
-		Strategy:   string(dec.Strategy),
-		QueryIndex: dec.QueryIndex,
-		QueryConjs: queryConjs,
-		Arms:       arms,
-	}
-	if where == nil {
-		// Default deny: no applicable policies.
-		where = sqlparser.Lit(storage.NewBool(false))
-		prov.DefaultDeny = true
-	}
-	// Query predicates sit in front of the guard disjunction as one
-	// conjunct: under IndexQuery/LinearScan they drive (or stream through)
-	// the scan; under IndexGuards the forced guard indexes drive the scan
-	// and the predicates are evaluated once per surviving tuple rather
-	// than once per arm (a strict improvement over inlining them into
-	// every arm as the §5.6 listing shows — same semantics, fewer
-	// per-tuple evaluations).
-	if len(queryConjs) > 0 {
-		all := append([]sqlparser.Expr{}, queryConjs...)
-		all = append(all, where)
-		where = sqlparser.And(all...)
-	}
-
-	ref := sqlparser.TableRef{Name: relation}
-	if m.db.Dialect().HonorsIndexHints() && !m.noHints {
-		switch dec.Strategy {
-		case IndexGuards:
-			if len(guardCols) > 0 {
-				ref.Hint = &sqlparser.IndexHint{Kind: sqlparser.HintForce, Indexes: guardCols}
-			}
-		case IndexQuery:
-			if dec.QueryIndex != "" {
-				ref.Hint = &sqlparser.IndexHint{Kind: sqlparser.HintForce, Indexes: []string{dec.QueryIndex}}
-			}
-		case LinearScan:
-			ref.Hint = &sqlparser.IndexHint{Kind: sqlparser.HintUse}
-		}
-	}
-
-	return &sqlparser.SelectStmt{
-		Body: &sqlparser.SelectCore{
-			Star:  true,
-			From:  []sqlparser.TableRef{ref},
-			Where: where,
-			Limit: -1,
-		},
-	}, prov
+	return st.arms, st.guardOr
 }

@@ -117,7 +117,7 @@ func cacheSeed(rep *Report) engine.Counters {
 // Rewrite returns the rewritten SQL and decision report for sql under the
 // session's metadata without executing it.
 func (s *Session) Rewrite(sql string) (string, *Report, error) {
-	stmt, rep, err := s.rewrite(sql)
+	stmt, rep, err := s.m.RewriteQuery(sql, s.qm)
 	if err != nil {
 		return "", nil, err
 	}
@@ -135,7 +135,7 @@ func (s *Session) RewriteSQL(sql, dialect string, opts ...engine.EmitOption) (*e
 	if err != nil {
 		return nil, err
 	}
-	stmt, rep, err := s.rewrite(sql)
+	stmt, rep, err := s.m.RewriteQuery(sql, s.qm)
 	if err != nil {
 		return nil, err
 	}
@@ -145,17 +145,3 @@ func (s *Session) RewriteSQL(sql, dialect string, opts ...engine.EmitOption) (*e
 // Prepare parses sql once for repeated execution through this session
 // (or any other session on the same middleware).
 func (s *Session) Prepare(sql string) (*Stmt, error) { return s.m.Prepare(sql) }
-
-// rewrite parses and policy-rewrites sql without running it: what Rewrite
-// and RewriteSQL show. Nothing binds a placeholder here, so one is an
-// error, as it is for a Query given no args.
-func (s *Session) rewrite(sql string) (*sqlparser.SelectStmt, *Report, error) {
-	ast, err := sqlparser.Parse(sql)
-	if err == nil {
-		ast, err = sqlparser.BindStmt(ast, nil)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.m.rewriteSpan(ast, s.qm, nil)
-}

@@ -73,7 +73,8 @@ type Middleware struct {
 	byPrincipal map[relPrincipal]map[*claim]struct{}
 	// patchBases holds, per (relation, principal) scope, what the last
 	// policy write to it superseded: the base a re-resolving claim under
-	// that scope patches its new state from (see choosePatchBaseLocked).
+	// that scope patches its new state from (see choosePatchBaseLocked),
+	// until every claim under the scope has rebound.
 	patchBases  map[relPrincipal]*patchBase
 	nextStateID uint64
 	stats       cacheStats
@@ -159,14 +160,13 @@ type geState struct {
 	// because a Stmt checks it on its cached plans without m.mu.
 	claims map[*claim]struct{}
 	gone   atomic.Bool
-	// arms, guardOr and guardCols are the guard arms every rewrite over
-	// this state injects, their disjunction and their distinct columns —
-	// built once, at the first rewrite (see guardArms), not under m.mu.
+	// arms and guardOr are the guard arms every rewrite over this state
+	// injects and their disjunction — built once, at the first rewrite (see
+	// guardArms), not under m.mu.
 	armsOnce  sync.Once
 	armsBuilt atomic.Bool // arms may be read without armsOnce
 	arms      []engine.GuardArm
 	guardOr   sqlparser.Expr
-	guardCols []string
 	// from and baseArms are a patched state's link to its base until its
 	// arms are built: from[gi] is the base guard guard gi is unchanged from
 	// (−1 if none), baseArms the base's arms, when it had built them.

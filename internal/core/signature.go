@@ -342,6 +342,7 @@ func (m *Middleware) bindClaimLocked(c *claim, st *geState, shared bool) {
 	c.valid = true
 	c.ids, c.hash, c.exact = st.ids, st.hash, true
 	c.deltas = c.deltas[:0]
+	m.releasePatchBasesLocked(c)
 }
 
 // unbindClaimLocked detaches a claim from its state, and retires the state
@@ -372,11 +373,9 @@ func (m *Middleware) unbindClaimLocked(c *claim) {
 // invalidated and unbound — they re-resolve on their next query. A
 // retired state's expression, arm ASTs and compiled filter stay reachable
 // from the plans a Stmt has yet to sweep; its expression and arms also
-// from a scope's patch-base record, since the record of each written scope
-// pins one expression until that scope's next write or InvalidateAll, even
-// after every claim in the scope has rebound to its successor. A claim
-// still valid on it saw no delta for what retired it, so it stops being
-// exact.
+// from a written scope's patch-base record, until every claim under that
+// scope has rebound (releasePatchBasesLocked). A claim still valid on it
+// saw no delta for what retired it, so it stops being exact.
 func (m *Middleware) removeStateLocked(st *geState) {
 	if st.gone.Swap(true) {
 		return

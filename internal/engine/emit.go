@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -42,10 +43,11 @@ type GuardArm struct {
 	Delta bool
 }
 
-// GuardedCTE records what the middleware put into one rewritten WITH entry,
-// so emitters can reframe the guard disjunction per dialect: MySQL gets one
-// UNION arm per guard (it cannot OR-combine index scans), PostgreSQL keeps
-// the OR-of-ANDs and relies on BitmapOr (§5.5, Experiment 4).
+// GuardedCTE records what the middleware put into one rewritten WITH entry.
+// Frame builds the entry's body from it, for the engine and for every
+// emitter; MySQL alone reframes it under IndexGuards, as one UNION arm per
+// guard (it cannot OR-combine index scans), while PostgreSQL keeps the
+// OR-of-ANDs and relies on BitmapOr (§5.5, Experiment 4).
 type GuardedCTE struct {
 	// Name is the WITH-bound name, e.g. "WiFi_Dataset_sieve".
 	Name string
@@ -57,13 +59,74 @@ type GuardedCTE struct {
 	// QueryIndex is the driving column under IndexQuery.
 	QueryIndex string
 	// DefaultDeny marks a no-applicable-policy rewrite: the body's WHERE is
-	// constant FALSE and Arms is empty.
+	// constant FALSE, Arms is empty and Guard nil.
 	DefaultDeny bool
 	// Arms are the guard disjunction's arms, in emission order.
 	Arms []GuardArm
+	// Guard is the disjunction of Arms, nil under default deny. It is the
+	// guard state's own tree, shared by every rewrite over the state: the
+	// engine's shared filter (DB.ShareFilter) is keyed by it.
+	Guard sqlparser.Expr
 	// QueryConjs are the outer query's pushed single-table conjuncts,
 	// conjoined in front of the disjunction.
 	QueryConjs []sqlparser.Expr
+}
+
+// Frame builds g's WITH body, the one framing the embedded engine runs and
+// every emitter prints (but MySQL's UNION per guard):
+//
+//	SELECT * FROM relation [hint] WHERE <query conjuncts> AND (<guard>)
+//
+// with constant FALSE for the guard under default deny. The query
+// predicates sit in front of the guard disjunction as one conjunct: under
+// IndexQuery/LinearScan they drive (or stream through) the scan; under
+// IndexGuards the forced guard indexes drive it and the predicates are
+// evaluated once per surviving tuple rather than once per arm (the §5.6
+// listing inlines them into every arm: same semantics, more per-tuple
+// evaluations). With hints, the relation carries the strategy's §5.5 hint:
+// FORCE INDEX on the guard columns under IndexGuards, on the query's index
+// under IndexQuery, USE INDEX () under LinearScan. Frame allocates only the
+// nodes around g's expressions, which it never mutates.
+func (g *GuardedCTE) Frame(hints bool) *sqlparser.SelectStmt {
+	guard := g.Guard
+	if guard == nil {
+		guard = sqlparser.Lit(storage.NewBool(false))
+	}
+	ref := sqlparser.TableRef{Name: g.Relation}
+	if hints {
+		ref.Hint = g.hint()
+	}
+	return &sqlparser.SelectStmt{Body: &sqlparser.SelectCore{
+		Star:  true,
+		From:  []sqlparser.TableRef{ref},
+		Where: guardedWhere(g.QueryConjs, guard),
+		Limit: -1,
+	}}
+}
+
+// hint is the index hint g's strategy asks for, nil if none: the guard
+// columns are the arms' distinct columns, sorted.
+func (g *GuardedCTE) hint() *sqlparser.IndexHint {
+	switch g.Strategy {
+	case "IndexGuards":
+		var cols []string
+		for _, a := range g.Arms {
+			if !slices.Contains(cols, a.Col) {
+				cols = append(cols, a.Col)
+			}
+		}
+		if len(cols) > 0 {
+			slices.Sort(cols)
+			return &sqlparser.IndexHint{Kind: sqlparser.HintForce, Indexes: cols}
+		}
+	case "IndexQuery":
+		if g.QueryIndex != "" {
+			return &sqlparser.IndexHint{Kind: sqlparser.HintForce, Indexes: []string{g.QueryIndex}}
+		}
+	case "LinearScan":
+		return &sqlparser.IndexHint{Kind: sqlparser.HintUse}
+	}
+	return nil
 }
 
 // Emitter serializes a rewritten statement into executable SQL for one
@@ -202,34 +265,14 @@ func (e externalEmitter) Emit(stmt *sqlparser.SelectStmt, guards []GuardedCTE) (
 	return em, nil
 }
 
-// frameCTE rebuilds a guarded CTE body for the target dialect. The input
-// expressions are shared with the cached plan and never mutated; only new
-// nodes are allocated around them.
+// frameCTE frames a guarded CTE body for the target dialect: MySQL's
+// UNION per guard under IndexGuards, Frame otherwise. PostgreSQL has no hint
+// syntax, so its Style prints Frame's hints as nothing.
 func (e externalEmitter) frameCTE(g *GuardedCTE) *sqlparser.SelectStmt {
-	ref := sqlparser.TableRef{Name: g.Relation}
-	if e.name == "mysql" {
-		// MySQL honours hints; reproduce the §5.5 framing for the chosen
-		// strategy. PostgreSQL has no hint syntax, so the default (no hint)
-		// holds for it.
-		switch g.Strategy {
-		case "IndexQuery":
-			if g.QueryIndex != "" {
-				ref.Hint = &sqlparser.IndexHint{Kind: sqlparser.HintForce, Indexes: []string{g.QueryIndex}}
-			}
-		case "LinearScan":
-			ref.Hint = &sqlparser.IndexHint{Kind: sqlparser.HintUse}
-		case "IndexGuards":
-			if len(g.Arms) > 0 {
-				return e.unionPerGuard(g)
-			}
-		}
+	if e.name == "mysql" && g.Strategy == "IndexGuards" && len(g.Arms) > 0 {
+		return e.unionPerGuard(g)
 	}
-	return &sqlparser.SelectStmt{Body: &sqlparser.SelectCore{
-		Star:  true,
-		From:  []sqlparser.TableRef{ref},
-		Where: guardedWhere(g.QueryConjs, armDisjunction(g)),
-		Limit: -1,
-	}}
+	return g.Frame(true)
 }
 
 // unionPerGuard renders the IndexGuards strategy for MySQL: one SELECT per
@@ -262,25 +305,10 @@ func (e externalEmitter) unionPerGuard(g *GuardedCTE) *sqlparser.SelectStmt {
 	return stmt
 }
 
-// armDisjunction rebuilds the OR over a CTE's arms; constant FALSE under
-// default deny.
-func armDisjunction(g *GuardedCTE) sqlparser.Expr {
-	if len(g.Arms) == 0 {
-		return sqlparser.Lit(storage.NewBool(false))
-	}
-	exprs := make([]sqlparser.Expr, len(g.Arms))
-	for i, a := range g.Arms {
-		exprs[i] = a.Expr
-	}
-	return sqlparser.Or(exprs...)
-}
-
 // guardedWhere conjoins the pushed query predicates ahead of the guard
-// expression, mirroring buildGuardedCTE's layout.
+// expression, as one conjunct.
 func guardedWhere(conjs []sqlparser.Expr, guard sqlparser.Expr) sqlparser.Expr {
-	all := append([]sqlparser.Expr{}, conjs...)
-	all = append(all, guard)
-	return sqlparser.And(all...)
+	return sqlparser.And(sqlparser.And(conjs...), guard)
 }
 
 func provenanceComment(g *GuardedCTE) string {

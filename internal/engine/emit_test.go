@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -57,6 +58,7 @@ func emitCases(t *testing.T) []emitCase {
 				{Col: "wifiAP", Expr: arm1},
 				{Col: "owner", Expr: arm2, Delta: true},
 			},
+			Guard:      sqlparser.Or(arm1, arm2),
 			QueryConjs: []sqlparser.Expr{conj},
 		}},
 	}
@@ -101,6 +103,7 @@ func emitCases(t *testing.T) []emitCase {
 			Strategy:   "IndexQuery",
 			QueryIndex: "ts_date",
 			Arms:       []GuardArm{{Col: "wifiAP", Expr: arm1}},
+			Guard:      arm1,
 			QueryConjs: []sqlparser.Expr{conj},
 		}},
 	}
@@ -216,6 +219,29 @@ func TestEmitterDoesNotMutateInput(t *testing.T) {
 	}
 	if after := sqlparser.Print(tc.stmt); after != before {
 		t.Fatalf("emitter mutated its input:\nbefore %s\nafter  %s", before, after)
+	}
+}
+
+// TestFrameIsTheRewrittenBody: each golden's guarded WITH body is what the
+// rewrite frames for a hint-honouring engine, Frame(true), and Frame(false)
+// is that body without its hint.
+func TestFrameIsTheRewrittenBody(t *testing.T) {
+	for _, tc := range emitCases(t) {
+		for _, g := range tc.guards {
+			i := slices.IndexFunc(tc.stmt.With, func(c sqlparser.CTE) bool { return c.Name == g.Name })
+			if i < 0 {
+				t.Fatalf("%s: no WITH entry %s", tc.name, g.Name)
+			}
+			body := tc.stmt.With[i].Select
+			if got, want := sqlparser.Print(g.Frame(true)), sqlparser.Print(body); got != want {
+				t.Errorf("%s: Frame(true)\n%s\nwant\n%s", tc.name, got, want)
+			}
+			bare := sqlparser.CloneStmt(body)
+			bare.Body.From[0].Hint = nil
+			if got, want := sqlparser.Print(g.Frame(false)), sqlparser.Print(bare); got != want {
+				t.Errorf("%s: Frame(false)\n%s\nwant\n%s", tc.name, got, want)
+			}
+		}
 	}
 }
 

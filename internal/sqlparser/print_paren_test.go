@@ -54,7 +54,7 @@ func TestNestedLogicalParenRoundTrip(t *testing.T) {
 }
 
 // TestGuardShapedCorpusRoundTrip covers the exact expression shapes the
-// rewriter builds (rewrite.go buildGuardedCTE): OR-of-AND guard arms whose
+// rewriter builds (engine.GuardedCTE.Frame): OR-of-AND guard arms whose
 // conjuncts are comparisons, ranges, IN lists, Δ UDF calls and constant
 // FALSE, optionally conjoined with pushed query predicates — to depth 2
 // over realistic atoms.
