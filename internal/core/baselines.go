@@ -106,11 +106,12 @@ func (m *Middleware) rewriteBaseline(kind BaselineKind, sql string, qm policy.Me
 // appendPerCore conjoins mk(refName) to the WHERE clause of every select
 // core that references the relation, for each reference, wherever the core
 // sits — expression subqueries included (policy checks precede any
-// non-monotonic set operation, §3.1).
+// non-monotonic set operation, §3.1), and ahead of every conjunct that can
+// raise (sqlparser.Guarded).
 func appendPerCore(stmt *sqlparser.SelectStmt, relation string, mk func(refName string) sqlparser.Expr) {
 	forEachBaseRef(stmt, func(c *sqlparser.SelectCore, ref *sqlparser.TableRef) {
 		if ref.Name == relation {
-			c.Where = sqlparser.And(c.Where, mk(ref.RefName()))
+			c.Where = sqlparser.Guarded(sqlparser.Conjuncts(c.Where), mk(ref.RefName()))
 		}
 	})
 }

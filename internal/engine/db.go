@@ -102,7 +102,7 @@ type DB struct {
 	// cleared. Only the test-only watchFilters (export_test.go) sets it.
 	filterEvents atomic.Pointer[func(f *batchFilter, taken bool)]
 
-	// shared maps sharedKey to the registered *SharedFilter (shared.go);
+	// shared maps a registered conjunct to its *SharedFilter (shared.go);
 	// sharedCompiles counts the dispatch operators they have compiled.
 	shared         sync.Map
 	sharedCompiles atomic.Int64
@@ -528,12 +528,17 @@ func (db *DB) StreamStmt(ctx context.Context, stmt *sqlparser.SelectStmt) (*Rows
 }
 
 // stream is StreamStmt over an optional plan cache (Prepared.Stream): the
-// one way a statement runs. The open — set operations, eager WITH bodies
-// and grouped or ordered cores materialise here — is timed into the
-// executor's "scan" span, as every later Rows.Next is.
+// one way a statement runs. The open — WITH bodies read more than once
+// materialise here — is timed into the executor's "scan" span, as every
+// later Rows.Next is.
 func (db *DB) stream(ctx context.Context, stmt *sqlparser.SelectStmt, cache *planCache) (*Rows, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if cache == nil {
+		if err := db.unbound(stmt); err != nil {
+			return nil, err
+		}
 	}
 	r := &Rows{}
 	ex := r.ex.init(ctx, db)

@@ -67,18 +67,20 @@ type GuardedCTE struct {
 	// guard state's own tree, shared by every rewrite over the state: the
 	// engine's shared filter (DB.ShareFilter) is keyed by it.
 	Guard sqlparser.Expr
-	// QueryConjs are the outer query's pushed single-table conjuncts,
-	// conjoined in front of the disjunction.
+	// QueryConjs are the outer query's pushed single-table conjuncts: the
+	// leakproof ones conjoined in front of the disjunction, the rest after.
 	QueryConjs []sqlparser.Expr
 }
 
 // Frame builds g's WITH body, the one framing the embedded engine runs and
 // every emitter prints (but MySQL's UNION per guard):
 //
-//	SELECT * FROM relation [hint] WHERE <query conjuncts> AND (<guard>)
+//	SELECT * FROM relation [hint]
+//	WHERE <leakproof query conjuncts> AND (<guard>) AND <the other query conjuncts>
 //
-// with constant FALSE for the guard under default deny. The query
-// predicates sit in front of the guard disjunction as one conjunct: under
+// with constant FALSE for the guard under default deny (sqlparser.Guarded:
+// a query conjunct that can raise never runs on a denied tuple). The
+// leakproof query predicates sit in front of the guard disjunction: under
 // IndexQuery/LinearScan they drive (or stream through) the scan; under
 // IndexGuards the forced guard indexes drive it and the predicates are
 // evaluated once per surviving tuple rather than once per arm (the §5.6
@@ -99,7 +101,7 @@ func (g *GuardedCTE) Frame(hints bool) *sqlparser.SelectStmt {
 	return &sqlparser.SelectStmt{Body: &sqlparser.SelectCore{
 		Star:  true,
 		From:  []sqlparser.TableRef{ref},
-		Where: guardedWhere(g.QueryConjs, guard),
+		Where: sqlparser.Guarded(g.QueryConjs, guard),
 		Limit: -1,
 	}}
 }
@@ -294,7 +296,7 @@ func (e externalEmitter) unionPerGuard(g *GuardedCTE) *sqlparser.SelectStmt {
 		return &sqlparser.SelectCore{
 			Star:  true,
 			From:  []sqlparser.TableRef{ref},
-			Where: guardedWhere(g.QueryConjs, a.Expr),
+			Where: sqlparser.Guarded(g.QueryConjs, a.Expr),
 			Limit: -1,
 		}
 	}
@@ -303,12 +305,6 @@ func (e externalEmitter) unionPerGuard(g *GuardedCTE) *sqlparser.SelectStmt {
 		stmt.Ops = append(stmt.Ops, sqlparser.SetOp{Kind: sqlparser.SetUnion, Core: armCore(a)})
 	}
 	return stmt
-}
-
-// guardedWhere conjoins the pushed query predicates ahead of the guard
-// expression, as one conjunct.
-func guardedWhere(conjs []sqlparser.Expr, guard sqlparser.Expr) sqlparser.Expr {
-	return sqlparser.And(sqlparser.And(conjs...), guard)
 }
 
 func provenanceComment(g *GuardedCTE) string {

@@ -141,12 +141,6 @@ func (ex *executor) flush(db *DB) {
 	db.countersMu.Unlock()
 }
 
-// rel is an intermediate relation during execution.
-type rel struct {
-	schema *RelSchema
-	rows   []storage.Row
-}
-
 // selectStmt materialises a statement's full result.
 func (ex *executor) selectStmt(s *sqlparser.SelectStmt, sc *scope, outer *env) (*Result, error) {
 	cols, it, err := ex.stmtIter(s, sc, outer)
@@ -227,8 +221,10 @@ func (ex *executor) literalSet(x *sqlparser.InExpr) *memberSet {
 	return set
 }
 
-// stmtIter opens a statement as a stream of rows. Set operations (UNION /
-// MINUS) materialise their arms; plain selects stream through coreIter.
+// stmtIter opens a statement as a stream of rows: its select cores through
+// coreIter, chained by its set operations. UNION [ALL] streams the arms one
+// after another, UNION deduping them; MINUS streams its left side, deduped,
+// past the set of its right arm's rows, drained at the first Next.
 func (ex *executor) stmtIter(s *sqlparser.SelectStmt, sc *scope, outer *env) ([]string, rowIter, error) {
 	lazy := ex.lazyCTEs(s)
 	// Each CTE gets its own scope link whose parent holds only the
@@ -250,42 +246,36 @@ func (ex *executor) stmtIter(s *sqlparser.SelectStmt, sc *scope, outer *env) ([]
 		next.rels[cte.Name] = entry
 		sc = next
 	}
-	if len(s.Ops) == 0 {
-		return ex.coreIter(s.Body, sc, outer)
-	}
-	res, err := ex.coreResult(s.Body, sc, outer)
+	cols, it, err := ex.coreIter(s.Body, sc, outer)
 	if err != nil {
 		return nil, nil, err
 	}
 	for _, op := range s.Ops {
-		arm, err := ex.coreResult(op.Core, sc, outer)
+		armCols, arm, err := ex.coreIter(op.Core, sc, outer)
+		if err == nil && len(armCols) != len(cols) {
+			arm.Close()
+			err = fmt.Errorf("engine: set operation arms have %d vs %d columns", len(cols), len(armCols))
+		}
 		if err != nil {
+			it.Close()
 			return nil, nil, err
 		}
-		if len(arm.Columns) != len(res.Columns) {
-			return nil, nil, fmt.Errorf("engine: set operation arms have %d vs %d columns", len(res.Columns), len(arm.Columns))
+		switch {
+		case op.Kind == sqlparser.SetMinus:
+			it = &distinctIter{src: it, minus: arm}
+		case op.All:
+			it = appendArm(it, arm)
+		default:
+			// distinct(distinct(x) ++ y) is distinct(x ++ y): a UNION chain
+			// is one dedupe over one concatenation.
+			if d, ok := it.(*distinctIter); ok && d.minus == nil {
+				d.src = appendArm(d.src, arm)
+			} else {
+				it = &distinctIter{src: appendArm(it, arm)}
+			}
 		}
-		switch op.Kind {
-		case sqlparser.SetUnion:
-			res = unionResults(res, arm, op.All)
-		case sqlparser.SetMinus:
-			res = minusResults(res, arm)
-		}
 	}
-	return res.Columns, &sliceIter{ex: ex, rows: res.Rows}, nil
-}
-
-// coreResult materialises one select core.
-func (ex *executor) coreResult(core *sqlparser.SelectCore, sc *scope, outer *env) (*Result, error) {
-	cols, it, err := ex.coreIter(core, sc, outer)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := drainIter(it)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Columns: cols, Rows: rows}, nil
+	return cols, it, nil
 }
 
 // lazyCTENames reports which WITH names may stream: referenced exactly
@@ -323,45 +313,18 @@ func lazyCTENames(s *sqlparser.SelectStmt) map[string]bool {
 	return out
 }
 
-func unionResults(l, r *Result, all bool) *Result {
-	out := &Result{Columns: l.Columns}
-	if all {
-		out.Rows = append(append(out.Rows, l.Rows...), r.Rows...)
-		return out
-	}
-	seen := make(map[string]struct{}, len(l.Rows)+len(r.Rows))
-	for _, rows := range [][]storage.Row{l.Rows, r.Rows} {
-		for _, row := range rows {
-			k := rowKey(row)
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			seen[k] = struct{}{}
-			out.Rows = append(out.Rows, row)
-		}
-	}
-	return out
-}
+// rowSet is the executor's one dedupe — DISTINCT's, UNION's and MINUS's:
+// the rows seen so far, by rowKey.
+type rowSet map[string]struct{}
 
-func minusResults(l, r *Result) *Result {
-	drop := make(map[string]struct{}, len(r.Rows))
-	for _, row := range r.Rows {
-		drop[rowKey(row)] = struct{}{}
+// add records row and reports whether it was new to s.
+func (s rowSet) add(row storage.Row) bool {
+	k := rowKey(row)
+	if _, dup := s[k]; dup {
+		return false
 	}
-	out := &Result{Columns: l.Columns}
-	seen := make(map[string]struct{}, len(l.Rows))
-	for _, row := range l.Rows {
-		k := rowKey(row)
-		if _, d := drop[k]; d {
-			continue
-		}
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		out.Rows = append(out.Rows, row)
-	}
-	return out
+	s[k] = struct{}{}
+	return true
 }
 
 func rowKey(r storage.Row) string {
@@ -386,88 +349,71 @@ func encodeValue(b *strings.Builder, v storage.Value) {
 	b.WriteByte(0)
 }
 
-// sourceInfo is a resolved FROM entry.
+// sourceInfo is a resolved FROM entry: a base table, or the opened stream
+// of a derived table or WITH entry.
 type sourceInfo struct {
 	ref        sqlparser.TableRef
 	name       string
 	tbl        *storage.Table // base table, or nil
-	res        *Result        // materialised derived table / CTE, or nil
-	stream     rowIter        // opened single-use CTE stream, or nil
+	stream     rowIter        // derived entry's rows, or nil
 	streamCols []string
 	cols       map[string]bool
 }
 
-// resolveSources binds the FROM entries.
+// resolveSources binds the FROM entries, opening every derived one. Opening
+// only builds the pipeline; no rows are read yet.
 func (ex *executor) resolveSources(core *sqlparser.SelectCore, sc *scope, outer *env) ([]*sourceInfo, error) {
 	sources := make([]*sourceInfo, 0, len(core.From))
 	for _, ref := range core.From {
 		src := &sourceInfo{ref: ref, name: ref.RefName(), cols: make(map[string]bool)}
-		switch {
+		var err error
+		switch e, isCTE := sc.lookup(ref.Name); {
 		case ref.Subquery != nil:
-			res, err := ex.selectStmt(ref.Subquery, sc, outer)
-			if err != nil {
-				return nil, err
-			}
-			src.res = res
-			for _, c := range res.Columns {
-				src.cols[c] = true
-			}
+			src.streamCols, src.stream, err = ex.stmtIter(ref.Subquery, sc, outer)
+		case isCTE:
+			src.streamCols, src.stream, err = ex.cteStream(e, ref.Name)
 		default:
-			if e, ok := sc.lookup(ref.Name); ok {
-				if e.res == nil && !e.streamed {
-					// Single-use CTE: open its body as a stream. Opening
-					// only builds the pipeline; no rows are read yet.
-					cols, it, err := ex.stmtIter(e.stmt, e.sc, e.outer)
-					if err != nil {
-						return nil, fmt.Errorf("in WITH %s: %w", ref.Name, err)
-					}
-					e.streamed = true
-					src.stream = &cteIter{src: it, name: ref.Name}
-					src.streamCols = cols
-					for _, c := range cols {
-						src.cols[c] = true
-					}
-					break
-				}
-				res, err := ex.materializeCTE(e, ref.Name)
-				if err != nil {
-					return nil, err
-				}
-				src.res = res
-				for _, c := range res.Columns {
-					src.cols[c] = true
-				}
-				break
-			}
 			t, ok := ex.db.Table(ref.Name)
 			if !ok {
-				return nil, fmt.Errorf("engine: unknown table %q", ref.Name)
+				err = fmt.Errorf("engine: unknown table %q", ref.Name)
+				break
 			}
 			src.tbl = t
 			for _, c := range t.Schema.Columns {
 				src.cols[c.Name] = true
 			}
 		}
+		if err != nil {
+			for _, s := range sources {
+				if s.stream != nil {
+					s.stream.Close()
+				}
+			}
+			return nil, err
+		}
+		for _, c := range src.streamCols {
+			src.cols[c] = true
+		}
 		sources = append(sources, src)
 	}
 	return sources, nil
 }
 
-// materializeCTE runs a lazy WITH body to completion and caches the
-// result for further references.
-func (ex *executor) materializeCTE(e *cteEntry, name string) (*Result, error) {
+// cteStream opens the WITH entry e for its reference name: a materialised
+// body over its rows, a single-use one as its body's stream.
+func (ex *executor) cteStream(e *cteEntry, name string) ([]string, rowIter, error) {
 	if e.res != nil {
-		return e.res, nil
+		return e.res.Columns, &sliceIter{ex: ex, rows: e.res.Rows}, nil
 	}
 	if e.streamed {
-		return nil, fmt.Errorf("engine: internal error: WITH %s stream consumed twice", name)
+		return nil, nil, fmt.Errorf("engine: internal error: WITH %s stream consumed twice", name)
 	}
-	res, err := ex.selectStmt(e.stmt, e.sc, e.outer)
+	cols, it, err := ex.stmtIter(e.stmt, e.sc, e.outer)
 	if err != nil {
-		return nil, fmt.Errorf("in WITH %s: %w", name, err)
+		return nil, nil, fmt.Errorf("in WITH %s: %w", name, err)
 	}
-	e.res = res
-	return res, nil
+	e.streamed = true
+	return cols, &cteIter{src: it, name: name}, nil
 }
 
 // refSet computes which local sources an expression references. Qualified
@@ -509,10 +455,6 @@ func qualifyCols(name string, cols []string) *RelSchema {
 	return &RelSchema{Cols: out}
 }
 
-func qualifyResult(name string, res *Result) *rel {
-	return &rel{schema: qualifyCols(name, res.Columns), rows: res.Rows}
-}
-
 // rowPasses evaluates conjuncts against one row laid out as schema,
 // rejecting on the first conjunct that is not true: the WHERE semantics of
 // filters over derived and joined relations, and the reference base tables'
@@ -531,68 +473,28 @@ func rowPasses(ev *evaluator, schema *RelSchema, row storage.Row, conjs []sqlpar
 	return true, nil
 }
 
-// filterRel keeps rows satisfying every conjunct.
-func (ex *executor) filterRel(r *rel, conjs []sqlparser.Expr, sc *scope, outer *env) (*rel, error) {
+// where filters it, laid out as schema, by conjs row by row; it itself when
+// there are none.
+func (ex *executor) where(it rowIter, schema *RelSchema, conjs []sqlparser.Expr, sc *scope, outer *env) rowIter {
 	if len(conjs) == 0 {
-		return r, nil
+		return it
 	}
-	ev := &evaluator{ex: ex, scope: sc}
-	out := &rel{schema: r.schema}
-	for _, row := range r.rows {
-		if err := ex.checkCtx(); err != nil {
-			return nil, err
-		}
-		keep, err := rowPasses(ev, r.schema, row, conjs, outer)
-		if err != nil {
-			return nil, err
-		}
-		if keep {
-			out.rows = append(out.rows, row)
-		}
-	}
-	return out, nil
+	return &filterIter{src: it, schema: schema, conjs: conjs, ev: &evaluator{ex: ex, scope: sc}, outer: outer}
 }
 
 // scanSourceIter opens one FROM entry as a stream with its single-source
 // conjuncts applied: through the chosen access path and the binding's
 // compiled filter for a base table (tb), row by row for a derived one.
-func (ex *executor) scanSourceIter(src *sourceInfo, conjs []sqlparser.Expr, tb *tableBinding, sc *scope, outer *env) (*RelSchema, rowIter, error) {
-	ev := &evaluator{ex: ex, scope: sc}
-	switch {
-	case src.stream != nil:
+func (ex *executor) scanSourceIter(src *sourceInfo, conjs []sqlparser.Expr, tb *tableBinding, sc *scope, outer *env) (*RelSchema, rowIter) {
+	if src.stream != nil {
 		schema := qualifyCols(src.name, src.streamCols)
-		var it rowIter = src.stream
-		if len(conjs) > 0 {
-			it = &filterIter{ex: ex, src: it, schema: schema, conjs: conjs, ev: ev, outer: outer}
-		}
-		return schema, it, nil
-	case src.res != nil:
-		r := qualifyResult(src.name, src.res)
-		var it rowIter = &sliceIter{ex: ex, rows: r.rows}
-		if len(conjs) > 0 {
-			it = &filterIter{ex: ex, src: it, schema: r.schema, conjs: conjs, ev: ev, outer: outer}
-		}
-		return r.schema, it, nil
-	default:
-		plan := tb.access(ex.db, src.tbl, src.ref.Hint)
-		if plan.fetch != nil {
-			return tb.schema, &fetchIter{ex: ex, t: src.tbl, plan: plan, tb: tb, sc: sc, outer: outer}, nil
-		}
-		return tb.schema, &scanIter{ex: ex, t: src.tbl, plan: plan, tb: tb, sc: sc, outer: outer}, nil
+		return schema, ex.where(src.stream, schema, conjs, sc, outer)
 	}
-}
-
-// scanSource materialises one FROM entry (the join path's build input).
-func (ex *executor) scanSource(src *sourceInfo, conjs []sqlparser.Expr, tb *tableBinding, sc *scope, outer *env) (*rel, error) {
-	schema, it, err := ex.scanSourceIter(src, conjs, tb, sc, outer)
-	if err != nil {
-		return nil, err
+	plan := tb.access(ex.db, src.tbl, src.ref.Hint)
+	if plan.fetch != nil {
+		return tb.schema, &fetchIter{ex: ex, t: src.tbl, plan: plan, tb: tb, sc: sc, outer: outer}
 	}
-	rows, err := drainIter(it)
-	if err != nil {
-		return nil, err
-	}
-	return &rel{schema: schema, rows: rows}, nil
+	return tb.schema, &scanIter{ex: ex, t: src.tbl, plan: plan, tb: tb, sc: sc, outer: outer}
 }
 
 // asEquiJoin recognises cur.col = next.col conjuncts usable as hash-join
@@ -634,74 +536,6 @@ func concatRows(a, b storage.Row) storage.Row {
 	return out
 }
 
-// hashJoin joins cur and next on the given key offsets. The hash table is
-// built on next (typically the smaller, later FROM entry) and probed with
-// cur, preserving cur's row order.
-func (ex *executor) hashJoin(cur, next *rel, lkeys, rkeys []int) (*rel, error) {
-	out := &rel{schema: concatSchemas(cur.schema, next.schema)}
-	table := make(map[string][]storage.Row, len(next.rows))
-	var b strings.Builder
-	for _, row := range next.rows {
-		if err := ex.checkCtx(); err != nil {
-			return nil, err
-		}
-		b.Reset()
-		null := false
-		for _, k := range rkeys {
-			if row[k].IsNull() {
-				null = true
-				break
-			}
-			encodeValue(&b, row[k])
-		}
-		if null {
-			continue
-		}
-		table[b.String()] = append(table[b.String()], row)
-	}
-	for _, lrow := range cur.rows {
-		if err := ex.checkCtx(); err != nil {
-			return nil, err
-		}
-		b.Reset()
-		null := false
-		for _, k := range lkeys {
-			if lrow[k].IsNull() {
-				null = true
-				break
-			}
-			encodeValue(&b, lrow[k])
-		}
-		if null {
-			continue
-		}
-		for _, rrow := range table[b.String()] {
-			// Inner-loop tick: a skewed key matching millions of build
-			// rows must still honour cancellation within the interval.
-			if err := ex.checkCtx(); err != nil {
-				return nil, err
-			}
-			out.rows = append(out.rows, concatRows(lrow, rrow))
-		}
-	}
-	return out, nil
-}
-
-func (ex *executor) crossJoin(cur, next *rel) (*rel, error) {
-	out := &rel{schema: concatSchemas(cur.schema, next.schema)}
-	for _, l := range cur.rows {
-		for _, r := range next.rows {
-			// Per-output-row tick: cancellation latency must not scale
-			// with the inner relation's size.
-			if err := ex.checkCtx(); err != nil {
-				return nil, err
-			}
-			out.rows = append(out.rows, concatRows(l, r))
-		}
-	}
-	return out, nil
-}
-
 // classified is one WHERE conjunct with the set of local sources it
 // touches and whether it has been applied somewhere in the pipeline.
 type classified struct {
@@ -741,116 +575,70 @@ func classifyConjuncts(core *sqlparser.SelectCore, sources []*sourceInfo) ([]cla
 	return classifieds, perSource
 }
 
-// joinSources scans and joins all FROM entries left to right, applying
-// multi-source conjuncts as soon as the join binds them.
-func (ex *executor) joinSources(sources []*sourceInfo, cb *coreBinding, sc *scope, outer *env) (*rel, error) {
-	classifieds := slices.Clone(cb.classifieds) // applied is this execution's
-	cur, err := ex.scanSource(sources[0], cb.perSource[0], cb.tables[0], sc, outer)
-	if err != nil {
-		return nil, err
+// joinSources opens the FROM entries as one stream, joined left to right:
+// the first entry streams as the probe side of every join and each later
+// one is a join's build side, and a multi-source conjunct filters the
+// stream as soon as the join that binds it has.
+func (ex *executor) joinSources(sources []*sourceInfo, cb *coreBinding, sc *scope, outer *env) (*RelSchema, rowIter) {
+	cur, it := ex.scanSourceIter(sources[0], cb.perSource[0], cb.tables[0], sc, outer)
+	if len(sources) == 1 {
+		return cur, it
 	}
+	classifieds := slices.Clone(cb.classifieds) // applied is this execution's
 	joined := map[int]bool{0: true}
 	for i := 1; i < len(sources); i++ {
-		next, err := ex.scanSource(sources[i], cb.perSource[i], cb.tables[i], sc, outer)
-		if err != nil {
-			return nil, err
-		}
+		next, build := ex.scanSourceIter(sources[i], cb.perSource[i], cb.tables[i], sc, outer)
 		joined[i] = true
-		var lkeys, rkeys []int
+		join := &joinIter{ex: ex, probe: it, build: build}
+		var pending []sqlparser.Expr
 		for k := range classifieds {
 			cl := &classifieds[k]
 			if cl.applied || !subset(cl.refs, joined) {
 				continue
 			}
-			if li, ri, ok := asEquiJoin(cl.expr, cur.schema, next.schema); ok {
-				lkeys = append(lkeys, li)
-				rkeys = append(rkeys, ri)
-				cl.applied = true
-			}
-		}
-		if len(lkeys) > 0 {
-			cur, err = ex.hashJoin(cur, next, lkeys, rkeys)
-		} else {
-			cur, err = ex.crossJoin(cur, next)
-		}
-		if err != nil {
-			return nil, err
-		}
-		// Apply any remaining conjuncts that became fully bound.
-		var pending []sqlparser.Expr
-		for k := range classifieds {
-			if cl := &classifieds[k]; !cl.applied && subset(cl.refs, joined) {
+			cl.applied = true
+			if li, ri, ok := asEquiJoin(cl.expr, cur, next); ok {
+				join.lkeys = append(join.lkeys, li)
+				join.rkeys = append(join.rkeys, ri)
+			} else {
 				pending = append(pending, cl.expr)
-				cl.applied = true
 			}
 		}
-		if cur, err = ex.filterRel(cur, pending, sc, outer); err != nil {
-			return nil, err
-		}
+		cur = concatSchemas(cur, next)
+		it = ex.where(join, cur, pending, sc, outer)
 	}
-	// Safety net: anything unapplied (should not happen) filters here.
-	var leftovers []sqlparser.Expr
-	for _, cl := range classifieds {
-		if !cl.applied {
-			leftovers = append(leftovers, cl.expr)
-		}
-	}
-	return ex.filterRel(cur, leftovers, sc, outer)
+	return cur, it
 }
 
-// coreIter opens one select core as a stream. Single-source cores without
-// grouping or ordering stream end to end: scan → filter → project →
-// [distinct] → [limit], producing tuples on demand. Joins, aggregation
-// and ORDER BY materialise at the stage that requires it and stream from
-// there on.
+// coreIter opens one select core as a stream: scan or join → filter →
+// project → [distinct] → [offset] → [limit], producing tuples on demand. A
+// grouped or ordered core projects through projectIter, which drains its
+// input at the first Next.
 func (ex *executor) coreIter(core *sqlparser.SelectCore, sc *scope, outer *env) ([]string, rowIter, error) {
 	grouped := coreIsGrouped(core)
 	sources, err := ex.resolveSources(core, sc, outer)
 	if err != nil {
 		return nil, nil, err
 	}
-	cb := ex.bindCore(core, sources)
+	schema, it := ex.joinSources(sources, ex.bindCore(core, sources), sc, outer)
 
-	var cur *rel // set when the join path materialised the input
-	var schema *RelSchema
-	var it rowIter
-	if len(sources) == 1 {
-		schema, it, err = ex.scanSourceIter(sources[0], cb.perSource[0], cb.tables[0], sc, outer)
-		if err != nil {
-			return nil, nil, err
-		}
-	} else {
-		cur, err = ex.joinSources(sources, cb, sc, outer)
-		if err != nil {
-			return nil, nil, err
-		}
-		schema, it = cur.schema, &sliceIter{ex: ex, rows: cur.rows}
-	}
-
-	if grouped || len(core.OrderBy) > 0 {
-		if cur == nil {
-			rows, err := drainIter(it)
-			if err != nil {
-				return nil, nil, err
-			}
-			cur = &rel{schema: schema, rows: rows}
-		}
-		res, err := ex.project(core, cur, sc, outer)
-		if err != nil {
-			return nil, nil, err
-		}
-		return res.Columns, &sliceIter{ex: ex, rows: res.Rows}, nil
-	}
-
-	// Streaming projection: no grouping, no ordering.
 	var columns []string
-	if core.Star {
+	switch {
+	case grouped && core.Star:
+		it.Close()
+		return nil, nil, fmt.Errorf("engine: SELECT * is not valid with GROUP BY or aggregates")
+	case core.Star:
 		columns = schema.ColumnNames()
-	} else {
+	default:
 		columns = ex.outputColumns(core)
+	}
+	switch {
+	case grouped || len(core.OrderBy) > 0:
+		it = &projectIter{sliceIter: sliceIter{ex: ex}, src: it, core: core, schema: schema, sc: sc, outer: outer}
+	case !core.Star:
 		it = &projIter{src: it, items: core.Items, schema: schema, ev: &evaluator{ex: ex, scope: sc}, outer: outer}
 	}
-	if core.Distinct {
+	if core.Distinct && len(core.OrderBy) == 0 {
 		it = &distinctIter{src: it}
 	}
 	if core.Limit >= 0 {
@@ -872,8 +660,8 @@ func subset(a, b map[int]bool) bool {
 }
 
 // coreIsGrouped reports whether the core needs grouping semantics: an
-// explicit GROUP BY, or aggregates in the select list or HAVING. Both
-// the streaming and materialising paths route on this single predicate.
+// explicit GROUP BY, or aggregates in the select list or HAVING. coreIter
+// and project both route on this one predicate.
 func coreIsGrouped(core *sqlparser.SelectCore) bool {
 	if len(core.GroupBy) > 0 {
 		return true
@@ -886,13 +674,13 @@ func coreIsGrouped(core *sqlparser.SelectCore) bool {
 	return core.Having != nil && containsAggregate(core.Having)
 }
 
-// project evaluates GROUP BY / aggregation, the select list, DISTINCT,
-// ORDER BY and LIMIT over the joined relation (the materialising path;
-// cores without grouping or ordering stream through coreIter instead).
-func (ex *executor) project(core *sqlparser.SelectCore, cur *rel, sc *scope, outer *env) (*Result, error) {
+// project evaluates GROUP BY / aggregation, the select list and the ORDER BY
+// keys over the rows of a grouped or ordered core's input, laid out as
+// schema, and sorts them; an ordered DISTINCT core dedupes before the sort,
+// so each row keeps its first occurrence's keys. coreIter's tail takes the
+// rows from there.
+func (ex *executor) project(core *sqlparser.SelectCore, schema *RelSchema, rows []storage.Row, sc *scope, outer *env) ([]storage.Row, error) {
 	grouped := coreIsGrouped(core)
-
-	columns := ex.outputColumns(core)
 
 	var outRows []storage.Row
 	var orderKeys [][]storage.Value
@@ -941,63 +729,41 @@ func (ex *executor) project(core *sqlparser.SelectCore, cur *rel, sc *scope, out
 	}
 
 	if !grouped {
-		if core.Star {
-			outRows = cur.rows
-			columns = cur.schema.ColumnNames()
-			if len(core.OrderBy) > 0 {
-				ev := &evaluator{ex: ex, scope: sc}
-				orderKeys = make([][]storage.Value, len(outRows))
-				for i, row := range cur.rows {
-					if err := ex.checkCtx(); err != nil {
-						return nil, err
-					}
-					en := &env{schema: cur.schema, row: row, outer: outer}
-					keys, err := evalOrderKeys(ev, en, nil)
-					if err != nil {
-						return nil, err
-					}
-					orderKeys[i] = keys
-				}
+		ev := &evaluator{ex: ex, scope: sc}
+		for _, row := range rows {
+			if err := ex.checkCtx(); err != nil {
+				return nil, err
 			}
-		} else {
-			ev := &evaluator{ex: ex, scope: sc}
-			for _, row := range cur.rows {
-				if err := ex.checkCtx(); err != nil {
+			en := &env{schema: schema, row: row, outer: outer}
+			out := row
+			if !core.Star {
+				var err error
+				if out, err = evalRowItems(ev, en); err != nil {
 					return nil, err
 				}
-				en := &env{schema: cur.schema, row: row, outer: outer}
-				out, err := evalRowItems(ev, en)
-				if err != nil {
-					return nil, err
-				}
-				outRows = append(outRows, out)
-				if len(core.OrderBy) > 0 {
-					keys, err := evalOrderKeys(ev, en, out)
-					if err != nil {
-						return nil, err
-					}
-					orderKeys = append(orderKeys, keys)
-				}
 			}
+			keys, err := evalOrderKeys(ev, en, out)
+			if err != nil {
+				return nil, err
+			}
+			outRows = append(outRows, out)
+			orderKeys = append(orderKeys, keys)
 		}
 	} else {
-		if core.Star {
-			return nil, fmt.Errorf("engine: SELECT * is not valid with GROUP BY or aggregates")
-		}
-		groups, order, err := ex.buildGroups(core, cur, sc, outer)
+		groups, order, err := ex.buildGroups(core, schema, rows, sc, outer)
 		if err != nil {
 			return nil, err
 		}
 		aggNodes := collectAggregates(core)
 		for _, gk := range order {
 			g := groups[gk]
-			aggVals, err := ex.computeAggregates(aggNodes, g, cur.schema, sc, outer)
+			aggVals, err := ex.computeAggregates(aggNodes, g, schema, sc, outer)
 			if err != nil {
 				return nil, err
 			}
 			ev := &evaluator{ex: ex, scope: sc, aggValues: aggVals}
-			rep := g.representative(cur.schema)
-			en := &env{schema: cur.schema, row: rep, outer: outer}
+			rep := g.representative(schema)
+			en := &env{schema: schema, row: rep, outer: outer}
 			if core.Having != nil {
 				hv, err := ev.eval(core.Having, en)
 				if err != nil {
@@ -1011,85 +777,59 @@ func (ex *executor) project(core *sqlparser.SelectCore, cur *rel, sc *scope, out
 			if err != nil {
 				return nil, err
 			}
+			keys, err := evalOrderKeys(ev, en, out)
+			if err != nil {
+				return nil, err
+			}
 			outRows = append(outRows, out)
-			if len(core.OrderBy) > 0 {
-				keys, err := evalOrderKeys(ev, en, out)
-				if err != nil {
-					return nil, err
-				}
-				orderKeys = append(orderKeys, keys)
-			}
+			orderKeys = append(orderKeys, keys)
 		}
 	}
 
+	if len(core.OrderBy) == 0 {
+		return outRows, nil
+	}
 	if core.Distinct {
-		seen := make(map[string]struct{}, len(outRows))
-		dedupRows := outRows[:0:0]
-		var dedupKeys [][]storage.Value
+		seen, n := make(rowSet, len(outRows)), 0
 		for i, row := range outRows {
-			k := rowKey(row)
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			seen[k] = struct{}{}
-			dedupRows = append(dedupRows, row)
-			if orderKeys != nil {
-				dedupKeys = append(dedupKeys, orderKeys[i])
+			if seen.add(row) {
+				outRows[n], orderKeys[n] = row, orderKeys[i]
+				n++
 			}
 		}
-		outRows = dedupRows
-		if orderKeys != nil {
-			orderKeys = dedupKeys
-		}
+		outRows, orderKeys = outRows[:n], orderKeys[:n]
 	}
-
-	if len(core.OrderBy) > 0 {
-		idx := make([]int, len(outRows))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.SliceStable(idx, func(a, b int) bool {
-			ka, kb := orderKeys[idx[a]], orderKeys[idx[b]]
-			for i, o := range core.OrderBy {
-				c, ok := storage.Compare(ka[i], kb[i])
-				if !ok {
-					// NULLs (and incomparables) first on ASC, last on DESC.
-					an, bn := ka[i].IsNull(), kb[i].IsNull()
-					if an == bn {
-						continue
-					}
-					return an != o.Desc
-				}
-				if c == 0 {
+	idx := make([]int, len(outRows))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool {
+		ka, kb := orderKeys[idx[a]], orderKeys[idx[b]]
+		for i, o := range core.OrderBy {
+			c, ok := storage.Compare(ka[i], kb[i])
+			if !ok {
+				// NULLs (and incomparables) first on ASC, last on DESC.
+				an, bn := ka[i].IsNull(), kb[i].IsNull()
+				if an == bn {
 					continue
 				}
-				if o.Desc {
-					return c > 0
-				}
-				return c < 0
+				return an != o.Desc
 			}
-			return false
-		})
-		sorted := make([]storage.Row, len(outRows))
-		for i, j := range idx {
-			sorted[i] = outRows[j]
-		}
-		outRows = sorted
-	}
-
-	if core.Limit >= 0 {
-		if off := core.Offset; off > 0 {
-			if off >= int64(len(outRows)) {
-				outRows = outRows[:0]
-			} else {
-				outRows = outRows[off:]
+			if c == 0 {
+				continue
 			}
+			if o.Desc {
+				return c > 0
+			}
+			return c < 0
 		}
-		if int64(len(outRows)) > core.Limit {
-			outRows = outRows[:core.Limit]
-		}
+		return false
+	})
+	sorted := make([]storage.Row, len(outRows))
+	for i, j := range idx {
+		sorted[i] = outRows[j]
 	}
-	return &Result{Columns: columns, Rows: outRows}, nil
+	return sorted, nil
 }
 
 func (ex *executor) outputColumns(core *sqlparser.SelectCore) []string {
@@ -1121,21 +861,21 @@ func (g *group) representative(schema *RelSchema) storage.Row {
 	return make(storage.Row, len(schema.Cols))
 }
 
-func (ex *executor) buildGroups(core *sqlparser.SelectCore, cur *rel, sc *scope, outer *env) (map[string]*group, []string, error) {
+func (ex *executor) buildGroups(core *sqlparser.SelectCore, schema *RelSchema, rows []storage.Row, sc *scope, outer *env) (map[string]*group, []string, error) {
 	groups := make(map[string]*group)
 	var order []string
 	ev := &evaluator{ex: ex, scope: sc}
 	if len(core.GroupBy) == 0 {
 		// A single group over all rows (aggregates without GROUP BY).
-		groups[""] = &group{rows: cur.rows}
+		groups[""] = &group{rows: rows}
 		return groups, []string{""}, nil
 	}
 	var b strings.Builder
-	for _, row := range cur.rows {
+	for _, row := range rows {
 		if err := ex.checkCtx(); err != nil {
 			return nil, nil, err
 		}
-		en := &env{schema: cur.schema, row: row, outer: outer}
+		en := &env{schema: schema, row: row, outer: outer}
 		b.Reset()
 		for _, gexpr := range core.GroupBy {
 			v, err := ev.eval(gexpr, en)

@@ -16,18 +16,22 @@ import (
 // is safe for concurrent use; the statement must not be modified after
 // Prepare.
 type Prepared struct {
-	db    *DB
-	stmt  *sqlparser.SelectStmt
-	cache planCache
+	db      *DB
+	stmt    *sqlparser.SelectStmt
+	unbound error // DB.unbound's, checked once at Prepare
+	cache   planCache
 }
 
 // Prepare binds a parsed statement for repeated execution.
 func (db *DB) Prepare(stmt *sqlparser.SelectStmt) *Prepared {
-	return &Prepared{db: db, stmt: stmt}
+	return &Prepared{db: db, stmt: stmt, unbound: db.unbound(stmt)}
 }
 
 // Stream opens the statement as a streaming result, like DB.StreamStmt.
 func (p *Prepared) Stream(ctx context.Context) (*Rows, error) {
+	if p.unbound != nil {
+		return nil, p.unbound
+	}
 	return p.db.stream(ctx, p.stmt, &p.cache)
 }
 

@@ -19,13 +19,16 @@ import (
 // CTE body, so the columns resolve exactly as they did for the first
 // statement that compiled it. Everything is built through the compiler every
 // other conjunct goes through; this is memoisation, not a second compiler.
+// A registered conjunct must hold no placeholder: the open's check that a
+// statement is bound (DB.unbound) does not walk it.
 
 // SharedFilter is one registered filter conjunct over one base table. Each
 // of its parts is built at most once, by the first execution that needs it,
 // and read concurrently after that.
 type SharedFilter struct {
-	db  *DB
-	key sharedKey
+	db   *DB
+	expr sqlparser.Expr
+	t    *storage.Table
 
 	predOnce sync.Once
 	pred     vecPred
@@ -42,23 +45,21 @@ type SharedFilter struct {
 	safe     bool
 }
 
-type sharedKey struct {
-	expr sqlparser.Expr
-	t    *storage.Table
-}
-
 // ShareFilter registers e, a conjunct of filters over the named table, so
 // that every binding of the table under its own name shares what is derived
 // from e until the returned handle is released. Registering the same e
-// twice returns the first handle. nil when there is no such table.
+// twice returns the first handle. nil when there is no such table or when
+// e is registered over another table.
 func (db *DB) ShareFilter(table string, e sqlparser.Expr) *SharedFilter {
 	t, ok := db.Table(table)
 	if !ok || e == nil {
 		return nil
 	}
-	key := sharedKey{expr: e, t: t}
-	sf, _ := db.shared.LoadOrStore(key, &SharedFilter{db: db, key: key})
-	return sf.(*SharedFilter)
+	v, _ := db.shared.LoadOrStore(e, &SharedFilter{db: db, expr: e, t: t})
+	if sf := v.(*SharedFilter); sf.t == t {
+		return sf
+	}
+	return nil
 }
 
 // Release unregisters the filter: later bindings derive e's parts afresh,
@@ -66,7 +67,7 @@ func (db *DB) ShareFilter(table string, e sqlparser.Expr) *SharedFilter {
 // handle releases nothing.
 func (sf *SharedFilter) Release() {
 	if sf != nil {
-		sf.db.shared.CompareAndDelete(sf.key, sf)
+		sf.db.shared.CompareAndDelete(sf.expr, sf)
 	}
 }
 
@@ -83,17 +84,35 @@ func (db *DB) SharedFilters() (live int, compiled int64) {
 
 // sharedFilter returns the registration of conjunct e over t, or nil.
 func (db *DB) sharedFilter(t *storage.Table, e sqlparser.Expr) *SharedFilter {
-	if sf, ok := db.shared.Load(sharedKey{expr: e, t: t}); ok {
-		return sf.(*SharedFilter)
+	if v, ok := db.shared.Load(e); ok {
+		if sf := v.(*SharedFilter); sf.t == t {
+			return sf
+		}
 	}
 	return nil
+}
+
+// unbound is BindStmt's error for s run with no arguments, nil when s holds
+// no placeholder: the open fails a statement with one left in it whatever
+// its rows. A registered guard disjunction is not walked, so a guarded
+// statement is checked at the cost of its own text, not of its guards. Only
+// disjunctions are looked up: a lookup per node would cost more than the
+// walk it saves.
+func (db *DB) unbound(s *sqlparser.SelectStmt) error {
+	return sqlparser.Unbound(s, func(e sqlparser.Expr) bool {
+		if b, ok := e.(*sqlparser.BinaryExpr); !ok || b.Op != sqlparser.OpOr {
+			return false
+		}
+		_, ok := db.shared.Load(e)
+		return ok
+	})
 }
 
 // program returns the conjunct's compiled operator.
 func (sf *SharedFilter) program() vecPred {
 	sf.predOnce.Do(func() {
-		t := sf.key.t
-		sf.pred = (&vecCompiler{schema: qualifySchema(t.Name, t.Schema)}).compilePred(sf.key.expr)
+		t := sf.t
+		sf.pred = (&vecCompiler{schema: qualifySchema(t.Name, t.Schema)}).compilePred(sf.expr)
 		sf.db.sharedCompiles.Add(1)
 	})
 	return sf.pred
@@ -103,8 +122,8 @@ func (sf *SharedFilter) program() vecPred {
 // has fewer than two disjuncts).
 func (sf *SharedFilter) orClause() orClause {
 	sf.orOnce.Do(func() {
-		if disjuncts := sqlparser.Disjuncts(sf.key.expr); len(disjuncts) >= 2 {
-			sf.or = newOrClause(disjuncts, sf.key.t.Name, sf.key.t.Schema)
+		if disjuncts := sqlparser.Disjuncts(sf.expr); len(disjuncts) >= 2 {
+			sf.or = newOrClause(disjuncts, sf.t.Name, sf.t.Schema)
 		}
 	})
 	return sf.or
@@ -114,8 +133,8 @@ func (sf *SharedFilter) orClause() orClause {
 // cols; ok is false when it can never refute a segment.
 func (sf *SharedFilter) zones() (n zoneNode, cols []int, ok bool) {
 	sf.zoneOnce.Do(func() {
-		zc := newZoneCompiler(sf.key.t.Name, sf.key.t.Schema)
-		sf.zone, sf.zoneOK = zc.compile(sf.key.expr)
+		zc := newZoneCompiler(sf.t.Name, sf.t.Schema)
+		sf.zone, sf.zoneOK = zc.compile(sf.expr)
 		sf.zoneCols = zc.cols
 	})
 	return sf.zone, sf.zoneCols, sf.zoneOK
@@ -123,7 +142,7 @@ func (sf *SharedFilter) zones() (n zoneNode, cols []int, ok bool) {
 
 // parallelSafe reports whether the conjunct may run on fan-out workers.
 func (sf *SharedFilter) parallelSafe() bool {
-	sf.safeOnce.Do(func() { sf.safe = parallelSafeConjunct(sf.key.expr) })
+	sf.safeOnce.Do(func() { sf.safe = parallelSafeConjunct(sf.expr) })
 	return sf.safe
 }
 

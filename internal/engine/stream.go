@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/bits"
+	"strings"
 	"sync"
 	"time"
 
@@ -649,9 +650,8 @@ func (s *segScanner) run(lo, hi int, dst []storage.Row) ([]storage.Row, error) {
 	return s.apply(s.view.ScanBatch(lo, hi, &s.batch), dst)
 }
 
-// filterIter applies conjuncts to rows of a derived source.
+// filterIter applies conjuncts to the rows of a derived source or a join.
 type filterIter struct {
-	ex     *executor
 	src    rowIter
 	schema *RelSchema
 	conjs  []sqlparser.Expr
@@ -705,31 +705,193 @@ func (it *projIter) Next() (storage.Row, error) {
 
 func (it *projIter) Close() { it.src.Close() }
 
-// distinctIter suppresses duplicate rows, keeping first occurrences.
+// distinctIter passes each row of src the first time it occurs, keeping
+// first occurrences in order: DISTINCT and UNION. With minus set it is
+// MINUS: the rows of minus, drained into the set at the first Next, are
+// never passed.
 type distinctIter struct {
-	src  rowIter
-	seen map[string]struct{}
+	src   rowIter
+	minus rowIter
+	seen  rowSet
 }
 
 func (it *distinctIter) Next() (storage.Row, error) {
 	if it.seen == nil {
-		it.seen = make(map[string]struct{})
+		it.seen = make(rowSet)
+		if it.minus != nil {
+			rows, err := drainIter(it.minus)
+			if err != nil {
+				return nil, err
+			}
+			for _, row := range rows {
+				it.seen.add(row)
+			}
+		}
 	}
 	for {
 		row, err := it.src.Next()
 		if err != nil || row == nil {
 			return nil, err
 		}
-		k := rowKey(row)
-		if _, dup := it.seen[k]; dup {
-			continue
+		if it.seen.add(row) {
+			return row, nil
 		}
-		it.seen[k] = struct{}{}
-		return row, nil
 	}
 }
 
-func (it *distinctIter) Close() { it.src.Close() }
+func (it *distinctIter) Close() {
+	it.src.Close()
+	if it.minus != nil {
+		it.minus.Close()
+	}
+}
+
+// concatIter streams its arms one after another, closing each as it runs
+// out: a UNION's.
+type concatIter struct{ arms []rowIter }
+
+// appendArm is it followed by arm.
+func appendArm(it, arm rowIter) rowIter {
+	if c, ok := it.(*concatIter); ok {
+		c.arms = append(c.arms, arm)
+		return c
+	}
+	return &concatIter{arms: []rowIter{it, arm}}
+}
+
+func (it *concatIter) Next() (storage.Row, error) {
+	for len(it.arms) > 0 {
+		row, err := it.arms[0].Next()
+		if err != nil || row != nil {
+			return row, err
+		}
+		it.arms[0].Close()
+		it.arms = it.arms[1:]
+	}
+	return nil, nil
+}
+
+func (it *concatIter) Close() {
+	for _, arm := range it.arms {
+		arm.Close()
+	}
+}
+
+// joinIter joins its probe side, streamed, with its build side, drained at
+// the first Next: on the key offsets when it has any, as a hash join (a
+// NULL key matches nothing), as a cross join otherwise. Rows come in the
+// probe side's order and, for one probe row, in the build side's.
+type joinIter struct {
+	ex           *executor
+	probe, build rowIter
+	lkeys, rkeys []int
+
+	built   bool
+	inner   []storage.Row            // the cross join's build side
+	table   map[string][]storage.Row // the hash join's build side
+	lrow    storage.Row
+	matches []storage.Row // lrow's build rows not yet joined
+	b       strings.Builder
+}
+
+func (it *joinIter) Next() (storage.Row, error) {
+	if !it.built {
+		if err := it.buildSide(); err != nil {
+			return nil, err
+		}
+	}
+	for len(it.matches) == 0 {
+		lrow, err := it.probe.Next()
+		if err != nil || lrow == nil {
+			return nil, err
+		}
+		it.lrow, it.matches = lrow, it.inner
+		if it.table != nil {
+			k, ok := it.key(lrow, it.lkeys)
+			it.matches = it.table[k]
+			if !ok {
+				it.matches = nil
+			}
+		}
+	}
+	// Per-output-row tick: a skewed key or a large inner must still honour
+	// cancellation within the interval.
+	if err := it.ex.checkCtx(); err != nil {
+		return nil, err
+	}
+	rrow := it.matches[0]
+	it.matches = it.matches[1:]
+	return concatRows(it.lrow, rrow), nil
+}
+
+// buildSide drains the build side into inner or, keyed, into table.
+func (it *joinIter) buildSide() error {
+	it.built = true
+	rows, err := drainIter(it.build)
+	if err != nil {
+		return err
+	}
+	if len(it.rkeys) == 0 {
+		it.inner = rows
+		return nil
+	}
+	it.table = make(map[string][]storage.Row, len(rows))
+	for _, row := range rows {
+		if k, ok := it.key(row, it.rkeys); ok {
+			it.table[k] = append(it.table[k], row)
+		}
+	}
+	return nil
+}
+
+// key encodes row's values at keys; ok is false when one is NULL.
+func (it *joinIter) key(row storage.Row, keys []int) (string, bool) {
+	it.b.Reset()
+	for _, k := range keys {
+		if row[k].IsNull() {
+			return "", false
+		}
+		encodeValue(&it.b, row[k])
+	}
+	return it.b.String(), true
+}
+
+func (it *joinIter) Close() {
+	it.probe.Close()
+	it.build.Close()
+	it.inner, it.table, it.matches = nil, nil, nil
+}
+
+// projectIter is a grouped or ordered core's projection: at the first Next
+// it drains its input into project and then hands out project's rows.
+type projectIter struct {
+	sliceIter
+	src    rowIter
+	core   *sqlparser.SelectCore
+	schema *RelSchema
+	sc     *scope
+	outer  *env
+	done   bool
+}
+
+func (it *projectIter) Next() (storage.Row, error) {
+	if !it.done {
+		it.done = true
+		rows, err := drainIter(it.src)
+		if err != nil {
+			return nil, err
+		}
+		if it.rows, err = it.ex.project(it.core, it.schema, rows, it.sc, it.outer); err != nil {
+			return nil, err
+		}
+	}
+	return it.sliceIter.Next()
+}
+
+func (it *projectIter) Close() {
+	it.src.Close()
+	it.rows = nil
+}
 
 // offsetIter discards the first skip rows of the stream (LIMIT ... OFFSET).
 // It sits upstream of limitIter so the limit counts delivered rows only.

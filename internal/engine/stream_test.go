@@ -31,7 +31,7 @@ func buildStreamDB(t *testing.T, n int) *DB {
 
 // TestStreamMatchesQuery checks the streaming surface returns exactly the
 // materialised result, across plain scans, projections, DISTINCT, LIMIT,
-// aggregation and set operations (which materialise internally).
+// aggregation and set operations.
 func TestStreamMatchesQuery(t *testing.T) {
 	db := buildStreamDB(t, 500)
 	queries := []string{

@@ -300,6 +300,53 @@ func Or(exprs ...Expr) Expr {
 	return out
 }
 
+// Guarded conjoins conjs with an access check, guard, so that no conjunct
+// that can raise runs on a tuple the check denies: the leakproof conjuncts,
+// then guard, then the rest, each in the order given. The row evaluator and
+// the compiled filter both stop at a row's first conjunct that is not true,
+// so an error raised by the rest comes from an allowed tuple; raised on a
+// denied one, it would tell the querier the tuple exists, and might print
+// its values.
+func Guarded(conjs []Expr, guard Expr) Expr {
+	var safe, rest []Expr
+	for _, c := range conjs {
+		if Leakproof(c) {
+			safe = append(safe, c)
+		} else {
+			rest = append(rest, c)
+		}
+	}
+	return And(append([]Expr{And(safe...), guard}, rest...)...)
+}
+
+// Leakproof reports whether e is built only from column references,
+// literals, comparisons, BETWEEN, IN over a literal list, IS [NOT] NULL and
+// AND/OR/NOT: whether evaluating it on a row can never raise.
+func Leakproof(e Expr) bool {
+	switch x := e.(type) {
+	case *ColRef, *Literal:
+		return true
+	case *CompareExpr:
+		return Leakproof(x.L) && Leakproof(x.R)
+	case *BetweenExpr:
+		return Leakproof(x.E) && Leakproof(x.Lo) && Leakproof(x.Hi)
+	case *InExpr:
+		for _, it := range x.List {
+			if _, ok := it.(*Literal); !ok {
+				return false
+			}
+		}
+		return x.Sub == nil && Leakproof(x.E)
+	case *IsNullExpr:
+		return Leakproof(x.E)
+	case *NotExpr:
+		return Leakproof(x.E)
+	case *BinaryExpr:
+		return (x.Op == OpAnd || x.Op == OpOr) && Leakproof(x.L) && Leakproof(x.R)
+	}
+	return false
+}
+
 // Col is shorthand for a column reference expression.
 func Col(table, column string) *ColRef { return &ColRef{Table: table, Column: column} }
 

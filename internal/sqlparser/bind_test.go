@@ -198,3 +198,10 @@ func TestBindRestoresLiteralsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// walkNodes calls fn for every expression node of s, those of every core
+// WalkCores reaches included.
+func walkNodes(s *SelectStmt, fn func(Expr)) {
+	w := walker{node: fn, descend: true}
+	w.stmt(s, false)
+}

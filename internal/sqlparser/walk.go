@@ -21,13 +21,6 @@ func Walk(e Expr, descend bool, fn func(Expr)) {
 	w.expr(e)
 }
 
-// walkNodes calls fn for every expression node of s, those of every core
-// WalkCores reaches included.
-func walkNodes(s *SelectStmt, fn func(Expr)) {
-	w := walker{node: fn, descend: true}
-	w.stmt(s, false)
-}
-
 // HasSubquery reports whether e holds an IN, EXISTS or scalar subquery.
 func HasSubquery(e Expr) bool {
 	found := false
@@ -52,11 +45,14 @@ func subqueryOf(e Expr) *SelectStmt {
 // walker is the traversal behind Walk and WalkCores: node, when set, sees
 // every expression node before its children; core, when set, sees every
 // select core after everything nested in it. descend enters the statements
-// of expression subqueries. The callbacks live in a struct, not in closures
-// built during the walk, so they stay on the caller's stack.
+// of expression subqueries. skip, when set, prunes: an expression it
+// reports true for is not visited, nor is anything below it. The callbacks
+// live in a struct, not in closures built during the walk, so they stay on
+// the caller's stack.
 type walker struct {
 	node    func(Expr)
 	core    func(*SelectCore, bool)
+	skip    func(Expr) bool
 	descend bool
 }
 
@@ -97,7 +93,7 @@ func (w *walker) selectCore(c *SelectCore, inExpr bool) {
 }
 
 func (w *walker) expr(e Expr) {
-	if e == nil {
+	if e == nil || w.skip != nil && w.skip(e) {
 		return
 	}
 	if w.node != nil {
