@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 
@@ -240,7 +241,7 @@ func (s *Session) Rewrite(ctx context.Context, sql, dialect string) (string, []a
 	if err != nil {
 		return "", nil, err
 	}
-	args, err := decodeAnys(out.Args)
+	args, err := decodeAnys(nil, out.Args)
 	if err != nil {
 		return "", nil, err
 	}
@@ -369,11 +370,12 @@ func FromValue(v storage.Value) any {
 	return nil
 }
 
-func decodeAnys(ws []server.WireValue) ([]any, error) {
+// decodeAnys decodes ws into dst's storage, grown to hold them.
+func decodeAnys(dst []any, ws []server.WireValue) ([]any, error) {
 	if len(ws) == 0 {
-		return nil, nil
+		return dst[:0], nil
 	}
-	out := make([]any, len(ws))
+	out := slices.Grow(dst[:0], len(ws))[:len(ws)]
 	for i, w := range ws {
 		v, err := decodeAny(w)
 		if err != nil {
@@ -421,9 +423,10 @@ func (c *Client) stream(ctx context.Context, path string, body any) (*Rows, erro
 }
 
 // Rows streams a query result over the wire, mirroring the engine's pull
-// surface: Next advances, Row is valid until the next call to Next, Err
-// reports what terminated iteration, Close is idempotent and may be
-// called early — the server observes the disconnect and stops the scan.
+// surface: Next advances, Row is valid until the next call to Next — every
+// row is decoded into the same slice, so a caller that keeps a row copies
+// it — Err reports what terminated iteration, Close is idempotent and may
+// be called early — the server observes the disconnect and stops the scan.
 //
 // A stream that dies mid-flight (network cut, server drain deadline)
 // surfaces an error from Err: results are complete exactly when Err
@@ -432,7 +435,7 @@ type Rows struct {
 	body   io.ReadCloser
 	sc     *bufio.Scanner
 	cols   []string
-	cur    []any
+	cur    []any       // the current row, reused by every row
 	vals   storage.Row // ParseRowLine's reused scratch row
 	n      int64
 	done   bool
@@ -473,7 +476,7 @@ func (r *Rows) Next() bool {
 	// anything else, including a row line it declines, is decoded below.
 	if vals, ok := server.ParseRowLine(r.sc.Bytes(), r.vals); ok {
 		r.vals = vals
-		r.cur = make([]any, len(vals))
+		r.cur = slices.Grow(r.cur[:0], len(vals))[:len(vals)]
 		for i, v := range vals {
 			r.cur[i] = FromValue(v)
 		}
@@ -495,7 +498,7 @@ func (r *Rows) Next() bool {
 		r.trace = line.Trace
 		r.reqID = line.RequestID
 	case line.Row != nil:
-		row, err := decodeAnys(line.Row)
+		row, err := decodeAnys(r.cur, line.Row)
 		if err != nil {
 			r.err = err
 			break
@@ -509,7 +512,8 @@ func (r *Rows) Next() bool {
 	return false
 }
 
-// Row returns the current row; valid until the next call to Next.
+// Row returns the current row; valid until the next call to Next, which
+// decodes the next row into the same slice.
 func (r *Rows) Row() []any { return r.cur }
 
 // Err returns the error that terminated iteration, if any.

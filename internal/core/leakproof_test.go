@@ -21,6 +21,7 @@ func TestDeniedOwnerLooksAbsent(t *testing.T) {
 	queries := []string{
 		"SELECT * FROM wifi WHERE owner = %s AND wifiAP + 'x' > 0",
 		"SELECT count(*) FROM wifi WHERE wifiAP + 'x' > 0 AND owner = %s",
+		"SELECT * FROM wifi WHERE owner = %s AND wifi.nosuch = 1",
 	}
 	const absent = 9999
 	for _, strat := range []Strategy{LinearScan, IndexQuery, IndexGuards} {

@@ -57,10 +57,13 @@ func (s *RelSchema) ColumnNames() []string {
 }
 
 // env binds a tuple to a relation schema, with a link to the enclosing
-// query's env for correlated subqueries. An env without a schema binds
+// query's env for correlated subqueries. An operator keeps one env and
+// binds each of its rows to it in turn. An env without a schema binds
 // nothing: it is the boundary an expression subquery's first run is
 // evaluated behind (executor.subquery), and reached records that some
-// column lookup resolved past it, into the enclosing query's row.
+// column lookup resolved past it, into the enclosing query's row. Only a
+// boundary is ever marked reached, so a reused env carries nothing from
+// one row to the next.
 type env struct {
 	schema  *RelSchema
 	row     storage.Row

@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
-	"strings"
 
 	"github.com/sieve-db/sieve/internal/obs"
 	"github.com/sieve-db/sieve/internal/sqlparser"
@@ -314,39 +312,43 @@ func lazyCTENames(s *sqlparser.SelectStmt) map[string]bool {
 }
 
 // rowSet is the executor's one dedupe — DISTINCT's, UNION's and MINUS's:
-// the rows seen so far, by rowKey.
-type rowSet map[string]struct{}
+// the rows seen so far, by their encoding. The zero rowSet is empty.
+type rowSet struct {
+	seen map[string]struct{}
+	kb   []byte // the last row's encoding
+}
 
-// add records row and reports whether it was new to s.
-func (s rowSet) add(row storage.Row) bool {
-	k := rowKey(row)
-	if _, dup := s[k]; dup {
+// add records row and reports whether it was new to s. Only a new row's
+// encoding is copied into a key.
+func (s *rowSet) add(row storage.Row) bool {
+	s.kb = s.kb[:0]
+	for _, v := range row {
+		s.kb = appendValue(s.kb, v)
+	}
+	if _, dup := s.seen[string(s.kb)]; dup {
 		return false
 	}
-	s[k] = struct{}{}
+	if s.seen == nil {
+		s.seen = make(map[string]struct{})
+	}
+	s.seen[string(s.kb)] = struct{}{}
 	return true
 }
 
-func rowKey(r storage.Row) string {
-	var b strings.Builder
-	for _, v := range r {
-		encodeValue(&b, v)
-	}
-	return b.String()
-}
-
-func encodeValue(b *strings.Builder, v storage.Value) {
-	b.WriteByte(byte(v.K))
+// appendValue appends v's encoding to b: its kind, its payload and a 0, so
+// a run of encodings identifies a run of values.
+func appendValue(b []byte, v storage.Value) []byte {
+	b = append(b, byte(v.K))
 	switch v.K {
 	case storage.KindString:
-		b.WriteString(v.S)
+		b = append(b, v.S...)
 	case storage.KindFloat:
-		b.WriteString(strconv.FormatFloat(v.F, 'b', -1, 64))
+		b = strconv.AppendFloat(b, v.F, 'b', -1, 64)
 	case storage.KindNull:
 	default:
-		b.WriteString(strconv.FormatInt(v.I, 10))
+		b = strconv.AppendInt(b, v.I, 10)
 	}
-	b.WriteByte(0)
+	return append(b, 0)
 }
 
 // sourceInfo is a resolved FROM entry: a base table, or the opened stream
@@ -455,12 +457,11 @@ func qualifyCols(name string, cols []string) *RelSchema {
 	return &RelSchema{Cols: out}
 }
 
-// rowPasses evaluates conjuncts against one row laid out as schema,
-// rejecting on the first conjunct that is not true: the WHERE semantics of
-// filters over derived and joined relations, and the reference base tables'
-// compiled filters are tested against.
-func rowPasses(ev *evaluator, schema *RelSchema, row storage.Row, conjs []sqlparser.Expr, outer *env) (bool, error) {
-	en := &env{schema: schema, row: row, outer: outer}
+// rowPasses evaluates conjuncts against the row bound to en, rejecting on
+// the first conjunct that is not true: the WHERE semantics of filters over
+// derived and joined relations, and the reference base tables' compiled
+// filters are tested against.
+func rowPasses(ev *evaluator, en *env, conjs []sqlparser.Expr) (bool, error) {
 	for _, cj := range conjs {
 		v, err := ev.eval(cj, en)
 		if err != nil {
@@ -479,7 +480,7 @@ func (ex *executor) where(it rowIter, schema *RelSchema, conjs []sqlparser.Expr,
 	if len(conjs) == 0 {
 		return it
 	}
-	return &filterIter{src: it, schema: schema, conjs: conjs, ev: &evaluator{ex: ex, scope: sc}, outer: outer}
+	return &filterIter{src: it, conjs: conjs, ev: evaluator{ex: ex, scope: sc}, en: env{schema: schema, outer: outer}}
 }
 
 // scanSourceIter opens one FROM entry as a stream with its single-source
@@ -612,8 +613,8 @@ func (ex *executor) joinSources(sources []*sourceInfo, cb *coreBinding, sc *scop
 
 // coreIter opens one select core as a stream: scan or join → filter →
 // project → [distinct] → [offset] → [limit], producing tuples on demand. A
-// grouped or ordered core projects through projectIter, which drains its
-// input at the first Next.
+// grouped or ordered core projects through projectIter, which reads its
+// whole input at the first Next.
 func (ex *executor) coreIter(core *sqlparser.SelectCore, sc *scope, outer *env) ([]string, rowIter, error) {
 	grouped := coreIsGrouped(core)
 	sources, err := ex.resolveSources(core, sc, outer)
@@ -634,9 +635,9 @@ func (ex *executor) coreIter(core *sqlparser.SelectCore, sc *scope, outer *env) 
 	}
 	switch {
 	case grouped || len(core.OrderBy) > 0:
-		it = &projectIter{sliceIter: sliceIter{ex: ex}, src: it, core: core, schema: schema, sc: sc, outer: outer}
+		it = &projectIter{p: newProjector(ex, core, schema, sc, outer), src: it}
 	case !core.Star:
-		it = &projIter{src: it, items: core.Items, schema: schema, ev: &evaluator{ex: ex, scope: sc}, outer: outer}
+		it = &projIter{src: it, items: core.Items, ev: evaluator{ex: ex, scope: sc}, en: env{schema: schema, outer: outer}}
 	}
 	if core.Distinct && len(core.OrderBy) == 0 {
 		it = &distinctIter{src: it}
@@ -661,7 +662,7 @@ func subset(a, b map[int]bool) bool {
 
 // coreIsGrouped reports whether the core needs grouping semantics: an
 // explicit GROUP BY, or aggregates in the select list or HAVING. coreIter
-// and project both route on this one predicate.
+// and the projector both route on this one predicate.
 func coreIsGrouped(core *sqlparser.SelectCore) bool {
 	if len(core.GroupBy) > 0 {
 		return true
@@ -672,164 +673,6 @@ func coreIsGrouped(core *sqlparser.SelectCore) bool {
 		}
 	}
 	return core.Having != nil && containsAggregate(core.Having)
-}
-
-// project evaluates GROUP BY / aggregation, the select list and the ORDER BY
-// keys over the rows of a grouped or ordered core's input, laid out as
-// schema, and sorts them; an ordered DISTINCT core dedupes before the sort,
-// so each row keeps its first occurrence's keys. coreIter's tail takes the
-// rows from there.
-func (ex *executor) project(core *sqlparser.SelectCore, schema *RelSchema, rows []storage.Row, sc *scope, outer *env) ([]storage.Row, error) {
-	grouped := coreIsGrouped(core)
-
-	var outRows []storage.Row
-	var orderKeys [][]storage.Value
-
-	evalRowItems := func(ev *evaluator, en *env) (storage.Row, error) {
-		row := make(storage.Row, len(core.Items))
-		for i, it := range core.Items {
-			v, err := ev.eval(it.Expr, en)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = v
-		}
-		return row, nil
-	}
-	// ORDER BY may name a select-list alias (ORDER BY visits DESC): such
-	// keys read the already-computed output row, where the alias exists,
-	// instead of re-evaluating in the source scope, where it does not.
-	// When an alias shadows a source column the alias wins, matching
-	// MySQL's resolution order.
-	aliasIdx := make(map[string]int, len(core.Items))
-	for i, it := range core.Items {
-		if it.Alias != "" {
-			aliasIdx[it.Alias] = i
-		}
-	}
-	evalOrderKeys := func(ev *evaluator, en *env, out storage.Row) ([]storage.Value, error) {
-		if len(core.OrderBy) == 0 {
-			return nil, nil
-		}
-		keys := make([]storage.Value, len(core.OrderBy))
-		for i, o := range core.OrderBy {
-			if cr, ok := o.Expr.(*sqlparser.ColRef); ok && cr.Table == "" && out != nil {
-				if j, ok := aliasIdx[cr.Column]; ok {
-					keys[i] = out[j]
-					continue
-				}
-			}
-			v, err := ev.eval(o.Expr, en)
-			if err != nil {
-				return nil, err
-			}
-			keys[i] = v
-		}
-		return keys, nil
-	}
-
-	if !grouped {
-		ev := &evaluator{ex: ex, scope: sc}
-		for _, row := range rows {
-			if err := ex.checkCtx(); err != nil {
-				return nil, err
-			}
-			en := &env{schema: schema, row: row, outer: outer}
-			out := row
-			if !core.Star {
-				var err error
-				if out, err = evalRowItems(ev, en); err != nil {
-					return nil, err
-				}
-			}
-			keys, err := evalOrderKeys(ev, en, out)
-			if err != nil {
-				return nil, err
-			}
-			outRows = append(outRows, out)
-			orderKeys = append(orderKeys, keys)
-		}
-	} else {
-		groups, order, err := ex.buildGroups(core, schema, rows, sc, outer)
-		if err != nil {
-			return nil, err
-		}
-		aggNodes := collectAggregates(core)
-		for _, gk := range order {
-			g := groups[gk]
-			aggVals, err := ex.computeAggregates(aggNodes, g, schema, sc, outer)
-			if err != nil {
-				return nil, err
-			}
-			ev := &evaluator{ex: ex, scope: sc, aggValues: aggVals}
-			rep := g.representative(schema)
-			en := &env{schema: schema, row: rep, outer: outer}
-			if core.Having != nil {
-				hv, err := ev.eval(core.Having, en)
-				if err != nil {
-					return nil, err
-				}
-				if t, _ := truth(hv); !t {
-					continue
-				}
-			}
-			out, err := evalRowItems(ev, en)
-			if err != nil {
-				return nil, err
-			}
-			keys, err := evalOrderKeys(ev, en, out)
-			if err != nil {
-				return nil, err
-			}
-			outRows = append(outRows, out)
-			orderKeys = append(orderKeys, keys)
-		}
-	}
-
-	if len(core.OrderBy) == 0 {
-		return outRows, nil
-	}
-	if core.Distinct {
-		seen, n := make(rowSet, len(outRows)), 0
-		for i, row := range outRows {
-			if seen.add(row) {
-				outRows[n], orderKeys[n] = row, orderKeys[i]
-				n++
-			}
-		}
-		outRows, orderKeys = outRows[:n], orderKeys[:n]
-	}
-	idx := make([]int, len(outRows))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ka, kb := orderKeys[idx[a]], orderKeys[idx[b]]
-		for i, o := range core.OrderBy {
-			c, ok := storage.Compare(ka[i], kb[i])
-			if !ok {
-				// NULLs (and incomparables) first on ASC, last on DESC.
-				an, bn := ka[i].IsNull(), kb[i].IsNull()
-				if an == bn {
-					continue
-				}
-				return an != o.Desc
-			}
-			if c == 0 {
-				continue
-			}
-			if o.Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-	sorted := make([]storage.Row, len(outRows))
-	for i, j := range idx {
-		sorted[i] = outRows[j]
-	}
-	return sorted, nil
 }
 
 func (ex *executor) outputColumns(core *sqlparser.SelectCore) []string {
@@ -847,163 +690,4 @@ func (ex *executor) outputColumns(core *sqlparser.SelectCore) []string {
 		}
 	}
 	return cols
-}
-
-// group is one GROUP BY bucket.
-type group struct {
-	rows []storage.Row
-}
-
-func (g *group) representative(schema *RelSchema) storage.Row {
-	if len(g.rows) > 0 {
-		return g.rows[0]
-	}
-	return make(storage.Row, len(schema.Cols))
-}
-
-func (ex *executor) buildGroups(core *sqlparser.SelectCore, schema *RelSchema, rows []storage.Row, sc *scope, outer *env) (map[string]*group, []string, error) {
-	groups := make(map[string]*group)
-	var order []string
-	ev := &evaluator{ex: ex, scope: sc}
-	if len(core.GroupBy) == 0 {
-		// A single group over all rows (aggregates without GROUP BY).
-		groups[""] = &group{rows: rows}
-		return groups, []string{""}, nil
-	}
-	var b strings.Builder
-	for _, row := range rows {
-		if err := ex.checkCtx(); err != nil {
-			return nil, nil, err
-		}
-		en := &env{schema: schema, row: row, outer: outer}
-		b.Reset()
-		for _, gexpr := range core.GroupBy {
-			v, err := ev.eval(gexpr, en)
-			if err != nil {
-				return nil, nil, err
-			}
-			encodeValue(&b, v)
-		}
-		k := b.String()
-		g, ok := groups[k]
-		if !ok {
-			g = &group{}
-			groups[k] = g
-			order = append(order, k)
-		}
-		g.rows = append(g.rows, row)
-	}
-	return groups, order, nil
-}
-
-func collectAggregates(core *sqlparser.SelectCore) []*sqlparser.FuncCall {
-	var aggs []*sqlparser.FuncCall
-	visit := func(e sqlparser.Expr) {
-		sqlparser.Walk(e, false, func(x sqlparser.Expr) {
-			if fc, ok := x.(*sqlparser.FuncCall); ok && (fc.Star || isAggregateName(fc.Name)) {
-				aggs = append(aggs, fc)
-			}
-		})
-	}
-	for _, it := range core.Items {
-		visit(it.Expr)
-	}
-	if core.Having != nil {
-		visit(core.Having)
-	}
-	for _, o := range core.OrderBy {
-		visit(o.Expr)
-	}
-	return aggs
-}
-
-func (ex *executor) computeAggregates(nodes []*sqlparser.FuncCall, g *group, schema *RelSchema, sc *scope, outer *env) (map[sqlparser.Expr]storage.Value, error) {
-	out := make(map[sqlparser.Expr]storage.Value, len(nodes))
-	ev := &evaluator{ex: ex, scope: sc}
-	for _, fc := range nodes {
-		if _, done := out[fc]; done {
-			continue
-		}
-		name := strings.ToLower(fc.Name)
-		if fc.Star {
-			out[fc] = storage.NewInt(int64(len(g.rows)))
-			continue
-		}
-		if len(fc.Args) != 1 {
-			return nil, fmt.Errorf("engine: aggregate %s expects one argument", fc.Name)
-		}
-		var (
-			count    int64
-			sumF     float64
-			sumI     int64
-			anyFloat bool
-			minV     = storage.Null
-			maxV     = storage.Null
-			distinct map[string]struct{}
-		)
-		if fc.Distinct {
-			distinct = make(map[string]struct{})
-		}
-		for _, row := range g.rows {
-			if err := ex.checkCtx(); err != nil {
-				return nil, err
-			}
-			en := &env{schema: schema, row: row, outer: outer}
-			v, err := ev.eval(fc.Args[0], en)
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNull() {
-				continue
-			}
-			if distinct != nil {
-				var b strings.Builder
-				encodeValue(&b, v)
-				if _, dup := distinct[b.String()]; dup {
-					continue
-				}
-				distinct[b.String()] = struct{}{}
-			}
-			count++
-			switch v.K {
-			case storage.KindFloat:
-				anyFloat = true
-				sumF += v.F
-			default:
-				sumI += v.I
-				sumF += float64(v.I)
-			}
-			if minV.IsNull() || storage.Less(v, minV) {
-				minV = v
-			}
-			if maxV.IsNull() || storage.Less(maxV, v) {
-				maxV = v
-			}
-		}
-		switch name {
-		case "count":
-			out[fc] = storage.NewInt(count)
-		case "sum":
-			if count == 0 {
-				out[fc] = storage.Null
-			} else if anyFloat {
-				out[fc] = storage.NewFloat(sumF)
-			} else {
-				out[fc] = storage.NewInt(sumI)
-			}
-		case "avg":
-			if count == 0 {
-				out[fc] = storage.Null
-			} else {
-				out[fc] = storage.NewFloat(sumF / float64(count))
-			}
-		case "min":
-			out[fc] = minV
-		case "max":
-			out[fc] = maxV
-		default:
-			return nil, fmt.Errorf("engine: unknown aggregate %q", fc.Name)
-		}
-	}
-	return out, nil
 }

@@ -33,7 +33,8 @@ type rowReference []sqlparser.Expr
 
 func (p rowReference) eval(ve *vecEnv, active []int, out []tri) error {
 	for _, i := range active {
-		keep, err := rowPasses(ve.ev, ve.rowEnv.schema, ve.b.Row(i), p, ve.rowEnv.outer)
+		ve.rowEnv.row = ve.b.Row(i)
+		keep, err := rowPasses(ve.ev, &ve.rowEnv, p)
 		if err != nil {
 			return err
 		}
@@ -73,6 +74,15 @@ func (r *Rows) fetchBufCap() int {
 	return -1
 }
 
+// rowKey is row's encoding, the key it has in a rowSet.
+func rowKey(row storage.Row) string {
+	var b []byte
+	for _, v := range row {
+		b = appendValue(b, v)
+	}
+	return string(b)
+}
+
 // watchFilters has watch called for every batch filter of db's executions as
 // it is taken from its pool (taken) and as it goes back, cleared, and
 // returns the function that stops watching. Fan-out workers call watch from
@@ -99,6 +109,8 @@ func (f *batchFilter) pinned() string {
 		return "a row env"
 	case f.batch.Len() != 0:
 		return "loaded rows"
+	case len(f.sel) != 0 || f.selHi != 0:
+		return "selected rows"
 	case f.ve.s.nt != 0 || f.ve.s.ni != 0 || f.ve.s.nv != 0 || f.ve.s.hv != 0:
 		return "scratch stack tops"
 	}
@@ -106,6 +118,11 @@ func (f *batchFilter) pinned() string {
 	for _, r := range rows[:cap(rows)] {
 		if r != nil {
 			return "a row"
+		}
+	}
+	for _, r := range f.sel[:cap(f.sel)] {
+		if r != nil {
+			return "a selected row"
 		}
 	}
 	for _, v := range f.ve.s.vals {

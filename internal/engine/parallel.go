@@ -126,7 +126,7 @@ func (f *fanOut) worker(child *executor, work <-chan segTask) {
 		}
 		var res segResult
 		if !scan.refuted(tk.seg) {
-			res.rows, res.err = scan.run(tk.seg*segRows, (tk.seg+1)*segRows, nil)
+			res.rows, res.err = scan.run(tk.seg*segRows, (tk.seg+1)*segRows)
 		}
 		if child.span != nil {
 			sp := child.span.Child("workers")

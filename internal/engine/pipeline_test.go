@@ -20,14 +20,22 @@ import (
 // order the executor defines — scans in heap order, a join in its probe
 // side's order and then its build side's — so results compare row for row,
 // in order. The tables hold NULLs and duplicate rows and have no index, so
-// every scan is sequential.
+// every scan is sequential. A top-level core may be grouped: GROUP BY keys,
+// aggregates over INT and FLOAT columns, HAVING, and ORDER BY an aggregate's
+// alias, whose groups come in the order their first rows arrive.
 
 // pipeTables are the test's tables, each with columns x and y.
 var pipeTables = map[string][][2]int{
 	"a": {{0, 1}, {1, -1}, {2, 2}, {0, 1}, {-1, 0}, {1, 2}},
 	"b": {{1, 0}, {-1, -1}, {2, 1}, {1, 0}, {0, 2}},
 	"c": {{2, 2}, {0, -1}, {1, 1}, {2, 2}},
+	"f": {{1, 0}, {1, 1}, {-1, 2}, {2, -1}, {1, 0}, {0, 1}, {2, 2}},
 }
+
+// pipeFloatY names the tables whose y column is FLOAT: cell v holds v+0.5,
+// so no FLOAT value equals an INT one and every comparison between the two
+// kinds is strict.
+var pipeFloatY = map[string]bool{"f": true}
 
 // pipeValue maps a table cell to a value: -1 is NULL.
 func pipeValue(v int) storage.Value {
@@ -37,21 +45,34 @@ func pipeValue(v int) storage.Value {
 	return storage.NewInt(int64(v))
 }
 
+// pipeRow is the row table name stores for cells r.
+func pipeRow(name string, r [2]int) storage.Row {
+	row := storage.Row{pipeValue(r[0]), pipeValue(r[1])}
+	if pipeFloatY[name] && r[1] >= 0 {
+		row[1] = storage.NewFloat(float64(r[1]) + 0.5)
+	}
+	return row
+}
+
 func buildPipeDB(tb testing.TB) *DB {
 	tb.Helper()
 	db := New(MySQL())
 	db.ScanWorkers = 1
-	schema := storage.MustSchema(
-		storage.Column{Name: "x", Type: storage.KindInt},
-		storage.Column{Name: "y", Type: storage.KindInt},
-	)
-	for _, name := range []string{"a", "b", "c"} {
+	for name, cells := range pipeTables {
+		yKind := storage.KindInt
+		if pipeFloatY[name] {
+			yKind = storage.KindFloat
+		}
+		schema := storage.MustSchema(
+			storage.Column{Name: "x", Type: storage.KindInt},
+			storage.Column{Name: "y", Type: yKind},
+		)
 		if _, err := db.CreateTable(name, schema); err != nil {
 			tb.Fatal(err)
 		}
 		var rows []storage.Row
-		for _, r := range pipeTables[name] {
-			rows = append(rows, storage.Row{pipeValue(r[0]), pipeValue(r[1])})
+		for _, r := range cells {
+			rows = append(rows, pipeRow(name, r))
 		}
 		if err := db.BulkInsert(name, rows); err != nil {
 			tb.Fatal(err)
@@ -87,13 +108,54 @@ func (c pipeCond) String() string {
 	return fmt.Sprintf("%s %s %d", c.l, c.op, c.rv)
 }
 
+// pipeOrder is an ORDER BY key: a column or, when alias is set, the output
+// column of that name.
 type pipeOrder struct {
-	key  pipeCol
-	desc bool
+	key   pipeCol
+	alias string
+	desc  bool
+}
+
+func (o pipeOrder) String() string {
+	k := o.alias
+	if k == "" {
+		k = o.key.String()
+	}
+	if o.desc {
+		return k + " DESC"
+	}
+	return k
+}
+
+// pipeAgg is an aggregate call: fn over arg, or count(*) when star.
+type pipeAgg struct {
+	fn       string // "count", "sum", "min", "max" or "avg"
+	arg      pipeCol
+	star     bool
+	distinct bool
+}
+
+func (a *pipeAgg) String() string {
+	switch {
+	case a.star:
+		return "count(*)"
+	case a.distinct:
+		return fmt.Sprintf("%s(DISTINCT %s)", a.fn, a.arg)
+	}
+	return fmt.Sprintf("%s(%s)", a.fn, a.arg)
+}
+
+// pipeHaving is `agg op rv`.
+type pipeHaving struct {
+	agg *pipeAgg
+	op  string // "=", "!=", "<", ">"
+	rv  int
 }
 
 // pipeCore is one select core. A FROM entry is a base table or, when its
-// sub is set, a derived table whose two columns are named x and y.
+// sub is set, a derived table whose two columns are named x and y. A grouped
+// core's item i is aggs[i] or, when that is nil, items[i], one of its GROUP
+// BY keys.
 type pipeCore struct {
 	tables   []string
 	subs     []*pipeStmt
@@ -104,6 +166,11 @@ type pipeCore struct {
 	order    []pipeOrder
 	limit    int // -1: none
 	offset   int
+
+	grouped bool
+	groupBy []pipeCol
+	aggs    [2]*pipeAgg
+	having  *pipeHaving
 }
 
 type pipeStmt struct {
@@ -128,9 +195,21 @@ func (c *pipeCore) String() string {
 	if c.distinct {
 		b.WriteString("DISTINCT ")
 	}
-	if c.star {
+	switch {
+	case c.star:
 		b.WriteString("*")
-	} else {
+	case c.grouped:
+		for i, alias := range []string{"x", "y"} {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			if a := c.aggs[i]; a != nil {
+				fmt.Fprintf(&b, "%s AS %s", a, alias)
+			} else {
+				fmt.Fprintf(&b, "%s AS %s", c.items[i], alias)
+			}
+		}
+	default:
 		fmt.Fprintf(&b, "%s AS x, %s AS y", c.items[0], c.items[1])
 	}
 	b.WriteString(" FROM ")
@@ -148,12 +227,16 @@ func (c *pipeCore) String() string {
 		b.WriteString([2]string{" WHERE ", " AND "}[min(i, 1)])
 		b.WriteString(cd.String())
 	}
+	for i, k := range c.groupBy {
+		b.WriteString([2]string{" GROUP BY ", ", "}[min(i, 1)])
+		b.WriteString(k.String())
+	}
+	if h := c.having; h != nil {
+		fmt.Fprintf(&b, " HAVING %s %s %d", h.agg, h.op, h.rv)
+	}
 	for i, o := range c.order {
 		b.WriteString([2]string{" ORDER BY ", ", "}[min(i, 1)])
-		b.WriteString(o.key.String())
-		if o.desc {
-			b.WriteString(" DESC")
-		}
+		b.WriteString(o.String())
 	}
 	if c.limit >= 0 {
 		fmt.Fprintf(&b, " LIMIT %d", c.limit)
@@ -168,7 +251,8 @@ func (c *pipeCore) String() string {
 type pipeGen struct{ r *rand.Rand }
 
 // stmt draws a statement of two columns: a core, or at depth 0 and 1 a
-// chain of two to four cores joined by set operations.
+// chain of two to four cores joined by set operations. A top-level statement
+// of one core is grouped half the time.
 func (g pipeGen) stmt(depth int, top bool) *pipeStmt {
 	s := &pipeStmt{cores: []*pipeCore{g.core(depth, top && g.r.Intn(2) == 0)}}
 	if depth < 2 && g.r.Intn(3) == 0 {
@@ -180,7 +264,54 @@ func (g pipeGen) stmt(depth int, top bool) *pipeStmt {
 			c.order, c.limit, c.offset = nil, -1, 0 // a set operation's arms are plain
 		}
 	}
+	if top && len(s.cores) == 1 && g.r.Intn(2) == 0 {
+		g.group(s.cores[0])
+	}
 	return s
+}
+
+// group makes c a grouped core: zero to two GROUP BY keys, each item an
+// aggregate or a key, an optional HAVING, and a tail ordered by the items'
+// aliases or the keys.
+func (g pipeGen) group(c *pipeCore) {
+	n := len(c.tables)
+	col := func() pipeCol { return pipeCol{g.r.Intn(n), g.r.Intn(2)} }
+	agg := func() *pipeAgg {
+		switch k := g.r.Intn(7); k {
+		case 0:
+			return &pipeAgg{fn: "count", star: true}
+		case 1:
+			return &pipeAgg{fn: "count", arg: col(), distinct: true}
+		default:
+			return &pipeAgg{fn: []string{"count", "sum", "min", "max", "avg"}[k-2], arg: col()}
+		}
+	}
+	c.grouped, c.star = true, false
+	for k := g.r.Intn(3); k > 0; k-- {
+		c.groupBy = append(c.groupBy, col())
+	}
+	c.items = make([]pipeCol, 2)
+	for i := range c.items {
+		if len(c.groupBy) > 0 && g.r.Intn(3) == 0 {
+			c.items[i] = c.groupBy[g.r.Intn(len(c.groupBy))]
+		} else {
+			c.aggs[i] = agg()
+		}
+	}
+	if g.r.Intn(3) == 0 {
+		c.having = &pipeHaving{agg: agg(), op: []string{"=", "!=", "<", ">"}[g.r.Intn(4)], rv: g.r.Intn(4)}
+	}
+	c.order, c.limit, c.offset = nil, -1, 0
+	for k := g.r.Intn(3); k > 0; k-- {
+		o := pipeOrder{alias: []string{"x", "y"}[g.r.Intn(2)], desc: g.r.Intn(2) == 0}
+		if len(c.groupBy) > 0 && g.r.Intn(3) == 0 {
+			o.key, o.alias = c.groupBy[g.r.Intn(len(c.groupBy))], ""
+		}
+		c.order = append(c.order, o)
+	}
+	if g.r.Intn(2) == 0 {
+		c.limit, c.offset = 1+g.r.Intn(3), g.r.Intn(3)
+	}
 }
 
 // core draws a core over one to three FROM entries, derived ones only while
@@ -193,7 +324,7 @@ func (g pipeGen) core(depth int, tail bool) *pipeCore {
 		if depth < 2 && g.r.Intn(4) == 0 {
 			sub = g.stmt(depth+1, false)
 		}
-		c.tables = append(c.tables, []string{"a", "b", "c"}[g.r.Intn(3)])
+		c.tables = append(c.tables, []string{"a", "b", "c", "f"}[g.r.Intn(4)])
 		c.subs = append(c.subs, sub)
 	}
 	col := func() pipeCol { return pipeCol{g.r.Intn(n), g.r.Intn(2)} }
@@ -220,7 +351,7 @@ func (g pipeGen) core(depth int, tail bool) *pipeCore {
 	}
 	if tail {
 		for k := g.r.Intn(3); k > 0; k-- {
-			c.order = append(c.order, pipeOrder{col(), g.r.Intn(2) == 0})
+			c.order = append(c.order, pipeOrder{key: col(), desc: g.r.Intn(2) == 0})
 		}
 		if g.r.Intn(2) == 0 {
 			c.limit = g.r.Intn(6)
@@ -278,7 +409,7 @@ func refCore(c *pipeCore) []storage.Row {
 			continue
 		}
 		for _, r := range pipeTables[name] {
-			srcs[i] = append(srcs[i], storage.Row{pipeValue(r[0]), pipeValue(r[1])})
+			srcs[i] = append(srcs[i], pipeRow(name, r))
 		}
 	}
 	// Nested loops in FROM order.
@@ -292,20 +423,28 @@ func refCore(c *pipeCore) []storage.Row {
 		}
 		combos = next
 	}
-	at := func(row storage.Row, c pipeCol) storage.Value { return row[2*c.src+c.col] }
+	var passed []storage.Row
+	for _, row := range combos {
+		if refPasses(c.conds, func(col pipeCol) storage.Value { return refAt(row, col) }) {
+			passed = append(passed, row)
+		}
+	}
 	var rows []storage.Row
 	var keys [][]storage.Value
-	for _, row := range combos {
-		if !refPasses(c.conds, func(col pipeCol) storage.Value { return at(row, col) }) {
-			continue
+	if c.grouped {
+		rows, keys = refGroups(c, passed)
+	}
+	for _, row := range passed {
+		if c.grouped {
+			break
 		}
 		out := row
 		if !c.star {
-			out = storage.Row{at(row, c.items[0]), at(row, c.items[1])}
+			out = storage.Row{refAt(row, c.items[0]), refAt(row, c.items[1])}
 		}
 		var k []storage.Value
 		for _, o := range c.order {
-			k = append(k, at(row, o.key))
+			k = append(k, refAt(row, o.key))
 		}
 		rows, keys = append(rows, out), append(keys, k)
 	}
@@ -342,7 +481,122 @@ func refCore(c *pipeCore) []storage.Row {
 	return rows
 }
 
-// refCompare orders NULL before every value.
+// refAt is column c of a joined row.
+func refAt(row storage.Row, c pipeCol) storage.Value { return row[2*c.src+c.col] }
+
+// refGroups groups a grouped core's filtered rows by its keys, NULL keys
+// together, in the order each group's first row arrives (one group over all
+// of them, however few, without keys), and returns the output rows of the
+// groups HAVING keeps with their ORDER BY keys. A key item and a key column
+// read the group's first row.
+func refGroups(c *pipeCore, passed []storage.Row) ([]storage.Row, [][]storage.Value) {
+	var order []string
+	groups := make(map[string][]storage.Row)
+	if len(c.groupBy) == 0 {
+		order, groups[""] = []string{""}, passed
+	}
+	for _, row := range passed {
+		if len(c.groupBy) == 0 {
+			break
+		}
+		var k []storage.Value
+		for _, col := range c.groupBy {
+			k = append(k, refAt(row, col))
+		}
+		ks := fmt.Sprint(k)
+		if _, ok := groups[ks]; !ok {
+			order = append(order, ks)
+		}
+		groups[ks] = append(groups[ks], row)
+	}
+	var rows []storage.Row
+	var keys [][]storage.Value
+	for _, ks := range order {
+		g := groups[ks]
+		if h := c.having; h != nil && !refTrue(h.op, refAgg(h.agg, g), pipeValue(h.rv)) {
+			continue
+		}
+		out := make(storage.Row, 2)
+		for i := range out {
+			if c.aggs[i] != nil {
+				out[i] = refAgg(c.aggs[i], g)
+			} else {
+				out[i] = refAt(g[0], c.items[i])
+			}
+		}
+		var k []storage.Value
+		for _, o := range c.order {
+			switch o.alias {
+			case "x":
+				k = append(k, out[0])
+			case "y":
+				k = append(k, out[1])
+			default:
+				k = append(k, refAt(g[0], o.key))
+			}
+		}
+		rows, keys = append(rows, out), append(keys, k)
+	}
+	return rows, keys
+}
+
+// refAgg evaluates a over a group's rows: NULLs are skipped, a sum is FLOAT
+// once a FLOAT value is summed, and an aggregate over no value is NULL, a
+// count 0.
+func refAgg(a *pipeAgg, rows []storage.Row) storage.Value {
+	if a.star {
+		return storage.NewInt(int64(len(rows)))
+	}
+	var vals []storage.Value
+	seen := make(map[string]bool)
+	for _, row := range rows {
+		v := refAt(row, a.arg)
+		if v.IsNull() || (a.distinct && seen[v.String()]) {
+			continue
+		}
+		seen[v.String()] = true
+		vals = append(vals, v)
+	}
+	if a.fn == "count" {
+		return storage.NewInt(int64(len(vals)))
+	}
+	if len(vals) == 0 {
+		return storage.Null
+	}
+	var sumI int64
+	var sumF float64
+	anyFloat := false
+	lo, hi := vals[0], vals[0]
+	for _, v := range vals {
+		if v.K == storage.KindFloat {
+			anyFloat = true
+		} else {
+			sumI += v.I
+		}
+		sumF += v.Float()
+		if refCompare(v, lo) < 0 {
+			lo = v
+		}
+		if refCompare(v, hi) > 0 {
+			hi = v
+		}
+	}
+	switch a.fn {
+	case "min":
+		return lo
+	case "max":
+		return hi
+	case "avg":
+		return storage.NewFloat(sumF / float64(len(vals)))
+	}
+	if anyFloat {
+		return storage.NewFloat(sumF)
+	}
+	return storage.NewInt(sumI)
+}
+
+// refCompare orders NULL before every value, and numbers by value whatever
+// their kind.
 func refCompare(a, b storage.Value) int {
 	switch {
 	case a.IsNull() && b.IsNull():
@@ -352,7 +606,17 @@ func refCompare(a, b storage.Value) int {
 	case b.IsNull():
 		return 1
 	}
-	return int(a.I - b.I)
+	c, _ := storage.Compare(a, b)
+	return c
+}
+
+// refTrue reports whether `l op r` is true: false when either is NULL.
+func refTrue(op string, l, r storage.Value) bool {
+	if l.IsNull() || r.IsNull() {
+		return false
+	}
+	d := refCompare(l, r)
+	return map[string]bool{"=": d == 0, "!=": d != 0, "<": d < 0, ">": d > 0}[op]
 }
 
 // refPasses reports whether every condition is true (not false, not NULL).
@@ -369,10 +633,7 @@ func refPasses(conds []pipeCond, val func(pipeCol) storage.Value) bool {
 		if cd.rc != nil {
 			r = val(*cd.rc)
 		}
-		if l.IsNull() || r.IsNull() {
-			return false
-		}
-		if ok := map[string]bool{"=": l.I == r.I, "!=": l.I != r.I, "<": l.I < r.I}[cd.op]; !ok {
+		if !refTrue(cd.op, l, r) {
 			return false
 		}
 	}
@@ -394,8 +655,10 @@ func checkPipe(t *testing.T, db *DB, s *pipeStmt) {
 
 // TestRowPipelineMatchesReference draws statements over DISTINCT, ORDER BY
 // (non-selected keys under DISTINCT included), LIMIT/OFFSET, UNION, UNION
-// ALL and MINUS chains, two- and three-way equi and non-equi joins and
-// derived tables, and holds each to the reference.
+// ALL and MINUS chains, two- and three-way equi and non-equi joins, derived
+// tables and grouped cores (GROUP BY over zero to two keys, count, count
+// DISTINCT, sum, min, max and avg over INT and FLOAT columns, HAVING, ORDER
+// BY an aggregate's alias), and holds each to the reference.
 func TestRowPipelineMatchesReference(t *testing.T) {
 	db := buildPipeDB(t)
 	for seed := int64(0); seed < 600; seed++ {

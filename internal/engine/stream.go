@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math/bits"
-	"strings"
 	"sync"
 	"time"
 
@@ -237,18 +236,20 @@ func (it *sliceIter) Close() {}
 // batchFilter is one goroutine's compiled filter at work: the shared
 // program, and this goroutine's batch, scratch and evaluator, tallying into
 // its own executor. An index fetch list has one; a sequential scan has one
-// on the consumer's goroutine and one per fan-out worker. The batch and the
-// scratch stacks are the scan's working memory and outlive the execution:
-// a filter comes from filterPool and its owner releases it exactly once,
-// when it is done with it, so the next scan on this P starts at the capacity
-// the last one grew to. An owner that is never closed releases nothing; its
-// filter is collected.
+// on the consumer's goroutine and one per fan-out worker. The batch, the
+// scratch stacks and the selected-rows buffer are the scan's working memory
+// and outlive the execution: a filter comes from filterPool and its owner
+// releases it exactly once, when it is done with it, so the next scan on
+// this P starts at the capacity the last one grew to. An owner that is never
+// closed releases nothing; its filter is collected.
 type batchFilter struct {
 	ex    *executor
 	prog  *vecProgram // nil: nothing to filter
 	ve    vecEnv
 	ev    evaluator
 	batch storage.Batch
+	sel   []storage.Row // the last batch's selected rows (selected)
+	selHi int           // the most rows sel has held since the filter was taken
 }
 
 var filterPool = sync.Pool{New: func() any { return new(batchFilter) }}
@@ -275,6 +276,8 @@ func (f *batchFilter) release() {
 	watch := f.ex.db.filterEvents.Load()
 	f.batch.Clear()
 	f.ve.s.clear()
+	clear(f.sel[:f.selHi])
+	f.sel, f.selHi = f.sel[:0], 0
 	f.ex, f.prog, f.ev = nil, nil, evaluator{}
 	f.ve.b, f.ve.ev, f.ve.poll = nil, nil, nil
 	f.ve.rowEnv.schema, f.ve.rowEnv.row, f.ve.rowEnv.outer = nil, nil, nil
@@ -282,6 +285,17 @@ func (f *batchFilter) release() {
 		(*watch)(f, false)
 	}
 	filterPool.Put(f)
+}
+
+// selected runs the filter over the n rows just loaded into f.batch and
+// returns the selected ones in f's own buffer, valid until the next call:
+// the consumer goroutine's batches, which it has read before it loads the
+// next.
+func (f *batchFilter) selected(n int) ([]storage.Row, error) {
+	var err error
+	f.sel, err = f.apply(n, f.sel[:0])
+	f.selHi = max(f.selHi, len(f.sel))
+	return f.sel, err
 }
 
 // apply runs the filter over the n rows just loaded into f.batch and appends
@@ -334,8 +348,8 @@ type fetchIter struct {
 	view   *storage.View
 	filter *batchFilter
 	ids    idCursor
-	size   int // next batch's length in ids
-	buf    []storage.Row
+	size   int           // next batch's length in ids
+	buf    []storage.Row // the filter's selected rows
 	pos    int
 	closed bool
 }
@@ -359,7 +373,7 @@ func (it *fetchIter) Next() (storage.Row, error) {
 		n := it.view.FetchBatch(ids, &it.filter.batch)
 		it.size = min(2*it.size, storage.SegmentSize)
 		var err error
-		it.buf, err = it.filter.apply(n, it.buf[:0])
+		it.buf, err = it.filter.selected(n)
 		it.pos = 0
 		if err != nil {
 			return nil, err
@@ -393,7 +407,9 @@ func (it *fetchIter) Close() {
 // lookup in the order the index lists them, or the union of several as a
 // bitmap over the view's heap slots, walked word by word in heap order. The
 // walk zeroes each word it reads, so the full id list of a union is never
-// built and a walked bitmap goes back to its pool clean.
+// built and a walked bitmap goes back to its pool clean. The walk's id
+// buffer is sized once, for the largest batch the bitmap's unread ids can
+// fill, and goes back to the pool with the bitmap however the walk ends.
 type idCursor struct {
 	list []storage.RowID // one lookup's ids not yet handed out
 	bm   *bitmap         // a union; nil for one lookup and once closed
@@ -411,10 +427,14 @@ func (c *idCursor) next(n int) []storage.RowID {
 		c.list = c.list[n:]
 		return ids
 	}
-	if cap(c.buf) < n {
-		c.buf = make([]storage.RowID, 0, n)
-	}
 	ids, words := c.buf[:0], c.bm.words
+	if cap(ids) < n {
+		left := bits.OnesCount64(c.cur)
+		for _, w := range words[c.word:] {
+			left += bits.OnesCount64(w)
+		}
+		ids = make([]storage.RowID, 0, min(storage.SegmentSize, left))
+	}
 	for len(ids) < n {
 		if c.cur == 0 {
 			w := c.word
@@ -441,13 +461,18 @@ func (c *idCursor) next(n int) []storage.RowID {
 	return ids
 }
 
-// close ends the cursor: a bitmap walked to its end goes back to the pool
-// with the id buffer, one closed early is dropped. Idempotent.
+// close ends the cursor and hands the bitmap back to the pool with the id
+// buffer: its words too when the walk has zeroed them, none when it was
+// closed early. Idempotent.
 func (c *idCursor) close() {
-	if c.bm != nil && c.cur == 0 && c.word == len(c.bm.words) {
-		c.bm.ids = c.buf[:0]
-		bitmapPool.Put(c.bm)
+	if c.bm == nil {
+		return
 	}
+	if c.cur != 0 || c.word != len(c.bm.words) {
+		c.bm.words = nil
+	}
+	c.bm.ids = c.buf[:0]
+	bitmapPool.Put(c.bm)
 	c.bm = nil
 }
 
@@ -552,12 +577,11 @@ func (it *scanIter) Next() (storage.Row, error) {
 }
 
 // nextBatch returns the next batch's selected rows (possibly none; the
-// slice is buf, reused), or starts the fan-out and returns none; more is
-// false at heap end.
+// slice is the consumer filter's buffer), or starts the fan-out and returns
+// none; more is false at heap end.
 func (it *scanIter) nextBatch() (rows []storage.Row, more bool, err error) {
-	rows = it.buf[:0]
 	if it.slot >= it.view.NumSlots() {
-		return rows, false, nil
+		return nil, false, nil
 	}
 	segRows := it.view.SegmentRows()
 	seg := it.slot / segRows
@@ -565,15 +589,15 @@ func (it *scanIter) nextBatch() (rows []storage.Row, more bool, err error) {
 	if it.slot == seg*segRows { // entering a segment
 		if w := min(it.workers, it.view.NumSegments()-seg); it.ramped && w > 1 {
 			it.fan = startFanOut(it, seg, w)
-			return rows, true, nil
+			return nil, true, nil
 		}
 		if it.scan.refuted(seg) {
 			it.slot = end
-			return rows, true, nil
+			return nil, true, nil
 		}
 	}
 	hi := min(it.slot+it.size, end)
-	rows, err = it.scan.run(it.slot, hi, rows)
+	rows, err = it.scan.selected(it.view.ScanBatch(it.slot, hi, &it.scan.batch))
 	it.slot = hi
 	it.ramped = it.ramped || hi == end
 	if it.size < segRows {
@@ -645,18 +669,19 @@ func (s *segScanner) refuted(seg int) bool {
 }
 
 // run loads heap slots [lo, hi) as a batch, runs the filter over it and
-// appends the selected rows to dst.
-func (s *segScanner) run(lo, hi int, dst []storage.Row) ([]storage.Row, error) {
-	return s.apply(s.view.ScanBatch(lo, hi, &s.batch), dst)
+// returns the selected rows in a slice of their own: a fan-out worker's
+// segment, which the consumer reads while the worker loads the next.
+func (s *segScanner) run(lo, hi int) ([]storage.Row, error) {
+	return s.apply(s.view.ScanBatch(lo, hi, &s.batch), nil)
 }
 
-// filterIter applies conjuncts to the rows of a derived source or a join.
+// filterIter applies conjuncts to the rows of a derived source or a join,
+// each row bound in turn to its one env.
 type filterIter struct {
-	src    rowIter
-	schema *RelSchema
-	conjs  []sqlparser.Expr
-	ev     *evaluator
-	outer  *env
+	src   rowIter
+	conjs []sqlparser.Expr
+	ev    evaluator
+	en    env
 }
 
 func (it *filterIter) Next() (storage.Row, error) {
@@ -665,7 +690,8 @@ func (it *filterIter) Next() (storage.Row, error) {
 		if err != nil || row == nil {
 			return nil, err
 		}
-		keep, err := rowPasses(it.ev, it.schema, row, it.conjs, it.outer)
+		it.en.row = row
+		keep, err := rowPasses(&it.ev, &it.en, it.conjs)
 		if err != nil {
 			return nil, err
 		}
@@ -677,13 +703,13 @@ func (it *filterIter) Next() (storage.Row, error) {
 
 func (it *filterIter) Close() { it.src.Close() }
 
-// projIter evaluates the select list per input row.
+// projIter evaluates the select list per input row, each row bound in turn
+// to its one env.
 type projIter struct {
-	src    rowIter
-	items  []sqlparser.SelectItem
-	schema *RelSchema
-	ev     *evaluator
-	outer  *env
+	src   rowIter
+	items []sqlparser.SelectItem
+	ev    evaluator
+	en    env
 }
 
 func (it *projIter) Next() (storage.Row, error) {
@@ -691,10 +717,10 @@ func (it *projIter) Next() (storage.Row, error) {
 	if err != nil || row == nil {
 		return nil, err
 	}
-	en := &env{schema: it.schema, row: row, outer: it.outer}
+	it.en.row = row
 	out := make(storage.Row, len(it.items))
 	for i, item := range it.items {
-		v, err := it.ev.eval(item.Expr, en)
+		v, err := it.ev.eval(item.Expr, &it.en)
 		if err != nil {
 			return nil, err
 		}
@@ -716,16 +742,14 @@ type distinctIter struct {
 }
 
 func (it *distinctIter) Next() (storage.Row, error) {
-	if it.seen == nil {
-		it.seen = make(rowSet)
-		if it.minus != nil {
-			rows, err := drainIter(it.minus)
-			if err != nil {
-				return nil, err
-			}
-			for _, row := range rows {
-				it.seen.add(row)
-			}
+	if it.minus != nil {
+		rows, err := drainIter(it.minus)
+		it.minus = nil
+		if err != nil {
+			return nil, err
+		}
+		for _, row := range rows {
+			it.seen.add(row)
 		}
 	}
 	for {
@@ -791,7 +815,7 @@ type joinIter struct {
 	table   map[string][]storage.Row // the hash join's build side
 	lrow    storage.Row
 	matches []storage.Row // lrow's build rows not yet joined
-	b       strings.Builder
+	kb      []byte        // the last key, encoded
 }
 
 func (it *joinIter) Next() (storage.Row, error) {
@@ -807,10 +831,9 @@ func (it *joinIter) Next() (storage.Row, error) {
 		}
 		it.lrow, it.matches = lrow, it.inner
 		if it.table != nil {
-			k, ok := it.key(lrow, it.lkeys)
-			it.matches = it.table[k]
-			if !ok {
-				it.matches = nil
+			it.matches = nil
+			if it.key(lrow, it.lkeys) {
+				it.matches = it.table[string(it.kb)]
 			}
 		}
 	}
@@ -837,23 +860,23 @@ func (it *joinIter) buildSide() error {
 	}
 	it.table = make(map[string][]storage.Row, len(rows))
 	for _, row := range rows {
-		if k, ok := it.key(row, it.rkeys); ok {
-			it.table[k] = append(it.table[k], row)
+		if it.key(row, it.rkeys) {
+			it.table[string(it.kb)] = append(it.table[string(it.kb)], row)
 		}
 	}
 	return nil
 }
 
-// key encodes row's values at keys; ok is false when one is NULL.
-func (it *joinIter) key(row storage.Row, keys []int) (string, bool) {
-	it.b.Reset()
+// key encodes row's values at keys into kb; false when one is NULL.
+func (it *joinIter) key(row storage.Row, keys []int) bool {
+	it.kb = it.kb[:0]
 	for _, k := range keys {
 		if row[k].IsNull() {
-			return "", false
+			return false
 		}
-		encodeValue(&it.b, row[k])
+		it.kb = appendValue(it.kb, row[k])
 	}
-	return it.b.String(), true
+	return true
 }
 
 func (it *joinIter) Close() {
@@ -863,29 +886,35 @@ func (it *joinIter) Close() {
 }
 
 // projectIter is a grouped or ordered core's projection: at the first Next
-// it drains its input into project and then hands out project's rows.
+// it runs its input through a projector, streamed, and then hands out the
+// rows the projector kept, in order.
 type projectIter struct {
-	sliceIter
-	src    rowIter
-	core   *sqlparser.SelectCore
-	schema *RelSchema
-	sc     *scope
-	outer  *env
-	done   bool
+	p    *projector
+	src  rowIter
+	rows []keyedRow
+	pos  int
+	done bool
 }
 
 func (it *projectIter) Next() (storage.Row, error) {
 	if !it.done {
 		it.done = true
-		rows, err := drainIter(it.src)
+		var err error
+		it.rows, err = it.p.run(it.src)
+		it.src.Close()
 		if err != nil {
 			return nil, err
 		}
-		if it.rows, err = it.ex.project(it.core, it.schema, rows, it.sc, it.outer); err != nil {
-			return nil, err
-		}
 	}
-	return it.sliceIter.Next()
+	if err := it.p.ex.checkCtx(); err != nil {
+		return nil, err
+	}
+	if it.pos >= len(it.rows) {
+		return nil, nil
+	}
+	row := it.rows[it.pos].row
+	it.pos++
+	return row, nil
 }
 
 func (it *projectIter) Close() {
