@@ -66,7 +66,7 @@ func (m *Middleware) rewriteBaseline(kind BaselineKind, sql string, qm policy.Me
 		ps := m.store.PoliciesFor(qm, relation, m.groups)
 		switch kind {
 		case BaselineP:
-			m.appendPerCore(stmt, relation, func(refName string) sqlparser.Expr {
+			appendPerCore(stmt, relation, func(refName string) sqlparser.Expr {
 				if e := policy.Expression(ps, refName); e != nil {
 					return e
 				}
@@ -81,7 +81,7 @@ func (m *Middleware) rewriteBaseline(kind BaselineKind, sql string, qm policy.Me
 				return nil, sets, err
 			}
 			sets = append(sets, setID)
-			m.appendPerCore(stmt, relation, func(refName string) sqlparser.Expr {
+			appendPerCore(stmt, relation, func(refName string) sqlparser.Expr {
 				if len(ps) == 0 {
 					return sqlparser.Lit(storage.NewBool(false))
 				}
@@ -107,48 +107,13 @@ func (m *Middleware) rewriteBaseline(kind BaselineKind, sql string, qm policy.Me
 // core that references the relation, for each reference, wherever the core
 // sits — expression subqueries included (policy checks precede any
 // non-monotonic set operation, §3.1), and ahead of every conjunct that can
-// raise (sqlparser.Guarded). A conjunct reading a column no base table of
-// the core is known to have can raise too — the engine resolves a column
-// when a row reaches it — and goes last.
-func (m *Middleware) appendPerCore(stmt *sqlparser.SelectStmt, relation string, mk func(refName string) sqlparser.Expr) {
+// raise (sqlparser.Guarded).
+func appendPerCore(stmt *sqlparser.SelectStmt, relation string, mk func(refName string) sqlparser.Expr) {
 	forEachBaseRef(stmt, func(c *sqlparser.SelectCore, ref *sqlparser.TableRef) {
-		if ref.Name != relation {
-			return
+		if ref.Name == relation {
+			c.Where = sqlparser.Guarded(sqlparser.Conjuncts(c.Where), mk(ref.RefName()))
 		}
-		var known, unknown []sqlparser.Expr
-		for _, conj := range sqlparser.Conjuncts(c.Where) {
-			if m.readsKnownColumns(c, conj) {
-				known = append(known, conj)
-			} else {
-				unknown = append(unknown, conj)
-			}
-		}
-		c.Where = sqlparser.And(append([]sqlparser.Expr{sqlparser.Guarded(known, mk(ref.RefName()))}, unknown...)...)
 	})
-}
-
-// readsKnownColumns reports whether every column e reads, outside its
-// subqueries, is a column of exactly one base table in c's FROM: qualified
-// with that entry's name, or unqualified.
-func (m *Middleware) readsKnownColumns(c *sqlparser.SelectCore, e sqlparser.Expr) bool {
-	known := true
-	sqlparser.Walk(e, false, func(x sqlparser.Expr) {
-		col, ok := x.(*sqlparser.ColRef)
-		if !ok {
-			return
-		}
-		found := 0
-		for _, ref := range c.From {
-			if ref.Subquery != nil || col.Table != "" && col.Table != ref.RefName() {
-				continue
-			}
-			if t, ok := m.db.Table(ref.Name); ok && t.Schema.HasColumn(col.Column) {
-				found++
-			}
-		}
-		known = known && found == 1
-	})
-	return known
 }
 
 // buildBaselineICTE constructs BaselineI's projection: one forced

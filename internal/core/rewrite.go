@@ -148,21 +148,21 @@ func redirect(ref *sqlparser.TableRef, cteName string) {
 // moveConjuncts removes from c's WHERE the conjuncts that read ref alone and
 // returns them re-qualified to the relation's own name, for ref's guarded
 // CTE (§5.5's selective query predicates). A conjunct reads ref alone when
-// it holds no subquery and every column it reads is in the relation's
-// schema and qualified with ref's name or — when ref is c's only FROM
-// entry — unqualified. Comma joins are the only joins, so a WHERE conjunct
+// it holds no subquery and every column it reads is qualified with ref's
+// name or — when ref is c's only FROM entry — unqualified and in the
+// relation's schema. Comma joins are the only joins, so a WHERE conjunct
 // filters its entry the same inside the CTE as outside it. A column the
-// relation lacks keeps its conjunct outside, behind the guard: resolved
-// only when a row reaches it, it must not fail on a row the querier may
-// not see.
+// relation lacks fails the open wherever it sits (the engine binds every
+// name before it reads a row), so it cannot tell a denied row from an
+// absent one.
 func (m *Middleware) moveConjuncts(c *sqlparser.SelectCore, ref *sqlparser.TableRef) []sqlparser.Expr {
 	refName, schema, alone := ref.RefName(), m.db.MustTable(ref.Name).Schema, len(c.From) == 1
 	var moved, kept []sqlparser.Expr
 	for _, conj := range sqlparser.Conjuncts(c.Where) {
 		own := !sqlparser.HasSubquery(conj)
 		sqlparser.Walk(conj, false, func(x sqlparser.Expr) {
-			if col, ok := x.(*sqlparser.ColRef); ok && (!schema.HasColumn(col.Column) ||
-				col.Table != refName && (col.Table != "" || !alone)) {
+			if col, ok := x.(*sqlparser.ColRef); ok && col.Table != refName &&
+				(col.Table != "" || !alone || !schema.HasColumn(col.Column)) {
 				own = false
 			}
 		})

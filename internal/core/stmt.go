@@ -53,8 +53,8 @@ type preparedPlan struct {
 	// res is the resolution the plan was rewritten from: the plan dies with
 	// the first of its states to retire.
 	res []resolution
-	// exec is stmt bound to the engine: what the executor derives from the
-	// rewritten statement alone (conjunct classification, sargs, the
+	// exec is stmt bound to the engine: what the bind pass derives from the
+	// rewritten statement alone (every name, conjunct placement, sargs, the
 	// compiled filter) is derived once and lives as long as the plan. The
 	// guard disjunction's parts are not the plan's: they belong to the
 	// guard state (geState.filter) and every execution over it shares them.

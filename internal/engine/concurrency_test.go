@@ -35,7 +35,11 @@ func TestConcurrentReaders(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
 				ex := &executor{db: db, counters: &Counters{}}
-				if _, err := ex.selectStmt(stmts[(w+i)%len(stmts)], newScope(nil), nil); err != nil {
+				sb, err := db.bind(stmts[(w+i)%len(stmts)])
+				if err == nil {
+					_, err = ex.selectStmt(sb, nil, nil)
+				}
+				if err != nil {
 					errs <- err
 					return
 				}

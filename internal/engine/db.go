@@ -95,7 +95,7 @@ type DB struct {
 	// rowReference, when set, compiles this DB's base-table filters in
 	// compileVecProgram's place. Only the test-only UseRowReference
 	// (export_test.go) sets it; it is nil in every other DB.
-	rowReference atomic.Pointer[func([]sqlparser.Expr, *RelSchema) *vecProgram]
+	rowReference atomic.Pointer[func(*tableBinding) *vecProgram]
 
 	// filterEvents, when set, sees every batch filter of this DB's
 	// executions as it is taken from its pool (taken) and as it goes back,
@@ -528,26 +528,25 @@ func (db *DB) StreamStmt(ctx context.Context, stmt *sqlparser.SelectStmt) (*Rows
 }
 
 // stream is StreamStmt over an optional plan cache (Prepared.Stream): the
-// one way a statement runs. The open — WITH bodies read more than once
-// materialise here — is timed into the executor's "scan" span, as every
-// later Rows.Next is.
+// one way a statement runs. The open — the bind pass, unless the cache
+// keeps its result, then WITH bodies read more than once, which materialise
+// here — is timed into the executor's "scan" span, as every later Rows.Next
+// is.
 func (db *DB) stream(ctx context.Context, stmt *sqlparser.SelectStmt, cache *planCache) (*Rows, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if cache == nil {
-		if err := db.unbound(stmt); err != nil {
-			return nil, err
-		}
-	}
 	r := &Rows{}
 	ex := r.ex.init(ctx, db)
-	ex.cache = cache
 	var t0 time.Time
 	if ex.span != nil {
 		t0 = time.Now()
 	}
-	cols, it, err := ex.stmtIter(stmt, newScope(nil), nil)
+	sb, err := cache.bind(db, stmt)
+	var it rowIter
+	if err == nil {
+		it, err = ex.stmtIter(sb, nil, nil)
+	}
 	if ex.span != nil {
 		ex.span.AddSince(t0)
 	}
@@ -555,15 +554,6 @@ func (db *DB) stream(ctx context.Context, stmt *sqlparser.SelectStmt, cache *pla
 		ex.flush(db)
 		return nil, err
 	}
-	r.cols, r.it = cols, it
+	r.cols, r.it = sb.body.cols, it
 	return r, nil
-}
-
-// Explain plans the statement's first select core without executing it and
-// reports, per base table, the access path the optimizer would use and its
-// estimated selectivity. This is the §5.5 input to SIEVE's strategy choice.
-func (db *DB) Explain(stmt *sqlparser.SelectStmt) (*Explain, error) {
-	ex := db.newExecutor(context.Background())
-	defer ex.flush(db)
-	return ex.explain(stmt)
 }

@@ -202,7 +202,7 @@ func TestVectorDispatchFuzz(t *testing.T) {
 				}
 			}
 			or := mustParseWhere(t, where)
-			if p, ok := compileVecProgram([]sqlparser.Expr{or}, qualifySchema("t", db.MustTable("t").Schema), nil).preds[0].(*dispatchOr); ok && p.col >= 0 {
+			if p, ok := compileVecProgram(scanFilter(t, db, "t", or)).preds[0].(*dispatchOr); ok && p.col >= 0 {
 				sawDispatch = true
 			}
 		}
@@ -218,7 +218,6 @@ func TestVectorDispatchFuzz(t *testing.T) {
 // conjunct that can fail or have an effect.
 func TestDispatchKeysRespectEvaluationOrder(t *testing.T) {
 	db := dispatchFixture(t, storage.KindInt)
-	vc := &vecCompiler{schema: qualifySchema("t", db.MustTable("t").Schema)}
 	for _, tc := range []struct {
 		arm  string
 		want []int64 // nil: keyless
@@ -238,7 +237,10 @@ func TestDispatchKeysRespectEvaluationOrder(t *testing.T) {
 		{"owner <> 3", nil},
 		{"owner NOT IN (1, 2)", nil},
 	} {
-		pairs, ok := vc.keysOn(mustParseWhere(t, tc.arm), 0, 0, nil)
+		arm := mustParseWhere(t, tc.arm)
+		tb := scanFilter(t, db, "t", arm)
+		vc := &vecCompiler{b: tb.b, frame: tb.schema}
+		pairs, ok := vc.keysOn(arm, 0, 0, nil)
 		var got []int64
 		for _, p := range pairs {
 			got = append(got, p.key)

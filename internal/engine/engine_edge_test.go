@@ -73,7 +73,7 @@ func TestEvalPredicateWithCorrelatedSubquery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := db.EvalPredicate(expr, schema, row)
+	v, err := db.EvalPredicateWith(nil, expr, schema, row)
 	if err != nil {
 		t.Fatal(err)
 	}

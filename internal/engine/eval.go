@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"github.com/sieve-db/sieve/internal/sqlparser"
 	"github.com/sieve-db/sieve/internal/storage"
@@ -23,8 +22,8 @@ type RelSchema struct {
 }
 
 // Resolve returns the position of the referenced column. Unqualified names
-// must be unambiguous. The error distinguishes "not found" so the evaluator
-// can fall back to an outer scope for correlated subqueries.
+// must be unambiguous. The error distinguishes "not found" so the bind pass
+// can go on to an enclosing query's row for a correlated subquery.
 func (s *RelSchema) Resolve(table, col string) (int, error) {
 	found := -1
 	for i, c := range s.Cols {
@@ -47,51 +46,23 @@ func (s *RelSchema) Resolve(table, col string) (int, error) {
 
 var errColNotFound = fmt.Errorf("engine: column not found")
 
-// ColumnNames returns the bare column names in order.
-func (s *RelSchema) ColumnNames() []string {
-	out := make([]string, len(s.Cols))
-	for i, c := range s.Cols {
-		out[i] = c.Name
-	}
-	return out
-}
-
-// env binds a tuple to a relation schema, with a link to the enclosing
-// query's env for correlated subqueries. An operator keeps one env and
-// binds each of its rows to it in turn. An env without a schema binds
-// nothing: it is the boundary an expression subquery's first run is
-// evaluated behind (executor.subquery), and reached records that some
-// column lookup resolved past it, into the enclosing query's row. Only a
-// boundary is ever marked reached, so a reused env carries nothing from
-// one row to the next.
+// env is the row an operator evaluates its expressions on, with a link to
+// the enclosing query's row for correlated subqueries. An operator keeps one
+// env and binds each of its rows to it in turn. schema lays the row out for
+// a UDF (UDFContext.Columns); evaluation reads the row by the slots the bind
+// pass resolved.
 type env struct {
-	schema  *RelSchema
-	row     storage.Row
-	outer   *env
-	reached atomic.Bool // fan-out workers may resolve past the same boundary
+	schema *RelSchema
+	row    storage.Row
+	outer  *env
 }
 
-// lookup resolves a column reference through the env chain, marking every
-// boundary it resolves past as reached.
-func (e *env) lookup(table, col string) (storage.Value, error) {
-	for cur := e; cur != nil; cur = cur.outer {
-		if cur.schema == nil {
-			continue
-		}
-		i, err := cur.schema.Resolve(table, col)
-		if err == nil {
-			for b := e; b != cur; b = b.outer {
-				if b.schema == nil && !b.reached.Load() {
-					b.reached.Store(true)
-				}
-			}
-			return cur.row[i], nil
-		}
-		if err != errColNotFound {
-			return storage.Null, err
-		}
+// value is the value a bound column reference reads.
+func (e *env) value(r colRef) storage.Value {
+	for range r.up {
+		e = e.outer
 	}
-	return storage.Null, fmt.Errorf("engine: unknown column %s", formatColRef(table, col))
+	return e.row[r.slot]
 }
 
 func formatColRef(table, col string) string {
@@ -109,25 +80,13 @@ var aggregateNames = map[string]bool{
 
 func isAggregateName(name string) bool { return aggregateNames[strings.ToLower(name)] }
 
-// containsAggregate reports whether e contains an aggregate call outside of
-// subqueries.
-func containsAggregate(e sqlparser.Expr) bool {
-	found := false
-	sqlparser.Walk(e, false, func(x sqlparser.Expr) {
-		if fc, ok := x.(*sqlparser.FuncCall); ok && (fc.Star || isAggregateName(fc.Name)) {
-			if fc.Star || isAggregateName(fc.Name) {
-				found = true
-			}
-		}
-	})
-	return found
-}
-
-// evaluator interprets expressions over tuples. aggValues, when set, carries
-// the precomputed aggregate results for the current group keyed by AST node.
+// evaluator interprets expressions over tuples, reading their names as b
+// bound them. aggValues, when set, carries the precomputed aggregate
+// results for the current group keyed by AST node.
 type evaluator struct {
 	ex        *executor
 	scope     *scope
+	b         *binding
 	aggValues map[sqlparser.Expr]storage.Value
 }
 
@@ -151,7 +110,11 @@ func (ev *evaluator) eval(e sqlparser.Expr, en *env) (storage.Value, error) {
 	case *sqlparser.Literal:
 		return x.Val, nil
 	case *sqlparser.ColRef:
-		return en.lookup(x.Table, x.Column)
+		r, ok := ev.b.cols[x]
+		if !ok {
+			return storage.Null, fmt.Errorf("engine: internal error: column %s is not bound", formatColRef(x.Table, x.Column))
+		}
+		return en.value(r), nil
 	case *sqlparser.BinaryExpr:
 		return ev.evalBinary(x, en)
 	case *sqlparser.CompareExpr:
@@ -205,7 +168,7 @@ func (ev *evaluator) eval(e sqlparser.Expr, en *env) (storage.Value, error) {
 	case *sqlparser.SubqueryExpr:
 		return ev.evalScalarSubquery(x.Select, en)
 	case *sqlparser.ExistsExpr:
-		res, _, err := ev.ex.subquery(x.Select, ev.scope, en)
+		res, _, err := ev.ex.subquery(ev.b.subs[x.Select], ev.scope, en)
 		if err != nil {
 			return storage.Null, err
 		}
@@ -295,7 +258,7 @@ func (ev *evaluator) inSet(x *sqlparser.InExpr, en *env) (*memberSet, error) {
 	if x.Sub == nil {
 		return ev.ex.literalSet(x), nil
 	}
-	res, once, err := ev.ex.subquery(x.Sub, ev.scope, en)
+	res, once, err := ev.ex.subquery(ev.b.subs[x.Sub], ev.scope, en)
 	if err != nil {
 		return nil, err
 	}
@@ -354,7 +317,7 @@ func (ev *evaluator) evalFunc(x *sqlparser.FuncCall, en *env) (storage.Value, er
 // engine documents MySQL-with-LIMIT-1 semantics; the paper's derived-value
 // conditions, §3.1, select a single attribute of a single matching tuple).
 func (ev *evaluator) evalScalarSubquery(s *sqlparser.SelectStmt, en *env) (storage.Value, error) {
-	res, _, err := ev.ex.subquery(s, ev.scope, en)
+	res, _, err := ev.ex.subquery(ev.b.subs[s], ev.scope, en)
 	if err != nil {
 		return storage.Null, err
 	}

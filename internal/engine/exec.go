@@ -3,7 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
-	"slices"
+	"math"
 	"strconv"
 
 	"github.com/sieve-db/sieve/internal/obs"
@@ -19,39 +19,31 @@ type Result struct {
 	Rows    []storage.Row
 }
 
-// cteEntry is one WITH-clause relation visible in a scope. An entry is
-// either materialised (res set) or lazy (stmt set): a lazy entry is
+// scope is one WITH entry visible in an execution, linked to the entries
+// visible where it is defined: those before it in its clause and those of
+// the enclosing statements. A nil scope has none in sight. An entry is
+// either materialised (res set) or lazy (sb set): a lazy entry is
 // registered when the CTE is referenced exactly once and outside any
-// expression subquery, and is opened as a stream by that single consumer.
-// LIMIT satisfaction and early Rows.Close then terminate the CTE body's
-// scan instead of paying to materialise it — the §5.3 guarded projections
-// are exactly such single-use CTEs.
-type cteEntry struct {
+// expression subquery, and is opened as a stream, in its parent scope, by
+// that single consumer. LIMIT satisfaction and early Rows.Close then
+// terminate the CTE body's scan instead of paying to materialise it — the
+// §5.3 guarded projections are exactly such single-use CTEs.
+type scope struct {
+	parent   *scope
+	name     string
 	res      *Result
-	stmt     *sqlparser.SelectStmt
-	sc       *scope
+	sb       *boundStmt
 	outer    *env
 	streamed bool
 }
 
-// scope tracks the relations visible by name beyond the catalog: WITH
-// clauses, nested per statement.
-type scope struct {
-	parent *scope
-	rels   map[string]*cteEntry
-}
-
-func newScope(parent *scope) *scope {
-	return &scope{parent: parent, rels: make(map[string]*cteEntry)}
-}
-
-func (sc *scope) lookup(name string) (*cteEntry, bool) {
-	for cur := sc; cur != nil; cur = cur.parent {
-		if e, ok := cur.rels[name]; ok {
-			return e, true
+func (sc *scope) lookup(name string) *scope {
+	for ; sc != nil; sc = sc.parent {
+		if sc.name == name {
+			return sc
 		}
 	}
-	return nil, false
+	return nil
 }
 
 // ctxCheckInterval is how many executor ticks (roughly, per-row
@@ -70,9 +62,6 @@ type executor struct {
 	local    Counters
 	tick     int
 	flushed  bool
-	// cache is the Prepared's plan cache when the statement is one; nil
-	// when every binding is derived for this execution alone.
-	cache *planCache
 	// lists and subqs are what the row evaluator keeps for the rest of
 	// the execution: literal IN lists as sets (nil for a list with an
 	// expression in it), and expression subqueries' outcomes (subquery).
@@ -140,8 +129,8 @@ func (ex *executor) flush(db *DB) {
 }
 
 // selectStmt materialises a statement's full result.
-func (ex *executor) selectStmt(s *sqlparser.SelectStmt, sc *scope, outer *env) (*Result, error) {
-	cols, it, err := ex.stmtIter(s, sc, outer)
+func (ex *executor) selectStmt(sb *boundStmt, sc *scope, outer *env) (*Result, error) {
+	it, err := ex.stmtIter(sb, sc, outer)
 	if err != nil {
 		return nil, err
 	}
@@ -149,20 +138,19 @@ func (ex *executor) selectStmt(s *sqlparser.SelectStmt, sc *scope, outer *env) (
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Columns: cols, Rows: rows}, nil
+	return &Result{Columns: sb.body.cols, Rows: rows}, nil
 }
 
 // subqKey names an expression subquery evaluated in one scope. The same node
 // in another scope is another subquery: one nested in a correlated subquery
 // with a WITH clause sees that clause bound afresh on every run.
 type subqKey struct {
-	stmt *sqlparser.SelectStmt
-	sc   *scope
+	sb *boundStmt
+	sc *scope
 }
 
 // subqResult is an uncorrelated subquery's result, kept for the rest of the
-// execution, with its IN set once one is built; a nil *subqResult records
-// that the subquery is correlated.
+// execution, with its IN set once one is built.
 type subqResult struct {
 	res *Result
 	set *memberSet
@@ -170,31 +158,25 @@ type subqResult struct {
 
 // subquery runs an expression subquery — IN, EXISTS, scalar, and with the
 // last the §3.1 derived-value conditions of inlined guard arms — as seen
-// from the row env outer, running it once per execution when its result
-// cannot depend on that row. Correlation is observed, not inferred: the
-// first run goes through a boundary env (no schema), and its result is kept
-// (and returned as kept) only if no column lookup resolved past the
-// boundary — a run that read nothing of the enclosing rows computes the
-// same result for every one of them. Otherwise the subquery runs again for
-// every row, as SQL defines it. One execution is one read: a kept result
-// does not see rows inserted while the statement runs, and its work is
-// counted once.
-func (ex *executor) subquery(s *sqlparser.SelectStmt, sc *scope, outer *env) (res *Result, kept *subqResult, err error) {
-	k := subqKey{s, sc}
-	if prior, seen := ex.subqs[k]; seen {
-		if prior != nil {
-			return prior.res, prior, nil
-		}
-		res, err = ex.selectStmt(s, sc, outer)
+// from the row env outer. A subquery the bind pass found correlated runs
+// for every row, as SQL defines it; any other reads nothing of the
+// enclosing rows and computes the same result for every one of them, so it
+// runs once per execution and its result is kept (and returned as kept).
+// One execution is one read: a kept result does not see rows inserted
+// while the statement runs, and its work is counted once.
+func (ex *executor) subquery(sb *boundStmt, sc *scope, outer *env) (res *Result, kept *subqResult, err error) {
+	if sb.correlated {
+		res, err = ex.selectStmt(sb, sc, outer)
 		return res, nil, err
 	}
-	boundary := &env{outer: outer}
-	if res, err = ex.selectStmt(s, sc, boundary); err != nil {
+	k := subqKey{sb, sc}
+	if kept := ex.subqs[k]; kept != nil {
+		return kept.res, kept, nil
+	}
+	if res, err = ex.selectStmt(sb, sc, outer); err != nil {
 		return nil, nil, err
 	}
-	if !boundary.reached.Load() {
-		kept = &subqResult{res: res}
-	}
+	kept = &subqResult{res: res}
 	if ex.subqs == nil {
 		ex.subqs = make(map[subqKey]*subqResult)
 	}
@@ -223,40 +205,33 @@ func (ex *executor) literalSet(x *sqlparser.InExpr) *memberSet {
 // coreIter, chained by its set operations. UNION [ALL] streams the arms one
 // after another, UNION deduping them; MINUS streams its left side, deduped,
 // past the set of its right arm's rows, drained at the first Next.
-func (ex *executor) stmtIter(s *sqlparser.SelectStmt, sc *scope, outer *env) ([]string, rowIter, error) {
-	lazy := ex.lazyCTEs(s)
+func (ex *executor) stmtIter(sb *boundStmt, sc *scope, outer *env) (rowIter, error) {
 	// Each CTE gets its own scope link whose parent holds only the
 	// *earlier* CTEs: a body's reference to a later sibling must resolve
 	// past the WITH clause (to a base table, or fail) exactly as under
 	// eager in-order evaluation, even when the body runs lazily later.
-	for _, cte := range s.With {
-		entry := &cteEntry{}
-		if lazy[cte.Name] {
-			entry.stmt, entry.sc, entry.outer = cte.Select, sc, outer
+	for i, cte := range sb.stmt.With {
+		entry := &scope{parent: sc, name: cte.Name}
+		if sb.lazy[i] {
+			entry.sb, entry.outer = sb.ctes[i], outer
 		} else {
-			res, err := ex.selectStmt(cte.Select, sc, outer)
+			res, err := ex.selectStmt(sb.ctes[i], sc, outer)
 			if err != nil {
-				return nil, nil, fmt.Errorf("in WITH %s: %w", cte.Name, err)
+				return nil, fmt.Errorf("in WITH %s: %w", cte.Name, err)
 			}
 			entry.res = res
 		}
-		next := newScope(sc)
-		next.rels[cte.Name] = entry
-		sc = next
+		sc = entry
 	}
-	cols, it, err := ex.coreIter(s.Body, sc, outer)
+	it, err := ex.coreIter(sb.body, sc, outer)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	for _, op := range s.Ops {
-		armCols, arm, err := ex.coreIter(op.Core, sc, outer)
-		if err == nil && len(armCols) != len(cols) {
-			arm.Close()
-			err = fmt.Errorf("engine: set operation arms have %d vs %d columns", len(cols), len(armCols))
-		}
+	for i, op := range sb.stmt.Ops {
+		arm, err := ex.coreIter(sb.ops[i], sc, outer)
 		if err != nil {
 			it.Close()
-			return nil, nil, err
+			return nil, err
 		}
 		switch {
 		case op.Kind == sqlparser.SetMinus:
@@ -273,42 +248,7 @@ func (ex *executor) stmtIter(s *sqlparser.SelectStmt, sc *scope, outer *env) ([]
 			}
 		}
 	}
-	return cols, it, nil
-}
-
-// lazyCTENames reports which WITH names may stream: referenced exactly
-// once across the whole statement, with that reference in a FROM clause
-// rather than inside an expression subquery (a correlated one re-executes
-// per outer row and would consume a stream repeatedly).
-// Anything else keeps the materialise-up-front semantics.
-func lazyCTENames(s *sqlparser.SelectStmt) map[string]bool {
-	if len(s.With) == 0 {
-		return nil
-	}
-	total := make(map[string]int)
-	inExpr := make(map[string]int)
-	// A WITH body sees only the entries before it, so the first body can
-	// reference none of this clause's names — and it is the one the policy
-	// rewrite fills with the whole guard expression: not walked.
-	rest := *s
-	rest.With = s.With[1:]
-	sqlparser.WalkCores(&rest, func(c *sqlparser.SelectCore, underExpr bool) {
-		for _, ref := range c.From {
-			if ref.Subquery == nil {
-				total[ref.Name]++
-				if underExpr {
-					inExpr[ref.Name]++
-				}
-			}
-		}
-	})
-	out := make(map[string]bool, len(s.With))
-	for _, cte := range s.With {
-		if total[cte.Name] == 1 && inExpr[cte.Name] == 0 {
-			out[cte.Name] = true
-		}
-	}
-	return out
+	return it, nil
 }
 
 // rowSet is the executor's one dedupe — DISTINCT's, UNION's and MINUS's:
@@ -335,113 +275,55 @@ func (s *rowSet) add(row storage.Row) bool {
 	return true
 }
 
-// appendValue appends v's encoding to b: its kind, its payload and a 0, so
-// a run of encodings identifies a run of values.
+// appendValue appends v's encoding to b: a tag, a payload and a 0, a
+// string's payload led by its length, so a run of encodings identifies a
+// run of values whatever bytes a string holds. Values that = finds equal
+// (storage.Compare) encode alike: every numeric kind by its number, so an
+// integral FLOAT, -0.0 included, encodes as the INT it equals.
 func appendValue(b []byte, v storage.Value) []byte {
-	b = append(b, byte(v.K))
 	switch v.K {
-	case storage.KindString:
-		b = append(b, v.S...)
-	case storage.KindFloat:
-		b = strconv.AppendFloat(b, v.F, 'b', -1, 64)
 	case storage.KindNull:
+		b = append(b, 'n')
+	case storage.KindString:
+		b = strconv.AppendInt(append(b, 's'), int64(len(v.S)), 10)
+		b = append(append(b, ':'), v.S...)
+	case storage.KindFloat:
+		if v.F != math.Trunc(v.F) || v.F < -(1<<63) || v.F >= 1<<63 {
+			b = strconv.AppendFloat(append(b, 'f'), v.F, 'b', -1, 64)
+			break
+		}
+		b = strconv.AppendInt(append(b, 'i'), int64(v.F), 10)
 	default:
-		b = strconv.AppendInt(b, v.I, 10)
+		b = strconv.AppendInt(append(b, 'i'), v.I, 10)
 	}
 	return append(b, 0)
 }
 
-// sourceInfo is a resolved FROM entry: a base table, or the opened stream
-// of a derived table or WITH entry.
-type sourceInfo struct {
-	ref        sqlparser.TableRef
-	name       string
-	tbl        *storage.Table // base table, or nil
-	stream     rowIter        // derived entry's rows, or nil
-	streamCols []string
-	cols       map[string]bool
-}
-
-// resolveSources binds the FROM entries, opening every derived one. Opening
-// only builds the pipeline; no rows are read yet.
-func (ex *executor) resolveSources(core *sqlparser.SelectCore, sc *scope, outer *env) ([]*sourceInfo, error) {
-	sources := make([]*sourceInfo, 0, len(core.From))
-	for _, ref := range core.From {
-		src := &sourceInfo{ref: ref, name: ref.RefName(), cols: make(map[string]bool)}
-		var err error
-		switch e, isCTE := sc.lookup(ref.Name); {
-		case ref.Subquery != nil:
-			src.streamCols, src.stream, err = ex.stmtIter(ref.Subquery, sc, outer)
-		case isCTE:
-			src.streamCols, src.stream, err = ex.cteStream(e, ref.Name)
-		default:
-			t, ok := ex.db.Table(ref.Name)
-			if !ok {
-				err = fmt.Errorf("engine: unknown table %q", ref.Name)
-				break
-			}
-			src.tbl = t
-			for _, c := range t.Schema.Columns {
-				src.cols[c.Name] = true
-			}
-		}
-		if err != nil {
-			for _, s := range sources {
-				if s.stream != nil {
-					s.stream.Close()
-				}
-			}
-			return nil, err
-		}
-		for _, c := range src.streamCols {
-			src.cols[c] = true
-		}
-		sources = append(sources, src)
-	}
-	return sources, nil
-}
-
-// cteStream opens the WITH entry e for its reference name: a materialised
+// cteStream opens the WITH entry named name, in sight in sc: a materialised
 // body over its rows, a single-use one as its body's stream.
-func (ex *executor) cteStream(e *cteEntry, name string) ([]string, rowIter, error) {
-	if e.res != nil {
-		return e.res.Columns, &sliceIter{ex: ex, rows: e.res.Rows}, nil
+func (ex *executor) cteStream(sc *scope, name string) (rowIter, error) {
+	e := sc.lookup(name)
+	switch {
+	case e == nil:
+		return nil, fmt.Errorf("engine: internal error: WITH %s not in scope", name)
+	case e.res != nil:
+		return &sliceIter{ex: ex, rows: e.res.Rows}, nil
+	case e.streamed:
+		return nil, fmt.Errorf("engine: internal error: WITH %s stream consumed twice", name)
 	}
-	if e.streamed {
-		return nil, nil, fmt.Errorf("engine: internal error: WITH %s stream consumed twice", name)
-	}
-	cols, it, err := ex.stmtIter(e.stmt, e.sc, e.outer)
+	it, err := ex.stmtIter(e.sb, e.parent, e.outer)
 	if err != nil {
-		return nil, nil, fmt.Errorf("in WITH %s: %w", name, err)
+		return nil, fmt.Errorf("in WITH %s: %w", name, err)
 	}
 	e.streamed = true
-	return cols, &cteIter{src: it, name: name}, nil
+	return &cteIter{src: it, name: name}, nil
 }
 
-// refSet computes which local sources an expression references. Qualified
-// references match source names; unqualified ones match any source exposing
-// the column. References that match nothing are correlated or constant.
-func refSet(e sqlparser.Expr, sources []*sourceInfo) map[int]bool {
-	set := make(map[int]bool)
-	sqlparser.Walk(e, true, func(x sqlparser.Expr) {
-		c, ok := x.(*sqlparser.ColRef)
-		if !ok {
-			return
-		}
-		for i, s := range sources {
-			if c.Table != "" {
-				if c.Table == s.name {
-					set[i] = true
-				}
-			} else if s.cols[c.Column] {
-				set[i] = true
-			}
-		}
-	})
-	return set
-}
-
-func qualifySchema(name string, s *storage.Schema) *RelSchema {
+// QualifiedSchema builds the RelSchema of a base table's rows, with every
+// column qualified by the given name: how a scan lays out its rows, and how
+// the Δ operator lays out the tuple whose derived-value conditions (§5.2) it
+// evaluates (EvalPredicateWith).
+func QualifiedSchema(name string, s *storage.Schema) *RelSchema {
 	cols := make([]RelCol, s.Len())
 	for i, c := range s.Columns {
 		cols[i] = RelCol{Table: name, Name: c.Name}
@@ -476,58 +358,38 @@ func rowPasses(ev *evaluator, en *env, conjs []sqlparser.Expr) (bool, error) {
 
 // where filters it, laid out as schema, by conjs row by row; it itself when
 // there are none.
-func (ex *executor) where(it rowIter, schema *RelSchema, conjs []sqlparser.Expr, sc *scope, outer *env) rowIter {
+func (ex *executor) where(it rowIter, bc *boundCore, schema *RelSchema, conjs []sqlparser.Expr, sc *scope, outer *env) rowIter {
 	if len(conjs) == 0 {
 		return it
 	}
-	return &filterIter{src: it, conjs: conjs, ev: evaluator{ex: ex, scope: sc}, en: env{schema: schema, outer: outer}}
+	return &filterIter{src: it, conjs: conjs, ev: evaluator{ex: ex, scope: sc, b: bc.b}, en: env{schema: schema, outer: outer}}
 }
 
-// scanSourceIter opens one FROM entry as a stream with its single-source
-// conjuncts applied: through the chosen access path and the binding's
-// compiled filter for a base table (tb), row by row for a derived one.
-func (ex *executor) scanSourceIter(src *sourceInfo, conjs []sqlparser.Expr, tb *tableBinding, sc *scope, outer *env) (*RelSchema, rowIter) {
-	if src.stream != nil {
-		schema := qualifyCols(src.name, src.streamCols)
-		return schema, ex.where(src.stream, schema, conjs, sc, outer)
-	}
-	plan := tb.access(ex.db, src.tbl, src.ref.Hint)
-	if plan.fetch != nil {
-		return tb.schema, &fetchIter{ex: ex, t: src.tbl, plan: plan, tb: tb, sc: sc, outer: outer}
-	}
-	return tb.schema, &scanIter{ex: ex, t: src.tbl, plan: plan, tb: tb, sc: sc, outer: outer}
-}
-
-// asEquiJoin recognises cur.col = next.col conjuncts usable as hash-join
-// keys, returning the column offsets on each side.
-func asEquiJoin(e sqlparser.Expr, cur, next *RelSchema) (int, int, bool) {
-	cmp, ok := e.(*sqlparser.CompareExpr)
-	if !ok || cmp.Op != sqlparser.CmpEq {
-		return 0, 0, false
-	}
-	lc, lok := cmp.L.(*sqlparser.ColRef)
-	rc, rok := cmp.R.(*sqlparser.ColRef)
-	if !lok || !rok {
-		return 0, 0, false
-	}
-	if li, err := cur.Resolve(lc.Table, lc.Column); err == nil {
-		if ri, err := next.Resolve(rc.Table, rc.Column); err == nil {
-			return li, ri, true
+// sourceIter opens FROM entry i of bc as a stream with its own conjuncts
+// applied: through the chosen access path and the binding's compiled
+// filter for a base table, row by row over its body's stream for a derived
+// table or a WITH entry. Opening only builds the pipeline; no rows are read
+// yet.
+func (ex *executor) sourceIter(bc *boundCore, i int, sc *scope, outer *env) (rowIter, error) {
+	src := &bc.sources[i]
+	var it rowIter
+	var err error
+	switch {
+	case src.sub != nil:
+		it, err = ex.stmtIter(src.sub, sc, outer)
+	case src.cte:
+		it, err = ex.cteStream(sc, src.ref.Name)
+	default:
+		plan := src.access(ex.db, src.t, src.ref.Hint)
+		if plan.fetch != nil {
+			return &fetchIter{ex: ex, t: src.t, plan: plan, tb: &src.tableBinding, sc: sc, outer: outer}, nil
 		}
+		return &scanIter{ex: ex, t: src.t, plan: plan, tb: &src.tableBinding, sc: sc, outer: outer}, nil
 	}
-	if li, err := cur.Resolve(rc.Table, rc.Column); err == nil {
-		if ri, err := next.Resolve(lc.Table, lc.Column); err == nil {
-			return li, ri, true
-		}
+	if err != nil {
+		return nil, err
 	}
-	return 0, 0, false
-}
-
-func concatSchemas(a, b *RelSchema) *RelSchema {
-	cols := make([]RelCol, 0, len(a.Cols)+len(b.Cols))
-	cols = append(cols, a.Cols...)
-	cols = append(cols, b.Cols...)
-	return &RelSchema{Cols: cols}
+	return ex.where(it, bc, src.schema, src.conjs, sc, outer), nil
 }
 
 func concatRows(a, b storage.Row) storage.Row {
@@ -537,107 +399,34 @@ func concatRows(a, b storage.Row) storage.Row {
 	return out
 }
 
-// classified is one WHERE conjunct with the set of local sources it
-// touches and whether it has been applied somewhere in the pipeline.
-type classified struct {
-	expr    sqlparser.Expr
-	refs    map[int]bool
-	applied bool
-}
-
-// classifyConjuncts assigns WHERE conjuncts to the sources they can be
-// pushed into: constant/correlated conjuncts evaluate with the first
-// scan; single-source conjuncts push into their source's scan; the rest
-// wait for the join that binds them.
-func classifyConjuncts(core *sqlparser.SelectCore, sources []*sourceInfo) ([]classified, [][]sqlparser.Expr) {
-	conjuncts := sqlparser.Conjuncts(core.Where)
-	perSource := make([][]sqlparser.Expr, len(sources))
-	if len(sources) == 1 {
-		// Everything lands on the one source, whatever it references; only
-		// a join reads the classification.
-		perSource[0] = conjuncts
-		return nil, perSource
-	}
-	classifieds := make([]classified, len(conjuncts))
-	for i, cj := range conjuncts {
-		cl := &classifieds[i]
-		cl.expr, cl.refs = cj, refSet(cj, sources)
-		switch len(cl.refs) {
-		case 0:
-			perSource[0] = append(perSource[0], cj)
-			cl.applied = true
-		case 1:
-			for s := range cl.refs {
-				perSource[s] = append(perSource[s], cj)
-			}
-			cl.applied = true
-		}
-	}
-	return classifieds, perSource
-}
-
-// joinSources opens the FROM entries as one stream, joined left to right:
-// the first entry streams as the probe side of every join and each later
-// one is a join's build side, and a multi-source conjunct filters the
-// stream as soon as the join that binds it has.
-func (ex *executor) joinSources(sources []*sourceInfo, cb *coreBinding, sc *scope, outer *env) (*RelSchema, rowIter) {
-	cur, it := ex.scanSourceIter(sources[0], cb.perSource[0], cb.tables[0], sc, outer)
-	if len(sources) == 1 {
-		return cur, it
-	}
-	classifieds := slices.Clone(cb.classifieds) // applied is this execution's
-	joined := map[int]bool{0: true}
-	for i := 1; i < len(sources); i++ {
-		next, build := ex.scanSourceIter(sources[i], cb.perSource[i], cb.tables[i], sc, outer)
-		joined[i] = true
-		join := &joinIter{ex: ex, probe: it, build: build}
-		var pending []sqlparser.Expr
-		for k := range classifieds {
-			cl := &classifieds[k]
-			if cl.applied || !subset(cl.refs, joined) {
-				continue
-			}
-			cl.applied = true
-			if li, ri, ok := asEquiJoin(cl.expr, cur, next); ok {
-				join.lkeys = append(join.lkeys, li)
-				join.rkeys = append(join.rkeys, ri)
-			} else {
-				pending = append(pending, cl.expr)
-			}
-		}
-		cur = concatSchemas(cur, next)
-		it = ex.where(join, cur, pending, sc, outer)
-	}
-	return cur, it
-}
-
 // coreIter opens one select core as a stream: scan or join → filter →
-// project → [distinct] → [offset] → [limit], producing tuples on demand. A
-// grouped or ordered core projects through projectIter, which reads its
-// whole input at the first Next.
-func (ex *executor) coreIter(core *sqlparser.SelectCore, sc *scope, outer *env) ([]string, rowIter, error) {
-	grouped := coreIsGrouped(core)
-	sources, err := ex.resolveSources(core, sc, outer)
+// project → [distinct] → [offset] → [limit], producing tuples on demand. The
+// FROM entries are joined left to right: the first streams as the probe
+// side of every join and each later one is a join's build side, and a
+// conjunct that reads several entries filters the stream as soon as the
+// join that binds them has. A grouped or ordered core projects through
+// projectIter, which reads its whole input at the first Next.
+func (ex *executor) coreIter(bc *boundCore, sc *scope, outer *env) (rowIter, error) {
+	it, err := ex.sourceIter(bc, 0, sc, outer)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	schema, it := ex.joinSources(sources, ex.bindCore(core, sources), sc, outer)
-
-	var columns []string
-	switch {
-	case grouped && core.Star:
-		it.Close()
-		return nil, nil, fmt.Errorf("engine: SELECT * is not valid with GROUP BY or aggregates")
-	case core.Star:
-		columns = schema.ColumnNames()
-	default:
-		columns = ex.outputColumns(core)
+	for i := 1; i < len(bc.sources); i++ {
+		build, err := ex.sourceIter(bc, i, sc, outer)
+		if err != nil {
+			it.Close()
+			return nil, err
+		}
+		src := &bc.sources[i]
+		join := &joinIter{ex: ex, probe: it, build: build, lkeys: src.lkeys, rkeys: src.rkeys}
+		it = ex.where(join, bc, src.joined, src.after, sc, outer)
 	}
+	core := bc.core
 	switch {
-	case grouped || len(core.OrderBy) > 0:
-		it = &projectIter{p: newProjector(ex, core, schema, sc, outer), src: it}
+	case bc.grouped || len(core.OrderBy) > 0:
+		it = &projectIter{p: newProjector(ex, bc, sc, outer), src: it}
 	case !core.Star:
-		it = &projIter{src: it, items: core.Items, ev: evaluator{ex: ex, scope: sc}, en: env{schema: schema, outer: outer}}
+		it = &projIter{src: it, items: core.Items, ev: evaluator{ex: ex, scope: sc, b: bc.b}, en: env{schema: bc.schema, outer: outer}}
 	}
 	if core.Distinct && len(core.OrderBy) == 0 {
 		it = &distinctIter{src: it}
@@ -648,34 +437,12 @@ func (ex *executor) coreIter(core *sqlparser.SelectCore, sc *scope, outer *env) 
 		}
 		it = &limitIter{src: it, n: core.Limit}
 	}
-	return columns, it, nil
+	return it, nil
 }
 
-func subset(a, b map[int]bool) bool {
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// coreIsGrouped reports whether the core needs grouping semantics: an
-// explicit GROUP BY, or aggregates in the select list or HAVING. coreIter
-// and the projector both route on this one predicate.
-func coreIsGrouped(core *sqlparser.SelectCore) bool {
-	if len(core.GroupBy) > 0 {
-		return true
-	}
-	for _, it := range core.Items {
-		if containsAggregate(it.Expr) {
-			return true
-		}
-	}
-	return core.Having != nil && containsAggregate(core.Having)
-}
-
-func (ex *executor) outputColumns(core *sqlparser.SelectCore) []string {
+// outputColumns names the select list's columns: an item's alias, a
+// column's name, or the expression's text.
+func outputColumns(core *sqlparser.SelectCore) []string {
 	cols := make([]string, len(core.Items))
 	for i, it := range core.Items {
 		switch {

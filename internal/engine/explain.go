@@ -60,53 +60,33 @@ func orDash(s string) string {
 	return s
 }
 
-// explain plans the body core's FROM entries without executing the query.
-func (ex *executor) explain(s *sqlparser.SelectStmt) (*Explain, error) {
-	core := s.Body
-	out := &Explain{Dialect: ex.db.dialect.Name()}
-
-	// CTE names are visible to the body; model them as derived tables.
-	cteNames := make(map[string]bool, len(s.With))
-	for _, cte := range s.With {
-		cteNames[cte.Name] = true
+// Explain plans the statement's first select core without executing it and
+// reports, per base table, the access path the optimizer would use and its
+// estimated selectivity. This is the §5.5 input to SIEVE's strategy choice.
+// The statement is bound as an open binds it, and fails as the open would.
+func (db *DB) Explain(stmt *sqlparser.SelectStmt) (*Explain, error) {
+	sb, err := db.bind(stmt)
+	if err != nil {
+		return nil, err
 	}
-
-	// Build sourceInfo without executing subqueries: column sets for
-	// refSet classification come from the catalog only for base tables.
-	sources := make([]*sourceInfo, 0, len(core.From))
-	for _, ref := range core.From {
-		src := &sourceInfo{ref: ref, name: ref.RefName(), cols: make(map[string]bool)}
-		if ref.Subquery == nil && !cteNames[ref.Name] {
-			t, ok := ex.db.Table(ref.Name)
-			if !ok {
-				return nil, fmt.Errorf("engine: unknown table %q", ref.Name)
-			}
-			src.tbl = t
-			for _, c := range t.Schema.Columns {
-				src.cols[c.Name] = true
-			}
-		}
-		sources = append(sources, src)
-	}
-
-	// Conjuncts land on the scans execution pushes them into.
-	_, perSource := classifyConjuncts(core, sources)
-	for i, src := range sources {
-		if src.tbl == nil {
+	out := &Explain{Dialect: db.dialect.Name()}
+	for i := range sb.body.sources {
+		src := &sb.body.sources[i]
+		if src.t == nil {
 			out.Tables = append(out.Tables, TableAccess{Table: src.name, Kind: AccessDerived, EstSel: 1})
 			continue
 		}
-		plan := planAccess(ex.db, src.tbl, bindTable(ex.db, src.tbl, src.name, perSource[i]), src.ref.Hint)
-		pruned, total := plan.segmentStats(src.tbl)
+		plan := planAccess(db, src.t, &src.tableBinding, src.ref.Hint)
+		pruned, total := plan.segmentStats(src.t)
 		out.Tables = append(out.Tables, TableAccess{
 			Table:          src.name,
 			Kind:           plan.Kind,
 			Index:          plan.Index,
 			EstSel:         plan.EstSel,
-			EstRows:        plan.EstSel * float64(src.tbl.NumRows()),
+			EstRows:        plan.EstSel * float64(src.t.NumRows()),
 			Segments:       total,
 			SegmentsPruned: pruned,
-			Vectorised:     len(perSource[i]) > 0,
+			Vectorised:     len(src.conjs) > 0,
 		})
 	}
 	return out, nil

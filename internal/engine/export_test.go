@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"testing"
 
 	"github.com/sieve-db/sieve/internal/sqlparser"
 	"github.com/sieve-db/sieve/internal/storage"
@@ -19,31 +20,65 @@ import (
 // parallel on them, keep compiled programs. A Prepared keeps whichever filter
 // was in place when it first bound a table.
 func (db *DB) UseRowReference() (restore func()) {
-	ref := func(conjs []sqlparser.Expr, _ *RelSchema) *vecProgram {
-		if len(conjs) == 0 {
+	ref := func(tb *tableBinding) *vecProgram {
+		if len(tb.conjs) == 0 {
 			return nil
 		}
-		return &vecProgram{preds: []vecPred{rowReference(conjs)}}
+		return &vecProgram{preds: []vecPred{newRowReference(db, tb)}}
 	}
 	db.rowReference.Store(&ref)
 	return func() { db.rowReference.Store(nil) }
 }
 
-type rowReference []sqlparser.Expr
+// rowReference runs a binding's conjuncts through rowPasses one at a time,
+// each read as it was bound: by the statement or, for a registered
+// conjunct, which no statement's pass walks, against the table alone.
+type rowReference struct {
+	tb    *tableBinding
+	binds []*binding
+}
+
+func newRowReference(db *DB, tb *tableBinding) rowReference {
+	p := rowReference{tb: tb, binds: make([]*binding, len(tb.conjs))}
+	for j, cj := range tb.conjs {
+		p.binds[j] = tb.b
+		if tb.shared[j] != nil {
+			p.binds[j], _ = db.bindExpr(cj, tb.schema)
+		}
+	}
+	return p
+}
 
 func (p rowReference) eval(ve *vecEnv, active []int, out []tri) error {
 	for _, i := range active {
 		ve.rowEnv.row = ve.b.Row(i)
-		keep, err := rowPasses(ve.ev, &ve.rowEnv, p)
-		if err != nil {
-			return err
-		}
-		out[i] = triFalse
-		if keep {
-			out[i] = triTrue
+		out[i] = triTrue
+		for j, cj := range p.tb.conjs {
+			ve.ev.b = p.binds[j]
+			keep, err := rowPasses(ve.ev, &ve.rowEnv, []sqlparser.Expr{cj})
+			if err != nil {
+				return err
+			}
+			if !keep {
+				out[i] = triFalse
+				break
+			}
 		}
 	}
 	return nil
+}
+
+// scanFilter binds where as the WHERE of a scan of table and returns the
+// scan's table binding.
+func scanFilter(t testing.TB, db *DB, table string, where sqlparser.Expr) *tableBinding {
+	t.Helper()
+	sb, err := db.bind(&sqlparser.SelectStmt{Body: &sqlparser.SelectCore{
+		Star: true, From: []sqlparser.TableRef{{Name: table}}, Where: where, Limit: -1,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &sb.body.sources[0].tableBinding
 }
 
 // access returns the base-table operator at the bottom of r's operator
@@ -101,7 +136,7 @@ func (f *batchFilter) pinned() string {
 		return "an executor"
 	case f.prog != nil:
 		return "a program"
-	case f.ev.scope != nil || f.ev.aggValues != nil:
+	case f.ev.scope != nil || f.ev.b != nil || f.ev.aggValues != nil:
 		return "a scope"
 	case f.ve.b != nil || f.ve.poll != nil:
 		return "the batch or the poll closure"
@@ -138,11 +173,11 @@ func (f *batchFilter) pinned() string {
 // the batch's own rows' values, so a vector left over from another batch or
 // another table fails the query.
 func (db *DB) useColumnCheckedReference() (restore func()) {
-	ref := func(conjs []sqlparser.Expr, _ *RelSchema) *vecProgram {
-		if len(conjs) == 0 {
+	ref := func(tb *tableBinding) *vecProgram {
+		if len(tb.conjs) == 0 {
 			return nil
 		}
-		return &vecProgram{preds: []vecPred{columnCheck{}, rowReference(conjs)}}
+		return &vecProgram{preds: []vecPred{columnCheck{}, newRowReference(db, tb)}}
 	}
 	db.rowReference.Store(&ref)
 	return func() { db.rowReference.Store(nil) }

@@ -91,7 +91,7 @@ func TestOpenRunsOnScanClock(t *testing.T) {
 // TestUnboundPlaceholderFailsAtOpen: a statement with a placeholder left in
 // it fails at open, at every engine door, with the bind error — not when,
 // and only if, some row reaches the placeholder. A Prepared is checked once:
-// every execution returns the one error found at Prepare.
+// every execution returns the one error its first execution found.
 func TestUnboundPlaceholderFailsAtOpen(t *testing.T) {
 	db := buildStreamDB(t, 100)
 	ctx := context.Background()

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/sieve-db/sieve/internal/sqlparser"
 	"github.com/sieve-db/sieve/internal/storage"
 )
 
@@ -162,15 +161,4 @@ func (f *fanOut) close() {
 	for _, child := range f.pool {
 		f.it.ex.counters.Add(child.local)
 	}
-}
-
-// parallelSafeConjunct reports whether a filter conjunct can run on worker
-// goroutines: subquery expressions are excluded because their evaluation
-// threads through the (unsynchronised) CTE scope and re-enters the
-// executor, whose kept subquery results are the consumer goroutine's alone.
-// Plain predicates, and UDF calls — the Δ operator's path — are
-// safe: registered UDFs must be safe for concurrent invocation, which the
-// engine's own (and SIEVE's Δ) are.
-func parallelSafeConjunct(cj sqlparser.Expr) bool {
-	return !sqlparser.HasSubquery(cj)
 }

@@ -278,13 +278,12 @@ func TestParallelEarlyCloseStopsWorkers(t *testing.T) {
 	db.ScanWorkers = workers
 	tab := db.MustTable("p")
 	ex := db.newExecutor(context.Background())
-	conjs := sqlparser.Conjuncts(mustParseWhere(t, "grp < 9"))
-	tb := bindTable(db, tab, "p", conjs)
+	tb := scanFilter(t, db, "p", mustParseWhere(t, "grp < 9"))
 	plan := tb.access(db, tab, nil)
 	if plan.fetch != nil {
 		t.Fatal("expected a sequential plan")
 	}
-	it := &scanIter{ex: ex, t: tab, plan: plan, tb: tb, sc: newScope(nil)}
+	it := &scanIter{ex: ex, t: tab, plan: plan, tb: tb}
 	var last storage.Row
 	for i := 0; i < 200; i++ {
 		row, err := it.Next()

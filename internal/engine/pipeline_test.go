@@ -32,9 +32,10 @@ var pipeTables = map[string][][2]int{
 	"f": {{1, 0}, {1, 1}, {-1, 2}, {2, -1}, {1, 0}, {0, 1}, {2, 2}},
 }
 
-// pipeFloatY names the tables whose y column is FLOAT: cell v holds v+0.5,
-// so no FLOAT value equals an INT one and every comparison between the two
-// kinds is strict.
+// pipeFloatY names the tables whose y column is FLOAT: cell v holds v/2, so
+// cells 0 and 2 hold 0.0 and 1.0, which equal the INT cells 0 and 1 — a
+// join, a DISTINCT, a set operation or a GROUP BY over both kinds must find
+// them equal, as = does — and cell 1 holds 0.5, which no INT equals.
 var pipeFloatY = map[string]bool{"f": true}
 
 // pipeValue maps a table cell to a value: -1 is NULL.
@@ -49,7 +50,7 @@ func pipeValue(v int) storage.Value {
 func pipeRow(name string, r [2]int) storage.Row {
 	row := storage.Row{pipeValue(r[0]), pipeValue(r[1])}
 	if pipeFloatY[name] && r[1] >= 0 {
-		row[1] = storage.NewFloat(float64(r[1]) + 0.5)
+		row[1] = storage.NewFloat(float64(r[1]) / 2)
 	}
 	return row
 }
@@ -658,7 +659,8 @@ func checkPipe(t *testing.T, db *DB, s *pipeStmt) {
 // ALL and MINUS chains, two- and three-way equi and non-equi joins, derived
 // tables and grouped cores (GROUP BY over zero to two keys, count, count
 // DISTINCT, sum, min, max and avg over INT and FLOAT columns, HAVING, ORDER
-// BY an aggregate's alias), and holds each to the reference.
+// BY an aggregate's alias), joining, deduping and grouping INT values with
+// FLOAT values equal to them, and holds each to the reference.
 func TestRowPipelineMatchesReference(t *testing.T) {
 	db := buildPipeDB(t)
 	for seed := int64(0); seed < 600; seed++ {
@@ -676,6 +678,73 @@ func FuzzRowPipeline(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		checkPipe(t, db, pipeGen{rand.New(rand.NewSource(seed))}.stmt(0, true))
 	})
+}
+
+// TestNumericKeysMatchEquality: the hash join, the dedupe and GROUP BY key
+// an INT and a FLOAT the way = compares them, so an integral FLOAT meets
+// the INT it equals: the hash join finds the rows the same join written as
+// two inequalities does, and DISTINCT and GROUP BY see each number once.
+func TestNumericKeysMatchEquality(t *testing.T) {
+	db := buildPipeDB(t)
+	const d = "(SELECT f.y * 2 AS s FROM f) AS d"
+	const both = "(SELECT f.y * 2 AS s FROM f UNION ALL SELECT a.x FROM a) AS d"
+	for _, c := range []struct {
+		sql  string
+		want int
+	}{
+		{"SELECT a.x, d.s FROM a, " + d + " WHERE a.x = d.s", 10},
+		{"SELECT a.x, d.s FROM a, " + d + " WHERE a.x <= d.s AND a.x >= d.s", 10},
+		{"SELECT DISTINCT d.s FROM " + both + " WHERE d.s >= 0", 3},
+		{"SELECT d.s, count(*) FROM " + both + " WHERE d.s >= 0 GROUP BY d.s", 3},
+		{"SELECT d.s FROM " + both + " WHERE d.s >= 0 UNION SELECT a.x FROM a WHERE a.x >= 0", 3},
+	} {
+		res, err := db.Query(c.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		if len(res.Rows) != c.want {
+			t.Errorf("%s: %d rows, want %d: %v", c.sql, len(res.Rows), c.want, res.Rows)
+		}
+	}
+	res, err := db.Query("SELECT count(DISTINCT d.s) FROM " + both)
+	if err != nil || res.Rows[0][0].I != 3 {
+		t.Fatalf("count(DISTINCT) over INT and FLOAT = %v, %v; want 3", res.Rows, err)
+	}
+}
+
+// TestKeysTellStringsApart: rows whose strings split the same bytes
+// differently — ("a", "p\x00cq") and ("a\x00cp", "q"), for every byte c —
+// are distinct rows to DISTINCT, distinct groups to GROUP BY and no match
+// to a hash join, whatever byte tags a string in a key.
+func TestKeysTellStringsApart(t *testing.T) {
+	db := New(MySQL())
+	schema := storage.MustSchema(
+		storage.Column{Name: "x", Type: storage.KindString},
+		storage.Column{Name: "y", Type: storage.KindString},
+	)
+	if _, err := db.CreateTable("t", schema); err != nil {
+		t.Fatal(err)
+	}
+	var rows []storage.Row
+	for c := range 256 {
+		tag := string([]byte{0, byte(c)})
+		rows = append(rows,
+			storage.Row{storage.NewString("a"), storage.NewString("p" + tag + "q")},
+			storage.Row{storage.NewString("a" + tag + "p"), storage.NewString("q")})
+	}
+	if err := db.BulkInsert("t", rows); err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{
+		"SELECT DISTINCT x, y FROM t",
+		"SELECT x, y, count(*) FROM t GROUP BY x, y",
+		"SELECT u.x FROM t AS u, t AS v WHERE u.x = v.x AND u.y = v.y",
+	} {
+		res, err := db.Query(sql)
+		if err != nil || len(res.Rows) != len(rows) {
+			t.Errorf("%s: %d rows, err %v; want %d", sql, len(res.Rows), err, len(rows))
+		}
+	}
 }
 
 // TestPipelineOpensWithoutReading: opening a join, a set operation or a

@@ -305,34 +305,38 @@ func epochOf(db *DB, t *storage.Table) planEpoch {
 	return planEpoch{muts: t.Mutations(), idxs: t.IndexEpoch(), stats: stats}
 }
 
-// tableBinding is what planning and filtering one base-table FROM entry
-// take from the statement and the schema alone: the entry's conjuncts, its
-// qualified schema, the sargs among the conjuncts, the sargs inside their
-// disjunctions, and the compiled filter. A prepared statement keeps it
-// (planCache) and every execution — on any goroutine — shares it. What
-// depends on statistics, indexes and data, the access-path choice, it
+// tableBinding is what filtering one FROM entry, and planning a base-table
+// one, take from the statement and the schema alone: the entry's name,
+// conjuncts, their binding and the entry's schema, the sargs among the
+// conjuncts and inside their disjunctions, and the compiled filter. The
+// bind pass builds it in the entry (boundSource); a prepared statement
+// keeps it (planCache) and every execution, on any goroutine, shares it.
+// What depends on statistics, indexes and data, the access-path choice, it
 // memoizes under the table's epoch (planEpoch): an execution re-plans only
-// after a write to the table, a new index or new statistics. A conjunct
-// registered as a SharedFilter (shared.go) — a guard state's disjunction —
-// brings its parts from the registration, so they are built once per
-// state, not once per binding.
+// after a write to the table, a new index or new statistics. A conjunct the
+// bind pass placed with its SharedFilter (shared.go) — a guard state's
+// disjunction — brings its parts from the registration, so they are built
+// once per state, not once per binding.
 type tableBinding struct {
-	ref    string
+	name   string
 	conjs  []sqlparser.Expr
+	b      *binding
 	schema *RelSchema
 	sargs  []sarg // the sargable conjuncts
-	// shared is conjs[i]'s registration, nil where it has none; nil when
-	// no conjunct has one.
+	// shared is conjs[i]'s registration, nil where it has none.
 	shared []*SharedFilter
+	// serial is set when a conjunct holds a subquery: the filter then runs
+	// on the consumer's goroutine only, as a subquery reads and fills the
+	// executor's unsynchronised CTE scope and kept results. A UDF call — the
+	// Δ path — may run on fan-out workers: registered UDFs must be safe for
+	// concurrent use.
+	serial bool
 
 	progOnce sync.Once
 	prog     *vecProgram // nil: nothing to filter
 
 	orOnce sync.Once
 	ors    []orClause // the conjuncts with ≥ 2 disjuncts
-
-	safeOnce sync.Once
-	safe     bool
 
 	zoneOnce  sync.Once
 	zonePreds []zoneNode
@@ -362,34 +366,11 @@ func (tb *tableBinding) access(db *DB, t *storage.Table, hint *sqlparser.IndexHi
 	return plan
 }
 
-// bindTable derives the binding of the FROM entry named ref over t from the
-// conjuncts that reference only it. When ref is the table's own name, a
-// conjunct registered on db over t is bound to its registration.
-func bindTable(db *DB, t *storage.Table, ref string, conjs []sqlparser.Expr) *tableBinding {
-	tb := &tableBinding{ref: ref, conjs: conjs, schema: qualifySchema(ref, t.Schema)}
-	for i, cj := range conjs {
-		if s, ok := extractSarg(cj, ref, t.Schema); ok {
-			tb.sargs = append(tb.sargs, s)
-			continue
-		}
-		if ref != t.Name {
-			continue
-		}
-		if sf := db.sharedFilter(t, cj); sf != nil {
-			if tb.shared == nil {
-				tb.shared = make([]*SharedFilter, len(conjs))
-			}
-			tb.shared[i] = sf
-		}
-	}
-	return tb
-}
-
 // program returns the conjuncts' compiled vector filter, compiled by the
 // first execution to filter a batch: Explain binds and plans but runs
 // nothing.
 func (tb *tableBinding) program(db *DB) *vecProgram {
-	tb.progOnce.Do(func() { tb.prog = db.compileScanFilter(tb.conjs, tb.schema, tb.shared) })
+	tb.progOnce.Do(func() { tb.prog = db.compileScanFilter(tb) })
 	return tb.prog
 }
 
@@ -423,14 +404,14 @@ func newOrClause(disjuncts []sqlparser.Expr, ref string, schema *storage.Schema)
 func (tb *tableBinding) orClauses(schema *storage.Schema) []orClause {
 	tb.orOnce.Do(func() {
 		for i, cj := range tb.conjs {
-			if sf := sharedAt(tb.shared, i); sf != nil {
+			if sf := tb.shared[i]; sf != nil {
 				if oc := sf.orClause(); len(oc.ends) >= 2 {
 					tb.ors = append(tb.ors, oc)
 				}
 				continue
 			}
 			if disjuncts := sqlparser.Disjuncts(cj); len(disjuncts) >= 2 {
-				tb.ors = append(tb.ors, newOrClause(disjuncts, tb.ref, schema))
+				tb.ors = append(tb.ors, newOrClause(disjuncts, tb.name, schema))
 			}
 		}
 	})
@@ -440,24 +421,12 @@ func (tb *tableBinding) orClauses(schema *storage.Schema) []orClause {
 // zones returns the conjuncts' zone-refutation predicates (zonemap.go),
 // compiled at the first sequential plan: an index plan never reads them.
 func (tb *tableBinding) zones(schema *storage.Schema) ([]zoneNode, []int) {
-	tb.zoneOnce.Do(func() { tb.zonePreds, tb.zoneCols = compileZonePreds(tb.conjs, tb.ref, schema, tb.shared) })
+	tb.zoneOnce.Do(func() { tb.zonePreds, tb.zoneCols = compileZonePreds(tb.conjs, tb.name, schema, tb.shared) })
 	return tb.zonePreds, tb.zoneCols
 }
 
 // parallelSafe reports whether the filter may run on fan-out workers.
-func (tb *tableBinding) parallelSafe() bool {
-	tb.safeOnce.Do(func() {
-		tb.safe = len(tb.conjs) > 0
-		for i, cj := range tb.conjs {
-			if sf := sharedAt(tb.shared, i); sf != nil {
-				tb.safe = tb.safe && sf.parallelSafe()
-			} else {
-				tb.safe = tb.safe && parallelSafeConjunct(cj)
-			}
-		}
-	})
-	return tb.safe
-}
+func (tb *tableBinding) parallelSafe() bool { return len(tb.conjs) > 0 && !tb.serial }
 
 // orBranches prices a disjunctive conjunct as an index union in one pass:
 // for each disjunct it records in picks (len(oc.ends) long) the position in

@@ -15,16 +15,10 @@ import (
 // boundPlanOf returns the access plan p's single-table core has memoized,
 // nil before its first execution.
 func boundPlanOf(p *Prepared) *boundPlan {
-	p.cache.mu.Lock()
-	defer p.cache.mu.Unlock()
-	for _, cb := range p.cache.cores {
-		for _, tb := range cb.tables {
-			if tb != nil {
-				return tb.planned.Load()
-			}
-		}
+	if p.cache.bound == nil {
+		return nil
 	}
-	return nil
+	return p.cache.bound.body.sources[0].planned.Load()
 }
 
 // TestAccessPlanFollowsTableEpoch: one prepared statement re-plans its access

@@ -36,6 +36,7 @@ type keyedRow struct {
 // Rows are bound one at a time to the projector's one env.
 type projector struct {
 	ex   *executor
+	bc   *boundCore
 	core *sqlparser.SelectCore
 	ev   evaluator
 	en   env
@@ -48,27 +49,24 @@ type projector struct {
 	keys []storage.Value // the row at hand's ORDER BY keys
 	vals []storage.Value // the chunk kept rows and keys are carved from
 
-	grouped bool
-	aggs    []*sqlparser.FuncCall // a grouped core's aggregates, each node once
-	groups  map[string]*group     // by the GROUP BY keys' encoding
-	order   []*group              // in the order their first rows arrived
-	kb      []byte                // the row at hand's group key or DISTINCT argument
+	groups map[string]*group // by the GROUP BY keys' encoding
+	order  []*group          // in the order their first rows arrived
+	kb     []byte            // the row at hand's group key or DISTINCT argument
 }
 
-func newProjector(ex *executor, core *sqlparser.SelectCore, schema *RelSchema, sc *scope, outer *env) *projector {
+func newProjector(ex *executor, bc *boundCore, sc *scope, outer *env) *projector {
+	core := bc.core
 	p := &projector{
 		ex:   ex,
+		bc:   bc,
 		core: core,
-		ev:   evaluator{ex: ex, scope: sc},
-		en:   env{schema: schema, outer: outer},
+		ev:   evaluator{ex: ex, scope: sc, b: bc.b},
+		en:   env{schema: bc.schema, outer: outer},
 		out:  make(storage.Row, len(core.Items)),
 		keys: make([]storage.Value, len(core.OrderBy)),
 	}
 	if n := core.Offset + core.Limit; len(core.OrderBy) > 0 && !core.Distinct && core.Limit > 0 && n > 0 {
 		p.keep = int(n)
-	}
-	if p.grouped = coreIsGrouped(core); p.grouped {
-		p.aggs = collectAggregates(core)
 	}
 	return p
 }
@@ -88,7 +86,7 @@ func (p *projector) run(src rowIter) ([]keyedRow, error) {
 			return nil, err
 		}
 		p.en.row = row
-		if p.grouped {
+		if p.bc.grouped {
 			err = p.fold()
 		} else {
 			err = p.emit()
@@ -97,7 +95,7 @@ func (p *projector) run(src rowIter) ([]keyedRow, error) {
 			return nil, err
 		}
 	}
-	if p.grouped {
+	if p.bc.grouped {
 		if err := p.finishGroups(); err != nil {
 			return nil, err
 		}
@@ -108,10 +106,8 @@ func (p *projector) run(src rowIter) ([]keyedRow, error) {
 
 // emit evaluates the select list and the ORDER BY keys over the row bound to
 // en (a group's first row, with its aggregates' values) and adds the result.
-// An ORDER BY key naming a select-list alias (ORDER BY visits DESC) reads the
-// output row, where the alias exists, instead of the source row, where it
-// does not; when an alias shadows a source column the alias wins, matching
-// MySQL's resolution order.
+// An ORDER BY key the bind pass resolved to a select-list alias (ORDER BY
+// visits DESC) reads the output row.
 func (p *projector) emit() error {
 	out := p.en.row
 	if !p.core.Star {
@@ -125,11 +121,9 @@ func (p *projector) emit() error {
 		out = p.out
 	}
 	for i, o := range p.core.OrderBy {
-		if cr, ok := o.Expr.(*sqlparser.ColRef); ok && cr.Table == "" {
-			if j := p.alias(cr.Column); j >= 0 {
-				p.keys[i] = out[j]
-				continue
-			}
+		if j := p.bc.order[i]; j >= 0 {
+			p.keys[i] = out[j]
+			continue
 		}
 		v, err := p.ev.eval(o.Expr, &p.en)
 		if err != nil {
@@ -139,16 +133,6 @@ func (p *projector) emit() error {
 	}
 	p.add(out)
 	return nil
-}
-
-// alias returns the place of the last select-list item named name, or -1.
-func (p *projector) alias(name string) int {
-	for j := len(p.core.Items) - 1; j >= 0; j-- {
-		if p.core.Items[j].Alias == name {
-			return j
-		}
-	}
-	return -1
 }
 
 // add keeps out with the keys at hand if the core's tail may read it: out is
@@ -315,7 +299,7 @@ func (p *projector) fold() error {
 		return err
 	}
 	g.n++
-	for i, fc := range p.aggs {
+	for i, fc := range p.bc.aggs {
 		if fc.Star || len(fc.Args) != 1 {
 			continue
 		}
@@ -385,7 +369,7 @@ func (p *projector) group() (*group, error) {
 }
 
 func (p *projector) newGroup() *group {
-	g := &group{rep: p.en.row, accs: make([]aggAcc, len(p.aggs))}
+	g := &group{rep: p.en.row, accs: make([]aggAcc, len(p.bc.aggs))}
 	p.order = append(p.order, g)
 	return g
 }
@@ -398,10 +382,10 @@ func (p *projector) finishGroups() error {
 		p.en.row = make(storage.Row, len(p.en.schema.Cols))
 		p.newGroup()
 	}
-	vals := make(map[sqlparser.Expr]storage.Value, len(p.aggs))
+	vals := make(map[sqlparser.Expr]storage.Value, len(p.bc.aggs))
 	p.ev.aggValues = vals
 	for _, g := range p.order {
-		for i, fc := range p.aggs {
+		for i, fc := range p.bc.aggs {
 			v, err := g.accs[i].value(fc, g.n)
 			if err != nil {
 				return err
@@ -456,27 +440,4 @@ func (a *aggAcc) value(fc *sqlparser.FuncCall, rows int64) (storage.Value, error
 		return a.hi, nil
 	}
 	return storage.Null, fmt.Errorf("engine: unknown aggregate %q", fc.Name)
-}
-
-// collectAggregates returns the aggregate calls of the core's select list,
-// HAVING and ORDER BY, each node once.
-func collectAggregates(core *sqlparser.SelectCore) []*sqlparser.FuncCall {
-	var aggs []*sqlparser.FuncCall
-	visit := func(e sqlparser.Expr) {
-		sqlparser.Walk(e, false, func(x sqlparser.Expr) {
-			if fc, ok := x.(*sqlparser.FuncCall); ok && (fc.Star || isAggregateName(fc.Name)) && !slices.Contains(aggs, fc) {
-				aggs = append(aggs, fc)
-			}
-		})
-	}
-	for _, it := range core.Items {
-		visit(it.Expr)
-	}
-	if core.Having != nil {
-		visit(core.Having)
-	}
-	for _, o := range core.OrderBy {
-		visit(o.Expr)
-	}
-	return aggs
 }

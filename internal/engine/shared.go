@@ -16,11 +16,11 @@ import (
 // every one of those statements, so it is built once, here, and lives as
 // long as the state: from ShareFilter to Release. A binding uses it only
 // where the FROM entry is the table under its own name, as in every guarded
-// CTE body, so the columns resolve exactly as they did for the first
-// statement that compiled it. Everything is built through the compiler every
-// other conjunct goes through; this is memoisation, not a second compiler.
-// A registered conjunct must hold no placeholder: the open's check that a
-// statement is bound (DB.unbound) does not walk it.
+// CTE body. No statement's bind pass walks the conjunct (bind.go): its
+// names resolve against the table alone, as it compiles, and it must hold
+// no placeholder, which the pass would not count. Everything is
+// built through the compiler every other conjunct goes through; this is
+// memoisation, not a second compiler.
 
 // SharedFilter is one registered filter conjunct over one base table. Each
 // of its parts is built at most once, by the first execution that needs it,
@@ -29,6 +29,10 @@ type SharedFilter struct {
 	db   *DB
 	expr sqlparser.Expr
 	t    *storage.Table
+
+	// serial is set when the conjunct holds a subquery, which keeps a scan
+	// it filters on the consumer's goroutine (tableBinding.serial).
+	serial bool
 
 	predOnce sync.Once
 	pred     vecPred
@@ -40,9 +44,6 @@ type SharedFilter struct {
 	zone     zoneNode
 	zoneCols []int
 	zoneOK   bool
-
-	safeOnce sync.Once
-	safe     bool
 }
 
 // ShareFilter registers e, a conjunct of filters over the named table, so
@@ -55,7 +56,7 @@ func (db *DB) ShareFilter(table string, e sqlparser.Expr) *SharedFilter {
 	if !ok || e == nil {
 		return nil
 	}
-	v, _ := db.shared.LoadOrStore(e, &SharedFilter{db: db, expr: e, t: t})
+	v, _ := db.shared.LoadOrStore(e, &SharedFilter{db: db, expr: e, t: t, serial: sqlparser.HasSubquery(e)})
 	if sf := v.(*SharedFilter); sf.t == t {
 		return sf
 	}
@@ -82,37 +83,12 @@ func (db *DB) SharedFilters() (live int, compiled int64) {
 	return live, db.sharedCompiles.Load()
 }
 
-// sharedFilter returns the registration of conjunct e over t, or nil.
-func (db *DB) sharedFilter(t *storage.Table, e sqlparser.Expr) *SharedFilter {
-	if v, ok := db.shared.Load(e); ok {
-		if sf := v.(*SharedFilter); sf.t == t {
-			return sf
-		}
-	}
-	return nil
-}
-
-// unbound is BindStmt's error for s run with no arguments, nil when s holds
-// no placeholder: the open fails a statement with one left in it whatever
-// its rows. A registered guard disjunction is not walked, so a guarded
-// statement is checked at the cost of its own text, not of its guards. Only
-// disjunctions are looked up: a lookup per node would cost more than the
-// walk it saves.
-func (db *DB) unbound(s *sqlparser.SelectStmt) error {
-	return sqlparser.Unbound(s, func(e sqlparser.Expr) bool {
-		if b, ok := e.(*sqlparser.BinaryExpr); !ok || b.Op != sqlparser.OpOr {
-			return false
-		}
-		_, ok := db.shared.Load(e)
-		return ok
-	})
-}
-
-// program returns the conjunct's compiled operator.
+// program returns the conjunct's compiled operator, its names resolved
+// against its table as it compiles (vecCompiler).
 func (sf *SharedFilter) program() vecPred {
 	sf.predOnce.Do(func() {
-		t := sf.t
-		sf.pred = (&vecCompiler{schema: qualifySchema(t.Name, t.Schema)}).compilePred(sf.expr)
+		vc := &vecCompiler{db: sf.db, frame: QualifiedSchema(sf.t.Name, sf.t.Schema)}
+		sf.pred = vc.compilePred(sf.expr)
 		sf.db.sharedCompiles.Add(1)
 	})
 	return sf.pred
@@ -138,18 +114,4 @@ func (sf *SharedFilter) zones() (n zoneNode, cols []int, ok bool) {
 		sf.zoneCols = zc.cols
 	})
 	return sf.zone, sf.zoneCols, sf.zoneOK
-}
-
-// parallelSafe reports whether the conjunct may run on fan-out workers.
-func (sf *SharedFilter) parallelSafe() bool {
-	sf.safeOnce.Do(func() { sf.safe = parallelSafeConjunct(sf.expr) })
-	return sf.safe
-}
-
-// sharedAt is shared[i], or nil when shared is.
-func sharedAt(shared []*SharedFilter, i int) *SharedFilter {
-	if shared == nil {
-		return nil
-	}
-	return shared[i]
 }

@@ -260,7 +260,7 @@ var filterPool = sync.Pool{New: func() any { return new(batchFilter) }}
 func newBatchFilter(ex *executor, tb *tableBinding, sc *scope, outer *env, poll func() error) *batchFilter {
 	f := filterPool.Get().(*batchFilter)
 	f.ex, f.prog = ex, tb.program(ex.db)
-	f.ev = evaluator{ex: ex, scope: sc}
+	f.ev = evaluator{ex: ex, scope: sc, b: tb.b}
 	f.ve.b, f.ve.ev, f.ve.poll = &f.batch, &f.ev, poll
 	f.ve.rowEnv.schema, f.ve.rowEnv.outer = tb.schema, outer
 	if watch := ex.db.filterEvents.Load(); watch != nil {

@@ -122,10 +122,13 @@ func TestLazyCTEForwardReference(t *testing.T) {
 		}
 	}
 	// The first body cannot see the clause's names, so its reference to "s"
-	// does not count against the later CTE "s" streaming (nor is the first
-	// body — where the policy rewrite puts the guard expression — walked).
+	// does not count against the later CTE "s" streaming.
 	stmt := sqlparser.MustParse("WITH a AS (SELECT id FROM s), s AS (SELECT id FROM a) SELECT id FROM s")
-	if lazy := lazyCTENames(stmt); !lazy["a"] || !lazy["s"] {
+	sb, err := db.bind(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lazy := sb.lazy; !lazy[0] || !lazy[1] {
 		t.Fatalf("lazy WITH names = %v, want a and s", lazy)
 	}
 	// The later CTE itself is still usable from the statement body.

@@ -328,8 +328,9 @@ func TestCorrelatedSubqueryRerunsPerRow(t *testing.T) {
 			}
 		})
 	}
-	// The correlated reference is resolved on fan-out workers: ten segments
-	// of wifi, four workers, each resolving past the same boundary env.
+	// The correlated reference is read on fan-out workers: ten segments of
+	// wifi, four workers, each reading membership's row through its own
+	// scanner's env, linked to the one enclosing row.
 	t.Run("resolved_on_workers", func(t *testing.T) {
 		db, _ := subqueryDB(t)
 		db.MustTable("wifi").SetSegmentSize(16)
@@ -353,4 +354,20 @@ func TestCorrelatedSubqueryRerunsPerRow(t *testing.T) {
 			t.Fatalf("the derived value ran %d times, want 16: once per owner-3 row", n)
 		}
 	})
+}
+
+// TestUnreachedOuterReferenceIsCorrelated: a subquery that names the outer
+// row is correlated, and runs once per outer row, even when no run reaches
+// that name — here every membership row passes gid >= 0 first, so
+// wifi.owner is never read. The bind pass decides correlation from the
+// text, before a row is read; the rows are those of the subquery run once.
+func TestUnreachedOuterReferenceIsCorrelated(t *testing.T) {
+	db, _ := subqueryDB(t)
+	rows, counters := queryCounted(t, db, "SELECT id FROM wifi WHERE EXISTS (SELECT uid FROM membership WHERE gid >= 0 OR uid = wifi.owner)")
+	if got, want := ids(rows), wifiIDs(func(int64, int64) bool { return true }); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ids %v, want %v", got, want)
+	}
+	if counters.SeqScans != 161 {
+		t.Fatalf("%d sequential scans, want 161: wifi once, the subquery per row", counters.SeqScans)
+	}
 }

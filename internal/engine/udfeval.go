@@ -7,28 +7,12 @@ import (
 	"github.com/sieve-db/sieve/internal/storage"
 )
 
-// QualifiedSchema builds the RelSchema of a base table's rows, with every
-// column qualified by the given name. UDFs that re-enter the engine (the Δ
-// operator evaluating derived-value policy conditions, §5.2) use it to give
-// the current tuple an addressable shape.
-func QualifiedSchema(name string, s *storage.Schema) *RelSchema {
-	return qualifySchema(name, s)
-}
-
-// EvalPredicate evaluates an expression against one row laid out as schema.
-// Subqueries inside the expression run against the database with the row as
-// their outer correlation scope — exactly how the paper's nested policy
-// conditions (§3.1) see the tuple under evaluation. The result is the raw
-// value; callers decide on truthiness.
-func (db *DB) EvalPredicate(e sqlparser.Expr, schema *RelSchema, row storage.Row) (storage.Value, error) {
-	return db.EvalPredicateWith(nil, e, schema, row)
-}
-
-// EvalPredicateWith is EvalPredicate tallying work into the supplied
-// counters — typically the calling query's own (UDFContext.Counters).
-// UDFs on per-tuple hot paths use it to avoid taking the DB-wide counter
-// merge lock once per invocation. nil counters fall back to a private
-// set merged globally, as EvalPredicate does.
+// EvalPredicateWith binds e to rows laid out as schema, as the open binds a
+// statement, and evaluates it against row; subqueries in e see the row as
+// their outer correlation scope, as the paper's nested policy conditions
+// (§3.1) see the tuple under evaluation. Callers decide on truthiness. Work
+// tallies into c — a UDF passes its query's own (UDFContext.Counters), so
+// no DB-wide merge lock is taken per tuple — or, when nil, into the DB's.
 func (db *DB) EvalPredicateWith(c *Counters, e sqlparser.Expr, schema *RelSchema, row storage.Row) (storage.Value, error) {
 	ex := db.newExecutor(context.Background())
 	if c != nil {
@@ -39,7 +23,11 @@ func (db *DB) EvalPredicateWith(c *Counters, e sqlparser.Expr, schema *RelSchema
 	} else {
 		defer ex.flush(db)
 	}
-	ev := &evaluator{ex: ex, scope: newScope(nil)}
+	b, err := db.bindExpr(e, schema)
+	if err != nil {
+		return storage.Null, err
+	}
+	ev := &evaluator{ex: ex, b: b}
 	return ev.eval(e, &env{schema: schema, row: row})
 }
 

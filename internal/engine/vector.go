@@ -161,9 +161,11 @@ type vecEnv struct {
 	poll   func() error
 }
 
-// scalar evaluates e for batch row i through the row evaluator.
-func (ve *vecEnv) scalar(e sqlparser.Expr, i int) (storage.Value, error) {
+// scalar evaluates e, bound by b, for batch row i through the row
+// evaluator.
+func (ve *vecEnv) scalar(b *binding, e sqlparser.Expr, i int) (storage.Value, error) {
 	ve.rowEnv.row = ve.b.Row(i)
+	ve.ev.b = b
 	return ve.ev.eval(e, &ve.rowEnv)
 }
 
@@ -230,12 +232,19 @@ func (v *arithVec) eval(ve *vecEnv, active []int, out []storage.Value) error {
 
 // lazyVec evaluates an uncompilable value expression (UDF call, subquery,
 // correlated reference) through the scalar evaluator, row by row, for the
-// active rows only.
-type lazyVec struct{ expr sqlparser.Expr }
+// active rows only, its names as b bound them; err when they did not bind.
+type lazyVec struct {
+	expr sqlparser.Expr
+	b    *binding
+	err  error
+}
 
 func (v *lazyVec) eval(ve *vecEnv, active []int, out []storage.Value) error {
+	if v.err != nil && len(active) > 0 {
+		return v.err
+	}
 	for _, i := range active {
-		x, err := ve.scalar(v.expr, i)
+		x, err := ve.scalar(v.b, v.expr, i)
 		if err != nil {
 			return err
 		}
@@ -735,12 +744,20 @@ func (p *isNullVec) eval(ve *vecEnv, active []int, out []tri) error {
 }
 
 // lazyTri evaluates an uncompilable predicate through the scalar evaluator
-// for the active rows only — the rowPasses fallback at leaf granularity.
-type lazyTri struct{ expr sqlparser.Expr }
+// for the active rows only — the rowPasses fallback at leaf granularity —
+// its names as b bound them; err when they did not bind.
+type lazyTri struct {
+	expr sqlparser.Expr
+	b    *binding
+	err  error
+}
 
 func (p *lazyTri) eval(ve *vecEnv, active []int, out []tri) error {
+	if p.err != nil && len(active) > 0 {
+		return p.err
+	}
 	for _, i := range active {
-		v, err := ve.scalar(p.expr, i)
+		v, err := ve.scalar(p.b, p.expr, i)
 		if err != nil {
 			return err
 		}
@@ -751,21 +768,51 @@ func (p *lazyTri) eval(ve *vecEnv, active []int, out []tri) error {
 
 // ---- compilation ----
 
-// vecCompiler translates scan conjuncts into vector operators against one
-// relation schema. It holds nothing else, so dispatchOr may compile arms
-// through it from any goroutine.
+// vecCompiler translates scan conjuncts into vector operators over rows
+// laid out as frame, their names as b bound them. A registered conjunct
+// (SharedFilter), which no bind pass walks, compiles with no b: evaluated on
+// its table's rows alone, outside a subquery it can only name a column of
+// frame, found as it compiles, and a lazy leaf's names are bound against
+// frame as the leaf is built — per compiled arm, not per guard state. The
+// compiler holds nothing else, so dispatchOr may compile arms through it
+// from any goroutine.
 type vecCompiler struct {
-	schema *RelSchema
+	db    *DB
+	b     *binding
+	frame *RelSchema
 }
 
-// column resolves e as a column of the scan's own relation.
+// column returns the slot e reads when it is a column of the scan's own row.
 func (vc *vecCompiler) column(e sqlparser.Expr) (int, bool) {
 	c, ok := e.(*sqlparser.ColRef)
 	if !ok {
 		return 0, false
 	}
-	i, err := vc.schema.Resolve(c.Table, c.Column)
-	return i, err == nil
+	if vc.b == nil {
+		i, err := vc.frame.Resolve(c.Table, c.Column)
+		return i, err == nil
+	}
+	r, ok := vc.b.cols[c]
+	return int(r.slot), ok && r.up == 0
+}
+
+// leaf returns the binding a lazy leaf evaluates e with: the compiler's, or
+// e's own against frame when the compiler has none.
+func (vc *vecCompiler) leaf(e sqlparser.Expr) (*binding, error) {
+	if vc.b != nil {
+		return vc.b, nil
+	}
+	return vc.db.bindExpr(e, vc.frame)
+}
+
+func (vc *vecCompiler) lazyVal(e sqlparser.Expr) vecVal {
+	b, err := vc.leaf(e)
+	return &lazyVec{expr: e, b: b, err: err}
+}
+
+func (vc *vecCompiler) lazyPred(e sqlparser.Expr) vecPred {
+	b, err := vc.leaf(e)
+	return &lazyTri{expr: e, b: b, err: err}
 }
 
 func literal(e sqlparser.Expr) (storage.Value, bool) {
@@ -799,18 +846,18 @@ func (vc *vecCompiler) compileVal(e sqlparser.Expr) vecVal {
 		if i, ok := vc.column(x); ok {
 			return &colVec{col: i}
 		}
-		// Correlated/outer (or ambiguous) reference: resolve per row
-		// through the env chain, exactly like the row path.
-		return &lazyVec{expr: e}
+		// A correlated reference reads the enclosing row, through the
+		// env chain, exactly like the row path.
+		return vc.lazyVal(e)
 	case *sqlparser.BinaryExpr:
 		switch x.Op {
 		case sqlparser.OpAdd, sqlparser.OpSub, sqlparser.OpMul, sqlparser.OpDiv:
 			return &arithVec{op: x.Op, l: vc.compileVal(x.L), r: vc.compileVal(x.R)}
 		}
-		return &lazyVec{expr: e}
+		return vc.lazyVal(e)
 	default:
 		// UDF calls, subqueries: scalar evaluation per active row.
-		return &lazyVec{expr: e}
+		return vc.lazyVal(e)
 	}
 }
 
@@ -857,7 +904,7 @@ func (vc *vecCompiler) compilePred(e sqlparser.Expr) vecPred {
 		return &betweenVec{e: vc.compileVal(x.E), lo: vc.compileVal(x.Lo), hi: vc.compileVal(x.Hi), not: x.Not}
 	case *sqlparser.InExpr:
 		if x.Sub != nil {
-			return &lazyTri{expr: e}
+			return vc.lazyPred(e)
 		}
 		if col, ok := vc.column(x.E); ok {
 			if list, ok := literals(x.List); ok {
@@ -874,7 +921,7 @@ func (vc *vecCompiler) compilePred(e sqlparser.Expr) vecPred {
 	case *sqlparser.ColRef:
 		return &valPred{v: vc.compileVal(e)}
 	default:
-		return &lazyTri{expr: e}
+		return vc.lazyPred(e)
 	}
 }
 
@@ -988,7 +1035,7 @@ func inOrder(e sqlparser.Expr, op sqlparser.BinOp, fn func(sqlparser.Expr) bool)
 // column the first arm is keyed on through a nested disjunction. -1: none.
 // It only chooses; keysOn then derives every arm's points on the choice.
 func (vc *vecCompiler) dispatchColumn(disj []sqlparser.Expr) int {
-	tally := make([]int, len(vc.schema.Cols))
+	tally := make([]int, len(vc.frame.Cols))
 	best := -1
 	for _, d := range disj {
 		inOrder(d, sqlparser.OpAnd, func(cj sqlparser.Expr) bool {
@@ -1005,7 +1052,7 @@ func (vc *vecCompiler) dispatchColumn(disj []sqlparser.Expr) int {
 	if best >= 0 || len(disj) == 0 {
 		return best
 	}
-	for col := range vc.schema.Cols {
+	for col := range len(vc.frame.Cols) {
 		if _, ok := vc.keysOn(disj[0], col, 0, nil); ok {
 			return col
 		}
@@ -1055,9 +1102,9 @@ func (vc *vecCompiler) keysOn(arm sqlparser.Expr, col, a int, pairs []keyArm) ([
 
 // pureTotalPredicate reports whether evaluating e can neither error nor
 // have side effects for any row: comparisons, BETWEEN, IN lists, IS NULL
-// and logical combinations over this scan's columns and literals only. UDF
-// calls, subqueries, arithmetic (which errors on non-numeric kinds) and
-// unresolvable column references all disqualify. Skipping a disjunction
+// and logical combinations over bound columns and literals only. UDF calls,
+// subqueries and arithmetic (which errors on non-numeric kinds) all
+// disqualify. Skipping a disjunction
 // arm is only sound when every conjunct the row evaluator would have
 // reached first is pure and total — otherwise the skip would suppress an
 // error or a UDF invocation the row path performs.
@@ -1066,11 +1113,7 @@ func (vc *vecCompiler) pureTotalPredicate(e sqlparser.Expr) bool {
 	sqlparser.Walk(e, false, func(x sqlparser.Expr) {
 		switch n := x.(type) {
 		case *sqlparser.Literal, *sqlparser.CompareExpr, *sqlparser.BetweenExpr,
-			*sqlparser.IsNullExpr, *sqlparser.NotExpr:
-		case *sqlparser.ColRef:
-			if _, err := vc.schema.Resolve(n.Table, n.Column); err != nil {
-				pure = false
-			}
+			*sqlparser.IsNullExpr, *sqlparser.NotExpr, *sqlparser.ColRef:
 		case *sqlparser.BinaryExpr:
 			if n.Op != sqlparser.OpAnd && n.Op != sqlparser.OpOr {
 				pure = false // arithmetic errors on non-numeric values
@@ -1093,17 +1136,17 @@ type vecProgram struct {
 	preds []vecPred
 }
 
-// compileVecProgram compiles the conjuncts against the relation's schema,
-// taking a shared conjunct's operator (shared[i], shared.go) as compiled
-// once; nil when there is nothing to filter.
-func compileVecProgram(conjs []sqlparser.Expr, schema *RelSchema, shared []*SharedFilter) *vecProgram {
-	if len(conjs) == 0 {
+// compileVecProgram compiles the binding's conjuncts, taking a shared
+// conjunct's operator (shared.go) as compiled once; nil when there is
+// nothing to filter.
+func compileVecProgram(tb *tableBinding) *vecProgram {
+	if len(tb.conjs) == 0 {
 		return nil
 	}
-	vc := &vecCompiler{schema: schema}
-	p := &vecProgram{preds: make([]vecPred, len(conjs))}
-	for i, cj := range conjs {
-		if sf := sharedAt(shared, i); sf != nil {
+	vc := &vecCompiler{b: tb.b, frame: tb.schema}
+	p := &vecProgram{preds: make([]vecPred, len(tb.conjs))}
+	for i, cj := range tb.conjs {
+		if sf := tb.shared[i]; sf != nil {
 			p.preds[i] = sf.program()
 		} else {
 			p.preds[i] = vc.compilePred(cj)
@@ -1116,11 +1159,11 @@ func compileVecProgram(conjs []sqlparser.Expr, schema *RelSchema, shared []*Shar
 // the compiled program, unless a test has put the rowPasses reference in
 // its place for this DB (export_test.go) — in place of the whole filter,
 // shared conjuncts included.
-func (db *DB) compileScanFilter(conjs []sqlparser.Expr, schema *RelSchema, shared []*SharedFilter) *vecProgram {
+func (db *DB) compileScanFilter(tb *tableBinding) *vecProgram {
 	if ref := db.rowReference.Load(); ref != nil {
-		return (*ref)(conjs, schema)
+		return (*ref)(tb)
 	}
-	return compileVecProgram(conjs, schema, shared)
+	return compileVecProgram(tb)
 }
 
 // run filters ve's batch: every selected row satisfies all conjuncts, with

@@ -169,7 +169,7 @@ func compileZonePreds(conjs []sqlparser.Expr, ref string, schema *storage.Schema
 		if i == seeded {
 			continue
 		}
-		if sf := sharedAt(shared, i); sf != nil {
+		if sf := shared[i]; sf != nil {
 			if _, _, ok := sf.zones(); !ok {
 				continue // refutes nothing: compiled once already
 			}

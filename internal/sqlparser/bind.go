@@ -9,22 +9,9 @@ import (
 // NumPlaceholders counts the bind parameters (`?`) in a statement,
 // including those inside CTEs, set-operation arms, derived tables and
 // subqueries.
-func NumPlaceholders(s *SelectStmt) int { return countPlaceholders(s, nil) }
-
-// Unbound is BindStmt's error for s bound to no arguments: nil when s holds
-// no placeholder. An expression for which bound reports true is taken to
-// hold none and is not walked, so a caller that knows a large subtree to be
-// placeholder-free does not pay for walking it.
-func Unbound(s *SelectStmt, bound func(Expr) bool) error {
-	if n := countPlaceholders(s, bound); n > 0 {
-		return argCountError(n, 0)
-	}
-	return nil
-}
-
-func countPlaceholders(s *SelectStmt, bound func(Expr) bool) int {
+func NumPlaceholders(s *SelectStmt) int {
 	n := 0
-	w := walker{descend: true, skip: bound, node: func(e Expr) {
+	w := walker{descend: true, node: func(e Expr) {
 		if _, ok := e.(*Placeholder); ok {
 			n++
 		}
@@ -33,7 +20,9 @@ func countPlaceholders(s *SelectStmt, bound func(Expr) bool) int {
 	return n
 }
 
-func argCountError(want, got int) error {
+// ArgCountError is BindStmt's error for a statement with want placeholders
+// bound to got arguments.
+func ArgCountError(want, got int) error {
 	return fmt.Errorf("sql: statement has %d placeholder(s), got %d argument(s)", want, got)
 }
 
@@ -47,7 +36,7 @@ func argCountError(want, got int) error {
 func BindStmt(s *SelectStmt, args []storage.Value) (*SelectStmt, error) {
 	want := NumPlaceholders(s)
 	if len(args) != want {
-		return nil, argCountError(want, len(args))
+		return nil, ArgCountError(want, len(args))
 	}
 	if want == 0 {
 		return s, nil

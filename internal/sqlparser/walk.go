@@ -45,14 +45,11 @@ func subqueryOf(e Expr) *SelectStmt {
 // walker is the traversal behind Walk and WalkCores: node, when set, sees
 // every expression node before its children; core, when set, sees every
 // select core after everything nested in it. descend enters the statements
-// of expression subqueries. skip, when set, prunes: an expression it
-// reports true for is not visited, nor is anything below it. The callbacks
-// live in a struct, not in closures built during the walk, so they stay on
-// the caller's stack.
+// of expression subqueries. The callbacks live in a struct, not in closures
+// built during the walk, so they stay on the caller's stack.
 type walker struct {
 	node    func(Expr)
 	core    func(*SelectCore, bool)
-	skip    func(Expr) bool
 	descend bool
 }
 
@@ -93,7 +90,7 @@ func (w *walker) selectCore(c *SelectCore, inExpr bool) {
 }
 
 func (w *walker) expr(e Expr) {
-	if e == nil || w.skip != nil && w.skip(e) {
+	if e == nil {
 		return
 	}
 	if w.node != nil {
