@@ -57,16 +57,21 @@ func (m *Middleware) rewriteBaseline(kind BaselineKind, sql string, qm policy.Me
 	if qm.Querier == "" {
 		return nil, nil, fmt.Errorf("sieve: query metadata must identify the querier")
 	}
-	fresh := cteNamer(stmt)
+	relations := slices.DeleteFunc(referencedTables(stmt), func(r string) bool { return !m.Protected(r) })
+	if len(relations) == 0 {
+		return stmt, nil, nil
+	}
+	ex, err := m.db.Explain(stmt) // every base reference, before any changes
+	if err != nil {
+		return nil, nil, err
+	}
+	fresh := cteNamer(ex.With)
 	var ctes []sqlparser.CTE
-	for _, relation := range referencedTables(stmt) {
-		if !m.Protected(relation) {
-			continue
-		}
+	for _, relation := range relations {
 		ps := m.store.PoliciesFor(qm, relation, m.groups)
 		switch kind {
 		case BaselineP:
-			appendPerCore(stmt, relation, func(refName string) sqlparser.Expr {
+			appendPerCore(ex, relation, func(refName string) sqlparser.Expr {
 				if e := policy.Expression(ps, refName); e != nil {
 					return e
 				}
@@ -81,7 +86,7 @@ func (m *Middleware) rewriteBaseline(kind BaselineKind, sql string, qm policy.Me
 				return nil, sets, err
 			}
 			sets = append(sets, setID)
-			appendPerCore(stmt, relation, func(refName string) sqlparser.Expr {
+			appendPerCore(ex, relation, func(refName string) sqlparser.Expr {
 				if len(ps) == 0 {
 					return sqlparser.Lit(storage.NewBool(false))
 				}
@@ -89,11 +94,11 @@ func (m *Middleware) rewriteBaseline(kind BaselineKind, sql string, qm policy.Me
 			})
 		case BaselineI:
 			name := fresh(relation) // one CTE per relation: BaselineI pushes nothing
-			forEachBaseRef(stmt, func(_ *sqlparser.SelectCore, ref *sqlparser.TableRef) {
-				if ref.Name == relation {
-					redirect(ref, name)
+			for _, ta := range ex.Tables {
+				if ta.Ref != nil && ta.Ref.Name == relation {
+					redirect(ta.Ref, name)
 				}
-			})
+			}
 			ctes = append(ctes, sqlparser.CTE{Name: name, Select: m.buildBaselineICTE(relation, ps)})
 		default:
 			return nil, sets, fmt.Errorf("sieve: unknown baseline %q", kind)
@@ -103,17 +108,17 @@ func (m *Middleware) rewriteBaseline(kind BaselineKind, sql string, qm policy.Me
 	return stmt, sets, nil
 }
 
-// appendPerCore conjoins mk(refName) to the WHERE clause of every select
-// core that references the relation, for each reference, wherever the core
-// sits — expression subqueries included (policy checks precede any
+// appendPerCore conjoins mk(refName) to the WHERE clause of the core of
+// every base reference to the relation, for each reference, wherever the
+// core sits — expression subqueries included (policy checks precede any
 // non-monotonic set operation, §3.1), and ahead of every conjunct that can
 // raise (sqlparser.Guarded).
-func appendPerCore(stmt *sqlparser.SelectStmt, relation string, mk func(refName string) sqlparser.Expr) {
-	forEachBaseRef(stmt, func(c *sqlparser.SelectCore, ref *sqlparser.TableRef) {
-		if ref.Name == relation {
-			c.Where = sqlparser.Guarded(sqlparser.Conjuncts(c.Where), mk(ref.RefName()))
+func appendPerCore(ex *engine.Explain, relation string, mk func(refName string) sqlparser.Expr) {
+	for _, ta := range ex.Tables {
+		if ta.Ref != nil && ta.Ref.Name == relation {
+			ta.Core.Where = sqlparser.Guarded(sqlparser.Conjuncts(ta.Core.Where), mk(ta.Ref.RefName()))
 		}
-	})
+	}
 }
 
 // buildBaselineICTE constructs BaselineI's projection: one forced

@@ -293,12 +293,15 @@ func TestBaselineUReleasesCheckSets(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Rewritten (and its set registered), then failing in the engine.
-	if _, err := f.m.ExecuteBaseline(t.Context(), BaselineU, "SELECT nosuchcol FROM wifi", f.qm); err == nil {
-		t.Fatal("a query over an unknown column succeeded")
+	// Rewritten (and its set registered), then failing in the engine; and
+	// failing at the rewrite's EXPLAIN, before anything is registered.
+	for _, q := range []string{"SELECT nosuchfn(id) FROM wifi", "SELECT nosuchcol FROM wifi"} {
+		if _, err := f.m.ExecuteBaseline(t.Context(), BaselineU, q, f.qm); err == nil {
+			t.Fatalf("%s succeeded", q)
+		}
 	}
 	if got := live(); got != before {
-		t.Fatalf("%d check sets live after 21 BaselineU queries, %d before", got, before)
+		t.Fatalf("%d check sets live after 22 BaselineU queries, %d before", got, before)
 	}
 }
 

@@ -55,31 +55,36 @@ func (m *Middleware) rewriteSpan(stmt *sqlparser.SelectStmt, qm policy.Metadata,
 	if regens > 0 {
 		gsp.Count("regens", int64(regens))
 	}
-	return stmt, m.rewriteResolved(stmt, qm, res), nil
+	rep, err := m.rewriteResolved(stmt, qm, res)
+	return stmt, rep, err
 }
 
 // rewriteResolved rewrites stmt in place from one resolution of its
-// protected relations, taking no lock, in one walk: every base reference to
-// one, in whatever core it sits, gets a WITH entry of its own, priced (§5.5)
-// and filtered by the single-table conjuncts that move in from its core. The
-// entries are prepended after the walk, so it never enters a guard arm.
-func (m *Middleware) rewriteResolved(stmt *sqlparser.SelectStmt, qm policy.Metadata, res []resolution) *Report {
+// protected relations, taking no lock: in the statement's one EXPLAIN,
+// every base reference to a protected relation, in whatever core it sits,
+// gets a WITH entry of its own, priced (§5.5) from its explained access and
+// filtered by the conjuncts that move in from its core. The entries are
+// prepended last, under names no WITH entry of stmt has at any depth.
+func (m *Middleware) rewriteResolved(stmt *sqlparser.SelectStmt, qm policy.Metadata, res []resolution) (*Report, error) {
 	rep := &Report{}
 	rep.GuardCacheHits, rep.GuardCacheMisses = countHits(res)
 	if len(res) == 0 {
-		return rep
+		return rep, nil
 	}
-	fresh := cteNamer(stmt)
+	ex, err := m.db.Explain(stmt)
+	if err != nil {
+		return nil, err
+	}
+	fresh := cteNamer(ex.With)
 	hints := m.db.Dialect().HonorsIndexHints() && !m.noHints
 	var ctes []sqlparser.CTE
-	forEachBaseRef(stmt, func(c *sqlparser.SelectCore, ref *sqlparser.TableRef) {
-		i := slices.IndexFunc(res, func(r resolution) bool { return r.relation == ref.Name })
+	for _, ta := range ex.Tables {
+		i := slices.IndexFunc(res, func(r resolution) bool { return ta.Ref != nil && r.relation == ta.Ref.Name })
 		if i < 0 {
-			return
+			continue
 		}
 		r := &res[i]
-		conjs := m.moveConjuncts(c, ref)
-		dec := m.chooseStrategy(r.relation, m.accessFor(ref, conjs), r.state)
+		dec := m.chooseStrategy(r.relation, ta, r.state)
 		dec.DeltaGuards = len(r.state.deltaSets)
 		dec.Signature = r.state.signature()
 		dec.SharedState = r.state.ge.Querier != qm.Querier || r.state.ge.Purpose != qm.Purpose
@@ -92,44 +97,27 @@ func (m *Middleware) rewriteResolved(stmt *sqlparser.SelectStmt, qm policy.Metad
 			DefaultDeny: guardOr == nil,
 			Arms:        arms,
 			Guard:       guardOr,
-			QueryConjs:  conjs,
+			QueryConjs:  moveConjuncts(ta),
 		}
-		redirect(ref, g.Name)
+		redirect(ta.Ref, g.Name)
 		ctes = append(ctes, sqlparser.CTE{Name: g.Name, Select: g.Frame(hints)})
 		rep.GuardedCTEs = append(rep.GuardedCTEs, g)
 		rep.Decisions = append(rep.Decisions, dec)
-	})
-	stmt.With = append(ctes, stmt.With...)
-	return rep
-}
-
-// forEachBaseRef calls fn for every FROM entry naming a table rather than a
-// derived table, with the core it belongs to, wherever sqlparser.WalkCores
-// reaches: CTEs, set-operation arms, derived tables and expression
-// subqueries.
-func forEachBaseRef(stmt *sqlparser.SelectStmt, fn func(*sqlparser.SelectCore, *sqlparser.TableRef)) {
-	sqlparser.WalkCores(stmt, func(c *sqlparser.SelectCore, _ bool) {
-		for i := range c.From {
-			if c.From[i].Subquery == nil {
-				fn(c, &c.From[i])
-			}
-		}
-	})
-}
-
-// cteNamer returns a source of WITH names unused in stmt:
-// relation_sieve, relation_sieve2, … per relation.
-func cteNamer(stmt *sqlparser.SelectStmt) func(relation string) string {
-	used := make(map[string]bool, len(stmt.With))
-	for _, cte := range stmt.With {
-		used[cte.Name] = true
 	}
+	stmt.With = append(ctes, stmt.With...)
+	return rep, nil
+}
+
+// cteNamer returns a source of WITH names not in used:
+// relation_sieve, relation_sieve2, … per relation.
+func cteNamer(used []string) func(relation string) string {
+	used = slices.Clip(used) // names handed out are appended to a copy
 	return func(relation string) string {
 		name := relation + "_sieve"
-		for i := 2; used[name]; i++ {
+		for i := 2; slices.Contains(used, name); i++ {
 			name = fmt.Sprintf("%s_sieve%d", relation, i)
 		}
-		used[name] = true
+		used = append(used, name)
 		return name
 	}
 }
@@ -145,53 +133,22 @@ func redirect(ref *sqlparser.TableRef, cteName string) {
 	ref.Hint = nil // hints are meaningless on a derived relation
 }
 
-// moveConjuncts removes from c's WHERE the conjuncts that read ref alone and
-// returns them re-qualified to the relation's own name, for ref's guarded
-// CTE (§5.5's selective query predicates). A conjunct reads ref alone when
-// it holds no subquery and every column it reads is qualified with ref's
-// name or — when ref is c's only FROM entry — unqualified and in the
-// relation's schema. Comma joins are the only joins, so a WHERE conjunct
-// filters its entry the same inside the CTE as outside it. A column the
-// relation lacks fails the open wherever it sits (the engine binds every
-// name before it reads a row), so it cannot tell a denied row from an
-// absent one.
-func (m *Middleware) moveConjuncts(c *sqlparser.SelectCore, ref *sqlparser.TableRef) []sqlparser.Expr {
-	refName, schema, alone := ref.RefName(), m.db.MustTable(ref.Name).Schema, len(c.From) == 1
-	var moved, kept []sqlparser.Expr
-	for _, conj := range sqlparser.Conjuncts(c.Where) {
-		own := !sqlparser.HasSubquery(conj)
-		sqlparser.Walk(conj, false, func(x sqlparser.Expr) {
-			if col, ok := x.(*sqlparser.ColRef); ok && col.Table != refName &&
-				(col.Table != "" || !alone || !schema.HasColumn(col.Column)) {
-				own = false
-			}
-		})
-		if own {
-			moved = append(moved, sqlparser.RequalifyExpr(sqlparser.RequalifyExpr(conj, refName, ref.Name), "", ref.Name))
-		} else {
-			kept = append(kept, conj)
-		}
+// moveConjuncts removes ta.Conjs, the conjuncts on ta's scan that read its
+// row alone and hold no subquery, from its core's WHERE and returns them
+// re-qualified to the relation's own name, for the reference's guarded CTE
+// (§5.5's selective query predicates). Comma joins are the only joins, so a
+// WHERE conjunct filters its entry the same inside the CTE as outside it.
+func moveConjuncts(ta engine.TableAccess) []sqlparser.Expr {
+	var moved []sqlparser.Expr
+	for _, conj := range ta.Conjs {
+		moved = append(moved, sqlparser.RequalifyExpr(sqlparser.RequalifyExpr(conj, ta.Ref.RefName(), ta.Ref.Name), "", ta.Ref.Name))
 	}
-	if len(moved) > 0 {
-		c.Where = sqlparser.And(kept...)
+	if moved != nil {
+		ta.Core.Where = sqlparser.And(slices.DeleteFunc(sqlparser.Conjuncts(ta.Core.Where), func(conj sqlparser.Expr) bool {
+			return slices.Contains(ta.Conjs, conj)
+		})...)
 	}
 	return moved
-}
-
-// accessFor is the optimizer's EXPLAIN of the scan ref's guarded CTE runs:
-// the relation under the reference's own hint, filtered by the conjuncts
-// moved into it. It is the zero access (no usable index) if EXPLAIN fails.
-func (m *Middleware) accessFor(ref *sqlparser.TableRef, conjs []sqlparser.Expr) engine.TableAccess {
-	scan := &sqlparser.SelectCore{
-		Star:  true,
-		From:  []sqlparser.TableRef{{Name: ref.Name, Hint: ref.Hint}},
-		Where: sqlparser.And(conjs...),
-		Limit: -1,
-	}
-	if ex, err := m.db.Explain(&sqlparser.SelectStmt{Body: scan}); err == nil && len(ex.Tables) == 1 {
-		return ex.Tables[0]
-	}
-	return engine.TableAccess{}
 }
 
 // guardArms returns the state's guard arms — per guard, the guard predicate
@@ -200,10 +157,9 @@ func (m *Middleware) accessFor(ref *sqlparser.TableRef, conjs []sqlparser.Expr) 
 // depend on the state alone, so they are built at its first rewrite and
 // shared read-only by every rewritten statement after it: nothing
 // downstream of the rewrite changes an expression in place, and the
-// rewrite's own walk is over before it prepends a guarded CTE, so it never
-// redirects a reference inside an arm. A subquery in an arm (a
-// derived-value condition) therefore reads base relations, as the Δ UDF's
-// checks do. For the same reason a patched state takes its base's arm, AST
+// rewrite redirects only the references its EXPLAIN listed before any arm
+// was prepended. A subquery in an arm (a derived-value condition)
+// therefore reads base relations, as the Δ UDF's checks do. For the same reason a patched state takes its base's arm, AST
 // and all, for every guard guard.Patch kept unchanged and that is not Δ,
 // and builds only the rest.
 //

@@ -294,12 +294,16 @@ func TestRewriteWithSubqueryReferencingProtectedTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ex, err := f.db.Explain(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	raw := 0
-	forEachBaseRef(stmt, func(_ *sqlparser.SelectCore, ref *sqlparser.TableRef) {
-		if ref.Name == "wifi" {
+	for _, ta := range ex.Tables {
+		if ta.Ref != nil && ta.Ref.Name == "wifi" {
 			raw++
 		}
-	})
+	}
 	// One remaining raw reference is inside our own CTE body (by design).
 	if raw != 1 {
 		t.Errorf("raw wifi references after rewrite = %d, want 1 (the CTE body)", raw)

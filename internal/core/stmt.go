@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -85,19 +84,20 @@ func (m *Middleware) Prepare(sql string) (*Stmt, error) {
 	}, nil
 }
 
-// referencedTables lists the distinct base-table names a statement
-// references anywhere (including subqueries and CTE bodies), sorted.
+// referencedTables lists the distinct names a statement's FROM entries
+// give anywhere (including subqueries and CTE bodies), sorted: its base
+// tables, and any WITH entry's name, which costs a claim lookup when it is
+// a protected relation's and never a row.
 func referencedTables(ast *sqlparser.SelectStmt) []string {
 	seen := make(map[string]bool)
-	forEachBaseRef(ast, func(_ *sqlparser.SelectCore, ref *sqlparser.TableRef) {
-		seen[ref.Name] = true
+	sqlparser.WalkCores(ast, func(c *sqlparser.SelectCore, _ bool) {
+		for _, ref := range c.From {
+			if ref.Subquery == nil {
+				seen[ref.Name] = true
+			}
+		}
 	})
-	out := make([]string, 0, len(seen))
-	for name := range seen {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(seen))
 }
 
 // SQL returns the statement's original text.
@@ -249,8 +249,11 @@ func (st *Stmt) planForSpan(qm policy.Metadata, sp *obs.Span) (*preparedPlan, en
 	}
 	rsp := sp.StartChild("rewrite")
 	stmt := sqlparser.CloneStmt(st.ast)
-	rep := st.m.rewriteResolved(stmt, qm, res)
+	rep, err := st.m.rewriteResolved(stmt, qm, res)
 	rsp.End()
+	if err != nil {
+		return nil, seed, err
+	}
 	st.rewrites.Add(1)
 	p = &preparedPlan{stmt: stmt, rep: rep, res: res, exec: st.m.db.Prepare(stmt)}
 	st.mu.Lock()

@@ -51,9 +51,9 @@ type TableDecision struct {
 	SharedState bool
 }
 
-// Report describes one rewrite: per protected reference, in walk order, its
-// decision and the guard provenance of its WITH entry (the input the dialect
-// emitters frame per backend), as parallel slices. The rewritten SQL text is
+// Report describes one rewrite: per protected reference, in EXPLAIN order,
+// its decision and the guard provenance of its WITH entry (the input the
+// dialect emitters frame per backend), as parallel slices. The rewritten SQL text is
 // what Rewrite returns beside it; a rewrite that is only executed is never
 // printed.
 type Report struct {

@@ -97,6 +97,11 @@ type binder struct {
 	// while collect is set.
 	aggs    []*sqlparser.FuncCall
 	collect bool
+	// listing, set by DB.Explain, lists every core as the pass finishes it
+	// (cores) and every WITH name the statement defines at any depth (withs).
+	listing bool
+	cores   []*boundCore
+	withs   []string
 }
 
 // openSub is an expression subquery being bound: level is the number of
@@ -190,6 +195,9 @@ func (bd *binder) stmt(s *sqlparser.SelectStmt, outer []*frame, with *withScope)
 		sb.ctes = append(sb.ctes, bd.stmt(cte.Select, outer, with))
 		if !failed && bd.err != nil {
 			bd.err = fmt.Errorf("in WITH %s: %w", cte.Name, bd.err)
+		}
+		if bd.listing {
+			bd.withs = append(bd.withs, cte.Name)
 		}
 		with = &withScope{parent: with, name: cte.Name, cols: sb.ctes[i].body.cols, open: len(bd.open)}
 		entries[i] = with
@@ -313,6 +321,9 @@ func (bd *binder) core(c *sqlparser.SelectCore, outer []*frame, with *withScope)
 		}
 	}
 	bd.aggs, bd.collect = aggs, collect
+	if bd.listing {
+		bd.cores = append(bd.cores, bc)
+	}
 	return bc
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -27,12 +28,23 @@ type TableAccess struct {
 	// (column-at-a-time): every base-table access with a predicate does,
 	// sequential scan and index fetch list alike.
 	Vectorised bool
+	// A base-table entry's FROM entry, the core it sits in, and the WHERE
+	// conjuncts on its scan that read its row alone (DB.Explain); nil on a
+	// derived entry.
+	Ref   *sqlparser.TableRef
+	Core  *sqlparser.SelectCore
+	Conjs []sqlparser.Expr
 }
 
 // Explain is the engine's query plan summary.
 type Explain struct {
 	Dialect string
-	Tables  []TableAccess
+	// Tables lists every FROM entry at any depth, core by core as the bind
+	// pass finishes them (a core after the cores nested in it: WITH bodies,
+	// derived tables, expression subqueries), each core's in FROM order.
+	Tables []TableAccess
+	// With lists every WITH name the statement defines, at any depth.
+	With []string
 }
 
 // String renders the plan like a terse EXPLAIN output.
@@ -41,7 +53,7 @@ func (e *Explain) String() string {
 	fmt.Fprintf(&b, "EXPLAIN (%s)\n", e.Dialect)
 	for _, t := range e.Tables {
 		fmt.Fprintf(&b, "  %-24s %-10s index=%-12s sel=%.4f rows=%.0f",
-			t.Table, t.Kind, orDash(t.Index), t.EstSel, t.EstRows)
+			t.Table, t.Kind, cmp.Or(t.Index, "-"), t.EstSel, t.EstRows)
 		if t.Kind == AccessSeq && t.Segments > 0 {
 			fmt.Fprintf(&b, " segs=%d/%d pruned", t.SegmentsPruned, t.Segments)
 		}
@@ -53,41 +65,54 @@ func (e *Explain) String() string {
 	return b.String()
 }
 
-func orDash(s string) string {
-	if s == "" {
-		return "-"
-	}
-	return s
-}
-
-// Explain plans the statement's first select core without executing it and
-// reports, per base table, the access path the optimizer would use and its
-// estimated selectivity. This is the §5.5 input to SIEVE's strategy choice.
-// The statement is bound as an open binds it, and fails as the open would.
+// Explain plans the statement without executing it and reports, for every
+// FROM entry, the access path the optimizer would use for a base table
+// under its own hint and conjuncts, with its estimated selectivity: the
+// §5.5 input to SIEVE's strategy choice, and where the rewrite finds every
+// reference. It binds as an open binds, and fails as the open would. A
+// conjunct on a base table's scan is in Conjs when it holds no subquery and
+// the pass resolved each of its columns to the entry's own row; a
+// registered guard disjunction, whose names the pass does not walk, is not.
 func (db *DB) Explain(stmt *sqlparser.SelectStmt) (*Explain, error) {
-	sb, err := db.bind(stmt)
-	if err != nil {
+	bd := newBinder(db)
+	bd.listing = true
+	bd.stmt(stmt, nil, nil)
+	if err := bd.result(); err != nil {
 		return nil, err
 	}
-	out := &Explain{Dialect: db.dialect.Name()}
-	for i := range sb.body.sources {
-		src := &sb.body.sources[i]
-		if src.t == nil {
-			out.Tables = append(out.Tables, TableAccess{Table: src.name, Kind: AccessDerived, EstSel: 1})
-			continue
+	out := &Explain{Dialect: db.dialect.Name(), With: bd.withs}
+	for _, bc := range bd.cores {
+		for i := range bc.sources {
+			src := &bc.sources[i]
+			if src.t == nil {
+				out.Tables = append(out.Tables, TableAccess{Table: src.name, Kind: AccessDerived, EstSel: 1})
+				continue
+			}
+			plan := planAccess(db, src.t, &src.tableBinding, src.ref.Hint)
+			ta := TableAccess{
+				Table:      src.name,
+				Kind:       plan.Kind,
+				Index:      plan.Index,
+				EstSel:     plan.EstSel,
+				EstRows:    plan.EstSel * float64(src.t.NumRows()),
+				Vectorised: len(src.conjs) > 0,
+				Ref:        src.ref,
+				Core:       bc.core,
+			}
+			ta.SegmentsPruned, ta.Segments = plan.segmentStats(src.t)
+			for j, cj := range src.conjs {
+				own := src.shared[j] == nil && !sqlparser.HasSubquery(cj)
+				sqlparser.Walk(cj, false, func(x sqlparser.Expr) {
+					if c, ok := x.(*sqlparser.ColRef); ok && src.b.cols[c].up != 0 {
+						own = false
+					}
+				})
+				if own {
+					ta.Conjs = append(ta.Conjs, cj)
+				}
+			}
+			out.Tables = append(out.Tables, ta)
 		}
-		plan := planAccess(db, src.t, &src.tableBinding, src.ref.Hint)
-		pruned, total := plan.segmentStats(src.t)
-		out.Tables = append(out.Tables, TableAccess{
-			Table:          src.name,
-			Kind:           plan.Kind,
-			Index:          plan.Index,
-			EstSel:         plan.EstSel,
-			EstRows:        plan.EstSel * float64(src.t.NumRows()),
-			Segments:       total,
-			SegmentsPruned: pruned,
-			Vectorised:     len(src.conjs) > 0,
-		})
 	}
 	return out, nil
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -110,11 +111,18 @@ func TestForcedIndexMergeOnMySQL(t *testing.T) {
 func TestExplainDerivedTables(t *testing.T) {
 	db := newTestDB(t, MySQL())
 	ex := explainOf(t, db, "WITH pol AS (SELECT * FROM wifi) SELECT * FROM pol, membership WHERE pol.owner = membership.uid")
-	if ex.Tables[0].Kind != AccessDerived {
-		t.Fatalf("CTE access = %+v", ex.Tables[0])
+	// In bind order: the WITH body's wifi, then the body's pol and membership.
+	if len(ex.Tables) != 3 || ex.Tables[0].Kind == AccessDerived || ex.Tables[0].Table != "wifi" {
+		t.Fatalf("WITH body's base table misreported: %+v", ex.Tables)
 	}
-	if ex.Tables[1].Kind == AccessDerived {
-		t.Fatalf("base table misreported: %+v", ex.Tables[1])
+	if ex.Tables[1].Kind != AccessDerived {
+		t.Fatalf("CTE access = %+v", ex.Tables[1])
+	}
+	if ex.Tables[2].Kind == AccessDerived {
+		t.Fatalf("base table misreported: %+v", ex.Tables[2])
+	}
+	if !slices.Equal(ex.With, []string{"pol"}) {
+		t.Errorf("With = %v, want [pol]", ex.With)
 	}
 	if !strings.Contains(ex.String(), "derived") {
 		t.Error("String() must mention derived")
