@@ -176,7 +176,7 @@ type geState struct {
 	// disjunction): its compiled filter, shared by every execution over the
 	// state, until removeStateLocked releases it. Atomic because guardArms
 	// stores it outside m.mu while a retirement may read it under m.mu.
-	filter atomic.Pointer[engine.SharedFilter]
+	filter atomic.Pointer[engine.Conjunct]
 	// zoneArms are the guards' segment-refutation arms (guardZoneArms).
 	zoneOnce sync.Once
 	zoneArms []storage.ZoneArm

@@ -356,7 +356,7 @@ func TestPlanCachedUnderRewriteResolvedToken(t *testing.T) {
 		if p == nil {
 			return false, false
 		}
-		res, err := p.exec.Query(ctx)
+		res, err := engine.Collect(p.exec.Stream(ctx))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,9 +23,9 @@ import (
 // disjunction are shared read-only across goroutines, so what the pass
 // resolves lives in a side table keyed by the AST's own nodes (binding) and
 // in the boundStmt/boundCore tree the executor runs. A statement's pass does
-// not walk a registered guard disjunction (SharedFilter): its names resolve
-// against its table as it compiles, arm by arm, so a guarded statement binds
-// at the cost of its own text.
+// not walk a registered guard disjunction (Conjunct, shared.go): its names
+// resolve against its table as its parts are built, arm by arm, so a guarded
+// statement binds at the cost of its own text.
 
 // colRef is where a bound column reference reads: in the row up enclosing
 // rows out from the one its expression is evaluated on (0: that row), at
@@ -64,6 +64,9 @@ type boundCore struct {
 	grouped bool                  // GROUP BY, or aggregates in the select list or HAVING
 	aggs    []*sqlparser.FuncCall // a grouped core's aggregates, each node once
 	order   []int                 // per ORDER BY item, the select-list item it names as an alias, or -1
+	// own are the core's WHERE conjuncts placed on base-table scans, one
+	// slice as long as the WHERE, which the scans' conjs point into.
+	own []Conjunct
 }
 
 // boundSource is one FROM entry — a base table, a derived table or a WITH
@@ -76,6 +79,9 @@ type boundSource struct {
 	t   *storage.Table // a base table; nil otherwise
 	sub *boundStmt     // a derived table
 	cte bool           // a WITH entry, found by name at execution
+	// where are a derived table's or WITH entry's conjuncts, which filter
+	// its rows one by one; a base table's are its scan's (tableBinding).
+	where []sqlparser.Expr
 	// The join that adds this entry to the ones before it, on every entry
 	// but the first: its hash keys (lkeys are slots of the rows joined so
 	// far, rkeys of this entry's), the conjuncts it binds that are not keys,
@@ -115,12 +121,13 @@ type openSub struct {
 // frame is a core being bound, as its column references see it: its input
 // row's layout, the slot where each FROM entry starts in it, and, while one
 // of its WHERE conjuncts is being placed, every reference resolved to it,
-// with its slot.
+// with its slot, and whether the conjunct itself reads an enclosing row.
 type frame struct {
 	schema  *RelSchema
 	starts  []int // entry i's columns are slots starts[i] to starts[i+1]
 	placing bool
 	hits    []hit
+	outer   bool
 }
 
 type hit struct {
@@ -259,7 +266,14 @@ func (bd *binder) core(c *sqlparser.SelectCore, outer []*frame, with *withScope)
 	fr.schema = bc.schema
 	frames := append(slices.Clip(outer), fr)
 
-	for _, cj := range sqlparser.Conjuncts(c.Where) {
+	where := sqlparser.Conjuncts(c.Where)
+	for i := range bc.sources {
+		if bc.sources[i].t != nil && len(where) > 0 {
+			bc.own = make([]Conjunct, 0, len(where))
+			break
+		}
+	}
+	for _, cj := range where {
 		bd.place(bc, fr, frames, with, cj)
 	}
 	bd.collect = true
@@ -308,14 +322,6 @@ func (bd *binder) core(c *sqlparser.SelectCore, outer []*frame, with *withScope)
 	}
 	for i := range bc.sources {
 		src := &bc.sources[i]
-		for j, cj := range src.conjs {
-			if src.t == nil || src.shared[j] != nil {
-				continue
-			}
-			if s, ok := extractSarg(cj, src.name, src.t.Schema); ok {
-				src.sargs = append(src.sargs, s)
-			}
-		}
 		if i > 0 {
 			src.joined = &RelSchema{Cols: bc.schema.Cols[:fr.starts[i+1]]}
 		}
@@ -333,16 +339,16 @@ func (bd *binder) core(c *sqlparser.SelectCore, outer []*frame, with *withScope)
 // it reads. A conjunct on one entry's scan reads that entry's row alone, so
 // the references it makes to bc's row, at any depth, are re-slotted into
 // that row. A conjunct that is a registered guard disjunction over an entry
-// that is its table under its own name is not walked: it goes on that
-// entry's scan with its SharedFilter.
+// that is its table under its own name is not walked: its registration goes
+// on that entry's scan.
 func (bd *binder) place(bc *boundCore, fr *frame, frames []*frame, with *withScope, cj sqlparser.Expr) {
-	if i, sf := bd.sharedOn(bc, cj); sf != nil {
+	if i, c := bd.sharedOn(bc, cj); c != nil {
 		src := &bc.sources[i]
-		src.conjs, src.shared = append(src.conjs, cj), append(src.shared, sf)
+		src.conjs = append(src.conjs, c)
 		return
 	}
 	mark, subs := len(fr.hits), bd.subs
-	fr.placing = true
+	fr.placing, fr.outer = true, false
 	bd.expr(cj, frames, with)
 	fr.placing = false
 	hits := fr.hits[mark:]
@@ -366,8 +372,18 @@ func (bd *binder) place(bc *boundCore, fr *frame, frames []*frame, with *withSco
 				bd.b.cols[h.c] = r
 			}
 		}
-		src.conjs, src.shared = append(src.conjs, cj), append(src.shared, nil)
-		src.serial = src.serial || bd.subs > subs
+		if src.t == nil {
+			src.where = append(src.where, cj)
+			return
+		}
+		serial := bd.subs > subs
+		bc.own = append(bc.own, Conjunct{
+			expr:   cj,
+			vc:     vecCompiler{b: bd.b, frame: src.schema},
+			serial: serial,
+			local:  !serial && !fr.outer,
+		}) // within its capacity: no pointer into it moves
+		src.conjs = append(src.conjs, &bc.own[len(bc.own)-1])
 		return
 	}
 	if l, r, ok := bd.equiJoin(cj, fr.starts[hi], fr.starts[hi+1]); ok {
@@ -404,7 +420,7 @@ func (bd *binder) equiJoin(cj sqlparser.Expr, lo, hi int) (int, int, bool) {
 // sharedOn returns the FROM entry of bc that cj, a registered guard
 // disjunction, filters, with its registration: the entry must be the
 // registration's table under its own name. -1 and nil otherwise.
-func (bd *binder) sharedOn(bc *boundCore, cj sqlparser.Expr) (int, *SharedFilter) {
+func (bd *binder) sharedOn(bc *boundCore, cj sqlparser.Expr) (int, *Conjunct) {
 	if or, ok := cj.(*sqlparser.BinaryExpr); !ok || or.Op != sqlparser.OpOr {
 		return -1, nil
 	}
@@ -412,11 +428,10 @@ func (bd *binder) sharedOn(bc *boundCore, cj sqlparser.Expr) (int, *SharedFilter
 	if !ok {
 		return -1, nil
 	}
-	sf := v.(*SharedFilter)
+	c := v.(*Conjunct)
 	for i := range bc.sources {
-		if src := &bc.sources[i]; src.t == sf.t && src.name == sf.t.Name {
-			src.serial = src.serial || sf.serial
-			return i, sf
+		if src := &bc.sources[i]; src.t == c.t && src.name == c.t.Name {
+			return i, c
 		}
 	}
 	return -1, nil
@@ -473,6 +488,9 @@ func (bd *binder) column(c *sqlparser.ColRef, frames []*frame) {
 			return
 		}
 		bd.b.cols[c] = colRef{up: int32(len(frames) - 1 - k), slot: int32(slot)}
+		if in := frames[len(frames)-1]; in.placing && k < len(frames)-1 {
+			in.outer = true
+		}
 		if frames[k].placing {
 			frames[k].hits = append(frames[k].hits, hit{c, slot})
 		}

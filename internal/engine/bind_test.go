@@ -12,7 +12,7 @@ import (
 
 // TestBindOnFirstUseConcurrently: eight goroutines open one Prepared at the
 // same moment, its WHERE a registered guard disjunction with a derived-value
-// subquery in an arm. The statement is bound, and the SharedFilter compiled
+// subquery in an arm. The statement is bound, and the registration compiled
 // with its names resolved against the table, by whichever goroutine gets
 // there first, once: the rows are the unprepared run's, and the guard sits
 // on the table's scan with its registration, unwalked by the statement's
@@ -37,7 +37,7 @@ func TestBindOnFirstUseConcurrently(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			got, err := prep.Query(context.Background())
+			got, err := Collect(prep.Stream(context.Background()))
 			if err != nil || !reflect.DeepEqual(got.Rows, want.Rows) {
 				t.Errorf("concurrent first execution diverged (err %v)", err)
 			}
@@ -47,10 +47,10 @@ func TestBindOnFirstUseConcurrently(t *testing.T) {
 	wg.Wait()
 
 	src := &prep.cache.bound.body.sources[0]
-	if len(src.conjs) != 2 || src.shared[1] != sf || src.shared[0] != nil {
-		t.Fatalf("scan conjuncts %d, registrations %v: want the guard filtering with its SharedFilter", len(src.conjs), src.shared)
+	if len(src.conjs) != 2 || src.conjs[1] != sf || src.conjs[0] != &prep.cache.bound.body.own[0] {
+		t.Fatalf("scan conjuncts %v: want the statement's own, then the guard's registration", src.conjs)
 	}
-	if len(src.b.subs) != 0 || !src.serial {
-		t.Fatalf("the statement's pass bound %d of the guard's subqueries, serial %v: want none, and a scan that does not fan out", len(src.b.subs), src.serial)
+	if len(src.b.subs) != 0 || src.parallelSafe() {
+		t.Fatalf("the statement's pass bound %d of the guard's subqueries, parallel-safe %v: want none, and a scan that does not fan out", len(src.b.subs), src.parallelSafe())
 	}
 }

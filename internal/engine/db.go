@@ -102,8 +102,8 @@ type DB struct {
 	// cleared. Only the test-only watchFilters (export_test.go) sets it.
 	filterEvents atomic.Pointer[func(f *batchFilter, taken bool)]
 
-	// shared maps a registered conjunct to its *SharedFilter (shared.go);
-	// sharedCompiles counts the dispatch operators they have compiled.
+	// shared maps a registered conjunct's expression to its *Conjunct
+	// (shared.go); sharedCompiles counts the predicates they have compiled.
 	shared         sync.Map
 	sharedCompiles atomic.Int64
 }

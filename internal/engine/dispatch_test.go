@@ -182,8 +182,8 @@ func TestVectorDispatchFuzz(t *testing.T) {
 					prep := db.Prepare(stmt)
 					for _, got := range []outcome{
 						run(db, func() (*Result, error) { return db.QueryStmt(stmt) }),
-						run(db, func() (*Result, error) { return prep.Query(context.Background()) }),
-						run(db, func() (*Result, error) { return prep.Query(context.Background()) }),
+						run(db, func() (*Result, error) { return Collect(prep.Stream(context.Background())) }),
+						run(db, func() (*Result, error) { return Collect(prep.Stream(context.Background())) }),
 					} {
 						if got.err != want.err {
 							t.Fatalf("%s: compiled errored %v, reference %v", name, got.err, want.err)
@@ -273,7 +273,7 @@ func TestVectorPreparedShared(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < 5; i++ {
-					got, err := prep.Query(context.Background())
+					got, err := Collect(prep.Stream(context.Background()))
 					if err != nil || !reflect.DeepEqual(got.Rows, want.Rows) {
 						t.Errorf("%s: concurrent execution diverged (err %v)", from, err)
 						return

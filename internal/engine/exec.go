@@ -389,7 +389,7 @@ func (ex *executor) sourceIter(bc *boundCore, i int, sc *scope, outer *env) (row
 	if err != nil {
 		return nil, err
 	}
-	return ex.where(it, bc, src.schema, src.conjs, sc, outer), nil
+	return ex.where(it, bc, src.schema, src.where, sc, outer), nil
 }
 
 func concatRows(a, b storage.Row) storage.Row {

@@ -70,8 +70,8 @@ func (e *Explain) String() string {
 // under its own hint and conjuncts, with its estimated selectivity: the
 // §5.5 input to SIEVE's strategy choice, and where the rewrite finds every
 // reference. It binds as an open binds, and fails as the open would. A
-// conjunct on a base table's scan is in Conjs when it holds no subquery and
-// the pass resolved each of its columns to the entry's own row; a
+// conjunct on a base table's scan is in Conjs when the pass placed it there
+// holding no subquery and reading no enclosing row (Conjunct.local); a
 // registered guard disjunction, whose names the pass does not walk, is not.
 func (db *DB) Explain(stmt *sqlparser.SelectStmt) (*Explain, error) {
 	bd := newBinder(db)
@@ -100,15 +100,9 @@ func (db *DB) Explain(stmt *sqlparser.SelectStmt) (*Explain, error) {
 				Core:       bc.core,
 			}
 			ta.SegmentsPruned, ta.Segments = plan.segmentStats(src.t)
-			for j, cj := range src.conjs {
-				own := src.shared[j] == nil && !sqlparser.HasSubquery(cj)
-				sqlparser.Walk(cj, false, func(x sqlparser.Expr) {
-					if c, ok := x.(*sqlparser.ColRef); ok && src.b.cols[c].up != 0 {
-						own = false
-					}
-				})
-				if own {
-					ta.Conjs = append(ta.Conjs, cj)
+			for _, c := range src.conjs {
+				if c.local {
+					ta.Conjs = append(ta.Conjs, c.expr)
 				}
 			}
 			out.Tables = append(out.Tables, ta)

@@ -40,10 +40,10 @@ type rowReference struct {
 
 func newRowReference(db *DB, tb *tableBinding) rowReference {
 	p := rowReference{tb: tb, binds: make([]*binding, len(tb.conjs))}
-	for j, cj := range tb.conjs {
-		p.binds[j] = tb.b
-		if tb.shared[j] != nil {
-			p.binds[j], _ = db.bindExpr(cj, tb.schema)
+	for j, c := range tb.conjs {
+		p.binds[j] = c.vc.b
+		if c.vc.b == nil {
+			p.binds[j], _ = db.bindExpr(c.expr, tb.schema)
 		}
 	}
 	return p
@@ -53,9 +53,9 @@ func (p rowReference) eval(ve *vecEnv, active []int, out []tri) error {
 	for _, i := range active {
 		ve.rowEnv.row = ve.b.Row(i)
 		out[i] = triTrue
-		for j, cj := range p.tb.conjs {
+		for j, c := range p.tb.conjs {
 			ve.ev.b = p.binds[j]
-			keep, err := rowPasses(ve.ev, &ve.rowEnv, []sqlparser.Expr{cj})
+			keep, err := rowPasses(ve.ev, &ve.rowEnv, []sqlparser.Expr{c.expr})
 			if err != nil {
 				return err
 			}

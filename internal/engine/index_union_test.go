@@ -65,7 +65,7 @@ func TestIndexInListRepeatedPoint(t *testing.T) {
 	prep := db.Prepare(stmt)
 	for run := range 2 {
 		db.ResetCounters()
-		res, err := prep.Query(context.Background())
+		res, err := Collect(prep.Stream(context.Background()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,6 +23,14 @@ import (
 // every scan is sequential. A top-level core may be grouped: GROUP BY keys,
 // aggregates over INT and FLOAT columns, HAVING, and ORDER BY an aggregate's
 // alias, whose groups come in the order their first rows arrive.
+//
+// The indexed variant runs the same generator over the same tables, built
+// with an index on x, two rows to a segment and fresh statistics, on both
+// dialects, so scans go through index fetches, bitmap OR unions and zone-map
+// pruning. It also draws IN lists, BETWEEN and two-literal ORs over one
+// entry, which those paths turn into probes and refutations, and no LIMIT or
+// OFFSET: an index fetch returns rows in key order, so results compare as
+// multisets.
 
 // pipeTables are the test's tables, each with columns x and y.
 var pipeTables = map[string][][2]int{
@@ -55,9 +63,13 @@ func pipeRow(name string, r [2]int) storage.Row {
 	return row
 }
 
-func buildPipeDB(tb testing.TB) *DB {
+func buildPipeDB(tb testing.TB) *DB { return newPipeDB(tb, MySQL(), false) }
+
+// newPipeDB builds the tables on dialect d, indexed for the indexed
+// variant.
+func newPipeDB(tb testing.TB, d Dialect, indexed bool) *DB {
 	tb.Helper()
-	db := New(MySQL())
+	db := New(d)
 	db.ScanWorkers = 1
 	for name, cells := range pipeTables {
 		yKind := storage.KindInt
@@ -68,8 +80,12 @@ func buildPipeDB(tb testing.TB) *DB {
 			storage.Column{Name: "x", Type: storage.KindInt},
 			storage.Column{Name: "y", Type: yKind},
 		)
-		if _, err := db.CreateTable(name, schema); err != nil {
+		t, err := db.CreateTable(name, schema)
+		if err != nil {
 			tb.Fatal(err)
+		}
+		if indexed {
+			t.SetSegmentSize(2)
 		}
 		var rows []storage.Row
 		for _, r := range cells {
@@ -77,6 +93,14 @@ func buildPipeDB(tb testing.TB) *DB {
 		}
 		if err := db.BulkInsert(name, rows); err != nil {
 			tb.Fatal(err)
+		}
+		if indexed {
+			if err := db.CreateIndex(name, "x"); err != nil {
+				tb.Fatal(err)
+			}
+			if err := db.Analyze(name); err != nil {
+				tb.Fatal(err)
+			}
 		}
 	}
 	return db
@@ -88,17 +112,36 @@ type pipeCol struct{ src, col int }
 func (c pipeCol) String() string { return fmt.Sprintf("t%d.%s", c.src, [2]string{"x", "y"}[c.col]) }
 
 // pipeCond is `l op r`, r a column or, when rc is nil, the literal rv (-1:
-// NULL, and then op is IS NULL or, with not, IS NOT NULL).
+// NULL, and then op is IS NULL or, with not, IS NOT NULL); `l IN (list)`;
+// `l BETWEEN list[0] AND list[1]`. When or is set, the condition is the
+// disjunction of that and *or.
 type pipeCond struct {
-	l   pipeCol
-	op  string // "=", "!=", "<", "IS NULL"
-	rc  *pipeCol
-	rv  int
-	not bool
+	l    pipeCol
+	op   string // "=", "!=", "<", "IS NULL", "IN", "BETWEEN"
+	rc   *pipeCol
+	rv   int
+	not  bool
+	list []int
+	or   *pipeCond
 }
 
 func (c pipeCond) String() string {
 	switch {
+	case c.or != nil:
+		l := c
+		l.or = nil
+		return fmt.Sprintf("(%s OR %s)", l, *c.or)
+	case c.op == "IN":
+		var b strings.Builder
+		for i, v := range c.list {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			fmt.Fprint(&b, v)
+		}
+		return fmt.Sprintf("%s IN (%s)", c.l, b.String())
+	case c.op == "BETWEEN":
+		return fmt.Sprintf("%s BETWEEN %d AND %d", c.l, c.list[0], c.list[1])
 	case c.op == "IS NULL" && c.not:
 		return c.l.String() + " IS NOT NULL"
 	case c.op == "IS NULL":
@@ -248,8 +291,12 @@ func (c *pipeCore) String() string {
 	return b.String()
 }
 
-// pipeGen draws statements from r.
-type pipeGen struct{ r *rand.Rand }
+// pipeGen draws statements from r: for the indexed variant when indexed is
+// set.
+type pipeGen struct {
+	r       *rand.Rand
+	indexed bool
+}
 
 // stmt draws a statement of two columns: a core, or at depth 0 and 1 a
 // chain of two to four cores joined by set operations. A top-level statement
@@ -310,7 +357,7 @@ func (g pipeGen) group(c *pipeCore) {
 		}
 		c.order = append(c.order, o)
 	}
-	if g.r.Intn(2) == 0 {
+	if !g.indexed && g.r.Intn(2) == 0 {
 		c.limit, c.offset = 1+g.r.Intn(3), g.r.Intn(3)
 	}
 }
@@ -340,10 +387,28 @@ func (g pipeGen) core(depth int, tail bool) *pipeCore {
 			c.conds = append(c.conds, pipeCond{l: pipeCol{i, g.r.Intn(2)}, op: []string{"=", "=", "!=", "<"}[g.r.Intn(4)], rc: &rc})
 		}
 	}
+	shapes := 3
+	if g.indexed {
+		shapes = 6
+	}
 	for k := g.r.Intn(3); k > 0; k-- {
-		switch cd := (pipeCond{l: col()}); g.r.Intn(3) {
+		switch cd := (pipeCond{l: col()}); g.r.Intn(shapes) {
 		case 0:
 			cd.op, cd.not = "IS NULL", g.r.Intn(2) == 0
+			c.conds = append(c.conds, cd)
+		case 3:
+			cd.op = "IN"
+			for m := 1 + g.r.Intn(3); m > 0; m-- {
+				cd.list = append(cd.list, g.r.Intn(3))
+			}
+			c.conds = append(c.conds, cd)
+		case 4:
+			lo := g.r.Intn(3)
+			cd.op, cd.list = "BETWEEN", []int{lo, lo + g.r.Intn(2)}
+			c.conds = append(c.conds, cd)
+		case 5:
+			or := pipeCond{l: pipeCol{cd.l.src, g.r.Intn(2)}, op: []string{"=", "<"}[g.r.Intn(2)], rv: g.r.Intn(3)}
+			cd.op, cd.rv, cd.or = []string{"=", "<"}[g.r.Intn(2)], g.r.Intn(3), &or
 			c.conds = append(c.conds, cd)
 		default:
 			cd.op, cd.rv = []string{"=", "!=", "<"}[g.r.Intn(3)], g.r.Intn(3)
@@ -354,7 +419,7 @@ func (g pipeGen) core(depth int, tail bool) *pipeCore {
 		for k := g.r.Intn(3); k > 0; k-- {
 			c.order = append(c.order, pipeOrder{key: col(), desc: g.r.Intn(2) == 0})
 		}
-		if g.r.Intn(2) == 0 {
+		if !g.indexed && g.r.Intn(2) == 0 {
 			c.limit = g.r.Intn(6)
 			c.offset = g.r.Intn(3)
 		}
@@ -623,22 +688,35 @@ func refTrue(op string, l, r storage.Value) bool {
 // refPasses reports whether every condition is true (not false, not NULL).
 func refPasses(conds []pipeCond, val func(pipeCol) storage.Value) bool {
 	for _, cd := range conds {
-		l := val(cd.l)
-		if cd.op == "IS NULL" {
-			if l.IsNull() == cd.not {
-				return false
-			}
-			continue
-		}
-		r := pipeValue(cd.rv)
-		if cd.rc != nil {
-			r = val(*cd.rc)
-		}
-		if !refTrue(cd.op, l, r) {
+		if !refCondTrue(cd, val) {
 			return false
 		}
 	}
 	return true
+}
+
+// refCondTrue reports whether cd is true. Under three-valued logic a
+// disjunction is true when either side is, whatever the other's NULL; IN is
+// true when the probe equals a member, BETWEEN when both bounds hold.
+func refCondTrue(cd pipeCond, val func(pipeCol) storage.Value) bool {
+	l := val(cd.l)
+	switch {
+	case cd.or != nil:
+		one := cd
+		one.or = nil
+		return refCondTrue(one, val) || refCondTrue(*cd.or, val)
+	case cd.op == "IS NULL":
+		return l.IsNull() != cd.not
+	case cd.op == "IN":
+		return slices.ContainsFunc(cd.list, func(v int) bool { return refTrue("=", l, pipeValue(v)) })
+	case cd.op == "BETWEEN":
+		return !refTrue("<", l, pipeValue(cd.list[0])) && !refTrue(">", l, pipeValue(cd.list[1])) && !l.IsNull()
+	}
+	r := pipeValue(cd.rv)
+	if cd.rc != nil {
+		r = val(*cd.rc)
+	}
+	return refTrue(cd.op, l, r)
 }
 
 // checkPipe runs s on db and holds its rows, in order, to the reference.
@@ -664,19 +742,72 @@ func checkPipe(t *testing.T, db *DB, s *pipeStmt) {
 func TestRowPipelineMatchesReference(t *testing.T) {
 	db := buildPipeDB(t)
 	for seed := int64(0); seed < 600; seed++ {
-		checkPipe(t, db, pipeGen{rand.New(rand.NewSource(seed))}.stmt(0, true))
+		checkPipe(t, db, pipeGen{r: rand.New(rand.NewSource(seed))}.stmt(0, true))
+	}
+}
+
+// checkPipeMultiset runs s on db and holds its rows, as a multiset, to the
+// reference, and returns the run's counters.
+func checkPipeMultiset(t *testing.T, db *DB, s *pipeStmt) Counters {
+	t.Helper()
+	q := s.String()
+	rows, err := db.Stream(context.Background(), q)
+	if err != nil {
+		t.Fatalf("%s [%s]: %v", q, db.Dialect().Name(), err)
+	}
+	defer rows.Close()
+	var got []string
+	for rows.Next() {
+		got = append(got, fmt.Sprint(rows.Row()))
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatalf("%s [%s]: %v", q, db.Dialect().Name(), err)
+	}
+	var want []string
+	for _, r := range refStmt(s) {
+		want = append(want, fmt.Sprint(r))
+	}
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s [%s]:\n got %v\nwant %v", q, db.Dialect().Name(), got, want)
+	}
+	return rows.Counters()
+}
+
+// TestIndexedPipelineMatchesReference is the indexed variant: the same
+// generator, with IN, BETWEEN and OR conditions and no LIMIT or OFFSET, over
+// the tables indexed on x and cut into two-row segments, on mysql and
+// postgres. Over its seeds the runs must reach an index scan, a bitmap OR
+// scan and a pruned segment, or they check nothing those paths do.
+func TestIndexedPipelineMatchesReference(t *testing.T) {
+	var sum Counters
+	for _, d := range []Dialect{MySQL(), Postgres()} {
+		db := newPipeDB(t, d, true)
+		for seed := int64(0); seed < 600; seed++ {
+			sum.Add(checkPipeMultiset(t, db, pipeGen{r: rand.New(rand.NewSource(seed)), indexed: true}.stmt(0, true)))
+		}
+	}
+	if sum.IndexScans == 0 || sum.BitmapOrScans == 0 || sum.SegmentsPruned == 0 {
+		t.Errorf("index scans %d, bitmap OR scans %d, segments pruned %d: want each above 0", sum.IndexScans, sum.BitmapOrScans, sum.SegmentsPruned)
 	}
 }
 
 // FuzzRowPipeline holds the pipeline to the reference on the statement a
-// seed draws: the property test's generator, explored.
+// seed draws: the property test's generator, explored, drawing both
+// variants — the plain tables in order, and the indexed, segmented ones on
+// each dialect as multisets.
 func FuzzRowPipeline(f *testing.F) {
 	db := buildPipeDB(f)
+	indexed := []*DB{newPipeDB(f, MySQL(), true), newPipeDB(f, Postgres(), true)}
 	for seed := int64(0); seed < 32; seed++ {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		checkPipe(t, db, pipeGen{rand.New(rand.NewSource(seed))}.stmt(0, true))
+		checkPipe(t, db, pipeGen{r: rand.New(rand.NewSource(seed))}.stmt(0, true))
+		for _, idb := range indexed {
+			checkPipeMultiset(t, idb, pipeGen{r: rand.New(rand.NewSource(seed)), indexed: true}.stmt(0, true))
+		}
 	})
 }
 

@@ -20,115 +20,88 @@ const (
 	bitmapAccessFactor = 1.4
 )
 
-// sarg is a sargable single-column predicate extracted from a conjunct:
-// either a set of equality points (col = v, col IN (...)) or a range.
+// sarg is a sargable single-column predicate: either a set of equality
+// points (col = v, col IN (...)) or a range. col names the column, slot is
+// its offset in the table's schema.
 type sarg struct {
 	col      string
+	slot     int
 	points   []storage.Value
 	lo, hi   storage.Value
 	loS, hiS bool
 	isRange  bool
 }
 
-// extractSarg recognises index-usable predicates over columns of the table
-// referenced as ref. Supported shapes: col op literal (and flipped),
-// col BETWEEN lit AND lit, col IN (literals).
-func extractSarg(e sqlparser.Expr, ref string, schema *storage.Schema) (sarg, bool) {
-	return extractSargInto(e, ref, schema, nil)
-}
-
-// extractSargInto is extractSarg cutting an equality's single point from
-// arena (when given) instead of allocating it: a planning pass over a
-// guard disjunction extracts one such sarg per arm.
-func extractSargInto(e sqlparser.Expr, ref string, schema *storage.Schema, arena *[]storage.Value) (sarg, bool) {
-	colOf := func(x sqlparser.Expr) (string, bool) {
-		c, ok := x.(*sqlparser.ColRef)
-		if !ok {
-			return "", false
-		}
-		if c.Table != "" && c.Table != ref {
-			return "", false
-		}
-		if !schema.HasColumn(c.Column) {
-			return "", false
-		}
-		return c.Column, true
-	}
-	litOf := func(x sqlparser.Expr) (storage.Value, bool) {
-		l, ok := x.(*sqlparser.Literal)
-		if !ok {
-			return storage.Null, false
-		}
-		return l.Val, true
-	}
+// sargOf recognises an index-usable predicate over a column of the scan's
+// own row, read through the compiler's resolver: col op literal (and
+// flipped), col BETWEEN lit AND lit, col IN (literals). Points are cut from
+// arena when it is given, so a pass over a guard disjunction allocates them
+// once.
+func (vc *vecCompiler) sargOf(e sqlparser.Expr, arena *[]storage.Value) (s sarg, ok bool) {
 	switch x := e.(type) {
 	case *sqlparser.CompareExpr:
-		col, okL := colOf(x.L)
-		lit, okR := litOf(x.R)
 		op := x.Op
-		if !okL || !okR {
+		lit, okR := literal(x.R)
+		if s.slot, ok = vc.column(x.L); !ok || !okR {
 			// try the flipped orientation: literal op col
-			if lit2, ok := litOf(x.L); ok {
-				if col2, ok := colOf(x.R); ok {
-					col, lit, op = col2, lit2, x.Op.Flip()
-					okL, okR = true, true
-				}
+			op = x.Op.Flip()
+			if lit, okR = literal(x.L); okR {
+				s.slot, ok = vc.column(x.R)
 			}
 		}
-		if !okL || !okR || lit.IsNull() {
+		if !ok || !okR || lit.IsNull() {
 			return sarg{}, false
 		}
 		switch op {
 		case sqlparser.CmpEq:
-			if arena == nil {
-				return sarg{col: col, points: []storage.Value{lit}}, true
-			}
-			*arena = append(*arena, lit)
-			n := len(*arena)
-			return sarg{col: col, points: (*arena)[n-1 : n : n]}, true
+			s.points = addPoint(arena, nil, lit)
 		case sqlparser.CmpLt:
-			return sarg{col: col, isRange: true, lo: storage.Null, hi: lit, hiS: true}, true
+			s.isRange, s.lo, s.hi, s.hiS = true, storage.Null, lit, true
 		case sqlparser.CmpLe:
-			return sarg{col: col, isRange: true, lo: storage.Null, hi: lit}, true
+			s.isRange, s.lo, s.hi = true, storage.Null, lit
 		case sqlparser.CmpGt:
-			return sarg{col: col, isRange: true, lo: lit, loS: true, hi: storage.Null}, true
+			s.isRange, s.lo, s.loS, s.hi = true, lit, true, storage.Null
 		case sqlparser.CmpGe:
-			return sarg{col: col, isRange: true, lo: lit, hi: storage.Null}, true
+			s.isRange, s.lo, s.hi = true, lit, storage.Null
+		default:
+			return sarg{}, false
 		}
-		return sarg{}, false
 	case *sqlparser.BetweenExpr:
-		if x.Not {
+		lo, okLo := literal(x.Lo)
+		hi, okHi := literal(x.Hi)
+		if s.slot, ok = vc.column(x.E); !ok || x.Not || !okLo || !okHi {
 			return sarg{}, false
 		}
-		col, ok := colOf(x.E)
-		if !ok {
-			return sarg{}, false
-		}
-		lo, okLo := litOf(x.Lo)
-		hi, okHi := litOf(x.Hi)
-		if !okLo || !okHi {
-			return sarg{}, false
-		}
-		return sarg{col: col, isRange: true, lo: lo, hi: hi}, true
+		s.isRange, s.lo, s.hi = true, lo, hi
 	case *sqlparser.InExpr:
-		if x.Not || x.Sub != nil {
+		if s.slot, ok = vc.column(x.E); !ok || x.Not || x.Sub != nil {
 			return sarg{}, false
 		}
-		col, ok := colOf(x.E)
-		if !ok {
-			return sarg{}, false
-		}
-		var pts []storage.Value
 		for _, item := range x.List {
-			v, ok := litOf(item)
-			if !ok || v.IsNull() {
+			if v, ok := literal(item); !ok || v.IsNull() {
 				return sarg{}, false
 			}
-			pts = append(pts, v)
 		}
-		return sarg{col: col, points: pts}, true
+		for _, item := range x.List {
+			v, _ := literal(item)
+			s.points = addPoint(arena, s.points, v)
+		}
+	default:
+		return sarg{}, false
 	}
-	return sarg{}, false
+	s.col = vc.frame.Cols[s.slot].Name
+	return s, true
+}
+
+// addPoint appends v to pts, the points cut so far from the end of arena,
+// or, with no arena, to pts itself.
+func addPoint(arena *[]storage.Value, pts []storage.Value, v storage.Value) []storage.Value {
+	if arena == nil {
+		return append(pts, v)
+	}
+	start := len(*arena) - len(pts)
+	*arena = append(*arena, v)
+	return (*arena)[start:len(*arena):len(*arena)]
 }
 
 // estimator prices sargs against one table for one planning pass: the
@@ -273,10 +246,11 @@ type accessPlan struct {
 	// fetch opens a cursor over the candidate row ids resolved through the
 	// scan's heap view; nil for sequential scans.
 	fetch func(v *storage.View, c *Counters) idCursor
-	// zonePreds/zoneCols are the compiled zone-refutation predicates a
-	// sequential scan uses to skip whole segments (nil when nothing in
-	// the conjuncts can refute, and on every index plan).
-	zonePreds []zoneNode
+	// zonePreds are the conjuncts' zone-refutation trees a sequential scan
+	// uses to skip whole segments, and zoneCols the sorted union of the
+	// schema columns they read (nil when nothing in the conjuncts can
+	// refute, and on every index plan).
+	zonePreds []*zoneNode
 	zoneCols  []int
 }
 
@@ -306,41 +280,26 @@ func epochOf(db *DB, t *storage.Table) planEpoch {
 }
 
 // tableBinding is what filtering one FROM entry, and planning a base-table
-// one, take from the statement and the schema alone: the entry's name,
-// conjuncts, their binding and the entry's schema, the sargs among the
-// conjuncts and inside their disjunctions, and the compiled filter. The
-// bind pass builds it in the entry (boundSource); a prepared statement
-// keeps it (planCache) and every execution, on any goroutine, shares it.
-// What depends on statistics, indexes and data, the access-path choice, it
-// memoizes under the table's epoch (planEpoch): an execution re-plans only
-// after a write to the table, a new index or new statistics. A conjunct the
-// bind pass placed with its SharedFilter (shared.go) — a guard state's
-// disjunction — brings its parts from the registration, so they are built
-// once per state, not once per binding.
+// one, take from the statement and the schema alone: the entry's name, its
+// binding and schema, the scan's conjuncts (Conjunct, shared.go), each of
+// which derives its own sarg, union candidates, zone tree and compiled
+// predicate, and the compiled filter. The bind pass builds it in the entry
+// (boundSource); a prepared statement keeps it (planCache) and every
+// execution, on any goroutine, shares it. What depends on statistics,
+// indexes and data, the access-path choice, it memoizes under the table's
+// epoch (planEpoch): an execution re-plans only after a write to the table,
+// a new index or new statistics.
 type tableBinding struct {
 	name   string
-	conjs  []sqlparser.Expr
 	b      *binding
 	schema *RelSchema
-	sargs  []sarg // the sargable conjuncts
-	// shared is conjs[i]'s registration, nil where it has none.
-	shared []*SharedFilter
-	// serial is set when a conjunct holds a subquery: the filter then runs
-	// on the consumer's goroutine only, as a subquery reads and fills the
-	// executor's unsynchronised CTE scope and kept results. A UDF call — the
-	// Δ path — may run on fan-out workers: registered UDFs must be safe for
-	// concurrent use.
-	serial bool
+	// conjs are a base-table scan's conjuncts in placement order: a
+	// registered one is its registration, the statement's own live in
+	// their core's one slice (boundCore.own).
+	conjs []*Conjunct
 
 	progOnce sync.Once
 	prog     *vecProgram // nil: nothing to filter
-
-	orOnce sync.Once
-	ors    []orClause // the conjuncts with ≥ 2 disjuncts
-
-	zoneOnce  sync.Once
-	zonePreds []zoneNode
-	zoneCols  []int
 
 	planned atomic.Pointer[boundPlan]
 }
@@ -374,23 +333,36 @@ func (tb *tableBinding) program(db *DB) *vecProgram {
 	return tb.prog
 }
 
+// parallelSafe reports whether the filter may run on fan-out workers: a
+// subquery reads and fills the executor's unsynchronised CTE scope and kept
+// results, so a conjunct that holds one keeps the scan on the consumer's
+// goroutine. A UDF call — the Δ path — may run on fan-out workers:
+// registered UDFs must be safe for concurrent use.
+func (tb *tableBinding) parallelSafe() bool {
+	for _, c := range tb.conjs {
+		if c.serial {
+			return false
+		}
+	}
+	return len(tb.conjs) > 0
+}
+
 // orClause is what a disjunctive conjunct offers an index union: for every
-// disjunct, its conjuncts that are sargs, extracted once — per binding, or
-// per guard state for a shared guard disjunction — so that planAccess only
-// prices them.
+// disjunct, its conjuncts that are sargs, extracted once per Conjunct so
+// that planAccess only prices them.
 type orClause struct {
 	sargs []sarg // disjunct by disjunct
 	ends  []int  // disjunct i's candidates are sargs[ends[i-1]:ends[i]]
 }
 
-// newOrClause extracts the candidates of a conjunct's disjuncts over the
-// table referenced as ref, cutting every equality's point from one arena.
-func newOrClause(disjuncts []sqlparser.Expr, ref string, schema *storage.Schema) orClause {
+// orClause extracts the candidates of a conjunct's disjuncts, cutting every
+// point from one arena.
+func (vc *vecCompiler) orClause(disjuncts []sqlparser.Expr) orClause {
 	oc := orClause{sargs: make([]sarg, 0, len(disjuncts)), ends: make([]int, len(disjuncts))}
 	points := make([]storage.Value, 0, len(disjuncts))
 	for i, d := range disjuncts {
 		inOrder(d, sqlparser.OpAnd, func(conj sqlparser.Expr) bool {
-			if s, ok := extractSargInto(conj, ref, schema, &points); ok {
+			if s, ok := vc.sargOf(conj, &points); ok {
 				oc.sargs = append(oc.sargs, s)
 			}
 			return true
@@ -399,34 +371,6 @@ func newOrClause(disjuncts []sqlparser.Expr, ref string, schema *storage.Schema)
 	}
 	return oc
 }
-
-// orClauses lists the binding's disjunctive conjuncts.
-func (tb *tableBinding) orClauses(schema *storage.Schema) []orClause {
-	tb.orOnce.Do(func() {
-		for i, cj := range tb.conjs {
-			if sf := tb.shared[i]; sf != nil {
-				if oc := sf.orClause(); len(oc.ends) >= 2 {
-					tb.ors = append(tb.ors, oc)
-				}
-				continue
-			}
-			if disjuncts := sqlparser.Disjuncts(cj); len(disjuncts) >= 2 {
-				tb.ors = append(tb.ors, newOrClause(disjuncts, tb.name, schema))
-			}
-		}
-	})
-	return tb.ors
-}
-
-// zones returns the conjuncts' zone-refutation predicates (zonemap.go),
-// compiled at the first sequential plan: an index plan never reads them.
-func (tb *tableBinding) zones(schema *storage.Schema) ([]zoneNode, []int) {
-	tb.zoneOnce.Do(func() { tb.zonePreds, tb.zoneCols = compileZonePreds(tb.conjs, tb.name, schema, tb.shared) })
-	return tb.zonePreds, tb.zoneCols
-}
-
-// parallelSafe reports whether the filter may run on fan-out workers.
-func (tb *tableBinding) parallelSafe() bool { return len(tb.conjs) > 0 && !tb.serial }
 
 // orBranches prices a disjunctive conjunct as an index union in one pass:
 // for each disjunct it records in picks (len(oc.ends) long) the position in
@@ -491,7 +435,7 @@ func planAccess(db *DB, t *storage.Table, tb *tableBinding, hint *sqlparser.Inde
 	n := float64(t.NumRows())
 	seqPlan := func() accessPlan {
 		seq := accessPlan{Kind: AccessSeq, EstSel: 1}
-		seq.zonePreds, seq.zoneCols = tb.zones(t.Schema)
+		seq.zonePreds, seq.zoneCols = tb.zones()
 		return seq
 	}
 	if n == 0 {
@@ -519,7 +463,11 @@ func planAccess(db *DB, t *storage.Table, tb *tableBinding, hint *sqlparser.Inde
 		sel float64
 	}
 	var best *cand
-	for _, s := range tb.sargs {
+	for _, c := range tb.conjs {
+		s, ok := c.sargable()
+		if !ok {
+			continue
+		}
 		if _, indexed := t.Index(s.col); !indexed {
 			continue
 		}
@@ -542,13 +490,16 @@ func planAccess(db *DB, t *storage.Table, tb *tableBinding, hint *sqlparser.Inde
 	var orPicks []int // the kept union's picks; nil: no union
 	orSel := 0.0
 	if db.dialect.SupportsBitmapOr() || forced {
-		ors := tb.orClauses(t.Schema)
 		width := 0
-		for _, oc := range ors {
-			width = max(width, len(oc.ends))
+		for _, c := range tb.conjs {
+			width = max(width, len(c.orClause().ends))
 		}
 		var picks []int
-		for _, oc := range ors {
+		for _, c := range tb.conjs {
+			oc := c.orClause()
+			if len(oc.ends) < 2 {
+				continue
+			}
 			if picks == nil {
 				picks = make([]int, width)
 			}

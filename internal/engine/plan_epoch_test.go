@@ -61,7 +61,7 @@ func TestAccessPlanFollowsTableEpoch(t *testing.T) {
 		var bp *boundPlan
 		for i := 0; i < 2; i++ {
 			db.ResetCounters()
-			res, err := p.Query(context.Background())
+			res, err := Collect(p.Stream(context.Background()))
 			if err != nil || len(res.Rows) != 10 {
 				t.Fatalf("%s: %d rows, err %v; want 10", step, len(res.Rows), err)
 			}
@@ -142,7 +142,7 @@ func TestPreparedGuardedPlanningFlatInArms(t *testing.T) {
 		db, stmt, _ := guardedDispatch(t, arms)
 		prep := db.Prepare(stmt)
 		query := func() {
-			res, err := prep.Query(context.Background())
+			res, err := Collect(prep.Stream(context.Background()))
 			if err != nil || len(res.Rows) != 64 {
 				t.Fatalf("%d arms: %d rows, err %v", arms, len(res.Rows), err)
 			}
@@ -296,7 +296,7 @@ func TestAccessPlanMemoUnderWrites(t *testing.T) {
 				var err error
 				which := (g + round) % 2
 				if which == 0 {
-					res, err = prep.Query(context.Background())
+					res, err = Collect(prep.Stream(context.Background()))
 				} else {
 					res, err = db.QueryStmt(unprepared)
 				}

@@ -129,11 +129,40 @@ func TestExplainDerivedTables(t *testing.T) {
 	}
 }
 
+// TestExtractSargShapes binds each shape as a scan conjunct (scanFilter)
+// and asks the conjunct for its sarg: the recogniser reads columns as the
+// bind pass resolved them, so a name the pass gives another entry, or an
+// enclosing row, is never a sarg of the entry.
 func TestExtractSargShapes(t *testing.T) {
-	schema := storage.MustSchema(
-		storage.Column{Name: "a", Type: storage.KindInt},
-		storage.Column{Name: "b", Type: storage.KindInt},
-	)
+	db := New(MySQL())
+	for name, cols := range map[string][]string{"t": {"a", "b"}, "t2": {"a", "c"}, "x": {"a"}} {
+		var schema []storage.Column
+		for _, c := range cols {
+			schema = append(schema, storage.Column{Name: c, Type: storage.KindInt})
+		}
+		if _, err := db.CreateTable(name, storage.MustSchema(schema...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// sargOn returns the sarg of entry t's one scan conjunct, found in the
+	// statement's body or, with inSub, in its one expression subquery.
+	sargOn := func(sql string, inSub bool) (sarg, bool) {
+		t.Helper()
+		sb, err := db.bind(sqlparser.MustParse(sql))
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if inSub {
+			for _, sub := range sb.body.b.subs {
+				sb = sub
+			}
+		}
+		src := &sb.body.sources[0]
+		if len(src.conjs) != 1 {
+			return sarg{}, false
+		}
+		return src.conjs[0].sargable()
+	}
 	cases := []struct {
 		expr string
 		ok   bool
@@ -150,34 +179,50 @@ func TestExtractSargShapes(t *testing.T) {
 		{"a NOT IN (1, 2)", false, ""},
 		{"a = b", false, ""},
 		{"a + 1 = 5", false, ""},
-		{"c = 5", false, ""}, // unknown column
-		{"t2.a = 5", false, ""},
 		{"a IN (SELECT a FROM x)", false, ""},
 		{"a IS NULL", false, ""},
 	}
 	for _, c := range cases {
-		e, err := sqlparser.ParseExpr(c.expr)
-		if err != nil {
-			t.Fatalf("%s: %v", c.expr, err)
-		}
-		s, ok := extractSarg(e, "t", schema)
+		s, ok := scanFilter(t, db, "t", mustParseExpr(t, c.expr)).conjs[0].sargable()
 		if ok != c.ok {
-			t.Errorf("extractSarg(%q) ok = %v, want %v", c.expr, ok, c.ok)
+			t.Errorf("sarg of %q: ok = %v, want %v", c.expr, ok, c.ok)
 			continue
 		}
 		if ok && s.col != c.col {
-			t.Errorf("extractSarg(%q) col = %q, want %q", c.expr, s.col, c.col)
+			t.Errorf("sarg of %q: col = %q, want %q", c.expr, s.col, c.col)
 		}
 	}
-	// Flipped inequality must invert the bound direction.
-	e, _ := sqlparser.ParseExpr("5 > a")
-	s, _ := extractSarg(e, "t", schema)
-	if !s.isRange || !s.hi.IsNull() == false || s.lo.IsNull() == false {
-		// 5 > a ⇔ a < 5: hi=5 strict, lo unbounded
-		if s.hi.I != 5 || !s.hiS || !s.lo.IsNull() {
-			t.Errorf("flipped sarg = %+v", s)
+	// Names that are not the entry's own column: in a two-entry core the
+	// pass places them on the other entry; in a subquery over t they name
+	// the enclosing row.
+	for _, c := range []struct {
+		sql   string
+		inSub bool
+	}{
+		{"SELECT * FROM t, t2 WHERE c = 5", false},    // t has no column c
+		{"SELECT * FROM t, t2 WHERE t2.a = 5", false}, // the other entry's column
+		{"SELECT * FROM t AS o WHERE EXISTS (SELECT * FROM t WHERE o.a = 5)", true},
+		{"SELECT * FROM t WHERE EXISTS (SELECT * FROM t AS u WHERE t.a = 1)", true},
+	} {
+		if s, ok := sargOn(c.sql, c.inSub); ok {
+			t.Errorf("%s: the entry's sarg is %+v, want none", c.sql, s)
 		}
 	}
+	// Flipped inequality must invert the bound direction: 5 > a is a < 5,
+	// hi = 5 strict, lo unbounded.
+	s, ok := scanFilter(t, db, "t", mustParseExpr(t, "5 > a")).conjs[0].sargable()
+	if !ok || !s.isRange || s.hi.I != 5 || !s.hiS || !s.lo.IsNull() || s.loS {
+		t.Errorf("flipped sarg = %+v", s)
+	}
+}
+
+func mustParseExpr(t *testing.T, e string) sqlparser.Expr {
+	t.Helper()
+	x, err := sqlparser.ParseExpr(e)
+	if err != nil {
+		t.Fatalf("%s: %v", e, err)
+	}
+	return x
 }
 
 // Property: for random predicates over an indexed table, the rows returned

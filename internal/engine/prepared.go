@@ -31,12 +31,6 @@ func (p *Prepared) Stream(ctx context.Context) (*Rows, error) {
 	return p.db.stream(ctx, p.stmt, &p.cache)
 }
 
-// Query executes the statement and materialises the result: Collect over
-// Stream.
-func (p *Prepared) Query(ctx context.Context) (*Result, error) {
-	return Collect(p.Stream(ctx))
-}
-
 // planCache holds a Prepared's bound statement, or the error its bind pass
 // failed on: the first execution binds, and every execution after it reuses
 // what that pass found.

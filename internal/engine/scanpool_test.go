@@ -275,7 +275,7 @@ func TestPreparedScanAllocsBelowOneBatch(t *testing.T) {
 	}
 	prep := db.Prepare(sqlparser.MustParse("SELECT count(*) FROM t WHERE " + guardDisjunction(25)))
 	query := func() {
-		if _, err := prep.Query(context.Background()); err != nil {
+		if _, err := Collect(prep.Stream(context.Background())); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -641,7 +641,7 @@ func newSegScanner(it *scanIter, ex *executor, poll func() error) *segScanner {
 		batchFilter: newBatchFilter(ex, it.tb, it.sc, it.outer, poll),
 		view:        it.view,
 		plan:        &it.plan,
-		zbuf:        make([]storage.ZoneMap, len(it.plan.zoneCols)),
+		zbuf:        zoneBuf(it.plan.zoneCols),
 	}
 }
 

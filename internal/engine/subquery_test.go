@@ -158,7 +158,7 @@ func TestUncorrelatedSubqueryRunsOncePerExecution(t *testing.T) {
 				}
 			}
 			db.ResetCounters()
-			res, err := prep.Query(context.Background())
+			res, err := engine.Collect(prep.Stream(context.Background()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -283,7 +283,7 @@ func TestCorrelatedDerivedTableInSubquery(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("DB.Query: ids %v, want %v", ids(got), ids(want))
 			}
-			res, err := db.Prepare(sqlparser.MustParse(sql)).Query(context.Background())
+			res, err := engine.Collect(db.Prepare(sqlparser.MustParse(sql)).Stream(context.Background()))
 			if err != nil {
 				t.Fatal(err)
 			}

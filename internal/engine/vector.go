@@ -45,7 +45,7 @@ import (
 // needs comes from the running goroutine's vecScratch, so fan-out workers
 // and concurrent executions of a cached plan share one program, and every
 // execution over one guard state shares its guard disjunction's operator
-// (shared.go).
+// (Conjunct, shared.go).
 //
 // rowPasses remains the filter of derived sources, and the reference the
 // differential oracle (vector_oracle_test.go) holds compiled programs to,
@@ -769,8 +769,9 @@ func (p *lazyTri) eval(ve *vecEnv, active []int, out []tri) error {
 // ---- compilation ----
 
 // vecCompiler translates scan conjuncts into vector operators over rows
-// laid out as frame, their names as b bound them. A registered conjunct
-// (SharedFilter), which no bind pass walks, compiles with no b: evaluated on
+// laid out as frame, their names as b bound them, and is the resolver every
+// part of a Conjunct reads its columns through. A registered conjunct,
+// which no bind pass walks, compiles with no b: evaluated on
 // its table's rows alone, outside a subquery it can only name a column of
 // frame, found as it compiles, and a lazy leaf's names are bound against
 // frame as the leaf is built — per compiled arm, not per guard state. The
@@ -939,11 +940,12 @@ func (vc *vecCompiler) compileOr(e sqlparser.Expr) vecPred {
 		p.arms[a].expr = d
 	}
 	var pairs []keyArm
-	if col := vc.dispatchColumn(disj); col >= 0 {
+	var buf []storage.Value
+	if col := vc.dispatchColumn(disj, &buf); col >= 0 {
 		pairs = make([]keyArm, 0, len(disj))
 		for a, d := range disj {
 			var ok bool
-			if pairs, ok = vc.keysOn(d, col, a, pairs); !ok {
+			if pairs, ok = vc.armKeys(d, col, a, pairs, &buf); !ok {
 				p.keyless[a] = true
 			}
 		}
@@ -983,42 +985,21 @@ func (vc *vecCompiler) compileOr(e sqlparser.Expr) vecPred {
 	return p
 }
 
-// eqPoints recognises `col = k` (either way round) and `col IN (k1, …)`
-// over INT literals on a column of the scan's relation, calling emit with
-// every point; ok is false for any other shape.
-func (vc *vecCompiler) eqPoints(e sqlparser.Expr, emit func(int64)) (col int, ok bool) {
-	switch x := e.(type) {
-	case *sqlparser.CompareExpr:
-		if x.Op != sqlparser.CmpEq {
-			return 0, false
-		}
-		l, r := x.L, x.R
-		if _, isCol := l.(*sqlparser.ColRef); !isCol {
-			l, r = r, l
-		}
-		if k, isLit := literal(r); isLit && k.K == storage.KindInt {
-			if col, ok = vc.column(l); ok && emit != nil {
-				emit(k.I)
-			}
-			return col, ok
-		}
-	case *sqlparser.InExpr:
-		if x.Not || x.Sub != nil || len(x.List) == 0 {
-			return 0, false
-		}
-		for _, item := range x.List {
-			if k, isLit := literal(item); !isLit || k.K != storage.KindInt {
-				return 0, false
-			}
-		}
-		if col, ok = vc.column(x.E); ok && emit != nil {
-			for _, item := range x.List {
-				emit(item.(*sqlparser.Literal).Val.I)
-			}
-		}
-		return col, ok
+// intKeys recognises a dispatch key, an equality or IN sarg whose points
+// are all INT, and returns its column and points. The points are cut from
+// buf, which the next call reuses.
+func (vc *vecCompiler) intKeys(e sqlparser.Expr, buf *[]storage.Value) (col int, keys []storage.Value, ok bool) {
+	*buf = (*buf)[:0]
+	s, ok := vc.sargOf(e, buf)
+	if !ok || s.isRange || len(s.points) == 0 {
+		return 0, nil, false
 	}
-	return 0, false
+	for _, p := range s.points {
+		if p.K != storage.KindInt {
+			return 0, nil, false
+		}
+	}
+	return s.slot, s.points, true
 }
 
 // inOrder calls fn with the operands of e's chain of op (AND or OR) in
@@ -1034,12 +1015,13 @@ func inOrder(e sqlparser.Expr, op sqlparser.BinOp, fn func(sqlparser.Expr) bool)
 // most arms lead with an equality on; when no arm leads with one, the first
 // column the first arm is keyed on through a nested disjunction. -1: none.
 // It only chooses; keysOn then derives every arm's points on the choice.
-func (vc *vecCompiler) dispatchColumn(disj []sqlparser.Expr) int {
+// Points are cut from buf.
+func (vc *vecCompiler) dispatchColumn(disj []sqlparser.Expr, buf *[]storage.Value) int {
 	tally := make([]int, len(vc.frame.Cols))
 	best := -1
 	for _, d := range disj {
 		inOrder(d, sqlparser.OpAnd, func(cj sqlparser.Expr) bool {
-			col, ok := vc.eqPoints(cj, nil)
+			col, _, ok := vc.intKeys(cj, buf)
 			if !ok {
 				return vc.pureTotalPredicate(cj)
 			}
@@ -1053,7 +1035,7 @@ func (vc *vecCompiler) dispatchColumn(disj []sqlparser.Expr) int {
 		return best
 	}
 	for col := range len(vc.frame.Cols) {
-		if _, ok := vc.keysOn(disj[0], col, 0, nil); ok {
+		if _, ok := vc.armKeys(disj[0], col, 0, nil, buf); ok {
 			return col
 		}
 	}
@@ -1073,13 +1055,22 @@ func (vc *vecCompiler) dispatchColumn(disj []sqlparser.Expr) int {
 // an equality the row evaluator would only reach after a UDF call or a
 // possibly-erroring expression licenses nothing.
 func (vc *vecCompiler) keysOn(arm sqlparser.Expr, col, a int, pairs []keyArm) ([]keyArm, bool) {
+	var buf []storage.Value
+	return vc.armKeys(arm, col, a, pairs, &buf)
+}
+
+// armKeys is keysOn cutting points from buf, which one compile reuses
+// across its arms.
+func (vc *vecCompiler) armKeys(arm sqlparser.Expr, col, a int, pairs []keyArm, buf *[]storage.Value) ([]keyArm, bool) {
 	found := false
 	inOrder(arm, sqlparser.OpAnd, func(cj sqlparser.Expr) bool {
-		if c, ok := vc.eqPoints(cj, nil); ok {
+		if c, keys, ok := vc.intKeys(cj, buf); ok {
 			if c != col {
 				return true
 			}
-			vc.eqPoints(cj, func(k int64) { pairs = append(pairs, keyArm{k, a}) })
+			for _, k := range keys {
+				pairs = append(pairs, keyArm{k.I, a})
+			}
 			found = true
 			return false
 		}
@@ -1087,7 +1078,7 @@ func (vc *vecCompiler) keysOn(arm sqlparser.Expr, col, a int, pairs []keyArm) ([
 			mark := len(pairs)
 			if inOrder(cj, sqlparser.OpOr, func(d sqlparser.Expr) bool {
 				var ok bool
-				pairs, ok = vc.keysOn(d, col, a, pairs)
+				pairs, ok = vc.armKeys(d, col, a, pairs, buf)
 				return ok
 			}) {
 				found = true
@@ -1136,21 +1127,16 @@ type vecProgram struct {
 	preds []vecPred
 }
 
-// compileVecProgram compiles the binding's conjuncts, taking a shared
-// conjunct's operator (shared.go) as compiled once; nil when there is
-// nothing to filter.
+// compileVecProgram takes the binding's conjuncts' compiled predicates —
+// a registered conjunct's as compiled once for its guard state; nil when
+// there is nothing to filter.
 func compileVecProgram(tb *tableBinding) *vecProgram {
 	if len(tb.conjs) == 0 {
 		return nil
 	}
-	vc := &vecCompiler{b: tb.b, frame: tb.schema}
 	p := &vecProgram{preds: make([]vecPred, len(tb.conjs))}
-	for i, cj := range tb.conjs {
-		if sf := tb.shared[i]; sf != nil {
-			p.preds[i] = sf.program()
-		} else {
-			p.preds[i] = vc.compilePred(cj)
-		}
+	for i, c := range tb.conjs {
+		p.preds[i] = c.program()
 	}
 	return p
 }

@@ -158,14 +158,14 @@ func BenchmarkDispatch(b *testing.B) {
 		} {
 			b.Run(fmt.Sprintf("arms=%d/%s", arms, path.name), func(b *testing.B) {
 				prep := db.Prepare(sqlparser.MustParse(path.sql))
-				if _, err := prep.Query(context.Background()); err != nil { // bind, compile the arms in use
+				if _, err := Collect(prep.Stream(context.Background())); err != nil { // bind, compile the arms in use
 					b.Fatal(err)
 				}
 				db.ResetCounters()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := prep.Query(context.Background()); err != nil {
+					if _, err := Collect(prep.Stream(context.Background())); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -186,7 +186,7 @@ func TestPreparedPointLookupAllocsFlatInArms(t *testing.T) {
 		prep := db.Prepare(sqlparser.MustParse(
 			"WITH g AS (SELECT * FROM t FORCE INDEX (owner) WHERE owner = 5 AND x < 700 AND (" + where + ")) SELECT x FROM g"))
 		query := func() {
-			res, err := prep.Query(context.Background())
+			res, err := Collect(prep.Stream(context.Background()))
 			if err != nil || len(res.Rows) != 64 {
 				t.Fatalf("%d arms: %d rows, err %v", arms, len(res.Rows), err)
 			}

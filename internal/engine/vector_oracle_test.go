@@ -227,7 +227,7 @@ func TestVectorOracle(t *testing.T) {
 }
 
 // TestVectorOracleSharedGuardFilter holds the guard filter a guard state
-// shares across executions (engine.SharedFilter) to the rowPasses
+// shares across executions (its registered engine.Conjunct) to the rowPasses
 // reference. The campus and mall corpora run unprepared twice on each side:
 // the first run compiles every state's guard disjunction once, and the
 // second compiles none — each execution takes the state's operator, arms

@@ -36,41 +36,17 @@ const (
 type zoneNode struct {
 	op   zoneOp
 	kids []zoneNode
-	slot int  // leaf: index into the compiled column-slot list
-	s    sarg // leaf: the predicate to test against the zone
+	s    sarg // leaf: the predicate to test against column s.slot's zone
 }
 
-// zoneCompiler interns referenced columns into compact slots so the scan
-// fetches each segment's zones with one lock acquisition.
-type zoneCompiler struct {
-	ref    string
-	schema *storage.Schema
-	cols   []int // schema column offsets, deduped
-	slots  map[int]int
-}
-
-func newZoneCompiler(ref string, schema *storage.Schema) *zoneCompiler {
-	return &zoneCompiler{ref: ref, schema: schema, slots: make(map[int]int)}
-}
-
-func (zc *zoneCompiler) slotFor(col string) int {
-	ci := zc.schema.ColumnIndex(col)
-	if s, ok := zc.slots[ci]; ok {
-		return s
-	}
-	s := len(zc.cols)
-	zc.cols = append(zc.cols, ci)
-	zc.slots[ci] = s
-	return s
-}
-
-// compile translates e into a refutation tree; ok is false when no part of
-// e can ever refute a segment.
-func (zc *zoneCompiler) compile(e sqlparser.Expr) (zoneNode, bool) {
+// zoneTree translates e into a refutation tree, its columns read through
+// the compiler's resolver and added to cols, kept sorted and distinct; ok
+// is false when no part of e can ever refute a segment.
+func (vc *vecCompiler) zoneTree(e sqlparser.Expr, cols *[]int) (zoneNode, bool) {
 	if disj := sqlparser.Disjuncts(e); len(disj) > 1 {
 		kids := make([]zoneNode, 0, len(disj))
 		for _, d := range disj {
-			k, ok := zc.compile(d)
+			k, ok := vc.zoneTree(d, cols)
 			if !ok {
 				// One unrefutable arm makes the whole OR unrefutable.
 				return zoneNode{}, false
@@ -82,7 +58,7 @@ func (zc *zoneCompiler) compile(e sqlparser.Expr) (zoneNode, bool) {
 	if conj := sqlparser.Conjuncts(e); len(conj) > 1 {
 		kids := make([]zoneNode, 0, len(conj))
 		for _, c := range conj {
-			if k, ok := zc.compile(c); ok {
+			if k, ok := vc.zoneTree(c, cols); ok {
 				kids = append(kids, k)
 			}
 			// Unrefutable conjuncts are dropped: refuting any remaining
@@ -101,20 +77,23 @@ func (zc *zoneCompiler) compile(e sqlparser.Expr) (zoneNode, bool) {
 		}
 		return zoneNode{}, false
 	}
-	if s, ok := extractSarg(e, zc.ref, zc.schema); ok {
-		return zoneNode{op: zoneLeaf, slot: zc.slotFor(s.col), s: s}, true
+	if s, ok := vc.sargOf(e, nil); ok {
+		if i, found := slices.BinarySearch(*cols, s.slot); !found {
+			*cols = slices.Insert(*cols, i, s.slot)
+		}
+		return zoneNode{op: zoneLeaf, s: s}, true
 	}
 	return zoneNode{}, false
 }
 
-// refuted reports whether the segment's interned zone maps prove no row
-// satisfies the node's predicate.
+// refuted reports whether the segment's zone maps, indexed by schema
+// column, prove no row satisfies the node's predicate.
 func (n *zoneNode) refuted(zones []storage.ZoneMap) bool {
 	switch n.op {
 	case zoneFalse:
 		return true
 	case zoneLeaf:
-		z := zones[n.slot]
+		z := zones[n.s.slot]
 		if n.s.isRange {
 			return !z.MayContain(n.s.lo, n.s.loS, n.s.hi, n.s.hiS)
 		}
@@ -141,62 +120,55 @@ func (n *zoneNode) refuted(zones []storage.ZoneMap) bool {
 	}
 }
 
-// compileZonePreds compiles the scan's conjuncts into refutation trees plus
-// the schema column offsets their leaves reference. An empty tree list
-// means the scan cannot prune. A shared conjunct (shared.go) brings its
-// tree compiled against slots of its own: the first such tree is placed
-// first and its slots seed this compile's, so it is used as it is; the rest
-// compile here. Order does not matter: the trees combine with AND.
-func compileZonePreds(conjs []sqlparser.Expr, ref string, schema *storage.Schema, shared []*SharedFilter) ([]zoneNode, []int) {
-	zc := newZoneCompiler(ref, schema)
-	var nodes []zoneNode
-	seeded := -1
-	for i, sf := range shared {
-		if sf == nil {
+// zones gathers the scan's conjuncts' refutation trees and the sorted union
+// of the columns they read. No tree means the scan cannot prune. Order does
+// not matter: the trees combine with AND.
+func (tb *tableBinding) zones() ([]*zoneNode, []int) {
+	var nodes []*zoneNode
+	var cols []int
+	for _, c := range tb.conjs {
+		n, ncols := c.zones()
+		if n == nil {
 			continue
 		}
-		if n, cols, ok := sf.zones(); ok {
-			nodes = append(nodes, n)
-			zc.cols = slices.Clip(cols) // appending copies: the shared slice stays as it is
-			for s, c := range cols {
-				zc.slots[c] = s
-			}
-			seeded = i
-			break
-		}
-	}
-	for i, cj := range conjs {
-		if i == seeded {
-			continue
-		}
-		if sf := shared[i]; sf != nil {
-			if _, _, ok := sf.zones(); !ok {
-				continue // refutes nothing: compiled once already
+		nodes = append(nodes, n)
+		for _, col := range ncols {
+			if i, found := slices.BinarySearch(cols, col); !found {
+				cols = slices.Insert(cols, i, col)
 			}
 		}
-		if n, ok := zc.compile(cj); ok {
-			nodes = append(nodes, n)
-		}
 	}
-	if len(nodes) == 0 {
-		return nil, nil
+	return nodes, cols
+}
+
+// zoneBuf returns a scan's zone buffer for cols: one entry per schema
+// column up to the last one read.
+func zoneBuf(cols []int) []storage.ZoneMap {
+	if len(cols) == 0 {
+		return nil
 	}
-	return nodes, zc.cols
+	return make([]storage.ZoneMap, cols[len(cols)-1]+1)
 }
 
 // segmentRefuted tests one segment of a view against the compiled
-// predicates, reusing zbuf (len(cols)). Empty segments (live == 0) are
+// predicates, reusing zbuf (zoneBuf(cols)). Empty segments (live == 0) are
 // refuted unconditionally. Conjuncts combine with AND: any refuted
 // predicate kills the segment.
-func segmentRefuted(v *storage.View, seg int, preds []zoneNode, cols []int, zbuf []storage.ZoneMap) bool {
+func segmentRefuted(v *storage.View, seg int, preds []*zoneNode, cols []int, zbuf []storage.ZoneMap) bool {
 	if len(preds) == 0 {
 		return v.Zones(seg, nil, nil) == 0
 	}
 	if v.Zones(seg, cols, zbuf) == 0 {
 		return true
 	}
-	for i := range preds {
-		if preds[i].refuted(zbuf) {
+	// Zones lays column cols[i]'s zone at i. cols is ascending and
+	// distinct, so cols[i] >= i: moving them to their columns from the last
+	// down overwrites only entries already moved.
+	for i := len(cols) - 1; i >= 0; i-- {
+		zbuf[cols[i]] = zbuf[i]
+	}
+	for _, p := range preds {
+		if p.refuted(zbuf) {
 			return true
 		}
 	}
@@ -212,7 +184,7 @@ func (p *accessPlan) segmentStats(t *storage.Table) (pruned, total int) {
 	}
 	v := t.View()
 	total = v.NumSegments()
-	zbuf := make([]storage.ZoneMap, len(p.zoneCols))
+	zbuf := zoneBuf(p.zoneCols)
 	for seg := 0; seg < total; seg++ {
 		if segmentRefuted(v, seg, p.zonePreds, p.zoneCols, zbuf) {
 			pruned++
