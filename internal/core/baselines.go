@@ -32,12 +32,7 @@ const (
 // under ctx: cancellation aborts the baseline's scan like any other
 // query.
 func (m *Middleware) ExecuteBaseline(ctx context.Context, kind BaselineKind, sql string, qm policy.Metadata) (*engine.Result, error) {
-	stmt, sets, err := m.rewriteBaseline(kind, sql, qm)
-	defer func() {
-		m.mu.Lock()
-		m.dropCheckSetsLocked(slices.Values(sets))
-		m.mu.Unlock()
-	}()
+	stmt, err := m.rewriteBaseline(kind, sql, qm)
 	if err != nil {
 		return nil, err
 	}
@@ -46,51 +41,44 @@ func (m *Middleware) ExecuteBaseline(ctx context.Context, kind BaselineKind, sql
 
 // rewriteBaseline parses and rewrites a query with one of the baseline
 // strategies; like RewriteQuery it binds no arguments, so a placeholder is
-// an error, raised before anything is registered. It returns the ids of the
-// Δ check sets it registered (BaselineU's, one per protected relation), on
-// error too: they live until the caller drops them.
-func (m *Middleware) rewriteBaseline(kind BaselineKind, sql string, qm policy.Metadata) (stmt *sqlparser.SelectStmt, sets []int64, err error) {
-	stmt, err = parseUnbound(sql)
+// an error, raised before anything is registered. BaselineU's Δ calls, one
+// per reference to a protected relation, each register a check set that
+// lives as long as the call (newDeltaCall).
+func (m *Middleware) rewriteBaseline(kind BaselineKind, sql string, qm policy.Metadata) (*sqlparser.SelectStmt, error) {
+	stmt, err := parseUnbound(sql)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if qm.Querier == "" {
-		return nil, nil, fmt.Errorf("sieve: query metadata must identify the querier")
+		return nil, fmt.Errorf("sieve: query metadata must identify the querier")
 	}
 	relations := slices.DeleteFunc(referencedTables(stmt), func(r string) bool { return !m.Protected(r) })
 	if len(relations) == 0 {
-		return stmt, nil, nil
+		return stmt, nil
 	}
 	ex, err := m.db.Explain(stmt) // every base reference, before any changes
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	fresh := cteNamer(ex.With)
 	var ctes []sqlparser.CTE
 	for _, relation := range relations {
 		ps := m.store.PoliciesFor(qm, relation, m.groups)
+		var err error
 		switch kind {
 		case BaselineP:
-			appendPerCore(ex, relation, func(refName string) sqlparser.Expr {
+			err = appendPerCore(ex, relation, func(refName string) (sqlparser.Expr, error) {
 				if e := policy.Expression(ps, refName); e != nil {
-					return e
+					return e, nil
 				}
-				return sqlparser.Lit(storage.NewBool(false))
+				return sqlparser.Lit(storage.NewBool(false)), nil
 			})
 		case BaselineU:
-			schema := m.db.MustTable(relation).Schema
-			m.mu.Lock()
-			setID, err := m.registerCheckSetLocked(ps, relation, schema)
-			m.mu.Unlock()
-			if err != nil {
-				return nil, sets, err
-			}
-			sets = append(sets, setID)
-			appendPerCore(ex, relation, func(refName string) sqlparser.Expr {
+			err = appendPerCore(ex, relation, func(refName string) (sqlparser.Expr, error) {
 				if len(ps) == 0 {
-					return sqlparser.Lit(storage.NewBool(false))
+					return sqlparser.Lit(storage.NewBool(false)), nil
 				}
-				return deltaCall(setID, refName, schema)
+				return m.newDeltaCall(ps, relation, refName)
 			})
 		case BaselineI:
 			name := fresh(relation) // one CTE per relation: BaselineI pushes nothing
@@ -101,11 +89,14 @@ func (m *Middleware) rewriteBaseline(kind BaselineKind, sql string, qm policy.Me
 			}
 			ctes = append(ctes, sqlparser.CTE{Name: name, Select: m.buildBaselineICTE(relation, ps)})
 		default:
-			return nil, sets, fmt.Errorf("sieve: unknown baseline %q", kind)
+			err = fmt.Errorf("sieve: unknown baseline %q", kind)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	stmt.With = append(ctes, stmt.With...)
-	return stmt, sets, nil
+	return stmt, nil
 }
 
 // appendPerCore conjoins mk(refName) to the WHERE clause of the core of
@@ -113,12 +104,17 @@ func (m *Middleware) rewriteBaseline(kind BaselineKind, sql string, qm policy.Me
 // core sits — expression subqueries included (policy checks precede any
 // non-monotonic set operation, §3.1), and ahead of every conjunct that can
 // raise (sqlparser.Guarded).
-func appendPerCore(ex *engine.Explain, relation string, mk func(refName string) sqlparser.Expr) {
+func appendPerCore(ex *engine.Explain, relation string, mk func(refName string) (sqlparser.Expr, error)) error {
 	for _, ta := range ex.Tables {
 		if ta.Ref != nil && ta.Ref.Name == relation {
-			ta.Core.Where = sqlparser.Guarded(sqlparser.Conjuncts(ta.Core.Where), mk(ta.Ref.RefName()))
+			check, err := mk(ta.Ref.RefName())
+			if err != nil {
+				return err
+			}
+			ta.Core.Where = sqlparser.Guarded(sqlparser.Conjuncts(ta.Core.Where), check)
 		}
 	}
+	return nil
 }
 
 // buildBaselineICTE constructs BaselineI's projection: one forced

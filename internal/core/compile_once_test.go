@@ -41,7 +41,7 @@ const (
 	groupOwners = 40
 )
 
-func newGroupFixture(t *testing.T, members int) *groupFixture {
+func newGroupFixture(t *testing.T, members int, opts ...core.Option) *groupFixture {
 	t.Helper()
 	db := engine.New(engine.MySQL())
 	db.UDFOverheadIters = 0
@@ -85,7 +85,7 @@ func newGroupFixture(t *testing.T, members int) *groupFixture {
 	if err := store.BulkLoad(ps); err != nil {
 		t.Fatal(err)
 	}
-	if f.m, err = core.New(store, core.WithGroups(groups)); err != nil {
+	if f.m, err = core.New(store, append([]core.Option{core.WithGroups(groups)}, opts...)...); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.m.Protect("wifi"); err != nil {
@@ -251,13 +251,48 @@ func TestGuardFilterCompiledOncePerState(t *testing.T) {
 // lazy arm compiles and their first runs interleave. Under -race with
 // -cpu=1,4 that is the check that the shared filter is safe to build and
 // run concurrently; afterwards every member reads BaselineP's rows and the
-// registry holds exactly the live states.
+// registry holds exactly the live states. In the Δ input half the owners
+// hold a second grant, so their guards check a two-policy partition through
+// the Δ UDF (threshold 1), beside inlined ones: each retirement then lands
+// on Δ calls that readers may still be running, and each patched state
+// takes its base's Δ arms.
 func TestSharedGuardFilterUnderChurn(t *testing.T) {
-	f := newGroupFixture(t, 4)
+	for _, tc := range []struct {
+		name  string
+		opts  []core.Option
+		delta bool
+	}{
+		{"inline", nil, false},
+		{"delta", []core.Option{core.WithDeltaThreshold(1)}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newGroupFixture(t, 4, tc.opts...)
+			if tc.delta {
+				for o := int64(0); o < 12; o += 2 {
+					p := groupGrant(o)
+					p.Conditions = []policy.ObjectCondition{policy.Compare("wifiAP", sqlparser.CmpEq, storage.NewInt(101+o%6))}
+					if err := f.m.AddPolicy(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			churnSharedGuardFilter(t, f, tc.delta)
+		})
+	}
+}
+
+func churnSharedGuardFilter(t *testing.T, f *groupFixture, delta bool) {
 	const unprepared = "SELECT id, owner FROM wifi WHERE wifiAP = 102"
 	st, err := f.m.Prepare("SELECT * FROM wifi")
 	if err != nil {
 		t.Fatal(err)
+	}
+	rep, err := st.Report(f.m.NewSession(metadata(f.queriers[0])))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := rep.Decisions[0]; (d.DeltaGuards > 0) != delta || d.DeltaGuards == d.Guards {
+		t.Fatalf("%d of %d guards via Δ; the input wants Δ: %v, beside inlined guards", d.DeltaGuards, d.Guards, delta)
 	}
 	ctx := context.Background()
 	var wg sync.WaitGroup

@@ -279,15 +279,11 @@ func TestBaselinesGuardEverySubquery(t *testing.T) {
 }
 
 // TestBaselineUReleasesCheckSets: the Δ check set BaselineU registers for a
-// query lives only as long as that query, on success and on error alike.
+// query lives only as long as that query's call, on success and on error
+// alike: once the queries are done, collections delete every one of them.
 func TestBaselineUReleasesCheckSets(t *testing.T) {
 	f := newFixture(t, engine.MySQL(), 40)
-	live := func() int {
-		n := 0
-		f.m.registry.Range(func(_, _ any) bool { n++; return true })
-		return n
-	}
-	before := live()
+	before := liveCheckSets(f.m)
 	for i := 0; i < 20; i++ {
 		if _, err := f.m.ExecuteBaseline(t.Context(), BaselineU, selectAll, f.qm); err != nil {
 			t.Fatal(err)
@@ -300,9 +296,10 @@ func TestBaselineUReleasesCheckSets(t *testing.T) {
 			t.Fatalf("%s succeeded", q)
 		}
 	}
-	if got := live(); got != before {
-		t.Fatalf("%d check sets live after 22 BaselineU queries, %d before", got, before)
+	if n := f.m.nextSetID.Load(); n != 21 {
+		t.Fatalf("%d check sets registered by 22 BaselineU queries, want 21", n)
 	}
+	waitCheckSets(t, f.m, func() int { return before })
 }
 
 // TestUnboundPlaceholderRejectedAtEveryDoor: every door that rewrites SQL
@@ -313,11 +310,7 @@ func TestUnboundPlaceholderRejectedAtEveryDoor(t *testing.T) {
 	const want = "statement has 1 placeholder(s), got 0 argument(s)"
 	f := newFixture(t, engine.MySQL(), 40)
 	sess := f.m.NewSession(f.qm)
-	sets := func() int {
-		n := 0
-		f.m.registry.Range(func(_, _ any) bool { n++; return true })
-		return n
-	}
+	sets := func() int { return liveCheckSets(f.m) }
 	before := sets()
 	doors := map[string]func() error{
 		"RewriteQuery": func() error { _, _, err := f.m.RewriteQuery(q, f.qm); return err },
@@ -565,7 +558,7 @@ func TestMissingQuerierRejected(t *testing.T) {
 	if _, err := f.m.NewSession(policy.Metadata{}).Execute(t.Context(), selectAll); err == nil {
 		t.Error("empty metadata must be rejected")
 	}
-	if _, _, err := f.m.rewriteBaseline(BaselineP, selectAll, policy.Metadata{}); err == nil {
+	if _, err := f.m.rewriteBaseline(BaselineP, selectAll, policy.Metadata{}); err == nil {
 		t.Error("empty metadata must be rejected for baselines")
 	}
 }

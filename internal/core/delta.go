@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"iter"
+	"runtime"
 
 	"github.com/sieve-db/sieve/internal/engine"
 	"github.com/sieve-db/sieve/internal/policy"
@@ -29,36 +29,44 @@ type checkSet struct {
 	hasDerived bool
 }
 
-// registerCheckSetLocked compiles and registers a policy set; caller holds
-// m.mu. The returned id is the Δ UDF's first argument.
-func (m *Middleware) registerCheckSetLocked(ps []*policy.Policy, relation string, schema *storage.Schema) (int64, error) {
+// newDeltaCall is the one constructor of a Δ check set (§5.2, §5.4): it
+// compiles ps over the relation's schema, registers the set under a fresh
+// id and returns the call sieve_delta(id, qualifier.col1, …) = TRUE, with
+// the tuple's attributes in schema order. The set lives exactly as long as
+// the call's FuncCall node: a cleanup attached to the node deletes the id
+// once nothing that can evaluate the call — a rewritten statement, a
+// prepared plan, a shared filter, a patch-base record, a guard state — still
+// holds it, and nothing else deletes it. So a query opened over a state
+// that has since retired still finds every set it calls. Every path that
+// runs a Δ call runs this node: a statement is cloned before its rewrite
+// (sqlparser.BindStmt), never after, and an emitter's clone only becomes
+// text.
+func (m *Middleware) newDeltaCall(ps []*policy.Policy, relation, qualifier string) (sqlparser.Expr, error) {
+	schema := m.db.MustTable(relation).Schema
 	compiled, err := policy.CompileSet(ps, schema)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	ownerIdx := schema.ColumnIndex(policy.OwnerAttr)
 	if ownerIdx < 0 {
-		return 0, fmt.Errorf("sieve: relation %q lacks owner attribute", relation)
+		return nil, fmt.Errorf("sieve: relation %q lacks owner attribute", relation)
 	}
-	cs := &checkSet{
+	id := m.nextSetID.Add(1)
+	m.registry.Store(id, &checkSet{
 		relation:   relation,
 		schema:     schema,
 		qualified:  engine.QualifiedSchema(relation, schema),
 		compiled:   compiled,
 		ownerIdx:   ownerIdx,
 		hasDerived: compiled.HasSubqueryConditions(),
+	})
+	args := []sqlparser.Expr{sqlparser.Lit(storage.NewInt(id))}
+	for _, c := range schema.Columns {
+		args = append(args, sqlparser.Col(qualifier, c.Name))
 	}
-	m.nextSetID++
-	id := m.nextSetID
-	m.registry.Store(id, cs)
-	return id, nil
-}
-
-// dropCheckSetsLocked forgets stale check sets; caller holds m.mu.
-func (m *Middleware) dropCheckSetsLocked(ids iter.Seq[int64]) {
-	for id := range ids {
-		m.registry.Delete(id)
-	}
+	call := &sqlparser.FuncCall{Name: DeltaUDFName, Args: args}
+	runtime.AddCleanup(call, func(id int64) { m.registry.Delete(id) }, id)
+	return &sqlparser.CompareExpr{Op: sqlparser.CmpEq, L: call, R: sqlparser.Lit(storage.NewBool(true))}, nil
 }
 
 // lookupCheckSet fetches a registered set without taking m.mu: the Δ UDF
@@ -115,18 +123,4 @@ func (m *Middleware) registerDeltaUDF() {
 		}
 		return storage.NewBool(matched), nil
 	})
-}
-
-// deltaCall builds the SQL invocation sieve_delta(id, q.col1, …) = TRUE
-// with the tuple's attributes qualified by qualifier, in schema order.
-func deltaCall(id int64, qualifier string, schema *storage.Schema) sqlparser.Expr {
-	args := []sqlparser.Expr{sqlparser.Lit(storage.NewInt(id))}
-	for _, c := range schema.Columns {
-		args = append(args, sqlparser.Col(qualifier, c.Name))
-	}
-	return &sqlparser.CompareExpr{
-		Op: sqlparser.CmpEq,
-		L:  &sqlparser.FuncCall{Name: DeltaUDFName, Args: args},
-		R:  sqlparser.Lit(storage.NewBool(true)),
-	}
 }

@@ -121,7 +121,7 @@ func TestDeltaArmRefutedAtPlanTime(t *testing.T) {
 // BaselineU statement — one Δ call per tuple — runs to completion.
 func TestDeltaUDFDoesNotTakeMiddlewareLock(t *testing.T) {
 	f := newFixture(t, engine.MySQL(), 15)
-	stmt, _, err := f.m.rewriteBaseline(BaselineU, selectAll, f.qm)
+	stmt, err := f.m.rewriteBaseline(BaselineU, selectAll, f.qm)
 	if err != nil {
 		t.Fatal(err)
 	}

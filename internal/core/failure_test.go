@@ -52,7 +52,7 @@ func TestMalformedQueryRejected(t *testing.T) {
 
 func TestUnknownBaselineKind(t *testing.T) {
 	f := newFixture(t, engine.MySQL(), 5)
-	if _, _, err := f.m.rewriteBaseline(BaselineKind("BaselineX"), selectAll, f.qm); err == nil {
+	if _, err := f.m.rewriteBaseline(BaselineKind("BaselineX"), selectAll, f.qm); err == nil {
 		t.Error("unknown baseline kind accepted")
 	}
 }
@@ -68,22 +68,22 @@ func TestDeltaUDFArgumentValidation(t *testing.T) {
 	}
 }
 
+// TestDeltaArityMismatch: the Δ UDF rejects a call to a live check set with
+// fewer attribute arguments than the relation's schema has.
 func TestDeltaArityMismatch(t *testing.T) {
 	f := newFixture(t, engine.MySQL(), 50, WithDeltaThreshold(1))
-	if _, err := f.m.NewSession(f.qm).Execute(t.Context(), selectAll); err != nil {
+	_, rep, err := f.m.RewriteQuery(selectAll, f.qm)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Find a live set id by probing small integers; the arity check must
-	// reject a call with too few attribute arguments.
-	found := false
-	for id := 1; id <= 64 && !found; id++ {
-		_, err := f.db.Query("SELECT " + DeltaUDFName + "(" + itoa64(int64(id)) + ", owner) FROM wifi LIMIT 1")
-		if err != nil && strings.Contains(err.Error(), "attributes") {
-			found = true
-		}
+	calls := deltaCalls(rep.GuardedCTEs[0].Arms)
+	if len(calls) == 0 {
+		t.Fatal("no guard checks its partition through Δ")
 	}
-	if !found {
-		t.Skip("no registered delta set at this scale")
+	id := calls[0].Args[0].(*sqlparser.Literal).Val.I
+	_, err = f.db.Query("SELECT " + DeltaUDFName + "(" + itoa64(id) + ", owner) FROM wifi LIMIT 1")
+	if err == nil || !strings.Contains(err.Error(), "got 1 attributes") {
+		t.Fatalf("a call to set %d with one attribute: %v", id, err)
 	}
 }
 

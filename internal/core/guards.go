@@ -2,11 +2,12 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 
+	"github.com/sieve-db/sieve/internal/engine"
 	"github.com/sieve-db/sieve/internal/guard"
 	"github.com/sieve-db/sieve/internal/policy"
+	"github.com/sieve-db/sieve/internal/sqlparser"
 )
 
 // resolution is one protected relation's guard state as one query sees it:
@@ -131,9 +132,7 @@ func (m *Middleware) resolveClaimLocked(key geKey) (*geState, bool, error) {
 		if fresh != nil {
 			// Publish it unless the set moved on while it was built.
 			if !shared && d.equals(fresh.ids) {
-				if err := m.publishStateLocked(fresh); err != nil {
-					return nil, false, err
-				}
+				m.publishStateLocked(fresh)
 				st = fresh
 			}
 			fresh = nil
@@ -186,26 +185,45 @@ func (m *Middleware) resolveClaimLocked(key geKey) (*geState, bool, error) {
 // buildState builds a new state for a signature: patched from base
 // (guard.Patch, which walks the difference between base.ids and ids — both
 // in id order, as PoliciesFor returns ps) when there is one, generated by
-// the full §4 pipeline when base is nil. It runs outside m.mu; the state
-// is visible to nobody until publishStateLocked. key only names the claim
-// the expression is built for (ge.Querier/Purpose); the state itself is
-// keyed by signature.
+// the full §4 pipeline when base is nil. A guard the patch kept unchanged
+// has its base's partition, so it takes its base's arm, inline or Δ, when
+// the base built its arms; every other guard whose partition exceeds the
+// Δ threshold (§5.4) gets a Δ call and check set of its own here, and the
+// rest are inlined at the state's first rewrite (guardArms). It runs
+// outside m.mu; the state is visible to nobody until publishStateLocked,
+// and a state never published takes its check sets with it. key only
+// names the claim the expression is built for (ge.Querier/Purpose); the
+// state itself is keyed by signature.
 func (m *Middleware) buildState(key geKey, ps []*policy.Policy, ids []int64, hash uint64, base *patchBase) (*geState, error) {
 	sel, err := m.selectivityFor(key.relation)
 	if err != nil {
 		return nil, err
 	}
-	st := &geState{relation: key.relation, ids: ids, hash: hash, deltaSets: make(map[int]int64)}
+	st := &geState{relation: key.relation, ids: ids, hash: hash}
+	var from []int
 	if base != nil {
-		st.ge, st.from, err = guard.Patch(base.ge, base.ids, ps, ids, sel, m.cm)
+		st.ge, from, err = guard.Patch(base.ge, base.ids, ps, ids, sel, m.cm)
 		if err != nil {
 			return nil, err
 		}
 		st.ge.Querier, st.ge.Purpose = key.querier, key.purpose
 		st.drift = base.drift + idsDistance(base.ids, ids)
-		st.baseArms = base.arms
 	} else if st.ge, err = guard.GenerateWithOptions(ps, key.relation, key.querier, key.purpose, sel, m.cm, m.genOpts); err != nil {
 		return nil, err
+	}
+	st.arms = make([]engine.GuardArm, len(st.ge.Guards))
+	for gi := range st.ge.Guards {
+		g := &st.ge.Guards[gi]
+		switch {
+		case base != nil && base.arms != nil && from[gi] >= 0:
+			st.arms[gi] = base.arms[from[gi]]
+		case m.deltaThreshold > 0 && len(g.Policies) > m.deltaThreshold:
+			call, err := m.newDeltaCall(g.Policies, st.relation, st.relation)
+			if err != nil {
+				return nil, err
+			}
+			st.arms[gi] = engine.GuardArm{Col: g.Cond.Attr, Expr: sqlparser.And(g.Expr(st.relation), call), Delta: true}
+		}
 	}
 	if m.hookGenerated != nil {
 		m.hookGenerated()
@@ -213,27 +231,13 @@ func (m *Middleware) buildState(key geKey, ps []*policy.Policy, ids []int64, has
 	return st, nil
 }
 
-// publishStateLocked makes a generated state shareable: Δ check sets for
-// guards above the threshold (§5.4), a generation token, and its place in the
-// signature index. Caller holds m.mu.
-func (m *Middleware) publishStateLocked(st *geState) error {
-	schema := m.db.MustTable(st.relation).Schema
-	for gi := range st.ge.Guards {
-		g := &st.ge.Guards[gi]
-		if m.deltaThreshold > 0 && len(g.Policies) > m.deltaThreshold {
-			id, err := m.registerCheckSetLocked(g.Policies, st.relation, schema)
-			if err != nil {
-				m.dropCheckSetsLocked(maps.Values(st.deltaSets))
-				return err
-			}
-			st.deltaSets[gi] = id
-		}
-	}
+// publishStateLocked makes a generated state shareable: a generation token
+// and its place in the signature index. Caller holds m.mu.
+func (m *Middleware) publishStateLocked(st *geState) {
 	m.nextStateID++
 	st.stateID = m.nextStateID
 	sk := stateKey{relation: st.relation, hash: st.hash}
 	m.states[sk] = append(m.states[sk], st)
-	return nil
 }
 
 // InvalidateAll retires every shared guard state and force-invalidates

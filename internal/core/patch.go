@@ -8,8 +8,9 @@ import (
 // patchBase is what a patch reads of the state it starts from: its
 // expression, its signature ids, its drift and its arms (nil if it never
 // built them). A policy write records one per scope, never the geState
-// itself, so a record pins an expression and its arm ASTs but no claims,
-// check sets or compiled filter.
+// itself, so a record pins an expression and its arm ASTs — the check sets
+// of its Δ calls with them, which a patch may take over — but no claims or
+// compiled filter.
 type patchBase struct {
 	ge    *guard.GuardedExpression
 	ids   []int64

@@ -85,10 +85,14 @@ func (m *Middleware) rewriteResolved(stmt *sqlparser.SelectStmt, qm policy.Metad
 		}
 		r := &res[i]
 		dec := m.chooseStrategy(r.relation, ta, r.state)
-		dec.DeltaGuards = len(r.state.deltaSets)
 		dec.Signature = r.state.signature()
 		dec.SharedState = r.state.ge.Querier != qm.Querier || r.state.ge.Purpose != qm.Purpose
 		arms, guardOr := r.state.guardArms(m.db)
+		for _, a := range arms {
+			if a.Delta {
+				dec.DeltaGuards++
+			}
+		}
 		g := engine.GuardedCTE{
 			Name:        fresh(r.relation),
 			Relation:    r.relation,
@@ -159,9 +163,10 @@ func moveConjuncts(ta engine.TableAccess) []sqlparser.Expr {
 // downstream of the rewrite changes an expression in place, and the
 // rewrite redirects only the references its EXPLAIN listed before any arm
 // was prepended. A subquery in an arm (a derived-value condition)
-// therefore reads base relations, as the Δ UDF's checks do. For the same reason a patched state takes its base's arm, AST
-// and all, for every guard guard.Patch kept unchanged and that is not Δ,
-// and builds only the rest.
+// therefore reads base relations, as the Δ UDF's checks do. For the same
+// reason a patched state takes its base's arm, AST and all, for every guard
+// guard.Patch kept unchanged, and buildState has already filled those and
+// the Δ arms: this inlines only the rest.
 //
 // A disjunction of arms is registered with the engine as a shared filter,
 // so the engine compiles it once per state rather than once per execution.
@@ -171,25 +176,14 @@ func moveConjuncts(ta engine.TableAccess) []sqlparser.Expr {
 // registered.
 func (st *geState) guardArms(db *engine.DB) ([]engine.GuardArm, sqlparser.Expr) {
 	st.armsOnce.Do(func() {
-		schema := db.MustTable(st.relation).Schema
 		exprs := make([]sqlparser.Expr, len(st.ge.Guards))
-		st.arms = make([]engine.GuardArm, len(st.ge.Guards))
 		for gi := range st.ge.Guards {
-			g := &st.ge.Guards[gi]
-			setID, useDelta := st.deltaSets[gi]
-			switch {
-			case useDelta:
-				st.arms[gi] = engine.GuardArm{Col: g.Cond.Attr, Expr: sqlparser.And(g.Expr(st.relation), deltaCall(setID, st.relation, schema)), Delta: true}
-			case st.baseArms != nil && st.from[gi] >= 0:
-				// A kept guard has its base's partition, so the base
-				// inlined it too: Δ follows the partition's size.
-				st.arms[gi] = st.baseArms[st.from[gi]]
-			default:
+			if st.arms[gi].Expr == nil {
+				g := &st.ge.Guards[gi]
 				st.arms[gi] = engine.GuardArm{Col: g.Cond.Attr, Expr: sqlparser.And(g.Expr(st.relation), g.PartitionExpr(st.relation))}
 			}
 			exprs[gi] = st.arms[gi].Expr
 		}
-		st.from, st.baseArms = nil, nil
 		st.armsBuilt.Store(true)
 		st.guardOr = sqlparser.Or(exprs...)
 		if len(exprs) > 1 {

@@ -78,10 +78,11 @@ type Middleware struct {
 	patchBases  map[relPrincipal]*patchBase
 	nextStateID uint64
 	stats       cacheStats
-	// registry maps check-set ids to their *checkSet. Written under mu,
-	// read lock-free by the Δ UDF (lookupCheckSet).
+	// registry maps check-set ids to their *checkSet: stored by
+	// newDeltaCall, deleted by the cleanup it attaches to the call, read
+	// lock-free by the Δ UDF (lookupCheckSet). None of it takes mu.
 	registry  sync.Map
-	nextSetID int64
+	nextSetID atomic.Int64
 
 	// hookGenerated, when non-nil, runs outside mu after a state has been
 	// generated and before it is published. Tests park a generation here
@@ -151,27 +152,19 @@ type geState struct {
 	// embed it, so replacing a state invalidates exactly the plans that
 	// used it.
 	stateID uint64
-	// deltaSets maps guard index → Δ check-set id for guards whose
-	// partitions exceed the Δ threshold (§5.4); the sets are dropped when
-	// the state retires.
-	deltaSets map[int]int64
 	// claims are the claims bound to the state, valid or not. gone marks a
 	// retired state: out of the signature index, bound to no claim. Atomic
 	// because a Stmt checks it on its cached plans without m.mu.
 	claims map[*claim]struct{}
 	gone   atomic.Bool
 	// arms and guardOr are the guard arms every rewrite over this state
-	// injects and their disjunction — built once, at the first rewrite (see
-	// guardArms), not under m.mu.
+	// injects and their disjunction. buildState fills the arms the state
+	// inherits from its base and its Δ arms (§5.4); the rest, and guardOr,
+	// are built once, at the first rewrite (see guardArms), not under m.mu.
 	armsOnce  sync.Once
 	armsBuilt atomic.Bool // arms may be read without armsOnce
 	arms      []engine.GuardArm
 	guardOr   sqlparser.Expr
-	// from and baseArms are a patched state's link to its base until its
-	// arms are built: from[gi] is the base guard guard gi is unchanged from
-	// (−1 if none), baseArms the base's arms, when it had built them.
-	from     []int
-	baseArms []engine.GuardArm
 	// filter is guardOr's registration with the engine (when it is a
 	// disjunction): its compiled filter, shared by every execution over the
 	// state, until removeStateLocked releases it. Atomic because guardArms

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"strings"
 
@@ -368,14 +367,16 @@ func (m *Middleware) unbindClaimLocked(c *claim) {
 }
 
 // removeStateLocked retires a shared state: it leaves the signature
-// index (so it can never be re-bound), its Δ check sets and its engine
-// filter registration are dropped, and every claim still bound to it is
-// invalidated and unbound — they re-resolve on their next query. A
-// retired state's expression, arm ASTs and compiled filter stay reachable
-// from the plans a Stmt has yet to sweep; its expression and arms also
-// from a written scope's patch-base record, until every claim under that
-// scope has rebound (releasePatchBasesLocked). A claim still valid on it
-// saw no delta for what retired it, so it stops being exact.
+// index (so it can never be re-bound), its engine filter registration is
+// dropped, and every claim still bound to it is invalidated and unbound —
+// they re-resolve on their next query. A retired state's expression, arm
+// ASTs (Δ calls and their check sets with them) and compiled filter stay
+// reachable from the plans a Stmt has yet to sweep and from the executions
+// still open over it, which therefore return the rows of the state they
+// resolved; its expression and arms also from a written scope's patch-base
+// record, until every claim under that scope has rebound
+// (releasePatchBasesLocked). A claim still valid on it saw no delta for
+// what retired it, so it stops being exact.
 func (m *Middleware) removeStateLocked(st *geState) {
 	if st.gone.Swap(true) {
 		return
@@ -387,7 +388,6 @@ func (m *Middleware) removeStateLocked(st *geState) {
 	} else {
 		m.states[sk] = bucket
 	}
-	m.dropCheckSetsLocked(maps.Values(st.deltaSets))
 	for c := range st.claims {
 		if c.valid {
 			c.inexact()
