@@ -9,6 +9,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -20,8 +21,14 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout))
+}
+
+// run is the tool: it explains the query args name, writes the
+// explanation to stdout and returns the exit status.
+func run(args []string, stdout io.Writer) int {
 	fs, opts := cli.ExplainFlags("SELECT * FROM " + workload.TableWiFi)
-	_ = fs.Parse(os.Args[1:])
+	_ = fs.Parse(args)
 
 	var d sieve.Dialect
 	switch opts.Dialect {
@@ -31,12 +38,13 @@ func main() {
 		d = sieve.Postgres()
 	default:
 		fmt.Fprintf(os.Stderr, "unknown dialect %q\n", opts.Dialect)
-		os.Exit(2)
+		return 2
 	}
 
 	demo, err := workload.NewDemo(d)
 	if err != nil {
-		log.Fatal(err)
+		log.Print(err)
+		return 1
 	}
 	campus := demo.Campus
 	if opts.Workers > 0 {
@@ -45,58 +53,62 @@ func main() {
 
 	qm := sieve.Metadata{Querier: demo.Querier(opts.Querier), Purpose: opts.Purpose}
 	sess := demo.M.NewSession(qm)
-	fmt.Printf("dialect : %s\nquerier : %s (purpose %s)\nquery   : %s\n\n", d.Name(), qm.Querier, opts.Purpose, opts.Query)
+	fmt.Fprintf(stdout, "dialect : %s\nquerier : %s (purpose %s)\nquery   : %s\n\n", d.Name(), qm.Querier, opts.Purpose, opts.Query)
 
 	// One policy rewrite serves the rewritten text, both emissions, and
 	// the engine plan below.
 	stmt, report, err := demo.M.RewriteQuery(opts.Query, qm)
 	if err != nil {
-		log.Fatal(err)
+		log.Print(err)
+		return 1
 	}
 	rewritten := sqlparser.Print(stmt)
 	for i, dec := range report.Decisions {
-		fmt.Printf("table %s as %s:\n", dec.Relation, report.GuardedCTEs[i].Name)
-		fmt.Printf("  strategy        : %s\n", dec.Strategy)
-		fmt.Printf("  guards          : %d (%d via Δ)\n", dec.Guards, dec.DeltaGuards)
-		fmt.Printf("  policies        : %d\n", dec.Policies)
-		fmt.Printf("  segments        : %d/%d prunable by guard zone maps\n", dec.SegmentsPrunable, dec.SegmentsTotal)
-		fmt.Printf("  cost LinearScan : %s\n", cost(dec.CostLinearScan))
-		fmt.Printf("  cost IndexQuery : %s (index %s)\n", cost(dec.CostIndexQuery), orDash(dec.QueryIndex))
-		fmt.Printf("  cost IndexGuards: %s\n", cost(dec.CostIndexGuards))
+		fmt.Fprintf(stdout, "table %s as %s:\n", dec.Relation, report.GuardedCTEs[i].Name)
+		fmt.Fprintf(stdout, "  strategy        : %s\n", dec.Strategy)
+		fmt.Fprintf(stdout, "  guards          : %d (%d via Δ)\n", dec.Guards, dec.DeltaGuards)
+		fmt.Fprintf(stdout, "  policies        : %d\n", dec.Policies)
+		fmt.Fprintf(stdout, "  segments        : %d/%d prunable by guard zone maps\n", dec.SegmentsPrunable, dec.SegmentsTotal)
+		fmt.Fprintf(stdout, "  cost LinearScan : %s\n", cost(dec.CostLinearScan))
+		fmt.Fprintf(stdout, "  cost IndexQuery : %s (index %s)\n", cost(dec.CostIndexQuery), orDash(dec.QueryIndex))
+		fmt.Fprintf(stdout, "  cost IndexGuards: %s\n", cost(dec.CostIndexGuards))
 		shared := "generated for this querier"
 		if dec.SharedState {
 			shared = "shared from another querier's generation"
 		}
-		fmt.Printf("  signature       : %s (%s)\n", dec.Signature, shared)
+		fmt.Fprintf(stdout, "  signature       : %s (%s)\n", dec.Signature, shared)
 	}
 	if ge, ok := demo.M.GuardedExpression(qm, workload.TableWiFi); ok {
-		fmt.Printf("\n%s\n", ge.String())
+		fmt.Fprintf(stdout, "\n%s\n", ge.String())
 	}
 
-	fmt.Println("rewritten SQL:")
-	fmt.Println(" ", rewritten)
+	fmt.Fprintln(stdout, "rewritten SQL:")
+	fmt.Fprintln(stdout, " ", rewritten)
 
-	fmt.Println("\nemitted SQL:")
+	fmt.Fprintln(stdout, "\nemitted SQL:")
 	for _, dialect := range []string{"mysql", "postgres"} {
 		e, err := sieve.EmitterFor(dialect)
 		if err != nil {
-			log.Fatal(err)
+			log.Print(err)
+			return 1
 		}
 		em, err := e.Emit(stmt, report.GuardedCTEs)
 		if err != nil {
-			log.Fatal(err)
+			log.Print(err)
+			return 1
 		}
-		fmt.Printf("  [%s] %s\n", em.Dialect, em.SQL)
+		fmt.Fprintf(stdout, "  [%s] %s\n", em.Dialect, em.SQL)
 		for i, a := range em.Args {
-			fmt.Printf("    arg %d: %s\n", i+1, a.String())
+			fmt.Fprintf(stdout, "    arg %d: %s\n", i+1, a.String())
 		}
 	}
 
 	plan, err := campus.DB.Explain(stmt)
 	if err != nil {
-		log.Fatal(err)
+		log.Print(err)
+		return 1
 	}
-	fmt.Printf("\nengine plan:\n%s", plan.String())
+	fmt.Fprintf(stdout, "\nengine plan:\n%s", plan.String())
 
 	// Execute to completion, so a scan of more than one segment reaches its
 	// fan-out, and report the executor's actual segment accounting.
@@ -109,24 +121,26 @@ func main() {
 	}
 	res, err := sess.Execute(ctx, opts.Query)
 	if err != nil {
-		log.Fatal(err)
+		log.Print(err)
+		return 1
 	}
 	if tr != nil {
 		tr.Finish()
-		fmt.Println("\ntrace:")
-		tr.Node().Format(os.Stdout)
+		fmt.Fprintln(stdout, "\ntrace:")
+		tr.Node().Format(stdout)
 	}
 	c := campus.DB.CountersSnapshot()
-	fmt.Printf("\nresult: %d rows\n", len(res.Rows))
-	fmt.Printf("executor: %d tuples read, %d segments scanned, %d pruned (zero tuple reads), %d parallel scans (workers=%d)\n",
+	fmt.Fprintf(stdout, "\nresult: %d rows\n", len(res.Rows))
+	fmt.Fprintf(stdout, "executor: %d tuples read, %d segments scanned, %d pruned (zero tuple reads), %d parallel scans (workers=%d)\n",
 		c.TuplesRead, c.SegmentsScanned, c.SegmentsPruned, c.ParallelScans, campus.DB.EffectiveScanWorkers())
-	fmt.Printf("vectorised: %d batches / %d rows batch-evaluated\n", c.BatchesVectorised, c.RowsVectorised)
+	fmt.Fprintf(stdout, "vectorised: %d batches / %d rows batch-evaluated\n", c.BatchesVectorised, c.RowsVectorised)
 
 	cs := demo.M.CacheStats()
-	fmt.Printf("guard cache: %d hits / %d misses (%d derived), %d generations (%d patched), %d shared bindings, %d live states for %d claims\n",
+	fmt.Fprintf(stdout, "guard cache: %d hits / %d misses (%d derived), %d generations (%d patched), %d shared bindings, %d live states for %d claims\n",
 		cs.GuardCacheHits, cs.GuardCacheMisses, cs.ClaimsDerived, cs.GuardRegens, cs.GuardPatches, cs.GuardShares, cs.GuardStates, cs.Claims)
-	fmt.Printf("invalidation: %d churn events touched %d claims; plan cache %d hits / %d misses\n",
+	fmt.Fprintf(stdout, "invalidation: %d churn events touched %d claims; plan cache %d hits / %d misses\n",
 		cs.ScopedInvalidations, cs.ClaimsInvalidated, cs.PlanCacheHits, cs.PlanCacheMisses)
+	return 0
 }
 
 func orDash(s string) string {

@@ -21,8 +21,14 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout))
+}
+
+// run is the tool: it rewrites the queries args name (or stdin's), writes
+// the emissions to stdout and returns the exit status.
+func run(args []string, stdin io.Reader, stdout io.Writer) int {
 	fs, opts := cli.RewriteFlags()
-	_ = fs.Parse(os.Args[1:])
+	_ = fs.Parse(args)
 
 	var dialects []string
 	switch opts.Dialect {
@@ -32,7 +38,7 @@ func main() {
 		dialects = []string{opts.Dialect}
 	default:
 		fmt.Fprintf(os.Stderr, "unknown dialect %q (want mysql, postgres, sieve or all)\n", opts.Dialect)
-		os.Exit(2)
+		return 2
 	}
 
 	// The demo middleware runs its embedded engine as MySQL; emission is
@@ -40,19 +46,21 @@ func main() {
 	// same rewrite.
 	demo, err := workload.NewDemo(sieve.MySQL())
 	if err != nil {
-		log.Fatal(err)
+		log.Print(err)
+		return 1
 	}
-	queries, err := gatherQueries(opts, demo.Campus)
+	queries, err := gatherQueries(opts, demo.Campus, stdin)
 	if err != nil {
-		log.Fatal(err)
+		log.Print(err)
+		return 1
 	}
 	if len(queries) == 0 {
 		fmt.Fprintln(os.Stderr, "no queries: pass -query, -corpus, or pipe SQL on stdin")
 		fs.Usage()
-		os.Exit(2)
+		return 2
 	}
 	qm := sieve.Metadata{Querier: demo.Querier(opts.Querier), Purpose: opts.Purpose}
-	fmt.Printf("-- querier: %s (purpose %s)\n", qm.Querier, qm.Purpose)
+	fmt.Fprintf(stdout, "-- querier: %s (purpose %s)\n", qm.Querier, qm.Purpose)
 
 	var emitOpts []sieve.EmitOption
 	if opts.Comments {
@@ -63,12 +71,13 @@ func main() {
 	}
 
 	for _, q := range queries {
-		fmt.Printf("\n-- query%s: %s\n", label(q.Name), q.SQL)
+		fmt.Fprintf(stdout, "\n-- query%s: %s\n", label(q.Name), q.SQL)
 		// One policy rewrite serves every dialect: emission works off the
 		// rewritten AST plus its guard provenance.
 		stmt, rep, err := demo.M.RewriteQuery(q.SQL, qm)
 		if err != nil {
-			log.Fatalf("rewrite: %v", err)
+			log.Printf("rewrite: %v", err)
+			return 1
 		}
 		for _, d := range dialects {
 			eOpts := emitOpts
@@ -77,25 +86,28 @@ func main() {
 			}
 			e, err := sieve.EmitterFor(d, eOpts...)
 			if err != nil {
-				log.Fatal(err)
+				log.Print(err)
+				return 1
 			}
 			em, err := e.Emit(stmt, rep.GuardedCTEs)
 			if err != nil {
-				log.Fatalf("emit for %s: %v", d, err)
+				log.Printf("emit for %s: %v", d, err)
+				return 1
 			}
-			fmt.Printf("-- dialect: %s\n%s\n", em.Dialect, em.SQL)
+			fmt.Fprintf(stdout, "-- dialect: %s\n%s\n", em.Dialect, em.SQL)
 			if opts.Args {
 				// Each arg prints as its SQL literal plus the native Go type
 				// a database/sql driver would bind (storage.Value.Native).
 				for i, a := range em.Args {
-					fmt.Printf("-- arg %d: %s (%T)\n", i+1, a.String(), a.Native())
+					fmt.Fprintf(stdout, "-- arg %d: %s (%T)\n", i+1, a.String(), a.Native())
 				}
 				if len(em.Args) == 0 && em.Dialect != "sieve" {
-					fmt.Println("-- no bound args")
+					fmt.Fprintln(stdout, "-- no bound args")
 				}
 			}
 		}
 	}
+	return 0
 }
 
 func label(name string) string {
@@ -107,14 +119,14 @@ func label(name string) string {
 
 // gatherQueries resolves the query source: -query beats -corpus beats
 // stdin, where statements are ";"-separated.
-func gatherQueries(opts *cli.RewriteOpts, campus *workload.Campus) ([]workload.NamedQuery, error) {
+func gatherQueries(opts *cli.RewriteOpts, campus *workload.Campus, stdin io.Reader) ([]workload.NamedQuery, error) {
 	if opts.Query != "" {
 		return []workload.NamedQuery{{SQL: opts.Query}}, nil
 	}
 	if opts.Corpus {
 		return campus.CorpusQueries(), nil
 	}
-	raw, err := io.ReadAll(os.Stdin)
+	raw, err := io.ReadAll(stdin)
 	if err != nil {
 		return nil, err
 	}

@@ -299,6 +299,11 @@ func TestPolicyWriteBetweenGeneratedAndPublished(t *testing.T) {
 			if cs := f.m.CacheStats(); cs.GuardStates != 1 {
 				t.Errorf("guard states = %d, want 1 (the orphan is never published)", cs.GuardStates)
 			}
+			// Each state registers its guard disjunction as it is built; the
+			// dropped one released its registration where it was dropped.
+			if live, _ := f.db.SharedFilters(); live != 1 {
+				t.Errorf("%d shared filters registered, want 1: the live state's alone", live)
+			}
 			checkStates(t, f.m)
 			// The peer shares what was published, without generating.
 			if _, err := st.Execute(ctx, f.m.NewSession(f.metadata("member0_1"))); err != nil {

@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"github.com/sieve-db/sieve/internal/engine"
+	"github.com/sieve-db/sieve/internal/obs"
 	"github.com/sieve-db/sieve/internal/storage"
 )
 
@@ -84,6 +86,72 @@ func TestEveryDoorAddsCacheCounts(t *testing.T) {
 		if got := added(d.execute); got != want {
 			t.Errorf("%s.Execute added guard hits/misses %d/%d, plan hits/misses %d/%d; want %d/0, %d/0 as Query does",
 				d.name, got.GuardCacheHits, got.GuardCacheMisses, got.PlanCacheHits, got.PlanCacheMisses, want.GuardCacheHits, want.PlanCacheHits)
+		}
+	}
+}
+
+// TestEveryDoorTracesOneLayout: every door plans a statement through one
+// builder, so its trace has one layout under the span it runs in. The
+// protected relation is resolved on "guard-resolve", always; the argument-
+// free Stmt probes its plans on "plan" after that; and "rewrite" follows
+// wherever a rewrite ran, so not on a plan-cache hit. Each door's Rows
+// carries the same guard-cache counts: one hit for the warm claim.
+func TestEveryDoorTracesOneLayout(t *testing.T) {
+	f := newFixture(t, engine.MySQL(), 30)
+	ctx := context.Background()
+	sess := f.m.NewSession(f.qm)
+	const q = "SELECT id FROM wifi WHERE wifiAP = 101"
+	st, err := f.m.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stArg, err := f.m.Prepare("SELECT id FROM wifi WHERE wifiAP = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Execute(ctx, q); err != nil { // warm the claim
+		t.Fatal(err)
+	}
+	doors := []struct {
+		name  string
+		query func(context.Context) (*engine.Rows, error)
+		want  []string
+	}{
+		{"Session.Query", func(ctx context.Context) (*engine.Rows, error) { return sess.Query(ctx, q) },
+			[]string{"guard-resolve", "rewrite"}},
+		{"Stmt.Query on a plan miss", func(ctx context.Context) (*engine.Rows, error) { return st.Query(ctx, sess) },
+			[]string{"guard-resolve", "plan", "rewrite"}},
+		{"Stmt.Query on a plan hit", func(ctx context.Context) (*engine.Rows, error) { return st.Query(ctx, sess) },
+			[]string{"guard-resolve", "plan"}},
+		{"Stmt.Query with a placeholder", func(ctx context.Context) (*engine.Rows, error) {
+			return stArg.Query(ctx, sess, storage.NewInt(101))
+		}, []string{"guard-resolve", "rewrite"}},
+	}
+	for _, d := range doors {
+		root := obs.NewTrace("query")
+		rows, err := d.query(obs.WithSpan(ctx, root))
+		if err != nil {
+			t.Fatalf("%s: %v", d.name, err)
+		}
+		c := rows.Counters()
+		for rows.Next() {
+		}
+		rows.Close()
+		if err := rows.Err(); err != nil {
+			t.Fatalf("%s: %v", d.name, err)
+		}
+		root.Finish()
+		var got []string
+		for _, child := range root.Node().Children {
+			if slices.Contains([]string{"guard-resolve", "plan", "rewrite"}, child.Name) {
+				got = append(got, child.Name)
+			}
+		}
+		if !slices.Equal(got, d.want) {
+			t.Errorf("%s: planning spans under the query span %v, want %v", d.name, got, d.want)
+		}
+		if c.GuardCacheHits != 1 || c.GuardCacheMisses != 0 {
+			t.Errorf("%s: Rows carries guard hits/misses %d/%d, want 1/0", d.name, c.GuardCacheHits, c.GuardCacheMisses)
 		}
 	}
 }

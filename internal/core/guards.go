@@ -8,6 +8,7 @@ import (
 	"github.com/sieve-db/sieve/internal/guard"
 	"github.com/sieve-db/sieve/internal/policy"
 	"github.com/sieve-db/sieve/internal/sqlparser"
+	"github.com/sieve-db/sieve/internal/storage"
 )
 
 // resolution is one protected relation's guard state as one query sees it:
@@ -87,7 +88,8 @@ func countHits(res []resolution) (hits, misses int) {
 // the set again — after waiting, and after generating: a policy write that
 // lands while the state is being built cannot find it in m.states, so
 // neither RevokePolicy's sweep nor the insert trigger protects it. A state
-// generated for a set that has moved on is dropped unpublished.
+// generated for a set that has moved on is dropped unpublished, and its
+// engine registration is released there.
 //
 // The corpus is always filtered with the middleware-wide group resolver:
 // states are shared across sessions, so a session's pinned older
@@ -134,6 +136,8 @@ func (m *Middleware) resolveClaimLocked(key geKey) (*geState, bool, error) {
 			if !shared && d.equals(fresh.ids) {
 				m.publishStateLocked(fresh)
 				st = fresh
+			} else {
+				fresh.filter.Release()
 			}
 			fresh = nil
 		}
@@ -182,18 +186,28 @@ func (m *Middleware) resolveClaimLocked(key geKey) (*geState, bool, error) {
 	}
 }
 
-// buildState builds a new state for a signature: patched from base
+// buildState builds a new state for a signature, whole: patched from base
 // (guard.Patch, which walks the difference between base.ids and ids — both
 // in id order, as PoliciesFor returns ps) when there is one, generated by
-// the full §4 pipeline when base is nil. A guard the patch kept unchanged
-// has its base's partition, so it takes its base's arm, inline or Δ, when
-// the base built its arms; every other guard whose partition exceeds the
-// Δ threshold (§5.4) gets a Δ call and check set of its own here, and the
-// rest are inlined at the state's first rewrite (guardArms). It runs
-// outside m.mu; the state is visible to nobody until publishStateLocked,
-// and a state never published takes its check sets with it. key only
-// names the claim the expression is built for (ge.Querier/Purpose); the
-// state itself is keyed by signature.
+// the full §4 pipeline when base is nil; then every guard's arm, the
+// arms' disjunction with its engine registration, and the guards' zone
+// arms. A guard the patch kept unchanged has its base's partition, so it
+// takes its base's arm, inline or Δ, AST and all; every other guard whose
+// partition exceeds the Δ threshold (§5.4) gets a Δ call and check set of
+// its own, and the rest are inlined: the guard predicate conjoined with the
+// policy partition. It runs outside m.mu; the state is visible to nobody
+// until publishStateLocked, and one dropped unpublished is released where
+// it is dropped (resolveClaimLocked), its check sets going with its arms.
+// key only names the claim the expression is built for
+// (ge.Querier/Purpose); the state itself is keyed by signature.
+//
+// The arms are shared read-only by every statement rewritten over the
+// state: nothing downstream of the rewrite changes an expression in place,
+// and the rewrite redirects only the references its EXPLAIN listed before
+// any arm was prepended. A subquery in an arm (a derived-value condition)
+// therefore reads base relations, as the Δ UDF's checks do. A disjunction
+// of arms is registered with the engine as a shared filter, so the engine
+// compiles it once per state rather than once per execution.
 func (m *Middleware) buildState(key geKey, ps []*policy.Policy, ids []int64, hash uint64, base *patchBase) (*geState, error) {
 	sel, err := m.selectivityFor(key.relation)
 	if err != nil {
@@ -212,10 +226,12 @@ func (m *Middleware) buildState(key geKey, ps []*policy.Policy, ids []int64, has
 		return nil, err
 	}
 	st.arms = make([]engine.GuardArm, len(st.ge.Guards))
+	st.zoneArms = make([]storage.ZoneArm, len(st.ge.Guards))
+	exprs := make([]sqlparser.Expr, len(st.ge.Guards))
 	for gi := range st.ge.Guards {
 		g := &st.ge.Guards[gi]
 		switch {
-		case base != nil && base.arms != nil && from[gi] >= 0:
+		case base != nil && from[gi] >= 0:
 			st.arms[gi] = base.arms[from[gi]]
 		case m.deltaThreshold > 0 && len(g.Policies) > m.deltaThreshold:
 			call, err := m.newDeltaCall(g.Policies, st.relation, st.relation)
@@ -223,7 +239,20 @@ func (m *Middleware) buildState(key geKey, ps []*policy.Policy, ids []int64, has
 				return nil, err
 			}
 			st.arms[gi] = engine.GuardArm{Col: g.Cond.Attr, Expr: sqlparser.And(g.Expr(st.relation), call), Delta: true}
+		default:
+			st.arms[gi] = engine.GuardArm{Col: g.Cond.Attr, Expr: sqlparser.And(g.Expr(st.relation), g.PartitionExpr(st.relation))}
 		}
+		exprs[gi] = st.arms[gi].Expr
+		// An interval-free guard keeps its NULL (unbounded) bounds: it may
+		// match anywhere.
+		st.zoneArms[gi] = storage.ZoneArm{Col: g.Cond.Attr}
+		if lo, hi, ok := g.Cond.Interval(); ok {
+			st.zoneArms[gi].Lo, st.zoneArms[gi].Hi = lo, hi
+		}
+	}
+	st.guardOr = sqlparser.Or(exprs...)
+	if len(exprs) > 1 {
+		st.filter = m.db.ShareFilter(st.relation, st.guardOr)
 	}
 	if m.hookGenerated != nil {
 		m.hookGenerated()

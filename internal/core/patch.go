@@ -6,8 +6,7 @@ import (
 )
 
 // patchBase is what a patch reads of the state it starts from: its
-// expression, its signature ids, its drift and its arms (nil if it never
-// built them). A policy write records one per scope, never the geState
+// expression, its signature ids, its drift and its arms. A policy write records one per scope, never the geState
 // itself, so a record pins an expression and its arm ASTs — the check sets
 // of its Δ calls with them, which a patch may take over — but no claims or
 // compiled filter.
@@ -20,16 +19,7 @@ type patchBase struct {
 
 // baseOf captures what a patch from st reads.
 func baseOf(st *geState) *patchBase {
-	return &patchBase{ge: st.ge, ids: st.ids, drift: st.drift, arms: st.builtArms()}
-}
-
-// builtArms returns the state's arms once guardArms has built them, nil
-// before.
-func (st *geState) builtArms() []engine.GuardArm {
-	if st.armsBuilt.Load() {
-		return st.arms
-	}
-	return nil
+	return &patchBase{ge: st.ge, ids: st.ids, drift: st.drift, arms: st.arms}
 }
 
 // mostBound returns whichever of two states more claims are bound to; either

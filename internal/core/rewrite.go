@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"github.com/sieve-db/sieve/internal/engine"
 	"github.com/sieve-db/sieve/internal/obs"
@@ -22,7 +23,11 @@ func (m *Middleware) RewriteQuery(sql string, qm policy.Metadata) (*sqlparser.Se
 	if err != nil {
 		return nil, nil, err
 	}
-	return m.rewriteSpan(stmt, qm, nil)
+	p, _, err := m.buildPlan(nil, stmt, referencedTables(stmt), qm, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p.stmt, p.rep, nil
 }
 
 // parseUnbound parses sql for a rewrite that binds no arguments: a
@@ -35,18 +40,47 @@ func parseUnbound(sql string) (*sqlparser.SelectStmt, error) {
 	return sqlparser.BindStmt(stmt, nil)
 }
 
-// rewriteSpan is the rewrite of every statement that is not a prepared
-// plan: it lists the tables stmt references, resolves the protected ones
-// once (resolve) on a "guard-resolve" child of sp with hit/regen counts, and
-// rewrites stmt in place from that resolution on sp itself. Callers that
-// keep the original AST must pass a clone. sp may be nil (tracing off).
-func (m *Middleware) rewriteSpan(stmt *sqlparser.SelectStmt, qm policy.Metadata, sp *obs.Span) (*sqlparser.SelectStmt, *Report, error) {
-	tables := referencedTables(stmt)
+// plan is what a statement runs: its rewrite, the report of that rewrite's
+// decisions, the rewrite bound to the engine, and the resolution it was
+// rewritten from. A Stmt keeps its plans; every other door builds one per
+// call.
+type plan struct {
+	stmt *sqlparser.SelectStmt
+	rep  *Report
+	// res is the resolution the plan was rewritten from: a kept plan dies
+	// with the first of its states to retire.
+	res []resolution
+	// exec is stmt bound to the engine: what the bind pass derives from the
+	// rewritten statement alone (every name, conjunct placement, sargs, the
+	// compiled filter) is derived once and lives as long as the plan. The
+	// guard disjunction's parts are not the plan's: they belong to the
+	// guard state (geState.filter) and every execution over it shares them.
+	exec *engine.Prepared
+
+	// emissions caches per-dialect SQL generated from a kept plan. It lives
+	// on the plan, not the Stmt, so token invalidation discards emissions
+	// and rewritten AST together.
+	mu        sync.Mutex
+	emissions map[string]*engine.Emission
+}
+
+// buildPlan is the one way a statement becomes what it runs, whatever door
+// it came in by. It resolves the protected relations among tables (the
+// ones stmt references) once, on a "guard-resolve" child of sp with
+// hit/regen counts, and returns those counts for the query's Rows. memo,
+// when not nil, is the Stmt that prepared stmt: it may serve a plan it kept
+// for that resolution's token (probe, with its own "plan" child of sp);
+// otherwise a clone of stmt is rewritten and memo keeps the plan. Without a
+// memo stmt is the caller's own and is rewritten in place. The rewrite,
+// from that same resolution, lands on a "rewrite" child of sp. sp may be
+// nil (tracing off).
+func (m *Middleware) buildPlan(sp *obs.Span, stmt *sqlparser.SelectStmt, tables []string, qm policy.Metadata, memo *Stmt) (*plan, engine.Counters, error) {
+	var seed engine.Counters
 	gsp := sp.StartChild("guard-resolve")
 	res, err := m.resolve(qm, tables)
 	gsp.End()
 	if err != nil {
-		return nil, nil, err
+		return nil, seed, err
 	}
 	hits, regens := countHits(res)
 	if hits > 0 {
@@ -55,8 +89,26 @@ func (m *Middleware) rewriteSpan(stmt *sqlparser.SelectStmt, qm policy.Metadata,
 	if regens > 0 {
 		gsp.Count("regens", int64(regens))
 	}
+	seed.GuardCacheHits, seed.GuardCacheMisses = int64(hits), int64(regens)
+	var tok string
+	if memo != nil {
+		tok = resolutionToken(res)
+		if p := memo.probe(sp, tok, &seed); p != nil {
+			return p, seed, nil
+		}
+		stmt = sqlparser.CloneStmt(stmt)
+	}
+	rsp := sp.StartChild("rewrite")
 	rep, err := m.rewriteResolved(stmt, qm, res)
-	return stmt, rep, err
+	rsp.End()
+	if err != nil {
+		return nil, seed, err
+	}
+	p := &plan{stmt: stmt, rep: rep, res: res, exec: m.db.Prepare(stmt)}
+	if memo != nil {
+		memo.keep(tok, p)
+	}
+	return p, seed, nil
 }
 
 // rewriteResolved rewrites stmt in place from one resolution of its
@@ -67,7 +119,6 @@ func (m *Middleware) rewriteSpan(stmt *sqlparser.SelectStmt, qm policy.Metadata,
 // prepended last, under names no WITH entry of stmt has at any depth.
 func (m *Middleware) rewriteResolved(stmt *sqlparser.SelectStmt, qm policy.Metadata, res []resolution) (*Report, error) {
 	rep := &Report{}
-	rep.GuardCacheHits, rep.GuardCacheMisses = countHits(res)
 	if len(res) == 0 {
 		return rep, nil
 	}
@@ -87,8 +138,7 @@ func (m *Middleware) rewriteResolved(stmt *sqlparser.SelectStmt, qm policy.Metad
 		dec := m.chooseStrategy(r.relation, ta, r.state)
 		dec.Signature = r.state.signature()
 		dec.SharedState = r.state.ge.Querier != qm.Querier || r.state.ge.Purpose != qm.Purpose
-		arms, guardOr := r.state.guardArms(m.db)
-		for _, a := range arms {
+		for _, a := range r.state.arms {
 			if a.Delta {
 				dec.DeltaGuards++
 			}
@@ -98,9 +148,9 @@ func (m *Middleware) rewriteResolved(stmt *sqlparser.SelectStmt, qm policy.Metad
 			Relation:    r.relation,
 			Strategy:    string(dec.Strategy),
 			QueryIndex:  dec.QueryIndex,
-			DefaultDeny: guardOr == nil,
-			Arms:        arms,
-			Guard:       guardOr,
+			DefaultDeny: r.state.guardOr == nil,
+			Arms:        r.state.arms,
+			Guard:       r.state.guardOr,
 			QueryConjs:  moveConjuncts(ta),
 		}
 		redirect(ta.Ref, g.Name)
@@ -153,45 +203,4 @@ func moveConjuncts(ta engine.TableAccess) []sqlparser.Expr {
 		})...)
 	}
 	return moved
-}
-
-// guardArms returns the state's guard arms — per guard, the guard predicate
-// conjoined with the inlined policy partition or a Δ call, plus the
-// provenance the dialect emitters consume — and their disjunction. They
-// depend on the state alone, so they are built at its first rewrite and
-// shared read-only by every rewritten statement after it: nothing
-// downstream of the rewrite changes an expression in place, and the
-// rewrite redirects only the references its EXPLAIN listed before any arm
-// was prepended. A subquery in an arm (a derived-value condition)
-// therefore reads base relations, as the Δ UDF's checks do. For the same
-// reason a patched state takes its base's arm, AST and all, for every guard
-// guard.Patch kept unchanged, and buildState has already filled those and
-// the Δ arms: this inlines only the rest.
-//
-// A disjunction of arms is registered with the engine as a shared filter,
-// so the engine compiles it once per state rather than once per execution.
-// A retirement may land while this runs outside m.mu: whichever of the two
-// comes second sees the other (filter is stored before gone is read, gone
-// is set before filter is read), so a retired state is never left
-// registered.
-func (st *geState) guardArms(db *engine.DB) ([]engine.GuardArm, sqlparser.Expr) {
-	st.armsOnce.Do(func() {
-		exprs := make([]sqlparser.Expr, len(st.ge.Guards))
-		for gi := range st.ge.Guards {
-			if st.arms[gi].Expr == nil {
-				g := &st.ge.Guards[gi]
-				st.arms[gi] = engine.GuardArm{Col: g.Cond.Attr, Expr: sqlparser.And(g.Expr(st.relation), g.PartitionExpr(st.relation))}
-			}
-			exprs[gi] = st.arms[gi].Expr
-		}
-		st.armsBuilt.Store(true)
-		st.guardOr = sqlparser.Or(exprs...)
-		if len(exprs) > 1 {
-			st.filter.Store(db.ShareFilter(st.relation, st.guardOr))
-			if st.gone.Load() {
-				st.filter.Load().Release()
-			}
-		}
-	})
-	return st.arms, st.guardOr
 }

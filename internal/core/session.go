@@ -70,7 +70,11 @@ func (s *Session) Query(ctx context.Context, sql string, args ...storage.Value) 
 	if err != nil {
 		return nil, err
 	}
-	return s.m.open(ctx, ast, s.qm, args)
+	bound, err := sqlparser.BindStmt(ast, args)
+	if err != nil {
+		return nil, err
+	}
+	return s.m.run(ctx, bound, referencedTables(bound), s.qm, nil)
 }
 
 // Execute is Query materialised: it drains the stream Query opens.
@@ -78,40 +82,20 @@ func (s *Session) Execute(ctx context.Context, sql string, args ...storage.Value
 	return engine.Collect(s.Query(ctx, sql, args...))
 }
 
-// open binds args into ast, policy-rewrites the bound statement under qm
-// and opens it as a stream that carries the rewrite's guard-cache counts:
-// how Session.Query, and Stmt.Query with placeholders, run a statement. The
-// rewrite, with its guard-resolve sub-phase, lands on a "rewrite" child of
-// the trace span ctx carries, when it carries one. A count mismatch is an
-// error, args given to a placeholder-free statement included. BindStmt
-// deep-copies a statement with placeholders, so a prepared parse stays
-// pristine; one without is rewritten in place and must be the caller's own.
-func (m *Middleware) open(ctx context.Context, ast *sqlparser.SelectStmt, qm policy.Metadata, args []storage.Value) (*engine.Rows, error) {
-	bound, err := sqlparser.BindStmt(ast, args)
+// run plans stmt under qm (buildPlan, on the trace span ctx carries, if
+// any) and opens the plan as a stream that carries the plan's cache counts:
+// how every door that streams a statement runs it.
+func (m *Middleware) run(ctx context.Context, stmt *sqlparser.SelectStmt, tables []string, qm policy.Metadata, memo *Stmt) (*engine.Rows, error) {
+	p, seed, err := m.buildPlan(obs.SpanFrom(ctx), stmt, tables, qm, memo)
 	if err != nil {
 		return nil, err
 	}
-	rsp := obs.SpanFrom(ctx).StartChild("rewrite")
-	stmt, rep, err := m.rewriteSpan(bound, qm, rsp)
-	rsp.End()
+	rows, err := p.exec.Stream(ctx)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := m.db.StreamStmt(ctx, stmt)
-	if err != nil {
-		return nil, err
-	}
-	rows.AddCounters(cacheSeed(rep))
+	rows.AddCounters(seed)
 	return rows, nil
-}
-
-// cacheSeed lifts a rewrite report's cache-effectiveness counts into
-// engine counters, for the query's Rows to carry.
-func cacheSeed(rep *Report) engine.Counters {
-	return engine.Counters{
-		GuardCacheHits:   int64(rep.GuardCacheHits),
-		GuardCacheMisses: int64(rep.GuardCacheMisses),
-	}
 }
 
 // Rewrite returns the rewritten SQL and decision report for sql under the

@@ -158,20 +158,16 @@ type geState struct {
 	claims map[*claim]struct{}
 	gone   atomic.Bool
 	// arms and guardOr are the guard arms every rewrite over this state
-	// injects and their disjunction. buildState fills the arms the state
-	// inherits from its base and its Δ arms (§5.4); the rest, and guardOr,
-	// are built once, at the first rewrite (see guardArms), not under m.mu.
-	armsOnce  sync.Once
-	armsBuilt atomic.Bool // arms may be read without armsOnce
-	arms      []engine.GuardArm
-	guardOr   sqlparser.Expr
-	// filter is guardOr's registration with the engine (when it is a
-	// disjunction): its compiled filter, shared by every execution over the
-	// state, until removeStateLocked releases it. Atomic because guardArms
-	// stores it outside m.mu while a retirement may read it under m.mu.
-	filter atomic.Pointer[engine.Conjunct]
-	// zoneArms are the guards' segment-refutation arms (guardZoneArms).
-	zoneOnce sync.Once
+	// injects and their disjunction; filter is guardOr's registration with
+	// the engine (when it is a disjunction), its compiled filter shared by
+	// every execution over the state; zoneArms are the guards' segment-
+	// refutation arms, what zone maps can refute each by. buildState builds
+	// them all before the state is published, and nothing changes them
+	// after; removeStateLocked releases filter, and a state dropped
+	// unpublished releases it where it is dropped.
+	arms     []engine.GuardArm
+	guardOr  sqlparser.Expr
+	filter   *engine.Conjunct
 	zoneArms []storage.ZoneArm
 }
 

@@ -381,7 +381,7 @@ func (m *Middleware) removeStateLocked(st *geState) {
 	if st.gone.Swap(true) {
 		return
 	}
-	st.filter.Load().Release()
+	st.filter.Release()
 	sk := stateKey{relation: st.relation, hash: st.hash}
 	if bucket := slices.DeleteFunc(m.states[sk], func(o *geState) bool { return o == st }); len(bucket) == 0 {
 		delete(m.states, sk)

@@ -36,7 +36,7 @@ type Stmt struct {
 	tables []string
 
 	mu    sync.Mutex
-	plans map[string]*preparedPlan
+	plans map[string]*plan
 
 	rewrites atomic.Int64
 
@@ -44,26 +44,6 @@ type Stmt struct {
 	// resolution and the rewrite built from it. Tests use it to interleave
 	// policy churn there.
 	hookAfterResolve func()
-}
-
-type preparedPlan struct {
-	stmt *sqlparser.SelectStmt
-	rep  *Report
-	// res is the resolution the plan was rewritten from: the plan dies with
-	// the first of its states to retire.
-	res []resolution
-	// exec is stmt bound to the engine: what the bind pass derives from the
-	// rewritten statement alone (every name, conjunct placement, sargs, the
-	// compiled filter) is derived once and lives as long as the plan. The
-	// guard disjunction's parts are not the plan's: they belong to the
-	// guard state (geState.filter) and every execution over it shares them.
-	exec *engine.Prepared
-
-	// emissions caches per-dialect SQL generated from this plan. It lives
-	// on the plan, not the Stmt, so token invalidation discards emissions
-	// and rewritten AST together.
-	mu        sync.Mutex
-	emissions map[string]*engine.Emission
 }
 
 // Prepare parses sql for repeated execution. The rewrite itself is
@@ -80,7 +60,7 @@ func (m *Middleware) Prepare(sql string) (*Stmt, error) {
 		ast:      ast,
 		numInput: sqlparser.NumPlaceholders(ast),
 		tables:   referencedTables(ast),
-		plans:    make(map[string]*preparedPlan),
+		plans:    make(map[string]*plan),
 	}, nil
 }
 
@@ -109,26 +89,20 @@ func (st *Stmt) NumInput() int { return st.numInput }
 
 // Query runs the prepared statement for the session, streaming the
 // result. Without placeholders, the cached rewritten plan for the session's
-// policy signature is reused while the signature holds; otherwise the
-// statement is re-rewritten from the pristine parse. With placeholders, args
-// are bound against the pristine parse before the policy rewrite, so each
-// execution is rewritten with its literals in place: the parse is still
-// amortised across calls, but the plan cache only serves placeholder-free
-// statements — bound literals differ per call.
+// policy signature is reused while the signature holds. With placeholders,
+// args are bound against the pristine parse before the policy rewrite, so
+// each execution is rewritten with its literals in place: the parse is
+// still amortised across calls, but the plan cache only serves
+// placeholder-free statements — bound literals differ per call.
 func (st *Stmt) Query(ctx context.Context, s *Session, args ...storage.Value) (*engine.Rows, error) {
 	if st.numInput == 0 && len(args) == 0 {
-		p, seed, err := st.planForSpan(s.qm, obs.SpanFrom(ctx))
-		if err != nil {
-			return nil, err
-		}
-		rows, err := p.exec.Stream(ctx)
-		if err != nil {
-			return nil, err
-		}
-		rows.AddCounters(seed)
-		return rows, nil
+		return st.m.run(ctx, st.ast, st.tables, s.qm, st)
 	}
-	rows, err := st.m.open(ctx, st.ast, s.qm, args)
+	bound, err := sqlparser.BindStmt(st.ast, args)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := st.m.run(ctx, bound, st.tables, s.qm, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -144,7 +118,7 @@ func (st *Stmt) Execute(ctx context.Context, s *Session, args ...storage.Value) 
 // Report returns the decision report of the session's current cached
 // plan, rewriting first if the cache is cold or stale.
 func (st *Stmt) Report(s *Session) (*Report, error) {
-	p, _, err := st.planForSpan(s.qm, nil)
+	p, err := st.plan(s.qm)
 	if err != nil {
 		return nil, err
 	}
@@ -164,7 +138,7 @@ func (st *Stmt) EmitSQL(s *Session, dialect string, opts ...engine.EmitOption) (
 	if err != nil {
 		return nil, err
 	}
-	p, _, err := st.planForSpan(s.qm, nil)
+	p, err := st.plan(s.qm)
 	if err != nil {
 		return nil, err
 	}
@@ -201,36 +175,24 @@ func (st *Stmt) CachedPlans() int {
 	return len(st.plans)
 }
 
-// planForSpan returns the rewritten plan for the session's current plan
-// token. The statement's protected relations are resolved once; the token
-// is built from that resolution, a hit returns the shared plan, and a miss
-// rewrites the pristine parse from that same resolution and caches the plan
-// under that same token — so a plan never carries a grant its token does
-// not name, whatever policy churn does meanwhile.
-//
-// A plan lives as long as every state in its token: a retired state's id
-// is never resolved again, so the plans naming one are dropped on the
-// statement's next miss — the same policy write that retired the state is
-// what makes some reader miss — and there is no cap to tune.
-//
-// Resolution and cache probing land on a "plan" child of sp (with hit/miss
-// counts), a miss's rewrite on a "rewrite" child alongside it; sp may be
-// nil. seed carries the guard/plan cache counters for the query's Rows to
-// carry.
-func (st *Stmt) planForSpan(qm policy.Metadata, sp *obs.Span) (*preparedPlan, engine.Counters, error) {
-	var seed engine.Counters
+// plan returns the rewritten plan for the session's current plan token,
+// for the doors that read a plan without running it (Report, EmitSQL).
+func (st *Stmt) plan(qm policy.Metadata) (*plan, error) {
 	if st.numInput > 0 {
-		return nil, seed, fmt.Errorf("core: statement has %d placeholder(s); bind them through Query/Execute", st.numInput)
+		return nil, fmt.Errorf("core: statement has %d placeholder(s); bind them through Query/Execute", st.numInput)
 	}
+	p, _, err := st.m.buildPlan(nil, st.ast, st.tables, qm, st)
+	return p, err
+}
+
+// probe is the Stmt's half of buildPlan: it returns the plan kept under
+// tok, the token of the resolution buildPlan just made, or nil on a miss,
+// on a "plan" child of sp with the hit or miss counted there and in seed.
+// The token is built from the resolution the plan is then rewritten from,
+// so a plan never carries a grant its token does not name, whatever
+// policy churn does meanwhile.
+func (st *Stmt) probe(sp *obs.Span, tok string, seed *engine.Counters) *plan {
 	psp := sp.StartChild("plan")
-	res, err := st.m.resolve(qm, st.tables)
-	if err != nil {
-		psp.End()
-		return nil, seed, err
-	}
-	hits, misses := countHits(res)
-	seed.GuardCacheHits, seed.GuardCacheMisses = int64(hits), int64(misses)
-	tok := resolutionToken(res)
 	st.mu.Lock()
 	p := st.plans[tok]
 	st.mu.Unlock()
@@ -239,7 +201,7 @@ func (st *Stmt) planForSpan(qm policy.Metadata, sp *obs.Span) (*preparedPlan, en
 		psp.Count("hits", 1)
 		seed.PlanCacheHits++
 		st.m.planHits.Add(1)
-		return p, seed, nil
+		return p
 	}
 	psp.Count("misses", 1)
 	seed.PlanCacheMisses++
@@ -247,20 +209,20 @@ func (st *Stmt) planForSpan(qm policy.Metadata, sp *obs.Span) (*preparedPlan, en
 	if st.hookAfterResolve != nil {
 		st.hookAfterResolve()
 	}
-	rsp := sp.StartChild("rewrite")
-	stmt := sqlparser.CloneStmt(st.ast)
-	rep, err := st.m.rewriteResolved(stmt, qm, res)
-	rsp.End()
-	if err != nil {
-		return nil, seed, err
-	}
+	return nil
+}
+
+// keep caches p, just rewritten, under tok. A plan lives as long as every
+// state in its token: a retired state's id is never resolved again, so
+// the plans naming one are dropped here, on the statement's next miss —
+// the same policy write that retired the state is what makes some reader
+// miss — and there is no cap to tune.
+func (st *Stmt) keep(tok string, p *plan) {
 	st.rewrites.Add(1)
-	p = &preparedPlan{stmt: stmt, rep: rep, res: res, exec: st.m.db.Prepare(stmt)}
 	st.mu.Lock()
-	maps.DeleteFunc(st.plans, func(_ string, old *preparedPlan) bool {
+	maps.DeleteFunc(st.plans, func(_ string, old *plan) bool {
 		return slices.ContainsFunc(old.res, func(r resolution) bool { return r.state.gone.Load() })
 	})
 	st.plans[tok] = p
 	st.mu.Unlock()
-	return p, seed, nil
 }

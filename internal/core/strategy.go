@@ -1,9 +1,6 @@
 package core
 
-import (
-	"github.com/sieve-db/sieve/internal/engine"
-	"github.com/sieve-db/sieve/internal/storage"
-)
+import "github.com/sieve-db/sieve/internal/engine"
 
 // Strategy is SIEVE's per-table execution strategy (§5.5).
 type Strategy string
@@ -62,11 +59,6 @@ type Report struct {
 	// conjuncts and strategy that produced it — engine.Emitter implementations
 	// consume it to reframe the disjunction for MySQL or PostgreSQL.
 	GuardedCTEs []engine.GuardedCTE
-	// GuardCacheHits/GuardCacheMisses count, for this rewrite, how many
-	// protected relations resolved from a valid cached claim vs. required
-	// consulting the policy store (sharing or regenerating).
-	GuardCacheHits   int
-	GuardCacheMisses int
 }
 
 // chooseStrategy implements §5.5: from ta, the optimizer's intended access
@@ -103,7 +95,7 @@ func (m *Middleware) chooseStrategy(relation string, ta engine.TableAccess, st *
 	// estimate mirrors the engine's refutation conservatively, using only
 	// the guard intervals. With no guard at all (default deny) the scan
 	// reads nothing, so every segment counts as prunable.
-	dec.SegmentsPrunable, dec.SegmentsTotal = t.PrunableSegments(st.guardZoneArms())
+	dec.SegmentsPrunable, dec.SegmentsTotal = t.PrunableSegments(st.zoneArms)
 	dec.CostLinearScan = n
 	if dec.SegmentsTotal > 0 {
 		dec.CostLinearScan = n * (1 - float64(dec.SegmentsPrunable)/float64(dec.SegmentsTotal))
@@ -129,22 +121,3 @@ func (m *Middleware) chooseStrategy(relation string, ta engine.TableAccess, st *
 }
 
 const inf = 1e300
-
-// guardZoneArms returns, per guard, what zone maps can refute it by: the
-// guard's interval. Like the guard arms they depend on the state alone and
-// are built once.
-func (st *geState) guardZoneArms() []storage.ZoneArm {
-	st.zoneOnce.Do(func() {
-		st.zoneArms = make([]storage.ZoneArm, len(st.ge.Guards))
-		for i := range st.ge.Guards {
-			g := &st.ge.Guards[i]
-			// An interval-free guard keeps its NULL (unbounded) bounds: it
-			// may match anywhere.
-			st.zoneArms[i] = storage.ZoneArm{Col: g.Cond.Attr}
-			if lo, hi, ok := g.Cond.Interval(); ok {
-				st.zoneArms[i].Lo, st.zoneArms[i].Hi = lo, hi
-			}
-		}
-	})
-	return st.zoneArms
-}

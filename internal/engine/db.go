@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/sieve-db/sieve/internal/sqlparser"
 	"github.com/sieve-db/sieve/internal/storage"
@@ -524,36 +523,5 @@ func (db *DB) Stream(ctx context.Context, sqlText string) (*Rows, error) {
 // produced as Rows.Next is called, ctx is polled every ctxCheckInterval
 // rows, and closing the Rows early releases the underlying scans.
 func (db *DB) StreamStmt(ctx context.Context, stmt *sqlparser.SelectStmt) (*Rows, error) {
-	return db.stream(ctx, stmt, nil)
-}
-
-// stream is StreamStmt over an optional plan cache (Prepared.Stream): the
-// one way a statement runs. The open — the bind pass, unless the cache
-// keeps its result, then WITH bodies read more than once, which materialise
-// here — is timed into the executor's "scan" span, as every later Rows.Next
-// is.
-func (db *DB) stream(ctx context.Context, stmt *sqlparser.SelectStmt, cache *planCache) (*Rows, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	r := &Rows{}
-	ex := r.ex.init(ctx, db)
-	var t0 time.Time
-	if ex.span != nil {
-		t0 = time.Now()
-	}
-	sb, err := cache.bind(db, stmt)
-	var it rowIter
-	if err == nil {
-		it, err = ex.stmtIter(sb, nil, nil)
-	}
-	if ex.span != nil {
-		ex.span.AddSince(t0)
-	}
-	if err != nil {
-		ex.flush(db)
-		return nil, err
-	}
-	r.cols, r.it = sb.body.cols, it
-	return r, nil
+	return db.Prepare(stmt).Stream(ctx)
 }

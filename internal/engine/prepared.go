@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"sync"
+	"time"
 
 	"github.com/sieve-db/sieve/internal/sqlparser"
 )
@@ -26,9 +27,35 @@ func (db *DB) Prepare(stmt *sqlparser.SelectStmt) *Prepared {
 	return &Prepared{db: db, stmt: stmt}
 }
 
-// Stream opens the statement as a streaming result, like DB.StreamStmt.
+// Stream opens the statement as a streaming result: the one way a
+// statement runs (DB.StreamStmt prepares it for one execution). The open —
+// the bind pass at the first execution, then WITH bodies read more than
+// once, which materialise here — is timed into the executor's "scan" span,
+// as every later Rows.Next is.
 func (p *Prepared) Stream(ctx context.Context) (*Rows, error) {
-	return p.db.stream(ctx, p.stmt, &p.cache)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	r := &Rows{}
+	ex := r.ex.init(ctx, p.db)
+	var t0 time.Time
+	if ex.span != nil {
+		t0 = time.Now()
+	}
+	sb, err := p.cache.bind(p.db, p.stmt)
+	var it rowIter
+	if err == nil {
+		it, err = ex.stmtIter(sb, nil, nil)
+	}
+	if ex.span != nil {
+		ex.span.AddSince(t0)
+	}
+	if err != nil {
+		ex.flush(p.db)
+		return nil, err
+	}
+	r.cols, r.it = sb.body.cols, it
+	return r, nil
 }
 
 // planCache holds a Prepared's bound statement, or the error its bind pass
@@ -40,12 +67,8 @@ type planCache struct {
 	err   error
 }
 
-// bind returns s bound on db, binding it at the first call; every call
-// binds when pc is nil.
+// bind returns s bound on db, binding it at the first call.
 func (pc *planCache) bind(db *DB, s *sqlparser.SelectStmt) (*boundStmt, error) {
-	if pc == nil {
-		return db.bind(s)
-	}
 	pc.once.Do(func() { pc.bound, pc.err = db.bind(s) })
 	return pc.bound, pc.err
 }

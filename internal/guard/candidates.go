@@ -24,21 +24,6 @@ type rangeCand struct {
 	pols   []*policy.Policy
 }
 
-// GenerateCandidates builds CG from the policies (§4.1):
-//
-//  1. every policy's owner equality condition (always a guard: constant on
-//     an indexed attribute), grouped by owner;
-//  2. every equality condition on an indexed attribute, grouped by
-//     (attr, value);
-//  3. merged range conditions per attribute: ranges sorted by left bound,
-//     overlapping pairs merged when Theorem 1's benefit condition
-//     ρ(x∩y)/ρ(x∪y) > ce/(cr+ce) holds, with the Corollary 1.1/1.2
-//     cut-offs bounding the scan. Both the originals and the merges are
-//     kept as candidates; selection picks the cost-optimal subset.
-func GenerateCandidates(ps []*policy.Policy, sel Selectivity, cm CostModel) []Candidate {
-	return generateCandidates(ps, sel, cm, false)
-}
-
 // ownerOnlyCandidates builds only the per-owner equality guards (ablation).
 func ownerOnlyCandidates(ps []*policy.Policy, sel Selectivity) []Candidate {
 	byOwner := make(map[int64]*Candidate)
@@ -63,6 +48,19 @@ func ownerOnlyCandidates(ps []*policy.Policy, sel Selectivity) []Candidate {
 	return out
 }
 
+// generateCandidates builds CG from the policies (§4.1):
+//
+//  1. every policy's owner equality condition (always a guard: constant on
+//     an indexed attribute), grouped by owner;
+//  2. every equality condition on an indexed attribute, grouped by
+//     (attr, value);
+//  3. merged range conditions per attribute: ranges sorted by left bound,
+//     overlapping pairs merged when Theorem 1's benefit condition
+//     ρ(x∩y)/ρ(x∪y) > ce/(cr+ce) holds, with the Corollary 1.1/1.2
+//     cut-offs bounding the scan. Both the originals and the merges are
+//     kept as candidates; selection picks the cost-optimal subset.
+//
+// With noMerge (an ablation) no range merges are proposed.
 func generateCandidates(ps []*policy.Policy, sel Selectivity, cm CostModel, noMerge bool) []Candidate {
 	var out []Candidate
 

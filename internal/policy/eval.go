@@ -194,7 +194,3 @@ func (cs *CompiledSet) EvalOwnerFirstMatch(owner int64, row storage.Row, sub Sub
 	}
 	return false, checked, nil
 }
-
-// OwnersCovered returns the number of distinct owners with at least one
-// policy in the set.
-func (cs *CompiledSet) OwnersCovered() int { return len(cs.byOwner) }

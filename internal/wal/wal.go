@@ -135,7 +135,7 @@ type Manager struct {
 	recovered *Recovered // non-nil once Recover ran
 	started   bool
 	closed    bool
-	failed    error // sticky: first append-path I/O error fail-stops the log
+	failed    error // sticky: the first failed write or fsync (append or Sync) fail-stops the log
 
 	appends      atomic.Int64
 	bytes        atomic.Int64
@@ -232,7 +232,8 @@ func (m *Manager) Start(db *engine.DB, protectedFn func() []string) error {
 	return nil
 }
 
-// syncLoop is the SyncInterval background fsync.
+// syncLoop is the SyncInterval background fsync. A failure stops the log
+// (Sync), so the next append reports it.
 func (m *Manager) syncLoop() {
 	defer close(m.syncDone)
 	t := time.NewTicker(m.opts.SyncEvery)
@@ -247,7 +248,9 @@ func (m *Manager) syncLoop() {
 	}
 }
 
-// Sync flushes the active segment to stable storage.
+// Sync flushes the active segment to stable storage. A failed fsync stops
+// the log, as it does on the append path: the kernel may have dropped the
+// dirty pages it could not write, so no later append is acknowledged.
 func (m *Manager) Sync() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -256,7 +259,10 @@ func (m *Manager) Sync() error {
 	}
 	t0 := time.Now()
 	if err := m.log.sync(); err != nil {
-		return err
+		if m.failed == nil {
+			m.failed = err
+		}
+		return fmt.Errorf("wal: fsync failed: %w", err)
 	}
 	m.observeFsync(time.Since(t0))
 	return nil
